@@ -84,16 +84,40 @@ def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
     return (u * np.sqrt(w)) @ u.conj().T
 
 
-def _inv_sqrt_psd(rho: np.ndarray, floor: float) -> np.ndarray:
+def _sqrt_and_inv_sqrt(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(rho) and rho^(-1/2) from one eigendecomposition."""
     w, u = np.linalg.eigh(nl.hermitian_part(rho))
-    w = np.clip(w, floor, None)
-    return (u / np.sqrt(w)) @ u.conj().T
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    inv_root = (u / np.sqrt(np.clip(w, 1e-300, None))) @ u.conj().T
+    return root, inv_root
+
+
+# Operators on C^d_in (x) C^d_out act on the input factor as a (x) I.  The
+# helpers below apply such products through reshapes instead of forming the
+# Kronecker product; ``a`` and ``b`` may be stacks of shape (..., d_in, d_in).
+
+def _lmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(a (x) I) @ m."""
+    return (a @ m.reshape(a.shape[-1], -1)).reshape(a.shape[:-2] + m.shape)
+
+
+def _rmul(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m @ (b (x) I), as ((b^T (x) I) m^T)^T."""
+    return np.swapaxes(_lmul(np.swapaxes(b, -1, -2), m.T), -1, -2)
+
+
+def _ptrace_out(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Partial trace over the output factor (``partial_trace(m, dims, keep=0)``)."""
+    return np.einsum("iyjy->ij", m.reshape(d_in, d_out, d_in, d_out))
 
 
 def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray, d_out: int) -> float:
-    eye = np.eye(d_out)
-    m = nl.kron(_sqrt_psd(rho), eye) @ j @ nl.kron(_sqrt_psd(sigma), eye)
-    return nl.trace_norm(m)
+    """||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1.
+
+    The split of J into factors follows from the shape of rho, so ``d_out``
+    goes unused.
+    """
+    return nl.trace_norm(_lmul(_sqrt_psd(rho), _rmul(j, _sqrt_psd(sigma))))
 
 
 def _dual_bound_from_point(
@@ -107,23 +131,19 @@ def _dual_bound_from_point(
     numerical slack into the bound.
     """
     eye_in = np.eye(d_in)
-    eye = np.eye(d_out)
     rho_r = (1 - mix) * nl.hermitian_part(rho) + mix * eye_in / d_in
     sig_r = (1 - mix) * nl.hermitian_part(sigma) + mix * eye_in / d_in
-    sr, sri = _sqrt_psd(rho_r), _inv_sqrt_psd(rho_r, 1e-300)
-    ss, ssi = _sqrt_psd(sig_r), _inv_sqrt_psd(sig_r, 1e-300)
-    m = nl.kron(sr, eye) @ j @ nl.kron(ss, eye)
-    u, s, vh = np.linalg.svd(m)
-    y0 = nl.kron(sri, eye) @ (u * s) @ u.conj().T @ nl.kron(sri, eye)
-    y1 = nl.kron(ssi, eye) @ (vh.conj().T * s) @ vh @ nl.kron(ssi, eye)
-    y0 = nl.hermitian_part(y0)
-    y1 = nl.hermitian_part(y1)
+    sr, sri = _sqrt_and_inv_sqrt(rho_r)
+    ss, ssi = _sqrt_and_inv_sqrt(sig_r)
+    u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
+    y0 = nl.hermitian_part(_lmul(sri, _rmul((u * s) @ u.conj().T, sri)))
+    y1 = nl.hermitian_part(_lmul(ssi, _rmul((vh.conj().T * s) @ vh, ssi)))
     # explicit feasibility check of [[Y0, -J], [-J^dag, Y1]]
     block = np.block([[y0, -j], [-j.conj().T, y1]])
     lam_min = float(np.linalg.eigvalsh(nl.hermitian_part(block))[0])
     slack = max(0.0, -lam_min) * (1 + 1e-9)
-    val0 = nl.operator_norm(nl.partial_trace(y0, (d_in, d_out), keep=0))
-    val1 = nl.operator_norm(nl.partial_trace(y1, (d_in, d_out), keep=0))
+    val0 = nl.operator_norm(_ptrace_out(y0, d_in, d_out))
+    val1 = nl.operator_norm(_ptrace_out(y1, d_in, d_out))
     return 0.5 * (val0 + val1) + slack * d_out
 
 
@@ -132,8 +152,8 @@ def _cheap_upper_bound(j: np.ndarray, d_in: int, d_out: int) -> float:
     u, s, vh = np.linalg.svd(j)
     y0 = nl.hermitian_part((u * s) @ u.conj().T)   # |J^dag|
     y1 = nl.hermitian_part((vh.conj().T * s) @ vh)  # |J|
-    val0 = nl.operator_norm(nl.partial_trace(y0, (d_in, d_out), keep=0))
-    val1 = nl.operator_norm(nl.partial_trace(y1, (d_in, d_out), keep=0))
+    val0 = nl.operator_norm(_ptrace_out(y0, d_in, d_out))
+    val1 = nl.operator_norm(_ptrace_out(y1, d_in, d_out))
     return 0.5 * (val0 + val1)
 
 
@@ -141,32 +161,34 @@ def _alternating_ascent(
     j: np.ndarray, d_in: int, d_out: int, iters: int, rng: np.random.Generator,
     rho0=None, sigma0=None,
 ):
-    """Monotone surrogate ascent on f(rho, sigma); returns the best point."""
-    eye = np.eye(d_out)
+    """Monotone surrogate ascent on f(rho, sigma); returns the best point.
+
+    The loop carries sqrt(rho), sqrt(sigma) and the SVD of the current
+    M = (sqrt(rho) (x) I) J (sqrt(sigma) (x) I): the SVD that gives the value
+    at the end of one iteration is the first SVD of the next, so an iteration
+    costs two SVDs and two eigendecompositions of size d_in.
+    """
     rho = np.eye(d_in, dtype=complex) / d_in if rho0 is None else rho0
     sigma = np.eye(d_in, dtype=complex) / d_in if sigma0 is None else sigma0
-    best = _primal_value(j, rho, sigma, d_out)
+    sr, ss = _sqrt_psd(rho), _sqrt_psd(sigma)
+    js = _rmul(j, ss)
+    u, s, vh = np.linalg.svd(_lmul(sr, js))
+    best = float(np.sum(s))
     for _ in range(iters):
-        m = nl.kron(_sqrt_psd(rho), eye) @ j @ nl.kron(_sqrt_psd(sigma), eye)
-        u, s, vh = np.linalg.svd(m)
         # rho update: maximize Re Tr(sqrt(rho') N) with N below
-        n_mat = nl.partial_trace(
-            j @ nl.kron(_sqrt_psd(sigma), eye) @ vh.conj().T @ u.conj().T,
-            (d_in, d_out), keep=0,
-        )
-        rho_new = _state_from_halfgrad(nl.hermitian_part(n_mat))
-        if rho_new is not None:
-            rho = rho_new
-        m = nl.kron(_sqrt_psd(rho), eye) @ j @ nl.kron(_sqrt_psd(sigma), eye)
-        u, s, vh = np.linalg.svd(m)
-        n_mat = nl.partial_trace(
-            vh.conj().T @ u.conj().T @ nl.kron(_sqrt_psd(rho), eye) @ j,
-            (d_in, d_out), keep=0,
-        )
-        sigma_new = _state_from_halfgrad(nl.hermitian_part(n_mat))
-        if sigma_new is not None:
-            sigma = sigma_new
-        val = _primal_value(j, rho, sigma, d_out)
+        n_mat = _ptrace_out(js @ (u @ vh).conj().T, d_in, d_out)
+        new = _state_from_halfgrad(nl.hermitian_part(n_mat))
+        if new is not None:
+            rho, sr = new
+        rj = _lmul(sr, j)
+        u, s, vh = np.linalg.svd(_rmul(rj, ss))
+        n_mat = _ptrace_out((u @ vh).conj().T @ rj, d_in, d_out)
+        new = _state_from_halfgrad(nl.hermitian_part(n_mat))
+        if new is not None:
+            sigma, ss = new
+        js = _rmul(j, ss)
+        u, s, vh = np.linalg.svd(_lmul(sr, js))
+        val = float(np.sum(s))
         if val <= best * (1 + 1e-12):
             best = max(best, val)
             break
@@ -175,14 +197,17 @@ def _alternating_ascent(
 
 
 def _state_from_halfgrad(h: np.ndarray):
-    """argmax over density rho of Tr(sqrt(rho) H): the normalized square of H_+."""
+    """argmax over density rho of Tr(sqrt(rho) H): the normalized square of H_+.
+
+    Returns ``(rho, sqrt(rho))``, or None when H has no positive part.
+    """
     w, u = np.linalg.eigh(h)
     w = np.clip(w, 0.0, None)
     nrm = np.linalg.norm(w)
     if nrm <= 0:
         return None
-    w = (w / nrm) ** 2
-    return (u * w) @ u.conj().T
+    w = w / nrm
+    return (u * w ** 2) @ u.conj().T, (u * w) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +228,17 @@ class _BarrierWorkspace:
         self.p = 2 * self.nb + 2 * self.nx
 
     def z_matrix(self, rho, sigma, x):
-        eye = np.eye(self.d_out)
-        top = np.concatenate([nl.kron(rho, eye), x], axis=1)
-        bot = np.concatenate([x.conj().T, nl.kron(sigma, eye)], axis=1)
-        return np.concatenate([top, bot], axis=0)
+        """Z = [[rho (x) I, X], [X^dag, sigma (x) I]]."""
+        n_big, d_in, d_out = self.n_big, self.d_in, self.d_out
+        z = np.zeros((2 * n_big, 2 * n_big), dtype=complex)
+        # view with axes (block, i, y, block, j, y'): rho (x) I sits on y = y'
+        blocks = z.reshape(2, d_in, d_out, 2, d_in, d_out)
+        diag = np.arange(d_out)
+        blocks[0, :, diag, 0, :, diag] = rho
+        blocks[1, :, diag, 1, :, diag] = sigma
+        z[:n_big, n_big:] = x
+        z[n_big:, :n_big] = x.conj().T
+        return z
 
     def is_pd(self, rho, sigma, x) -> bool:
         z = self.z_matrix(rho, sigma, x)
@@ -229,8 +261,8 @@ class _BarrierWorkspace:
 
         # gradient of t*obj + logdet
         grad = np.empty(self.p)
-        tr_g1 = nl.partial_trace(g1, (d_in, d_out), keep=0)
-        tr_g2 = nl.partial_trace(g2, (d_in, d_out), keep=0)
+        tr_g1 = _ptrace_out(g1, d_in, d_out)
+        tr_g2 = _ptrace_out(g2, d_in, d_out)
         grad[:nb] = [np.real(nl.hs_inner(h, tr_g1)) for h in self.basis]
         grad[nb: 2 * nb] = [np.real(nl.hs_inner(h, tr_g2)) for h in self.basis]
         gx = t * self.j / 2.0 + k  # d/d(conj X) of (t obj/... ) in Wirtinger form
@@ -283,11 +315,11 @@ class _BarrierWorkspace:
         q_rs = np.real(np.einsum("ajp,jpqi,bqi->ab", h_stack, t4_k, h_stack, optimize=True))
 
         # cross blocks with X: rows are 2 Re W / 2 Im W in column-major vec order
-        eye = np.eye(d_out)
-        w_rho = [g1 @ nl.kron(h, eye) @ k for h in self.basis]
-        w_sig = [k @ nl.kron(h, eye) @ g2 for h in self.basis]
-        wr_flat = np.stack([w.ravel(order="F") for w in w_rho])
-        ws_flat = np.stack([w.ravel(order="F") for w in w_sig])
+        # W_rho = G1 (H (x) I) K and W_sig = K (H (x) I) G2 for every basis H
+        w_rho = _rmul(g1, h_stack) @ k
+        w_sig = k @ _lmul(h_stack, g2)
+        wr_flat = np.swapaxes(w_rho, 1, 2).reshape(nb, nx)
+        ws_flat = np.swapaxes(w_sig, 1, 2).reshape(nb, nx)
         q_rx = np.concatenate([2 * np.real(wr_flat), 2 * np.imag(wr_flat)], axis=1)
         q_sx = np.concatenate([2 * np.real(ws_flat), 2 * np.imag(ws_flat)], axis=1)
 
@@ -384,8 +416,8 @@ def _dual_bound_from_center(ws, j, rho, sigma, x, t, k):
     block = np.block([[y0, -j], [-j.conj().T, y1]])
     lam_min = float(np.linalg.eigvalsh(nl.hermitian_part(block))[0])
     slack = max(0.0, -lam_min) * (1 + 1e-9)
-    val0 = nl.operator_norm(nl.partial_trace(y0, (ws.d_in, ws.d_out), keep=0))
-    val1 = nl.operator_norm(nl.partial_trace(y1, (ws.d_in, ws.d_out), keep=0))
+    val0 = nl.operator_norm(_ptrace_out(y0, ws.d_in, ws.d_out))
+    val1 = nl.operator_norm(_ptrace_out(y1, ws.d_in, ws.d_out))
     return 0.5 * (val0 + val1) + slack * ws.d_out
 
 

@@ -335,11 +335,6 @@ def _group_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def _polar_unitary(t: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(t)
-    return u @ vh
-
-
 def decompose_star_algebra(
     basis: list[np.ndarray],
     struct_tol: float = 1e-8,
@@ -438,7 +433,7 @@ def _factor_block(sub_basis, iso, rng, struct_tol):
         s = np.linalg.svd(t, compute_uv=False)
         if s[-1] < 1e-8 * max(s[0], 1e-30) or s[-1] < 1e-12:
             raise DecompositionFailed("probe element does not connect eigenspaces")
-        frame.append(_polar_unitary(t))
+        frame.append(nl.polar_unitary(t))
 
     rows = []
     for k in range(d):
@@ -661,16 +656,6 @@ def _delta_map(struct: IdempotentStructure) -> np.ndarray:
     target = np.stack(targets, axis=1)
     coeffs, *_ = np.linalg.lstsq(w_cols, target, rcond=None)
     return coeffs  # shape (N, d_tot^2)
-
-
-def delta_channel(struct: IdempotentStructure, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
-    """The UCP embedding Delta: B -> B(H), precomposed with the block pinching."""
-    coeffs = _delta_map(struct)
-    basis_stack = np.stack([nl.vec(b) for b in struct.fixed_basis], axis=1)
-    d_tot = struct.block_rep_dim
-    raw = basis_stack @ coeffs  # maps vec(block element) -> vec(ambient operator)
-    pinch = pinch_superop(tuple(struct.block_dims))
-    return Channel(raw @ pinch, d_tot, struct.dim, tol)
 
 
 def make_enc_dec(

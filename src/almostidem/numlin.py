@@ -222,7 +222,7 @@ def operator_norm(m: np.ndarray) -> float:
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -231,6 +231,12 @@ def trace_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+def polar_unitary(t: np.ndarray) -> np.ndarray:
+    """Unitary factor U V^dag of the polar decomposition of t = U S V^dag."""
+    u, _, vh = np.linalg.svd(t)
+    return u @ vh
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

@@ -33,7 +33,7 @@ def _input_block(ch: chn.Channel, seed: int) -> dict:
 
 def analyze_channel(ch: chn.Channel, seed: int = 0, target_rel_gap: float = 1e-6) -> dict:
     """Validity flags, certified idempotency defect, carrier dimension."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     m = ch.superop
     eta = cbnorm.cb_norm(m @ m - m, ch.dim_in, ch.dim_in, target_rel_gap, seed=seed)
     carrier_dim = int(chn.carrier(ch).shape[1]) if ch.is_cp() else None
@@ -49,7 +49,7 @@ def analyze_channel(ch: chn.Channel, seed: int = 0, target_rel_gap: float = 1e-6
         "eta": ser.certificate_to_dict(eta),
         "eta_domain_ok": bool(eta.upper < 0.25),
         "carrier_dim": carrier_dim,
-        "timings": {"total": time.time() - t0},
+        "timings": {"total": time.perf_counter() - t0},
     }
     return report
 
@@ -65,7 +65,7 @@ def reconstruct_channel(
     Returns (report, artifacts); artifacts keep the in-memory objects for
     further processing.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     ch.require_ucp()
     checkpoints = []
     pm = sc.idempotentize(ch)
@@ -105,7 +105,7 @@ def reconstruct_channel(
         "checkpoints": checkpoints,
         "block_dims": list(spec.block_dims),
         "hom_coeffs": ser.matrix_to_json(v.coeffs),
-        "timings": {"total": time.time() - t0},
+        "timings": {"total": time.perf_counter() - t0},
     }
     artifacts = {"pm": pm, "alg": alg, "spec": spec, "v": v, "rec_report": rec_report}
     return report, artifacts
@@ -119,7 +119,7 @@ def factorize_channel(
     twirl_cap: int = 10_000,
 ) -> tuple[dict, dict]:
     """Pipeline through the certified UCP factorization."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     report, artifacts = reconstruct_channel(ch, seed, samples, extension_n)
     pm, alg, spec, v = (
         artifacts["pm"], artifacts["alg"], artifacts["spec"], artifacts["v"]
@@ -155,7 +155,7 @@ def factorize_channel(
         "product_residuals": {str(k): val for k, val in cert.product_residuals.items()},
         "ucp_flags": cert.ucp_flags,
     }
-    report["timings"]["total"] = time.time() - t0
+    report["timings"]["total"] = time.perf_counter() - t0
     artifacts.update({"raw": raw, "delta": delta, "upsilon": upsilon, "cert": cert})
     return report, artifacts
 

@@ -457,7 +457,7 @@ def extend_matrix_algebra(
         )
         cols.append(mu_ej1 @ xi)
     u1 = np.stack(cols, axis=1)
-    u1 = _polar_unitary(u1)
+    u1 = nl.polar_unitary(u1)
 
     # assemble the extended map on M_{n+1}
     new_spec = BlockSpec((n + 1,))
@@ -476,11 +476,6 @@ def extend_matrix_algebra(
             coeffs[:, col] = q_tilde
     out = mult_defect(AlmostHom(new_spec, coeffs), alg)
     return out
-
-
-def _polar_unitary(t: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(t)
-    return u @ vh
 
 
 # ---------------------------------------------------------------------------

@@ -195,3 +195,121 @@ class TestGenericSdp:
         prob = cb.SdpProblem((3, 1), c, a_blocks, b)
         pval, dval, gap = cb.solve_sdp(prob)
         assert abs(pval - lam_max) <= 1e-6
+
+
+def _random_complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _ascent_with_kron(j, d_in, d_out, iters, rho0=None, sigma0=None):
+    """The alternating ascent written with explicit Kronecker products."""
+    eye = np.eye(d_out)
+
+    def sqrt_psd(r):
+        w, u = np.linalg.eigh(nl.hermitian_part(r))
+        return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+
+    def state(h):
+        w, u = np.linalg.eigh(h)
+        w = np.clip(w, 0.0, None)
+        nrm = np.linalg.norm(w)
+        if nrm <= 0:
+            return None
+        return (u * (w / nrm) ** 2) @ u.conj().T
+
+    def value(r, s):
+        return nl.trace_norm(nl.kron(sqrt_psd(r), eye) @ j @ nl.kron(sqrt_psd(s), eye))
+
+    rho = np.eye(d_in, dtype=complex) / d_in if rho0 is None else rho0
+    sigma = np.eye(d_in, dtype=complex) / d_in if sigma0 is None else sigma0
+    best = value(rho, sigma)
+    for _ in range(iters):
+        m = nl.kron(sqrt_psd(rho), eye) @ j @ nl.kron(sqrt_psd(sigma), eye)
+        u, s, vh = np.linalg.svd(m)
+        n_mat = nl.partial_trace(
+            j @ nl.kron(sqrt_psd(sigma), eye) @ vh.conj().T @ u.conj().T,
+            (d_in, d_out), keep=0,
+        )
+        rho_new = state(nl.hermitian_part(n_mat))
+        if rho_new is not None:
+            rho = rho_new
+        m = nl.kron(sqrt_psd(rho), eye) @ j @ nl.kron(sqrt_psd(sigma), eye)
+        u, s, vh = np.linalg.svd(m)
+        n_mat = nl.partial_trace(
+            vh.conj().T @ u.conj().T @ nl.kron(sqrt_psd(rho), eye) @ j,
+            (d_in, d_out), keep=0,
+        )
+        sigma_new = state(nl.hermitian_part(n_mat))
+        if sigma_new is not None:
+            sigma = sigma_new
+        val = value(rho, sigma)
+        if val <= best * (1 + 1e-12):
+            best = max(best, val)
+            break
+        best = val
+    return rho, sigma, best
+
+
+class TestKronFreeKernels:
+    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2), (4, 4)])
+    def test_products_and_partial_trace_match_kron(self, d_in, d_out):
+        rng = np.random.default_rng(10 * d_in + d_out)
+        n = d_in * d_out
+        eye = np.eye(d_out)
+        m = _random_complex(rng, n, n)
+        a = _random_complex(rng, d_in, d_in)
+        b = _random_complex(rng, d_in, d_in)
+        assert np.allclose(cb._lmul(a, m), nl.kron(a, eye) @ m, rtol=0, atol=1e-12)
+        assert np.allclose(cb._rmul(m, b), m @ nl.kron(b, eye), rtol=0, atol=1e-12)
+        assert np.allclose(
+            cb._ptrace_out(m, d_in, d_out), nl.partial_trace(m, (d_in, d_out), keep=0),
+            rtol=0, atol=1e-12,
+        )
+        # stacks of input-factor operators, as in the Hessian cross blocks
+        stack = np.stack([a, b])
+        for got, ref in zip(cb._lmul(stack, m), (a, b)):
+            assert np.allclose(got, nl.kron(ref, eye) @ m, rtol=0, atol=1e-12)
+        for got, ref in zip(cb._rmul(m, stack), (a, b)):
+            assert np.allclose(got, m @ nl.kron(ref, eye), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2)])
+    def test_z_matrix_matches_kron_blocks(self, d_in, d_out):
+        rng = np.random.default_rng(d_in + 5 * d_out)
+        n = d_in * d_out
+        ws = cb._BarrierWorkspace(_random_complex(rng, n, n), d_in, d_out)
+        rho = nl.random_density(d_in, rng)
+        sigma = nl.random_density(d_in, rng)
+        x = _random_complex(rng, n, n)
+        eye = np.eye(d_out)
+        ref = np.block([[nl.kron(rho, eye), x], [x.conj().T, nl.kron(sigma, eye)]])
+        assert np.array_equal(ws.z_matrix(rho, sigma, x), ref)
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2)])
+    def test_ascent_matches_kron_reference(self, d_in, d_out):
+        rng = np.random.default_rng(3 * d_in + d_out)
+        n = d_in * d_out
+        for trial in range(3):
+            j = _random_complex(rng, n, n)
+            starts = [(None, None)]
+            starts.append((nl.random_density(d_in, rng), nl.random_density(d_in, rng)))
+            for rho0, sigma0 in starts:
+                rho, sigma, best = cb._alternating_ascent(
+                    j, d_in, d_out, 150, rng, rho0=rho0, sigma0=sigma0
+                )
+                rho_r, sigma_r, best_r = _ascent_with_kron(
+                    j, d_in, d_out, 150, rho0=rho0, sigma0=sigma0
+                )
+                assert abs(best - best_r) <= 1e-12 * max(1.0, best_r)
+                assert np.allclose(rho, rho_r, rtol=0, atol=1e-12)
+                assert np.allclose(sigma, sigma_r, rtol=0, atol=1e-12)
+
+    def test_state_square_root_squares_back(self):
+        rng = np.random.default_rng(17)
+        for dim in (2, 3, 5):
+            h = nl.random_hermitian(dim, rng)
+            rho, root = cb._state_from_halfgrad(h)
+            assert np.allclose(root @ root, rho, rtol=0, atol=1e-12)
+            assert np.allclose(root, root.conj().T, rtol=0, atol=1e-14)
+            assert np.linalg.eigvalsh(root)[0] >= -1e-12
+            assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert cb._state_from_halfgrad(-np.eye(3, dtype=complex)) is None
