@@ -58,10 +58,8 @@ def raw_factor(v: AlmostHom, pm: IdempotentizedMap, alg: EpsilonAlgebra) -> RawF
     dim = alg.ambient_dim
     d_tot = spec.rep_dim
     basis_stack = np.stack([nl.vec(b) for b in alg.basis], axis=1)  # (d^2, N)
-    unit_cols = np.stack(
-        [v.apply(spec.unit_matrix(l, j, k)) for (l, j, k) in spec.unit_indices()],
-        axis=1,
-    )  # (N, N_B)
+    cols = spec.unit_columns()
+    unit_cols = v.coeffs[:, cols]  # (N, N_B)
     if unit_cols.shape[0] != unit_cols.shape[1]:
         raise NotBijective(
             f"map is not square: algebra dim {unit_cols.shape[0]}, "
@@ -73,11 +71,8 @@ def raw_factor(v: AlmostHom, pm: IdempotentizedMap, alg: EpsilonAlgebra) -> RawF
 
     delta = basis_stack @ v.coeffs  # (d^2, D^2), already zero off-block
     inv_units = np.linalg.inv(unit_cols)
-    block_vecs = np.stack(
-        [nl.vec(spec.unit_matrix(l, j, k)) for (l, j, k) in spec.unit_indices()],
-        axis=1,
-    )  # (D^2, N_B)
-    upsilon = block_vecs @ inv_units @ basis_stack.conj().T @ pm.superop
+    upsilon = np.zeros((d_tot * d_tot, dim * dim), dtype=complex)
+    upsilon[cols] = inv_units @ basis_stack.conj().T @ pm.superop
 
     factor_res = nl.operator_norm(delta @ upsilon - pm.superop)
     retract_res = nl.operator_norm(upsilon @ delta - pinch_superop(spec.block_dims))
@@ -259,18 +254,10 @@ def build_upsilon(
     return upsilon, info
 
 
-def _transpose_perm(dim: int) -> np.ndarray:
-    perm = np.zeros(dim * dim, dtype=int)
-    for r in range(dim):
-        for c in range(dim):
-            perm[c * dim + r] = r * dim + c
-    return perm
-
-
 def _adjoint_conjugate_superop(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """Superoperator of X -> Lambda(X^dag)^dag given the one of Lambda."""
-    p_in = _transpose_perm(d_in)
-    p_out = _transpose_perm(d_out)
+    p_in = nl.transpose_permutation(d_in)
+    p_out = nl.transpose_permutation(d_out)
     return np.conj(m[np.ix_(p_out, p_in)])
 
 

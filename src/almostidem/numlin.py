@@ -179,6 +179,11 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x).reshape(x.shape[0] * x.shape[1], order="F")
 
 
+def transpose_permutation(dim: int) -> np.ndarray:
+    """Index map with ``vec(X.T) == vec(X)[perm]`` for square ``X`` of size ``dim``."""
+    return np.arange(dim * dim).reshape(dim, dim).T.ravel()
+
+
 def unvec(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Inverse of :func:`vec`; square by default."""
     v = np.asarray(v).ravel()

@@ -81,6 +81,23 @@ class BlockSpec:
                     out.append((l, j, k))
         return out
 
+    def unit_columns(self) -> np.ndarray:
+        """vec index of each matrix unit, in ``unit_indices`` order."""
+        rep, starts = self.rep_dim, [s.start for s in self.slices()]
+        return np.array(
+            [(starts[l] + k) * rep + starts[l] + j for (l, j, k) in self.unit_indices()],
+            dtype=int,
+        )
+
+    def unit_products(self) -> np.ndarray:
+        """(U, U) table of the unit index of E_a E_b, or -1 where the product is 0."""
+        idx = np.array(self.unit_indices())
+        offsets = np.cumsum([0] + [d * d for d in self.block_dims])[idx[:, 0]]
+        dims = np.array(self.block_dims)[idx[:, 0]]
+        l, j, k = idx.T
+        nonzero = (l[:, None] == l[None, :]) & (k[:, None] == j[None, :])
+        return np.where(nonzero, (offsets + j * dims)[:, None] + k[None, :], -1)
+
     def unit_matrix(self, l: int, j: int, k: int) -> np.ndarray:
         m = np.zeros((self.rep_dim, self.rep_dim), dtype=complex)
         s = self.slices()[l]
@@ -90,9 +107,12 @@ class BlockSpec:
     def unit(self) -> np.ndarray:
         return np.eye(self.rep_dim, dtype=complex)
 
-    def block_norm(self, x: np.ndarray) -> float:
-        """Norm of a block-diagonal element: max over the blocks."""
-        return max(nl.operator_norm(x[s, s]) for s in self.slices())
+    def block_norm(self, x: np.ndarray) -> np.ndarray:
+        """Norms of a stack of block-diagonal elements: max over the blocks."""
+        return np.max(
+            [np.linalg.svd(x[:, s, s], compute_uv=False)[:, 0] for s in self.slices()],
+            axis=0,
+        )
 
     def random_element(self, rng: np.random.Generator, hermitian=False) -> np.ndarray:
         m = np.zeros((self.rep_dim, self.rep_dim), dtype=complex)
@@ -214,55 +234,46 @@ class AlmostHom:
         return self.coeffs @ nl.vec(np.asarray(x, dtype=complex))
 
     def symmetrized(self) -> "AlmostHom":
-        rep = self.spec.rep_dim
-        sym = np.zeros_like(self.coeffs)
-        for idx in range(rep * rep):
-            x = nl.unvec(np.eye(rep * rep, dtype=complex)[:, idx], rep, rep)
-            sym[:, idx] = 0.5 * (
-                self.coeffs[:, idx] + np.conj(self.apply(x.conj().T))
-            )
-        return AlmostHom(self.spec, sym)
+        perm = nl.transpose_permutation(self.spec.rep_dim)
+        return AlmostHom(self.spec, 0.5 * (self.coeffs + np.conj(self.coeffs[:, perm])))
 
     def dagger_symmetry_residual(self) -> float:
-        rep = self.spec.rep_dim
-        worst = 0.0
-        for idx in range(rep * rep):
-            x = nl.unvec(np.eye(rep * rep, dtype=complex)[:, idx], rep, rep)
-            worst = max(
-                worst,
-                float(np.linalg.norm(self.apply(x.conj().T) - np.conj(self.apply(x)))),
-            )
-        return worst
+        """max over matrix units E of ||v(E^dag) - v(E)^dag||."""
+        perm = nl.transpose_permutation(self.spec.rep_dim)
+        return float(np.linalg.norm(self.coeffs[:, perm] - np.conj(self.coeffs), axis=0).max())
 
 
 def mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probes: int = 20,
                 seed: int = 0) -> AlmostHom:
-    """Measure unit/multiplicativity defects and the norm sandwich of v."""
+    """Measure unit/multiplicativity defects and the norm sandwich of v.
+
+    The defect is the largest ||v(E_a E_b) - v(E_a) * v(E_b)|| over all pairs
+    of matrix units, and over ``probes`` random pairs normalized by their block
+    norms; all star products come from one contraction and all norms from one
+    stacked SVD.
+    """
     spec = v.spec
-    units = spec.unit_indices()
-    imgs = {u: v.apply(spec.unit_matrix(*u)) for u in units}
-    worst = 0.0
-    for (l1, j1, k1) in units:
-        x_img = imgs[(l1, j1, k1)]
-        for (l2, j2, k2) in units:
-            y_img = imgs[(l2, j2, k2)]
-            prod_img = (
-                imgs[(l1, j1, k2)]
-                if (l1 == l2 and k1 == j2)
-                else np.zeros(alg.dim, dtype=complex)
-            )
-            g = prod_img - alg.star(x_img, y_img)
-            worst = max(worst, alg.norm(g))
-    rng = np.random.default_rng(seed)
+    n = alg.dim
+    t_flat = alg.star_tensor.reshape(n, n * n)
+    imgs = v.coeffs[:, spec.unit_columns()].T  # (U, n): v(E_a) as rows
+    stars = imgs @ (imgs @ t_flat).reshape(-1, n, n)  # [a, b] = v(E_a) * v(E_b)
+    table = spec.unit_products()
+    expected = np.where((table >= 0)[..., None], imgs[table], 0.0)
+    worst = float(alg.norms((expected - stars).reshape(-1, n)).max())
     iso_lo, iso_hi = np.inf, 0.0
-    for _ in range(probes):
-        x = spec.random_element(rng)
-        y = spec.random_element(rng)
+    if probes:
+        rng = np.random.default_rng(seed)
+        xy = np.stack([spec.random_element(rng) for _ in range(2 * probes)])
+        x, y = xy[0::2], xy[1::2]
         nx, ny = spec.block_norm(x), spec.block_norm(y)
-        g = v.apply(x @ y) - alg.star(v.apply(x), v.apply(y))
-        worst = max(worst, alg.norm(g) / (nx * ny))
-        ratio = alg.norm(v.apply(x)) / nx
-        iso_lo, iso_hi = min(iso_lo, ratio), max(iso_hi, ratio)
+        # rows v(x_p): vec stacks columns, i.e. the rows of the transpose
+        vx, vy, vxy = (
+            np.swapaxes(m, 1, 2).reshape(probes, -1) @ v.coeffs.T for m in (x, y, x @ y)
+        )
+        g = vxy - (vy[:, None, :] @ (vx @ t_flat).reshape(-1, n, n))[:, 0]
+        worst = max(worst, float(np.max(alg.norms(g) / (nx * ny))))
+        ratio = alg.norms(vx) / nx
+        iso_lo, iso_hi = float(ratio.min()), float(ratio.max())
     unit_def = alg.norm(v.apply(spec.unit()) - alg.unit_coords)
     v.mult_defect = worst
     v.unit_defect = unit_def
@@ -286,16 +297,25 @@ def improve_homomorphism(
     w'(X) = sum_s p_s v(U_s^dag) * (v(U_s X) - v(U_s) * v(X)) and w'' is its
     involution partner; the defect contracts quadratically down to the level
     of the ambient algebra's own associativity defect.
+
+    Batched closed form of w', with T the star tensor and TC_a the matrix of
+    X -> B_a * v(X): the design sums come first, K_i = sum_s p_s v(U_s^dag)_i U_s
+    and M = sum_s p_s v(U_s^dag) v(U_s)^T, then H_i = v(K_i .) - sum_a M_ia TC_a
+    and w' = sum_(i,j) T[i, j, :] H_ij.
     """
     spec = v.spec
     rep = spec.rep_dim
+    n = alg.dim
     v = mult_defect(AlmostHom(spec, v.coeffs.copy()), alg, seed=seed)
     if v.mult_defect > start_threshold:
         raise ImproveFailed(
             f"initial defect {v.mult_defect:.3f} above the convergence threshold"
         )
-    unit_vecs = np.eye(rep * rep, dtype=complex)
-    dag_perm, dag_apply = _dagger_permutation(rep)
+    weights = np.array([p for p, _ in diag.terms])[:, None]
+    # rows vec(U_s^T); v(U) reads them through the transpose permutation and
+    # v(U^dag) = conj(conj(v)(U^T))
+    u_rows = np.stack([u for _, u in diag.terms]).reshape(len(diag.terms), -1)
+    dag_perm = nl.transpose_permutation(rep)
     best = v
     history = [v.mult_defect]
     bad_rounds = 0
@@ -303,15 +323,13 @@ def improve_homomorphism(
         if target is not None and best.mult_defect <= target:
             break
         coeffs = best.coeffs
-        w_prime = np.zeros_like(coeffs)
-        for p_s, u_s in diag.terms:
-            vu_dag = coeffs @ nl.vec(u_s.conj().T)
-            vu = coeffs @ nl.vec(u_s)
-            # batch of v(U_s X) over the canonical basis of the representation
-            left_mult = nl.kron(np.eye(rep), u_s)  # vec(U X) = (I (x) U) vec X
-            vux = coeffs @ (left_mult @ unit_vecs)
-            g_batch = vux - alg.lmul(vu) @ coeffs
-            w_prime += p_s * (alg.lmul(vu_dag) @ g_batch)
+        tc = (np.swapaxes(alg.star_tensor, 1, 2) @ coeffs).reshape(n, -1)
+        vu = u_rows @ coeffs[:, dag_perm].T
+        p_vu_dag = weights * np.conj(u_rows @ np.conj(coeffs).T)
+        k = (p_vu_dag.T @ u_rows).reshape(n, rep, rep)
+        # v(K_i X) over the vec basis: vec(K X) = (I (x) K) vec X acts on the row index
+        h = (coeffs.reshape(n * rep, rep) @ k).reshape(n, -1) - (p_vu_dag.T @ vu) @ tc
+        w_prime = alg.star_tensor.reshape(n * n, n).T @ h.reshape(n * n, rep * rep)
         w_second = np.conj(w_prime[:, dag_perm])
         cand = AlmostHom(spec, coeffs + 0.5 * (w_prime + w_second))
         cand = mult_defect(cand, alg, seed=seed)
@@ -330,17 +348,6 @@ def improve_homomorphism(
                     )
                 break
     return best
-
-
-def _dagger_permutation(rep: int):
-    """vec-index permutation realizing X -> X^dag together with conjugation."""
-    perm = np.zeros(rep * rep, dtype=int)
-    for r in range(rep):
-        for c in range(rep):
-            perm[c * rep + r] = r * rep + c
-    def apply(mat_cols):
-        return np.conj(mat_cols[:, perm])
-    return perm, apply
 
 
 def merge(
@@ -369,16 +376,11 @@ def merge(
         if cross != 0:
             raise CrossTalk(f"dim S_(P1, P2) = {cross} != 0; merge cannot be bijective")
     spec = BlockSpec(v1.spec.block_dims + v2.spec.block_dims)
-    rep = spec.rep_dim
-    r1 = v1.spec.rep_dim
-    coeffs = np.zeros((alg.dim, rep * rep), dtype=complex)
-    for (l, j, k) in spec.unit_indices():
-        x = spec.unit_matrix(l, j, k)
-        if l < len(v1.spec.block_dims):
-            img = v1.apply(x[:r1, :r1])
-        else:
-            img = v2.apply(x[r1:, r1:])
-        coeffs[:, nl.vec(x).argmax()] = img
+    coeffs = np.zeros((alg.dim, spec.rep_dim ** 2), dtype=complex)
+    # the units of v1's blocks come first in unit_indices, then those of v2's
+    coeffs[:, spec.unit_columns()] = np.concatenate(
+        [_restricted_coeffs(v1), _restricted_coeffs(v2)], axis=1
+    )
     return mult_defect(AlmostHom(spec, coeffs), alg)
 
 
@@ -434,10 +436,9 @@ def extend_matrix_algebra(
     # the corner representation of S_P on S_{P,Q}, then improved to exact
     target = matrix_algebra(n)
     rep_cols = np.zeros((target.dim, n * n), dtype=complex)
-    for idx, (l, j, k) in enumerate(spec.unit_indices()):
-        z = v.apply(spec.unit_matrix(l, j, k))
-        h_mat = pj.h_map(alg, z, c_p, c_pq, c_pq, c_q, hilb, hilb, c_qr=c_qp)
-        rep_cols[:, nl.vec(spec.unit_matrix(l, j, k)).argmax()] = target.coords(h_mat)
+    for col in spec.unit_columns():
+        h_mat = pj.h_map(alg, v.coeffs[:, col], c_p, c_pq, c_pq, c_q, hilb, hilb, c_qr=c_qp)
+        rep_cols[:, col] = target.coords(h_mat)
     mu = AlmostHom(spec, rep_cols).symmetrized()
     mu = improve_homomorphism(mu, target, pauli_diagonal(spec), target=1e-12, seed=seed)
 
@@ -464,8 +465,7 @@ def extend_matrix_algebra(
     coeffs = np.zeros((alg.dim, (n + 1) * (n + 1)), dtype=complex)
     e2c = hilb.basis_coords @ np.linalg.inv(hilb.chol.conj().T)
     q_tilde = c_q.apply(q.coords)
-    for (l, j, k) in new_spec.unit_indices():
-        col = nl.vec(new_spec.unit_matrix(l, j, k)).argmax()
+    for (l, j, k), col in zip(new_spec.unit_indices(), new_spec.unit_columns()):
         if j < n and k < n:
             coeffs[:, col] = v.apply(spec.unit_matrix(0, j, k))
         elif j < n and k == n:
@@ -629,7 +629,4 @@ def reconstruct(
 
 def _restricted_coeffs(v: AlmostHom) -> np.ndarray:
     """Columns of the coefficient matrix over the block-diagonal units only."""
-    cols = []
-    for (l, j, k) in v.spec.unit_indices():
-        cols.append(v.apply(v.spec.unit_matrix(l, j, k)))
-    return np.stack(cols, axis=1)
+    return v.coeffs[:, v.spec.unit_columns()]

@@ -132,6 +132,12 @@ class EpsilonAlgebra:
     def norm(self, x: np.ndarray) -> float:
         return nl.operator_norm(self.element(x))
 
+    def norms(self, coords: np.ndarray) -> np.ndarray:
+        """Operator norms of the elements whose coordinates are the rows of ``coords``."""
+        d = self.ambient_dim
+        mats = coords @ np.stack(self.basis).reshape(self.dim, d * d)
+        return np.linalg.svd(mats.reshape(-1, d, d), compute_uv=False)[:, 0]
+
     def lmul(self, x: np.ndarray) -> np.ndarray:
         """Matrix of Y -> X * Y on coordinates."""
         return np.einsum("i,ijk->kj", x, self.star_tensor)
@@ -267,16 +273,10 @@ def measure_defects(
     return report
 
 
-def _norms_of(alg: EpsilonAlgebra, coord_list) -> np.ndarray:
-    mats = np.stack([alg.element(c) for c in coord_list])
-    svals = np.linalg.svd(mats, compute_uv=False)
-    return svals[:, 0]
-
-
 def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
     n = alg.dim
     t = alg.star_tensor
-    basis_norms = _norms_of(alg, np.eye(n))
+    basis_norms = alg.norms(np.eye(n))
     rep = DefectReport(sample_count=0, method="basis_bound")
 
     prod_mats = np.einsum("ijk,kab->ijab", t, np.stack(alg.basis))

@@ -313,3 +313,27 @@ class TestKronFreeKernels:
             assert np.linalg.eigvalsh(root)[0] >= -1e-12
             assert abs(np.trace(rho).real - 1.0) <= 1e-12
         assert cb._state_from_halfgrad(-np.eye(3, dtype=complex)) is None
+
+
+class TestCheapCertificate:
+    def test_tiny_map_certified_without_ascent(self):
+        rng = np.random.default_rng(23)
+        d_in, d_out = 3, 2
+        a = _random_complex(rng, d_in * d_out, d_in * d_out)
+        j = 1e-12 * a
+        cert = cb.diamond_norm_of_choi(j, d_in, d_out)
+        assert cert.iterations == 0
+        assert cert.lower == nl.trace_norm(j) / d_in
+        assert cert.lower <= cert.upper
+        assert cert.gap <= 1e-6
+
+    def test_early_exit_does_not_fire_above_gap_target(self):
+        # homogeneity at 1e-3 holds only if that map still gets the full solve
+        rng = np.random.default_rng(23)
+        d_in, d_out = 3, 2
+        a = _random_complex(rng, d_in * d_out, d_in * d_out)
+        full = cb.diamond_norm_of_choi(a, d_in, d_out)
+        scaled = cb.diamond_norm_of_choi(1e-3 * a, d_in, d_out)
+        for cert in (full, scaled):
+            assert cert.gap <= 1e-6 * max(1.0, cert.lower)
+        assert abs(scaled.value - 1e-3 * full.value) <= 1e-6 * max(1.0, scaled.value)

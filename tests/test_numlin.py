@@ -140,6 +140,12 @@ class TestTensorOps:
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         np.testing.assert_allclose(nl.unvec(nl.vec(x)), x)
 
+    def test_transpose_permutation(self):
+        rng = np.random.default_rng(2)
+        for dim in (1, 2, 5):
+            x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            assert np.array_equal(nl.vec(x.T), nl.vec(x)[nl.transpose_permutation(dim)])
+
     def test_vec_kron_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -291,3 +291,120 @@ class TestReconstruct:
             spec, v, rep = rc.reconstruct(alg, seed=0)
             assert spec.block_dims == st.block_dims
             assert rep.mult_defect <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against per-pair / per-term loops
+# ---------------------------------------------------------------------------
+
+def mult_defect_per_pair(v, alg, probes=20, seed=0):
+    """(mult_defect, unit_defect, iso_lower, iso_upper) pair by pair."""
+    spec = v.spec
+    units = spec.unit_indices()
+    imgs = {u: v.apply(spec.unit_matrix(*u)) for u in units}
+    worst = 0.0
+    for (l1, j1, k1) in units:
+        for (l2, j2, k2) in units:
+            prod = (
+                imgs[(l1, j1, k2)] if (l1 == l2 and k1 == j2)
+                else np.zeros(alg.dim, dtype=complex)
+            )
+            g = prod - alg.star(imgs[(l1, j1, k1)], imgs[(l2, j2, k2)])
+            worst = max(worst, alg.norm(g))
+    rng = np.random.default_rng(seed)
+    iso_lo, iso_hi = np.inf, 0.0
+    for _ in range(probes):
+        x = spec.random_element(rng)
+        y = spec.random_element(rng)
+        nx = max(nl.operator_norm(x[s, s]) for s in spec.slices())
+        ny = max(nl.operator_norm(y[s, s]) for s in spec.slices())
+        g = v.apply(x @ y) - alg.star(v.apply(x), v.apply(y))
+        worst = max(worst, alg.norm(g) / (nx * ny))
+        ratio = alg.norm(v.apply(x)) / nx
+        iso_lo, iso_hi = min(iso_lo, ratio), max(iso_hi, ratio)
+    unit_def = alg.norm(v.apply(spec.unit()) - alg.unit_coords)
+    return worst, unit_def, iso_lo, iso_hi
+
+
+def correction_per_term(coeffs, alg, diag, rep):
+    """w'(X) = sum_s p_s v(U_s^dag) * (v(U_s X) - v(U_s) * v(X)), term by term."""
+    w_prime = np.zeros_like(coeffs)
+    for p_s, u_s in diag.terms:
+        vu_dag = coeffs @ nl.vec(u_s.conj().T)
+        vu = coeffs @ nl.vec(u_s)
+        vux = coeffs @ nl.kron(np.eye(rep), u_s)  # vec(U X) = (I (x) U) vec X
+        w_prime += p_s * (alg.lmul(vu_dag) @ (vux - alg.lmul(vu) @ coeffs))
+    return w_prime
+
+
+def symmetrized_per_column(v):
+    rep = v.spec.rep_dim
+    sym = np.zeros_like(v.coeffs)
+    for idx in range(rep * rep):
+        x = nl.unvec(np.eye(rep * rep, dtype=complex)[:, idx], rep, rep)
+        sym[:, idx] = 0.5 * (v.coeffs[:, idx] + np.conj(v.apply(x.conj().T)))
+    return sym
+
+
+def noisy_inclusion(dims, scale, seed):
+    alg = alg_of(chn.gen_pinching(dims))
+    spec = rc.BlockSpec(dims)
+    rng = np.random.default_rng(seed)
+    base = exact_inclusion(alg, spec).coeffs
+    noise = scale * (rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape))
+    return alg, rc.AlmostHom(spec, base + noise).symmetrized()
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("dims", [(1,), (2, 1), (3, 2, 1)])
+    @pytest.mark.parametrize("probes", [0, 20])
+    def test_mult_defect_matches_per_pair(self, dims, probes):
+        alg, v = noisy_inclusion(dims, 0.05, seed=len(dims) + probes)
+        got = rc.mult_defect(v, alg, probes=probes, seed=4)
+        ref = mult_defect_per_pair(v, alg, probes=probes, seed=4)
+        assert got.mult_defect > 1e-3  # the noise is seen
+        for name, want in zip(("mult_defect", "unit_defect", "iso_lower", "iso_upper"), ref):
+            value = getattr(got, name)
+            if np.isinf(want):
+                assert value == want
+            else:
+                assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), name
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_correction_matches_per_term(self, exact):
+        dims = (3, 2, 1) if exact else (2, 1)
+        alg, v = noisy_inclusion(dims, 0.005, seed=7)
+        spec = v.spec
+        diag = rc.pauli_diagonal(spec) if exact else rc.sampled_diagonal(spec, 300, seed=1)
+        v = rc.mult_defect(v, alg)
+        out = rc.improve_homomorphism(v, alg, diag, max_rounds=1)
+        assert out.mult_defect < v.mult_defect  # the round was accepted
+        w_prime = correction_per_term(v.coeffs, alg, diag, spec.rep_dim)
+        perm = nl.transpose_permutation(spec.rep_dim)
+        want = v.coeffs + 0.5 * (w_prime + np.conj(w_prime[:, perm]))
+        assert np.max(np.abs(out.coeffs - want)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 1), (3, 2, 1), (2, 2)])
+    def test_unit_columns_and_products(self, dims):
+        spec = rc.BlockSpec(dims)
+        units = spec.unit_indices()
+        cols = [nl.vec(spec.unit_matrix(*u)).argmax() for u in units]
+        assert spec.unit_columns().tolist() == cols
+        table = spec.unit_products()
+        for a, ua in enumerate(units):
+            for b, ub in enumerate(units):
+                prod = spec.unit_matrix(*ua) @ spec.unit_matrix(*ub)
+                want = units.index((ua[0], ua[1], ub[2])) if prod.any() else -1
+                assert table[a, b] == want
+
+    def test_symmetrized_matches_column_loop(self):
+        spec = rc.BlockSpec((3, 2, 1))
+        rng = np.random.default_rng(11)
+        coeffs = rng.standard_normal((14, 36)) + 1j * rng.standard_normal((14, 36))
+        v = rc.AlmostHom(spec, coeffs)
+        assert np.array_equal(v.symmetrized().coeffs, symmetrized_per_column(v))
+        worst = max(
+            np.linalg.norm(v.apply(x.conj().T) - np.conj(v.apply(x)))
+            for x in (nl.unvec(e, 6, 6) for e in np.eye(36, dtype=complex))
+        )
+        assert abs(v.dagger_symmetry_residual() - worst) <= 1e-12 * worst
