@@ -19,6 +19,11 @@ which is jointly concave, so a fast alternating ascent gives the bulk of the
 value and a log-det barrier Newton method (a small dense interior-point
 solver over the remaining variables) closes the duality gap when needed.
 
+Each certificate carries a :class:`Witness`: the density pair of its lower
+bound and the generator of the dual point of its upper bound.
+``check_witness`` re-evaluates both on a Choi matrix without solving, which
+is how a recorded certificate is verified.
+
 ``solve_sdp`` is a generic small dense primal-dual interior-point solver used
 for independent cross checks, and ``diamond_lower_bound_seesaw`` is the
 brute-force variational oracle over pure inputs and output measurements.
@@ -48,6 +53,31 @@ class Infeasible(CbNormError):
     pass
 
 
+class InvalidWitness(CbNormError):
+    """A witness that does not fit the map it is checked against."""
+
+
+_UPPER_KINDS = ("cheap", "point", "center")
+
+
+@dataclass
+class Witness:
+    """The points that certify a :class:`NormCertificate`.
+
+    ``lower`` is a density pair (rho, sigma) whose primal value is the lower
+    bound.  ``upper`` holds the generator of the dual point of the upper
+    bound, by ``upper_kind``: nothing for "cheap" (the polar factorization of
+    J), (rho, sigma) for "point" (``_dual_bound_from_point``) and
+    (rho, sigma, X, t) for "center" (``_dual_bound_from_center``).
+    ``target_rel_gap`` is the gap target the solve worked to.
+    """
+
+    lower: tuple
+    upper_kind: str = "cheap"
+    upper: tuple = ()
+    target_rel_gap: float = 1e-6
+
+
 @dataclass
 class NormCertificate:
     value: float
@@ -56,6 +86,8 @@ class NormCertificate:
     iterations: int
     gap: float
     stalled: bool = False
+    path: str = "cheap"  # cheap | ascent | restart | barrier: where the solve closed
+    witness: Witness | None = None
 
     def __post_init__(self):
         if self.upper < self.lower - 1e-12:
@@ -82,6 +114,15 @@ def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(nl.hermitian_part(rho))
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
+
+
+def _density_sqrt(m: np.ndarray) -> np.ndarray:
+    """sqrt of ``m`` made a density matrix: eigenvalues clipped at 0, then trace 1."""
+    w, u = np.linalg.eigh(nl.hermitian_part(m))
+    w = np.clip(w, 0.0, None)
+    if not w.sum() > 0:
+        raise InvalidWitness("no positive part to make a density matrix of")
+    return (u * np.sqrt(w / w.sum())) @ u.conj().T
 
 
 def _sqrt_and_inv_sqrt(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,12 +153,15 @@ def _ptrace_out(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
 
 
 def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray, d_out: int) -> float:
-    """||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1.
+    """||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1 with rho, sigma first made
+    density matrices (:func:`_density_sqrt`), so the value is a valid lower
+    bound at any point: a barrier center's trace drifts off 1 by roundoff, and
+    a witness read from a file may be anything.
 
     The split of J into factors follows from the shape of rho, so ``d_out``
     goes unused.
     """
-    return nl.trace_norm(_lmul(_sqrt_psd(rho), _rmul(j, _sqrt_psd(sigma))))
+    return nl.trace_norm(_lmul(_density_sqrt(rho), _rmul(j, _density_sqrt(sigma))))
 
 
 def _dual_bound_from_point(
@@ -166,15 +210,18 @@ def _alternating_ascent(
     The loop carries sqrt(rho), sqrt(sigma) and the SVD of the current
     M = (sqrt(rho) (x) I) J (sqrt(sigma) (x) I): the SVD that gives the value
     at the end of one iteration is the first SVD of the next, so an iteration
-    costs two SVDs and two eigendecompositions of size d_in.
+    costs two SVDs and two eigendecompositions of size d_in.  A start point is
+    first made a density matrix, as in :func:`_primal_value`, and the point
+    returned is the one that attains the value returned.
     """
     rho = np.eye(d_in, dtype=complex) / d_in if rho0 is None else rho0
     sigma = np.eye(d_in, dtype=complex) / d_in if sigma0 is None else sigma0
-    sr, ss = _sqrt_psd(rho), _sqrt_psd(sigma)
+    sr, ss = _density_sqrt(rho), _density_sqrt(sigma)
     js = _rmul(j, ss)
     u, s, vh = np.linalg.svd(_lmul(sr, js))
     best = float(np.sum(s))
     for _ in range(iters):
+        prev = rho, sigma
         # rho update: maximize Re Tr(sqrt(rho') N) with N below
         n_mat = _ptrace_out(js @ (u @ vh).conj().T, d_in, d_out)
         new = _state_from_halfgrad(nl.hermitian_part(n_mat))
@@ -190,7 +237,11 @@ def _alternating_ascent(
         u, s, vh = np.linalg.svd(_lmul(sr, js))
         val = float(np.sum(s))
         if val <= best * (1 + 1e-12):
-            best = max(best, val)
+            if val < best:
+                # the last step lost value: return the point that attains best
+                rho, sigma = prev
+            else:
+                best = val
             break
         best = val
     return rho, sigma, best
@@ -421,34 +472,68 @@ def _dual_bound_from_center(ws, j, rho, sigma, x, t, k):
     return 0.5 * (val0 + val1) + slack * ws.d_out
 
 
+class _Bounds:
+    """Best lower and upper bound of one solve, each with the point that gives it."""
+
+    def __init__(self, j, d_in, d_out, lower, lower_pt, upper):
+        self.j, self.d_in, self.d_out = j, d_in, d_out
+        self.lower, self.lower_pt = lower, lower_pt
+        self.upper, self.upper_kind, self.upper_pt = upper, "cheap", ()
+
+    def offer_lower(self, value, rho, sigma):
+        if value > self.lower:
+            self.lower, self.lower_pt = value, (rho, sigma)
+
+    def offer_point(self, rho, sigma):
+        value = _dual_bound_from_point(self.j, rho, sigma, self.d_in, self.d_out)
+        if value < self.upper:
+            self.upper, self.upper_kind, self.upper_pt = value, "point", (rho, sigma)
+
+    def offer_center(self, ws, rho, sigma, x, t, k):
+        value = _dual_bound_from_center(ws, self.j, rho, sigma, x, t, k)
+        if value < self.upper:
+            self.upper, self.upper_kind, self.upper_pt = value, "center", (rho, sigma, x, t)
+
+    def closed(self, target_rel_gap) -> bool:
+        return self.upper - self.lower <= target_rel_gap * max(1.0, self.lower)
+
+    def certificate(self, iterations, path, target_rel_gap, stalled=False):
+        witness = Witness(self.lower_pt, self.upper_kind, self.upper_pt, target_rel_gap)
+        return NormCertificate(
+            0.5 * (self.upper + self.lower), self.upper, self.lower, iterations,
+            self.upper - self.lower, stalled, path, witness,
+        )
+
+
 def diamond_norm_of_choi(
     j: np.ndarray, d_in: int, d_out: int,
     target_rel_gap: float = 1e-6, seed: int = 0,
 ) -> NormCertificate:
-    """Certified diamond norm of the (trace-side) map with Choi matrix ``j``."""
+    """Certified diamond norm of the (trace-side) map with Choi matrix ``j``.
+
+    The certificate carries the :class:`Witness` of both bounds, which
+    :func:`check_witness` re-evaluates without solving.
+    """
     j = np.asarray(j, dtype=complex)
+    uniform = np.eye(d_in, dtype=complex) / d_in
     scale = nl.operator_norm(j)
     if scale <= 1e-300:
-        return NormCertificate(0.0, 0.0, 0.0, 0, 0.0)
+        return _Bounds(j, d_in, d_out, 0.0, (uniform, uniform), 0.0).certificate(
+            0, "cheap", target_rel_gap)
     rng = np.random.default_rng(seed)
-
-    def tol_at(low):
-        return target_rel_gap * max(1.0, low)
 
     # the objective at rho = sigma = I/d_in already meets the cheap bound for
     # maps far below the absolute gap target (roundoff residuals of exact input)
-    cheap = _cheap_upper_bound(j, d_in, d_out)
-    start = nl.trace_norm(j) / d_in
-    if cheap - start <= tol_at(start):
-        return NormCertificate(0.5 * (cheap + start), cheap, start, 0, cheap - start)
+    bounds = _Bounds(j, d_in, d_out, nl.trace_norm(j) / d_in, (uniform, uniform),
+                     _cheap_upper_bound(j, d_in, d_out))
+    if bounds.closed(target_rel_gap):
+        return bounds.certificate(0, "cheap", target_rel_gap)
 
     rho, sigma, lower = _alternating_ascent(j, d_in, d_out, 200, rng)
-    upper = min(cheap, _dual_bound_from_point(j, rho, sigma, d_in, d_out))
-
-    if upper - lower <= tol_at(lower):
-        return NormCertificate(
-            0.5 * (upper + lower), upper, lower, 0, upper - lower
-        )
+    bounds.lower, bounds.lower_pt = lower, (rho, sigma)
+    bounds.offer_point(rho, sigma)
+    if bounds.closed(target_rel_gap):
+        return bounds.certificate(0, "ascent", target_rel_gap)
 
     # alternation restarts (fresh and annealed) are cheap and often escape the
     # nonsmooth corner that produced the gap
@@ -462,28 +547,27 @@ def diamond_norm_of_choi(
         r2, s2, low2 = _alternating_ascent(
             j, d_in, d_out, 150, rng, rho0=rho_r, sigma0=sigma_r
         )
-        if low2 > lower:
-            rho, sigma, lower = r2, s2, low2
-            upper = min(upper, _dual_bound_from_point(j, rho, sigma, d_in, d_out))
-            if upper - lower <= tol_at(lower):
-                return NormCertificate(
-                    0.5 * (upper + lower), upper, lower, 0, upper - lower
-                )
+        if low2 > bounds.lower:
+            rho, sigma = r2, s2
+            bounds.offer_lower(low2, rho, sigma)
+            bounds.offer_point(rho, sigma)
+            if bounds.closed(target_rel_gap):
+                return bounds.certificate(0, "restart", target_rel_gap)
 
+    lower = bounds.lower
     target_gap = 0.25 * target_rel_gap * max(1.0, lower)
     ws = _BarrierWorkspace(j, d_in, d_out)
-    state = {"lower": lower, "upper": upper}
 
-    def on_stage(rho_s, sigma_s, x_s, t_s, k_s):
-        state["lower"] = max(state["lower"], _primal_value(j, rho_s, sigma_s, d_out))
-        state["upper"] = min(
-            state["upper"],
-            _dual_bound_from_center(ws, j, rho_s, sigma_s, x_s, t_s, k_s),
-            _dual_bound_from_point(j, rho_s, sigma_s, d_in, d_out),
-        )
-        return state["upper"] - state["lower"] <= tol_at(state["lower"])
+    def offer_stage(rho_s, sigma_s, x_s, t_s, k_s):
+        bounds.offer_lower(_primal_value(j, rho_s, sigma_s, d_out), rho_s, sigma_s)
+        bounds.offer_center(ws, rho_s, sigma_s, x_s, t_s, k_s)
+        bounds.offer_point(rho_s, sigma_s)
 
-    gap0 = max(upper - lower, target_gap)
+    def on_stage(*stage):
+        offer_stage(*stage)
+        return bounds.closed(target_rel_gap)
+
+    gap0 = max(bounds.upper - lower, target_gap)
     n_z = 2 * d_in * d_out
     rho_c, sigma_c, x_c, t, k, iters, stalled = _barrier_solve(
         j, d_in, d_out, target_gap, rho, sigma, on_stage=on_stage,
@@ -495,22 +579,16 @@ def diamond_norm_of_choi(
             j, d_in, d_out, target_gap, rho, sigma, on_stage=on_stage
         )
         iters += iters2
-    lower = max(state["lower"], _primal_value(j, rho_c, sigma_c, d_out))
-    upper = min(
-        state["upper"],
-        _dual_bound_from_center(ws, j, rho_c, sigma_c, x_c, t, k),
-        _dual_bound_from_point(j, rho_c, sigma_c, d_in, d_out),
-    )
+    offer_stage(rho_c, sigma_c, x_c, t, k)
     # one more cheap polish of the lower bound from the center
     rho_p, sigma_p, lower_p = _alternating_ascent(
         j, d_in, d_out, 100, rng, rho0=rho_c, sigma0=sigma_c
     )
-    if lower_p > lower:
-        lower = lower_p
-        upper = min(upper, _dual_bound_from_point(j, rho_p, sigma_p, d_in, d_out))
-    gap = upper - lower
-    stalled = stalled and gap > target_rel_gap * max(1.0, lower)
-    return NormCertificate(0.5 * (upper + lower), upper, lower, iters, gap, stalled)
+    if lower_p > bounds.lower:
+        bounds.offer_lower(lower_p, rho_p, sigma_p)
+        bounds.offer_point(rho_p, sigma_p)
+    stalled = stalled and not bounds.closed(target_rel_gap)
+    return bounds.certificate(iters, "barrier", target_rel_gap, stalled)
 
 
 def diamond_norm(mp, dim_in=None, dim_out=None, target_rel_gap: float = 1e-6,
@@ -526,6 +604,47 @@ def cb_norm(mp, dim_in=None, dim_out=None, target_rel_gap: float = 1e-6,
     """Completely bounded norm of an observable-side map: ||L||_cb = ||L*||_diamond."""
     m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
     return diamond_norm(m.conj().T, d_out, d_in, target_rel_gap, seed)
+
+
+def check_witness(j: np.ndarray, d_in: int, d_out: int, witness: Witness):
+    """(lower, upper) that ``witness`` certifies for the Choi matrix ``j``.
+
+    No solve runs: the lower bound is the primal value of the witness pair
+    after projecting both onto density matrices, so no tampered pair can raise
+    it past the norm, and the upper bound rebuilds the dual point and checks
+    its feasibility explicitly, with the slack folded in as the solver does.
+    Raises :class:`InvalidWitness` when the witness does not fit ``j``.
+    """
+    if witness.upper_kind not in _UPPER_KINDS:
+        raise InvalidWitness(f"unknown upper witness kind {witness.upper_kind!r}")
+    j = np.asarray(j, dtype=complex)
+    # rho, sigma of both bounds, then the X of a center
+    shapes = [(d_in, d_in)] * 4 + [(d_in * d_out, d_in * d_out)]
+    for m, shape in zip([*witness.lower, *witness.upper[:3]], shapes):
+        if m.shape != shape or not np.all(np.isfinite(m)):
+            raise InvalidWitness(f"witness matrix of shape {m.shape}, expected finite {shape}")
+    lower = _primal_value(j, *witness.lower, d_out)
+    if witness.upper_kind == "cheap":
+        upper = _cheap_upper_bound(j, d_in, d_out)
+    elif witness.upper_kind == "point":
+        upper = _dual_bound_from_point(j, *witness.upper, d_in, d_out)
+    else:
+        rho_c, sigma_c, x, t = witness.upper
+        if not (np.isfinite(t) and t > 0):
+            raise InvalidWitness(f"center witness has barrier parameter t = {t}")
+        ws = _BarrierWorkspace(j, d_in, d_out)
+        try:
+            upper = _dual_bound_from_center(ws, j, rho_c, sigma_c, x, t, None)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidWitness(f"center witness is singular: {exc}") from exc
+    return lower, upper
+
+
+def check_cb_witness(mp, dim_in: int, dim_out: int, witness: Witness):
+    """:func:`check_witness` for an observable-side map, in the adjoint
+    convention of :func:`cb_norm`."""
+    m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
+    return check_witness(choi_from_superop(m.conj().T, d_out, d_in), d_out, d_in, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,7 @@ def twirl_to_cp(
                 if diag.residuals()["commutation"] <= target or count >= 65536:
                     break
                 count *= 2
-    eye_d = np.eye(d)
-    delta_prime = np.zeros((d * d, d_tot * d_tot), dtype=complex)
-    for p_s, u_s in diag.terms:
-        right_u = nl.kron(np.conj(u_s), np.eye(d_tot))  # vec(X U^dag) = (conj U (x) I) vec X
-        b_s = nl.unvec(raw.delta_superop @ nl.vec(u_s), d, d)  # Delta~(U_s)
-        right_b = nl.kron(b_s.T, eye_d)                 # vec(Y B) = (B^T (x) I) vec Y
-        delta_prime += p_s * (ch.superop @ right_b @ raw.delta_superop @ right_u)
+    delta_prime = ch.superop @ _twirl_sum(raw.delta_superop, diag.terms, d, d_tot)
     # with an inexact (sampled) design the two forms of the average differ and
     # Hermiticity preservation is lost; averaging with the conjugate map
     # X -> Delta'(X^dag)^dag restores it and keeps complete positivity
@@ -252,6 +246,24 @@ def build_upsilon(
         "normalization_distance": nl.operator_norm(n_inv - np.eye(d_tot)),
     }
     return upsilon, info
+
+
+def _twirl_sum(delta_raw: np.ndarray, terms, d: int, d_tot: int) -> np.ndarray:
+    """Superoperator of X -> sum_s p_s Delta~(X U_s^dag) Delta~(U_s).
+
+    Term s is (B_s^T (x) I) Delta~ (conj U_s (x) I) with B_s = Delta~(U_s), in
+    column-stacking vec.  The design sum goes first:
+    W[j, j', l', l] = sum_s p_s B_s[j', j] conj(U_s)[l', l] is one
+    (d^2, S) @ (S, D^2) product, and one contraction of W with Delta~ (rows
+    (j', r), columns (l', a)) gives the sum.
+    """
+    p = np.array([p_s for p_s, _ in terms])
+    us = np.stack([u_s for _, u_s in terms])                      # (S, D, D)
+    b = delta_raw @ us.transpose(0, 2, 1).reshape(len(terms), -1).T  # column s: vec B_s
+    w = b @ (p[:, None] * us.conj().reshape(len(terms), -1))
+    w = w.reshape(d, d, d_tot, d_tot)
+    r4 = delta_raw.reshape(d, d, d_tot, d_tot)
+    return np.einsum("jxyl,xrya->jrla", w, r4).reshape(d * d, d_tot * d_tot)
 
 
 def _adjoint_conjugate_superop(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:

@@ -30,22 +30,20 @@ def complex_to_json(z: complex) -> list[float]:
 
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
     try:
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        out = np.zeros((rows, cols), dtype=complex)
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ParseError("ragged matrix rows")
-            for j, pair in enumerate(row):
-                out[i, j] = float(pair[0]) + 1j * float(pair[1])
-        return out
-    except (TypeError, IndexError, ValueError) as exc:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix: {exc}") from exc
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise ParseError(f"malformed matrix: array of shape {arr.shape}, "
+                         "expected rows of [re, im] pairs")
+    if not np.all(np.isfinite(arr)):  # also a null entry, which reads as NaN
+        raise ParseError("malformed matrix: non-finite entry")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def tensor3_to_json(t: np.ndarray) -> list:
@@ -136,14 +134,56 @@ def defect_report_to_dict(rep) -> dict:
 
 
 def certificate_to_dict(cert) -> dict:
-    return {
+    out = {
         "value": cert.value,
         "lower": cert.lower,
         "upper": cert.upper,
         "gap": cert.gap,
         "iterations": cert.iterations,
         "stalled": cert.stalled,
+        "path": cert.path,
     }
+    if cert.witness is not None:
+        out["witness"] = witness_to_dict(cert.witness)
+    return out
+
+
+_WITNESS_POINTS = {"cheap": (), "point": ("rho", "sigma"), "center": ("rho", "sigma", "x")}
+
+
+def witness_to_dict(w) -> dict:
+    rho, sigma = w.lower
+    upper = {"kind": w.upper_kind}
+    upper.update(zip(_WITNESS_POINTS[w.upper_kind], map(matrix_to_json, w.upper)))
+    if w.upper_kind == "center":
+        upper["t"] = float(w.upper[3])
+    return {
+        "lower": {"rho": matrix_to_json(rho), "sigma": matrix_to_json(sigma)},
+        "upper": upper,
+        "target_rel_gap": w.target_rel_gap,
+    }
+
+
+def certificate_witness_from_dict(data: dict):
+    """The :class:`~almostidem.cbnorm.Witness` of a certificate dict, or None
+    when it records none.  Raises :class:`ParseError` on a malformed one."""
+    from .cbnorm import Witness
+
+    if "witness" not in data:
+        return None
+    w = data["witness"]
+    try:
+        lower = (matrix_from_json(w["lower"]["rho"]), matrix_from_json(w["lower"]["sigma"]))
+        kind = w["upper"]["kind"]
+        if kind not in _WITNESS_POINTS:
+            raise ParseError(f"unknown upper witness kind {kind!r}")
+        upper = tuple(matrix_from_json(w["upper"][key]) for key in _WITNESS_POINTS[kind])
+        if kind == "center":
+            upper += (float(w["upper"]["t"]),)
+        target = float(w["target_rel_gap"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed witness: {exc!r}") from exc
+    return Witness(lower, kind, upper, target)
 
 
 def canonical_dumps(obj) -> str:

@@ -337,3 +337,107 @@ class TestCheapCertificate:
         for cert in (full, scaled):
             assert cert.gap <= 1e-6 * max(1.0, cert.lower)
         assert abs(scaled.value - 1e-3 * full.value) <= 1e-6 * max(1.0, scaled.value)
+
+
+def _assert_reproduces(bounds, cert, tol=1e-9):
+    lower, upper = bounds
+    assert abs(lower - cert.lower) <= tol * max(1.0, cert.lower)
+    assert abs(upper - cert.upper) <= tol * max(1.0, cert.upper)
+
+
+class TestAscentBestPoint:
+    def test_returned_point_attains_best_after_a_losing_step(self, monkeypatch):
+        # every update jumps to the pure state |0><0|, on which J below
+        # vanishes: the first step loses all value and the ascent stops
+        d_in, d_out = 2, 3
+        n = d_in * d_out
+        j = _random_complex(np.random.default_rng(31), n, n)
+        j[:d_out, :] = 0.0
+        j[:, :d_out] = 0.0
+        pure = np.zeros((d_in, d_in), dtype=complex)
+        pure[0, 0] = 1.0
+        monkeypatch.setattr(cb, "_state_from_halfgrad", lambda h: (pure, pure))
+        rho, sigma, best = cb._alternating_ascent(j, d_in, d_out, 10, None)
+        assert best > 0
+        assert abs(cb._primal_value(j, rho, sigma, d_out) - best) <= 1e-12 * best
+        assert np.allclose(rho, np.eye(d_in) / d_in, rtol=0, atol=1e-15)
+
+
+class TestWitness:
+    def test_witness_reproduces_each_path(self):
+        rng = np.random.default_rng(5)
+        paths = set()
+        for d_in, d_out in [(2, 2), (2, 3), (3, 2)]:
+            for scale in (1.0, 1e-12):
+                n = d_in * d_out
+                j = scale * _random_complex(rng, n, n)
+                cert = cb.diamond_norm_of_choi(j, d_in, d_out)
+                paths.add((cert.path, cert.witness.upper_kind))
+                _assert_reproduces(cb.check_witness(j, d_in, d_out, cert.witness), cert)
+        # the barrier: a difference of two channels at seed 0 of the scan below
+        a = chn.gen_random_ucp(2, 2, seed=21)
+        b = chn.gen_random_ucp(2, 2, seed=22)
+        for seed in range(4):
+            mp = chn.gen_random_ucp(2, 2, seed=seed).superop - a.superop
+            cert = cb.cb_norm(mp, 2, 2)
+            paths.add((cert.path, cert.witness.upper_kind))
+            _assert_reproduces(cb.check_cb_witness(mp, 2, 2, cert.witness), cert)
+        mp = a.superop - b.superop
+        cert = cb.cb_norm(mp, 2, 2)
+        _assert_reproduces(cb.check_cb_witness(mp, 2, 2, cert.witness), cert)
+        assert {("cheap", "cheap"), ("ascent", "point")} <= paths
+
+    def test_zero_map_witness(self):
+        cert = cb.diamond_norm(np.zeros((4, 4)), 2, 2)
+        assert cert.path == "cheap"
+        assert cb.check_witness(np.zeros((4, 4)), 2, 2, cert.witness) == (0.0, 0.0)
+
+    def test_cb_wrapper_follows_adjoint_convention(self):
+        # a map B(C^2) -> B(C^3) on the observable side: rectangular superop
+        rng = np.random.default_rng(8)
+        m = _random_complex(rng, 9, 4)
+        cert = cb.cb_norm(m, 2, 3)
+        _assert_reproduces(cb.check_cb_witness(m, 2, 3, cert.witness), cert)
+        j = chn.choi_from_superop(m.conj().T, 3, 2)
+        _assert_reproduces(cb.check_witness(j, 3, 2, cert.witness), cert)
+
+    def test_center_witness_matches_dual_bound_from_center(self):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        j = chn.choi_from_superop(m, 2, 2)
+        eye = np.eye(2, dtype=complex)
+        rho, sigma, x, t, k, _, _ = cb._barrier_solve(j, 2, 2, 1e-7, eye / 2, eye / 2)
+        ws = cb._BarrierWorkspace(j, 2, 2)
+        witness = cb.Witness((rho, sigma), "center", (rho, sigma, x, t))
+        lower, upper = cb.check_witness(j, 2, 2, witness)
+        assert upper == cb._dual_bound_from_center(ws, j, rho, sigma, x, t, k)
+        assert lower == cb._primal_value(j, rho, sigma, 2)
+        assert lower <= upper
+
+    def test_projection_neutralises_scaled_lower_witness(self):
+        rng = np.random.default_rng(12)
+        j = _random_complex(rng, 6, 6)
+        cert = cb.diamond_norm_of_choi(j, 2, 3)
+        rho, sigma = cert.witness.lower
+        scaled = cb.Witness((2 * rho, 3 * sigma), "cheap")
+        lower, _ = cb.check_witness(j, 2, 3, scaled)
+        assert abs(lower - cert.lower) <= 1e-12 * cert.lower
+        # a non-positive part is clipped: adding -|1><1| changes nothing
+        shifted = rho - 5 * np.diag([0.0, 1.0])
+        lower_s, _ = cb.check_witness(j, 2, 3, cb.Witness((shifted, sigma), "cheap"))
+        assert lower_s <= cert.upper + 1e-12
+
+    def test_witness_that_does_not_fit_is_refused(self):
+        j = _random_complex(np.random.default_rng(1), 4, 4)
+        eye = np.eye(2, dtype=complex) / 2
+        bad = [
+            cb.Witness((np.eye(3) / 3, eye)),
+            cb.Witness((eye, eye), "point", (eye, np.full((2, 2), np.nan))),
+            cb.Witness((eye, eye), "center", (eye, eye, np.zeros((2, 2)), 1.0)),
+            cb.Witness((eye, eye), "center", (eye, eye, np.zeros((4, 4)), -1.0)),
+            cb.Witness((eye, eye), "exact"),
+            cb.Witness((-eye, eye)),
+        ]
+        for witness in bad:
+            with pytest.raises(cb.InvalidWitness):
+                cb.check_witness(j, 2, 2, witness)

@@ -40,6 +40,56 @@ class TestSerialization:
         with pytest.raises(ser.ParseError):
             ser.matrix_from_json([[1, 2], [3]])
 
+    def test_matrix_writer_matches_per_entry_writer(self):
+        def per_entry(m):
+            m = np.asarray(m, dtype=complex)
+            return [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in m]
+
+        rng = np.random.default_rng(4)
+        cases = [
+            rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
+            np.array([[-0.0, 1e-300], [3, -2.5e17]]),
+            np.eye(2, dtype=int),
+            chn.gen_random_ucp(3, 2, seed=1).choi,
+        ]
+        for m in cases:
+            assert json.dumps(ser.matrix_to_json(m)) == json.dumps(per_entry(m))
+        ch = chn.gen_random_ucp(2, 2, seed=3)
+        data = ser.channel_to_dict(ch)
+        assert json.dumps(data["choi"]) == json.dumps(per_entry(ch.choi))
+
+    def test_matrix_reader_refuses_malformed(self):
+        for bad in ([[[1, 2]], [[3, 4], [5, 6]]], [[[1, "x"]]], [[[1, 2, 3]]],
+                    [[[1]]], [[1, 2]], [[[float("nan"), 0.0]]], {"a": 1}, "text",
+                    [[[None, 1.0]]], []):
+            with pytest.raises(ser.ParseError):
+                ser.matrix_from_json(bad)
+
+    def test_witness_roundtrip(self):
+        from almostidem import cbnorm
+
+        rng = np.random.default_rng(6)
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                for _ in range(4)]
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for witness in (
+            cbnorm.Witness((mats[0], mats[1])),
+            cbnorm.Witness((mats[0], mats[1]), "point", (mats[2], mats[3]), 1e-4),
+            cbnorm.Witness((mats[0], mats[1]), "center", (mats[2], mats[3], x, 123.5)),
+        ):
+            cert = cbnorm.NormCertificate(0.0, 1.0, 0.5, 3, 0.0, witness=witness)
+            data = json.loads(json.dumps(ser.certificate_to_dict(cert)))
+            back = ser.certificate_witness_from_dict(data)
+            assert back.upper_kind == witness.upper_kind
+            assert back.target_rel_gap == witness.target_rel_gap
+            for a, b in zip([*back.lower, *back.upper], [*witness.lower, *witness.upper]):
+                assert np.array_equal(a, b)
+        assert ser.certificate_witness_from_dict({"lower": 0.0}) is None
+        for bad in ({"lower": {}}, [], {"lower": {"rho": [], "sigma": []},
+                                        "upper": {"kind": "exact"}, "target_rel_gap": 1e-6}):
+            with pytest.raises(ser.ParseError):
+                ser.certificate_witness_from_dict({"witness": bad})
+
     def test_digest_stability(self):
         ch = chn.gen_random_ucp(2, 2, seed=3)
         d1 = ser.digest(ser.channel_to_dict(ch)["choi"])
@@ -169,3 +219,135 @@ class TestPipelineRoundTrip:
             assert main(["factorize", str(ch_path), "--json-out", str(rep_path),
                          "--samples", "15"]) == 0
             assert main(["verify", str(rep_path)]) == 0
+
+
+@pytest.fixture(scope="module")
+def barrier_report(tmp_path_factory):
+    """Factorize report of the (2,2), t=1e-3, seed 3 perturbed pinching: its
+    twirl distance and retract residual close on the barrier."""
+    work = tmp_path_factory.mktemp("witness")
+    base, pert, rep = work / "base.json", work / "pert.json", work / "fact.json"
+    main(["gen", "--pinching", "2,2", "--seed", "3", "--out", str(base)])
+    main(["gen", "--perturb", str(base), "--t", "1e-3", "--seed", "3", "--out", str(pert)])
+    assert main(["factorize", str(pert), "--seed", "3", "--json-out", str(rep)]) == 0
+    return json.load(open(rep))
+
+
+def _verified_certificates(report):
+    """(name, recorded certificate, map, dim) for the three certificates verify checks."""
+    from almostidem import reconstruction as rc
+
+    ch = ser.channel_from_dict(report["input"]["channel"])
+    fact = report["factorization"]
+    spec = rc.BlockSpec(tuple(fact["block_dims"]))
+    d_tot = spec.rep_dim
+    delta = chn.Channel.from_choi(ser.matrix_from_json(fact["delta_choi"]), d_tot, ch.dim_in)
+    ups = chn.Channel.from_choi(ser.matrix_from_json(fact["upsilon_choi"]), ch.dim_in, d_tot)
+    m = ch.superop
+    return [
+        ("eta", report["checkpoints"][0]["eta"], m @ m - m, ch.dim_in),
+        ("residual_factor", fact["residual_factor"],
+         delta.superop @ ups.superop - m, ch.dim_in),
+        ("residual_retract", fact["residual_retract"],
+         ups.superop @ delta.superop - chn.pinch_superop(spec.block_dims), d_tot),
+    ]
+
+
+def _verify(tmp_path, report, name="r.json"):
+    path = tmp_path / name
+    json.dump(report, open(path, "w"))
+    return main(["verify", str(path)])
+
+
+class TestWitnessVerify:
+    def test_report_records_paths_and_witnesses(self, barrier_report):
+        from almostidem import cbnorm
+
+        paths = {}
+        for name, rec, mp, dim in _verified_certificates(barrier_report):
+            paths[name] = rec["path"]
+            witness = ser.certificate_witness_from_dict(rec)
+            lower, upper = cbnorm.check_cb_witness(mp, dim, dim, witness)
+            assert abs(lower - rec["lower"]) <= 1e-9 * max(1.0, rec["lower"])
+            assert abs(upper - rec["upper"]) <= 1e-9 * max(1.0, rec["upper"])
+        assert paths["residual_retract"] == "barrier"
+        twirl = barrier_report["checkpoints"][-1]["distance_to_raw_cb"]
+        assert twirl["path"] == "barrier" and twirl["iterations"] > 0
+
+    def test_verify_makes_no_solve(self, barrier_report, tmp_path, monkeypatch, capsys):
+        from almostidem import cbnorm
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("verify solved a norm")
+
+        monkeypatch.setattr(cbnorm, "cb_norm", no_solve)
+        assert _verify(tmp_path, barrier_report) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_tampered_witnesses_and_bounds_are_rejected(self, barrier_report, tmp_path):
+        eta = ("checkpoints", 0, "eta")
+        retract = ("factorization", "residual_retract")
+
+        def tampered(path, edit):
+            rep = copy.deepcopy(barrier_report)
+            node = rep
+            for key in path:
+                node = node[key]
+            edit(node)
+            return rep
+
+        def other_density(cert):
+            rho = np.zeros((4, 4))
+            rho[3, 3] = 1.0
+            cert["witness"]["lower"]["rho"] = ser.matrix_to_json(rho)
+
+        def scaled_rho(cert):
+            # twice rho would raise the primal value by sqrt(2) without the
+            # projection onto density matrices; claim that inflated interval
+            rho = ser.matrix_from_json(cert["witness"]["lower"]["rho"])
+            cert["witness"]["lower"]["rho"] = ser.matrix_to_json(2 * rho)
+            cert["lower"] *= np.sqrt(2)
+            cert["upper"] = max(cert["upper"], cert["lower"])
+
+        def lowered_upper(cert):
+            cert["lower"] *= 0.5
+            cert["upper"] = cert["lower"]
+
+        def loose_upper(cert):
+            # a valid but loose upper witness, inside a recorded interval
+            # widened to match: only the gap target catches it
+            cert["witness"]["upper"] = {"kind": "cheap"}
+            cert["upper"] *= 10
+
+        def delta_entry(fact):
+            fact["delta_choi"][0][0][0] += 0.05
+
+        for path, edit in ((eta, other_density), (retract, other_density),
+                           (eta, scaled_rho), (retract, lowered_upper),
+                           (retract, loose_upper),
+                           (("factorization",), delta_entry)):
+            assert _verify(tmp_path, tampered(path, edit)) == 1, edit.__name__
+
+    def test_malformed_witness_is_one_clean_line(self, barrier_report, tmp_path, capsys):
+        for bad in (np.eye(3).tolist(), ser.matrix_to_json(np.eye(3))):
+            rep = copy.deepcopy(barrier_report)
+            rep["checkpoints"][0]["eta"]["witness"]["lower"]["rho"] = bad
+            capsys.readouterr()
+            assert _verify(tmp_path, rep) == 1
+            out = capsys.readouterr()
+            lines = out.out.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("FAIL: eta witness")
+            assert "Traceback" not in out.err
+
+    def test_report_without_witnesses_is_resolved(self, barrier_report, tmp_path, capsys):
+        def strip(node):
+            if isinstance(node, dict):
+                return {k: strip(v) for k, v in node.items() if k != "witness"}
+            if isinstance(node, list):
+                return [strip(v) for v in node]
+            return node
+
+        capsys.readouterr()
+        assert _verify(tmp_path, strip(barrier_report)) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "re-solved 3 certificate" in err[0]

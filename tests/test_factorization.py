@@ -86,6 +86,40 @@ class TestTwirl:
         assert nl.operator_norm(delta_mc.superop - delta_ex.superop) <= 0.05
 
 
+def _twirl_sum_by_terms(delta_raw, terms, d, d_tot):
+    """The twirl sum written one design term at a time with Kronecker products."""
+    out = np.zeros((d * d, d_tot * d_tot), dtype=complex)
+    for p_s, u_s in terms:
+        right_u = nl.kron(np.conj(u_s), np.eye(d_tot))  # vec(X U^dag) = (conj U (x) I) vec X
+        b_s = nl.unvec(delta_raw @ nl.vec(u_s), d, d)     # Delta~(U_s)
+        right_b = nl.kron(b_s.T, np.eye(d))               # vec(Y B) = (B^T (x) I) vec Y
+        out += p_s * (right_b @ delta_raw @ right_u)
+    return out
+
+
+class TestTwirlSum:
+    @pytest.mark.parametrize("dims,d", [((2, 1), 4), ((3, 2, 1), 5), ((2, 2), 3)])
+    def test_summed_design_matches_term_loop(self, dims, d):
+        spec = rc.BlockSpec(dims)
+        d_tot = spec.rep_dim
+        rng = np.random.default_rng(sum(dims) + d)
+        delta_raw = (rng.standard_normal((d * d, d_tot * d_tot))
+                     + 1j * rng.standard_normal((d * d, d_tot * d_tot)))
+        for diag in (rc.pauli_diagonal(spec, 10_000), rc.sampled_diagonal(spec, 40, 1)):
+            got = fa._twirl_sum(delta_raw, diag.terms, d, d_tot)
+            ref = _twirl_sum_by_terms(delta_raw, diag.terms, d, d_tot)
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_twirl_of_raw_factor_matches_term_loop(self):
+        pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=3)
+        pm, alg, spec, v, rep = run_pipeline(pert)
+        raw = fa.raw_factor(v, pm, alg)
+        terms = rc.pauli_diagonal(spec, 10_000).terms
+        got = fa._twirl_sum(raw.delta_superop, terms, 3, spec.rep_dim)
+        ref = _twirl_sum_by_terms(raw.delta_superop, terms, 3, spec.rep_dim)
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+
 class TestUpsilon:
     def test_exact_pinching_retraction(self):
         ch = chn.gen_pinching((2, 1))
