@@ -16,8 +16,15 @@ feasible point of its dual
 The program is solved by eliminating X: for fixed (rho, sigma) the optimal
 objective is the trace norm ||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1,
 which is jointly concave, so a fast alternating ascent gives the bulk of the
-value and a log-det barrier Newton method (a small dense interior-point
-solver over the remaining variables) closes the duality gap when needed.
+value, and a log-det barrier Newton method closes the duality gap when
+needed.  The barrier eliminates X too: with M = (sqrt(rho) (x) I) J
+(sqrt(sigma) (x) I) = U diag(s) V^dag, the maximum over X of
+t Re<J, X> + logdet Z is attained at
+X* = (sqrt(rho) (x) I) U diag(t s / (1 + sqrt(1 + t^2 s^2))) V^dag (sqrt(sigma) (x) I),
+so Newton runs over (rho, sigma) alone, 2 d_in^2 unknowns plus the two trace
+constraints, on a reduced barrier that costs one SVD to evaluate.  Every
+stage center is certified by the primal value and the dual point built from
+it, as any other point.
 
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
@@ -57,7 +64,7 @@ class InvalidWitness(CbNormError):
     """A witness that does not fit the map it is checked against."""
 
 
-_UPPER_KINDS = ("cheap", "point", "center")
+_UPPER_KINDS = ("cheap", "point")
 
 
 @dataclass
@@ -67,8 +74,7 @@ class Witness:
     ``lower`` is a density pair (rho, sigma) whose primal value is the lower
     bound.  ``upper`` holds the generator of the dual point of the upper
     bound, by ``upper_kind``: nothing for "cheap" (the polar factorization of
-    J), (rho, sigma) for "point" (``_dual_bound_from_point``) and
-    (rho, sigma, X, t) for "center" (``_dual_bound_from_center``).
+    J) and (rho, sigma) for "point" (``_dual_bound_from_point``).
     ``target_rel_gap`` is the gap target the solve worked to.
     """
 
@@ -86,7 +92,7 @@ class NormCertificate:
     iterations: int
     gap: float
     stalled: bool = False
-    path: str = "cheap"  # cheap | ascent | restart | barrier: where the solve closed
+    path: str = "cheap"  # cheap | ascent | barrier: where the solve closed
     witness: Witness | None = None
 
     def __post_init__(self):
@@ -202,8 +208,7 @@ def _cheap_upper_bound(j: np.ndarray, d_in: int, d_out: int) -> float:
 
 
 def _alternating_ascent(
-    j: np.ndarray, d_in: int, d_out: int, iters: int, rng: np.random.Generator,
-    rho0=None, sigma0=None,
+    j: np.ndarray, d_in: int, d_out: int, iters: int, rho0=None, sigma0=None,
 ):
     """Monotone surrogate ascent on f(rho, sigma); returns the best point.
 
@@ -262,137 +267,109 @@ def _state_from_halfgrad(h: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# barrier Newton solver over (rho, sigma, X)
+# barrier Newton solver over (rho, sigma), with X maximized out in closed form
 # ---------------------------------------------------------------------------
 
-class _BarrierWorkspace:
-    def __init__(self, j: np.ndarray, d_in: int, d_out: int):
-        self.j = j
-        self.d_in = d_in
-        self.d_out = d_out
-        self.n_big = d_in * d_out
-        self.basis = nl.hermitian_basis(d_in)
-        self.nb = len(self.basis)
-        self.h_stack = np.stack(self.basis)  # (nb, d_in, d_in)
-        self.trace_row = np.array([np.trace(h).real for h in self.basis])
-        self.nx = self.n_big * self.n_big
-        self.p = 2 * self.nb + 2 * self.nx
+@dataclass
+class _BarrierPoint:
+    """The reduced barrier F_t at (rho, sigma), with what its derivatives need.
 
-    def z_matrix(self, rho, sigma, x):
-        """Z = [[rho (x) I, X], [X^dag, sigma (x) I]]."""
-        n_big, d_in, d_out = self.n_big, self.d_in, self.d_out
-        z = np.zeros((2 * n_big, 2 * n_big), dtype=complex)
-        # view with axes (block, i, y, block, j, y'): rho (x) I sits on y = y'
-        blocks = z.reshape(2, d_in, d_out, 2, d_in, d_out)
-        diag = np.arange(d_out)
-        blocks[0, :, diag, 0, :, diag] = rho
-        blocks[1, :, diag, 1, :, diag] = sigma
-        z[:n_big, n_big:] = x
-        z[n_big:, :n_big] = x.conj().T
-        return z
+    With M = (sqrt(rho) (x) I) J (sqrt(sigma) (x) I) = U diag(s) V^dag and
+    c_i = sqrt(1 + t^2 s_i^2), the maximum over X of t Re<J, X> + logdet Z is
+    attained at X* = (sqrt(rho) (x) I) U diag(y) V^dag (sqrt(sigma) (x) I) with
+    y_i = t s_i / (1 + c_i), and equals
 
-    def is_pd(self, rho, sigma, x) -> bool:
-        z = self.z_matrix(rho, sigma, x)
-        try:
-            np.linalg.cholesky(z + 0j)
-            return True
-        except np.linalg.LinAlgError:
-            return False
+        F_t = d_out (logdet rho + logdet sigma) + sum_i [t s_i y_i + log(1 - y_i^2)],
 
-    def newton_step(self, t, rho, sigma, x):
-        """One KKT Newton step for max t*Re<J,X> + logdet Z on the simplex."""
-        d_in, d_out, nb, nx = self.d_in, self.d_out, self.nb, self.nx
-        n_big = self.n_big
-        z = self.z_matrix(rho, sigma, x)
-        g = np.linalg.inv(z)
-        g = nl.hermitian_part(g)
-        g1 = g[:n_big, :n_big]
-        k = g[:n_big, n_big:]
-        g2 = g[n_big:, n_big:]
+    which is sum_i [c_i - log(1 + c_i)] plus terms constant in (rho, sigma).
+    ``a`` holds 1 - y_i^2 = 2 / (1 + c_i), computed without cancellation.
+    """
 
-        # gradient of t*obj + logdet
-        grad = np.empty(self.p)
-        tr_g1 = _ptrace_out(g1, d_in, d_out)
-        tr_g2 = _ptrace_out(g2, d_in, d_out)
-        grad[:nb] = [np.real(nl.hs_inner(h, tr_g1)) for h in self.basis]
-        grad[nb: 2 * nb] = [np.real(nl.hs_inner(h, tr_g2)) for h in self.basis]
-        gx = t * self.j / 2.0 + k  # d/d(conj X) of (t obj/... ) in Wirtinger form
-        # real gradient over (Re X, Im X) coordinates
-        grad[2 * nb: 2 * nb + nx] = 2 * np.real(gx).ravel(order="F")
-        grad[2 * nb + nx:] = 2 * np.imag(gx).ravel(order="F")
+    rho: np.ndarray
+    sigma: np.ndarray
+    roots: tuple  # sqrt(rho), rho^(-1/2), sqrt(sigma), sigma^(-1/2)
+    u: np.ndarray
+    vh: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    value: float
 
-        hess = self._hessian(g1, g2, k)
-        # KKT system with the two trace constraints
-        c_rows = np.zeros((2, self.p))
-        c_rows[0, :nb] = self.trace_row
-        c_rows[1, nb: 2 * nb] = self.trace_row
-        kkt = np.zeros((self.p + 2, self.p + 2))
-        kkt[: self.p, : self.p] = hess
-        kkt[: self.p, self.p:] = c_rows.T
-        kkt[self.p:, : self.p] = c_rows
-        rhs = np.concatenate([grad, np.zeros(2)])
-        try:
-            with warnings.catch_warnings():
-                # near the end of the path the KKT system is ill conditioned by
-                # design; step quality is guarded by the line search and the
-                # final certificates are feasibility-checked explicitly
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-        except scipy.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        step = sol[: self.p]
-        decrement = float(grad @ step)
-        d_rho = np.tensordot(step[:nb], self.h_stack, axes=(0, 0))
-        d_sigma = np.tensordot(step[nb: 2 * nb], self.h_stack, axes=(0, 0))
-        d_x = (
-            step[2 * nb: 2 * nb + nx].reshape(n_big, n_big, order="F")
-            + 1j * step[2 * nb + nx:].reshape(n_big, n_big, order="F")
-        )
-        return d_rho, d_sigma, d_x, decrement, k
+    def x_star(self) -> np.ndarray:
+        sr, _, ss, _ = self.roots
+        return _lmul(sr, _rmul((self.u * self.y) @ self.vh, ss))
 
-    def _hessian(self, g1, g2, k):
-        d_in, d_out, nb, nx = self.d_in, self.d_out, self.nb, self.nx
-        n_big = self.n_big
-        h_stack = self.h_stack
-        g1r = g1.reshape(d_in, d_out, d_in, d_out)
-        g2r = g2.reshape(d_in, d_out, d_in, d_out)
-        kr = k.reshape(d_in, d_out, d_in, d_out)
 
-        t4_1 = np.einsum("iyju,puqy->jpqi", g1r, g1r, optimize=True)
-        t4_2 = np.einsum("iyju,puqy->jpqi", g2r, g2r, optimize=True)
-        t4_k = np.einsum("juiy,puqy->jpqi", np.conj(kr), kr, optimize=True)
-        q_rr = np.real(np.einsum("ajp,jpqi,bqi->ab", h_stack, t4_1, h_stack, optimize=True))
-        q_ss = np.real(np.einsum("ajp,jpqi,bqi->ab", h_stack, t4_2, h_stack, optimize=True))
-        q_rs = np.real(np.einsum("ajp,jpqi,bqi->ab", h_stack, t4_k, h_stack, optimize=True))
+def _barrier_point(j, rho, sigma, t: float, d_out: int):
+    """:class:`_BarrierPoint` at (rho, sigma), or None unless both are positive definite."""
+    roots, logdet = [], 0.0
+    for m in (rho, sigma):
+        w, q = np.linalg.eigh(m)
+        if not w[0] > 0:
+            return None
+        r = np.sqrt(w)
+        roots += [(q * r) @ q.conj().T, (q / r) @ q.conj().T]
+        logdet += float(np.sum(np.log(w)))
+    u, s, vh = np.linalg.svd(_lmul(roots[0], _rmul(j, roots[2])))
+    ts = t * s
+    c = np.sqrt(1.0 + ts * ts)
+    y, a = ts / (1.0 + c), 2.0 / (1.0 + c)
+    value = d_out * logdet + float(np.sum(ts * y + np.log(a)))
+    return _BarrierPoint(rho, sigma, tuple(roots), u, vh, y, a, value)
 
-        # cross blocks with X: rows are 2 Re W / 2 Im W in column-major vec order
-        # W_rho = G1 (H (x) I) K and W_sig = K (H (x) I) G2 for every basis H
-        w_rho = _rmul(g1, h_stack) @ k
-        w_sig = k @ _lmul(h_stack, g2)
-        wr_flat = np.swapaxes(w_rho, 1, 2).reshape(nb, nx)
-        ws_flat = np.swapaxes(w_sig, 1, 2).reshape(nb, nx)
-        q_rx = np.concatenate([2 * np.real(wr_flat), 2 * np.imag(wr_flat)], axis=1)
-        q_sx = np.concatenate([2 * np.real(ws_flat), 2 * np.imag(ws_flat)], axis=1)
 
-        # XX block: 2 Re[z'^dag A z] + 2 Re[z^T B z'] with A, B below
-        a_mat = nl.kron(g2.T, g1)
-        b_mat = np.einsum("cd,ab->cbad", k.conj().T, k.conj().T).reshape(nx, nx)
-        re_a, im_a = np.real(a_mat), np.imag(a_mat)
-        re_b, im_b = np.real(b_mat), np.imag(b_mat)
-        h_xx = 2 * np.block([[re_a + re_b, -im_a - im_b], [im_a - im_b, re_a - re_b]])
-        h_xx = 0.5 * (h_xx + h_xx.T)
+def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
+    """Gradient and negated Hessian of F_t over the Hermitian basis ``h_stack``,
+    rho coordinates first.
 
-        hess = np.zeros((self.p, self.p))
-        hess[:nb, :nb] = q_rr
-        hess[nb: 2 * nb, nb: 2 * nb] = q_ss
-        hess[:nb, nb: 2 * nb] = q_rs
-        hess[nb: 2 * nb, :nb] = q_rs.T
-        hess[:nb, 2 * nb:] = q_rx
-        hess[2 * nb:, :nb] = q_rx.T
-        hess[nb: 2 * nb, 2 * nb:] = q_sx
-        hess[2 * nb:, nb: 2 * nb] = q_sx.T
-        hess[2 * nb:, 2 * nb:] = h_xx
-        return hess
+    The gradient is Tr_out G11 (and Tr_out G22 for sigma), where G = Z^-1 at
+    X*: by the envelope theorem X* does not move it.  The Hessian is the Schur
+    complement of the (rho, sigma, X) Hessian at X*, which is elementwise in
+    the singular bases: with P_a = U^dag ((rho^-1/2 H_a rho^-1/2) (x) I) U,
+    Q_a the same with V and sigma, k_ij = y_i y_j and w_ij = 1 / (1 - k_ij^2),
+
+        -H_rr[a,b] = Re sum conj(P_a)_ij (P_b)_ij w_ij   (H_ss the same with Q)
+        -H_rs[a,b] = -Re sum conj(P_a)_ij k_ij (Q_b)_ij w_ij.
+    """
+    _, rir, _, sis = pt.roots
+    nb, a = len(h_stack), pt.a
+    p = pt.u.conj().T @ _lmul(rir @ h_stack @ rir, pt.u)
+    q = pt.vh @ _lmul(sis @ h_stack @ sis, pt.vh.conj().T)
+    # G11 = (rho^-1/2 (x) I) U diag(1/(1 - y^2)) U^dag (rho^-1/2 (x) I)
+    grad = np.concatenate([np.real(np.einsum("aii,i->a", m, 1.0 / a)) for m in (p, q)])
+    # 1 - y_i^2 y_j^2 = a_i + a_j - a_i a_j, stable as both y -> 1
+    w = (1.0 / (a[:, None] + a[None, :] - np.outer(a, a))).ravel()
+    kw = np.outer(pt.y, pt.y).ravel() * w
+    pf, qf = p.reshape(nb, -1), q.reshape(nb, -1)
+    hess = np.empty((2 * nb, 2 * nb))
+    hess[:nb, :nb] = np.real(pf.conj() @ (pf * w).T)
+    hess[nb:, nb:] = np.real(qf.conj() @ (qf * w).T)
+    hess[:nb, nb:] = -np.real(pf.conj() @ (qf * kw).T)
+    hess[nb:, :nb] = hess[:nb, nb:].T
+    return grad, 0.5 * (hess + hess.T)
+
+
+def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray, trace_row: np.ndarray):
+    """Newton direction (d_rho, d_sigma) of F_t on the trace-1 slices, and the decrement."""
+    nb = len(h_stack)
+    grad, hess = _barrier_derivatives(pt, h_stack)
+    kkt = np.zeros((2 * nb + 2, 2 * nb + 2))
+    kkt[: 2 * nb, : 2 * nb] = hess
+    kkt[:nb, 2 * nb] = kkt[2 * nb, :nb] = trace_row
+    kkt[nb: 2 * nb, 2 * nb + 1] = kkt[2 * nb + 1, nb: 2 * nb] = trace_row
+    rhs = np.concatenate([grad, np.zeros(2)])
+    try:
+        with warnings.catch_warnings():
+            # near the end of the path the KKT system is ill conditioned by
+            # design; step quality is guarded by the line search and the
+            # final certificates are feasibility-checked explicitly
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
+    except scipy.linalg.LinAlgError:
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    step = sol[: 2 * nb]
+    d_rho = np.tensordot(step[:nb], h_stack, axes=(0, 0))
+    d_sigma = np.tensordot(step[nb:], h_stack, axes=(0, 0))
+    return d_rho, d_sigma, float(grad @ step)
 
 
 def _barrier_solve(
@@ -400,76 +377,52 @@ def _barrier_solve(
     rho0, sigma0, max_newton: int = 400, on_stage=None,
     t0: float | None = None, mix: float = 0.05,
 ):
-    """Path-following solve; returns (rho, sigma, X, t, K) at the final center.
+    """Path-following solve; returns (rho, sigma, X*, t, F_t, newtons, stalled)
+    at the last center.
 
-    ``on_stage(rho, sigma, x, t, k)`` runs after each centering stage; if it
-    returns True the solve stops early (certificates already good enough).
-    A warm start may pass ``t0`` matched to its known gap and a small ``mix``.
+    ``on_stage(rho, sigma)`` runs after each centering stage; if it returns
+    True the solve stops early (certificates already good enough).  A warm
+    start may pass ``t0`` matched to its known gap and a small ``mix``.
     """
-    ws = _BarrierWorkspace(j, d_in, d_out)
+    h_stack = np.stack(nl.hermitian_basis(d_in))
+    trace_row = np.trace(h_stack, axis1=1, axis2=2).real
     eye_in = np.eye(d_in, dtype=complex)
-    rho = (1 - mix) * rho0 + mix * eye_in / d_in
-    sigma = (1 - mix) * sigma0 + mix * eye_in / d_in
-    x = np.zeros((ws.n_big, ws.n_big), dtype=complex)
-    n_z = 2 * ws.n_big
+    n_z = 2 * d_in * d_out
     t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
     t_final = max(4.0 * n_z / max(target_gap, 1e-14), t)
+    pt = _barrier_point(j, (1 - mix) * rho0 + mix * eye_in / d_in,
+                        (1 - mix) * sigma0 + mix * eye_in / d_in, t, d_out)
     newtons = 0
-    k_last = None
+
+    def result(stalled):
+        return pt.rho, pt.sigma, pt.x_star(), t, pt.value, newtons, stalled
+
     while True:
         for _ in range(60):
             if newtons >= max_newton:
-                return rho, sigma, x, t, k_last, newtons, True
-            d_rho, d_sigma, d_x, dec, k_last = ws.newton_step(t, rho, sigma, x)
+                return result(True)
+            d_rho, d_sigma, dec = _newton_step(pt, h_stack, trace_row)
             newtons += 1
             alpha = 1.0
-            obj0 = t * np.real(nl.hs_inner(j, x)) + _safe_logdet(ws, rho, sigma, x)
+            floor = pt.value - 1e-12 * max(1.0, abs(pt.value))
             for _ in range(40):
-                r2 = rho + alpha * d_rho
-                s2 = sigma + alpha * d_sigma
-                x2 = x + alpha * d_x
-                if ws.is_pd(r2, s2, x2):
-                    obj1 = t * np.real(nl.hs_inner(j, x2)) + _safe_logdet(ws, r2, s2, x2)
-                    if obj1 >= obj0 - 1e-12 * max(1.0, abs(obj0)):
-                        break
+                trial = _barrier_point(j, nl.hermitian_part(pt.rho + alpha * d_rho),
+                                       nl.hermitian_part(pt.sigma + alpha * d_sigma), t, d_out)
+                if trial is not None and trial.value >= floor:
+                    break
                 alpha *= 0.5
             else:
-                return rho, sigma, x, t, k_last, newtons, True
-            rho, sigma, x = nl.hermitian_part(r2), nl.hermitian_part(s2), x2
+                return result(True)
+            pt = trial
             # center loosely along the path, tightly at the final stage
             if dec * alpha < (5e-3 if t >= t_final else 0.1):
                 break
-        if on_stage is not None and on_stage(rho, sigma, x, t, k_last):
-            return rho, sigma, x, t, k_last, newtons, False
+        if on_stage is not None and on_stage(pt.rho, pt.sigma):
+            return result(False)
         if t >= t_final:
-            return rho, sigma, x, t, k_last, newtons, False
+            return result(False)
         t = min(t * 20.0, t_final)
-
-
-def _safe_logdet(ws, rho, sigma, x) -> float:
-    z = ws.z_matrix(rho, sigma, x)
-    sign, val = np.linalg.slogdet(z)
-    if sign.real <= 0:
-        return -np.inf
-    return float(val.real)
-
-
-def _dual_bound_from_center(ws, j, rho, sigma, x, t, k):
-    """Feasible dual point (2/t) G + slack, verified explicitly."""
-    n_big = ws.n_big
-    z = ws.z_matrix(rho, sigma, x)
-    g = nl.hermitian_part(np.linalg.inv(z))
-    g1 = g[:n_big, :n_big]
-    g2 = g[n_big:, n_big:]
-    k_blk = g[:n_big, n_big:]
-    y0 = (2.0 / t) * g1
-    y1 = (2.0 / t) * g2
-    block = np.block([[y0, -j], [-j.conj().T, y1]])
-    lam_min = float(np.linalg.eigvalsh(nl.hermitian_part(block))[0])
-    slack = max(0.0, -lam_min) * (1 + 1e-9)
-    val0 = nl.operator_norm(_ptrace_out(y0, ws.d_in, ws.d_out))
-    val1 = nl.operator_norm(_ptrace_out(y1, ws.d_in, ws.d_out))
-    return 0.5 * (val0 + val1) + slack * ws.d_out
+        pt = _barrier_point(j, pt.rho, pt.sigma, t, d_out)
 
 
 class _Bounds:
@@ -489,11 +442,6 @@ class _Bounds:
         if value < self.upper:
             self.upper, self.upper_kind, self.upper_pt = value, "point", (rho, sigma)
 
-    def offer_center(self, ws, rho, sigma, x, t, k):
-        value = _dual_bound_from_center(ws, self.j, rho, sigma, x, t, k)
-        if value < self.upper:
-            self.upper, self.upper_kind, self.upper_pt = value, "center", (rho, sigma, x, t)
-
     def closed(self, target_rel_gap) -> bool:
         return self.upper - self.lower <= target_rel_gap * max(1.0, self.lower)
 
@@ -506,8 +454,7 @@ class _Bounds:
 
 
 def diamond_norm_of_choi(
-    j: np.ndarray, d_in: int, d_out: int,
-    target_rel_gap: float = 1e-6, seed: int = 0,
+    j: np.ndarray, d_in: int, d_out: int, target_rel_gap: float = 1e-6,
 ) -> NormCertificate:
     """Certified diamond norm of the (trace-side) map with Choi matrix ``j``.
 
@@ -520,7 +467,6 @@ def diamond_norm_of_choi(
     if scale <= 1e-300:
         return _Bounds(j, d_in, d_out, 0.0, (uniform, uniform), 0.0).certificate(
             0, "cheap", target_rel_gap)
-    rng = np.random.default_rng(seed)
 
     # the objective at rho = sigma = I/d_in already meets the cheap bound for
     # maps far below the absolute gap target (roundoff residuals of exact input)
@@ -529,60 +475,38 @@ def diamond_norm_of_choi(
     if bounds.closed(target_rel_gap):
         return bounds.certificate(0, "cheap", target_rel_gap)
 
-    rho, sigma, lower = _alternating_ascent(j, d_in, d_out, 200, rng)
+    rho, sigma, lower = _alternating_ascent(j, d_in, d_out, 200)
     bounds.lower, bounds.lower_pt = lower, (rho, sigma)
     bounds.offer_point(rho, sigma)
     if bounds.closed(target_rel_gap):
         return bounds.certificate(0, "ascent", target_rel_gap)
 
-    # alternation restarts (fresh and annealed) are cheap and often escape the
-    # nonsmooth corner that produced the gap
-    for restart in range(10):
-        if restart % 2 == 0:
-            rho_r = 0.5 * nl.random_density(d_in, rng) + 0.5 * np.eye(d_in) / d_in
-            sigma_r = 0.5 * nl.random_density(d_in, rng) + 0.5 * np.eye(d_in) / d_in
-        else:
-            rho_r = 0.85 * rho + 0.15 * nl.random_density(d_in, rng)
-            sigma_r = 0.85 * sigma + 0.15 * nl.random_density(d_in, rng)
-        r2, s2, low2 = _alternating_ascent(
-            j, d_in, d_out, 150, rng, rho0=rho_r, sigma0=sigma_r
-        )
-        if low2 > bounds.lower:
-            rho, sigma = r2, s2
-            bounds.offer_lower(low2, rho, sigma)
-            bounds.offer_point(rho, sigma)
-            if bounds.closed(target_rel_gap):
-                return bounds.certificate(0, "restart", target_rel_gap)
-
-    lower = bounds.lower
     target_gap = 0.25 * target_rel_gap * max(1.0, lower)
-    ws = _BarrierWorkspace(j, d_in, d_out)
 
-    def offer_stage(rho_s, sigma_s, x_s, t_s, k_s):
+    def offer_stage(rho_s, sigma_s):
         bounds.offer_lower(_primal_value(j, rho_s, sigma_s, d_out), rho_s, sigma_s)
-        bounds.offer_center(ws, rho_s, sigma_s, x_s, t_s, k_s)
         bounds.offer_point(rho_s, sigma_s)
 
-    def on_stage(*stage):
-        offer_stage(*stage)
+    def on_stage(rho_s, sigma_s):
+        offer_stage(rho_s, sigma_s)
         return bounds.closed(target_rel_gap)
 
     gap0 = max(bounds.upper - lower, target_gap)
     n_z = 2 * d_in * d_out
-    rho_c, sigma_c, x_c, t, k, iters, stalled = _barrier_solve(
+    rho_c, sigma_c, _, _, _, iters, stalled = _barrier_solve(
         j, d_in, d_out, target_gap, rho, sigma, on_stage=on_stage,
         t0=n_z / (4.0 * gap0), mix=1e-4,
     )
     if stalled:
         # retry on the standard cold path before giving up
-        rho_c, sigma_c, x_c, t, k, iters2, stalled = _barrier_solve(
+        rho_c, sigma_c, _, _, _, iters2, stalled = _barrier_solve(
             j, d_in, d_out, target_gap, rho, sigma, on_stage=on_stage
         )
         iters += iters2
-    offer_stage(rho_c, sigma_c, x_c, t, k)
+    offer_stage(rho_c, sigma_c)
     # one more cheap polish of the lower bound from the center
     rho_p, sigma_p, lower_p = _alternating_ascent(
-        j, d_in, d_out, 100, rng, rho0=rho_c, sigma0=sigma_c
+        j, d_in, d_out, 100, rho0=rho_c, sigma0=sigma_c
     )
     if lower_p > bounds.lower:
         bounds.offer_lower(lower_p, rho_p, sigma_p)
@@ -591,19 +515,19 @@ def diamond_norm_of_choi(
     return bounds.certificate(iters, "barrier", target_rel_gap, stalled)
 
 
-def diamond_norm(mp, dim_in=None, dim_out=None, target_rel_gap: float = 1e-6,
-                 seed: int = 0) -> NormCertificate:
+def diamond_norm(mp, dim_in=None, dim_out=None,
+                 target_rel_gap: float = 1e-6) -> NormCertificate:
     """Diamond norm of a trace-side map given by its superoperator matrix."""
     m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
     j = choi_from_superop(m, d_in, d_out)
-    return diamond_norm_of_choi(j, d_in, d_out, target_rel_gap, seed)
+    return diamond_norm_of_choi(j, d_in, d_out, target_rel_gap)
 
 
-def cb_norm(mp, dim_in=None, dim_out=None, target_rel_gap: float = 1e-6,
-            seed: int = 0) -> NormCertificate:
+def cb_norm(mp, dim_in=None, dim_out=None,
+            target_rel_gap: float = 1e-6) -> NormCertificate:
     """Completely bounded norm of an observable-side map: ||L||_cb = ||L*||_diamond."""
     m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
-    return diamond_norm(m.conj().T, d_out, d_in, target_rel_gap, seed)
+    return diamond_norm(m.conj().T, d_out, d_in, target_rel_gap)
 
 
 def check_witness(j: np.ndarray, d_in: int, d_out: int, witness: Witness):
@@ -618,25 +542,15 @@ def check_witness(j: np.ndarray, d_in: int, d_out: int, witness: Witness):
     if witness.upper_kind not in _UPPER_KINDS:
         raise InvalidWitness(f"unknown upper witness kind {witness.upper_kind!r}")
     j = np.asarray(j, dtype=complex)
-    # rho, sigma of both bounds, then the X of a center
-    shapes = [(d_in, d_in)] * 4 + [(d_in * d_out, d_in * d_out)]
-    for m, shape in zip([*witness.lower, *witness.upper[:3]], shapes):
-        if m.shape != shape or not np.all(np.isfinite(m)):
-            raise InvalidWitness(f"witness matrix of shape {m.shape}, expected finite {shape}")
+    for m in (*witness.lower, *witness.upper):
+        if m.shape != (d_in, d_in) or not np.all(np.isfinite(m)):
+            raise InvalidWitness(
+                f"witness matrix of shape {m.shape}, expected finite {(d_in, d_in)}")
     lower = _primal_value(j, *witness.lower, d_out)
     if witness.upper_kind == "cheap":
         upper = _cheap_upper_bound(j, d_in, d_out)
-    elif witness.upper_kind == "point":
-        upper = _dual_bound_from_point(j, *witness.upper, d_in, d_out)
     else:
-        rho_c, sigma_c, x, t = witness.upper
-        if not (np.isfinite(t) and t > 0):
-            raise InvalidWitness(f"center witness has barrier parameter t = {t}")
-        ws = _BarrierWorkspace(j, d_in, d_out)
-        try:
-            upper = _dual_bound_from_center(ws, j, rho_c, sigma_c, x, t, None)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidWitness(f"center witness is singular: {exc}") from exc
+        upper = _dual_bound_from_point(j, *witness.upper, d_in, d_out)
     return lower, upper
 
 

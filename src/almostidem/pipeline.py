@@ -36,7 +36,7 @@ def analyze_channel(ch: chn.Channel, seed: int = 0, target_rel_gap: float = 1e-6
     """Validity flags, certified idempotency defect, carrier dimension."""
     t0 = time.perf_counter()
     m = ch.superop
-    eta = cbnorm.cb_norm(m @ m - m, ch.dim_in, ch.dim_in, target_rel_gap, seed=seed)
+    eta = cbnorm.cb_norm(m @ m - m, ch.dim_in, ch.dim_in, target_rel_gap)
     carrier_dim = int(chn.carrier(ch).shape[1]) if ch.is_cp() else None
     report = {
         "format": ser.FORMAT_REPORT,
@@ -178,7 +178,6 @@ def verify_report(report: dict, slack: float = 1e-6) -> list[str]:
     actual_digest = ser.digest(report["input"]["channel"]["choi"])
     if recorded_digest != actual_digest:
         failures.append("input digest mismatch")
-    seed = int(report["input"].get("seed", 0))
     resolved: list[str] = []
 
     flags = report.get("flags")
@@ -196,7 +195,7 @@ def verify_report(report: dict, slack: float = 1e-6) -> list[str]:
     if eta_rec is not None:
         m = ch.superop
         failures.extend(_verify_certificate(
-            "eta", eta_rec, m @ m - m, ch.dim_in, seed, slack, resolved))
+            "eta", eta_rec, m @ m - m, ch.dim_in, slack, resolved))
 
     if "carrier_dim" in report and report["carrier_dim"] is not None:
         if int(report["carrier_dim"]) != int(chn.carrier(ch).shape[1]):
@@ -204,14 +203,14 @@ def verify_report(report: dict, slack: float = 1e-6) -> list[str]:
 
     fact = report.get("factorization")
     if fact is not None:
-        failures.extend(_verify_factorization(ch, fact, seed, slack, resolved))
+        failures.extend(_verify_factorization(ch, fact, slack, resolved))
     if resolved:
         print(f"note: re-solved {len(resolved)} certificate(s) recorded without "
               f"a witness ({', '.join(resolved)})", file=sys.stderr)
     return failures
 
 
-def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int, seed: int,
+def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int,
                         slack: float, resolved: list[str]) -> list[str]:
     """Failures of the recorded cb-norm certificate ``rec`` of the map ``mp``."""
     try:
@@ -223,7 +222,7 @@ def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int, seed: in
     interval = f"recorded {name} interval [{rec['lower']:.3e}, {rec['upper']:.3e}]"
     if witness is None:
         resolved.append(name)
-        cert = cbnorm.cb_norm(mp, dim, dim, seed=seed)
+        cert = cbnorm.cb_norm(mp, dim, dim)
         if cert.lower > rec["upper"] + slack or cert.upper < rec["lower"] - slack:
             return [f"{interval} is inconsistent with recomputed "
                     f"[{cert.lower:.3e}, {cert.upper:.3e}]"]
@@ -241,7 +240,7 @@ def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int, seed: in
     return failures
 
 
-def _verify_factorization(ch, fact: dict, seed: int, slack: float,
+def _verify_factorization(ch, fact: dict, slack: float,
                           resolved: list[str]) -> list[str]:
     failures = []
     spec = rc.BlockSpec(tuple(int(d) for d in fact["block_dims"]))
@@ -268,12 +267,12 @@ def _verify_factorization(ch, fact: dict, seed: int, slack: float,
 
     factor_map = delta.superop @ upsilon.superop - ch.superop
     failures.extend(_verify_certificate(
-        "residual_factor", fact["residual_factor"], factor_map, ch.dim_in, seed,
-        slack, resolved))
+        "residual_factor", fact["residual_factor"], factor_map, ch.dim_in, slack,
+        resolved))
     retract_map = upsilon.superop @ delta.superop - chn.pinch_superop(spec.block_dims)
     failures.extend(_verify_certificate(
-        "residual_retract", fact["residual_retract"], retract_map, d_tot, seed,
-        slack, resolved))
+        "residual_retract", fact["residual_retract"], retract_map, d_tot, slack,
+        resolved))
     return failures
 
 

@@ -148,15 +148,13 @@ def certificate_to_dict(cert) -> dict:
     return out
 
 
-_WITNESS_POINTS = {"cheap": (), "point": ("rho", "sigma"), "center": ("rho", "sigma", "x")}
+_WITNESS_POINTS = {"cheap": (), "point": ("rho", "sigma")}
 
 
 def witness_to_dict(w) -> dict:
     rho, sigma = w.lower
     upper = {"kind": w.upper_kind}
     upper.update(zip(_WITNESS_POINTS[w.upper_kind], map(matrix_to_json, w.upper)))
-    if w.upper_kind == "center":
-        upper["t"] = float(w.upper[3])
     return {
         "lower": {"rho": matrix_to_json(rho), "sigma": matrix_to_json(sigma)},
         "upper": upper,
@@ -178,8 +176,6 @@ def certificate_witness_from_dict(data: dict):
         if kind not in _WITNESS_POINTS:
             raise ParseError(f"unknown upper witness kind {kind!r}")
         upper = tuple(matrix_from_json(w["upper"][key]) for key in _WITNESS_POINTS[kind])
-        if kind == "center":
-            upper += (float(w["upper"]["t"]),)
         target = float(w["target_rel_gap"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed witness: {exc!r}") from exc
@@ -199,8 +195,8 @@ def atomic_write_json(path: str, obj) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(obj, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+            # one dumps call runs the C encoder; json.dump never does
+            handle.write(json.dumps(obj, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

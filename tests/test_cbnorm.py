@@ -4,6 +4,8 @@ import pytest
 from almostidem import numlin as nl
 from almostidem import channels as chn
 from almostidem import cbnorm as cb
+from almostidem import pipeline
+from almostidem import serialize as ser
 
 
 def two_level_superop(eta: float) -> np.ndarray:
@@ -113,53 +115,80 @@ class TestCertificates:
         assert best <= cert.value + 1e-6
 
 
+def _barrier_case(d_in, d_out, seed):
+    rng = np.random.default_rng(seed)
+    n = d_in * d_out
+    j = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = 0.7 * nl.random_density(d_in, rng) + 0.3 * np.eye(d_in) / d_in
+    sigma = 0.7 * nl.random_density(d_in, rng) + 0.3 * np.eye(d_in) / d_in
+    return j, rho, sigma
+
+
 class TestBarrierSolver:
     def test_gradient_and_hessian_finite_difference(self):
-        rng = np.random.default_rng(11)
-        d = 2
-        j = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ws = cb._BarrierWorkspace(j, d, d)
-        rho = nl.random_density(d, rng)
-        rho = 0.7 * rho + 0.3 * np.eye(d) / d
-        sigma = nl.random_density(d, rng)
-        sigma = 0.7 * sigma + 0.3 * np.eye(d) / d
-        x = 0.05 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        t = 1.7
+        # the reduced barrier F_t(rho, sigma), X maximized out in closed form
+        t, eps = 1.7, 1e-5
+        for d_in, d_out in [(2, 2), (3, 2), (2, 3)]:
+            j, rho, sigma = _barrier_case(d_in, d_out, 11 + 10 * d_in + d_out)
+            h_stack = np.stack(nl.hermitian_basis(d_in))
+            nb = len(h_stack)
 
-        def value(r, s, xm):
-            return t * np.real(nl.hs_inner(j, xm)) + cb._safe_logdet(ws, r, s, xm)
+            def point(v):
+                return cb._barrier_point(
+                    j, rho + np.tensordot(v[:nb], h_stack, axes=1),
+                    sigma + np.tensordot(v[nb:], h_stack, axes=1), t, d_out)
 
-        # assemble gradient/Hessian through the step routine by reading the
-        # internals: solve for the step, then verify H @ step = grad via the
-        # directional finite differences of the objective
-        d_rho, d_sigma, d_x, dec, _ = ws.newton_step(t, rho, sigma, x)
-        eps = 1e-6
-        f0 = value(rho, sigma, x)
-        fp = value(rho + eps * d_rho, sigma + eps * d_sigma, x + eps * d_x)
-        fm = value(rho - eps * d_rho, sigma - eps * d_sigma, x - eps * d_x)
-        # directional derivative along the Newton step equals the decrement
-        deriv = (fp - fm) / (2 * eps)
-        assert abs(deriv - dec) <= 1e-4 * max(1.0, abs(dec))
-        # concavity along the step: the second difference is negative
-        assert fp + fm - 2 * f0 < 0
+            grad, neg_hess = cb._barrier_derivatives(point(np.zeros(2 * nb)), h_stack)
+            steps = eps * np.eye(2 * nb)
+            grad_fd = np.array([(point(e).value - point(-e).value) / (2 * eps) for e in steps])
+            hess_fd = np.array([
+                (cb._barrier_derivatives(point(e), h_stack)[0]
+                 - cb._barrier_derivatives(point(-e), h_stack)[0]) / (2 * eps)
+                for e in steps
+            ])
+            assert np.allclose(grad, grad_fd, rtol=0, atol=1e-6 * np.abs(grad).max())
+            assert np.allclose(-neg_hess, hess_fd, rtol=0, atol=1e-6 * np.abs(neg_hess).max())
+            # concave: the negated Hessian is positive definite
+            assert np.linalg.eigvalsh(neg_hess)[0] > 0
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 2), (3, 2), (2, 3)])
+    def test_reduced_value_is_the_barrier_at_x_star(self, d_in, d_out):
+        j, rho, sigma = _barrier_case(d_in, d_out, 5 + 10 * d_in + d_out)
+        t = 3.1
+        pt = cb._barrier_point(j, rho, sigma, t, d_out)
+        x = pt.x_star()
+        eye = np.eye(d_out)
+
+        def barrier(xm):
+            z = np.block([[nl.kron(rho, eye), xm], [xm.conj().T, nl.kron(sigma, eye)]])
+            sign, logdet = np.linalg.slogdet(z)
+            return t * np.real(nl.hs_inner(j, xm)) + logdet, np.linalg.eigvalsh(z)[0]
+
+        value, lam_min = barrier(x)
+        assert abs(value - pt.value) <= 1e-10 * max(1.0, abs(value))
+        assert lam_min > 0
+        rng = np.random.default_rng(d_in + d_out)
+        for _ in range(20):
+            dx = 1e-3 * _random_complex(rng, *x.shape)
+            value_p, lam_p = barrier(x + dx)
+            assert lam_p <= 0 or value_p < value
 
     def test_barrier_closes_gap_cold_start(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         j = chn.choi_from_superop(m, 2, 2)
         d_in = d_out = 2
-        ws = cb._BarrierWorkspace(j, d_in, d_out)
         eye = np.eye(d_in, dtype=complex)
-        rho, sigma, x, t, k, iters, stalled = cb._barrier_solve(
+        rho, sigma, x, t, value, iters, stalled = cb._barrier_solve(
             j, d_in, d_out, 1e-7, eye / d_in, eye / d_in
         )
-        assert not stalled
+        assert not stalled and iters > 0
         lower = cb._primal_value(j, rho, sigma, d_out)
-        upper = min(
-            cb._dual_bound_from_center(ws, j, rho, sigma, x, t, k),
-            cb._dual_bound_from_point(j, rho, sigma, d_in, d_out),
-        )
+        upper = cb._dual_bound_from_point(j, rho, sigma, d_in, d_out)
         assert upper - lower <= 1e-5 * max(1.0, lower)
+        # X* is primal feasible with (rho, sigma), within n / t of its trace norm
+        assert lower - d_in * d_out / t <= np.real(nl.hs_inner(j, x)) <= lower + 1e-9
+        assert value == cb._barrier_point(j, rho, sigma, t, d_out).value
 
     def test_explicit_sdp_cross_check(self):
         rng = np.random.default_rng(4)
@@ -273,18 +302,6 @@ class TestKronFreeKernels:
             assert np.allclose(got, m @ nl.kron(ref, eye), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2)])
-    def test_z_matrix_matches_kron_blocks(self, d_in, d_out):
-        rng = np.random.default_rng(d_in + 5 * d_out)
-        n = d_in * d_out
-        ws = cb._BarrierWorkspace(_random_complex(rng, n, n), d_in, d_out)
-        rho = nl.random_density(d_in, rng)
-        sigma = nl.random_density(d_in, rng)
-        x = _random_complex(rng, n, n)
-        eye = np.eye(d_out)
-        ref = np.block([[nl.kron(rho, eye), x], [x.conj().T, nl.kron(sigma, eye)]])
-        assert np.array_equal(ws.z_matrix(rho, sigma, x), ref)
-
-    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 2)])
     def test_ascent_matches_kron_reference(self, d_in, d_out):
         rng = np.random.default_rng(3 * d_in + d_out)
         n = d_in * d_out
@@ -294,7 +311,7 @@ class TestKronFreeKernels:
             starts.append((nl.random_density(d_in, rng), nl.random_density(d_in, rng)))
             for rho0, sigma0 in starts:
                 rho, sigma, best = cb._alternating_ascent(
-                    j, d_in, d_out, 150, rng, rho0=rho0, sigma0=sigma0
+                    j, d_in, d_out, 150, rho0=rho0, sigma0=sigma0
                 )
                 rho_r, sigma_r, best_r = _ascent_with_kron(
                     j, d_in, d_out, 150, rho0=rho0, sigma0=sigma0
@@ -357,7 +374,7 @@ class TestAscentBestPoint:
         pure = np.zeros((d_in, d_in), dtype=complex)
         pure[0, 0] = 1.0
         monkeypatch.setattr(cb, "_state_from_halfgrad", lambda h: (pure, pure))
-        rho, sigma, best = cb._alternating_ascent(j, d_in, d_out, 10, None)
+        rho, sigma, best = cb._alternating_ascent(j, d_in, d_out, 10)
         assert best > 0
         assert abs(cb._primal_value(j, rho, sigma, d_out) - best) <= 1e-12 * best
         assert np.allclose(rho, np.eye(d_in) / d_in, rtol=0, atol=1e-15)
@@ -401,18 +418,30 @@ class TestWitness:
         j = chn.choi_from_superop(m.conj().T, 3, 2)
         _assert_reproduces(cb.check_witness(j, 3, 2, cert.witness), cert)
 
-    def test_center_witness_matches_dual_bound_from_center(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        j = chn.choi_from_superop(m, 2, 2)
-        eye = np.eye(2, dtype=complex)
-        rho, sigma, x, t, k, _, _ = cb._barrier_solve(j, 2, 2, 1e-7, eye / 2, eye / 2)
-        ws = cb._BarrierWorkspace(j, 2, 2)
-        witness = cb.Witness((rho, sigma), "center", (rho, sigma, x, t))
-        lower, upper = cb.check_witness(j, 2, 2, witness)
-        assert upper == cb._dual_bound_from_center(ws, j, rho, sigma, x, t, k)
-        assert lower == cb._primal_value(j, rho, sigma, 2)
-        assert lower <= upper
+    def test_barrier_channel_closes_on_the_barrier(self):
+        # the (2,2), t=1e-3, seed 3 perturbed pinching: its twirl distance and
+        # retract residual close on the barrier; the intervals are those the
+        # (rho, sigma, X) barrier certified, which the reduced one must overlap
+        ch = chn.gen_perturbed(chn.gen_pinching((2, 2)), 1e-3, seed=3)
+        report, art = pipeline.factorize_channel(ch, seed=3)
+        d, d_tot = ch.dim_in, art["spec"].rep_dim
+        twirl = art["delta"].superop - art["raw"].delta_superop
+        retract = art["upsilon"].superop @ art["delta"].superop - chn.pinch_superop((2, 2))
+        cases = [
+            (report["checkpoints"][-1]["distance_to_raw_cb"], twirl, d_tot, d,
+             (1.8719561720e-3, 1.8721203873e-3)),
+            (report["factorization"]["residual_retract"], retract, d_tot, d_tot,
+             (3.7456512676e-3, 3.7459666741e-3)),
+        ]
+        for rec, mp, dim_in, dim_out, (ref_lower, ref_upper) in cases:
+            assert rec["path"] == "barrier" and rec["iterations"] > 0
+            assert not rec["stalled"]
+            assert rec["gap"] <= 1e-6 * max(1.0, rec["lower"])
+            assert rec["lower"] <= ref_upper and ref_lower <= rec["upper"]
+            lower, upper = cb.check_cb_witness(
+                mp, dim_in, dim_out, ser.certificate_witness_from_dict(rec))
+            assert abs(lower - rec["lower"]) <= 1e-9 * max(1.0, rec["lower"])
+            assert abs(upper - rec["upper"]) <= 1e-9 * max(1.0, rec["upper"])
 
     def test_projection_neutralises_scaled_lower_witness(self):
         rng = np.random.default_rng(12)

@@ -75,7 +75,6 @@ class TestSerialization:
         for witness in (
             cbnorm.Witness((mats[0], mats[1])),
             cbnorm.Witness((mats[0], mats[1]), "point", (mats[2], mats[3]), 1e-4),
-            cbnorm.Witness((mats[0], mats[1]), "center", (mats[2], mats[3], x, 123.5)),
         ):
             cert = cbnorm.NormCertificate(0.0, 1.0, 0.5, 3, 0.0, witness=witness)
             data = json.loads(json.dumps(ser.certificate_to_dict(cert)))
@@ -85,6 +84,13 @@ class TestSerialization:
             for a, b in zip([*back.lower, *back.upper], [*witness.lower, *witness.upper]):
                 assert np.array_equal(a, b)
         assert ser.certificate_witness_from_dict({"lower": 0.0}) is None
+        # the barrier-center kind of earlier reports is no longer a witness
+        center = ser.witness_to_dict(cbnorm.Witness((mats[0], mats[1])))
+        center["upper"] = {"kind": "center", "rho": ser.matrix_to_json(mats[2]),
+                           "sigma": ser.matrix_to_json(mats[3]),
+                           "x": ser.matrix_to_json(x), "t": 123.5}
+        with pytest.raises(ser.ParseError, match="unknown upper witness kind 'center'"):
+            ser.certificate_witness_from_dict({"witness": center})
         for bad in ({"lower": {}}, [], {"lower": {"rho": [], "sigma": []},
                                         "upper": {"kind": "exact"}, "target_rel_gap": 1e-6}):
             with pytest.raises(ser.ParseError):
@@ -101,6 +107,16 @@ class TestSerialization:
         ser.atomic_write_json(str(path), {"a": 1})
         assert json.load(open(path)) == {"a": 1}
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_written_report_loads_back_and_is_reproducible(self, tmp_path):
+        ch = chn.gen_random_ucp(2, 2, seed=3)
+        obj = {"channel": ser.channel_to_dict(ch, {"note": "x"}), "b": [1.5, -0.0, 1e-300],
+               "a": {"z": None, "y": True, "x": "text"}}
+        first, second = tmp_path / "1.json", tmp_path / "2.json"
+        ser.atomic_write_json(str(first), obj)
+        ser.atomic_write_json(str(second), obj)
+        assert json.load(open(first)) == obj
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestGenerators:
@@ -329,9 +345,14 @@ class TestWitnessVerify:
             assert _verify(tmp_path, tampered(path, edit)) == 1, edit.__name__
 
     def test_malformed_witness_is_one_clean_line(self, barrier_report, tmp_path, capsys):
-        for bad in (np.eye(3).tolist(), ser.matrix_to_json(np.eye(3))):
+        rho = barrier_report["checkpoints"][0]["eta"]["witness"]["lower"]["rho"]
+        center = {"kind": "center", "rho": rho, "sigma": rho,
+                  "x": ser.matrix_to_json(np.eye(4)), "t": 1.0}
+        for key, bad in (("rho", np.eye(3).tolist()), ("rho", ser.matrix_to_json(np.eye(3))),
+                         ("upper", center)):
             rep = copy.deepcopy(barrier_report)
-            rep["checkpoints"][0]["eta"]["witness"]["lower"]["rho"] = bad
+            witness = rep["checkpoints"][0]["eta"]["witness"]
+            (witness if key == "upper" else witness["lower"])[key] = bad
             capsys.readouterr()
             assert _verify(tmp_path, rep) == 1
             out = capsys.readouterr()
