@@ -15,16 +15,16 @@ feasible point of its dual
 
 The program is solved by eliminating X: for fixed (rho, sigma) the optimal
 objective is the trace norm ||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1,
-which is jointly concave, so a fast alternating ascent gives the bulk of the
-value, and a log-det barrier Newton method closes the duality gap when
-needed.  The barrier eliminates X too: with M = (sqrt(rho) (x) I) J
-(sqrt(sigma) (x) I) = U diag(s) V^dag, the maximum over X of
-t Re<J, X> + logdet Z is attained at
+which is jointly concave.  A cheap bound pair (the objective at
+rho = sigma = I/d_in and the polar factorization of J) settles maps far
+below the gap target; every other map goes to a log-det barrier Newton
+method started at rho = sigma = I/d_in.  The barrier eliminates X too: with
+M = (sqrt(rho) (x) I) J (sqrt(sigma) (x) I) = U diag(s) V^dag, the maximum
+over X of t Re<J, X> + logdet Z is attained at
 X* = (sqrt(rho) (x) I) U diag(t s / (1 + sqrt(1 + t^2 s^2))) V^dag (sqrt(sigma) (x) I),
-so Newton runs over (rho, sigma) alone, 2 d_in^2 unknowns plus the two trace
-constraints, on a reduced barrier that costs one SVD to evaluate.  Every
-stage center is certified by the primal value and the dual point built from
-it, as any other point.
+so Newton runs over the trace-one (rho, sigma) alone, 2 (d_in^2 - 1)
+unknowns, on a reduced barrier that costs one SVD to evaluate.  Each stage
+center is certified by its primal value and the dual point built from it.
 
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
@@ -92,7 +92,7 @@ class NormCertificate:
     iterations: int
     gap: float
     stalled: bool = False
-    path: str = "cheap"  # cheap | ascent | barrier: where the solve closed
+    path: str = "cheap"  # cheap | barrier: where the solve closed
     witness: Witness | None = None
 
     def __post_init__(self):
@@ -207,65 +207,6 @@ def _cheap_upper_bound(j: np.ndarray, d_in: int, d_out: int) -> float:
     return 0.5 * (val0 + val1)
 
 
-def _alternating_ascent(
-    j: np.ndarray, d_in: int, d_out: int, iters: int, rho0=None, sigma0=None,
-):
-    """Monotone surrogate ascent on f(rho, sigma); returns the best point.
-
-    The loop carries sqrt(rho), sqrt(sigma) and the SVD of the current
-    M = (sqrt(rho) (x) I) J (sqrt(sigma) (x) I): the SVD that gives the value
-    at the end of one iteration is the first SVD of the next, so an iteration
-    costs two SVDs and two eigendecompositions of size d_in.  A start point is
-    first made a density matrix, as in :func:`_primal_value`, and the point
-    returned is the one that attains the value returned.
-    """
-    rho = np.eye(d_in, dtype=complex) / d_in if rho0 is None else rho0
-    sigma = np.eye(d_in, dtype=complex) / d_in if sigma0 is None else sigma0
-    sr, ss = _density_sqrt(rho), _density_sqrt(sigma)
-    js = _rmul(j, ss)
-    u, s, vh = np.linalg.svd(_lmul(sr, js))
-    best = float(np.sum(s))
-    for _ in range(iters):
-        prev = rho, sigma
-        # rho update: maximize Re Tr(sqrt(rho') N) with N below
-        n_mat = _ptrace_out(js @ (u @ vh).conj().T, d_in, d_out)
-        new = _state_from_halfgrad(nl.hermitian_part(n_mat))
-        if new is not None:
-            rho, sr = new
-        rj = _lmul(sr, j)
-        u, s, vh = np.linalg.svd(_rmul(rj, ss))
-        n_mat = _ptrace_out((u @ vh).conj().T @ rj, d_in, d_out)
-        new = _state_from_halfgrad(nl.hermitian_part(n_mat))
-        if new is not None:
-            sigma, ss = new
-        js = _rmul(j, ss)
-        u, s, vh = np.linalg.svd(_lmul(sr, js))
-        val = float(np.sum(s))
-        if val <= best * (1 + 1e-12):
-            if val < best:
-                # the last step lost value: return the point that attains best
-                rho, sigma = prev
-            else:
-                best = val
-            break
-        best = val
-    return rho, sigma, best
-
-
-def _state_from_halfgrad(h: np.ndarray):
-    """argmax over density rho of Tr(sqrt(rho) H): the normalized square of H_+.
-
-    Returns ``(rho, sqrt(rho))``, or None when H has no positive part.
-    """
-    w, u = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    nrm = np.linalg.norm(w)
-    if nrm <= 0:
-        return None
-    w = w / nrm
-    return (u * w ** 2) @ u.conj().T, (u * w) @ u.conj().T
-
-
 # ---------------------------------------------------------------------------
 # barrier Newton solver over (rho, sigma), with X maximized out in closed form
 # ---------------------------------------------------------------------------
@@ -348,50 +289,55 @@ def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
     return grad, 0.5 * (hess + hess.T)
 
 
-def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray, trace_row: np.ndarray):
-    """Newton direction (d_rho, d_sigma) of F_t on the trace-1 slices, and the decrement."""
+def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
+    """Newton direction (d_rho, d_sigma) of F_t over the trace-free directions
+    ``h_stack``, and the decrement.
+
+    The gradient's component along the identity grows like t and is balanced
+    only by the trace constraints; in trace-free coordinates it drops out
+    exactly, so the decrement stays accurate late on the path, where it
+    decides when a center is reached.
+    """
     nb = len(h_stack)
     grad, hess = _barrier_derivatives(pt, h_stack)
-    kkt = np.zeros((2 * nb + 2, 2 * nb + 2))
-    kkt[: 2 * nb, : 2 * nb] = hess
-    kkt[:nb, 2 * nb] = kkt[2 * nb, :nb] = trace_row
-    kkt[nb: 2 * nb, 2 * nb + 1] = kkt[2 * nb + 1, nb: 2 * nb] = trace_row
-    rhs = np.concatenate([grad, np.zeros(2)])
     try:
         with warnings.catch_warnings():
-            # near the end of the path the KKT system is ill conditioned by
+            # near the end of the path the Hessian is ill conditioned by
             # design; step quality is guarded by the line search and the
             # final certificates are feasibility-checked explicitly
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
+            step = scipy.linalg.solve(hess, grad, assume_a="pos")
     except scipy.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    step = sol[: 2 * nb]
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
     d_rho = np.tensordot(step[:nb], h_stack, axes=(0, 0))
     d_sigma = np.tensordot(step[nb:], h_stack, axes=(0, 0))
     return d_rho, d_sigma, float(grad @ step)
 
 
+def _trace_free_basis(dim: int) -> np.ndarray:
+    """Stack of Hermitian matrices spanning the trace-zero ones: the
+    diagonal units less the last, and the off-diagonal Hermitian units."""
+    basis = np.stack(nl.hermitian_basis(dim))
+    return np.concatenate([basis[: dim - 1] - basis[dim - 1], basis[dim:]])
+
+
 def _barrier_solve(
     j: np.ndarray, d_in: int, d_out: int, target_gap: float,
-    rho0, sigma0, max_newton: int = 400, on_stage=None,
-    t0: float | None = None, mix: float = 0.05,
+    max_newton: int = 400, on_stage=None, t0: float | None = None,
 ):
-    """Path-following solve; returns (rho, sigma, X*, t, F_t, newtons, stalled)
-    at the last center.
+    """Path-following solve from rho = sigma = I/d_in; returns
+    (rho, sigma, X*, t, F_t, newtons, stalled) at the last center.
 
     ``on_stage(rho, sigma)`` runs after each centering stage; if it returns
-    True the solve stops early (certificates already good enough).  A warm
-    start may pass ``t0`` matched to its known gap and a small ``mix``.
+    True the solve stops early (certificates already good enough).  ``t0``
+    may be matched to a known gap; the default scales with ||J||.
     """
-    h_stack = np.stack(nl.hermitian_basis(d_in))
-    trace_row = np.trace(h_stack, axis1=1, axis2=2).real
-    eye_in = np.eye(d_in, dtype=complex)
+    h_stack = _trace_free_basis(d_in)
+    uniform = np.eye(d_in, dtype=complex) / d_in
     n_z = 2 * d_in * d_out
     t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
     t_final = max(4.0 * n_z / max(target_gap, 1e-14), t)
-    pt = _barrier_point(j, (1 - mix) * rho0 + mix * eye_in / d_in,
-                        (1 - mix) * sigma0 + mix * eye_in / d_in, t, d_out)
+    pt = _barrier_point(j, uniform, uniform, t, d_out)
     newtons = 0
 
     def result(stalled):
@@ -401,7 +347,7 @@ def _barrier_solve(
         for _ in range(60):
             if newtons >= max_newton:
                 return result(True)
-            d_rho, d_sigma, dec = _newton_step(pt, h_stack, trace_row)
+            d_rho, d_sigma, dec = _newton_step(pt, h_stack)
             newtons += 1
             alpha = 1.0
             floor = pt.value - 1e-12 * max(1.0, abs(pt.value))
@@ -475,13 +421,7 @@ def diamond_norm_of_choi(
     if bounds.closed(target_rel_gap):
         return bounds.certificate(0, "cheap", target_rel_gap)
 
-    rho, sigma, lower = _alternating_ascent(j, d_in, d_out, 200)
-    bounds.lower, bounds.lower_pt = lower, (rho, sigma)
-    bounds.offer_point(rho, sigma)
-    if bounds.closed(target_rel_gap):
-        return bounds.certificate(0, "ascent", target_rel_gap)
-
-    target_gap = 0.25 * target_rel_gap * max(1.0, lower)
+    target_gap = 0.25 * target_rel_gap * max(1.0, bounds.lower)
 
     def offer_stage(rho_s, sigma_s):
         bounds.offer_lower(_primal_value(j, rho_s, sigma_s, d_out), rho_s, sigma_s)
@@ -491,28 +431,22 @@ def diamond_norm_of_choi(
         offer_stage(rho_s, sigma_s)
         return bounds.closed(target_rel_gap)
 
-    gap0 = max(bounds.upper - lower, target_gap)
+    # start where the barrier's own gap n_z / t is a quarter of the cheap gap
+    gap0 = max(bounds.upper - bounds.lower, target_gap)
     n_z = 2 * d_in * d_out
     rho_c, sigma_c, _, _, _, iters, stalled = _barrier_solve(
-        j, d_in, d_out, target_gap, rho, sigma, on_stage=on_stage,
-        t0=n_z / (4.0 * gap0), mix=1e-4,
+        j, d_in, d_out, target_gap, on_stage=on_stage, t0=n_z / (4.0 * gap0),
     )
     if stalled:
         # retry on the standard cold path before giving up
-        rho_c, sigma_c, _, _, _, iters2, stalled = _barrier_solve(
-            j, d_in, d_out, target_gap, rho, sigma, on_stage=on_stage
+        rho_c, sigma_c, _, _, _, iters2, _ = _barrier_solve(
+            j, d_in, d_out, target_gap, on_stage=on_stage
         )
         iters += iters2
     offer_stage(rho_c, sigma_c)
-    # one more cheap polish of the lower bound from the center
-    rho_p, sigma_p, lower_p = _alternating_ascent(
-        j, d_in, d_out, 100, rho0=rho_c, sigma0=sigma_c
-    )
-    if lower_p > bounds.lower:
-        bounds.offer_lower(lower_p, rho_p, sigma_p)
-        bounds.offer_point(rho_p, sigma_p)
-    stalled = stalled and not bounds.closed(target_rel_gap)
-    return bounds.certificate(iters, "barrier", target_rel_gap, stalled)
+    # a gap left open is recorded as stalled, however the path ended
+    return bounds.certificate(iters, "barrier", target_rel_gap,
+                              not bounds.closed(target_rel_gap))
 
 
 def diamond_norm(mp, dim_in=None, dim_out=None,

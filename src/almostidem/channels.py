@@ -480,10 +480,6 @@ class IdempotentStructure:
         return self.carrier_basis.shape[1]
 
     @property
-    def algebra_dim(self) -> int:
-        return int(sum(d * d for d in self.block_dims))
-
-    @property
     def block_rep_dim(self) -> int:
         """Dimension of the block-diagonal concrete representation of A."""
         return int(sum(self.block_dims))

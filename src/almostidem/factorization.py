@@ -290,15 +290,6 @@ class FactorizationCertificate:
     product_residuals: dict[int, float]        # n -> max_(X,Y) defect of the product law
     ucp_flags: dict[str, bool] = field(default_factory=dict)
 
-    def summary(self) -> dict:
-        return {
-            "block_dims": list(self.spec.block_dims),
-            "residual_factor": [self.residual_factor.lower, self.residual_factor.upper],
-            "residual_retract": [self.residual_retract.lower, self.residual_retract.upper],
-            "product_residuals": {str(k): v for k, v in self.product_residuals.items()},
-            "ucp_flags": dict(self.ucp_flags),
-        }
-
 
 def certify(
     delta: Channel,

@@ -81,11 +81,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL.eq_tol) -> bool:
-    scale = max(operator_norm(a), 1.0)
-    return operator_norm(a - a.conj().T) <= tol * scale
-
-
 def herm_eig(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues."""
     m = np.asarray(m, dtype=complex)
@@ -247,10 +242,6 @@ def polar_unitary(t: np.ndarray) -> np.ndarray:
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(a† b), conjugate linear in ``a``."""
     return complex(np.sum(np.conj(a) * b))
-
-
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 def rank_from_singular_values(s: np.ndarray, rel_tol: float) -> int:

@@ -74,10 +74,6 @@ class CompressionMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
-    def project_coords(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of C(x) over the image basis."""
-        return self.image_coords.conj().T @ (self.matrix @ x)
-
     def membership_residual(self, alg: EpsilonAlgebra, x: np.ndarray) -> float:
         nrm = alg.norm(x)
         if nrm <= 1e-14:
