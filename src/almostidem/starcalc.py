@@ -124,10 +124,10 @@ class EpsilonAlgebra:
         return np.array([nl.hs_inner(b, x) for b in self.basis])
 
     def star(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.star_tensor)
-
-    def dagger(self, x: np.ndarray) -> np.ndarray:
-        return np.conj(x)
+        """Product of coordinate vectors; stacks of rows broadcast together."""
+        n = self.dim
+        lx = x @ self.star_tensor.reshape(n, n * n)
+        return (y[..., None, :] @ lx.reshape(*lx.shape[:-1], n, n))[..., 0, :]
 
     def norm(self, x: np.ndarray) -> float:
         return nl.operator_norm(self.element(x))
@@ -154,20 +154,19 @@ class EpsilonAlgebra:
         """Algebra carried by a compression image.
 
         ``image_coords`` has orthonormal columns (coordinates of the new basis
-        in this algebra); ``project`` maps parent coordinates onto the image;
-        the product is the compressed product project(x * y).  Returns the
-        subalgebra and the lift matrix (sub coords -> parent coords).
+        in this algebra); ``project`` maps parent coordinates onto the image
+        and is applied once, to the columns of the (n, k*k) stack of
+        products; the product is the compressed product project(x * y).
+        Returns the subalgebra and the lift matrix (sub coords -> parent
+        coords).
         """
-        cols = [image_coords[:, i] for i in range(image_coords.shape[1])]
-        sub_basis = [self.element(c) for c in cols]
-        k = len(cols)
-        tensor = np.zeros((k, k, k), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                prod = project(self.star(cols[i], cols[j]))
-                tensor[i, j, :] = image_coords.conj().T @ prod
+        k = image_coords.shape[1]
+        cols = image_coords.T
+        prods = self.star(cols[:, None, :], cols[None, :, :]).reshape(k * k, self.dim)
+        tensor = (image_coords.conj().T @ project(prods.T)).T.reshape(k, k, k)
         sub_unit = image_coords.conj().T @ unit_coords
-        sub = EpsilonAlgebra(self.ambient_dim, sub_basis, sub_unit, tensor)
+        sub = EpsilonAlgebra(self.ambient_dim, list(self.element(image_coords)),
+                             sub_unit, tensor)
         return sub, image_coords
 
 
@@ -254,23 +253,27 @@ def measure_defects(
     seed: int = 0,
     ascent_steps: int = 60,
 ) -> DefectReport:
-    """Estimated axiom defects: basis sweep, random sampling, local ascent.
+    """Estimated axiom defects of the algebra.
 
-    Values are lower bounds on the true suprema; the ``method`` field records
-    the deepest stage that produced the estimates.
+    Every ``eps_*`` value is a lower-bound estimate of the supremum of its
+    defect, the maximum over four stages: the sweep over basis elements and
+    basis triples, ``samples`` random triples, a local ascent of the
+    associator over ``ascent_steps`` steps, and ``max(samples // 2, 40)``
+    random triples of M_m (x) A for each m = 2..``extension_n``, normed as
+    operators on C^m (x) H.  ``method`` names the deepest scalar stage run
+    (``basis_bound``, ``sampled`` or ``refined``); ``sample_count`` counts
+    the triples evaluated by the sampled, ascent and amplified stages, less
+    any triple with an element of norm below 1e-12, which is skipped.
     """
     report = _basis_defects(alg)
     rng = np.random.default_rng(seed)
     if samples > 0:
         report = report.merge(_sampled_defects(alg, samples, rng))
-        report = replace(report, method="sampled")
     if ascent_steps > 0:
         report = report.merge(_ascent_refinement(alg, ascent_steps, rng))
-        report = replace(report, method="refined")
     for n_ext in range(2, extension_n + 1):
-        report = report.merge(_extension_defects(alg, n_ext, max(samples // 2, 40), rng))
-    report = replace(report, eps_unit=max(report.eps_unit, _unit_defect(alg)))
-    return report
+        report = report.merge(_sampled_defects(alg, max(samples // 2, 40), rng, n_ext))
+    return replace(report, eps_unit=max(report.eps_unit, _unit_defect(alg)))
 
 
 def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
@@ -279,143 +282,123 @@ def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
     basis_norms = alg.norms(np.eye(n))
     rep = DefectReport(sample_count=0, method="basis_bound")
 
-    prod_mats = np.einsum("ijk,kab->ijab", t, np.stack(alg.basis))
-    sv = np.linalg.svd(prod_mats.reshape(n * n, alg.ambient_dim, alg.ambient_dim),
-                       compute_uv=False)[:, 0].reshape(n, n)
+    # sv[i, j] = ||B_i * B_j||
+    sv = alg.norms(t.reshape(n * n, n)).reshape(n, n)
     denom = np.outer(basis_norms, basis_norms)
     rep.eps_submult = float(np.max(sv / denom - 1).clip(0))
-
     # C* lower bound on Hermitian basis elements: X^dag = X
-    cstar = 0.0
+    rep.eps_cstar = float(max(np.max(1 - np.diag(sv) / basis_norms**2), 0.0))
+
+    # associator over all basis triples, one first index at a time so that
+    # only n^2 (not n^3) product matrices are alive at once
+    assoc = 0.0
     for i in range(n):
-        e_i = np.eye(n)[i]
-        nrm2 = basis_norms[i] ** 2
-        val = alg.norm(alg.star(e_i, e_i))
-        cstar = max(cstar, 1 - val / nrm2)
-    rep.eps_cstar = float(max(cstar, 0.0))
-
-    # associator over all basis triples, batched
-    left = np.einsum("ijm,mkl->ijkl", t, t)   # (B_i*B_j)*B_k coords
-    right = np.einsum("jkm,iml->ijkl", t, t)  # B_i*(B_j*B_k) coords
-    diff = (left - right).reshape(n * n * n, n)
-    mats = np.einsum("pl,lab->pab", diff, np.stack(alg.basis))
-    sv = np.linalg.svd(mats, compute_uv=False)[:, 0].reshape(n, n, n)
-    denom3 = basis_norms[:, None, None] * basis_norms[None, :, None] * basis_norms[None, None, :]
-    rep.eps_assoc = float(np.max(sv / denom3))
+        left = t[i] @ t.reshape(n, n * n)      # (B_i*B_j)*B_k coords, rows (j, k)
+        right = t.reshape(n * n, n) @ t[i]     # B_i*(B_j*B_k) coords, rows (j, k)
+        sv = alg.norms(left.reshape(n * n, n) - right).reshape(n, n)
+        assoc = max(assoc, float(np.max(sv / (basis_norms[i] * denom))))
+    rep.eps_assoc = assoc
     return rep
 
 
-def _sampled_defects(alg: EpsilonAlgebra, samples: int, rng) -> DefectReport:
-    n = alg.dim
-    rep = DefectReport(sample_count=samples, method="sampled")
-    for _ in range(samples):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rep = rep.merge(_triple_defect(alg, x, y, z))
-    return rep
-
-
-def _triple_defect(alg: EpsilonAlgebra, x, y, z) -> DefectReport:
-    nx, ny, nz = alg.norm(x), alg.norm(y), alg.norm(z)
-    if min(nx, ny, nz) < 1e-12:
-        return DefectReport()
-    xy = alg.star(x, y)
-    yz = alg.star(y, z)
-    assoc = alg.norm(alg.star(xy, z) - alg.star(x, yz)) / (nx * ny * nz)
-    submult = max(alg.norm(xy) / (nx * ny) - 1, 0.0)
-    xdx = alg.star(alg.dagger(x), x)
-    cstar = max(1 - alg.norm(xdx) / nx**2, 0.0)
-    return DefectReport(submult, assoc, cstar, 0.0, 1)
+def _sampled_defects(alg: EpsilonAlgebra, samples: int, rng, n_ext: int = 1) -> DefectReport:
+    """Defects over random triples of M_n (x) A (n = ``n_ext``), with the
+    concrete operator norm on C^n (x) H; n_ext = 1 samples A itself."""
+    triples = _draw_triples(rng, samples, n_ext, alg.dim)
+    return _triple_defects(alg, *triples.swapaxes(0, 1))
 
 
 def _ascent_refinement(alg: EpsilonAlgebra, steps: int, rng) -> DefectReport:
-    """Hill-climb the normalized associator from the worst sampled triple."""
+    """Hill-climb the normalized associator from the worst of 20 random triples."""
     n = alg.dim
-    best = None
-    best_val = -1.0
-    for _ in range(20):
-        x, y, z = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
-        val = _assoc_value(alg, x, y, z)
-        if val > best_val:
-            best_val, best = val, (x, y, z)
-    x, y, z = best
+    probes = _draw_triples(rng, 20, 1, n)
+    vals = _assoc_values(alg, *probes.swapaxes(0, 1))
+    best = probes[np.argmax(vals)]
+    best_val = float(vals.max())
+    # the noise does not depend on acceptance, so drawing it up front keeps
+    # the stream of the step-by-step draws
+    noise = _draw_triples(rng, steps, 1, n)
     scale = 0.3
-    count = 0
-    for _ in range(steps):
-        cand = (
-            x + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-            y + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-            z + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-        )
-        val = _assoc_value(alg, *cand)
-        count += 1
+    for step in noise:
+        cand = best + scale * step
+        val = float(_assoc_values(alg, *cand[:, None])[0])
         if val > best_val:
-            best_val = val
-            x, y, z = cand
+            best_val, best = val, cand
         else:
             scale *= 0.85
-    rep = _triple_defect(alg, x, y, z)
-    return replace(rep, sample_count=count, method="refined")
+    rep = _triple_defects(alg, *best[:, None])
+    return replace(rep, sample_count=steps, method="refined")
 
 
-def _assoc_value(alg, x, y, z) -> float:
-    nx, ny, nz = alg.norm(x), alg.norm(y), alg.norm(z)
-    if min(nx, ny, nz) < 1e-12:
-        return 0.0
-    return alg.norm(alg.star(alg.star(x, y), z) - alg.star(x, alg.star(y, z))) / (
-        nx * ny * nz
+def _draw_triples(rng, count: int, n_ext: int, n: int) -> np.ndarray:
+    """``count`` random triples (x, y, z) of M_n_ext (x) A coordinate blocks,
+    shape (count, 3, n_ext, n_ext, n).
+
+    One draw for all of them gives the stream of per-element draws: the real
+    then the imaginary part of x, then of y and z, sample after sample."""
+    g = rng.standard_normal((count, 3, 2, n_ext, n_ext, n))
+    return g[:, :, 0] + 1j * g[:, :, 1]
+
+
+def _ext_star(alg: EpsilonAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of stacked M_n (x) A elements, coordinate blocks (..., n, n, dim):
+    the block matrix product with * inside."""
+    return alg.star(x[..., :, :, None, :], y[..., None, :, :, :]).sum(axis=-3)
+
+
+def _ext_norms(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
+    """Operator norms on C^n (x) H of stacked M_n (x) A coordinate blocks."""
+    d, m = alg.ambient_dim, x.shape[-2]
+    # block (a, b) is sum_i x[a, b, i] B_i; batching the product over (a, c)
+    # puts it straight into the rows (a, c) and columns (b, e) of the
+    # matrix, with no transposing copy
+    mats = x[..., :, None, :, :] @ np.stack(alg.basis).transpose(1, 0, 2)
+    return np.linalg.svd(mats.reshape(*x.shape[:-3], m * d, m * d), compute_uv=False)[..., 0]
+
+
+def _associators(alg: EpsilonAlgebra, x, y, z):
+    """xy and (xy)z - x(yz) for stacked triples."""
+    xy = _ext_star(alg, x, y)
+    return xy, _ext_star(alg, xy, z) - _ext_star(alg, x, _ext_star(alg, y, z))
+
+
+def _valid(nx, ny, nz):
+    return np.minimum(np.minimum(nx, ny), nz) >= 1e-12
+
+
+def _assoc_values(alg: EpsilonAlgebra, x, y, z) -> np.ndarray:
+    """Normalized associator norm of each triple; 0 where an element vanishes."""
+    _, assoc = _associators(alg, x, y, z)
+    nx, ny, nz, na = _ext_norms(alg, np.stack([x, y, z, assoc]))
+    valid = _valid(nx, ny, nz)
+    return np.where(valid, na / np.where(valid, nx * ny * nz, 1.0), 0.0)
+
+
+def _triple_defects(alg: EpsilonAlgebra, x, y, z) -> DefectReport:
+    """Worst defects over stacked triples; a triple with an element of norm
+    below 1e-12 is skipped and not counted."""
+    xy, assoc = _associators(alg, x, y, z)
+    xdx = _ext_star(alg, np.conj(np.swapaxes(x, -3, -2)), x)
+    norms = _ext_norms(alg, np.stack([x, y, z, assoc, xy, xdx]))
+    nx, ny, nz, na, nxy, nxdx = norms[:, _valid(*norms[:3])]
+    return DefectReport(
+        float(np.max(nxy / (nx * ny) - 1, initial=0.0)),
+        float(np.max(na / (nx * ny * nz), initial=0.0)),
+        float(np.max(1 - nxdx / nx**2, initial=0.0)),
+        0.0,
+        len(nx),
+        "sampled",
     )
 
 
 def _unit_defect(alg: EpsilonAlgebra) -> float:
     n = alg.dim
-    worst = abs(alg.norm(alg.unit_coords) - 1.0)
-    for i in range(n):
-        e_i = np.eye(n)[i]
-        nrm = alg.norm(e_i)
-        worst = max(
-            worst,
-            alg.norm(alg.star(e_i, alg.unit_coords) - e_i) / nrm,
-            alg.norm(alg.star(alg.unit_coords, e_i) - e_i) / nrm,
-        )
-    return worst
-
-
-def _extension_defects(alg: EpsilonAlgebra, n_ext: int, samples: int, rng) -> DefectReport:
-    """Defects of M_n (x) A with the concrete operator norm on C^n (x) H."""
-    n = alg.dim
-    rep = DefectReport(sample_count=samples, method="sampled")
-    basis_stack = np.stack(alg.basis)
-
-    def ext_star(xc, yc):
-        # coords with shape (n_ext, n_ext, n): block matrix product with * inside
-        return np.einsum("abi,bcj,ijk->ack", xc, yc, alg.star_tensor)
-
-    def ext_norm(xc):
-        blocks = np.einsum("abi,icd->abcd", xc, basis_stack)
-        mat = blocks.transpose(0, 2, 1, 3).reshape(
-            n_ext * alg.ambient_dim, n_ext * alg.ambient_dim
-        )
-        return nl.operator_norm(mat)
-
-    def ext_dagger(xc):
-        return np.conj(np.transpose(xc, (1, 0, 2)))
-
-    for _ in range(samples):
-        xc = rng.standard_normal((n_ext, n_ext, n)) + 1j * rng.standard_normal((n_ext, n_ext, n))
-        yc = rng.standard_normal((n_ext, n_ext, n)) + 1j * rng.standard_normal((n_ext, n_ext, n))
-        zc = rng.standard_normal((n_ext, n_ext, n)) + 1j * rng.standard_normal((n_ext, n_ext, n))
-        nx, ny, nz = ext_norm(xc), ext_norm(yc), ext_norm(zc)
-        if min(nx, ny, nz) < 1e-12:
-            continue
-        xy = ext_star(xc, yc)
-        assoc = ext_norm(ext_star(xy, zc) - ext_star(xc, ext_star(yc, zc))) / (nx * ny * nz)
-        submult = max(ext_norm(xy) / (nx * ny) - 1, 0.0)
-        xdx = ext_star(ext_dagger(xc), xc)
-        cstar = max(1 - ext_norm(xdx) / nx**2, 0.0)
-        rep = rep.merge(DefectReport(submult, assoc, cstar, 0.0, 1))
-    return rep
+    u = alg.unit_coords
+    eye = np.eye(n)
+    norms = alg.norms(np.concatenate([u[None], eye, alg.star(eye, u) - eye,
+                                      alg.star(u, eye) - eye]))
+    basis_norms = norms[1 : n + 1]
+    return float(max(abs(norms[0] - 1.0), np.max(norms[n + 1 :].reshape(2, n) / basis_norms)))
 
 
 def exactify_unit(

@@ -234,3 +234,258 @@ class TestResidualChecks:
         left, right = sc.phi_associativity_defect(pert, samples=20)
         assert left <= 100 * eta
         assert right <= 100 * eta
+
+
+# Per-sample loop forms of the defect helpers, kept as references for the
+# batched ones in starcalc.  They draw from the generator in the same order.
+
+def _ref_star(alg, x, y):
+    return np.einsum("i,j,ijk->k", x, y, alg.star_tensor)
+
+
+def _ref_gauss(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _ref_triple_defect(alg, x, y, z):
+    nx, ny, nz = alg.norm(x), alg.norm(y), alg.norm(z)
+    if min(nx, ny, nz) < 1e-12:
+        return sc.DefectReport(sample_count=0, method="sampled")
+    xy = _ref_star(alg, x, y)
+    yz = _ref_star(alg, y, z)
+    assoc = alg.norm(_ref_star(alg, xy, z) - _ref_star(alg, x, yz)) / (nx * ny * nz)
+    submult = max(alg.norm(xy) / (nx * ny) - 1, 0.0)
+    cstar = max(1 - alg.norm(_ref_star(alg, np.conj(x), x)) / nx**2, 0.0)
+    return sc.DefectReport(submult, assoc, cstar, 0.0, 1, "sampled")
+
+
+def _ref_basis_defects(alg):
+    n = alg.dim
+    t = alg.star_tensor
+    basis = np.stack(alg.basis)
+    basis_norms = np.array([alg.norm(e) for e in np.eye(n)])
+    prod = np.einsum("ijk,kab->ijab", t, basis)
+    sv = np.array([[nl.operator_norm(prod[i, j]) for j in range(n)] for i in range(n)])
+    submult = float(np.max(sv / np.outer(basis_norms, basis_norms) - 1).clip(0))
+    cstar = 0.0
+    for i in range(n):
+        e_i = np.eye(n)[i]
+        cstar = max(cstar, 1 - alg.norm(_ref_star(alg, e_i, e_i)) / basis_norms[i] ** 2)
+    left = np.einsum("ijm,mkl->ijkl", t, t)
+    right = np.einsum("jkm,iml->ijkl", t, t)
+    mats = np.einsum("ijkl,lab->ijkab", left - right, basis)
+    sv3 = np.linalg.svd(mats, compute_uv=False)[..., 0]
+    denom3 = np.einsum("i,j,k->ijk", basis_norms, basis_norms, basis_norms)
+    return sc.DefectReport(submult, float(np.max(sv3 / denom3)), max(cstar, 0.0), 0.0, 0,
+                           "basis_bound")
+
+
+def _ref_sampled_defects(alg, samples, rng):
+    n = alg.dim
+    rep = sc.DefectReport(sample_count=0, method="sampled")
+    for _ in range(samples):
+        x, y, z = (_ref_gauss(rng, n) for _ in range(3))
+        rep = rep.merge(_ref_triple_defect(alg, x, y, z))
+    return rep
+
+
+def _ref_assoc_value(alg, x, y, z):
+    nx, ny, nz = alg.norm(x), alg.norm(y), alg.norm(z)
+    if min(nx, ny, nz) < 1e-12:
+        return 0.0
+    left = _ref_star(alg, _ref_star(alg, x, y), z)
+    right = _ref_star(alg, x, _ref_star(alg, y, z))
+    return alg.norm(left - right) / (nx * ny * nz)
+
+
+def _ref_ascent_refinement(alg, steps, rng):
+    n = alg.dim
+    best, best_val = None, -1.0
+    for _ in range(20):
+        x, y, z = (_ref_gauss(rng, n) for _ in range(3))
+        val = _ref_assoc_value(alg, x, y, z)
+        if val > best_val:
+            best_val, best = val, (x, y, z)
+    x, y, z = best
+    scale = 0.3
+    for _ in range(steps):
+        cand = tuple(v + scale * _ref_gauss(rng, n) for v in (x, y, z))
+        val = _ref_assoc_value(alg, *cand)
+        if val > best_val:
+            best_val = val
+            x, y, z = cand
+        else:
+            scale *= 0.85
+    rep = _ref_triple_defect(alg, x, y, z)
+    return sc.DefectReport(rep.eps_submult, rep.eps_assoc, rep.eps_cstar, 0.0, steps, "refined")
+
+
+def _ref_extension_defects(alg, n_ext, samples, rng):
+    n = alg.dim
+    d = alg.ambient_dim
+    basis = np.stack(alg.basis)
+
+    def ext_star(xc, yc):
+        return np.einsum("abi,bcj,ijk->ack", xc, yc, alg.star_tensor)
+
+    def ext_norm(xc):
+        blocks = np.einsum("abi,icd->abcd", xc, basis)
+        return nl.operator_norm(blocks.transpose(0, 2, 1, 3).reshape(n_ext * d, n_ext * d))
+
+    rep = sc.DefectReport(sample_count=0, method="sampled")
+    for _ in range(samples):
+        xc, yc, zc = (_ref_gauss(rng, (n_ext, n_ext, n)) for _ in range(3))
+        nx, ny, nz = ext_norm(xc), ext_norm(yc), ext_norm(zc)
+        if min(nx, ny, nz) < 1e-12:
+            continue
+        xy = ext_star(xc, yc)
+        assoc = ext_norm(ext_star(xy, zc) - ext_star(xc, ext_star(yc, zc))) / (nx * ny * nz)
+        submult = max(ext_norm(xy) / (nx * ny) - 1, 0.0)
+        xdx = ext_star(np.conj(np.transpose(xc, (1, 0, 2))), xc)
+        cstar = max(1 - ext_norm(xdx) / nx**2, 0.0)
+        rep = rep.merge(sc.DefectReport(submult, assoc, cstar, 0.0, 1))
+    return rep
+
+
+def _ref_unit_defect(alg):
+    n = alg.dim
+    u = alg.unit_coords
+    worst = abs(alg.norm(u) - 1.0)
+    for e_i in np.eye(n):
+        nrm = alg.norm(e_i)
+        worst = max(worst, alg.norm(_ref_star(alg, e_i, u) - e_i) / nrm,
+                    alg.norm(_ref_star(alg, u, e_i) - e_i) / nrm)
+    return worst
+
+
+def _ref_measure_defects(alg, samples, extension_n, seed, ascent_steps):
+    report = _ref_basis_defects(alg)
+    rng = np.random.default_rng(seed)
+    if samples > 0:
+        report = report.merge(_ref_sampled_defects(alg, samples, rng))
+    if ascent_steps > 0:
+        report = report.merge(_ref_ascent_refinement(alg, ascent_steps, rng))
+    for n_ext in range(2, extension_n + 1):
+        report = report.merge(_ref_extension_defects(alg, n_ext, max(samples // 2, 40), rng))
+    report.eps_unit = max(report.eps_unit, _ref_unit_defect(alg))
+    return report
+
+
+def _assert_same_report(got, want):
+    for name in ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+    assert got.method == want.method
+    assert got.sample_count == want.sample_count
+
+
+def _depolarizing(d):
+    vec_i = nl.vec(np.eye(d, dtype=complex))
+    return chn.Channel(np.outer(vec_i, vec_i.conj()) / d, d, d)
+
+
+_ALGEBRAS = {
+    "pinching-431": lambda: chn.gen_pinching((4, 3, 1)),
+    "perturbed-31": lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=4),
+    "dim-1": lambda: _depolarizing(2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_ALGEBRAS))
+def algebra(request):
+    return sc.extract_algebra(sc.idempotentize(_ALGEBRAS[request.param]()))
+
+
+class TestBatchedDefects:
+    def test_algebra_sizes(self, algebra):
+        assert algebra.dim in (1, 10, 26)
+
+    def test_basis_defects_match_loop(self, algebra):
+        _assert_same_report(sc._basis_defects(algebra), _ref_basis_defects(algebra))
+
+    @pytest.mark.parametrize("samples", [0, 1, 30])
+    def test_sampled_defects_match_loop(self, algebra, samples):
+        got = sc._sampled_defects(algebra, samples, np.random.default_rng(5))
+        want = _ref_sampled_defects(algebra, samples, np.random.default_rng(5))
+        _assert_same_report(got, want)
+
+    @pytest.mark.parametrize("n_ext", [2, 3])
+    def test_amplified_defects_match_loop(self, algebra, n_ext):
+        got = sc._sampled_defects(algebra, 12, np.random.default_rng(6), n_ext)
+        want = _ref_extension_defects(algebra, n_ext, 12, np.random.default_rng(6))
+        _assert_same_report(got, want)
+
+    @pytest.mark.parametrize("steps", [0, 25])
+    def test_ascent_matches_loop(self, algebra, steps):
+        got = sc._ascent_refinement(algebra, steps, np.random.default_rng(7))
+        want = _ref_ascent_refinement(algebra, steps, np.random.default_rng(7))
+        _assert_same_report(got, want)
+
+    def test_unit_defect_matches_loop(self, algebra):
+        assert abs(sc._unit_defect(algebra) - _ref_unit_defect(algebra)) <= 1e-12
+        # an inexact, non-Hermitian unit, so that the left and right unit
+        # defects differ
+        rng = np.random.default_rng(11)
+        bad = sc.EpsilonAlgebra(algebra.ambient_dim, algebra.basis,
+                                algebra.unit_coords + 0.01 * _ref_gauss(rng, algebra.dim),
+                                algebra.star_tensor)
+        assert abs(sc._unit_defect(bad) - _ref_unit_defect(bad)) <= 1e-12
+
+    @pytest.mark.parametrize("samples,extension_n,ascent_steps", [
+        (40, 2, 30), (0, 2, 30), (40, 2, 0), (40, 1, 30), (0, 1, 0),
+    ])
+    def test_measure_defects_match_loop(self, algebra, samples, extension_n, ascent_steps):
+        got = sc.measure_defects(algebra, samples, extension_n, seed=3,
+                                 ascent_steps=ascent_steps)
+        want = _ref_measure_defects(algebra, samples, extension_n, 3, ascent_steps)
+        _assert_same_report(got, want)
+
+    def test_sample_count_is_triples_evaluated(self, algebra):
+        rep = sc.measure_defects(algebra, samples=100, extension_n=3, seed=0)
+        # 100 sampled, 60 ascent steps, 50 triples of M_2 (x) A and 50 of M_3 (x) A
+        assert rep.sample_count == 260
+        rep = sc.measure_defects(algebra, samples=10, extension_n=2, seed=0, ascent_steps=5)
+        assert rep.sample_count == 10 + 5 + 40
+
+    def test_zero_element_is_skipped_and_not_counted(self, algebra):
+        rng = np.random.default_rng(8)
+        x, y, z = (_ref_gauss(rng, (6, algebra.dim)) for _ in range(3))
+        y[2] = 0.0
+        got = sc._triple_defects(algebra, *(v[:, None, None, :] for v in (x, y, z)))
+        want = sc.DefectReport(sample_count=0, method="sampled")
+        for triple in zip(x, y, z):
+            want = want.merge(_ref_triple_defect(algebra, *triple))
+        assert got.sample_count == want.sample_count == 5
+        _assert_same_report(got, want)
+
+    def test_star_matches_einsum(self, algebra):
+        rng = np.random.default_rng(9)
+        n = algebra.dim
+        x, y = _ref_gauss(rng, (5, n)), _ref_gauss(rng, (5, n))
+        stacked = algebra.star(x, y)
+        outer = algebra.star(x[:, None, :], y[None, :, :])
+        for i in range(5):
+            one = algebra.star(x[i], y[i])
+            assert one.shape == (n,)
+            assert np.max(np.abs(one - _ref_star(algebra, x[i], y[i]))) <= 1e-12
+            assert np.max(np.abs(stacked[i] - one)) <= 1e-12
+            for j in range(5):
+                assert np.max(np.abs(outer[i, j] - _ref_star(algebra, x[i], y[j]))) <= 1e-12
+
+    def test_subalgebra_matches_loop(self, algebra):
+        rng = np.random.default_rng(10)
+        n = algebra.dim
+        k = min(n, 4)
+        image, _ = np.linalg.qr(_ref_gauss(rng, (n, k)))
+        proj = image @ image.conj().T
+        sub, lift = algebra.subalgebra(image, algebra.unit_coords, lambda v: proj @ v)
+        want = np.zeros((k, k, k), dtype=complex)
+        for i in range(k):
+            for j in range(k):
+                prod = proj @ _ref_star(algebra, image[:, i], image[:, j])
+                want[i, j, :] = image.conj().T @ prod
+        assert np.max(np.abs(sub.star_tensor - want)) <= 1e-12
+        assert lift is image
+        assert sub.dim == k
+        for i in range(k):
+            assert np.max(np.abs(sub.basis[i] - algebra.element(image[:, i]))) <= 1e-12
+        assert np.max(np.abs(sub.unit_coords - image.conj().T @ algebra.unit_coords)) <= 1e-15
