@@ -218,12 +218,10 @@ def compression(
     # an idempotent has singular values >= 1 on its range and ~0 elsewhere
     u_svd, s_svd, _ = np.linalg.svd(cmat)
     image = u_svd[:, : int(np.sum(s_svd > 0.5))]
-    rng = np.random.default_rng(0)
-    lr = lp @ rq
-    dist = 0.0
-    for _ in range(12):
-        x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        dist = max(dist, alg.norm((lr - cmat) @ x) / alg.norm(x))
+    # 12 probes in one draw: the stream of per-probe real then imaginary draws
+    g = np.random.default_rng(0).standard_normal((12, 2, alg.dim))
+    x = g[:, 0] + 1j * g[:, 1]
+    dist = float(np.max(alg.norms(x @ (lp @ rq - cmat).T) / alg.norms(x)))
     return CompressionMap(p, q, cmat, image, dist, idem_res)
 
 

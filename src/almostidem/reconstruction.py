@@ -114,13 +114,23 @@ class BlockSpec:
             axis=0,
         )
 
-    def random_element(self, rng: np.random.Generator, hermitian=False) -> np.ndarray:
-        m = np.zeros((self.rep_dim, self.rep_dim), dtype=complex)
+    def random_elements(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` random block-diagonal elements, shape (count, rep, rep).
+
+        One draw gives the stream of element-by-element draws: per element,
+        per block, the real and then the imaginary d x d part."""
+        g = rng.standard_normal((count, 2 * self.dim))
+        m = np.zeros((count, self.rep_dim, self.rep_dim), dtype=complex)
+        off = 0
         for s in self.slices():
             d = s.stop - s.start
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            m[s, s] = nl.hermitian_part(g) if hermitian else g
+            part = g[:, off: off + 2 * d * d].reshape(count, 2, d, d)
+            m[:, s, s] = part[:, 0] + 1j * part[:, 1]
+            off += 2 * d * d
         return m
+
+    def random_element(self, rng: np.random.Generator) -> np.ndarray:
+        return self.random_elements(rng, 1)[0]
 
 
 @dataclass
@@ -259,11 +269,11 @@ def mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probes: int = 20,
     stars = imgs @ (imgs @ t_flat).reshape(-1, n, n)  # [a, b] = v(E_a) * v(E_b)
     table = spec.unit_products()
     expected = np.where((table >= 0)[..., None], imgs[table], 0.0)
-    worst = float(alg.norms((expected - stars).reshape(-1, n)).max())
+    worst = alg.max_norm((expected - stars).reshape(-1, n))
     iso_lo, iso_hi = np.inf, 0.0
     if probes:
         rng = np.random.default_rng(seed)
-        xy = np.stack([spec.random_element(rng) for _ in range(2 * probes)])
+        xy = spec.random_elements(rng, 2 * probes)
         x, y = xy[0::2], xy[1::2]
         nx, ny = spec.block_norm(x), spec.block_norm(y)
         # rows v(x_p): vec stacks columns, i.e. the rows of the transpose
@@ -403,25 +413,27 @@ def matrix_algebra(k: int) -> EpsilonAlgebra:
 
 def extend_matrix_algebra(
     v: AlmostHom,
-    q: pj.DeltaProjection,
+    c_q: pj.CompressionMap,
     alg: EpsilonAlgebra,
     improve_target: float | None = None,
     seed: int = 0,
 ) -> AlmostHom:
     """Extend a map M_n -> S_P by a one-dimensional projection Q to M_{n+1}.
 
-    Follows the corner construction: represent S_P on the Hilbert space
-    S_{P,Q}, improve that representation to an exact homomorphism, read the
-    new column of matrix units off it, and merge with the rank-one corner of Q.
+    ``c_q`` is the compression onto S_Q of the projection Q = ``c_q.p``; the
+    caller computes it once per family member and passes it down.  Follows
+    the corner construction: represent S_P on the Hilbert space S_{P,Q},
+    improve that representation to an exact homomorphism, read the new
+    column of matrix units off it, and merge with the rank-one corner of Q.
     """
     spec = v.spec
     if len(spec.block_dims) != 1:
         raise ReconstructionError("extension input must be a single matrix block")
     n = spec.block_dims[0]
+    q = c_q.p
     p_coords = np.real(v.apply(spec.unit()))
     p = pj.DeltaProjection(p_coords, pj.measure_delta(alg, p_coords), alg.norm(p_coords))
     c_p = pj.compression(alg, p)
-    c_q = pj.compression(alg, q)
     if c_q.rank != 1:
         raise pj.DegenerateGram(f"dim S_Q = {c_q.rank}, expected 1")
     c_pq = pj.compression(alg, p, q)
@@ -443,19 +455,13 @@ def extend_matrix_algebra(
     mu = improve_homomorphism(mu, target, pauli_diagonal(spec), target=1e-12, seed=seed)
 
     # matrix-unit trick: an orthonormal column frame from the improved rep
-    e11_img = nl.unvec(
-        np.stack([nl.vec(b) for b in target.basis], axis=1) @ mu.apply(spec.unit_matrix(0, 0, 0)),
-        n, n,
-    )
+    vec_basis = np.stack([nl.vec(b) for b in target.basis], axis=1)
+    e11_img = nl.unvec(vec_basis @ mu.apply(spec.unit_matrix(0, 0, 0)), n, n)
     w_eig, u_eig = np.linalg.eigh(nl.hermitian_part(e11_img))
     xi = u_eig[:, -1]
     cols = []
     for j in range(n):
-        mu_ej1 = nl.unvec(
-            np.stack([nl.vec(b) for b in target.basis], axis=1)
-            @ mu.apply(spec.unit_matrix(0, j, 0)),
-            n, n,
-        )
+        mu_ej1 = nl.unvec(vec_basis @ mu.apply(spec.unit_matrix(0, j, 0)), n, n)
         cols.append(mu_ej1 @ xi)
     u1 = np.stack(cols, axis=1)
     u1 = nl.polar_unitary(u1)
@@ -496,15 +502,14 @@ class ReconstructionReport:
     improvement_history: list[float] = field(default_factory=list)
 
 
-def _corner_subalgebra(alg: EpsilonAlgebra, p: pj.DeltaProjection):
-    """S_P as an algebra with the compressed product and a Hermitian basis."""
-    c_p = pj.compression(alg, p)
+def _corner_subalgebra(alg: EpsilonAlgebra, c_p: pj.CompressionMap):
+    """S_P, from its compression map, as an algebra with the compressed
+    product and a Hermitian basis."""
     image = _real_span_basis(c_p.image_coords)
     if image.shape[1] != c_p.rank:
         raise ReconstructionError("corner image is not closed under the involution")
-    unit = np.real(c_p.apply(p.coords))
-    sub, lift = alg.subalgebra(image.astype(complex), unit, c_p.apply)
-    return sub, lift, c_p
+    unit = np.real(c_p.apply(c_p.p.coords))
+    return alg.subalgebra(image.astype(complex), unit, c_p.apply)
 
 
 def _real_span_basis(cols: np.ndarray) -> np.ndarray:
@@ -526,8 +531,10 @@ def reconstruct(
     Stage 1 splits the unit into one-dimensional approximate projections,
     stage 2 grows one matrix algebra per equivalence class through corner
     extensions with error reduction after each step, stage 3 merges the
-    classes.  Returns the block structure, the near-isomorphism, and a report
-    of every measured defect.
+    classes.  The compression map of each family member is computed once,
+    when the member joins the family, and passed down to the corner
+    subalgebra, the class seeds and the extensions.  Returns the block
+    structure, the near-isomorphism, and a report of every measured defect.
     """
     rng = np.random.default_rng(seed)
     base_defect = alg.defects.worst() if alg.defects is not None else 0.0
@@ -536,28 +543,30 @@ def reconstruct(
 
     # ---------------- stage 1: one-dimensional splitting ----------------
     unit = np.real(alg.unit_coords)
-    family = [pj.DeltaProjection(unit, pj.measure_delta(alg, unit), alg.norm(unit))]
     splits = 0
     try:
+        # the family P_i, each member carried by its compression C_{P_i}
+        comps = [pj.compression(
+            alg, pj.DeltaProjection(unit, pj.measure_delta(alg, unit), alg.norm(unit))
+        )]
         while True:
-            dims = [pj.compression(alg, p).rank for p in family]
-            over = [i for i, d in enumerate(dims) if d > 1]
+            over = [i for i, c in enumerate(comps) if c.rank > 1]
             if not over:
                 break
-            idx = max(over, key=lambda i: dims[i])
-            p = family[idx]
-            sub, lift, c_p = _corner_subalgebra(alg, p)
+            idx = max(over, key=lambda i: comps[i].rank)
+            c_p = comps[idx]
+            sub, lift = _corner_subalgebra(alg, c_p)
             found = pj.find_nontrivial_projection(
                 sub, delta_target=max(delta_target, 1e-8),
                 max_retries=40, seed=int(rng.integers(1 << 31)),
             )
             p_new = np.real(lift @ found.coords)
             p_new, d_new = pj._cubic_refine(alg, p_new)
-            p_rest = np.real(c_p.apply(p.coords)) - p_new
+            p_rest = np.real(c_p.apply(c_p.p.coords)) - p_new
             p_rest, d_rest = pj._cubic_refine(alg, p_rest)
-            family[idx: idx + 1] = [
-                pj.DeltaProjection(p_new, d_new, alg.norm(p_new)),
-                pj.DeltaProjection(p_rest, d_rest, alg.norm(p_rest)),
+            comps[idx: idx + 1] = [
+                pj.compression(alg, pj.DeltaProjection(p_new, d_new, alg.norm(p_new))),
+                pj.compression(alg, pj.DeltaProjection(p_rest, d_rest, alg.norm(p_rest))),
             ]
             splits += 1
             if splits > 4 * alg.dim:
@@ -566,6 +575,7 @@ def reconstruct(
         raise StageFailed("stage1-splitting", str(exc)) from exc
 
     # ---------------- stage 2: matrix algebra per class ----------------
+    family = [c.p for c in comps]
     try:
         classes = pj.classify_equivalence(alg, family)
     except pj.ProjectionError as exc:
@@ -575,14 +585,13 @@ def reconstruct(
     history: list[float] = []
     for cls in classes:
         try:
-            q0 = family[cls[0]]
-            c_q0 = pj.compression(alg, q0)
+            c_q0 = comps[cls[0]]
             coeffs = np.zeros((alg.dim, 1), dtype=complex)
-            coeffs[:, 0] = c_q0.apply(q0.coords)
+            coeffs[:, 0] = c_q0.apply(c_q0.p.coords)
             v_c = mult_defect(AlmostHom(BlockSpec((1,)), coeffs), alg)
-            for r, jdx in enumerate(cls[1:], start=2):
+            for jdx in cls[1:]:
                 v_c = extend_matrix_algebra(
-                    v_c, family[jdx], alg, seed=int(rng.integers(1 << 31))
+                    v_c, comps[jdx], alg, seed=int(rng.integers(1 << 31))
                 )
                 v_c = improve_homomorphism(
                     v_c, alg, pauli_diagonal(v_c.spec),

@@ -12,6 +12,7 @@ Newton solve inside the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -117,8 +118,13 @@ class EpsilonAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def basis_stack(self) -> np.ndarray:
+        """The basis as one (dim, d, d) array, built on first use."""
+        return np.stack(self.basis)
+
     def element(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coords), np.stack(self.basis), axes=(0, 0))
+        return np.tensordot(np.asarray(coords), self.basis_stack, axes=(0, 0))
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         return np.array([nl.hs_inner(b, x) for b in self.basis])
@@ -132,11 +138,38 @@ class EpsilonAlgebra:
     def norm(self, x: np.ndarray) -> float:
         return nl.operator_norm(self.element(x))
 
+    def _matrices(self, coords: np.ndarray) -> np.ndarray:
+        """The elements whose coordinates are the rows of ``coords``, stacked."""
+        d = self.ambient_dim
+        return (coords @ self.basis_stack.reshape(self.dim, d * d)).reshape(-1, d, d)
+
     def norms(self, coords: np.ndarray) -> np.ndarray:
         """Operator norms of the elements whose coordinates are the rows of ``coords``."""
-        d = self.ambient_dim
-        mats = coords @ np.stack(self.basis).reshape(self.dim, d * d)
-        return np.linalg.svd(mats.reshape(-1, d, d), compute_uv=False)[:, 0]
+        return np.linalg.svd(self._matrices(coords), compute_uv=False)[:, 0]
+
+    def max_norm(self, coords: np.ndarray) -> float:
+        """``norms(coords).max()``, with the SVD taken only where it can matter.
+
+        The Frobenius norm bounds the operator norm from above,
+        ||X|| <= ||X||_F, with equality when X has rank one.  The rows are
+        taken in chunks of decreasing Frobenius norm, and the scan stops once
+        the next bound, widened by a relative 1e-12 for roundoff, is at most
+        the running maximum: no row left can then exceed it.  Rows that are
+        not finite go to the full stacked SVD, as in ``norms``.
+        """
+        mats = self._matrices(coords)
+        fro = np.linalg.norm(mats, axis=(1, 2))
+        if not np.all(np.isfinite(fro)):
+            return float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
+        order = np.argsort(-fro, kind="stable")
+        chunk = 8
+        best = float(np.linalg.svd(mats[order[:chunk]], compute_uv=False)[:, 0].max())
+        for start in range(chunk, len(order), chunk):
+            rows = order[start: start + chunk]
+            if fro[rows[0]] * (1 + 1e-12) <= best:
+                break
+            best = max(best, float(np.linalg.svd(mats[rows], compute_uv=False)[:, 0].max()))
+        return best
 
     def lmul(self, x: np.ndarray) -> np.ndarray:
         """Matrix of Y -> X * Y on coordinates."""
@@ -352,7 +385,7 @@ def _ext_norms(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
     # block (a, b) is sum_i x[a, b, i] B_i; batching the product over (a, c)
     # puts it straight into the rows (a, c) and columns (b, e) of the
     # matrix, with no transposing copy
-    mats = x[..., :, None, :, :] @ np.stack(alg.basis).transpose(1, 0, 2)
+    mats = x[..., :, None, :, :] @ alg.basis_stack.transpose(1, 0, 2)
     return np.linalg.svd(mats.reshape(*x.shape[:-3], m * d, m * d), compute_uv=False)[..., 0]
 
 

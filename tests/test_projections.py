@@ -275,3 +275,32 @@ class TestEquivalence:
             pj.compression_rank(alg, units[j], units[k]) for j in (0, 1) for k in (1, 2)
         )
         assert total == parts == 4
+
+
+def lr_distance_per_probe(alg, c):
+    """The sampled ||L_P R_Q - C||, one probe and two norms at a time."""
+    rng = np.random.default_rng(0)
+    lr = alg.lmul(c.p.coords) @ alg.rmul(c.q.coords)
+    dist = 0.0
+    for _ in range(12):
+        x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+        dist = max(dist, alg.norm((lr - c.matrix) @ x) / alg.norm(x))
+    return dist
+
+
+class TestBatchedLrDistance:
+    @pytest.mark.parametrize("t", [0.0, 1e-2])
+    def test_matches_probe_loop(self, t):
+        ch = chn.gen_pinching((3, 1))
+        if t:
+            ch = chn.gen_perturbed(ch, t, seed=4)
+        alg = alg_of(ch)
+        p = pj.find_nontrivial_projection(alg, delta_target=1e-4, seed=0)
+        rest = np.real(alg.unit_coords) - p.coords
+        q = pj.DeltaProjection(rest, pj.measure_delta(alg, rest), alg.norm(rest))
+        for c in (pj.compression(alg, p), pj.compression(alg, p, q),
+                  pj.compression(alg, q, p)):
+            want = lr_distance_per_probe(alg, c)
+            assert abs(c.lr_distance - want) <= 1e-12 * max(1.0, want)
+            if t:
+                assert c.lr_distance > 1e-6  # the perturbation is seen

@@ -222,11 +222,11 @@ class TestMergeAndExtend:
         coeffs = np.zeros((alg.dim, 1), dtype=complex)
         coeffs[:, 0] = units[0].coords
         v = rc.mult_defect(rc.AlmostHom(rc.BlockSpec((1,)), coeffs), alg)
-        v = rc.extend_matrix_algebra(v, units[1], alg)
+        v = rc.extend_matrix_algebra(v, pj.compression(alg, units[1]), alg)
         assert v.spec.block_dims == (2,)
         assert v.mult_defect <= 1e-8
         v = rc.improve_homomorphism(v, alg, rc.pauli_diagonal(v.spec))
-        v = rc.extend_matrix_algebra(v, units[2], alg)
+        v = rc.extend_matrix_algebra(v, pj.compression(alg, units[2]), alg)
         assert v.spec.block_dims == (3,)
         assert v.mult_defect <= 1e-8
         # the final map is a bijective near-isomorphism of B(C^3)
@@ -251,7 +251,7 @@ class TestMergeAndExtend:
         v = rc.AlmostHom(rc.BlockSpec((1,)), coeffs)
         # q is inequivalent to p (different blocks): dim S_{P,Q} = 0 != 1
         with pytest.raises(nl.DimMismatch):
-            rc.extend_matrix_algebra(v, q, alg)
+            rc.extend_matrix_algebra(v, pj.compression(alg, q), alg)
 
 
 class TestReconstruct:
@@ -408,3 +408,53 @@ class TestBatchedKernels:
             for x in (nl.unvec(e, 6, 6) for e in np.eye(36, dtype=complex))
         )
         assert abs(v.dagger_symmetry_residual() - worst) <= 1e-12 * worst
+
+
+# ---------------------------------------------------------------------------
+# work done once
+# ---------------------------------------------------------------------------
+
+def random_element_per_block(spec, rng):
+    """One block-diagonal element, drawn block by block: real then imaginary part."""
+    m = np.zeros((spec.rep_dim, spec.rep_dim), dtype=complex)
+    for s in spec.slices():
+        d = s.stop - s.start
+        m[s, s] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return m
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("dims", [(1,), (2, 1), (4, 3, 1)])
+    def test_probe_draw_matches_loop(self, dims):
+        spec = rc.BlockSpec(dims)
+        rng = np.random.default_rng(3)
+        got = spec.random_elements(rng, 40)
+        ref_rng = np.random.default_rng(3)
+        want = np.stack([random_element_per_block(spec, ref_rng) for _ in range(40)])
+        assert np.array_equal(got, want)
+        assert rng.standard_normal() == ref_rng.standard_normal()  # same stream after
+        one_rng = np.random.default_rng(3)
+        singles = np.stack([spec.random_element(one_rng) for _ in range(40)])
+        assert np.array_equal(singles, want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: chn.gen_pinching((4, 3, 1)),
+        lambda: chn.gen_random_idempotent(((2, 2), (1, 3)), dim=7, seed=3),
+    ], ids=["pinching-431", "idempotent-7"])
+    def test_each_compression_computed_once(self, monkeypatch, make):
+        from almostidem import projections as pj
+
+        alg = alg_of(make())
+        seen = {}
+        compression = pj.compression
+
+        def counting(alg_, p, q=None):
+            key = (p.coords.tobytes(), (p if q is None else q).coords.tobytes())
+            seen[key] = seen.get(key, 0) + 1
+            return compression(alg_, p, q)
+
+        monkeypatch.setattr(pj, "compression", counting)
+        spec, v, rep = rc.reconstruct(alg, seed=0)
+        assert rep.bijective
+        assert len(rep.class_sizes) > 1 and max(rep.class_sizes) > 1
+        assert seen and max(seen.values()) == 1

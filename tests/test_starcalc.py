@@ -489,3 +489,69 @@ class TestBatchedDefects:
         for i in range(k):
             assert np.max(np.abs(sub.basis[i] - algebra.element(image[:, i]))) <= 1e-12
         assert np.max(np.abs(sub.unit_coords - image.conj().T @ algebra.unit_coords)) <= 1e-15
+
+
+class TestMaxNorm:
+    """``max_norm`` skips SVDs by the Frobenius bound; it must return
+    ``norms(...).max()`` bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_stacks(self, algebra, seed):
+        rng = np.random.default_rng(seed)
+        coords = rng.standard_normal((300, algebra.dim)) + 1j * rng.standard_normal(
+            (300, algebra.dim))
+        coords *= rng.uniform(0.1, 2.0, (300, 1))  # spread the Frobenius norms
+        assert algebra.max_norm(coords) == algebra.norms(coords).max()
+
+    def test_skips_rows_that_cannot_set_the_maximum(self, monkeypatch):
+        alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
+        assert (alg.dim, alg.ambient_dim) == (26, 8)
+        rng = np.random.default_rng(3)
+        coords = rng.standard_normal((676, 26)) * np.geomspace(1.0, 1e-3, 676)[:, None]
+        svd_rows = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svd_rows.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        got = alg.max_norm(coords)
+        monkeypatch.undo()
+        assert got == alg.norms(coords).max()
+        assert sum(svd_rows) < 676
+
+    def test_rank_one_rows_tie(self):
+        # ||X|| = ||X||_F for rank one: every bound is tight and equal
+        alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
+        rng = np.random.default_rng(4)
+        rows = []
+        for _ in range(40):
+            u = np.zeros(8, dtype=complex)
+            v = np.zeros(8, dtype=complex)
+            u[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            v[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            rows.append(alg.coords(np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))))
+        coords = np.array(rows)
+        assert alg.max_norm(coords) == alg.norms(coords).max()
+        assert abs(alg.max_norm(coords) - 1.0) <= 1e-12
+
+    def test_zero_and_single_rows(self, algebra):
+        zeros = np.zeros((5, algebra.dim), dtype=complex)
+        assert algebra.max_norm(zeros) == algebra.norms(zeros).max() == 0.0
+        one = np.random.default_rng(5).standard_normal((1, algebra.dim))
+        assert algebra.max_norm(one) == algebra.norms(one).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows(self, algebra, bad):
+        coords = np.random.default_rng(6).standard_normal((20, algebra.dim))
+        coords[7, 0] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                algebra.norms(coords).max()
+            with pytest.raises(np.linalg.LinAlgError):
+                algebra.max_norm(coords)
+
+    def test_basis_stack_built_once(self, algebra):
+        assert algebra.basis_stack is algebra.basis_stack
+        assert np.array_equal(algebra.basis_stack, np.stack(algebra.basis))
