@@ -26,6 +26,15 @@ so Newton runs over the trace-one (rho, sigma) alone, 2 (d_in^2 - 1)
 unknowns, on a reduced barrier that costs one SVD to evaluate.  Each stage
 center is certified by its primal value and the dual point built from it.
 
+A Hermiticity-preserving map (every difference of UCP maps the pipeline
+measures) has a Hermitian J.  Then the reduced barrier is symmetric in
+(rho, sigma) and strictly concave, so every center has rho = sigma
+(Watrous, arXiv:1207.5726): when ||J - J^dag|| <= 1e-12 ||J|| Newton runs on
+the Hermitian part of J over rho alone, d_in^2 - 1 unknowns, and M is
+Hermitian, so one eigh replaces the SVD.  The test selects a speed path
+only: every bound is still evaluated on the J given, so it cannot affect
+the validity of a certificate.
+
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
 ``check_witness`` re-evaluates both on a Choi matrix without solving, which
@@ -224,6 +233,9 @@ class _BarrierPoint:
 
     which is sum_i [c_i - log(1 + c_i)] plus terms constant in (rho, sigma).
     ``a`` holds 1 - y_i^2 = 2 / (1 + c_i), computed without cancellation.
+    ``z`` is set only at a symmetric point (sigma is rho, J Hermitian), where
+    M = W diag(lam) W^dag is Hermitian: U = W, V^dag = S W^dag with
+    S = diag(sign lam), and z = S y.
     """
 
     rho: np.ndarray
@@ -234,6 +246,7 @@ class _BarrierPoint:
     y: np.ndarray
     a: np.ndarray
     value: float
+    z: np.ndarray | None = None
 
     def x_star(self) -> np.ndarray:
         sr, _, ss, _ = self.roots
@@ -241,21 +254,33 @@ class _BarrierPoint:
 
 
 def _barrier_point(j, rho, sigma, t: float, d_out: int):
-    """:class:`_BarrierPoint` at (rho, sigma), or None unless both are positive definite."""
-    roots, logdet = [], 0.0
-    for m in (rho, sigma):
+    """:class:`_BarrierPoint` at (rho, sigma), or None unless both are positive definite.
+
+    With ``sigma`` None the point is the symmetric one (rho, rho) of a
+    Hermitian ``j``: one eigh of rho and one of the Hermitian M replace two
+    eigh and an SVD.
+    """
+    symmetric, roots, logdet = sigma is None, [], 0.0
+    for m in (rho,) if symmetric else (rho, sigma):
         w, q = np.linalg.eigh(m)
         if not w[0] > 0:
             return None
         r = np.sqrt(w)
         roots += [(q * r) @ q.conj().T, (q / r) @ q.conj().T]
         logdet += float(np.sum(np.log(w)))
-    u, s, vh = np.linalg.svd(_lmul(roots[0], _rmul(j, roots[2])))
+    if symmetric:
+        lam, u = np.linalg.eigh(_lmul(roots[0], _rmul(j, roots[0])))
+        sign = np.where(lam < 0, -1.0, 1.0)
+        s, vh = np.abs(lam), sign[:, None] * u.conj().T
+        roots, logdet, sigma = roots * 2, 2.0 * logdet, rho
+    else:
+        u, s, vh = np.linalg.svd(_lmul(roots[0], _rmul(j, roots[2])))
     ts = t * s
     c = np.sqrt(1.0 + ts * ts)
     y, a = ts / (1.0 + c), 2.0 / (1.0 + c)
     value = d_out * logdet + float(np.sum(ts * y + np.log(a)))
-    return _BarrierPoint(rho, sigma, tuple(roots), u, vh, y, a, value)
+    z = sign * y if symmetric else None
+    return _BarrierPoint(rho, sigma, tuple(roots), u, vh, y, a, value, z)
 
 
 def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
@@ -289,17 +314,42 @@ def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
     return grad, 0.5 * (hess + hess.T)
 
 
+def _symmetric_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
+    """Gradient and negated Hessian of rho -> F_t(rho, rho) over ``h_stack``
+    at a symmetric point.
+
+    There Q_a = S P_a S, so the blocks of :func:`_barrier_derivatives` fold
+    into one: the gradient is g_rho + g_sigma = 2 Re diag(P_a) / a, and since
+    w_ij (1 - z_i z_j) = 1 / (1 + z_i z_j), the negated Hessian
+    H_rr + H_rs + H_sr + H_ss is 2 Re sum conj(P_a)_ij (P_b)_ij / (1 + z_i z_j).
+    """
+    _, rir, _, _ = pt.roots
+    nb, a, y, z = len(h_stack), pt.a, pt.y, pt.z
+    p = pt.u.conj().T @ _lmul(rir @ h_stack @ rir, pt.u)
+    grad = 2.0 * np.real(np.einsum("aii,i->a", p, 1.0 / a))
+    # where the signs differ, 1 + z_i z_j = 1 - y_i y_j is taken as
+    # (a_i + a_j + (y_i - y_j)^2) / 2, stable as both y -> 1
+    zz = np.outer(z, z)
+    dy = np.subtract.outer(y, y)
+    den = np.where(zz < 0, 0.5 * (a[:, None] + a[None, :] + dy * dy), 1.0 + zz)
+    pf = p.reshape(nb, -1)
+    hess = np.real(pf.conj() @ (pf * (2.0 / den).ravel()).T)
+    return grad, 0.5 * (hess + hess.T)
+
+
 def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
     """Newton direction (d_rho, d_sigma) of F_t over the trace-free directions
-    ``h_stack``, and the decrement.
+    ``h_stack``, and the decrement.  At a symmetric point Newton runs over rho
+    alone and d_sigma = d_rho; the decrement 2 g^T (A + B)^-1 g is the one of
+    the (rho, sigma) step, whose blocks are g and [[A, B], [B, A]] there.
 
     The gradient's component along the identity grows like t and is balanced
     only by the trace constraints; in trace-free coordinates it drops out
     exactly, so the decrement stays accurate late on the path, where it
     decides when a center is reached.
     """
-    nb = len(h_stack)
-    grad, hess = _barrier_derivatives(pt, h_stack)
+    derivatives = _barrier_derivatives if pt.z is None else _symmetric_derivatives
+    grad, hess = derivatives(pt, h_stack)
     try:
         with warnings.catch_warnings():
             # near the end of the path the Hessian is ill conditioned by
@@ -309,9 +359,9 @@ def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
             step = scipy.linalg.solve(hess, grad, assume_a="pos")
     except scipy.linalg.LinAlgError:
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-    d_rho = np.tensordot(step[:nb], h_stack, axes=(0, 0))
-    d_sigma = np.tensordot(step[nb:], h_stack, axes=(0, 0))
-    return d_rho, d_sigma, float(grad @ step)
+    nb, dim = h_stack.shape[:2]
+    d = (step.reshape(-1, nb) @ h_stack.reshape(nb, -1)).reshape(-1, dim, dim)
+    return d[0], d[-1], float(grad @ step)
 
 
 def _trace_free_basis(dim: int) -> np.ndarray:
@@ -331,13 +381,26 @@ def _barrier_solve(
     ``on_stage(rho, sigma)`` runs after each centering stage; if it returns
     True the solve stops early (certificates already good enough).  ``t0``
     may be matched to a known gap; the default scales with ||J||.
+
+    For Hermitian J (||J - J^dag|| <= 1e-12 ||J||) F_t is symmetric in
+    (rho, sigma) and strictly concave, so every center has rho = sigma:
+    Newton then runs on the Hermitian part of J over rho alone, and the
+    solve returns sigma = rho.
     """
     h_stack = _trace_free_basis(d_in)
     uniform = np.eye(d_in, dtype=complex) / d_in
     n_z = 2 * d_in * d_out
-    t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
+    scale = nl.operator_norm(j)
+    symmetric = nl.operator_norm(j - j.conj().T) <= 1e-12 * scale
+    if symmetric:
+        j = nl.hermitian_part(j)
+    t = 1.0 / max(scale, 1e-12) if t0 is None else t0
     t_final = max(4.0 * n_z / max(target_gap, 1e-14), t)
-    pt = _barrier_point(j, uniform, uniform, t, d_out)
+
+    def point(rho, sigma):
+        return _barrier_point(j, rho, None if symmetric else sigma, t, d_out)
+
+    pt = point(uniform, uniform)
     newtons = 0
 
     def result(stalled):
@@ -352,8 +415,9 @@ def _barrier_solve(
             alpha = 1.0
             floor = pt.value - 1e-12 * max(1.0, abs(pt.value))
             for _ in range(40):
-                trial = _barrier_point(j, nl.hermitian_part(pt.rho + alpha * d_rho),
-                                       nl.hermitian_part(pt.sigma + alpha * d_sigma), t, d_out)
+                rho = nl.hermitian_part(pt.rho + alpha * d_rho)
+                trial = point(rho, rho if symmetric
+                              else nl.hermitian_part(pt.sigma + alpha * d_sigma))
                 if trial is not None and trial.value >= floor:
                     break
                 alpha *= 0.5
@@ -368,7 +432,7 @@ def _barrier_solve(
         if t >= t_final:
             return result(False)
         t = min(t * 20.0, t_final)
-        pt = _barrier_point(j, pt.rho, pt.sigma, t, d_out)
+        pt = point(pt.rho, pt.sigma)
 
 
 class _Bounds:

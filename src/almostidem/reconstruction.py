@@ -190,19 +190,24 @@ def pauli_diagonal(spec: BlockSpec, term_cap: int = 10_000) -> Diagonal:
             f"{total} diagonal terms exceed the cap {term_cap}; "
             f"use a sampled diagonal instead"
         )
-    terms = [(1.0, np.zeros((0, 0), dtype=complex))]
+    # term (i_1, ..., i_m), first block slowest, has weight ((1 p_i1) p_i2) ...
+    # and the direct sum of the block unitaries U_i1 + ... + U_im
+    weights, stacks = np.ones(1), []
     for d in spec.block_dims:
-        block_terms = pauli_shift_clock(d)
+        p, u = zip(*pauli_shift_clock(d))
+        p, u = np.array(p), np.stack(u)
         if multi:
-            block_terms = [(p / 2, u) for p, u in block_terms] + [
-                (p / 2, -u) for p, u in block_terms
-            ]
-        terms = [
-            (p0 * p1, _direct_sum(u0, u1))
-            for p0, u0 in terms
-            for p1, u1 in block_terms
-        ]
-    return Diagonal(spec, terms, exact=True)
+            p, u = np.concatenate([p / 2, p / 2]), np.concatenate([u, -u])
+        weights = np.multiply.outer(weights, p).ravel()
+        stacks.append(u)
+    rep = spec.rep_dim
+    units = np.zeros((len(weights), rep, rep), dtype=complex)
+    grid = units.reshape(*(len(u) for u in stacks), rep, rep)
+    for l, (sl, u) in enumerate(zip(spec.slices(), stacks)):
+        axes = [1] * len(stacks)
+        axes[l] = len(u)
+        grid[..., sl, sl] = u.reshape(*axes, *u.shape[1:])
+    return Diagonal(spec, list(zip(weights.tolist(), units)), exact=True)
 
 
 def sampled_diagonal(spec: BlockSpec, count: int, seed: int) -> Diagonal:
@@ -215,13 +220,6 @@ def sampled_diagonal(spec: BlockSpec, count: int, seed: int) -> Diagonal:
             u[s, s] = nl.random_unitary(s.stop - s.start, rng)
         terms.append((1.0 / count, u))
     return Diagonal(spec, terms, exact=False)
-
-
-def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
 
 
 @dataclass
@@ -415,7 +413,6 @@ def extend_matrix_algebra(
     v: AlmostHom,
     c_q: pj.CompressionMap,
     alg: EpsilonAlgebra,
-    improve_target: float | None = None,
     seed: int = 0,
 ) -> AlmostHom:
     """Extend a map M_n -> S_P by a one-dimensional projection Q to M_{n+1}.

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,118 @@ class TestBarrierSolver:
         pval, dval, gap = cb.diamond_norm_sdp_explicit(diff, 2, 2, tol=1e-9)
         cert = cb.diamond_norm(diff, 2, 2)
         assert abs(pval - cert.value) <= 1e-5 * max(1.0, cert.value)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(cb, name)
+    monkeypatch.setattr(cb, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def _anti_hermitian(rng, n, size):
+    """An anti-Hermitian n x n matrix of operator norm ``size``."""
+    b = _random_complex(rng, n, n)
+    b = b - b.conj().T
+    return size * b / nl.operator_norm(b)
+
+
+class TestSymmetricBarrier:
+    """Newton over rho alone, sigma = rho, for Hermitian J."""
+
+    def test_derivatives_finite_difference_and_folded(self):
+        t, eps = 1.7, 1e-5
+        for d_in, d_out in [(2, 2), (3, 2), (2, 3)]:
+            j, rho, _ = _barrier_case(d_in, d_out, 13 + 10 * d_in + d_out)
+            j = nl.hermitian_part(j)
+            h_stack = np.stack(nl.hermitian_basis(d_in))
+            nb = len(h_stack)
+
+            def point(v):
+                return cb._barrier_point(
+                    j, rho + np.tensordot(v, h_stack, axes=1), None, t, d_out)
+
+            pt = point(np.zeros(nb))
+            assert pt.sigma is pt.rho
+            grad, neg_hess = cb._symmetric_derivatives(pt, h_stack)
+            steps = eps * np.eye(nb)
+            grad_fd = np.array([(point(e).value - point(-e).value) / (2 * eps) for e in steps])
+            hess_fd = np.array([
+                (cb._symmetric_derivatives(point(e), h_stack)[0]
+                 - cb._symmetric_derivatives(point(-e), h_stack)[0]) / (2 * eps)
+                for e in steps
+            ])
+            assert np.allclose(grad, grad_fd, rtol=0, atol=1e-6 * np.abs(grad).max())
+            assert np.allclose(-neg_hess, hess_fd, rtol=0, atol=1e-6 * np.abs(neg_hess).max())
+            assert np.linalg.eigvalsh(neg_hess)[0] > 0
+            # the (rho, sigma) blocks of the general derivatives at (rho, rho), folded
+            general = cb._barrier_point(j, rho, rho, t, d_out)
+            assert abs(general.value - pt.value) <= 1e-12 * max(1.0, abs(pt.value))
+            assert np.allclose(pt.x_star(), general.x_star(), rtol=0, atol=1e-12)
+            g2, h2 = cb._barrier_derivatives(general, h_stack)
+            folded = h2[:nb, :nb] + h2[:nb, nb:] + h2[nb:, :nb] + h2[nb:, nb:]
+            assert np.allclose(grad, g2[:nb] + g2[nb:], rtol=0, atol=1e-10 * np.abs(grad).max())
+            assert np.allclose(neg_hess, folded, rtol=0, atol=1e-10 * np.abs(neg_hess).max())
+
+    def test_hessian_weight_without_cancellation(self):
+        # M = J / d_in at rho = I / d_in has eigenvalues 1.3 and -1.3 (1 + 1e-7);
+        # at t = 1e9 both y are 1 - 1.5e-9, so 1 + z_i z_j = 1 - y_i y_j loses
+        # seven digits when taken as 1 - y_i * y_j
+        d_in = d_out = 2
+        rng = np.random.default_rng(17)
+        q = nl.random_unitary(4, rng)
+        j = d_in * (q * np.array([1.3, -1.3 * (1 + 1e-7), 0.4, -0.9])) @ q.conj().T
+        t = 1e9
+        pt = cb._barrier_point(j, np.eye(d_in, dtype=complex) / d_in, None, t, d_out)
+        h_stack = np.stack(nl.hermitian_basis(d_in))
+        _, neg_hess = cb._symmetric_derivatives(pt, h_stack)
+        lam, w = np.linalg.eigh(cb._lmul(pt.roots[0], cb._rmul(j, pt.roots[0])))
+        assert np.array_equal(w, pt.u)
+        # reference: 1 + z_i z_j in 40-digit decimal arithmetic from lam and t
+        ctx = decimal.Context(prec=40)
+        ts = [ctx.multiply(decimal.Decimal(t), decimal.Decimal(abs(x))) for x in lam]
+        z = [ctx.divide(v, 1 + ctx.sqrt(1 + v * v)) * (1 if x >= 0 else -1)
+             for v, x in zip(ts, lam)]
+        den = np.array([[float(ctx.add(1, ctx.multiply(zi, zj))) for zj in z] for zi in z])
+        p = pt.u.conj().T @ cb._lmul(pt.roots[1] @ h_stack @ pt.roots[1], pt.u)
+        pf = p.reshape(len(h_stack), -1)
+        ref = 2.0 * np.real(pf.conj() @ (pf / den.ravel()).T)
+        assert np.allclose(neg_hess, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        # the case bites: the naive weight is off by far more
+        naive = 1.0 - pt.y[0] * pt.y[1]
+        assert abs(naive - den[0, 1]) > 1e-9 * den[0, 1]
+
+    @pytest.mark.parametrize("d_in", [2, 3, 4])
+    @pytest.mark.parametrize("d_out", [2, 3, 4])
+    def test_symmetric_path_matches_general(self, d_in, d_out, monkeypatch):
+        # an anti-Hermitian part that puts J off Hermitian by 1e-9 relative,
+        # far below the gap target, forces the general path on nearly the same map
+        rng = np.random.default_rng(60 + 5 * d_in + d_out)
+        n = d_in * d_out
+        a = _random_complex(rng, n, n)
+        j = a + a.conj().T
+        anti = _anti_hermitian(rng, n, 0.5e-9 * nl.operator_norm(j))
+        sym = _count_calls(monkeypatch, "_symmetric_derivatives")
+        gen = _count_calls(monkeypatch, "_barrier_derivatives")
+        rho, sigma, _, _, _, iters, stalled = cb._barrier_solve(j, d_in, d_out, 1e-7)
+        assert sigma is rho and not stalled
+        assert len(sym) == iters and not gen
+        rho_g, sigma_g, _, _, _, iters_g, _ = cb._barrier_solve(j + anti, d_in, d_out, 1e-7)
+        assert len(gen) == iters_g and len(sym) == iters
+        assert not np.array_equal(rho_g, sigma_g)
+        assert iters == iters_g
+        # the maps differ by at most ||anti||_1 in diamond norm
+        slack = nl.trace_norm(anti)
+        certs = []
+        for jj in (j, j + anti):
+            cert = cb.diamond_norm_of_choi(jj, d_in, d_out)
+            assert not cert.stalled
+            assert cert.gap <= 1e-6 * max(1.0, cert.lower)
+            _assert_reproduces(cb.check_witness(jj, d_in, d_out, cert.witness), cert)
+            certs.append(cert)
+        assert certs[0].iterations == certs[1].iterations
+        assert certs[0].lower <= certs[1].upper + slack
+        assert certs[1].lower <= certs[0].upper + slack
 
 
 class TestGenericSdp:

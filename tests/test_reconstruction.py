@@ -64,6 +64,28 @@ class TestDiagonals:
             for p, u in diag.terms:
                 assert nl.operator_norm(u.conj().T @ u - np.eye(u.shape[0])) <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(4, 3, 1), (5, 1), (2, 2), (3,)])
+    def test_product_design_matches_term_by_term_build(self, dims):
+        # the product design built one direct sum per (term, block)
+        def direct_sum(a, b):
+            out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+            out[: a.shape[0], : a.shape[1]] = a
+            out[a.shape[0]:, a.shape[1]:] = b
+            return out
+
+        ref = [(1.0, np.zeros((0, 0), dtype=complex))]
+        for d in dims:
+            block_terms = rc.pauli_shift_clock(d)
+            if len(dims) > 1:
+                block_terms = [(p / 2, u) for p, u in block_terms] + [
+                    (p / 2, -u) for p, u in block_terms]
+            ref = [(p0 * p1, direct_sum(u0, u1)) for p0, u0 in ref for p1, u1 in block_terms]
+        terms = rc.pauli_diagonal(rc.BlockSpec(dims)).terms
+        assert len(terms) == len(ref)
+        for (p, u), (p_ref, u_ref) in zip(terms, ref):
+            assert type(p) is float and p == p_ref
+            assert np.array_equal(u, u_ref)
+
     def test_term_explosion(self):
         with pytest.raises(rc.TermExplosion):
             rc.pauli_diagonal(rc.BlockSpec((6, 6, 6)), term_cap=1000)
