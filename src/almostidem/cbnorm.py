@@ -18,22 +18,18 @@ objective is the trace norm ||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1,
 which is jointly concave.  A cheap bound pair (the objective at
 rho = sigma = I/d_in and the polar factorization of J) settles maps far
 below the gap target; every other map goes to a log-det barrier Newton
-method started at rho = sigma = I/d_in.  The barrier eliminates X too: with
-M = (sqrt(rho) (x) I) J (sqrt(sigma) (x) I) = U diag(s) V^dag, the maximum
-over X of t Re<J, X> + logdet Z is attained at
-X* = (sqrt(rho) (x) I) U diag(t s / (1 + sqrt(1 + t^2 s^2))) V^dag (sqrt(sigma) (x) I),
-so Newton runs over the trace-one (rho, sigma) alone, 2 (d_in^2 - 1)
-unknowns, on a reduced barrier that costs one SVD to evaluate.  Each stage
-center is certified by its primal value and the dual point built from it.
+method started at rho = sigma = I/d_in, which maximizes X out in closed form
+(:class:`_BarrierPoint`).  Each stage center is certified by its primal value
+and the dual point built from it, both evaluated on the J given.
 
-A Hermiticity-preserving map (every difference of UCP maps the pipeline
-measures) has a Hermitian J.  Then the reduced barrier is symmetric in
-(rho, sigma) and strictly concave, so every center has rho = sigma
-(Watrous, arXiv:1207.5726): when ||J - J^dag|| <= 1e-12 ||J|| Newton runs on
-the Hermitian part of J over rho alone, d_in^2 - 1 unknowns, and M is
-Hermitian, so one eigh replaces the SVD.  The test selects a speed path
-only: every bound is still evaluated on the J given, so it cannot affect
-the validity of a certificate.
+The barrier runs on Hermitian J, the Choi matrix of a Hermiticity-preserving
+map such as every difference of UCP maps the pipeline measures.  There the
+optimum has rho = sigma (Watrous, arXiv:1207.5726), so Newton runs over rho
+alone, d_in^2 - 1 unknowns at one eigh per point.  Any other J is solved as
+its Hermitian dilation J' = [[0, J], [J^dag, 0]] with input C^2 (x) C^d_in,
+which has the same norm: rho' = diag(rho, sigma) / 2 attains the objective of
+J at (rho, sigma), and at any rho' = [[A, B], [B^dag, C]] the off-diagonal
+blocks of a feasible X' give at most 2 sqrt(Tr A Tr C) ||J|| <= ||J||.
 
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
@@ -125,12 +121,6 @@ def _as_superop(mp, dim_in=None, dim_out=None):
     return m, dim_in, dim_out
 
 
-def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(nl.hermitian_part(rho))
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
-
-
 def _density_sqrt(m: np.ndarray) -> np.ndarray:
     """sqrt of ``m`` made a density matrix: eigenvalues clipped at 0, then trace 1."""
     w, u = np.linalg.eigh(nl.hermitian_part(m))
@@ -167,14 +157,12 @@ def _ptrace_out(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     return np.einsum("iyjy->ij", m.reshape(d_in, d_out, d_in, d_out))
 
 
-def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray, d_out: int) -> float:
+def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
     """||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1 with rho, sigma first made
     density matrices (:func:`_density_sqrt`), so the value is a valid lower
     bound at any point: a barrier center's trace drifts off 1 by roundoff, and
-    a witness read from a file may be anything.
-
-    The split of J into factors follows from the shape of rho, so ``d_out``
-    goes unused.
+    a witness read from a file may be anything.  The split of J into factors
+    follows from the shape of rho.
     """
     return nl.trace_norm(_lmul(_density_sqrt(rho), _rmul(j, _density_sqrt(sigma))))
 
@@ -190,10 +178,11 @@ def _dual_bound_from_point(
     numerical slack into the bound.
     """
     eye_in = np.eye(d_in)
-    rho_r = (1 - mix) * nl.hermitian_part(rho) + mix * eye_in / d_in
-    sig_r = (1 - mix) * nl.hermitian_part(sigma) + mix * eye_in / d_in
-    sr, sri = _sqrt_and_inv_sqrt(rho_r)
-    ss, ssi = _sqrt_and_inv_sqrt(sig_r)
+    sr, sri = _sqrt_and_inv_sqrt((1 - mix) * nl.hermitian_part(rho) + mix * eye_in / d_in)
+    if np.array_equal(sigma, rho):  # a center of a Hermitian J
+        ss, ssi = sr, sri
+    else:
+        ss, ssi = _sqrt_and_inv_sqrt((1 - mix) * nl.hermitian_part(sigma) + mix * eye_in / d_in)
     u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
     y0 = nl.hermitian_part(_lmul(sri, _rmul((u * s) @ u.conj().T, sri)))
     y1 = nl.hermitian_part(_lmul(ssi, _rmul((vh.conj().T * s) @ vh, ssi)))
@@ -217,113 +206,66 @@ def _cheap_upper_bound(j: np.ndarray, d_in: int, d_out: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# barrier Newton solver over (rho, sigma), with X maximized out in closed form
+# barrier Newton solver over rho = sigma, with X maximized out in closed form
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _BarrierPoint:
-    """The reduced barrier F_t at (rho, sigma), with what its derivatives need.
+    """The reduced barrier F_t at (rho, rho) of a Hermitian J, with what its
+    derivatives need.
 
-    With M = (sqrt(rho) (x) I) J (sqrt(sigma) (x) I) = U diag(s) V^dag and
-    c_i = sqrt(1 + t^2 s_i^2), the maximum over X of t Re<J, X> + logdet Z is
-    attained at X* = (sqrt(rho) (x) I) U diag(y) V^dag (sqrt(sigma) (x) I) with
-    y_i = t s_i / (1 + c_i), and equals
+    With M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I) = U diag(lam) U^dag and
+    c_i = sqrt(1 + t^2 lam_i^2), the maximum over X of t Re<J, X> + logdet Z
+    is attained at X* = (sqrt(rho) (x) I) U diag(z) U^dag (sqrt(rho) (x) I)
+    with z_i = sign(lam_i) y_i and y_i = t |lam_i| / (1 + c_i), and equals
 
-        F_t = d_out (logdet rho + logdet sigma) + sum_i [t s_i y_i + log(1 - y_i^2)],
+        F_t = 2 d_out logdet rho + sum_i [t |lam_i| y_i + log(1 - y_i^2)],
 
-    which is sum_i [c_i - log(1 + c_i)] plus terms constant in (rho, sigma).
+    which is sum_i [c_i - log(1 + c_i)] plus terms constant in rho.
     ``a`` holds 1 - y_i^2 = 2 / (1 + c_i), computed without cancellation.
-    ``z`` is set only at a symmetric point (sigma is rho, J Hermitian), where
-    M = W diag(lam) W^dag is Hermitian: U = W, V^dag = S W^dag with
-    S = diag(sign lam), and z = S y.
     """
 
     rho: np.ndarray
-    sigma: np.ndarray
-    roots: tuple  # sqrt(rho), rho^(-1/2), sqrt(sigma), sigma^(-1/2)
+    roots: tuple  # sqrt(rho), rho^(-1/2)
     u: np.ndarray
-    vh: np.ndarray
     y: np.ndarray
+    z: np.ndarray
     a: np.ndarray
     value: float
-    z: np.ndarray | None = None
 
     def x_star(self) -> np.ndarray:
-        sr, _, ss, _ = self.roots
-        return _lmul(sr, _rmul((self.u * self.y) @ self.vh, ss))
+        sr = self.roots[0]
+        return _lmul(sr, _rmul((self.u * self.z) @ self.u.conj().T, sr))
 
 
-def _barrier_point(j, rho, sigma, t: float, d_out: int):
-    """:class:`_BarrierPoint` at (rho, sigma), or None unless both are positive definite.
-
-    With ``sigma`` None the point is the symmetric one (rho, rho) of a
-    Hermitian ``j``: one eigh of rho and one of the Hermitian M replace two
-    eigh and an SVD.
-    """
-    symmetric, roots, logdet = sigma is None, [], 0.0
-    for m in (rho,) if symmetric else (rho, sigma):
-        w, q = np.linalg.eigh(m)
-        if not w[0] > 0:
-            return None
-        r = np.sqrt(w)
-        roots += [(q * r) @ q.conj().T, (q / r) @ q.conj().T]
-        logdet += float(np.sum(np.log(w)))
-    if symmetric:
-        lam, u = np.linalg.eigh(_lmul(roots[0], _rmul(j, roots[0])))
-        sign = np.where(lam < 0, -1.0, 1.0)
-        s, vh = np.abs(lam), sign[:, None] * u.conj().T
-        roots, logdet, sigma = roots * 2, 2.0 * logdet, rho
-    else:
-        u, s, vh = np.linalg.svd(_lmul(roots[0], _rmul(j, roots[2])))
-    ts = t * s
+def _barrier_point(j, rho, t: float, d_out: int):
+    """:class:`_BarrierPoint` of the Hermitian ``j`` at (rho, rho), or None
+    unless rho is positive definite: one eigh of rho and one of M."""
+    w, q = np.linalg.eigh(rho)
+    if not w[0] > 0:
+        return None
+    r = np.sqrt(w)
+    roots = ((q * r) @ q.conj().T, (q / r) @ q.conj().T)
+    lam, u = np.linalg.eigh(_lmul(roots[0], _rmul(j, roots[0])))
+    ts = t * np.abs(lam)
     c = np.sqrt(1.0 + ts * ts)
     y, a = ts / (1.0 + c), 2.0 / (1.0 + c)
-    value = d_out * logdet + float(np.sum(ts * y + np.log(a)))
-    z = sign * y if symmetric else None
-    return _BarrierPoint(rho, sigma, tuple(roots), u, vh, y, a, value, z)
+    value = d_out * 2.0 * float(np.sum(np.log(w))) + float(np.sum(ts * y + np.log(a)))
+    return _BarrierPoint(rho, roots, u, y, np.where(lam < 0, -y, y), a, value)
 
 
 def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
-    """Gradient and negated Hessian of F_t over the Hermitian basis ``h_stack``,
-    rho coordinates first.
+    """Gradient and negated Hessian of rho -> F_t(rho, rho) over the Hermitian
+    basis ``h_stack``.
 
-    The gradient is Tr_out G11 (and Tr_out G22 for sigma), where G = Z^-1 at
-    X*: by the envelope theorem X* does not move it.  The Hessian is the Schur
-    complement of the (rho, sigma, X) Hessian at X*, which is elementwise in
-    the singular bases: with P_a = U^dag ((rho^-1/2 H_a rho^-1/2) (x) I) U,
-    Q_a the same with V and sigma, k_ij = y_i y_j and w_ij = 1 / (1 - k_ij^2),
-
-        -H_rr[a,b] = Re sum conj(P_a)_ij (P_b)_ij w_ij   (H_ss the same with Q)
-        -H_rs[a,b] = -Re sum conj(P_a)_ij k_ij (Q_b)_ij w_ij.
+    The gradient is Tr_out (G11 + G22), where G = Z^-1 at X*: by the envelope
+    theorem X* does not move it.  The Hessian is the Schur complement of the
+    (rho, X) Hessian at X*, which is elementwise in the eigenbasis: with
+    P_a = U^dag ((rho^-1/2 H_a rho^-1/2) (x) I) U, the gradient is
+    2 Re diag(P_a) / a and the negated Hessian is
+    2 Re sum conj(P_a)_ij (P_b)_ij / (1 + z_i z_j).
     """
-    _, rir, _, sis = pt.roots
-    nb, a = len(h_stack), pt.a
-    p = pt.u.conj().T @ _lmul(rir @ h_stack @ rir, pt.u)
-    q = pt.vh @ _lmul(sis @ h_stack @ sis, pt.vh.conj().T)
-    # G11 = (rho^-1/2 (x) I) U diag(1/(1 - y^2)) U^dag (rho^-1/2 (x) I)
-    grad = np.concatenate([np.real(np.einsum("aii,i->a", m, 1.0 / a)) for m in (p, q)])
-    # 1 - y_i^2 y_j^2 = a_i + a_j - a_i a_j, stable as both y -> 1
-    w = (1.0 / (a[:, None] + a[None, :] - np.outer(a, a))).ravel()
-    kw = np.outer(pt.y, pt.y).ravel() * w
-    pf, qf = p.reshape(nb, -1), q.reshape(nb, -1)
-    hess = np.empty((2 * nb, 2 * nb))
-    hess[:nb, :nb] = np.real(pf.conj() @ (pf * w).T)
-    hess[nb:, nb:] = np.real(qf.conj() @ (qf * w).T)
-    hess[:nb, nb:] = -np.real(pf.conj() @ (qf * kw).T)
-    hess[nb:, :nb] = hess[:nb, nb:].T
-    return grad, 0.5 * (hess + hess.T)
-
-
-def _symmetric_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
-    """Gradient and negated Hessian of rho -> F_t(rho, rho) over ``h_stack``
-    at a symmetric point.
-
-    There Q_a = S P_a S, so the blocks of :func:`_barrier_derivatives` fold
-    into one: the gradient is g_rho + g_sigma = 2 Re diag(P_a) / a, and since
-    w_ij (1 - z_i z_j) = 1 / (1 + z_i z_j), the negated Hessian
-    H_rr + H_rs + H_sr + H_ss is 2 Re sum conj(P_a)_ij (P_b)_ij / (1 + z_i z_j).
-    """
-    _, rir, _, _ = pt.roots
+    rir = pt.roots[1]
     nb, a, y, z = len(h_stack), pt.a, pt.y, pt.z
     p = pt.u.conj().T @ _lmul(rir @ h_stack @ rir, pt.u)
     grad = 2.0 * np.real(np.einsum("aii,i->a", p, 1.0 / a))
@@ -338,18 +280,15 @@ def _symmetric_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
 
 
 def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
-    """Newton direction (d_rho, d_sigma) of F_t over the trace-free directions
-    ``h_stack``, and the decrement.  At a symmetric point Newton runs over rho
-    alone and d_sigma = d_rho; the decrement 2 g^T (A + B)^-1 g is the one of
-    the (rho, sigma) step, whose blocks are g and [[A, B], [B, A]] there.
+    """Newton direction d_rho of F_t over the trace-free directions
+    ``h_stack``, and the decrement.
 
     The gradient's component along the identity grows like t and is balanced
     only by the trace constraints; in trace-free coordinates it drops out
     exactly, so the decrement stays accurate late on the path, where it
     decides when a center is reached.
     """
-    derivatives = _barrier_derivatives if pt.z is None else _symmetric_derivatives
-    grad, hess = derivatives(pt, h_stack)
+    grad, hess = _barrier_derivatives(pt, h_stack)
     try:
         with warnings.catch_warnings():
             # near the end of the path the Hessian is ill conditioned by
@@ -360,15 +299,17 @@ def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
     except scipy.linalg.LinAlgError:
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
     nb, dim = h_stack.shape[:2]
-    d = (step.reshape(-1, nb) @ h_stack.reshape(nb, -1)).reshape(-1, dim, dim)
-    return d[0], d[-1], float(grad @ step)
+    d = (step.reshape(-1, nb) @ h_stack.reshape(nb, -1)).reshape(dim, dim)
+    return d, float(grad @ step)
 
 
-def _trace_free_basis(dim: int) -> np.ndarray:
-    """Stack of Hermitian matrices spanning the trace-zero ones: the
-    diagonal units less the last, and the off-diagonal Hermitian units."""
+def _trace_free_basis(dim: int, blocks: int) -> np.ndarray:
+    """Stack of Hermitian matrices spanning those with trace zero on each of
+    ``blocks`` equal diagonal blocks: in each block the diagonal units less
+    its last, and then all the off-diagonal Hermitian units."""
     basis = np.stack(nl.hermitian_basis(dim))
-    return np.concatenate([basis[: dim - 1] - basis[dim - 1], basis[dim:]])
+    diag = basis[:dim].reshape(blocks, dim // blocks, dim, dim)
+    return np.concatenate([(diag[:, :-1] - diag[:, -1:]).reshape(-1, dim, dim), basis[dim:]])
 
 
 def _barrier_solve(
@@ -382,57 +323,67 @@ def _barrier_solve(
     True the solve stops early (certificates already good enough).  ``t0``
     may be matched to a known gap; the default scales with ||J||.
 
-    For Hermitian J (||J - J^dag|| <= 1e-12 ||J||) F_t is symmetric in
-    (rho, sigma) and strictly concave, so every center has rho = sigma:
-    Newton then runs on the Hermitian part of J over rho alone, and the
-    solve returns sigma = rho.
+    A Hermitian J (||J - J^dag|| <= 1e-12 ||J||) is solved on its Hermitian
+    part, and sigma = rho.  Any other J is solved as its dilation
+    J' = [[0, J], [J^dag, 0]] (same norm: rho' = diag(rho, sigma) / 2 attains
+    the objective of J at (rho, sigma), and the off-diagonal blocks of a
+    feasible X' give at most 2 sqrt(Tr A Tr C) ||J|| <= ||J||), with Newton
+    keeping Tr A = Tr C = 1/2 so that 2 A and 2 C stay density matrices.
+    F' is invariant under conjugation by Z (x) I, so its centers are block
+    diagonal, and
+    F'_2t(diag(rho, sigma) / 2) = 2 F_t(rho, sigma) - 4 d_in d_out log 2: the
+    path runs at 2t and maps back as (2 A, 2 C, 2 X'*_12).
     """
-    h_stack = _trace_free_basis(d_in)
-    uniform = np.eye(d_in, dtype=complex) / d_in
-    n_z = 2 * d_in * d_out
+    stop = on_stage or (lambda rho, sigma: False)
     scale = nl.operator_norm(j)
-    symmetric = nl.operator_norm(j - j.conj().T) <= 1e-12 * scale
-    if symmetric:
-        j = nl.hermitian_part(j)
     t = 1.0 / max(scale, 1e-12) if t0 is None else t0
-    t_final = max(4.0 * n_z / max(target_gap, 1e-14), t)
+    if nl.operator_norm(j - j.conj().T) <= 1e-12 * scale:
+        pt, t, newtons, stalled = _barrier_path(
+            nl.hermitian_part(j), _trace_free_basis(d_in, 1), d_out, target_gap,
+            max_newton, t, lambda rho: stop(rho, rho))
+        return pt.rho, pt.rho, pt.x_star(), t, pt.value, newtons, stalled
 
-    def point(rho, sigma):
-        return _barrier_point(j, rho, None if symmetric else sigma, t, d_out)
+    def pair(rho):
+        return 2 * rho[:d_in, :d_in], 2 * rho[d_in:, d_in:]
 
-    pt = point(uniform, uniform)
+    n, zero = d_in * d_out, np.zeros_like(j)
+    pt, t, newtons, stalled = _barrier_path(
+        np.block([[zero, j], [j.conj().T, zero]]), _trace_free_basis(2 * d_in, 2), d_out,
+        target_gap, max_newton, 2 * t, lambda rho: stop(*pair(rho)))
+    return (*pair(pt.rho), 2 * pt.x_star()[:n, n:], t / 2,
+            pt.value / 2 + 2 * n * np.log(2), newtons, stalled)
+
+
+def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
+    """:func:`_barrier_solve` for a Hermitian ``j`` along the directions
+    ``h_stack``, with ``on_center(rho)``; returns (point, t, newtons, stalled)."""
+    d_in = h_stack.shape[1]
+    t_final = max(4.0 * (2 * d_in * d_out) / max(target_gap, 1e-14), t)
+    pt = _barrier_point(j, np.eye(d_in, dtype=complex) / d_in, t, d_out)
     newtons = 0
-
-    def result(stalled):
-        return pt.rho, pt.sigma, pt.x_star(), t, pt.value, newtons, stalled
-
     while True:
         for _ in range(60):
             if newtons >= max_newton:
-                return result(True)
-            d_rho, d_sigma, dec = _newton_step(pt, h_stack)
+                return pt, t, newtons, True
+            d_rho, dec = _newton_step(pt, h_stack)
             newtons += 1
             alpha = 1.0
             floor = pt.value - 1e-12 * max(1.0, abs(pt.value))
             for _ in range(40):
-                rho = nl.hermitian_part(pt.rho + alpha * d_rho)
-                trial = point(rho, rho if symmetric
-                              else nl.hermitian_part(pt.sigma + alpha * d_sigma))
+                trial = _barrier_point(j, nl.hermitian_part(pt.rho + alpha * d_rho), t, d_out)
                 if trial is not None and trial.value >= floor:
                     break
                 alpha *= 0.5
             else:
-                return result(True)
+                return pt, t, newtons, True
             pt = trial
             # center loosely along the path, tightly at the final stage
             if dec * alpha < (5e-3 if t >= t_final else 0.1):
                 break
-        if on_stage is not None and on_stage(pt.rho, pt.sigma):
-            return result(False)
-        if t >= t_final:
-            return result(False)
+        if on_center(pt.rho) or t >= t_final:
+            return pt, t, newtons, False
         t = min(t * 20.0, t_final)
-        pt = point(pt.rho, pt.sigma)
+        pt = _barrier_point(j, pt.rho, t, d_out)
 
 
 class _Bounds:
@@ -488,7 +439,7 @@ def diamond_norm_of_choi(
     target_gap = 0.25 * target_rel_gap * max(1.0, bounds.lower)
 
     def offer_stage(rho_s, sigma_s):
-        bounds.offer_lower(_primal_value(j, rho_s, sigma_s, d_out), rho_s, sigma_s)
+        bounds.offer_lower(_primal_value(j, rho_s, sigma_s), rho_s, sigma_s)
         bounds.offer_point(rho_s, sigma_s)
 
     def on_stage(rho_s, sigma_s):
@@ -544,7 +495,7 @@ def check_witness(j: np.ndarray, d_in: int, d_out: int, witness: Witness):
         if m.shape != (d_in, d_in) or not np.all(np.isfinite(m)):
             raise InvalidWitness(
                 f"witness matrix of shape {m.shape}, expected finite {(d_in, d_in)}")
-    lower = _primal_value(j, *witness.lower, d_out)
+    lower = _primal_value(j, *witness.lower)
     if witness.upper_kind == "cheap":
         upper = _cheap_upper_bound(j, d_in, d_out)
     else:
@@ -682,7 +633,7 @@ def solve_sdp(
         # Nesterov-Todd scaling per block
         w_blocks, wi_blocks = [], []
         for xb, sb in zip(x, s):
-            xs = _sqrt_psd(xb)
+            xs = _sqrt_and_inv_sqrt(xb)[0]
             mid = xs @ sb @ xs
             mw, mu_v = np.linalg.eigh(nl.hermitian_part(mid))
             mw = np.clip(mw, 1e-300, None)

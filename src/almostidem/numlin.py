@@ -72,11 +72,6 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return a.conj().T
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 

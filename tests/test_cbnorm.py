@@ -126,22 +126,39 @@ def _barrier_case(d_in, d_out, seed):
     return j, rho, sigma
 
 
+def _dilate(j):
+    """The Hermitian dilation [[0, J], [J^dag, 0]], block index on the input."""
+    zero = np.zeros_like(j)
+    return np.block([[zero, j], [j.conj().T, zero]])
+
+
+def _full_density(dim, rng):
+    """A density matrix on C^2 (x) C^(dim/2) with non-zero off-diagonal blocks."""
+    rho = 0.7 * nl.random_density(dim, rng) + 0.3 * np.eye(dim) / dim
+    assert nl.operator_norm(rho[: dim // 2, dim // 2:]) > 1e-2
+    return rho
+
+
 class TestBarrierSolver:
     def test_gradient_and_hessian_finite_difference(self):
-        # the reduced barrier F_t(rho, sigma), X maximized out in closed form
+        # the reduced barrier rho -> F_t(rho, rho), X maximized out in closed
+        # form: on Hermitian J, and on the dilation J' of a general J at a full rho'
         t, eps = 1.7, 1e-5
+        cases = []
         for d_in, d_out in [(2, 2), (3, 2), (2, 3)]:
-            j, rho, sigma = _barrier_case(d_in, d_out, 11 + 10 * d_in + d_out)
-            h_stack = np.stack(nl.hermitian_basis(d_in))
+            j, rho, _ = _barrier_case(d_in, d_out, 13 + 10 * d_in + d_out)
+            cases.append((nl.hermitian_part(j), rho, d_out))
+        j, _, _ = _barrier_case(2, 3, 34)
+        cases.append((_dilate(j), _full_density(4, np.random.default_rng(19)), 3))
+        for j, rho, d_out in cases:
+            h_stack = np.stack(nl.hermitian_basis(len(rho)))
             nb = len(h_stack)
 
             def point(v):
-                return cb._barrier_point(
-                    j, rho + np.tensordot(v[:nb], h_stack, axes=1),
-                    sigma + np.tensordot(v[nb:], h_stack, axes=1), t, d_out)
+                return cb._barrier_point(j, rho + np.tensordot(v, h_stack, axes=1), t, d_out)
 
-            grad, neg_hess = cb._barrier_derivatives(point(np.zeros(2 * nb)), h_stack)
-            steps = eps * np.eye(2 * nb)
+            grad, neg_hess = cb._barrier_derivatives(point(np.zeros(nb)), h_stack)
+            steps = eps * np.eye(nb)
             grad_fd = np.array([(point(e).value - point(-e).value) / (2 * eps) for e in steps])
             hess_fd = np.array([
                 (cb._barrier_derivatives(point(e), h_stack)[0]
@@ -155,25 +172,28 @@ class TestBarrierSolver:
 
     @pytest.mark.parametrize("d_in,d_out", [(2, 2), (3, 2), (2, 3)])
     def test_reduced_value_is_the_barrier_at_x_star(self, d_in, d_out):
-        j, rho, sigma = _barrier_case(d_in, d_out, 5 + 10 * d_in + d_out)
+        # at (rho, rho) on a Hermitian J, and on the dilation J' at a full rho'
+        j, rho, _ = _barrier_case(d_in, d_out, 5 + 10 * d_in + d_out)
         t = 3.1
-        pt = cb._barrier_point(j, rho, sigma, t, d_out)
-        x = pt.x_star()
         eye = np.eye(d_out)
-
-        def barrier(xm):
-            z = np.block([[nl.kron(rho, eye), xm], [xm.conj().T, nl.kron(sigma, eye)]])
-            sign, logdet = np.linalg.slogdet(z)
-            return t * np.real(nl.hs_inner(j, xm)) + logdet, np.linalg.eigvalsh(z)[0]
-
-        value, lam_min = barrier(x)
-        assert abs(value - pt.value) <= 1e-10 * max(1.0, abs(value))
-        assert lam_min > 0
         rng = np.random.default_rng(d_in + d_out)
-        for _ in range(20):
-            dx = 1e-3 * _random_complex(rng, *x.shape)
-            value_p, lam_p = barrier(x + dx)
-            assert lam_p <= 0 or value_p < value
+        for jj, r in ((nl.hermitian_part(j), rho), (_dilate(j), _full_density(2 * d_in, rng))):
+            pt = cb._barrier_point(jj, r, t, d_out)
+            x = pt.x_star()
+            rr = nl.kron(r, eye)
+
+            def barrier(xm):
+                z = np.block([[rr, xm], [xm.conj().T, rr]])
+                sign, logdet = np.linalg.slogdet(z)
+                return t * np.real(nl.hs_inner(jj, xm)) + logdet, np.linalg.eigvalsh(z)[0]
+
+            value, lam_min = barrier(x)
+            assert abs(value - pt.value) <= 1e-10 * max(1.0, abs(value))
+            assert lam_min > 0
+            for _ in range(20):
+                dx = 1e-3 * _random_complex(rng, *x.shape)
+                value_p, lam_p = barrier(x + dx)
+                assert lam_p <= 0 or value_p < value
 
     def test_barrier_closes_gap_cold_start(self):
         rng = np.random.default_rng(2)
@@ -182,12 +202,18 @@ class TestBarrierSolver:
         d_in = d_out = 2
         rho, sigma, x, t, value, iters, stalled = cb._barrier_solve(j, d_in, d_out, 1e-7)
         assert not stalled and iters > 0
-        lower = cb._primal_value(j, rho, sigma, d_out)
+        lower = cb._primal_value(j, rho, sigma)
         upper = cb._dual_bound_from_point(j, rho, sigma, d_in, d_out)
         assert upper - lower <= 1e-5 * max(1.0, lower)
         # X* is primal feasible with (rho, sigma), within n / t of its trace norm
         assert lower - d_in * d_out / t <= np.real(nl.hs_inner(j, x)) <= lower + 1e-9
-        assert value == cb._barrier_point(j, rho, sigma, t, d_out).value
+        # J is not Hermitian, so the solve ran on its dilation; what it maps
+        # back is the barrier of J itself at (rho, sigma, X*) and t
+        eye = np.eye(d_out)
+        z = np.block([[nl.kron(rho, eye), x], [x.conj().T, nl.kron(sigma, eye)]])
+        sign, logdet = np.linalg.slogdet(z)
+        assert sign > 0
+        assert abs(value - (t * np.real(nl.hs_inner(j, x)) + logdet)) <= 1e-12 * abs(value)
 
     @pytest.mark.parametrize("d_in", [2, 3, 4])
     @pytest.mark.parametrize("d_out", [2, 3, 4])
@@ -210,8 +236,7 @@ class TestBarrierSolver:
         # a Newton step that never moves ends every stage at once, so the
         # path runs to its last t without a stall and leaves the gap open
         def no_move(pt, h_stack):
-            zero = np.zeros_like(pt.rho)
-            return zero, zero, 0.0
+            return np.zeros_like(pt.rho), 0.0
 
         monkeypatch.setattr(cb, "_newton_step", no_move)
         j = _random_complex(np.random.default_rng(3), 6, 6)
@@ -221,20 +246,20 @@ class TestBarrierSolver:
         assert cert.stalled
 
     def test_explicit_sdp_cross_check(self):
+        # a difference of channels (Hermitian J) and a map that does not
+        # preserve Hermiticity, which the barrier solves through its dilation
         rng = np.random.default_rng(4)
         a = chn.gen_random_ucp(2, 2, seed=21)
         b = chn.gen_random_ucp(2, 2, seed=22)
         diff = (a.superop - b.superop).conj().T
-        pval, dval, gap = cb.diamond_norm_sdp_explicit(diff, 2, 2, tol=1e-9)
-        cert = cb.diamond_norm(diff, 2, 2)
-        assert abs(pval - cert.value) <= 1e-5 * max(1.0, cert.value)
-
-
-def _count_calls(monkeypatch, name):
-    calls = []
-    fn = getattr(cb, name)
-    monkeypatch.setattr(cb, name, lambda *args: calls.append(1) or fn(*args))
-    return calls
+        general = _random_complex(rng, 4, 4)
+        j = chn.choi_from_superop(general, 2, 2)
+        assert nl.operator_norm(j - j.conj().T) > 1e-2 * nl.operator_norm(j)
+        for mp in (diff, general):
+            pval, dval, gap = cb.diamond_norm_sdp_explicit(mp, 2, 2, tol=1e-9)
+            cert = cb.diamond_norm(mp, 2, 2)
+            assert cert.path == "barrier"
+            assert abs(pval - cert.value) <= 1e-5 * max(1.0, cert.value)
 
 
 def _anti_hermitian(rng, n, size):
@@ -247,39 +272,34 @@ def _anti_hermitian(rng, n, size):
 class TestSymmetricBarrier:
     """Newton over rho alone, sigma = rho, for Hermitian J."""
 
-    def test_derivatives_finite_difference_and_folded(self):
-        t, eps = 1.7, 1e-5
+    def test_dilation_folds_onto_direct_barrier(self):
+        # for Hermitian J, the barrier of J' at diag(rho, rho) / 2 and 2t is
+        # 2 F_t(rho, rho) - 4 d_in d_out log 2, with X'* = [[0, X*], [X*, 0]] / 2:
+        # the identity by which _barrier_solve maps a dilated solve back
+        t = 1.7
         for d_in, d_out in [(2, 2), (3, 2), (2, 3)]:
             j, rho, _ = _barrier_case(d_in, d_out, 13 + 10 * d_in + d_out)
             j = nl.hermitian_part(j)
+            n = d_in * d_out
+            zero = np.zeros_like(rho)
+            pt = cb._barrier_point(j, rho, t, d_out)
+            dil = cb._barrier_point(_dilate(j), np.block([[rho, zero], [zero, rho]]) / 2,
+                                    2 * t, d_out)
+            ref = 2 * pt.value - 4 * n * np.log(2)
+            assert abs(dil.value - ref) <= 1e-12 * max(1.0, abs(ref))
+            x, x_dil = pt.x_star(), dil.x_star()
+            assert np.allclose(x_dil[:n, n:], x / 2, rtol=0, atol=1e-12)
+            assert np.allclose(x_dil[n:, :n], x / 2, rtol=0, atol=1e-12)
+            assert np.allclose(x_dil[:n, :n], 0, rtol=0, atol=1e-12)
+            assert np.allclose(x_dil[n:, n:], 0, rtol=0, atol=1e-12)
+            # along diag(H, H) / 2 the dilated derivatives are twice the direct ones
             h_stack = np.stack(nl.hermitian_basis(d_in))
-            nb = len(h_stack)
-
-            def point(v):
-                return cb._barrier_point(
-                    j, rho + np.tensordot(v, h_stack, axes=1), None, t, d_out)
-
-            pt = point(np.zeros(nb))
-            assert pt.sigma is pt.rho
-            grad, neg_hess = cb._symmetric_derivatives(pt, h_stack)
-            steps = eps * np.eye(nb)
-            grad_fd = np.array([(point(e).value - point(-e).value) / (2 * eps) for e in steps])
-            hess_fd = np.array([
-                (cb._symmetric_derivatives(point(e), h_stack)[0]
-                 - cb._symmetric_derivatives(point(-e), h_stack)[0]) / (2 * eps)
-                for e in steps
-            ])
-            assert np.allclose(grad, grad_fd, rtol=0, atol=1e-6 * np.abs(grad).max())
-            assert np.allclose(-neg_hess, hess_fd, rtol=0, atol=1e-6 * np.abs(neg_hess).max())
-            assert np.linalg.eigvalsh(neg_hess)[0] > 0
-            # the (rho, sigma) blocks of the general derivatives at (rho, rho), folded
-            general = cb._barrier_point(j, rho, rho, t, d_out)
-            assert abs(general.value - pt.value) <= 1e-12 * max(1.0, abs(pt.value))
-            assert np.allclose(pt.x_star(), general.x_star(), rtol=0, atol=1e-12)
-            g2, h2 = cb._barrier_derivatives(general, h_stack)
-            folded = h2[:nb, :nb] + h2[:nb, nb:] + h2[nb:, :nb] + h2[nb:, nb:]
-            assert np.allclose(grad, g2[:nb] + g2[nb:], rtol=0, atol=1e-10 * np.abs(grad).max())
-            assert np.allclose(neg_hess, folded, rtol=0, atol=1e-10 * np.abs(neg_hess).max())
+            folded = np.stack([np.block([[h, 0 * h], [0 * h, h]]) / 2 for h in h_stack])
+            grad, neg_hess = cb._barrier_derivatives(pt, h_stack)
+            grad_d, neg_hess_d = cb._barrier_derivatives(dil, folded)
+            assert np.allclose(grad_d, 2 * grad, rtol=0, atol=1e-10 * np.abs(grad).max())
+            assert np.allclose(neg_hess_d, 2 * neg_hess, rtol=0,
+                               atol=1e-10 * np.abs(neg_hess).max())
 
     def test_hessian_weight_without_cancellation(self):
         # M = J / d_in at rho = I / d_in has eigenvalues 1.3 and -1.3 (1 + 1e-7);
@@ -290,9 +310,9 @@ class TestSymmetricBarrier:
         q = nl.random_unitary(4, rng)
         j = d_in * (q * np.array([1.3, -1.3 * (1 + 1e-7), 0.4, -0.9])) @ q.conj().T
         t = 1e9
-        pt = cb._barrier_point(j, np.eye(d_in, dtype=complex) / d_in, None, t, d_out)
+        pt = cb._barrier_point(j, np.eye(d_in, dtype=complex) / d_in, t, d_out)
         h_stack = np.stack(nl.hermitian_basis(d_in))
-        _, neg_hess = cb._symmetric_derivatives(pt, h_stack)
+        _, neg_hess = cb._barrier_derivatives(pt, h_stack)
         lam, w = np.linalg.eigh(cb._lmul(pt.roots[0], cb._rmul(j, pt.roots[0])))
         assert np.array_equal(w, pt.u)
         # reference: 1 + z_i z_j in 40-digit decimal arithmetic from lam and t
@@ -313,21 +333,30 @@ class TestSymmetricBarrier:
     @pytest.mark.parametrize("d_out", [2, 3, 4])
     def test_symmetric_path_matches_general(self, d_in, d_out, monkeypatch):
         # an anti-Hermitian part that puts J off Hermitian by 1e-9 relative,
-        # far below the gap target, forces the general path on nearly the same map
+        # far below the gap target, sends nearly the same map through the
+        # dilation: direct and dilated solves step on the same derivatives
         rng = np.random.default_rng(60 + 5 * d_in + d_out)
         n = d_in * d_out
         a = _random_complex(rng, n, n)
         j = a + a.conj().T
         anti = _anti_hermitian(rng, n, 0.5e-9 * nl.operator_norm(j))
-        sym = _count_calls(monkeypatch, "_symmetric_derivatives")
-        gen = _count_calls(monkeypatch, "_barrier_derivatives")
+        # the size of rho at each Newton step: d_in direct, 2 d_in dilated
+        dims = []
+        derivatives = cb._barrier_derivatives
+
+        def counted(pt, h_stack):
+            dims.append(len(pt.rho))
+            return derivatives(pt, h_stack)
+
+        monkeypatch.setattr(cb, "_barrier_derivatives", counted)
         rho, sigma, _, _, _, iters, stalled = cb._barrier_solve(j, d_in, d_out, 1e-7)
         assert sigma is rho and not stalled
-        assert len(sym) == iters and not gen
-        rho_g, sigma_g, _, _, _, iters_g, _ = cb._barrier_solve(j + anti, d_in, d_out, 1e-7)
-        assert len(gen) == iters_g and len(sym) == iters
+        assert dims == [d_in] * iters
+        rho_g, sigma_g, _, _, _, iters_g, stalled_g = cb._barrier_solve(
+            j + anti, d_in, d_out, 1e-7)
+        assert not stalled_g
+        assert dims[iters:] == [2 * d_in] * iters_g
         assert not np.array_equal(rho_g, sigma_g)
-        assert iters == iters_g
         # the maps differ by at most ||anti||_1 in diamond norm
         slack = nl.trace_norm(anti)
         certs = []
@@ -337,7 +366,6 @@ class TestSymmetricBarrier:
             assert cert.gap <= 1e-6 * max(1.0, cert.lower)
             _assert_reproduces(cb.check_witness(jj, d_in, d_out, cert.witness), cert)
             certs.append(cert)
-        assert certs[0].iterations == certs[1].iterations
         assert certs[0].lower <= certs[1].upper + slack
         assert certs[1].lower <= certs[0].upper + slack
 
