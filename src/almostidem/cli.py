@@ -56,21 +56,28 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
 
-    for name, help_text in (
-        ("analyze", "validity flags, certified idempotency defect, carrier"),
-        ("idempotentize", "write the idempotent envelope of a channel"),
-        ("reconstruct", "pipeline through the block structure"),
-        ("factorize", "pipeline through the certified UCP factorization"),
+    options = {
+        "--seed": {"type": int, "default": 0},
+        "--tol": {"type": float, "default": 1e-9},
+        "--rank-tol": {"type": float, "default": 1e-6},
+        "--samples": {"type": int, "default": 100},
+        "--extension-n": {"type": int, "default": 2},
+        "--json-out": {"help": "write the report/output JSON here"},
+    }
+    # each subcommand declares only the options its handler reads
+    pipeline = ("--seed", "--tol", "--rank-tol", "--samples", "--extension-n", "--json-out")
+    for name, help_text, reads in (
+        ("analyze", "validity flags, certified idempotency defect, carrier",
+         ("--seed", "--tol", "--rank-tol", "--json-out")),
+        ("idempotentize", "write the idempotent envelope of a channel",
+         ("--tol", "--rank-tol", "--json-out")),
+        ("reconstruct", "pipeline through the block structure", pipeline),
+        ("factorize", "pipeline through the certified UCP factorization", pipeline),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--tol", type=float, default=1e-9)
-        cmd.add_argument("--rank-tol", type=float, default=1e-6)
-        cmd.add_argument("--samples", type=int, default=100)
-        cmd.add_argument("--extension-n", type=int, default=2)
-        cmd.add_argument("--twirl-cap", type=int, default=10_000)
-        cmd.add_argument("--json-out", help="write the report/output JSON here")
+        for flag in reads:
+            cmd.add_argument(flag, **options[flag])
 
     ver = sub.add_parser("verify", help="re-check every invariant in a report")
     ver.add_argument("report")
@@ -235,8 +242,7 @@ def cmd_factorize(args) -> int:
 
     ch = _load_channel(args.input, args)
     report, artifacts = pipeline.factorize_channel(
-        ch, seed=args.seed, samples=args.samples,
-        extension_n=args.extension_n, twirl_cap=args.twirl_cap,
+        ch, seed=args.seed, samples=args.samples, extension_n=args.extension_n
     )
     _emit(report, args)
     fact = report["factorization"]

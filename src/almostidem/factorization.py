@@ -4,9 +4,10 @@ Starting from a near-isomorphism v between the reconstructed block algebra B
 and the invariant-observable algebra of the map, ``raw_factor`` produces the
 linear factorization through the idempotent envelope; ``twirl_to_cp`` repairs
 the embedding into a genuinely completely positive unital map by averaging
-over a unitary one-design; ``build_upsilon`` assembles the reverse UCP map
-from the dilation data; ``certify`` measures the factorization residuals in
-completely bounded norm with certified intervals.
+over the exact shift/clock unitary one-design of B (``pauli_diagonal``);
+``build_upsilon`` assembles the reverse UCP map from the dilation data;
+``certify`` measures the factorization residuals in completely bounded norm
+with certified intervals.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from . import cbnorm
 from .channels import Channel, pinch_superop, extend_superop, kraus_from_choi, \
     stinespring_from_kraus, choi_from_superop
 from .starcalc import EpsilonAlgebra, IdempotentizedMap
-from .reconstruction import AlmostHom, BlockSpec, Diagonal, pauli_diagonal, \
-    pauli_shift_clock, sampled_diagonal, TermExplosion
+from .reconstruction import AlmostHom, BlockSpec, pauli_diagonal, pauli_shift_clock
 
 
 class FactorizationError(Exception):
@@ -82,43 +82,20 @@ def raw_factor(v: AlmostHom, pm: IdempotentizedMap, alg: EpsilonAlgebra) -> RawF
     return RawFactorization(spec, delta, upsilon, factor_res, retract_res, unit_dist)
 
 
-def twirl_to_cp(
-    raw: RawFactorization,
-    ch: Channel,
-    diag: Diagonal | None = None,
-    term_cap: int = 10_000,
-    mc_target_residual: float | None = None,
-    seed: int = 0,
-) -> tuple[Channel, dict]:
+def twirl_to_cp(raw: RawFactorization, ch: Channel) -> tuple[Channel, dict]:
     """Average the linear embedding into a UCP map.
 
-    Delta'(X) = sum_s p_s Phi(Delta~(X U_s^dag) Delta~(U_s)) is completely
-    positive term by term; unitality is restored by a symmetric normalization.
-    Exact enumeration of the design is used under ``term_cap``, otherwise a
-    Monte-Carlo average over per-block Haar unitaries with the sample count
-    doubled until the measured one-design residual is small enough.
+    Delta'(X) = sum_s p_s Phi(Delta~(X U_s^dag) Delta~(U_s)) over the exact
+    one-design of ``pauli_diagonal`` is completely positive term by term;
+    unitality is restored by a symmetric normalization.  ``reconstruct`` has
+    already built that design for the same block dims, so its term cap
+    cannot trip here.
     """
     spec = raw.spec
     d = ch.dim_in
     d_tot = spec.rep_dim
-    if diag is None:
-        try:
-            diag = pauli_diagonal(spec, term_cap)
-        except TermExplosion:
-            target = mc_target_residual if mc_target_residual is not None else 1e-2
-            count = 256
-            while True:
-                diag = sampled_diagonal(spec, count, seed)
-                if diag.residuals()["commutation"] <= target or count >= 65536:
-                    break
-                count *= 2
+    diag = pauli_diagonal(spec)
     delta_prime = ch.superop @ _twirl_sum(raw.delta_superop, diag.terms, d, d_tot)
-    # with an inexact (sampled) design the two forms of the average differ and
-    # Hermiticity preservation is lost; averaging with the conjugate map
-    # X -> Delta'(X^dag)^dag restores it and keeps complete positivity
-    delta_prime = 0.5 * (
-        delta_prime + _adjoint_conjugate_superop(delta_prime, d_tot, d)
-    )
 
     choi_min = float(
         np.linalg.eigvalsh(
@@ -138,7 +115,6 @@ def twirl_to_cp(
     distance = cbnorm.cb_norm(delta_superop - raw.delta_superop, d_tot, d)
     info = {
         "terms": len(diag.terms),
-        "exact_design": diag.exact,
         "choi_min_before_normalization": choi_min,
         "normalization_distance": nl.operator_norm(n_inv - np.eye(d)),
         "distance_to_raw_cb": distance,
@@ -170,17 +146,10 @@ def build_upsilon(
     upsilon_prime = np.zeros((d_tot * d_tot, d * d), dtype=complex)
     slices = spec.slices()
     unit_sum = np.zeros((d, d), dtype=complex)
+    choi4 = delta.choi.reshape(d_tot, d, d_tot, d)
     for jdx, (d_j, s) in enumerate(zip(spec.block_dims, slices)):
         # Choi of the block restriction Delta_j : B(L_j) -> B(H)
-        j_mat = np.zeros((d_j * d, d_j * d), dtype=complex)
-        for a in range(d_j):
-            for b in range(d_j):
-                e_ab = np.zeros((d_tot, d_tot), dtype=complex)
-                e_ab[s.start + a, s.start + b] = 1.0
-                img = delta(e_ab)
-                e_small = np.zeros((d_j, d_j), dtype=complex)
-                e_small[a, b] = 1.0
-                j_mat += nl.kron(e_small, img)
+        j_mat = choi4[s, :, s, :].reshape(d_j * d, d_j * d)
         kraus = kraus_from_choi(j_mat, d_j, d, tol_loose)
         if not kraus:
             raise RjNotFactorizable(f"block {jdx} restriction of Delta vanished")
@@ -264,13 +233,6 @@ def _twirl_sum(delta_raw: np.ndarray, terms, d: int, d_tot: int) -> np.ndarray:
     w = w.reshape(d, d, d_tot, d_tot)
     r4 = delta_raw.reshape(d, d, d_tot, d_tot)
     return np.einsum("jxyl,xrya->jrla", w, r4).reshape(d * d, d_tot * d_tot)
-
-
-def _adjoint_conjugate_superop(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Superoperator of X -> Lambda(X^dag)^dag given the one of Lambda."""
-    p_in = nl.transpose_permutation(d_in)
-    p_out = nl.transpose_permutation(d_out)
-    return np.conj(m[np.ix_(p_out, p_in)])
 
 
 def _embed_block(x: np.ndarray, spec: BlockSpec, jdx: int) -> np.ndarray:

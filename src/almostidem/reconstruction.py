@@ -139,7 +139,6 @@ class Diagonal:
 
     spec: BlockSpec
     terms: list[tuple[float, np.ndarray]]
-    exact: bool = True  # full enumeration vs Monte-Carlo one-design
 
     def residuals(self, probes: int = 0, seed: int = 0) -> dict[str, float]:
         rep = self.spec.rep_dim
@@ -186,10 +185,7 @@ def pauli_diagonal(spec: BlockSpec, term_cap: int = 10_000) -> Diagonal:
     for d in spec.block_dims:
         total *= (2 if multi else 1) * d * d
     if total > term_cap:
-        raise TermExplosion(
-            f"{total} diagonal terms exceed the cap {term_cap}; "
-            f"use a sampled diagonal instead"
-        )
+        raise TermExplosion(f"{total} diagonal terms exceed the cap {term_cap}")
     # term (i_1, ..., i_m), first block slowest, has weight ((1 p_i1) p_i2) ...
     # and the direct sum of the block unitaries U_i1 + ... + U_im
     weights, stacks = np.ones(1), []
@@ -207,19 +203,7 @@ def pauli_diagonal(spec: BlockSpec, term_cap: int = 10_000) -> Diagonal:
         axes = [1] * len(stacks)
         axes[l] = len(u)
         grid[..., sl, sl] = u.reshape(*axes, *u.shape[1:])
-    return Diagonal(spec, list(zip(weights.tolist(), units)), exact=True)
-
-
-def sampled_diagonal(spec: BlockSpec, count: int, seed: int) -> Diagonal:
-    """Monte-Carlo diagonal from independent per-block Haar unitaries."""
-    rng = np.random.default_rng(seed)
-    terms = []
-    for _ in range(count):
-        u = np.zeros((spec.rep_dim, spec.rep_dim), dtype=complex)
-        for s in spec.slices():
-            u[s, s] = nl.random_unitary(s.stop - s.start, rng)
-        terms.append((1.0 / count, u))
-    return Diagonal(spec, terms, exact=False)
+    return Diagonal(spec, list(zip(weights.tolist(), units)))
 
 
 @dataclass

@@ -163,12 +163,12 @@ def witness_to_dict(w) -> dict:
 
 
 def certificate_witness_from_dict(data: dict):
-    """The :class:`~almostidem.cbnorm.Witness` of a certificate dict, or None
-    when it records none.  Raises :class:`ParseError` on a malformed one."""
+    """The :class:`~almostidem.cbnorm.Witness` of a certificate dict.  Raises
+    :class:`ParseError` when it records none or a malformed one."""
     from .cbnorm import Witness
 
     if "witness" not in data:
-        return None
+        raise ParseError("certificate records no witness")
     w = data["witness"]
     try:
         lower = (matrix_from_json(w["lower"]["rho"]), matrix_from_json(w["lower"]["sigma"]))

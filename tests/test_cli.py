@@ -83,7 +83,8 @@ class TestSerialization:
             assert back.target_rel_gap == witness.target_rel_gap
             for a, b in zip([*back.lower, *back.upper], [*witness.lower, *witness.upper]):
                 assert np.array_equal(a, b)
-        assert ser.certificate_witness_from_dict({"lower": 0.0}) is None
+        with pytest.raises(ser.ParseError, match="certificate records no witness"):
+            ser.certificate_witness_from_dict({"lower": 0.0})
         # the barrier-center kind of earlier reports is no longer a witness
         center = ser.witness_to_dict(cbnorm.Witness((mats[0], mats[1])))
         center["upper"] = {"kind": "center", "rho": ser.matrix_to_json(mats[2]),
@@ -209,6 +210,14 @@ class TestCliCommands:
         envelope = ser.channel_from_dict(env)
         pm = sc.idempotentize(two_level_example(0.04))
         assert nl.operator_norm(envelope.superop - pm.superop) <= 1e-8
+
+    def test_options_a_command_does_not_read_are_refused(self, tmp_path, capsys):
+        ch_path = tmp_path / "ch.json"
+        main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(ch_path)])
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(ch_path), "--samples", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -360,7 +369,10 @@ class TestWitnessVerify:
             assert len(lines) == 1 and lines[0].startswith("FAIL: eta witness")
             assert "Traceback" not in out.err
 
-    def test_report_without_witnesses_is_resolved(self, barrier_report, tmp_path, capsys):
+    def test_report_without_witnesses_is_refused(
+            self, barrier_report, tmp_path, monkeypatch, capsys):
+        from almostidem import cbnorm
+
         def strip(node):
             if isinstance(node, dict):
                 return {k: strip(v) for k, v in node.items() if k != "witness"}
@@ -368,10 +380,17 @@ class TestWitnessVerify:
                 return [strip(v) for v in node]
             return node
 
+        def no_solve(*args, **kwargs):
+            raise AssertionError("verify solved a norm")
+
+        monkeypatch.setattr(cbnorm, "cb_norm", no_solve)
         capsys.readouterr()
-        assert _verify(tmp_path, strip(barrier_report)) == 0
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "re-solved 3 certificate" in err[0]
+        assert _verify(tmp_path, strip(barrier_report)) == 1
+        out = capsys.readouterr()
+        lines = out.out.strip().splitlines()
+        assert len(lines) == 3 and all(line.startswith("FAIL: ") for line in lines)
+        assert all("certificate records no witness" in line for line in lines)
+        assert out.err == ""
 
     def test_report_recording_the_ascent_path_still_verifies(
             self, barrier_report, tmp_path, monkeypatch, capsys):

@@ -74,17 +74,6 @@ class TestTwirl:
         assert info["choi_min_before_normalization"] >= -1e-10
         assert info["distance_to_raw_cb"].value <= 50 * eta
 
-    def test_monte_carlo_design(self):
-        pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=4)
-        pm, alg, spec, v, rep = run_pipeline(pert)
-        raw = fa.raw_factor(v, pm, alg)
-        delta_mc, info = fa.twirl_to_cp(raw, pert, term_cap=2, mc_target_residual=2e-2, seed=0)
-        assert not info["exact_design"]
-        assert delta_mc.is_cp() and delta_mc.is_unital()
-        delta_ex, _ = fa.twirl_to_cp(raw, pert)
-        # Monte-Carlo twirl approximates the exact one
-        assert nl.operator_norm(delta_mc.superop - delta_ex.superop) <= 0.05
-
 
 def _twirl_sum_by_terms(delta_raw, terms, d, d_tot):
     """The twirl sum written one design term at a time with Kronecker products."""
@@ -105,10 +94,10 @@ class TestTwirlSum:
         rng = np.random.default_rng(sum(dims) + d)
         delta_raw = (rng.standard_normal((d * d, d_tot * d_tot))
                      + 1j * rng.standard_normal((d * d, d_tot * d_tot)))
-        for diag in (rc.pauli_diagonal(spec, 10_000), rc.sampled_diagonal(spec, 40, 1)):
-            got = fa._twirl_sum(delta_raw, diag.terms, d, d_tot)
-            ref = _twirl_sum_by_terms(delta_raw, diag.terms, d, d_tot)
-            assert np.allclose(got, ref, rtol=0, atol=1e-12)
+        terms = rc.pauli_diagonal(spec, 10_000).terms
+        got = fa._twirl_sum(delta_raw, terms, d, d_tot)
+        ref = _twirl_sum_by_terms(delta_raw, terms, d, d_tot)
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_twirl_of_raw_factor_matches_term_loop(self):
         pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=3)
@@ -118,6 +107,21 @@ class TestTwirlSum:
         got = fa._twirl_sum(raw.delta_superop, terms, 3, spec.rep_dim)
         ref = _twirl_sum_by_terms(raw.delta_superop, terms, 3, spec.rep_dim)
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def _block_choi_by_units(delta, spec, jdx):
+    """Choi matrix of the block restriction of Delta, one matrix unit at a time."""
+    d_tot, d = spec.rep_dim, delta.dim_out
+    d_j, s = spec.block_dims[jdx], spec.slices()[jdx]
+    j_mat = np.zeros((d_j * d, d_j * d), dtype=complex)
+    for a in range(d_j):
+        for b in range(d_j):
+            e_ab = np.zeros((d_tot, d_tot), dtype=complex)
+            e_ab[s.start + a, s.start + b] = 1.0
+            e_small = np.zeros((d_j, d_j), dtype=complex)
+            e_small[a, b] = 1.0
+            j_mat += nl.kron(e_small, delta(e_ab))
+    return j_mat
 
 
 class TestUpsilon:
@@ -159,6 +163,28 @@ class TestUpsilon:
         assert info["blocks"][0]["multiplicity"] == 2
         retract = upsilon.superop @ delta.superop - chn.pinch_superop(spec.block_dims)
         assert nl.operator_norm(retract) <= 1e-7
+
+    @pytest.mark.parametrize("dims", [(3, 1), (2, 2), (4, 3, 1), (2, 1)])
+    def test_sliced_block_choi_matches_unit_loop(self, dims, monkeypatch):
+        # Delta = Ad_U after the pinching, the embedding of a conjugated pinching
+        spec = rc.BlockSpec(dims)
+        d = spec.rep_dim
+        u = nl.random_unitary(d, np.random.default_rng(sum(dims)))
+        ad_u = nl.kron(u.conj(), u)  # vec(U X U^dag) = (conj U (x) U) vec X
+        pinch = chn.pinch_superop(dims)
+        delta = chn.Channel(ad_u @ pinch, d, d)
+        ch = chn.Channel(ad_u @ pinch @ ad_u.conj().T, d, d)
+        seen = []
+
+        def recording(j_mat, *args):
+            seen.append(j_mat)
+            return chn.kraus_from_choi(j_mat, *args)
+
+        monkeypatch.setattr(fa, "kraus_from_choi", recording)
+        fa.build_upsilon(delta, ch, spec, 0.0)
+        assert len(seen) == len(dims)
+        for jdx, j_mat in enumerate(seen):
+            assert np.array_equal(j_mat, _block_choi_by_units(delta, spec, jdx))
 
 
 class TestCertify:
