@@ -36,32 +36,21 @@ bound and the generator of the dual point of its upper bound.
 ``check_witness`` re-evaluates both on a Choi matrix without solving, which
 is how a recorded certificate is verified.
 
-``solve_sdp`` is a generic small dense primal-dual interior-point solver used
-for independent cross checks, and ``diamond_lower_bound_seesaw`` is the
-brute-force variational oracle over pure inputs and output measurements.
+``diamond_lower_bound_seesaw`` is the brute-force variational oracle over
+pure inputs and output measurements.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numlin as nl
 from .channels import Channel, choi_from_superop, extend_superop_right
 
 
 class CbNormError(Exception):
-    pass
-
-
-class SolverStall(CbNormError):
-    """Raised only when no certified interval can be produced at all."""
-
-
-class Infeasible(CbNormError):
     pass
 
 
@@ -289,14 +278,13 @@ def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
     decides when a center is reached.
     """
     grad, hess = _barrier_derivatives(pt, h_stack)
+    # near the end of the path the Hessian is ill conditioned by design; step
+    # quality is guarded by the line search and the final certificates are
+    # feasibility-checked explicitly
     try:
-        with warnings.catch_warnings():
-            # near the end of the path the Hessian is ill conditioned by
-            # design; step quality is guarded by the line search and the
-            # final certificates are feasibility-checked explicitly
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            step = scipy.linalg.solve(hess, grad, assume_a="pos")
-    except scipy.linalg.LinAlgError:
+        low = np.linalg.cholesky(hess)
+        step = np.linalg.solve(low.T, np.linalg.solve(low, grad))
+    except np.linalg.LinAlgError:
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
     nb, dim = h_stack.shape[:2]
     d = (step.reshape(-1, nb) @ h_stack.reshape(nb, -1)).reshape(dim, dim)
@@ -304,12 +292,16 @@ def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
 
 
 def _trace_free_basis(dim: int, blocks: int) -> np.ndarray:
-    """Stack of Hermitian matrices spanning those with trace zero on each of
-    ``blocks`` equal diagonal blocks: in each block the diagonal units less
-    its last, and then all the off-diagonal Hermitian units."""
+    """Stack of Hermitian matrices spanning the block-diagonal ones with trace
+    zero on each of ``blocks`` equal diagonal blocks: in each block the
+    diagonal units less its last, and then the off-diagonal Hermitian units
+    inside the blocks, blocks * ((dim / blocks)^2 - 1) in all."""
     basis = np.stack(nl.hermitian_basis(dim))
     diag = basis[:dim].reshape(blocks, dim // blocks, dim, dim)
-    return np.concatenate([(diag[:, :-1] - diag[:, -1:]).reshape(-1, dim, dim), basis[dim:]])
+    block_of = np.arange(dim) // (dim // blocks)
+    off = basis[dim:]
+    off = off[np.all(off[:, block_of[:, None] != block_of[None, :]] == 0, axis=1)]
+    return np.concatenate([(diag[:, :-1] - diag[:, -1:]).reshape(-1, dim, dim), off])
 
 
 def _barrier_solve(
@@ -329,8 +321,11 @@ def _barrier_solve(
     the objective of J at (rho, sigma), and the off-diagonal blocks of a
     feasible X' give at most 2 sqrt(Tr A Tr C) ||J|| <= ||J||), with Newton
     keeping Tr A = Tr C = 1/2 so that 2 A and 2 C stay density matrices.
-    F' is invariant under conjugation by Z (x) I, so its centers are block
-    diagonal, and
+    F' is invariant under conjugation by Z (x) I, so at a block-diagonal rho'
+    its gradient is block diagonal and its Hessian does not couple
+    block-diagonal directions to the others: Newton from I / (2 d_in) stays
+    block diagonal, and runs over those directions alone (2 d_in^2 - 2
+    unknowns).  There
     F'_2t(diag(rho, sigma) / 2) = 2 F_t(rho, sigma) - 4 d_in d_out log 2: the
     path runs at 2t and maps back as (2 A, 2 C, 2 X'*_12).
     """
@@ -554,205 +549,3 @@ def _trace_norm_and_sign(out: np.ndarray):
         return u, float(np.sum(np.abs(w)))
     u_l, s, vh = np.linalg.svd(out)
     return u_l @ vh, float(np.sum(s))
-
-
-# ---------------------------------------------------------------------------
-# generic small dense SDP solver (independent cross-check path)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SdpProblem:
-    """min Re<C, X> s.t. Re<A_i, X> = b_i, X >= 0 over Hermitian block-diagonal X."""
-
-    block_dims: tuple[int, ...]
-    c_blocks: list[list[np.ndarray]] | list[np.ndarray]
-    a_blocks: list[list[np.ndarray]]
-    b: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.c_blocks[0], np.ndarray):
-            raise ValueError("c_blocks must be a list of blocks")
-        self.b = np.asarray(self.b, dtype=float)
-        for blocks in [self.c_blocks, *self.a_blocks]:
-            for blk, d in zip(blocks, self.block_dims):
-                if blk.shape != (d, d):
-                    raise ValueError("constraint block dims inconsistent")
-                if nl.operator_norm(blk - blk.conj().T) > 1e-10 * max(1, nl.operator_norm(blk)):
-                    raise ValueError("constraint blocks must be Hermitian")
-
-
-def _blocks_inner(a, b) -> float:
-    return float(sum(np.real(nl.hs_inner(x, y)) for x, y in zip(a, b)))
-
-
-def _blocks_axpy(alpha, a, b):
-    return [alpha * x + y for x, y in zip(a, b)]
-
-
-def solve_sdp(
-    prob: SdpProblem, tol: float = 1e-9, max_iter: int = 200,
-) -> tuple[float, float, float]:
-    """Infeasible-start primal-dual interior point with Nesterov-Todd scaling.
-
-    Returns (primal_value, dual_value, gap).  Residual and gap targets follow
-    ``tol``; raises :class:`SolverStall` if progress stops early and
-    :class:`Infeasible` on divergence of the infeasibility measure.
-    """
-    dims = prob.block_dims
-    m = len(prob.a_blocks)
-    x = [np.eye(d, dtype=complex) for d in dims]
-    s = [np.eye(d, dtype=complex) for d in dims]
-    y = np.zeros(m)
-    n_tot = sum(dims)
-
-    def a_op(xb):
-        return np.array([_blocks_inner(ab, xb) for ab in prob.a_blocks])
-
-    def a_adj(yv):
-        out = [np.zeros((d, d), dtype=complex) for d in dims]
-        for yi, ab in zip(yv, prob.a_blocks):
-            out = _blocks_axpy(yi, ab, out)
-        return out
-
-    best = None
-    for it in range(max_iter):
-        mu = _blocks_inner(x, s) / n_tot
-        r_p = prob.b - a_op(x)
-        r_d = [c - sa - si for c, sa, si in zip(prob.c_blocks, a_adj(y), s)]
-        p_res = np.linalg.norm(r_p)
-        d_res = np.sqrt(sum(np.linalg.norm(rb) ** 2 for rb in r_d))
-        pval = _blocks_inner(prob.c_blocks, x)
-        dval = float(prob.b @ y)
-        gap = abs(pval - dval) / (1 + abs(pval))
-        best = (pval, dval, pval - dval)
-        if p_res <= tol and d_res <= tol and mu <= tol * (1 + abs(pval)):
-            return pval, dval, pval - dval
-        if p_res > 1e8 or d_res > 1e8:
-            raise Infeasible("primal/dual residuals diverged")
-
-        # Nesterov-Todd scaling per block
-        w_blocks, wi_blocks = [], []
-        for xb, sb in zip(x, s):
-            xs = _sqrt_and_inv_sqrt(xb)[0]
-            mid = xs @ sb @ xs
-            mw, mu_v = np.linalg.eigh(nl.hermitian_part(mid))
-            mw = np.clip(mw, 1e-300, None)
-            mid_inv_sqrt = (mu_v / np.sqrt(mw)) @ mu_v.conj().T
-            w = xs @ mid_inv_sqrt @ xs
-            w_blocks.append(nl.hermitian_part(w))
-            wi_blocks.append(np.linalg.inv(w_blocks[-1]))
-
-        sigma = 0.2 if mu > tol else 0.0
-        # target: X S = sigma*mu*I; linearized with NT scaling
-        schur = np.zeros((m, m))
-        waw = []
-        for i in range(m):
-            waw.append([w @ ab @ w for w, ab in zip(w_blocks, prob.a_blocks[i])])
-        for i in range(m):
-            for k in range(i, m):
-                val = _blocks_inner(prob.a_blocks[i], waw[k])
-                schur[i, k] = schur[k, i] = val
-        rhs_blocks = [
-            w @ rd @ w + xb - sigma * mu * np.linalg.inv(sb)
-            for xb, sb, w, rd in zip(x, s, w_blocks, r_d)
-        ]
-        rhs = r_p + a_op(rhs_blocks)
-        try:
-            dy = scipy.linalg.solve(schur, rhs, assume_a="pos")
-        except (scipy.linalg.LinAlgError, ValueError):
-            dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
-        ds = [rd - az for rd, az in zip(r_d, a_adj(dy))]
-        dx = [
-            sigma * mu * np.linalg.inv(sb) - xb - w @ dsb @ w
-            for xb, sb, w, dsb in zip(x, s, w_blocks, ds)
-        ]
-        alpha_p = _max_cone_step(x, dx)
-        alpha_d = _max_cone_step(s, ds)
-        alpha = min(1.0, 0.98 * alpha_p, 0.98 * alpha_d)
-        if alpha < 1e-12:
-            pval, dval, g = best
-            raise SolverStall(f"step collapsed at iteration {it} (gap {g:.2e})")
-        x = [nl.hermitian_part(xb + alpha * dxb) for xb, dxb in zip(x, dx)]
-        s = [nl.hermitian_part(sb + alpha * dsb) for sb, dsb in zip(s, ds)]
-        y = y + alpha * dy
-    pval, dval, g = best
-    raise SolverStall(f"no convergence in {max_iter} iterations (gap {g:.2e})")
-
-
-def _max_cone_step(blocks, dblocks) -> float:
-    alpha = np.inf
-    for b, d in zip(blocks, dblocks):
-        li = np.linalg.cholesky(b)
-        mid = scipy.linalg.solve_triangular(li, d, lower=True)
-        mid = scipy.linalg.solve_triangular(li, mid.conj().T, lower=True).conj().T
-        lam = np.linalg.eigvalsh(nl.hermitian_part(mid))[0]
-        if lam < 0:
-            alpha = min(alpha, -1.0 / lam)
-    return alpha
-
-
-def diamond_norm_sdp_explicit(
-    mp, dim_in=None, dim_out=None, tol: float = 1e-9,
-) -> tuple[float, float, float]:
-    """Diamond norm through :func:`solve_sdp` on the explicit block program.
-
-    Independent of :func:`diamond_norm`; practical for small dimensions only.
-    """
-    m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
-    j = choi_from_superop(m, d_in, d_out)
-    n = d_in * d_out
-    eye_n = np.eye(n, dtype=complex)
-
-    # variable X = [[Z11, Z12], [Z12^dag, Z22]] of size 2n, plus constraints
-    # forcing Z11 = rho (x) I, Z22 = sigma (x) I, Tr rho = Tr sigma = 1.
-    dims = (2 * n,)
-    c = np.zeros((2 * n, 2 * n), dtype=complex)
-    c[:n, n:] = -j / 2
-    c[n:, :n] = -j.conj().T / 2
-
-    a_blocks = []
-    b = []
-    herm_big = nl.hermitian_basis(n)
-    basis_in = nl.hermitian_basis(d_in)
-    proj_span = np.stack(
-        [nl.vec(nl.kron(h, np.eye(d_out)) / np.sqrt(d_out)) for h in basis_in], axis=1
-    )
-
-    # orthonormal basis (with real coordinates over the Hermitian basis) of the
-    # orthogonal complement of the rho (x) I subspace inside Hermitian space
-    resid_coords = []
-    for h in herm_big:
-        coeff = proj_span.conj().T @ nl.vec(h)
-        resid = h - nl.unvec(proj_span @ coeff, n, n)
-        resid_coords.append(
-            [np.real(nl.hs_inner(hb, resid)) for hb in herm_big]
-        )
-    coord_mat = np.array(resid_coords).T
-    q, r, _ = scipy.linalg.qr(coord_mat, mode="economic", pivoting=True)
-    rank = nl.rank_from_singular_values(np.abs(np.diag(r)), 1e-9)
-    comp_ops = []
-    for colidx in range(rank):
-        op = sum(c * hb for c, hb in zip(q[:, colidx], herm_big))
-        comp_ops.append(op)
-    for resid in comp_ops:
-        # components of Z11/Z22 orthogonal to the rho (x) I subspace vanish
-        blk = np.zeros((2 * n, 2 * n), dtype=complex)
-        blk[:n, :n] = resid
-        a_blocks.append([blk])
-        b.append(0.0)
-        blk = np.zeros((2 * n, 2 * n), dtype=complex)
-        blk[n:, n:] = resid
-        a_blocks.append([blk])
-        b.append(0.0)
-    blk = np.zeros((2 * n, 2 * n), dtype=complex)
-    blk[:n, :n] = np.eye(n)
-    a_blocks.append([blk])
-    b.append(float(d_out))
-    blk = np.zeros((2 * n, 2 * n), dtype=complex)
-    blk[n:, n:] = np.eye(n)
-    a_blocks.append([blk])
-    b.append(float(d_out))
-
-    prob = SdpProblem(dims, [c], a_blocks, np.array(b))
-    pval, dval, gap = solve_sdp(prob, tol)
-    return -pval, -dval, gap

@@ -182,12 +182,10 @@ def build_upsilon(
             l_j += p_s * nl.kron(du, np.eye(env)) @ v_iso @ w_j.conj().T @ nl.kron(
                 u_s, xi.reshape(e_j, 1)
             )
-        # Upsilon'_j(X) = L_j^dag (Phi(X) (x) 1_F) L_j, embedded at block j
-        for idx in range(d * d):
-            x = nl.unvec(np.eye(d * d, dtype=complex)[:, idx], d, d)
-            val = l_j.conj().T @ nl.kron(ch(x), np.eye(env)) @ l_j
-            big = _embed_block(val, spec, jdx)
-            upsilon_prime[:, idx] += nl.vec(big)
+        # Upsilon'_j(X) = L_j^dag (Phi(X) (x) 1_F) L_j, embedded at block j:
+        # rows (l, k) of vec index k + d_tot l with k, l in block j
+        upsilon_prime.reshape(d_tot, d_tot, d * d)[s, s] = (
+            _compression_superop(l_j, d, env) @ ch.superop).reshape(d_j, d_j, d * d)
         blocks_info.append(
             {
                 "multiplicity": e_j,
@@ -233,6 +231,17 @@ def _twirl_sum(delta_raw: np.ndarray, terms, d: int, d_tot: int) -> np.ndarray:
     w = w.reshape(d, d, d_tot, d_tot)
     r4 = delta_raw.reshape(d, d, d_tot, d_tot)
     return np.einsum("jxyl,xrya->jrla", w, r4).reshape(d * d, d_tot * d_tot)
+
+
+def _compression_superop(l: np.ndarray, d: int, env: int) -> np.ndarray:
+    """Superoperator of Y -> L^dag (Y (x) 1_env) L for Y on C^d.
+
+    With L[(a, f), k], entry (k + d_j l, a + d b) is
+    sum_f conj(L[(a, f), k]) L[(b, f), l].
+    """
+    d_j = l.shape[1]
+    l3 = l.reshape(d, env, d_j)
+    return np.einsum("afk,bfl->lkba", l3.conj(), l3).reshape(d_j * d_j, d * d)
 
 
 def _embed_block(x: np.ndarray, spec: BlockSpec, jdx: int) -> np.ndarray:

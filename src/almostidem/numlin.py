@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NumLinError(Exception):
@@ -137,15 +136,13 @@ def matrix_sign(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
             stalls = 0
         prev_err = err
         try:
-            lu, piv = scipy.linalg.lu_factor(s)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            s_inv = np.linalg.inv(s)
+        except np.linalg.LinAlgError as exc:
             raise SingularIterate(str(exc)) from exc
-        diag = np.abs(np.diag(lu))
-        if np.any(diag < 1e-300):
+        if not np.all(np.isfinite(s_inv)):
             raise SingularIterate("singular Newton iterate in matrix sign")
-        # |det| from the LU factors, in log space to dodge overflow
-        mu = float(np.exp(-np.mean(np.log(diag)))) if err > 0.1 else 1.0
-        s_inv = scipy.linalg.lu_solve((lu, piv), ident)
+        # |det|^(-1/n), in log space to dodge overflow
+        mu = float(np.exp(-np.linalg.slogdet(s)[1] / n)) if err > 0.1 else 1.0
         s = 0.5 * (mu * s + s_inv / mu)
     raise NoConvergence(
         "matrix sign iteration did not converge; spectrum is likely "
@@ -251,15 +248,16 @@ def column_space(
 ) -> np.ndarray:
     """Orthonormal basis of the column space at a relative rank threshold.
 
-    Uses a pivoted QR so the result is deterministic for a fixed input.
+    The basis is the leading left singular vectors of a thin SVD, as many as
+    there are singular values above ``rel_tol`` times the largest
+    (:func:`rank_from_singular_values`).  It is deterministic for a fixed
+    input.
     """
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
-    q, r, _ = scipy.linalg.qr(m, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = rank_from_singular_values(diag, rel_tol)
-    return q[:, :rank]
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, :rank_from_singular_values(s, rel_tol)]
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:

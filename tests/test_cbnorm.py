@@ -9,6 +9,8 @@ from almostidem import cbnorm as cb
 from almostidem import pipeline
 from almostidem import serialize as ser
 
+import sdp_oracle
+
 
 def two_level_superop(eta: float) -> np.ndarray:
     p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -205,8 +207,22 @@ class TestBarrierSolver:
         lower = cb._primal_value(j, rho, sigma)
         upper = cb._dual_bound_from_point(j, rho, sigma, d_in, d_out)
         assert upper - lower <= 1e-5 * max(1.0, lower)
-        # X* is primal feasible with (rho, sigma), within n / t of its trace norm
-        assert lower - d_in * d_out / t <= np.real(nl.hs_inner(j, x)) <= lower + 1e-9
+        # X* is primal feasible with (rho, sigma), within n / t of its trace norm.
+        # The margin of lower - n / t <= Re<J, X*> is below the roundoff of its
+        # two sides, so the two facts it rests on are checked instead.  With
+        # s_i the singular values of M at the witness, u = t s_i, c = sqrt(1 + u^2)
+        # and y_i = u / (1 + c): X* is the closed form, lower - Re<J, X*> =
+        # sum s_i (1 - y_i); and n / t - sum s_i (1 - y_i) = sum 1 / (t (c + u)) > 0.
+        re_jx = np.real(nl.hs_inner(j, x))
+        assert re_jx <= lower + 1e-9
+        s = np.linalg.svd(cb._lmul(cb._density_sqrt(rho), cb._rmul(j, cb._density_sqrt(sigma))),
+                          compute_uv=False)
+        assert len(s) == d_in * d_out
+        u = t * s
+        c = np.sqrt(1.0 + u * u)
+        one_minus_y = (1.0 + 1.0 / (c + u)) / (1.0 + c)  # 1 - y, without cancellation
+        assert abs((lower - re_jx) - np.sum(s * one_minus_y)) <= 1e-14 * lower
+        assert np.sum(1.0 / (t * (c + u))) > 0
         # J is not Hermitian, so the solve ran on its dilation; what it maps
         # back is the barrier of J itself at (rho, sigma, X*) and t
         eye = np.eye(d_out)
@@ -256,10 +272,51 @@ class TestBarrierSolver:
         j = chn.choi_from_superop(general, 2, 2)
         assert nl.operator_norm(j - j.conj().T) > 1e-2 * nl.operator_norm(j)
         for mp in (diff, general):
-            pval, dval, gap = cb.diamond_norm_sdp_explicit(mp, 2, 2, tol=1e-9)
+            pval, dval, gap = sdp_oracle.diamond_norm_sdp_explicit(mp, 2, 2, tol=1e-9)
             cert = cb.diamond_norm(mp, 2, 2)
             assert cert.path == "barrier"
             assert abs(pval - cert.value) <= 1e-5 * max(1.0, cert.value)
+
+
+class TestDilatedNewton:
+    """Newton for a non-Hermitian J runs over the block-diagonal directions."""
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 2), (3, 2), (4, 3)])
+    def test_newton_system_size(self, d_in, d_out, monkeypatch):
+        # 2 d_in^2 - 2 unknowns: trace-free Hermitian on each diagonal block
+        sizes = []
+        derivatives = cb._barrier_derivatives
+
+        def counted(pt, h_stack):
+            sizes.append(len(h_stack))
+            off = h_stack[:, :d_in, d_in:]
+            assert np.array_equal(off, np.zeros_like(off))
+            return derivatives(pt, h_stack)
+
+        monkeypatch.setattr(cb, "_barrier_derivatives", counted)
+        j = _random_complex(np.random.default_rng(70 + d_in + d_out), d_in * d_out, d_in * d_out)
+        _, _, _, _, _, iters, stalled = cb._barrier_solve(j, d_in, d_out, 1e-7)
+        assert not stalled and iters > 0
+        assert sizes == [2 * d_in * d_in - 2] * iters
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 3), (3, 3)])
+    def test_block_diagonal_directions_lose_nothing(self, d_in, d_out, monkeypatch):
+        # the same map with Newton over every trace-free direction of rho'
+        # (4 d_in^2 - 2 unknowns) certifies an overlapping interval
+        j = _random_complex(np.random.default_rng(80 + d_in + d_out), d_in * d_out, d_in * d_out)
+        cert = cb.diamond_norm_of_choi(j, d_in, d_out)
+        blocks = cb._trace_free_basis
+
+        def full(dim, n_blocks):
+            assert n_blocks == 2
+            return np.concatenate([blocks(dim, 2), np.stack(
+                [h for h in nl.hermitian_basis(dim)[dim:] if h[:dim // 2, dim // 2:].any()])])
+
+        monkeypatch.setattr(cb, "_trace_free_basis", full)
+        ref = cb.diamond_norm_of_choi(j, d_in, d_out)
+        for c in (cert, ref):
+            assert c.path == "barrier" and not c.stalled
+        assert cert.lower <= ref.upper and ref.lower <= cert.upper
 
 
 def _anti_hermitian(rng, n, size):
@@ -377,8 +434,8 @@ class TestGenericSdp:
         a_blocks = [[h, h] for h in basis]
         b = np.array([np.trace(h).real for h in basis])
         c = [-np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
-        prob = cb.SdpProblem((2, 2), c, a_blocks, b)
-        pval, dval, gap = cb.solve_sdp(prob)
+        prob = sdp_oracle.SdpProblem((2, 2), c, a_blocks, b)
+        pval, dval, gap = sdp_oracle.solve_sdp(prob)
         assert abs(-pval - 2.0) <= 1e-7
         assert abs(gap) <= 1e-7
 
@@ -391,8 +448,8 @@ class TestGenericSdp:
         a_blocks = [[h, -np.trace(h).real * np.ones((1, 1), dtype=complex)] for h in basis]
         b = np.array([-np.real(nl.hs_inner(h, m)) for h in basis])
         c = [np.zeros((3, 3), dtype=complex), np.ones((1, 1), dtype=complex)]
-        prob = cb.SdpProblem((3, 1), c, a_blocks, b)
-        pval, dval, gap = cb.solve_sdp(prob)
+        prob = sdp_oracle.SdpProblem((3, 1), c, a_blocks, b)
+        pval, dval, gap = sdp_oracle.solve_sdp(prob)
         assert abs(pval - lam_max) <= 1e-6
 
 

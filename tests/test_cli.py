@@ -1,9 +1,13 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import almostidem
 from almostidem import numlin as nl
 from almostidem import channels as chn
 from almostidem import serialize as ser
@@ -417,3 +421,31 @@ class TestWitnessVerify:
         capsys.readouterr()
         assert _verify(tmp_path, old) == 0
         assert capsys.readouterr().err == ""
+
+
+NUMPY_ONLY = """
+import sys
+import almostidem.cli, almostidem.pipeline
+from almostidem.cli import main
+steps = [
+    ["gen", "--pinching", "3,1", "--seed", "1", "--out", "base.json"],
+    ["gen", "--perturb", "base.json", "--t", "1e-2", "--seed", "1", "--out", "pert.json"],
+    ["factorize", "pert.json", "--seed", "1", "--json-out", "report.json"],
+    ["verify", "report.json"],
+]
+print([main(argv) for argv in steps])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+class TestNumpyOnly:
+    def test_pipeline_never_imports_scipy(self, tmp_path):
+        # a fresh process: this one may have scipy loaded by the test oracle
+        src = os.path.dirname(os.path.dirname(os.path.abspath(almostidem.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_modules = proc.stdout.strip().splitlines()[-2:]
+        assert codes == "[0, 0, 0, 0]"
+        assert scipy_modules == "[]"

@@ -187,6 +187,41 @@ class TestUpsilon:
             assert np.array_equal(j_mat, _block_choi_by_units(delta, spec, jdx))
 
 
+    @pytest.mark.parametrize("case", ["(3,1)", "(2,2)", "(4,3,1)", "(2,3),(1,2)"])
+    def test_block_superop_matches_unit_loop(self, case, monkeypatch):
+        # perturbed pinchings, and an idempotent with multiplicities 3 and 2
+        if case.startswith("(2,3)"):
+            ch = chn.gen_random_idempotent(((2, 3), (1, 2)), dim=8, seed=4)
+        else:
+            dims = tuple(int(c) for c in case.strip("()").split(","))
+            ch = chn.gen_perturbed(chn.gen_pinching(dims), 1e-2, seed=1)
+        pm, alg, spec, v, rep = run_pipeline(ch)
+        delta, _ = fa.twirl_to_cp(fa.raw_factor(v, pm, alg), ch)
+        seen = []
+        compression = fa._compression_superop
+
+        def recording(l_j, d, env):
+            seen.append((l_j, env))
+            return compression(l_j, d, env)
+
+        monkeypatch.setattr(fa, "_compression_superop", recording)
+        upsilon, _ = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        assert len(seen) == len(spec.block_dims)
+        # reference: Upsilon'_j(X) = L_j^dag (Phi(X) (x) 1) L_j one matrix unit
+        # X at a time, embedded at block j, then normalized as build_upsilon does
+        d, d_tot = ch.dim_in, spec.rep_dim
+        prime = np.zeros((d_tot * d_tot, d * d), dtype=complex)
+        for jdx, (l_j, env) in enumerate(seen):
+            for idx in range(d * d):
+                x = nl.unvec(np.eye(d * d, dtype=complex)[:, idx], d, d)
+                val = l_j.conj().T @ nl.kron(ch(x), np.eye(env)) @ l_j
+                prime[:, idx] += nl.vec(fa._embed_block(val, spec, jdx))
+        unit = nl.hermitian_part(nl.unvec(prime @ nl.vec(np.eye(d, dtype=complex)), d_tot, d_tot))
+        _, n_inv = nl.matrix_sqrt_inv_sqrt(unit)
+        ref = chn.pinch_superop(spec.block_dims) @ nl.kron(n_inv.T, n_inv) @ prime
+        assert np.allclose(upsilon.superop, ref, rtol=0, atol=1e-12)
+
+
 class TestCertify:
     def test_exact_idempotent_residuals(self):
         ch = chn.gen_random_idempotent(((2, 1), (1, 2)), dim=6, seed=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from almostidem import channels as chn
 from almostidem import numlin as nl
 
 
@@ -130,6 +131,14 @@ class TestSign:
         with pytest.raises((nl.NoConvergence, nl.SingularIterate)):
             nl.matrix_sign(m)
 
+    @pytest.mark.parametrize("m", [
+        np.diag([1.0, 0.0]),  # the first iterate is singular
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),  # (S + S^-1) / 2 = 0 exactly
+    ])
+    def test_singular_iterate(self, m):
+        with pytest.raises(nl.SingularIterate):
+            nl.matrix_sign(m.astype(complex))
+
 
 class TestTensorOps:
     def test_kron_identity(self):
@@ -217,3 +226,36 @@ class TestColumnSpace:
         # projector reproduces the column space
         proj = q @ q.conj().T
         np.testing.assert_allclose(proj @ m, m, atol=1e-10)
+
+    @staticmethod
+    def _assert_basis(q, m, rank):
+        assert q.shape == (m.shape[0], rank)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(rank), atol=1e-12)
+        return q @ q.conj().T
+
+    def test_rank_deficient_rectangular(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        b = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        m = a @ b
+        proj = self._assert_basis(nl.column_space(m), m, 3)
+        np.testing.assert_allclose(proj @ m, m, atol=1e-10)
+
+    @pytest.mark.parametrize("dims", [(3, 1), (3, 2, 1)])
+    def test_tied_column_norms(self, dims):
+        # the pinching superoperator: every non-zero column has norm exactly 1
+        m = chn.pinch_superop(dims)
+        norms = np.linalg.norm(m, axis=0)
+        assert set(np.round(norms, 15)) == {0.0, 1.0}
+        proj = self._assert_basis(nl.column_space(m), m, sum(d * d for d in dims))
+        np.testing.assert_allclose(proj @ m, m, atol=1e-12)
+
+    @pytest.mark.parametrize("factor,rank", [(1.01, 3), (0.99, 2)])
+    def test_singular_value_at_threshold(self, factor, rank):
+        # singular values 1, 0.5 and rel_tol * factor
+        rng = np.random.default_rng(5)
+        u, v = nl.random_unitary(5, rng)[:, :3], nl.random_unitary(4, rng)[:, :3]
+        rel_tol = 1e-6
+        m = (u * [1.0, 0.5, rel_tol * factor]) @ v.conj().T
+        proj = self._assert_basis(nl.column_space(m, rel_tol), m, rank)
+        np.testing.assert_allclose(proj @ u[:, :rank], u[:, :rank], atol=1e-9)
