@@ -153,7 +153,9 @@ def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
     a witness read from a file may be anything.  The split of J into factors
     follows from the shape of rho.
     """
-    return nl.trace_norm(_lmul(_density_sqrt(rho), _rmul(j, _density_sqrt(sigma))))
+    sr = _density_sqrt(rho)
+    ss = sr if np.array_equal(sigma, rho) else _density_sqrt(sigma)
+    return nl.trace_norm(_lmul(sr, _rmul(j, ss)))
 
 
 def _dual_bound_from_point(
@@ -449,11 +451,13 @@ def diamond_norm_of_choi(
     )
     if stalled:
         # retry on the standard cold path before giving up
-        rho_c, sigma_c, _, _, _, iters2, _ = _barrier_solve(
+        rho_c, sigma_c, _, _, _, iters2, stalled = _barrier_solve(
             j, d_in, d_out, target_gap, on_stage=on_stage
         )
         iters += iters2
-    offer_stage(rho_c, sigma_c)
+    if stalled:
+        # a path that ends on a center has offered it already
+        offer_stage(rho_c, sigma_c)
     # a gap left open is recorded as stalled, however the path ended
     return bounds.certificate(iters, "barrier", target_rel_gap,
                               not bounds.closed(target_rel_gap))

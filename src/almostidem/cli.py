@@ -3,7 +3,8 @@
 Subcommands: gen | analyze | idempotentize | reconstruct | factorize |
 verify | demo.  Channels are exchanged as JSON files with Choi matrices;
 reports are self-contained and replayable by `verify`.  The environment
-variable ALMOSTIDEM_THREADS caps the linear-algebra thread pool.
+variable ALMOSTIDEM_THREADS caps the linear-algebra thread pool; set it to 1
+when several `aiq` processes run at once on a host with few cores.
 """
 
 from __future__ import annotations

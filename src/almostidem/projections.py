@@ -13,6 +13,7 @@ algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +61,25 @@ class DeltaProjection:
 
 @dataclass
 class CompressionMap:
+    alg: EpsilonAlgebra         # the diagnostics below are computed on first read
     p: DeltaProjection
     q: DeltaProjection
     matrix: np.ndarray          # exactly idempotent on algebra coordinates
     image_coords: np.ndarray    # orthonormal columns spanning S_{P,Q}
-    lr_distance: float          # recorded || L_P R_Q - C ||, sampled
-    idem_residual: float
+
+    @cached_property
+    def lr_distance(self) -> float:
+        """|| L_P R_Q - C ||, sampled over 12 probes drawn at once: the stream
+        of per-probe real then imaginary draws."""
+        alg = self.alg
+        g = np.random.default_rng(0).standard_normal((12, 2, alg.dim))
+        x = g[:, 0] + 1j * g[:, 1]
+        lr = alg.lmul(self.p.coords) @ alg.rmul(self.q.coords)
+        return float(np.max(alg.norms(x @ (lr - self.matrix).T) / alg.norms(x)))
+
+    @cached_property
+    def idem_residual(self) -> float:
+        return nl.operator_norm(self.matrix @ self.matrix - self.matrix)
 
     @property
     def rank(self) -> int:
@@ -214,15 +228,10 @@ def compression(
             "compression spectrum too close to the imaginary axis; the "
             "projection defects are too large"
         ) from exc
-    idem_res = nl.operator_norm(cmat @ cmat - cmat)
     # an idempotent has singular values >= 1 on its range and ~0 elsewhere
     u_svd, s_svd, _ = np.linalg.svd(cmat)
     image = u_svd[:, : int(np.sum(s_svd > 0.5))]
-    # 12 probes in one draw: the stream of per-probe real then imaginary draws
-    g = np.random.default_rng(0).standard_normal((12, 2, alg.dim))
-    x = g[:, 0] + 1j * g[:, 1]
-    dist = float(np.max(alg.norms(x @ (lp @ rq - cmat).T) / alg.norms(x)))
-    return CompressionMap(p, q, cmat, image, dist, idem_res)
+    return CompressionMap(alg, p, q, cmat, image)
 
 
 def compression_rank(
@@ -313,12 +322,12 @@ def h_map(
     kp = hilb_pq.dim
     kr = hilb_rq.dim
     coeff = np.zeros((kp, kr), dtype=complex)
+    y_dags = [np.conj(hilb_pq.basis_coords[:, a]) for a in range(kp)]
+    ydzs = [c_qr.apply(alg.star(y_dag, z)) for y_dag in y_dags]
     for b in range(kr):
         x = hilb_rq.basis_coords[:, b]
         zx = c_pq.apply(alg.star(z, x))
-        for a in range(kp):
-            y_dag = np.conj(hilb_pq.basis_coords[:, a])
-            ydz = c_qr.apply(alg.star(y_dag, z))
+        for a, (y_dag, ydz) in enumerate(zip(y_dags, ydzs)):
             t1 = c_q.apply(alg.star(ydz, x))
             t2 = c_q.apply(alg.star(y_dag, zx))
             s = (np.vdot(q_tilde, t1) + np.vdot(q_tilde, t2)) / qt_sq

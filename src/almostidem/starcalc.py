@@ -147,28 +147,29 @@ class EpsilonAlgebra:
         """Operator norms of the elements whose coordinates are the rows of ``coords``."""
         return np.linalg.svd(self._matrices(coords), compute_uv=False)[:, 0]
 
-    def max_norm(self, coords: np.ndarray) -> float:
-        """``norms(coords).max()``, with the SVD taken only where it can matter.
+    def max_norm(self, coords: np.ndarray, den=1.0, floor: float = 0.0) -> float:
+        """``max(floor, (norms(coords) / den).max())``, one ``den`` per row,
+        with the SVD taken only where it can set the maximum.
 
-        The Frobenius norm bounds the operator norm from above,
-        ||X|| <= ||X||_F, with equality when X has rank one.  The rows are
-        taken in chunks of decreasing Frobenius norm, and the scan stops once
-        the next bound, widened by a relative 1e-12 for roundoff, is at most
-        the running maximum: no row left can then exceed it.  Rows that are
-        not finite go to the full stacked SVD, as in ``norms``.
+        ||X|| <= ||X||_F, with equality at rank one.  The rows are taken in
+        chunks of decreasing bound ||X||_F / den, and the scan stops once the
+        next bound, widened by a relative 1e-12 for roundoff, is at most the
+        running maximum, which starts at ``floor``.  Rows that are not finite
+        go to the full stacked SVD, as in ``norms``.
         """
         mats = self._matrices(coords)
-        fro = np.linalg.norm(mats, axis=(1, 2))
-        if not np.all(np.isfinite(fro)):
-            return float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
-        order = np.argsort(-fro, kind="stable")
-        chunk = 8
-        best = float(np.linalg.svd(mats[order[:chunk]], compute_uv=False)[:, 0].max())
-        for start in range(chunk, len(order), chunk):
-            rows = order[start: start + chunk]
-            if fro[rows[0]] * (1 + 1e-12) <= best:
+        den = np.broadcast_to(den, len(mats))
+        bound = np.linalg.norm(mats, axis=(1, 2)) / den
+        if not np.all(np.isfinite(bound)):
+            return max(floor, float((np.linalg.svd(mats, compute_uv=False)[:, 0] / den).max()))
+        order = np.argsort(-bound, kind="stable")
+        best = floor
+        for start in range(0, len(order), 8):
+            rows = order[start: start + 8]
+            if bound[rows[0]] * (1 + 1e-12) <= best:
                 break
-            best = max(best, float(np.linalg.svd(mats[rows], compute_uv=False)[:, 0].max()))
+            sv = np.linalg.svd(mats[rows], compute_uv=False)[:, 0]
+            best = max(best, float((sv / den[rows]).max()))
         return best
 
     def lmul(self, x: np.ndarray) -> np.ndarray:
@@ -315,21 +316,21 @@ def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
     basis_norms = alg.norms(np.eye(n))
     rep = DefectReport(sample_count=0, method="basis_bound")
 
-    # sv[i, j] = ||B_i * B_j||
-    sv = alg.norms(t.reshape(n * n, n)).reshape(n, n)
+    # ||B_i * B_j|| / (||B_i|| ||B_j||), whose excess over 1 is the defect
     denom = np.outer(basis_norms, basis_norms)
-    rep.eps_submult = float(np.max(sv / denom - 1).clip(0))
+    rep.eps_submult = alg.max_norm(t.reshape(n * n, n), denom.ravel(), floor=1.0) - 1
     # C* lower bound on Hermitian basis elements: X^dag = X
-    rep.eps_cstar = float(max(np.max(1 - np.diag(sv) / basis_norms**2), 0.0))
+    diag = alg.norms(t[np.arange(n), np.arange(n)])
+    rep.eps_cstar = float(max(np.max(1 - diag / basis_norms**2), 0.0))
 
-    # associator over all basis triples, one first index at a time so that
-    # only n^2 (not n^3) product matrices are alive at once
+    # associator over all basis triples, one first index at a time (the
+    # maximum so far its floor) so that n^2, not n^3, products are alive
     assoc = 0.0
     for i in range(n):
         left = t[i] @ t.reshape(n, n * n)      # (B_i*B_j)*B_k coords, rows (j, k)
         right = t.reshape(n * n, n) @ t[i]     # B_i*(B_j*B_k) coords, rows (j, k)
-        sv = alg.norms(left.reshape(n * n, n) - right).reshape(n, n)
-        assoc = max(assoc, float(np.max(sv / (basis_norms[i] * denom))))
+        assoc = alg.max_norm(left.reshape(n * n, n) - right,
+                             (basis_norms[i] * denom).ravel(), assoc)
     rep.eps_assoc = assoc
     return rep
 
@@ -425,13 +426,10 @@ def _triple_defects(alg: EpsilonAlgebra, x, y, z) -> DefectReport:
 
 
 def _unit_defect(alg: EpsilonAlgebra) -> float:
-    n = alg.dim
-    u = alg.unit_coords
-    eye = np.eye(n)
-    norms = alg.norms(np.concatenate([u[None], eye, alg.star(eye, u) - eye,
-                                      alg.star(u, eye) - eye]))
-    basis_norms = norms[1 : n + 1]
-    return float(max(abs(norms[0] - 1.0), np.max(norms[n + 1 :].reshape(2, n) / basis_norms)))
+    u, eye = alg.unit_coords, np.eye(alg.dim)
+    norms = alg.norms(np.concatenate([u[None], eye]))
+    sides = np.concatenate([alg.star(eye, u) - eye, alg.star(u, eye) - eye])
+    return alg.max_norm(sides, np.tile(norms[1:], 2), float(abs(norms[0] - 1.0)))
 
 
 def exactify_unit(

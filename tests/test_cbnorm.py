@@ -600,3 +600,88 @@ class TestWitness:
         for witness in bad:
             with pytest.raises(cb.InvalidWitness):
                 cb.check_witness(j, 2, 2, witness)
+
+
+class TestWorkDoneOnce:
+    """Each stage center is certified once, and the last point of a solve is
+    offered whether or not the path stalled."""
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_one_dual_bound_per_stage_center(self, hermitian, monkeypatch):
+        a = _random_complex(np.random.default_rng(41), 6, 6)
+        j = a + a.conj().T if hermitian else a
+        centers, bounds = [], []
+        path = cb._barrier_path
+        dual = cb._dual_bound_from_point
+
+        def counting_path(*args):
+            on_center = args[-1]
+
+            def center(rho):
+                centers.append(1)
+                return on_center(rho)
+
+            return path(*args[:-1], center)
+
+        def counting_dual(*args, **kwargs):
+            bounds.append(1)
+            return dual(*args, **kwargs)
+
+        monkeypatch.setattr(cb, "_barrier_path", counting_path)
+        monkeypatch.setattr(cb, "_dual_bound_from_point", counting_dual)
+        cert = cb.diamond_norm_of_choi(j, 2, 3)
+        assert cert.path == "barrier" and not cert.stalled
+        assert len(centers) >= 2
+        assert len(bounds) == len(centers)
+
+    @pytest.mark.parametrize("stub", ["no_move", "no_step_accepted"])
+    def test_last_point_is_offered(self, stub, monkeypatch):
+        # no_move is the stub of test_open_gap_is_recorded_stalled: every
+        # stage ends at once and the path ends on a center with the gap open.
+        # no_step_accepted leaves no trial point positive definite, so both
+        # solves stall at their first step.
+        def no_move(pt, h_stack):
+            return np.zeros_like(pt.rho), 0.0
+
+        def no_step_accepted(pt, h_stack):
+            d = np.zeros_like(pt.rho)
+            d[0, 0] = -1e20
+            return d, 1.0
+
+        ends, offered = [], []
+        solve = cb._barrier_solve
+        dual = cb._dual_bound_from_point
+
+        def recording_solve(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            ends.append(out)
+            return out
+
+        def recording_dual(j_, rho, sigma, *args):
+            offered.append((rho, sigma))
+            return dual(j_, rho, sigma, *args)
+
+        stubs = {"no_move": no_move, "no_step_accepted": no_step_accepted}
+        monkeypatch.setattr(cb, "_newton_step", stubs[stub])
+        monkeypatch.setattr(cb, "_barrier_solve", recording_solve)
+        monkeypatch.setattr(cb, "_dual_bound_from_point", recording_dual)
+        j = _random_complex(np.random.default_rng(3), 6, 6)
+        cert = cb.diamond_norm_of_choi(j, 2, 3)
+        assert cert.path == "barrier" and cert.stalled
+        rho, sigma = ends[-1][:2]
+        assert np.array_equal(offered[-1][0], rho) and np.array_equal(offered[-1][1], sigma)
+        if stub == "no_step_accepted":
+            assert [out[-1] for out in ends] == [True, True]
+            assert len(offered) == 1
+
+    def test_primal_value_takes_one_root_of_an_equal_pair(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = _random_complex(rng, 6, 6)
+        j = a + a.conj().T
+        rho = _full_density(2, rng)
+        want = nl.trace_norm(cb._lmul(cb._density_sqrt(rho), cb._rmul(j, cb._density_sqrt(rho))))
+        roots = []
+        density_sqrt = cb._density_sqrt
+        monkeypatch.setattr(cb, "_density_sqrt", lambda m: roots.append(1) or density_sqrt(m))
+        assert cb._primal_value(j, rho, rho.copy()) == want
+        assert len(roots) == 1

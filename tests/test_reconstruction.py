@@ -207,7 +207,8 @@ class TestMergeAndExtend:
         m3 = np.zeros((3, 3), dtype=complex)
         m3[2, 2] = 1.0
         c2[:, 0] = alg.coords(m3)
-        v = rc.merge(rc.AlmostHom(s1, c1), rc.AlmostHom(s2, c2), alg)
+        # merge returns the map unmeasured; these are the probes and seed it measured with
+        v = rc.mult_defect(rc.merge(rc.AlmostHom(s1, c1), rc.AlmostHom(s2, c2), alg), alg)
         assert v.spec.block_dims == (2, 1)
         assert v.mult_defect <= 1e-10
         assert v.unit_defect <= 1e-10
@@ -237,11 +238,12 @@ class TestMergeAndExtend:
         coeffs = np.zeros((alg.dim, 1), dtype=complex)
         coeffs[:, 0] = units[0].coords
         v = rc.mult_defect(rc.AlmostHom(rc.BlockSpec((1,)), coeffs), alg)
-        v = rc.extend_matrix_algebra(v, pj.compression(alg, units[1]), alg)
+        # extend_matrix_algebra returns the map unmeasured, as merge does
+        v = rc.mult_defect(rc.extend_matrix_algebra(v, pj.compression(alg, units[1]), alg), alg)
         assert v.spec.block_dims == (2,)
         assert v.mult_defect <= 1e-8
         v = rc.improve_homomorphism(v, alg, rc.pauli_diagonal(v.spec))
-        v = rc.extend_matrix_algebra(v, pj.compression(alg, units[2]), alg)
+        v = rc.mult_defect(rc.extend_matrix_algebra(v, pj.compression(alg, units[2]), alg), alg)
         assert v.spec.block_dims == (3,)
         assert v.mult_defect <= 1e-8
         # the final map is a bijective near-isomorphism of B(C^3)
@@ -473,3 +475,47 @@ class TestWorkDoneOnce:
         assert rep.bijective
         assert len(rep.class_sizes) > 1 and max(rep.class_sizes) > 1
         assert seen and max(seen.values()) == 1
+
+    def test_improve_never_measures_a_candidate_twice(self, monkeypatch):
+        alg = alg_of(chn.gen_pinching((4, 3, 1)))
+        measured, inside = [], []
+        mult_defect = rc.mult_defect
+        improve = rc.improve_homomorphism
+
+        def recording(v, alg_, *args, **kwargs):
+            if inside:
+                measured[-1].append(v.coeffs.tobytes())
+            return mult_defect(v, alg_, *args, **kwargs)
+
+        def one_call(*args, **kwargs):
+            measured.append([])
+            inside.append(1)
+            try:
+                return improve(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(rc, "mult_defect", recording)
+        monkeypatch.setattr(rc, "improve_homomorphism", one_call)
+        rc.reconstruct(alg, seed=0)
+        # every extension and merge of the (4,3,1) pinching is improved
+        assert len(measured) == 12
+        assert all(len(set(keys)) == len(keys) for keys in measured)
+        assert max(len(keys) for keys in measured) >= 3
+
+    def test_reconstruct_mult_defect_calls_pinned(self, monkeypatch):
+        # the class seeds, extensions and merges are measured only inside
+        # improve_homomorphism, and each improvement stops at its first
+        # round that does not improve
+        alg = alg_of(chn.gen_pinching((4, 3, 1)))
+        calls = []
+        mult_defect = rc.mult_defect
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return mult_defect(*args, **kwargs)
+
+        monkeypatch.setattr(rc, "mult_defect", counting)
+        spec, v, rep = rc.reconstruct(alg, seed=0)
+        assert spec.block_dims == (4, 3, 1) and rep.bijective
+        assert len(calls) == 30

@@ -280,6 +280,25 @@ def _ref_basis_defects(alg):
                            "basis_bound")
 
 
+def _full_svd_basis_defects(alg):
+    """The basis sweep with every SVD taken, one stacked SVD per first index
+    of the associator: the reference the pruned sweep must match exactly."""
+    n = alg.dim
+    t = alg.star_tensor
+    basis_norms = alg.norms(np.eye(n))
+    sv = alg.norms(t.reshape(n * n, n)).reshape(n, n)
+    denom = np.outer(basis_norms, basis_norms)
+    submult = float(np.max(sv / denom - 1).clip(0))
+    cstar = float(max(np.max(1 - np.diag(sv) / basis_norms**2), 0.0))
+    assoc = 0.0
+    for i in range(n):
+        left = t[i] @ t.reshape(n, n * n)
+        right = t.reshape(n * n, n) @ t[i]
+        sv3 = alg.norms(left.reshape(n * n, n) - right).reshape(n, n)
+        assoc = max(assoc, float(np.max(sv3 / (basis_norms[i] * denom))))
+    return sc.DefectReport(submult, assoc, cstar, 0.0, 0, "basis_bound")
+
+
 def _ref_sampled_defects(alg, samples, rng):
     n = alg.dim
     rep = sc.DefectReport(sample_count=0, method="sampled")
@@ -402,6 +421,25 @@ class TestBatchedDefects:
     def test_basis_defects_match_loop(self, algebra):
         _assert_same_report(sc._basis_defects(algebra), _ref_basis_defects(algebra))
 
+    def test_basis_defects_equal_full_svd_sweep(self, algebra, monkeypatch):
+        want = _full_svd_basis_defects(algebra)
+        rows = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            rows.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        got = sc._basis_defects(algebra)
+        monkeypatch.undo()
+        for name in ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert (got.method, got.sample_count) == (want.method, want.sample_count)
+        if algebra.dim == 26:
+            # the full sweep takes n + n^2 + n^3 = 18278 SVDs
+            assert sum(rows) <= 1000
+
     @pytest.mark.parametrize("samples", [0, 1, 30])
     def test_sampled_defects_match_loop(self, algebra, samples):
         got = sc._sampled_defects(algebra, samples, np.random.default_rng(5))
@@ -493,7 +531,7 @@ class TestBatchedDefects:
 
 class TestMaxNorm:
     """``max_norm`` skips SVDs by the Frobenius bound; it must return
-    ``norms(...).max()`` bit for bit."""
+    ``max(floor, (norms(...) / den).max())`` bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_stacks(self, algebra, seed):
@@ -502,6 +540,11 @@ class TestMaxNorm:
             (300, algebra.dim))
         coords *= rng.uniform(0.1, 2.0, (300, 1))  # spread the Frobenius norms
         assert algebra.max_norm(coords) == algebra.norms(coords).max()
+        # per-row denominators and a floor: max(floor, (norms / den).max())
+        den = rng.uniform(0.5, 3.0, 300)
+        top = (algebra.norms(coords) / den).max()
+        for floor in (0.0, 0.5 * top, top, 2.0 * top):
+            assert algebra.max_norm(coords, den, floor) == max(floor, top)
 
     def test_skips_rows_that_cannot_set_the_maximum(self, monkeypatch):
         alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
@@ -535,10 +578,20 @@ class TestMaxNorm:
         coords = np.array(rows)
         assert alg.max_norm(coords) == alg.norms(coords).max()
         assert abs(alg.max_norm(coords) - 1.0) <= 1e-12
+        # rows of equal weight tie exactly
+        den = np.repeat([1.0, 0.5, 2.0, 0.5], 10)
+        top = (alg.norms(coords) / den).max()
+        for floor in (0.0, top, 1.5):
+            assert alg.max_norm(coords, den, floor) == max(floor, top)
+        assert abs(top - 2.0) <= 1e-12
 
     def test_zero_and_single_rows(self, algebra):
         zeros = np.zeros((5, algebra.dim), dtype=complex)
         assert algebra.max_norm(zeros) == algebra.norms(zeros).max() == 0.0
+        den = np.arange(1.0, 6.0)
+        for floor in (0.0, 0.3):
+            assert algebra.max_norm(zeros, den, floor) == max(
+                floor, (algebra.norms(zeros) / den).max()) == floor
         one = np.random.default_rng(5).standard_normal((1, algebra.dim))
         assert algebra.max_norm(one) == algebra.norms(one).max()
 
@@ -551,6 +604,21 @@ class TestMaxNorm:
                 algebra.norms(coords).max()
             with pytest.raises(np.linalg.LinAlgError):
                 algebra.max_norm(coords)
+            with pytest.raises(np.linalg.LinAlgError):
+                algebra.max_norm(coords, np.linspace(1.0, 3.0, 20), 0.5)
+
+    def test_floor_above_every_bound_takes_no_svd(self, monkeypatch):
+        alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
+        coords = np.random.default_rng(3).standard_normal((100, alg.dim))
+        den = np.linspace(1.0, 2.0, 100)
+        floor = float((np.linalg.norm(alg._matrices(coords), axis=(1, 2)) / den).max()) * 1.1
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        got = alg.max_norm(coords, den, floor)
+        monkeypatch.undo()
+        assert got == floor == max(floor, (alg.norms(coords) / den).max())
+        assert not calls
 
     def test_basis_stack_built_once(self, algebra):
         assert algebra.basis_stack is algebra.basis_stack
