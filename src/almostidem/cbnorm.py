@@ -20,7 +20,12 @@ rho = sigma = I/d_in and the polar factorization of J) settles maps far
 below the gap target; every other map goes to a log-det barrier Newton
 method started at rho = sigma = I/d_in, which maximizes X out in closed form
 (:class:`_BarrierPoint`).  Each stage center is certified by its primal value
-and the dual point built from it, both evaluated on the J given.
+and the dual point built from it, both evaluated on the J given.  The path
+multiplies t by 100 per stage; an intermediate stage is centred until the
+damped Newton decrement (decrement times step length) is below 2, the final
+stage, at t_final = 4 n_z / target gap with n_z = 2 d_in d_out, until it is
+below 5e-3.  A loosely centred stage gives looser stage bounds, never
+invalid ones.
 
 The barrier runs on Hermitian J, the Choi matrix of a Hermiticity-preserving
 map such as every difference of UCP maps the pipeline measures.  There the
@@ -30,6 +35,9 @@ its Hermitian dilation J' = [[0, J], [J^dag, 0]] with input C^2 (x) C^d_in,
 which has the same norm: rho' = diag(rho, sigma) / 2 attains the objective of
 J at (rho, sigma), and at any rho' = [[A, B], [B^dag, C]] the off-diagonal
 blocks of a feasible X' give at most 2 sqrt(Tr A Tr C) ||J|| <= ||J||.
+The bounds at an equal pair of a Hermitian J take one eigh of the Hermitian
+M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I); any other pair or J, an equal
+pair of a non-Hermitian J included, takes the SVD of M.
 
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
@@ -146,16 +154,40 @@ def _ptrace_out(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     return np.einsum("iyjy->ij", m.reshape(d_in, d_out, d_in, d_out))
 
 
+def _is_hermitian(j: np.ndarray) -> bool:
+    """Whether J is taken as Hermitian: ||J - J^dag|| <= 1e-12 ||J||.
+
+    The Frobenius norms are within sqrt(n) of the operator norms, so they
+    decide the test without an SVD unless J is within that factor of the
+    threshold.
+    """
+    skew = j - j.conj().T
+    skew_f, size_f, root_n = np.linalg.norm(skew), np.linalg.norm(j), np.sqrt(len(j))
+    if skew_f * root_n <= 1e-12 * size_f:
+        return True
+    if skew_f > 1e-12 * size_f * root_n:
+        return False
+    return nl.operator_norm(skew) <= 1e-12 * nl.operator_norm(j)
+
+
 def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
     """||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1 with rho, sigma first made
     density matrices (:func:`_density_sqrt`), so the value is a valid lower
     bound at any point: a barrier center's trace drifts off 1 by roundoff, and
     a witness read from a file may be anything.  The split of J into factors
     follows from the shape of rho.
+
+    For a Hermitian J (:func:`_is_hermitian`) and an equal pair,
+    M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I) is Hermitian and the value is
+    sum |eigvalsh(H(M))|, still a lower bound because ||H(M)||_1 <= ||M||_1.
     """
     sr = _density_sqrt(rho)
-    ss = sr if np.array_equal(sigma, rho) else _density_sqrt(sigma)
-    return nl.trace_norm(_lmul(sr, _rmul(j, ss)))
+    if not np.array_equal(sigma, rho):
+        return nl.trace_norm(_lmul(sr, _rmul(j, _density_sqrt(sigma))))
+    m = _lmul(sr, _rmul(j, sr))
+    if _is_hermitian(j):
+        return float(np.sum(np.abs(np.linalg.eigvalsh(nl.hermitian_part(m)))))
+    return nl.trace_norm(m)
 
 
 def _dual_bound_from_point(
@@ -166,23 +198,29 @@ def _dual_bound_from_point(
 
     Factorizes J = A^dag B through the (regularized) point and verifies
     feasibility of the resulting dual block matrix explicitly, folding any
-    numerical slack into the bound.
+    numerical slack into the bound.  For a Hermitian J and an equal pair, M
+    is Hermitian: its SVD is its eigh with |lam|, and Y1 = Y0.
     """
     eye_in = np.eye(d_in)
     sr, sri = _sqrt_and_inv_sqrt((1 - mix) * nl.hermitian_part(rho) + mix * eye_in / d_in)
-    if np.array_equal(sigma, rho):  # a center of a Hermitian J
-        ss, ssi = sr, sri
+    equal = np.array_equal(sigma, rho)
+    if equal and _is_hermitian(j):
+        lam, u = np.linalg.eigh(nl.hermitian_part(_lmul(sr, _rmul(j, sr))))
+        y0 = y1 = nl.hermitian_part(_lmul(sri, _rmul((u * np.abs(lam)) @ u.conj().T, sri)))
     else:
-        ss, ssi = _sqrt_and_inv_sqrt((1 - mix) * nl.hermitian_part(sigma) + mix * eye_in / d_in)
-    u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
-    y0 = nl.hermitian_part(_lmul(sri, _rmul((u * s) @ u.conj().T, sri)))
-    y1 = nl.hermitian_part(_lmul(ssi, _rmul((vh.conj().T * s) @ vh, ssi)))
+        if equal:
+            ss, ssi = sr, sri
+        else:
+            ss, ssi = _sqrt_and_inv_sqrt((1 - mix) * nl.hermitian_part(sigma) + mix * eye_in / d_in)
+        u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
+        y0 = nl.hermitian_part(_lmul(sri, _rmul((u * s) @ u.conj().T, sri)))
+        y1 = nl.hermitian_part(_lmul(ssi, _rmul((vh.conj().T * s) @ vh, ssi)))
     # explicit feasibility check of [[Y0, -J], [-J^dag, Y1]]
     block = np.block([[y0, -j], [-j.conj().T, y1]])
     lam_min = float(np.linalg.eigvalsh(nl.hermitian_part(block))[0])
     slack = max(0.0, -lam_min) * (1 + 1e-9)
     val0 = nl.operator_norm(_ptrace_out(y0, d_in, d_out))
-    val1 = nl.operator_norm(_ptrace_out(y1, d_in, d_out))
+    val1 = val0 if y1 is y0 else nl.operator_norm(_ptrace_out(y1, d_in, d_out))
     return 0.5 * (val0 + val1) + slack * d_out
 
 
@@ -334,7 +372,7 @@ def _barrier_solve(
     stop = on_stage or (lambda rho, sigma: False)
     scale = nl.operator_norm(j)
     t = 1.0 / max(scale, 1e-12) if t0 is None else t0
-    if nl.operator_norm(j - j.conj().T) <= 1e-12 * scale:
+    if _is_hermitian(j):
         pt, t, newtons, stalled = _barrier_path(
             nl.hermitian_part(j), _trace_free_basis(d_in, 1), d_out, target_gap,
             max_newton, t, lambda rho: stop(rho, rho))
@@ -375,11 +413,11 @@ def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
                 return pt, t, newtons, True
             pt = trial
             # center loosely along the path, tightly at the final stage
-            if dec * alpha < (5e-3 if t >= t_final else 0.1):
+            if dec * alpha < (5e-3 if t >= t_final else 2.0):
                 break
         if on_center(pt.rho) or t >= t_final:
             return pt, t, newtons, False
-        t = min(t * 20.0, t_final)
+        t = min(t * 100.0, t_final)
         pt = _barrier_point(j, pt.rho, t, d_out)
 
 

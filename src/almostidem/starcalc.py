@@ -235,11 +235,13 @@ def extract_algebra(
 
     n = len(basis)
     stack_b = np.stack([nl.vec(b) for b in basis], axis=1)
-    tensor = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            prod = pm(basis[i] @ basis[j])
-            tensor[i, j, :] = stack_b.conj().T @ nl.vec(prod)
+    # vec(B_i B_j) as a stack of columns, mapped by the superoperator and
+    # projected on the basis one column at a time: the arithmetic of
+    # pm(B_i B_j), so the tensor does not move by roundoff
+    stack = np.stack(basis)
+    prods = stack[:, None] @ stack[None, :]
+    vecs = np.swapaxes(prods, -1, -2).reshape(n * n, dim * dim, 1)
+    tensor = (stack_b.conj().T @ (m @ vecs)).reshape(n, n, n)
     # (X*Y)^dag = Y^dag * X^dag exactly at the tensor level
     tensor = 0.5 * (tensor + np.conj(np.transpose(tensor, (1, 0, 2))))
     unit_coords = np.real(stack_b.conj().T @ nl.vec(np.eye(dim, dtype=complex)))

@@ -679,9 +679,109 @@ class TestWorkDoneOnce:
         a = _random_complex(rng, 6, 6)
         j = a + a.conj().T
         rho = _full_density(2, rng)
-        want = nl.trace_norm(cb._lmul(cb._density_sqrt(rho), cb._rmul(j, cb._density_sqrt(rho))))
+        sr = cb._density_sqrt(rho)
+        # J is Hermitian, so the value is read off the eigenvalues of M
+        # (TestHermitianCentre checks them against its singular values)
+        want = float(np.sum(np.abs(np.linalg.eigvalsh(nl.hermitian_part(
+            cb._lmul(sr, cb._rmul(j, sr)))))))
         roots = []
         density_sqrt = cb._density_sqrt
         monkeypatch.setattr(cb, "_density_sqrt", lambda m: roots.append(1) or density_sqrt(m))
         assert cb._primal_value(j, rho, rho.copy()) == want
         assert len(roots) == 1
+
+
+def _svd_dual_bound(j, rho, sigma, d_in, d_out, mix=1e-9):
+    """The dual bound of ``_dual_bound_from_point`` through the SVD of M, with
+    Kronecker products."""
+    eye = np.eye(d_out)
+
+    def roots(m):
+        w, u = np.linalg.eigh((1 - mix) * nl.hermitian_part(m) + mix * np.eye(d_in) / d_in)
+        return (nl.kron((u * np.sqrt(w)) @ u.conj().T, eye),
+                nl.kron((u / np.sqrt(w)) @ u.conj().T, eye))
+
+    (sr, sri), (ss, ssi) = roots(rho), roots(sigma)
+    u, s, vh = np.linalg.svd(sr @ j @ ss)
+    y0 = nl.hermitian_part(sri @ (u * s) @ u.conj().T @ sri)
+    y1 = nl.hermitian_part(ssi @ (vh.conj().T * s) @ vh @ ssi)
+    lam_min = np.linalg.eigvalsh(nl.hermitian_part(np.block([[y0, -j], [-j.conj().T, y1]])))[0]
+    val = [nl.operator_norm(nl.partial_trace(y, (d_in, d_out), keep=0)) for y in (y0, y1)]
+    return 0.5 * sum(val) + max(0.0, -lam_min) * (1 + 1e-9) * d_out
+
+
+class TestHermitianCentre:
+    """An equal pair of a Hermitian J is evaluated from one eigendecomposition;
+    any other J keeps the SVD, whatever its pair."""
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 2), (3, 2), (2, 3)])
+    def test_eigh_bounds_match_svd_formulas(self, d_in, d_out):
+        rng = np.random.default_rng(90 + 10 * d_in + d_out)
+        n = d_in * d_out
+        a = _random_complex(rng, n, n)
+        j = a + a.conj().T
+        rho = 0.7 * nl.random_density(d_in, rng) + 0.3 * np.eye(d_in) / d_in
+        assert cb._is_hermitian(j)
+        root = nl.kron(cb._density_sqrt(rho), np.eye(d_out))
+        want = nl.trace_norm(root @ j @ root)
+        assert abs(cb._primal_value(j, rho, rho.copy()) - want) <= 1e-12 * want
+        want = _svd_dual_bound(j, rho, rho, d_in, d_out)
+        got = cb._dual_bound_from_point(j, rho, rho.copy(), d_in, d_out)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_hermitian_test_is_the_operator_norm_test(self):
+        # around the 1e-12 threshold, with Hermitian and skew parts that are
+        # generic, of rank one (||.|| = ||.||_F) or of flat spectrum
+        # (||.|| = ||.||_F / sqrt n)
+        rng = np.random.default_rng(97)
+        for n in (4, 6, 9):
+            a = _random_complex(rng, n, n)
+            v = _random_complex(rng, n, 1)
+            q = np.linalg.qr(a)[0]
+            flat = (q * np.where(np.arange(n) % 2, 1.0, -1.0)) @ q.conj().T
+            for base in (a + a.conj().T, v @ v.conj().T, flat):
+                for skew in (a - a.conj().T, 1j * (v @ v.conj().T), 1j * flat):
+                    skew = skew * nl.operator_norm(base) / nl.operator_norm(skew)
+                    for eps in np.logspace(-15, -9, 31):
+                        j = base + eps * skew
+                        want = nl.operator_norm(j - j.conj().T) <= 1e-12 * nl.operator_norm(j)
+                        assert cb._is_hermitian(j) == want
+
+    def test_non_hermitian_equal_pair_keeps_the_svd(self):
+        # ||H(M)||_1 < ||M||_1 for a non-Hermitian M, so the value at the
+        # uniform pair must stay the trace norm the cheap certificate records
+        d_in, d_out = 2, 2
+        j = 1e-8 * _random_complex(np.random.default_rng(95), 4, 4)
+        assert not cb._is_hermitian(j)
+        uniform = np.eye(d_in, dtype=complex) / d_in
+        sr = cb._density_sqrt(uniform)
+        assert cb._primal_value(j, uniform, uniform) == nl.trace_norm(cb._lmul(sr, cb._rmul(j, sr)))
+        cert = cb.diamond_norm_of_choi(j, d_in, d_out)
+        assert cert.path == "cheap" and cert.witness.upper_kind == "cheap"
+        lower, upper = cb.check_witness(j, d_in, d_out, cert.witness)
+        assert abs(lower - cert.lower) <= 1e-12 * cert.lower
+        assert abs(upper - cert.upper) <= 1e-12 * cert.upper
+
+
+def _budget_maps():
+    """40 seeded maps with (d_in, d_out) in {2, 3, 4}^2, every other one Hermitian."""
+    out = []
+    for k in range(40):
+        rng = np.random.default_rng(1000 + k)
+        d_in, d_out = 2 + k % 3, 2 + (k // 3) % 3
+        a = _random_complex(rng, d_in * d_out, d_in * d_out)
+        out.append((a + a.conj().T if k % 2 else a, d_in, d_out))
+    return out
+
+
+class TestNewtonBudget:
+    def test_newton_steps_over_seeded_maps(self):
+        # the path schedule takes 341 Newton steps over these maps; a
+        # schedule that lengthens the path fails this bound
+        total = 0
+        for j, d_in, d_out in _budget_maps():
+            cert = cb.diamond_norm_of_choi(j, d_in, d_out)
+            assert not cert.stalled
+            assert cert.gap <= 1e-6 * max(1.0, cert.lower)
+            total += cert.iterations
+        assert total <= 341

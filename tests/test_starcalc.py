@@ -390,6 +390,17 @@ def _ref_measure_defects(alg, samples, extension_n, seed, ascent_steps):
     return report
 
 
+def _ref_product_tensor(pm, basis):
+    """The star tensor of ``extract_algebra``, one product at a time."""
+    n = len(basis)
+    stack_b = np.stack([nl.vec(b) for b in basis], axis=1)
+    tensor = np.zeros((n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            tensor[i, j, :] = stack_b.conj().T @ nl.vec(pm(basis[i] @ basis[j]))
+    return 0.5 * (tensor + np.conj(np.transpose(tensor, (1, 0, 2))))
+
+
 def _assert_same_report(got, want):
     for name in ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit"):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
@@ -417,6 +428,13 @@ def algebra(request):
 class TestBatchedDefects:
     def test_algebra_sizes(self, algebra):
         assert algebra.dim in (1, 10, 26)
+
+    @pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+    def test_product_tensor_matches_loop(self, name):
+        pm = sc.idempotentize(_ALGEBRAS[name]())
+        alg = sc.extract_algebra(pm)
+        want = _ref_product_tensor(pm, alg.basis)
+        assert np.max(np.abs(alg.star_tensor - want)) <= 1e-12
 
     def test_basis_defects_match_loop(self, algebra):
         _assert_same_report(sc._basis_defects(algebra), _ref_basis_defects(algebra))
