@@ -481,7 +481,7 @@ def diamond_norm_of_choi(
         offer_stage(rho_s, sigma_s)
         return bounds.closed(target_rel_gap)
 
-    # start where the barrier's own gap n_z / t is a quarter of the cheap gap
+    # start where the barrier's own gap n_z / t is four times the cheap gap
     gap0 = max(bounds.upper - bounds.lower, target_gap)
     n_z = 2 * d_in * d_out
     rho_c, sigma_c, _, _, _, iters, stalled = _barrier_solve(
