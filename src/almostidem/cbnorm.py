@@ -23,9 +23,9 @@ method started at rho = sigma = I/d_in, which maximizes X out in closed form
 and the dual point built from it, both evaluated on the J given.  The path
 multiplies t by 100 per stage; an intermediate stage is centred until the
 damped Newton decrement (decrement times step length) is below 2, the final
-stage, at t_final = 4 n_z / target gap with n_z = 2 d_in d_out, until it is
-below 5e-3.  A loosely centred stage gives looser stage bounds, never
-invalid ones.
+stage, at t_final = 4 n_z / target gap with n_z = 2 d_in d_out, until the
+undamped decrement is below 5e-3.  A loosely centred stage gives looser
+stage bounds, never invalid ones.
 
 The barrier runs on Hermitian J, the Choi matrix of a Hermiticity-preserving
 map such as every difference of UCP maps the pipeline measures.  There the
@@ -412,8 +412,10 @@ def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
             else:
                 return pt, t, newtons, True
             pt = trial
-            # center loosely along the path, tightly at the final stage
-            if dec * alpha < (5e-3 if t >= t_final else 2.0):
+            # center loosely along the path, tightly at the final stage; there
+            # the undamped decrement decides, since a step damped far from
+            # the center also makes dec * alpha small
+            if (dec < 5e-3) if t >= t_final else (dec * alpha < 2.0):
                 break
         if on_center(pt.rho) or t >= t_final:
             return pt, t, newtons, False

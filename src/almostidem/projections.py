@@ -103,6 +103,7 @@ class SubspaceHilbert:
     gram: np.ndarray
     q_tilde: np.ndarray         # coordinates of the unit C_Q(Q)
     chol: np.ndarray            # lower Cholesky factor of gram
+    q_functional: np.ndarray    # X -> <Q~, C_Q(X)> / <Q~, Q~> is X @ q_functional
 
     @property
     def dim(self) -> int:
@@ -281,63 +282,51 @@ def hilbert_structure(
     if c_q.rank != 1:
         raise DegenerateGram(f"Q is not one dimensional (dim S_Q = {c_q.rank})")
     q_tilde = c_q.apply(c_q.q.coords)
-    qt_sq = np.vdot(q_tilde, q_tilde)
-    basis = c_pq.image_coords
-    k = basis.shape[1]
-    gram = np.zeros((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            prod = c_q.apply(alg.star(np.conj(basis[:, a]), basis[:, b]))
-            gram[a, b] = np.vdot(q_tilde, prod) / qt_sq
-    gram = nl.hermitian_part(gram)
+    q_fn = c_q.matrix.T @ np.conj(q_tilde) / np.vdot(q_tilde, q_tilde)
+    # [a, b] = <Q~, C_Q(Y_a^dag * Y_b)> / <Q~, Q~> over the basis Y of S_{P,Q}
+    basis = c_pq.image_coords.T
+    gram = nl.hermitian_part(alg.star(np.conj(basis)[:, None, :], basis[None, :, :]) @ q_fn)
     w = np.linalg.eigvalsh(gram)
     if w[0] <= pd_floor * max(w[-1], 1e-30) or w[0] <= 0:
         raise DegenerateGram(
             f"Gram matrix not safely positive definite (eigs {w[0]:.3e}..{w[-1]:.3e})"
         )
-    return SubspaceHilbert(basis, gram, q_tilde, np.linalg.cholesky(gram))
+    return SubspaceHilbert(c_pq.image_coords, gram, q_tilde, np.linalg.cholesky(gram), q_fn)
 
 
 def h_map(
     alg: EpsilonAlgebra,
     z: np.ndarray,
-    c_pr: CompressionMap,
     c_pq: CompressionMap,
-    c_rq: CompressionMap,
-    c_q: CompressionMap,
-    hilb_pq: SubspaceHilbert,
-    hilb_rq: SubspaceHilbert,
-    c_qr: CompressionMap | None = None,
+    c_qp: CompressionMap,
+    hilb: SubspaceHilbert,
 ) -> np.ndarray:
-    """Matrix of H(Z): S_{R,Q} -> S_{P,Q} in the Euclidean-orthonormal bases.
+    """Matrices of H(Z): S_{P,Q} -> S_{P,Q} in the Euclidean-orthonormal
+    basis, for a stack of Z in S_P (coordinates ``(..., n)``, result
+    ``(..., k, k)``).
 
     H(Z)(X) is defined by pairing 2<Y|H(Z)(X)> = <(Y^dag . Z) . X + Y^dag . (Z . X)>
     against Y over a basis of S_{P,Q}; the scalar on the right is the
-    Q~-component of the corner product.
+    Q~-component of the corner product, ``hilb.q_functional`` f.  With
+    G[i, j] = f(B_i * B_j), the pairing of the basis vectors Y_a, X_b is
+    C_{Q,P}(Y_a^dag * Z) G X_b + Y_a^dag G C_{P,Q}(Z * X_b): two broadcast
+    star products over the basis and the stack, their compressions, and two
+    products with G.
     """
-    if c_qr is None:
-        c_qr = compression(alg, c_q.q, c_rq.p)
-    q_tilde = hilb_pq.q_tilde
-    qt_sq = np.vdot(q_tilde, q_tilde)
-    kp = hilb_pq.dim
-    kr = hilb_rq.dim
-    coeff = np.zeros((kp, kr), dtype=complex)
-    y_dags = [np.conj(hilb_pq.basis_coords[:, a]) for a in range(kp)]
-    ydzs = [c_qr.apply(alg.star(y_dag, z)) for y_dag in y_dags]
-    for b in range(kr):
-        x = hilb_rq.basis_coords[:, b]
-        zx = c_pq.apply(alg.star(z, x))
-        for a, (y_dag, ydz) in enumerate(zip(y_dags, ydzs)):
-            t1 = c_q.apply(alg.star(ydz, x))
-            t2 = c_q.apply(alg.star(y_dag, zx))
-            s = (np.vdot(q_tilde, t1) + np.vdot(q_tilde, t2)) / qt_sq
-            coeff[a, b] = 0.5 * s
+    n = alg.dim
+    g = (alg.star_tensor.reshape(n * n, n) @ hilb.q_functional).reshape(n, n)
+    basis = hilb.basis_coords.T  # rows: Y_a, and X_b, of S_{P,Q}
+    y_dag = np.conj(basis)
+    z = np.asarray(z)[..., None, :]
+    ydz = alg.star(y_dag, z) @ c_qp.matrix.T   # (..., k, n): rows Y_a^dag . Z
+    zx = alg.star(z, basis) @ c_pq.matrix.T    # (..., k, n): rows Z . X_b
+    coeff = 0.5 * (ydz @ (g @ hilb.basis_coords) + (y_dag @ g) @ np.swapaxes(zx, -1, -2))
     try:
-        raw = np.linalg.solve(hilb_pq.gram, coeff)
+        raw = np.linalg.solve(hilb.gram, coeff)
     except np.linalg.LinAlgError as exc:
         raise SingularGram(str(exc)) from exc
     # orthonormalize both sides: matrix entry in Euclidean frames
-    return hilb_pq.chol.conj().T @ raw @ np.linalg.inv(hilb_rq.chol.conj().T)
+    return hilb.chol.conj().T @ raw @ np.linalg.inv(hilb.chol.conj().T)
 
 
 def classify_equivalence(

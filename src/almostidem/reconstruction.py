@@ -231,10 +231,26 @@ class AlmostHom:
         return float(np.linalg.norm(self.coeffs[:, perm] - np.conj(self.coeffs), axis=0).max())
 
 
-def _mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probes: int = 20, seed: int = 0):
-    """(defect, vx, nx): the multiplicativity defect of v, and the images
-    v(x_p) of the first of each of the ``probes`` random pairs (rows) with the
-    block norms of x_p.
+def _probe_set(spec: BlockSpec, probes: int, seed: int):
+    """(rows, nx, nxy): the ``probes`` random pairs (x_p, y_p) of block
+    elements that :func:`_mult_defect` measures on, as the vec rows of x_p,
+    y_p and x_p y_p, with the block norms of x_p and the products of the
+    block norms of x_p and y_p.  It depends on the block spec alone, so one
+    set serves every map measured with the same seed."""
+    rng = np.random.default_rng(seed)
+    xy = spec.random_elements(rng, 2 * probes)
+    x, y = xy[0::2], xy[1::2]
+    nx, ny = spec.block_norm(x), spec.block_norm(y)
+    # vec stacks columns, i.e. the rows of the transpose
+    rows = tuple(np.swapaxes(m, 1, 2).reshape(probes, spec.rep_dim ** 2)
+                 for m in (x, y, x @ y))
+    return rows, nx, nx * ny
+
+
+def _mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probe_set):
+    """(defect, vx): the multiplicativity defect of v, and the images
+    v(x_p) (rows) of the first elements of the pairs of ``probe_set``
+    (from :func:`_probe_set`).
 
     The defect is the largest ||v(E_a E_b) - v(E_a) * v(E_b)|| over all pairs
     of matrix units, and over the random pairs normalized by their block
@@ -249,18 +265,10 @@ def _mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probes: int = 20, seed: int 
     table = spec.unit_products()
     expected = np.where((table >= 0)[..., None], imgs[table], 0.0)
     worst = alg.max_norm((expected - stars).reshape(-1, n))
-    if not probes:
-        return worst, None, None
-    rng = np.random.default_rng(seed)
-    xy = spec.random_elements(rng, 2 * probes)
-    x, y = xy[0::2], xy[1::2]
-    nx, ny = spec.block_norm(x), spec.block_norm(y)
-    # rows v(x_p): vec stacks columns, i.e. the rows of the transpose
-    vx, vy, vxy = (
-        np.swapaxes(m, 1, 2).reshape(probes, -1) @ v.coeffs.T for m in (x, y, x @ y)
-    )
+    rows, _, nxy = probe_set
+    vx, vy, vxy = (r @ v.coeffs.T for r in rows)
     g = vxy - (vy[:, None, :] @ (vx @ t_flat).reshape(-1, n, n))[:, 0]
-    return alg.max_norm(g, nx * ny, worst), vx, nx
+    return alg.max_norm(g, nxy, worst), vx
 
 
 def mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probes: int = 20,
@@ -270,10 +278,11 @@ def mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probes: int = 20,
     The multiplicativity defect is that of :func:`_mult_defect`; the norm
     sandwich is the range of ||v(x_p)|| / ||x_p|| over its probes.
     """
-    worst, vx, nx = _mult_defect(v, alg, probes, seed)
+    probe_set = _probe_set(v.spec, probes, seed)
+    worst, vx = _mult_defect(v, alg, probe_set)
     iso_lo, iso_hi = np.inf, 0.0
     if probes:
-        ratio = alg.norms(vx) / nx
+        ratio = alg.norms(vx) / probe_set[1]
         iso_lo, iso_hi = float(ratio.min()), float(ratio.max())
     v.mult_defect = worst
     v.unit_defect = alg.norm(v.apply(v.spec.unit()) - alg.unit_coords)
@@ -300,7 +309,7 @@ def improve_homomorphism(
     target, a plateau, or a round that does not improve (the next would
     rebuild that candidate).  ``v`` may come unmeasured; only the
     ``mult_defect`` of the result is measured (:func:`mult_defect` measures
-    the rest).
+    the rest), every candidate on the same probe set, drawn once.
 
     Batched closed form of w', with T the star tensor and TC_a the matrix of
     X -> B_a * v(X): the design sums come first, K_i = sum_s p_s v(U_s^dag)_i U_s
@@ -311,7 +320,8 @@ def improve_homomorphism(
     rep = spec.rep_dim
     n = alg.dim
     v = AlmostHom(spec, v.coeffs.copy())
-    v.mult_defect = _mult_defect(v, alg, seed=seed)[0]
+    probe_set = _probe_set(spec, 20, seed)
+    v.mult_defect = _mult_defect(v, alg, probe_set)[0]
     if v.mult_defect > start_threshold:
         raise ImproveFailed(
             f"initial defect {v.mult_defect:.3f} above the convergence threshold"
@@ -335,7 +345,7 @@ def improve_homomorphism(
         w_prime = alg.star_tensor.reshape(n * n, n).T @ h.reshape(n * n, rep * rep)
         w_second = np.conj(w_prime[:, dag_perm])
         cand = AlmostHom(spec, coeffs + 0.5 * (w_prime + w_second))
-        cand.mult_defect = _mult_defect(cand, alg, seed=seed)[0]
+        cand.mult_defect = _mult_defect(cand, alg, probe_set)[0]
         if not cand.mult_defect < best.mult_defect:
             break
         plateau = cand.mult_defect > 0.99 * best.mult_defect
@@ -388,12 +398,10 @@ def matrix_algebra(k: int) -> EpsilonAlgebra:
     """B(C^k) as an exact algebra object over its Hermitian basis."""
     basis = nl.hermitian_basis(k)
     n = len(basis)
-    stack = np.stack([nl.vec(b) for b in basis], axis=1)
-    tensor = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            tensor[i, j, :] = stack.conj().T @ nl.vec(basis[i] @ basis[j])
-    unit = np.real(stack.conj().T @ nl.vec(np.eye(k, dtype=complex)))
+    stack = np.stack(basis)
+    conj_rows = stack.reshape(n, k * k).conj().T
+    tensor = (stack[:, None] @ stack[None, :]).reshape(n, n, k * k) @ conj_rows
+    unit = np.real(np.eye(k, dtype=complex).reshape(k * k) @ conj_rows)
     return EpsilonAlgebra(k, basis, unit, tensor)
 
 
@@ -419,7 +427,6 @@ def extend_matrix_algebra(
     q = c_q.p
     p_coords = np.real(v.apply(spec.unit()))
     p = pj.DeltaProjection(p_coords, pj.measure_delta(alg, p_coords), alg.norm(p_coords))
-    c_p = pj.compression(alg, p)
     if c_q.rank != 1:
         raise pj.DegenerateGram(f"dim S_Q = {c_q.rank}, expected 1")
     c_pq = pj.compression(alg, p, q)
@@ -431,41 +438,34 @@ def extend_matrix_algebra(
     hilb = pj.hilbert_structure(alg, c_pq, c_q)
     c_qp = pj.compression(alg, q, p)
 
-    # the corner representation of S_P on S_{P,Q}, then improved to exact
+    # the corner representation of S_P on S_{P,Q}, one H(Z) per matrix unit
+    # Z = v(E_jk), then improved to exact
     target = matrix_algebra(n)
+    cols = spec.unit_columns()
+    units = v.coeffs[:, cols]  # v(E_jk), j major
     rep_cols = np.zeros((target.dim, n * n), dtype=complex)
-    for col in spec.unit_columns():
-        h_mat = pj.h_map(alg, v.coeffs[:, col], c_p, c_pq, c_pq, c_q, hilb, hilb, c_qr=c_qp)
-        rep_cols[:, col] = target.coords(h_mat)
+    rep_cols[:, cols] = target.coords(pj.h_map(alg, units.T, c_pq, c_qp, hilb)).T
     mu = AlmostHom(spec, rep_cols).symmetrized()
     mu = improve_homomorphism(mu, target, pauli_diagonal(spec), target=1e-12, seed=seed)
 
-    # matrix-unit trick: an orthonormal column frame from the improved rep
-    vec_basis = np.stack([nl.vec(b) for b in target.basis], axis=1)
-    e11_img = nl.unvec(vec_basis @ mu.apply(spec.unit_matrix(0, 0, 0)), n, n)
-    w_eig, u_eig = np.linalg.eigh(nl.hermitian_part(e11_img))
-    xi = u_eig[:, -1]
-    cols = []
-    for j in range(n):
-        mu_ej1 = nl.unvec(vec_basis @ mu.apply(spec.unit_matrix(0, j, 0)), n, n)
-        cols.append(mu_ej1 @ xi)
-    u1 = np.stack(cols, axis=1)
-    u1 = nl.polar_unitary(u1)
+    # matrix-unit trick: an orthonormal column frame from the improved rep,
+    # u1[:, j] = mu(E_j1) xi with xi the top eigenvector of mu(E_11)
+    mu_e = target.element(mu.coeffs[:, cols[::n]])  # mu(E_j1), j = 0..n-1
+    _, u_eig = np.linalg.eigh(nl.hermitian_part(mu_e[0]))
+    u1 = nl.polar_unitary((mu_e @ u_eig[:, -1]).T)
 
-    # assemble the extended map on M_{n+1}
+    # assemble the extended map on M_{n+1}: v on the old units, the new
+    # column and row of matrix units, and Q~ in the corner
+    e2c = hilb.basis_coords @ np.linalg.inv(hilb.chol.conj().T)
+    col = e2c @ u1
+    grid = np.zeros((alg.dim, n + 1, n + 1), dtype=complex)
+    grid[:, :n, :n] = units.reshape(alg.dim, n, n)
+    grid[:, :n, n] = col
+    grid[:, n, :n] = np.conj(col)
+    grid[:, n, n] = hilb.q_tilde
     new_spec = BlockSpec((n + 1,))
     coeffs = np.zeros((alg.dim, (n + 1) * (n + 1)), dtype=complex)
-    e2c = hilb.basis_coords @ np.linalg.inv(hilb.chol.conj().T)
-    q_tilde = c_q.apply(q.coords)
-    for (l, j, k), col in zip(new_spec.unit_indices(), new_spec.unit_columns()):
-        if j < n and k < n:
-            coeffs[:, col] = v.apply(spec.unit_matrix(0, j, k))
-        elif j < n and k == n:
-            coeffs[:, col] = e2c @ u1[:, j]
-        elif j == n and k < n:
-            coeffs[:, col] = np.conj(e2c @ u1[:, k])
-        else:
-            coeffs[:, col] = q_tilde
+    coeffs[:, new_spec.unit_columns()] = grid.reshape(alg.dim, -1)
     return AlmostHom(new_spec, coeffs)
 
 

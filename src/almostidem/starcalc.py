@@ -127,7 +127,10 @@ class EpsilonAlgebra:
         return np.tensordot(np.asarray(coords), self.basis_stack, axes=(0, 0))
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        return np.array([nl.hs_inner(b, x) for b in self.basis])
+        """Coordinates Tr(B_i^dag X) of an element, or of a stack (..., d, d)."""
+        x = np.asarray(x)
+        d = self.ambient_dim
+        return x.reshape(*x.shape[:-2], d * d) @ self.basis_stack.reshape(self.dim, d * d).conj().T
 
     def star(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of coordinate vectors; stacks of rows broadcast together."""
@@ -345,23 +348,39 @@ def _sampled_defects(alg: EpsilonAlgebra, samples: int, rng, n_ext: int = 1) -> 
 
 
 def _ascent_refinement(alg: EpsilonAlgebra, steps: int, rng) -> DefectReport:
-    """Hill-climb the normalized associator from the worst of 20 random triples."""
+    """Hill-climb the normalized associator from the worst of 20 random triples.
+
+    Step s tries best + scale * noise_s, takes it if it raises the value and
+    otherwise shrinks the scale by 0.85.  The noise does not depend on
+    acceptance, so it is drawn up front (the stream of the step-by-step
+    draws), and the next k steps are scored in one batch as if each of them
+    were rejected: the scales are ``np.cumprod([scale, 0.85, ...])``, the same
+    products as the repeated ``scale *= 0.85``, and each value is computed
+    on its own triple, so the first accepted step of the batch, and every
+    value before it, are those of the step-by-step ascent; the batch resumes
+    after that step.  k doubles after a batch with no accepted step and
+    returns to 1 after one, so it follows the acceptance rate of the input.
+    """
     n = alg.dim
     probes = _draw_triples(rng, 20, 1, n)
     vals = _assoc_values(alg, *probes.swapaxes(0, 1))
     best = probes[np.argmax(vals)]
     best_val = float(vals.max())
-    # the noise does not depend on acceptance, so drawing it up front keeps
-    # the stream of the step-by-step draws
     noise = _draw_triples(rng, steps, 1, n)
-    scale = 0.3
-    for step in noise:
-        cand = best + scale * step
-        val = float(_assoc_values(alg, *cand[:, None])[0])
-        if val > best_val:
-            best_val, best = val, cand
+    scale, step, k = 0.3, 0, 1
+    while step < steps:
+        k = min(k, steps - step)
+        scales = np.cumprod([scale] + [0.85] * k)
+        cands = best + scales[:k, None, None, None, None] * noise[step: step + k]
+        vals = _assoc_values(alg, *cands.swapaxes(0, 1))
+        gain = np.flatnonzero(vals > best_val)
+        if gain.size:
+            first = int(gain[0])
+            best, best_val, scale = cands[first], float(vals[first]), float(scales[first])
+            step, k = step + first + 1, 1
         else:
-            scale *= 0.85
+            scale = float(scales[k])
+            step, k = step + k, 2 * k
     rep = _triple_defects(alg, *best[:, None])
     return replace(rep, sample_count=steps, method="refined")
 

@@ -261,6 +261,36 @@ class TestBarrierSolver:
         assert cert.gap > 1e-6 * max(1.0, cert.lower)
         assert cert.stalled
 
+    def test_final_stage_ends_on_the_undamped_decrement(self, monkeypatch):
+        # the first Newton step at t_final reports decrement 1 and points 100
+        # times past the Newton step, so the line search damps it below
+        # 1/200: dec * alpha < 5e-3 there, far from the center.  The stage
+        # must go on centring, so the point returned has a small decrement
+        j = nl.hermitian_part(_random_complex(np.random.default_rng(3), 6, 6))
+        h_stack = cb._trace_free_basis(2, 1)
+        t_final = 4.0 * 12 / 1e-6
+        newton_step, barrier_point = cb._newton_step, cb._barrier_point
+        last_t, damped = [0.0], []
+
+        def recording_point(j_, rho, t, d_out):
+            last_t[0] = t
+            return barrier_point(j_, rho, t, d_out)
+
+        def damped_first(pt, h):
+            d, dec = newton_step(pt, h)
+            if last_t[0] >= t_final and not damped:
+                damped.append(dec)
+                return 100.0 * d, 1.0
+            return d, dec
+
+        monkeypatch.setattr(cb, "_barrier_point", recording_point)
+        monkeypatch.setattr(cb, "_newton_step", damped_first)
+        pt, t, newtons, stalled = cb._barrier_path(
+            j, h_stack, 3, 1e-6, 400, 1.0 / nl.operator_norm(j), lambda rho: False)
+        assert t == t_final and not stalled
+        assert damped and damped[0] > 1.0  # the damped step was far from the center
+        assert newton_step(pt, h_stack)[1] < 5e-3
+
     def test_explicit_sdp_cross_check(self):
         # a difference of channels (Hermitian J) and a map that does not
         # preserve Hermiticity, which the barrier solves through its dilation

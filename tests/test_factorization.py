@@ -263,3 +263,49 @@ class TestCertify:
         for k in (0, 1):
             ratio = uppers[1e-2][k] / uppers[1e-3][k]
             assert 2 <= ratio <= 50
+
+
+def _ref_product_residuals(delta, upsilon, spec, probes, seed):
+    """The sampled product condition of ``certify``, one probe and one
+    block of M_n (x) B at a time."""
+    d, d_tot = delta.dim_out, spec.rep_dim
+    rng = np.random.default_rng(seed)
+    out = {}
+    for n in (1, 2):
+        ups_n = chn.extend_superop(upsilon.superop, n, d, d_tot)
+        del_n = chn.extend_superop(delta.superop, n, d_tot, d)
+        worst = 0.0
+        for _ in range(probes):
+            x, y = (np.zeros((n * d_tot, n * d_tot), dtype=complex) for _ in range(2))
+            for m in (x, y):
+                for a in range(n):
+                    for b in range(n):
+                        m[a * d_tot: (a + 1) * d_tot, b * d_tot: (b + 1) * d_tot] = \
+                            spec.random_element(rng)
+            dx = nl.unvec(del_n @ nl.vec(x), n * d, n * d)
+            dy = nl.unvec(del_n @ nl.vec(y), n * d, n * d)
+            back = nl.unvec(ups_n @ nl.vec(dx @ dy), n * d_tot, n * d_tot)
+            res = nl.operator_norm(back - x @ y)
+            worst = max(worst, res / (nl.operator_norm(x) * nl.operator_norm(y)))
+        out[n] = worst
+    return out
+
+
+class TestBatchedProductCondition:
+    @pytest.mark.parametrize("t", [0.0, 1e-2])
+    def test_product_residuals_match_loop(self, t):
+        ch = chn.gen_pinching((2, 1))
+        if t:
+            ch = chn.gen_perturbed(ch, t, seed=5)
+        pm, alg, spec, v, rep = run_pipeline(ch)
+        delta, _ = fa.twirl_to_cp(fa.raw_factor(v, pm, alg), ch)
+        upsilon, _ = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        for probes, seed in ((10, 0), (3, 7)):
+            got = fa.certify(delta, upsilon, ch, spec, probes=probes, seed=seed).product_residuals
+            want = _ref_product_residuals(delta, upsilon, spec, probes, seed)
+            assert got.keys() == want.keys()
+            for n in want:
+                # 1e-12 relative, above the roundoff level of the exact input
+                assert abs(got[n] - want[n]) <= 1e-12 * want[n] + 1e-14, n
+            if t:
+                assert min(want.values()) > 1e-4  # the perturbation is seen

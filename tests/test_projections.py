@@ -213,36 +213,37 @@ class TestHMaps:
         c_p = pj.compression(alg, p)
         c_pq = pj.compression(alg, p, q)
         c_q = pj.compression(alg, q)
+        c_qp = pj.compression(alg, q, p)
         hilb_pq = pj.hilbert_structure(alg, c_pq, c_q)
-        return alg, p, q, c_p, c_pq, c_q, hilb_pq
+        return alg, p, q, c_p, c_pq, c_qp, c_q, hilb_pq
 
     def test_left_regular_representation(self):
-        alg, p, q, c_p, c_pq, c_q, hilb = self._setup_m3()
+        alg, p, q, c_p, c_pq, c_qp, c_q, hilb = self._setup_m3()
         # H over S_P acts on the 2-dim column space S_{P,Q}
         z12 = alg.coords(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
-        h12 = pj.h_map(alg, z12, c_p, c_pq, c_pq, c_q, hilb, hilb)
+        h12 = pj.h_map(alg, z12, c_pq, c_qp, hilb)
         # rank one with singular value 1: a matrix unit in some frame
         s = np.linalg.svd(h12, compute_uv=False)
         np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-7)
         # multiplicativity: H(Z W) ~ H(Z) H(W)
         z21 = alg.coords(np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]], dtype=complex))
-        h21 = pj.h_map(alg, z21, c_p, c_pq, c_pq, c_q, hilb, hilb)
+        h21 = pj.h_map(alg, z21, c_pq, c_qp, hilb)
         z11 = alg.coords(np.diag([1.0, 0.0, 0.0]).astype(complex))
-        h11 = pj.h_map(alg, z11, c_p, c_pq, c_pq, c_q, hilb, hilb)
+        h11 = pj.h_map(alg, z11, c_pq, c_qp, hilb)
         assert nl.operator_norm(h12 @ h21 - h11) <= 1e-7
         # adjoint identity H(Z^dag) = H(Z)^dag
-        h12_dag = pj.h_map(alg, np.conj(z12), c_p, c_pq, c_pq, c_q, hilb, hilb)
+        h12_dag = pj.h_map(alg, np.conj(z12), c_pq, c_qp, hilb)
         assert nl.operator_norm(h12_dag - h12.conj().T) <= 1e-7
 
     def test_unit_maps_to_identity(self):
-        alg, p, q, c_p, c_pq, c_q, hilb = self._setup_m3()
+        alg, p, q, c_p, c_pq, c_qp, c_q, hilb = self._setup_m3()
         p_tilde = c_p.apply(p.coords)
-        h_unit = pj.h_map(alg, p_tilde, c_p, c_pq, c_pq, c_q, hilb, hilb)
+        h_unit = pj.h_map(alg, p_tilde, c_pq, c_qp, hilb)
         assert nl.operator_norm(h_unit - np.eye(hilb.dim)) <= 1e-7
 
     def test_zero_maps_to_zero(self):
-        alg, p, q, c_p, c_pq, c_q, hilb = self._setup_m3()
-        h0 = pj.h_map(alg, np.zeros(alg.dim), c_p, c_pq, c_pq, c_q, hilb, hilb)
+        alg, p, q, c_p, c_pq, c_qp, c_q, hilb = self._setup_m3()
+        h0 = pj.h_map(alg, np.zeros(alg.dim), c_pq, c_qp, hilb)
         assert nl.operator_norm(h0) <= 1e-12
 
 
@@ -304,3 +305,98 @@ class TestBatchedLrDistance:
             assert abs(c.lr_distance - want) <= 1e-12 * max(1.0, want)
             if t:
                 assert c.lr_distance > 1e-6  # the perturbation is seen
+
+
+# Per-pair loop forms of the corner kernels, kept as references for the
+# stacked ones in projections.
+
+def _ref_gram(alg, c_pq, c_q):
+    """The Gram matrix of ``hilbert_structure``, one basis pair at a time."""
+    q_tilde = c_q.apply(c_q.q.coords)
+    qt_sq = np.vdot(q_tilde, q_tilde)
+    basis = c_pq.image_coords
+    k = basis.shape[1]
+    gram = np.zeros((k, k), dtype=complex)
+    for a in range(k):
+        for b in range(k):
+            prod = c_q.apply(alg.star(np.conj(basis[:, a]), basis[:, b]))
+            gram[a, b] = np.vdot(q_tilde, prod) / qt_sq
+    return nl.hermitian_part(gram)
+
+
+def _ref_h_map(alg, z, c_pq, c_qp, c_q, hilb):
+    """H(Z) for one Z, one basis pair (a, b) and two corner products at a time."""
+    q_tilde = hilb.q_tilde
+    qt_sq = np.vdot(q_tilde, q_tilde)
+    k = hilb.dim
+    coeff = np.zeros((k, k), dtype=complex)
+    for a in range(k):
+        y_dag = np.conj(hilb.basis_coords[:, a])
+        ydz = c_qp.apply(alg.star(y_dag, z))
+        for b in range(k):
+            x = hilb.basis_coords[:, b]
+            zx = c_pq.apply(alg.star(z, x))
+            t1 = c_q.apply(alg.star(ydz, x))
+            t2 = c_q.apply(alg.star(y_dag, zx))
+            coeff[a, b] = 0.5 * (np.vdot(q_tilde, t1) + np.vdot(q_tilde, t2)) / qt_sq
+    raw = np.linalg.solve(hilb.gram, coeff)
+    return hilb.chol.conj().T @ raw @ np.linalg.inv(hilb.chol.conj().T)
+
+
+def _extension_inputs(monkeypatch, ch):
+    """(alg, z, c_pq, c_qp, c_q, hilb) of every extension of one reconstruct:
+    the arguments of its h_map call and the C_Q its Hilbert structure read."""
+    from almostidem import reconstruction as rc
+
+    seen, c_qs = [], []
+    h_map, hilbert_structure = pj.h_map, pj.hilbert_structure
+
+    def recording_h_map(alg_, z, c_pq, c_qp, hilb):
+        seen.append((alg_, z, c_pq, c_qp, c_qs[-1], hilb))
+        return h_map(alg_, z, c_pq, c_qp, hilb)
+
+    def recording_hilbert(alg_, c_pq, c_q):
+        c_qs.append(c_q)
+        return hilbert_structure(alg_, c_pq, c_q)
+
+    monkeypatch.setattr(pj, "h_map", recording_h_map)
+    monkeypatch.setattr(pj, "hilbert_structure", recording_hilbert)
+    alg = alg_of(ch)
+    alg.defects = sc.measure_defects(alg, samples=20, seed=0)
+    rc.reconstruct(alg, seed=0)
+    monkeypatch.undo()
+    return seen
+
+
+_CORNER_CASES = {
+    "pinching-51": lambda: chn.gen_pinching((5, 1)),
+    "perturbed-31": lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=4),
+    "idempotent-7": lambda: chn.gen_random_idempotent(((2, 2), (1, 3)), dim=7, seed=3),
+}
+
+
+class TestStackedCorners:
+    @pytest.mark.parametrize("name", sorted(_CORNER_CASES))
+    def test_h_map_and_gram_match_loops(self, name, monkeypatch):
+        calls = _extension_inputs(monkeypatch, _CORNER_CASES[name]())
+        assert calls
+        for alg, z, c_pq, c_qp, c_q, hilb in calls:
+            assert z.ndim == 2 and len(z) == hilb.dim ** 2  # all units of M_k at once
+            want_gram = _ref_gram(alg, c_pq, c_q)
+            assert np.max(np.abs(hilb.gram - want_gram)) <= 1e-12
+            got = pj.h_map(alg, z, c_pq, c_qp, hilb)
+            for zi, gi in zip(z, got):
+                want = _ref_h_map(alg, zi, c_pq, c_qp, c_q, hilb)
+                assert np.max(np.abs(gi - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_stack_equals_single_calls(self, monkeypatch):
+        alg, z, c_pq, c_qp, c_q, hilb = _extension_inputs(
+            monkeypatch, _CORNER_CASES["perturbed-31"]())[-1]
+        rng = np.random.default_rng(12)
+        zs = np.stack([z, rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)])
+        got = pj.h_map(alg, zs, c_pq, c_qp, hilb)
+        assert got.shape == (*zs.shape[:2], hilb.dim, hilb.dim)
+        for idx in np.ndindex(zs.shape[:2]):
+            one = pj.h_map(alg, zs[idx], c_pq, c_qp, hilb)
+            assert one.shape == (hilb.dim, hilb.dim)
+            assert np.max(np.abs(got[idx] - one)) <= 1e-13 * max(1.0, np.max(np.abs(one)))

@@ -414,6 +414,26 @@ class TestBatchedKernels:
                 want = units.index((ua[0], ua[1], ub[2])) if prod.any() else -1
                 assert table[a, b] == want
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matrix_algebra_matches_loop(self, k):
+        alg = rc.matrix_algebra(k)
+        basis = nl.hermitian_basis(k)
+        n = len(basis)
+        stack = np.stack([nl.vec(b) for b in basis], axis=1)
+        want = np.zeros((n, n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                want[i, j, :] = stack.conj().T @ nl.vec(basis[i] @ basis[j])
+        assert np.max(np.abs(alg.star_tensor - want)) <= 1e-15
+        unit = np.real(stack.conj().T @ nl.vec(np.eye(k, dtype=complex)))
+        assert np.max(np.abs(alg.unit_coords - unit)) <= 1e-15
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((4, k, k)) + 1j * rng.standard_normal((4, k, k))
+        coords = alg.coords(x)
+        for xi, ci in zip(x, coords):
+            assert np.max(np.abs(ci - [nl.hs_inner(b, xi) for b in basis])) <= 1e-14
+            assert np.max(np.abs(ci - alg.coords(xi))) <= 1e-15
+
     def test_symmetrized_matches_column_loop(self):
         spec = rc.BlockSpec((3, 2, 1))
         rng = np.random.default_rng(11)
@@ -523,4 +543,42 @@ class TestWorkDoneOnce:
             monkeypatch.setattr(rc, name, counting(name))
         spec, v, rep = rc.reconstruct(alg, seed=0)
         assert spec.block_dims == (4, 3, 1) and rep.bijective
-        assert calls == {"_mult_defect": 30, "mult_defect": 1}
+        assert calls == {"_mult_defect": 27, "mult_defect": 1}
+
+    @pytest.mark.parametrize("make", [
+        lambda: chn.gen_pinching((4, 3, 1)),
+        lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=4),
+    ], ids=["pinching-431", "perturbed-31"])
+    def test_one_probe_draw_per_improve_call(self, monkeypatch, make):
+        # every candidate of one improvement is measured on the same probe
+        # set, drawn and normed once
+        alg = alg_of(make(), samples=20)
+        draws, rounds, inside = [], [], []
+        random_elements = rc.BlockSpec.random_elements
+        mult_defect = rc._mult_defect
+        improve = rc.improve_homomorphism
+
+        def counting_draw(self, rng, count):
+            if inside:
+                draws[-1] += 1
+            return random_elements(self, rng, count)
+
+        def counting_measure(*args, **kwargs):
+            rounds[-1] += 1
+            return mult_defect(*args, **kwargs)
+
+        def one_call(*args, **kwargs):
+            draws.append(0)
+            rounds.append(0)
+            inside.append(1)
+            try:
+                return improve(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(rc.BlockSpec, "random_elements", counting_draw)
+        monkeypatch.setattr(rc, "_mult_defect", counting_measure)
+        monkeypatch.setattr(rc, "improve_homomorphism", one_call)
+        rc.reconstruct(alg, seed=0)
+        assert draws and draws == [1] * len(draws)
+        assert max(rounds) >= 3

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,28 @@ def _ref_ascent_refinement(alg, steps, rng):
     return sc.DefectReport(rep.eps_submult, rep.eps_assoc, rep.eps_cstar, 0.0, steps, "refined")
 
 
+def _sequential_ascent(alg, steps, rng):
+    """The associator ascent one step at a time, on the stacked kernels: the
+    reference that the speculative batches of ``_ascent_refinement`` must
+    reproduce exactly."""
+    n = alg.dim
+    probes = sc._draw_triples(rng, 20, 1, n)
+    vals = sc._assoc_values(alg, *probes.swapaxes(0, 1))
+    best = probes[np.argmax(vals)]
+    best_val = float(vals.max())
+    noise = sc._draw_triples(rng, steps, 1, n)
+    scale = 0.3
+    for step in noise:
+        cand = best + scale * step
+        val = float(sc._assoc_values(alg, *cand[:, None])[0])
+        if val > best_val:
+            best_val, best = val, cand
+        else:
+            scale *= 0.85
+    rep = sc._triple_defects(alg, *best[:, None])
+    return replace(rep, sample_count=steps, method="refined")
+
+
 def _ref_extension_defects(alg, n_ext, samples, rng):
     n = alg.dim
     d = alg.ambient_dim
@@ -545,6 +569,50 @@ class TestBatchedDefects:
         for i in range(k):
             assert np.max(np.abs(sub.basis[i] - algebra.element(image[:, i]))) <= 1e-12
         assert np.max(np.abs(sub.unit_coords - image.conj().T @ algebra.unit_coords)) <= 1e-15
+
+
+def _benchmark_inputs():
+    """(channel, pipeline seed) of the perturbed-d4 and exact-blocks benchmark inputs."""
+    for dims, t, seed in [((3, 1), 1e-3, 0), ((2, 2), 1e-2, 1), ((3, 1), 5e-2, 2),
+                          ((2, 2), 1e-3, 3), ((3, 1), 1e-2, 4), ((2, 2), 5e-2, 5)]:
+        yield chn.gen_perturbed(chn.gen_pinching(dims), t, seed=seed), seed
+    for dims, seed in [((4, 3, 1), 0), ((5, 1), 1), ((4, 2), 2)]:
+        yield chn.gen_pinching(dims), seed
+    for pairs, dim, seed in [(((2, 2), (1, 3)), 7, 3), (((2, 3), (1, 2)), 8, 4)]:
+        yield chn.gen_random_idempotent(pairs, dim, seed), seed
+
+
+class TestSpeculativeAscent:
+    @pytest.mark.parametrize("case", range(11))
+    def test_benchmark_reports_equal_sequential(self, case, monkeypatch):
+        # the full measure_defects of the pipeline (samples=100,
+        # extension_n=2, the channel's seed), field for field
+        ch, seed = list(_benchmark_inputs())[case]
+        alg = sc.extract_algebra(sc.idempotentize(ch))
+        calls = []
+        assoc_values = sc._assoc_values
+        monkeypatch.setattr(sc, "_assoc_values",
+                            lambda *args: calls.append(1) or assoc_values(*args))
+        got = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
+        batches = len(calls) - 1  # after the one call that scores the 20 starts
+        monkeypatch.setattr(sc, "_ascent_refinement", _sequential_ascent)
+        want = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
+        assert got == want
+        assert batches < 60
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_algebras_equal_sequential(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = ((1 + seed % 3, 1), (2, 1 + seed % 2))
+        ch = chn.gen_random_idempotent(pairs, sum(d * e for d, e in pairs), seed)
+        if seed % 2:
+            ch = chn.gen_perturbed(ch, (1e-2, 3e-2, 1e-3)[seed % 3], seed=seed)
+        alg = sc.extract_algebra(sc.idempotentize(ch))
+        for steps in (1, 7, 60, 150):
+            state = rng.integers(1 << 31)
+            got = sc._ascent_refinement(alg, steps, np.random.default_rng(state))
+            want = _sequential_ascent(alg, steps, np.random.default_rng(state))
+            assert got == want, steps
 
 
 class TestMaxNorm:
