@@ -535,17 +535,13 @@ def idempotent_structure(
 
     # fixed-point space A = Img Phi, as an HS-orthonormal Hermitian-closed basis
     cols = nl.column_space(ch.superop, ch.tol.rank_rel_tol)
-    raw = [nl.unvec(cols[:, i], dim, dim) for i in range(cols.shape[1])]
-    herm = []
-    for x in raw:
-        herm.append(nl.hermitian_part(x))
-        herm.append(nl.hermitian_part(-1j * x))
-    fixed_basis = _orthonormalize_operators(herm, 1e-9)
-    if len(fixed_basis) != len(raw):
+    herm = nl.real_basis(cols, nl.transpose_permutation(dim), ch.tol.rank_rel_tol)
+    if herm.shape[1] != cols.shape[1]:
         raise DecompositionFailed(
             f"Hermitian closure changed the fixed-space dimension: "
-            f"{len(raw)} -> {len(fixed_basis)}"
+            f"{cols.shape[1]} -> {herm.shape[1]}"
         )
+    fixed_basis = list(herm.T.reshape(-1, dim, dim).transpose(0, 2, 1))
 
     w_basis = [j_m.conj().T @ b @ j_m for b in fixed_basis]
     d_list, e_list, w_blocks = decompose_star_algebra(

@@ -296,7 +296,7 @@ def improve_homomorphism(
     alg: EpsilonAlgebra,
     diag: Diagonal,
     max_rounds: int = 12,
-    target: float | None = None,
+    target: float = 1e-12,
     start_threshold: float = 0.35,
     seed: int = 0,
 ) -> AlmostHom:
@@ -306,10 +306,12 @@ def improve_homomorphism(
     w'(X) = sum_s p_s v(U_s^dag) * (v(U_s X) - v(U_s) * v(X)) and w'' is its
     involution partner; the defect contracts quadratically down to the level
     of the ambient algebra's own associativity defect.  It stops at the
-    target, a plateau, or a round that does not improve (the next would
-    rebuild that candidate).  ``v`` may come unmeasured; only the
-    ``mult_defect`` of the result is measured (:func:`mult_defect` measures
-    the rest), every candidate on the same probe set, drawn once.
+    target (by default 1e-12, where the measured defect is roundoff and a
+    "better" candidate would be accepted on noise), a plateau, or a round
+    that does not improve (the next would rebuild that candidate).  ``v``
+    may come unmeasured; only the ``mult_defect`` of the result is measured
+    (:func:`mult_defect` measures the rest), every candidate on the same
+    probe set, drawn once.
 
     Batched closed form of w', with T the star tensor and TC_a the matrix of
     X -> B_a * v(X): the design sums come first, K_i = sum_s p_s v(U_s^dag)_i U_s
@@ -333,7 +335,7 @@ def improve_homomorphism(
     dag_perm = nl.transpose_permutation(rep)
     best = v
     for _ in range(max_rounds):
-        if target is not None and best.mult_defect <= target:
+        if best.mult_defect <= target:
             break
         coeffs = best.coeffs
         tc = (np.swapaxes(alg.star_tensor, 1, 2) @ coeffs).reshape(n, -1)
@@ -446,7 +448,7 @@ def extend_matrix_algebra(
     rep_cols = np.zeros((target.dim, n * n), dtype=complex)
     rep_cols[:, cols] = target.coords(pj.h_map(alg, units.T, c_pq, c_qp, hilb)).T
     mu = AlmostHom(spec, rep_cols).symmetrized()
-    mu = improve_homomorphism(mu, target, pauli_diagonal(spec), target=1e-12, seed=seed)
+    mu = improve_homomorphism(mu, target, pauli_diagonal(spec), seed=seed)
 
     # matrix-unit trick: an orthonormal column frame from the improved rep,
     # u1[:, j] = mu(E_j1) xi with xi the top eigenvector of mu(E_11)
@@ -490,19 +492,14 @@ class ReconstructionReport:
 def _corner_subalgebra(alg: EpsilonAlgebra, c_p: pj.CompressionMap):
     """S_P, from its compression map, as an algebra with the compressed
     product and a Hermitian basis."""
-    image = _real_span_basis(c_p.image_coords)
+    image = nl.real_basis(c_p.image_coords)
     if image.shape[1] != c_p.rank:
-        raise ReconstructionError("corner image is not closed under the involution")
+        raise ReconstructionError(
+            f"corner image is not closed under the involution: real rank "
+            f"{image.shape[1]} != {c_p.rank}"
+        )
     unit = np.real(c_p.apply(c_p.p.coords))
     return alg.subalgebra(image.astype(complex), unit, c_p.apply)
-
-
-def _real_span_basis(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal real vectors spanning a conjugation-closed column span."""
-    parts = np.concatenate([np.real(cols), np.imag(cols)], axis=1)
-    q, r = np.linalg.qr(parts)
-    keep = np.abs(np.diag(r)) > 1e-9 * max(1.0, np.abs(np.diag(r)).max())
-    return q[:, : int(np.sum(keep))]
 
 
 def reconstruct(

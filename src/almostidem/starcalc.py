@@ -211,7 +211,12 @@ def extract_algebra(
     pm: IdempotentizedMap,
     tol: nl.ToleranceConfig = nl.DEFAULT_TOL,
 ) -> EpsilonAlgebra:
-    """Image of the idempotent envelope as a concrete algebra with basis."""
+    """Image of the idempotent envelope as a concrete algebra with basis.
+
+    The basis is HS-orthonormal and Hermitian: :func:`numlin.real_basis` of
+    the column space, one real SVD of the Hermitian parts with its rank read
+    at ``tol.rank_rel_tol``, which must equal the rank of the image.
+    """
     m = pm.superop
     if nl.operator_norm(m @ m - m) > 1e-8:
         raise StarCalcError("map is not idempotent within 1e-8")
@@ -224,24 +229,24 @@ def extract_algebra(
         )
     dim = pm.dim
     cols = nl.column_space(m, tol.rank_rel_tol)
-    basis = _hermitian_rotation(cols, dim)
-    if len(basis) != cols.shape[1]:
+    stack_b = nl.real_basis(cols, nl.transpose_permutation(dim), tol.rank_rel_tol)
+    n = stack_b.shape[1]
+    if n != cols.shape[1]:
         raise StarCalcError(
-            f"Hermitian closure changed the algebra dimension "
-            f"{cols.shape[1]} -> {len(basis)}"
+            f"Hermitian closure changed the algebra dimension {cols.shape[1]} -> {n}"
         )
+    # B_i = unvec(stack_b[:, i]): the columns are column-stacked matrices
+    stack = stack_b.T.reshape(n, dim, dim).transpose(0, 2, 1)
+    basis = list(stack)
     membership = max(
         nl.operator_norm(pm(b) - b) for b in basis
     )
     if membership > 1e-9:
         raise StarCalcError(f"basis is not fixed by the map: residual {membership:.2e}")
 
-    n = len(basis)
-    stack_b = np.stack([nl.vec(b) for b in basis], axis=1)
     # vec(B_i B_j) as a stack of columns, mapped by the superoperator and
     # projected on the basis one column at a time: the arithmetic of
     # pm(B_i B_j), so the tensor does not move by roundoff
-    stack = np.stack(basis)
     prods = stack[:, None] @ stack[None, :]
     vecs = np.swapaxes(prods, -1, -2).reshape(n * n, dim * dim, 1)
     tensor = (stack_b.conj().T @ (m @ vecs)).reshape(n, n, n)
@@ -254,35 +259,6 @@ def extract_algebra(
     if unit_res > 1e-8:
         raise StarCalcError(f"identity is not in the algebra: residual {unit_res:.2e}")
     return alg
-
-
-def _hermitian_rotation(q: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Orthonormal basis of Hermitian matrices spanning the columns of q.
-
-    The column span is closed under the (vectorized) adjoint; find real-linear
-    combinations that are Hermitian by diagonalizing the adjoint involution.
-    """
-    mats = [nl.unvec(q[:, i], dim, dim) for i in range(q.shape[1])]
-    herm: list[np.ndarray] = []
-    for x in mats:
-        herm.append(nl.hermitian_part(x))
-        herm.append(nl.hermitian_part(-1j * x))
-    coords = np.stack([nl.vec(h) for h in herm], axis=1)
-    # orthonormalize with real coefficients over the Hermitian set
-    gram_vecs = []
-    out: list[np.ndarray] = []
-    for col in range(coords.shape[1]):
-        v = coords[:, col]
-        for g in gram_vecs:
-            v = v - g * np.real(np.vdot(g, v))
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-7:
-            v = v / nrm
-            gram_vecs.append(v)
-            out.append(nl.unvec(v, dim, dim))
-        if len(out) == q.shape[1]:
-            break
-    return out
 
 
 def measure_defects(

@@ -3,6 +3,9 @@ import pytest
 
 from almostidem import channels as chn
 from almostidem import numlin as nl
+from almostidem import projections as pj
+from almostidem import reconstruction as rc
+from almostidem import starcalc as sc
 
 
 def gamma0(eta):
@@ -259,3 +262,77 @@ class TestColumnSpace:
         m = (u * [1.0, 0.5, rel_tol * factor]) @ v.conj().T
         proj = self._assert_basis(nl.column_space(m, rel_tol), m, rank)
         np.testing.assert_allclose(proj @ u[:, :rank], u[:, :rank], atol=1e-9)
+
+
+class TestRealBasis:
+    @staticmethod
+    def _block_algebra_span(block_dims, seed):
+        """Orthonormal, non-Hermitian columns spanning vec(U A U^dag) for the
+        block algebra A = M_d1 + M_d2 + ... and a random unitary U."""
+        rng = np.random.default_rng(seed)
+        dim = sum(block_dims)
+        u = nl.random_unitary(dim, rng)
+        mats, start = [], 0
+        for d in block_dims:
+            for j in range(d):
+                for k in range(d):
+                    e = np.zeros((dim, dim), dtype=complex)
+                    e[start + j, start + k] = 1.0
+                    mats.append(u @ e @ u.conj().T)
+            start += d
+        units = np.stack([nl.vec(m) for m in mats], axis=1)
+        r = units.shape[1]
+        mix = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        return nl.column_space(units @ mix), dim
+
+    @pytest.mark.parametrize("block_dims,seed", [((2, 1), 0), ((2, 2, 1), 1), ((3, 1), 2)])
+    def test_hermitian_orthonormal_basis_of_the_span(self, block_dims, seed):
+        q, dim = self._block_algebra_span(block_dims, seed)
+        r = q.shape[1]
+        assert r == sum(d * d for d in block_dims)
+        # the mixed columns are not Hermitian, so the basis is not q itself
+        assert nl.operator_norm(nl.unvec(q[:, 0]) - nl.unvec(q[:, 0]).conj().T) > 0.1
+        b = nl.real_basis(q, nl.transpose_permutation(dim))
+        assert b.shape == (dim * dim, r)
+        np.testing.assert_allclose(b.conj().T @ b, np.eye(r), atol=1e-12)
+        mats = [nl.unvec(b[:, i]) for i in range(r)]
+        assert max(nl.operator_norm(m - m.conj().T) for m in mats) < 1e-12
+        np.testing.assert_allclose(b @ b.conj().T, q @ q.conj().T, atol=1e-12)
+
+    def test_identity_permutation_gives_real_columns(self):
+        # coordinates in a Hermitian basis: the span of real vectors, given
+        # by complex orthonormal columns
+        rng = np.random.default_rng(4)
+        real = rng.standard_normal((7, 3))
+        mix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        q = nl.column_space(real @ mix)
+        b = nl.real_basis(q)
+        assert b.shape == (7, 3) and not np.iscomplexobj(b)
+        np.testing.assert_allclose(b.T @ b, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(b @ b.T, q @ q.conj().T, atol=1e-12)
+
+    def test_span_not_closed_under_adjoint_reports_its_real_rank(self):
+        # span{E_12}: its Hermitian parts (E_12 + E_21)/2 and -i(E_12 - E_21)/2
+        # are independent, so the real rank is 2, not 1
+        e12 = np.zeros((2, 2), dtype=complex)
+        e12[0, 1] = 1.0
+        b = nl.real_basis(nl.vec(e12)[:, None], nl.transpose_permutation(2))
+        assert b.shape[1] == 2
+        # and the coordinate span{(1, i)} is not closed under conjugation
+        assert nl.real_basis(np.array([[1.0], [1j]]) / np.sqrt(2)).shape[1] == 2
+
+    def test_extract_algebra_refuses_an_image_not_closed_under_adjoint(self):
+        # the orthogonal projector onto span{E_11, E_12}: idempotent with
+        # spectrum {0, 1}, but its image holds E_12 and not E_21
+        units = np.eye(4, dtype=complex)[:, [0, 2]]  # vec E_11, vec E_12
+        pm = sc.IdempotentizedMap(units @ units.T, 2, 0.0, None, None)
+        with pytest.raises(sc.StarCalcError) as exc:
+            sc.extract_algebra(pm)
+        assert str(exc.value) == "Hermitian closure changed the algebra dimension 2 -> 3"
+
+    def test_corner_subalgebra_refuses_an_image_not_closed_under_conjugation(self):
+        c_p = pj.CompressionMap(None, None, None, None, np.array([[1.0], [1j]]) / np.sqrt(2))
+        with pytest.raises(rc.ReconstructionError) as exc:
+            rc._corner_subalgebra(None, c_p)
+        assert str(exc.value) == (
+            "corner image is not closed under the involution: real rank 2 != 1")
