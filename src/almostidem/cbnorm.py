@@ -20,7 +20,7 @@ rho = sigma = I/d_in and the polar factorization of J) settles maps far
 below the gap target; every other map goes to a log-det barrier Newton
 method started at rho = sigma = I/d_in, which maximizes X out in closed form
 (:class:`_BarrierPoint`).  Each stage center is certified by its primal value
-and the dual point built from it, both evaluated on the J given.  The path
+and the dual point built from it, both valid bounds for the J given.  The path
 multiplies t by 100 per stage; an intermediate stage is centred until the
 damped Newton decrement (decrement times step length) is below 2, the final
 stage, at t_final = 4 n_z / target gap with n_z = 2 d_in d_out, until the
@@ -36,8 +36,16 @@ which has the same norm: rho' = diag(rho, sigma) / 2 attains the objective of
 J at (rho, sigma), and at any rho' = [[A, B], [B^dag, C]] the off-diagonal
 blocks of a feasible X' give at most 2 sqrt(Tr A Tr C) ||J|| <= ||J||.
 The bounds at an equal pair of a Hermitian J take one eigh of the Hermitian
-M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I); any other pair or J, an equal
-pair of a non-Hermitian J included, takes the SVD of M.
+M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I), and the dual point's
+feasibility check two half-size eigvalsh; any other pair or J, an equal
+pair of a non-Hermitian J included, takes the SVD of M and one eigvalsh of
+the full dual block.
+
+A Newton step forms the gradient and Hessian over the matrix units of
+rho from one batched product (:func:`_barrier_derivatives`); its line
+search starts at the first power of two that keeps rho positive definite
+(:func:`_barrier_path`), and a stage center's lower bound is read off the
+eigenvalues its :class:`_BarrierPoint` already holds.
 
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
@@ -50,6 +58,7 @@ pure inputs and output measurements.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,7 +208,11 @@ def _dual_bound_from_point(
     Factorizes J = A^dag B through the (regularized) point and verifies
     feasibility of the resulting dual block matrix explicitly, folding any
     numerical slack into the bound.  For a Hermitian J and an equal pair, M
-    is Hermitian: its SVD is its eigh with |lam|, and Y1 = Y0.
+    is Hermitian: its SVD is its eigh with |lam|, and Y1 = Y0 = Y.  There
+    [[Y, -H], [-H, Y]] with H = H(J) is unitarily similar to
+    diag(Y - H, Y + H), so two half-size eigvalsh decide its smallest
+    eigenvalue, and the rest of J, (J - J^dag) / 2, moves it by at most
+    ||J - J^dag||_F / 2 (Weyl).
     """
     eye_in = np.eye(d_in)
     sr, sri = _sqrt_and_inv_sqrt((1 - mix) * nl.hermitian_part(rho) + mix * eye_in / d_in)
@@ -207,6 +220,9 @@ def _dual_bound_from_point(
     if equal and _is_hermitian(j):
         lam, u = np.linalg.eigh(nl.hermitian_part(_lmul(sr, _rmul(j, sr))))
         y0 = y1 = nl.hermitian_part(_lmul(sri, _rmul((u * np.abs(lam)) @ u.conj().T, sri)))
+        h = nl.hermitian_part(j)
+        lam_min = (min(np.linalg.eigvalsh(y0 - h)[0], np.linalg.eigvalsh(y0 + h)[0])
+                   - 0.5 * np.linalg.norm(j - j.conj().T))
     else:
         if equal:
             ss, ssi = sr, sri
@@ -215,10 +231,10 @@ def _dual_bound_from_point(
         u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
         y0 = nl.hermitian_part(_lmul(sri, _rmul((u * s) @ u.conj().T, sri)))
         y1 = nl.hermitian_part(_lmul(ssi, _rmul((vh.conj().T * s) @ vh, ssi)))
-    # explicit feasibility check of [[Y0, -J], [-J^dag, Y1]]
-    block = np.block([[y0, -j], [-j.conj().T, y1]])
-    lam_min = float(np.linalg.eigvalsh(nl.hermitian_part(block))[0])
-    slack = max(0.0, -lam_min) * (1 + 1e-9)
+        # explicit feasibility check of [[Y0, -J], [-J^dag, Y1]]
+        block = np.block([[y0, -j], [-j.conj().T, y1]])
+        lam_min = np.linalg.eigvalsh(nl.hermitian_part(block))[0]
+    slack = max(0.0, -float(lam_min)) * (1 + 1e-9)
     val0 = nl.operator_norm(_ptrace_out(y0, d_in, d_out))
     val1 = val0 if y1 is y0 else nl.operator_norm(_ptrace_out(y1, d_in, d_out))
     return 0.5 * (val0 + val1) + slack * d_out
@@ -252,6 +268,9 @@ class _BarrierPoint:
 
     which is sum_i [c_i - log(1 + c_i)] plus terms constant in rho.
     ``a`` holds 1 - y_i^2 = 2 / (1 + c_i), computed without cancellation.
+    ``lower`` is sum_i |lam_i| / Tr rho, the primal value of J at rho made
+    a density matrix, so a lower bound on its norm (and on the norm of the
+    map a dilation J stands for, see :func:`_barrier_solve`).
     """
 
     rho: np.ndarray
@@ -261,6 +280,7 @@ class _BarrierPoint:
     z: np.ndarray
     a: np.ndarray
     value: float
+    lower: float
 
     def x_star(self) -> np.ndarray:
         sr = self.roots[0]
@@ -280,7 +300,8 @@ def _barrier_point(j, rho, t: float, d_out: int):
     c = np.sqrt(1.0 + ts * ts)
     y, a = ts / (1.0 + c), 2.0 / (1.0 + c)
     value = d_out * 2.0 * float(np.sum(np.log(w))) + float(np.sum(ts * y + np.log(a)))
-    return _BarrierPoint(rho, roots, u, y, np.where(lam < 0, -y, y), a, value)
+    lower = float(np.sum(np.abs(lam)) / np.sum(w))
+    return _BarrierPoint(rho, roots, u, y, np.where(lam < 0, -y, y), a, value, lower)
 
 
 def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
@@ -290,21 +311,30 @@ def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
     The gradient is Tr_out (G11 + G22), where G = Z^-1 at X*: by the envelope
     theorem X* does not move it.  The Hessian is the Schur complement of the
     (rho, X) Hessian at X*, which is elementwise in the eigenbasis: with
-    P_a = U^dag ((rho^-1/2 H_a rho^-1/2) (x) I) U, the gradient is
+    P_a = V^dag (H_a (x) I) V and V = (rho^-1/2 (x) I) U, the gradient is
     2 Re diag(P_a) / a and the negated Hessian is
-    2 Re sum conj(P_a)_ij (P_b)_ij / (1 + z_i z_j).
+    2 Re sum conj(P_a)_kl (P_b)_kl / (1 + z_k z_l).
+
+    Both are linear in the coefficients of H_a, so they are taken over the
+    matrix units E_ij that ``h_stack`` uses and then contracted with those
+    coefficients.  With V split into the d_out x n blocks V_i of its rows
+    (i, y), the unit E_ij has P_ij = V_i^dag V_j: one batched product,
+    T[(i, k), (j, l)] = sum_y conj V[(i, y), k] V[(j, y), l] = (P_ij)_kl.
     """
-    rir = pt.roots[1]
-    nb, a, y, z = len(h_stack), pt.a, pt.y, pt.z
-    p = pt.u.conj().T @ _lmul(rir @ h_stack @ rir, pt.u)
-    grad = 2.0 * np.real(np.einsum("aii,i->a", p, 1.0 / a))
-    # where the signs differ, 1 + z_i z_j = 1 - y_i y_j is taken as
-    # (a_i + a_j + (y_i - y_j)^2) / 2, stable as both y -> 1
-    zz = np.outer(z, z)
-    dy = np.subtract.outer(y, y)
-    den = np.where(zz < 0, 0.5 * (a[:, None] + a[None, :] + dy * dy), 1.0 + zz)
-    pf = p.reshape(nb, -1)
-    hess = np.real(pf.conj() @ (pf * (2.0 / den).ravel()).T)
+    dim, n = len(pt.rho), len(pt.a)
+    coef = h_stack.reshape(len(h_stack), -1)
+    units = np.flatnonzero(coef.any(axis=0))
+    coef = coef[:, units]
+    v = (pt.roots[1] @ pt.u.reshape(dim, -1)).reshape(dim, -1, n)
+    t = v.conj().swapaxes(1, 2)[units // dim] @ v[units % dim]
+    grad = 2.0 * np.real(coef @ np.einsum("ukk,k->u", t, 1.0 / pt.a))
+    # 1 + z_k z_l = (a_k + a_l + (z_k + z_l)^2) / 2 with a = 1 - z^2: a sum of
+    # non-negative terms, so it keeps its digits as y_k, y_l -> 1 with
+    # opposite signs, where 1 - y_k y_l cancels
+    zs = np.add.outer(pt.z, pt.z)
+    weight = 4.0 / (np.add.outer(pt.a, pt.a) + zs * zs)
+    tf = t.reshape(len(units), -1)
+    hess = np.real(coef.conj() @ (tf.conj() @ (tf * weight.ravel()).T) @ coef.T)
     return grad, 0.5 * (hess + hess.T)
 
 
@@ -322,8 +352,8 @@ def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
     # quality is guarded by the line search and the final certificates are
     # feasibility-checked explicitly
     try:
-        low = np.linalg.cholesky(hess)
-        step = np.linalg.solve(low.T, np.linalg.solve(low, grad))
+        np.linalg.cholesky(hess)
+        step = np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
     nb, dim = h_stack.shape[:2]
@@ -331,17 +361,21 @@ def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
     return d, float(grad @ step)
 
 
+@functools.lru_cache(maxsize=None)
 def _trace_free_basis(dim: int, blocks: int) -> np.ndarray:
     """Stack of Hermitian matrices spanning the block-diagonal ones with trace
     zero on each of ``blocks`` equal diagonal blocks: in each block the
     diagonal units less its last, and then the off-diagonal Hermitian units
-    inside the blocks, blocks * ((dim / blocks)^2 - 1) in all."""
+    inside the blocks, blocks * ((dim / blocks)^2 - 1) in all.  Built once
+    per shape and returned read-only."""
     basis = np.stack(nl.hermitian_basis(dim))
     diag = basis[:dim].reshape(blocks, dim // blocks, dim, dim)
     block_of = np.arange(dim) // (dim // blocks)
     off = basis[dim:]
     off = off[np.all(off[:, block_of[:, None] != block_of[None, :]] == 0, axis=1)]
-    return np.concatenate([(diag[:, :-1] - diag[:, -1:]).reshape(-1, dim, dim), off])
+    out = np.concatenate([(diag[:, :-1] - diag[:, -1:]).reshape(-1, dim, dim), off])
+    out.setflags(write=False)
+    return out
 
 
 def _barrier_solve(
@@ -351,9 +385,11 @@ def _barrier_solve(
     """Path-following solve from rho = sigma = I/d_in; returns
     (rho, sigma, X*, t, F_t, newtons, stalled) at the last center.
 
-    ``on_stage(rho, sigma)`` runs after each centering stage; if it returns
-    True the solve stops early (certificates already good enough).  ``t0``
-    may be matched to a known gap; the default scales with ||J||.
+    ``on_stage(rho, sigma, lower)`` runs after each centering stage, with
+    ``lower`` a lower bound read off the center (the primal value at the
+    density pair made of (rho, sigma), or below it); if it returns True the
+    solve stops early (certificates already good enough).  ``t0`` may be matched to a known gap; the default scales with
+    ||J||.
 
     A Hermitian J (||J - J^dag|| <= 1e-12 ||J||) is solved on its Hermitian
     part, and sigma = rho.  Any other J is solved as its dilation
@@ -367,15 +403,18 @@ def _barrier_solve(
     block diagonal, and runs over those directions alone (2 d_in^2 - 2
     unknowns).  There
     F'_2t(diag(rho, sigma) / 2) = 2 F_t(rho, sigma) - 4 d_in d_out log 2: the
-    path runs at 2t and maps back as (2 A, 2 C, 2 X'*_12).
+    path runs at 2t and maps back as (2 A, 2 C, 2 X'*_12).  At
+    rho' = diag(A, C) the eigenvalues of M' are plus and minus the singular
+    values of (sqrt(A) (x) I) J (sqrt(C) (x) I), so a center's
+    sum |lam'| / Tr rho' is the primal value of J at (2 A, 2 C) times
+    2 sqrt(Tr A Tr C) / (Tr A + Tr C) <= 1, a lower bound for J.
     """
-    stop = on_stage or (lambda rho, sigma: False)
-    scale = nl.operator_norm(j)
-    t = 1.0 / max(scale, 1e-12) if t0 is None else t0
+    stop = on_stage or (lambda rho, sigma, lower: False)
+    t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
     if _is_hermitian(j):
         pt, t, newtons, stalled = _barrier_path(
             nl.hermitian_part(j), _trace_free_basis(d_in, 1), d_out, target_gap,
-            max_newton, t, lambda rho: stop(rho, rho))
+            max_newton, t, lambda p: stop(p.rho, p.rho, p.lower))
         return pt.rho, pt.rho, pt.x_star(), t, pt.value, newtons, stalled
 
     def pair(rho):
@@ -384,14 +423,21 @@ def _barrier_solve(
     n, zero = d_in * d_out, np.zeros_like(j)
     pt, t, newtons, stalled = _barrier_path(
         np.block([[zero, j], [j.conj().T, zero]]), _trace_free_basis(2 * d_in, 2), d_out,
-        target_gap, max_newton, 2 * t, lambda rho: stop(*pair(rho)))
+        target_gap, max_newton, 2 * t, lambda p: stop(*pair(p.rho), p.lower))
     return (*pair(pt.rho), 2 * pt.x_star()[:n, n:], t / 2,
             pt.value / 2 + 2 * n * np.log(2), newtons, stalled)
 
 
 def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
     """:func:`_barrier_solve` for a Hermitian ``j`` along the directions
-    ``h_stack``, with ``on_center(rho)``; returns (point, t, newtons, stalled)."""
+    ``h_stack``, with ``on_center(point)``; returns (point, t, newtons, stalled).
+
+    The line search halves the Newton step until the barrier does not drop.
+    rho + alpha d_rho = rho^1/2 (I + alpha K) rho^1/2 with
+    K = rho^-1/2 d_rho rho^-1/2, so it is positive definite exactly when
+    1 + alpha lam_min(K) > 0: one eigvalsh of K skips the halvings whose
+    trial point is off the cone, without evaluating it.
+    """
     d_in = h_stack.shape[1]
     t_final = max(4.0 * (2 * d_in * d_out) / max(target_gap, 1e-14), t)
     pt = _barrier_point(j, np.eye(d_in, dtype=complex) / d_in, t, d_out)
@@ -402,12 +448,16 @@ def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
                 return pt, t, newtons, True
             d_rho, dec = _newton_step(pt, h_stack)
             newtons += 1
+            rir = pt.roots[1]
+            k_min = float(np.linalg.eigvalsh(nl.hermitian_part(rir @ d_rho @ rir))[0])
             alpha = 1.0
             floor = pt.value - 1e-12 * max(1.0, abs(pt.value))
             for _ in range(40):
-                trial = _barrier_point(j, nl.hermitian_part(pt.rho + alpha * d_rho), t, d_out)
-                if trial is not None and trial.value >= floor:
-                    break
+                if 1.0 + alpha * k_min > 0:
+                    trial = _barrier_point(
+                        j, nl.hermitian_part(pt.rho + alpha * d_rho), t, d_out)
+                    if trial is not None and trial.value >= floor:
+                        break
                 alpha *= 0.5
             else:
                 return pt, t, newtons, True
@@ -417,7 +467,7 @@ def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
             # the center also makes dec * alpha small
             if (dec < 5e-3) if t >= t_final else (dec * alpha < 2.0):
                 break
-        if on_center(pt.rho) or t >= t_final:
+        if on_center(pt) or t >= t_final:
             return pt, t, newtons, False
         t = min(t * 100.0, t_final)
         pt = _barrier_point(j, pt.rho, t, d_out)
@@ -475,12 +525,12 @@ def diamond_norm_of_choi(
 
     target_gap = 0.25 * target_rel_gap * max(1.0, bounds.lower)
 
-    def offer_stage(rho_s, sigma_s):
-        bounds.offer_lower(_primal_value(j, rho_s, sigma_s), rho_s, sigma_s)
+    def offer_stage(rho_s, sigma_s, lower):
+        bounds.offer_lower(lower, rho_s, sigma_s)
         bounds.offer_point(rho_s, sigma_s)
 
-    def on_stage(rho_s, sigma_s):
-        offer_stage(rho_s, sigma_s)
+    def on_stage(rho_s, sigma_s, lower):
+        offer_stage(rho_s, sigma_s, lower)
         return bounds.closed(target_rel_gap)
 
     # start where the barrier's own gap n_z / t is four times the cheap gap
@@ -497,7 +547,7 @@ def diamond_norm_of_choi(
         iters += iters2
     if stalled:
         # a path that ends on a center has offered it already
-        offer_stage(rho_c, sigma_c)
+        offer_stage(rho_c, sigma_c, _primal_value(j, rho_c, sigma_c))
     # a gap left open is recorded as stalled, however the path ended
     return bounds.certificate(iters, "barrier", target_rel_gap,
                               not bounds.closed(target_rel_gap))

@@ -53,8 +53,14 @@ def _blocks_inner(a, b) -> float:
     return float(sum(np.real(nl.hs_inner(x, y)) for x, y in zip(a, b)))
 
 
-def _blocks_axpy(alpha, a, b):
-    return [alpha * x + y for x, y in zip(a, b)]
+def _real_coords(blocks) -> np.ndarray:
+    """Real coordinates of one matrix per block (or of a stack of
+    them along a leading axis): the real parts, then the imaginary parts,
+    block after block, so that Re<A, B> = _real_coords(A) . _real_coords(B)."""
+    lead = blocks[0].shape[:-2]
+    return np.concatenate(
+        [np.concatenate([b.real.reshape(*lead, -1), b.imag.reshape(*lead, -1)], axis=-1)
+         for b in blocks], axis=-1)
 
 
 def solve_sdp(
@@ -65,22 +71,26 @@ def solve_sdp(
     Returns (primal_value, dual_value, gap).  Residual and gap targets follow
     ``tol``; raises :class:`SolverStall` if progress stops early and
     :class:`Infeasible` on divergence of the infeasibility measure.
+
+    The constraints are held as one stack of shape (m, d, d) per block, so
+    the constraint map, its adjoint and the Schur complement
+    S_ik = sum_blocks Re<A_i, W A_k W> are each one contraction.
     """
     dims = prob.block_dims
     m = len(prob.a_blocks)
+    stacks = [np.array([ab[k] for ab in prob.a_blocks], dtype=complex)
+              for k in range(len(dims))]
+    a_real = _real_coords(stacks)
     x = [np.eye(d, dtype=complex) for d in dims]
     s = [np.eye(d, dtype=complex) for d in dims]
     y = np.zeros(m)
     n_tot = sum(dims)
 
     def a_op(xb):
-        return np.array([_blocks_inner(ab, xb) for ab in prob.a_blocks])
+        return a_real @ _real_coords(xb)
 
     def a_adj(yv):
-        out = [np.zeros((d, d), dtype=complex) for d in dims]
-        for yi, ab in zip(yv, prob.a_blocks):
-            out = _blocks_axpy(yi, ab, out)
-        return out
+        return [np.tensordot(yv, st, axes=1) for st in stacks]
 
     best = None
     for it in range(max_iter):
@@ -91,7 +101,6 @@ def solve_sdp(
         d_res = np.sqrt(sum(np.linalg.norm(rb) ** 2 for rb in r_d))
         pval = _blocks_inner(prob.c_blocks, x)
         dval = float(prob.b @ y)
-        gap = abs(pval - dval) / (1 + abs(pval))
         best = (pval, dval, pval - dval)
         if p_res <= tol and d_res <= tol and mu <= tol * (1 + abs(pval)):
             return pval, dval, pval - dval
@@ -99,34 +108,27 @@ def solve_sdp(
             raise Infeasible("primal/dual residuals diverged")
 
         # Nesterov-Todd scaling per block
-        w_blocks, wi_blocks = [], []
+        w_blocks = []
         for xb, sb in zip(x, s):
             xs = _sqrt_and_inv_sqrt(xb)[0]
             mid = xs @ sb @ xs
             mw, mu_v = np.linalg.eigh(nl.hermitian_part(mid))
             mw = np.clip(mw, 1e-300, None)
             mid_inv_sqrt = (mu_v / np.sqrt(mw)) @ mu_v.conj().T
-            w = xs @ mid_inv_sqrt @ xs
-            w_blocks.append(nl.hermitian_part(w))
-            wi_blocks.append(np.linalg.inv(w_blocks[-1]))
+            w_blocks.append(nl.hermitian_part(xs @ mid_inv_sqrt @ xs))
 
         sigma = 0.2 if mu > tol else 0.0
         # target: X S = sigma*mu*I; linearized with NT scaling
-        schur = np.zeros((m, m))
-        waw = []
-        for i in range(m):
-            waw.append([w @ ab @ w for w, ab in zip(w_blocks, prob.a_blocks[i])])
-        for i in range(m):
-            for k in range(i, m):
-                val = _blocks_inner(prob.a_blocks[i], waw[k])
-                schur[i, k] = schur[k, i] = val
+        waw = _real_coords([w @ st @ w for w, st in zip(w_blocks, stacks)])
+        schur = a_real @ waw.T
+        schur = 0.5 * (schur + schur.T)
         rhs_blocks = [
             w @ rd @ w + xb - sigma * mu * np.linalg.inv(sb)
             for xb, sb, w, rd in zip(x, s, w_blocks, r_d)
         ]
         rhs = r_p + a_op(rhs_blocks)
         try:
-            dy = scipy.linalg.solve(schur, rhs, assume_a="pos")
+            dy = scipy.linalg.cho_solve(scipy.linalg.cho_factor(schur), rhs)
         except (scipy.linalg.LinAlgError, ValueError):
             dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
         ds = [rd - az for rd, az in zip(r_d, a_adj(dy))]
@@ -169,7 +171,6 @@ def diamond_norm_sdp_explicit(
     m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
     j = choi_from_superop(m, d_in, d_out)
     n = d_in * d_out
-    eye_n = np.eye(n, dtype=complex)
 
     # variable X = [[Z11, Z12], [Z12^dag, Z22]] of size 2n, plus constraints
     # forcing Z11 = rho (x) I, Z22 = sigma (x) I, Tr rho = Tr sigma = 1.
@@ -180,28 +181,19 @@ def diamond_norm_sdp_explicit(
 
     a_blocks = []
     b = []
-    herm_big = nl.hermitian_basis(n)
-    basis_in = nl.hermitian_basis(d_in)
-    proj_span = np.stack(
-        [nl.vec(nl.kron(h, np.eye(d_out)) / np.sqrt(d_out)) for h in basis_in], axis=1
-    )
+    herm_big = np.stack(nl.hermitian_basis(n)).reshape(n * n, n * n)
+    span = np.stack([nl.kron(h, np.eye(d_out)).ravel() / np.sqrt(d_out)
+                     for h in nl.hermitian_basis(d_in)], axis=1)
 
     # orthonormal basis (with real coordinates over the Hermitian basis) of the
-    # orthogonal complement of the rho (x) I subspace inside Hermitian space
-    resid_coords = []
-    for h in herm_big:
-        coeff = proj_span.conj().T @ nl.vec(h)
-        resid = h - nl.unvec(proj_span @ coeff, n, n)
-        resid_coords.append(
-            [np.real(nl.hs_inner(hb, resid)) for hb in herm_big]
-        )
-    coord_mat = np.array(resid_coords).T
+    # orthogonal complement of the rho (x) I subspace inside Hermitian space:
+    # column k of coord_mat holds the coordinates of the residual of basis
+    # element k after projecting out that subspace
+    resid = herm_big - (herm_big @ span.conj()) @ span.T
+    coord_mat = np.real(herm_big.conj() @ resid.T)
     q, r, _ = scipy.linalg.qr(coord_mat, mode="economic", pivoting=True)
     rank = nl.rank_from_singular_values(np.abs(np.diag(r)), 1e-9)
-    comp_ops = []
-    for colidx in range(rank):
-        op = sum(c * hb for c, hb in zip(q[:, colidx], herm_big))
-        comp_ops.append(op)
+    comp_ops = (q[:, :rank].T @ herm_big).reshape(rank, n, n)
     for resid in comp_ops:
         # components of Z11/Z22 orthogonal to the rho (x) I subspace vanish
         blk = np.zeros((2 * n, 2 * n), dtype=complex)

@@ -438,6 +438,28 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+class TestReportCheck:
+    """``tests/check_report.py``, the end-to-end check on a written report."""
+
+    def test_passes_a_closed_report_and_fails_stalled_or_bare(self, barrier_report, tmp_path):
+        import check_report
+
+        def run(rep, name):
+            path = tmp_path / name
+            json.dump(rep, open(path, "w"))
+            return check_report.main([str(path)])
+
+        assert len(check_report.certificates(barrier_report)) == 5
+        assert run(barrier_report, "ok.json") == 0
+        stalled = copy.deepcopy(barrier_report)
+        stalled["factorization"]["residual_retract"]["stalled"] = True
+        assert run(stalled, "stalled.json") == 1
+        bare = copy.deepcopy(barrier_report)
+        del bare["checkpoints"][0]["eta"]["witness"]
+        assert run(bare, "bare.json") == 1
+        assert run({"checkpoints": []}, "empty.json") == 1
+
+
 class TestNumpyOnly:
     def test_pipeline_never_imports_scipy(self, tmp_path):
         # a fresh process: this one may have scipy loaded by the test oracle
