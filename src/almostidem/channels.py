@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numlin as nl
-from .numlin import DimMismatch, ToleranceConfig, DEFAULT_TOL
+from .numlin import DimMismatch, EQ_TOL, RANK_REL_TOL
 
 
 class ChannelError(Exception):
@@ -50,6 +50,10 @@ class InvalidGamma(ChannelError):
     pass
 
 
+# residual bound of the idempotency, closure, unit and block-transform checks
+STRUCT_TOL = 1e-8
+
+
 # ---------------------------------------------------------------------------
 # representation conversions
 # ---------------------------------------------------------------------------
@@ -69,21 +73,22 @@ def superop_from_choi(j: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 
 
 def kraus_from_choi(
-    j: np.ndarray, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT_TOL
+    j: np.ndarray, dim_in: int, dim_out: int, rank_rel_tol: float = RANK_REL_TOL
 ) -> list[np.ndarray]:
-    """Kraus operators from a PSD Choi matrix; count equals the Choi rank."""
+    """Kraus operators from a PSD Choi matrix; count equals the Choi rank read
+    at ``rank_rel_tol``."""
     j = np.asarray(j, dtype=complex)
     scale = nl.operator_norm(j)
     if scale == 0:
         return []
-    if nl.operator_norm(j - j.conj().T) > tol.eq_tol * scale:
+    if nl.operator_norm(j - j.conj().T) > EQ_TOL * scale:
         raise NotCP("Choi matrix is not Hermitian")
     w, v = np.linalg.eigh(nl.hermitian_part(j))
-    if w[0] < -tol.eq_tol * scale:
+    if w[0] < -EQ_TOL * scale:
         raise NotCP(f"Choi matrix has negative eigenvalue {w[0]:.3e}")
     kraus = []
     for a in range(len(w) - 1, -1, -1):
-        if w[a] <= tol.rank_rel_tol * w[-1]:
+        if w[a] <= rank_rel_tol * w[-1]:
             break
         kraus.append(np.sqrt(w[a]) * np.conj(v[:, a]).reshape(dim_in, dim_out))
     return kraus
@@ -153,8 +158,7 @@ def pinch_superop(block_dims: tuple[int, ...]) -> np.ndarray:
 class Channel:
     """A linear map on matrices with cached Choi/Kraus/Stinespring forms."""
 
-    def __init__(self, superop: np.ndarray, dim_in: int, dim_out: int | None = None,
-                 tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, superop: np.ndarray, dim_in: int, dim_out: int | None = None):
         superop = np.asarray(superop, dtype=complex)
         dim_out = dim_in if dim_out is None else dim_out
         if superop.shape != (dim_out * dim_out, dim_in * dim_in):
@@ -165,18 +169,16 @@ class Channel:
         self.superop = superop
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
-        self.tol = tol
 
     @classmethod
-    def from_choi(cls, j: np.ndarray, dim_in: int, dim_out: int | None = None,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> "Channel":
+    def from_choi(cls, j: np.ndarray, dim_in: int, dim_out: int | None = None) -> "Channel":
         dim_out = dim_in if dim_out is None else dim_out
-        return cls(superop_from_choi(j, dim_in, dim_out), dim_in, dim_out, tol)
+        return cls(superop_from_choi(j, dim_in, dim_out), dim_in, dim_out)
 
     @classmethod
-    def from_kraus(cls, kraus: list[np.ndarray], tol: ToleranceConfig = DEFAULT_TOL) -> "Channel":
+    def from_kraus(cls, kraus: list[np.ndarray]) -> "Channel":
         dim_in, dim_out = kraus[0].shape
-        return cls(superop_from_kraus(kraus), dim_in, dim_out, tol)
+        return cls(superop_from_kraus(kraus), dim_in, dim_out)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return apply_superop(self.superop, x, self.dim_out)
@@ -187,7 +189,7 @@ class Channel:
 
     @cached_property
     def kraus(self) -> list[np.ndarray]:
-        return kraus_from_choi(self.choi, self.dim_in, self.dim_out, self.tol)
+        return kraus_from_choi(self.choi, self.dim_in, self.dim_out)
 
     @cached_property
     def stinespring(self) -> tuple[np.ndarray, int]:
@@ -200,20 +202,20 @@ class Channel:
     def is_cp(self) -> bool:
         j = self.choi
         scale = max(nl.operator_norm(j), 1.0)
-        if nl.operator_norm(j - j.conj().T) > self.tol.eq_tol * scale:
+        if nl.operator_norm(j - j.conj().T) > EQ_TOL * scale:
             return False
         w = np.linalg.eigvalsh(nl.hermitian_part(j))
-        return bool(w[0] >= -self.tol.eq_tol * scale)
+        return bool(w[0] >= -EQ_TOL * scale)
 
     def is_unital(self) -> bool:
         image = self(np.eye(self.dim_in))
-        return nl.operator_norm(image - np.eye(self.dim_out)) <= self.tol.eq_tol
+        return nl.operator_norm(image - np.eye(self.dim_out)) <= EQ_TOL
 
     def is_trace_preserving(self) -> bool:
         # trace-preserving as a map of operators: Tr Phi(X) = Tr X
         lhs = self.superop.conj().T @ nl.vec(np.eye(self.dim_out, dtype=complex))
         rhs = nl.vec(np.eye(self.dim_in, dtype=complex))
-        return nl.operator_norm(nl.unvec(lhs - rhs, self.dim_in, self.dim_in)) <= self.tol.eq_tol
+        return nl.operator_norm(nl.unvec(lhs - rhs, self.dim_in, self.dim_in)) <= EQ_TOL
 
     def idempotency_residual(self) -> float:
         if self.dim_in != self.dim_out:
@@ -231,7 +233,7 @@ class DualChannel(Channel):
 
 def dual(ch: Channel) -> DualChannel:
     """Adjoint with respect to the Hilbert-Schmidt pairing."""
-    return DualChannel(ch.superop.conj().T, ch.dim_out, ch.dim_in, ch.tol)
+    return DualChannel(ch.superop.conj().T, ch.dim_out, ch.dim_in)
 
 
 def compose(a: Channel, b: Channel) -> Channel:
@@ -239,31 +241,30 @@ def compose(a: Channel, b: Channel) -> Channel:
     if b.dim_out != a.dim_in:
         raise DimMismatch(f"cannot compose: {b.dim_out} != {a.dim_in}")
     cls = DualChannel if isinstance(a, DualChannel) and isinstance(b, DualChannel) else Channel
-    return cls(a.superop @ b.superop, b.dim_in, a.dim_out, a.tol)
+    return cls(a.superop @ b.superop, b.dim_in, a.dim_out)
 
 
 def tensor_extend(ch: Channel, n: int) -> Channel:
     return type(ch)(
         extend_superop(ch.superop, n, ch.dim_in, ch.dim_out),
-        n * ch.dim_in, n * ch.dim_out, ch.tol,
+        n * ch.dim_in, n * ch.dim_out,
     )
 
 
-def identity_channel(dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
-    return Channel(np.eye(dim * dim, dtype=complex), dim, dim, tol)
+def identity_channel(dim: int) -> Channel:
+    return Channel(np.eye(dim * dim, dtype=complex), dim, dim)
 
 
-def carrier(ch: Channel, tol: ToleranceConfig | None = None) -> np.ndarray:
+def carrier(ch: Channel) -> np.ndarray:
     """Isometry onto the carrier: the support of Phi^*(I/d).
 
     The carrier is the smallest subspace of the input space that determines
     the map; any full-rank state works, the maximally mixed one is canonical.
     """
-    tol = tol or ch.tol
     rho0 = np.eye(ch.dim_out, dtype=complex) / ch.dim_out
     rho1 = nl.unvec(ch.superop.conj().T @ nl.vec(rho0), ch.dim_in, ch.dim_in)
-    dec = nl.herm_eig(nl.hermitian_part(rho1), tol)
-    rank = nl.rank_from_singular_values(dec.eigenvalues, tol.rank_rel_tol)
+    dec = nl.herm_eig(nl.hermitian_part(rho1))
+    rank = nl.rank_from_singular_values(dec.eigenvalues, RANK_REL_TOL)
     return dec.eigenvectors[:, :rank].copy()
 
 
@@ -314,12 +315,12 @@ def _commutant_basis(basis: list[np.ndarray], rel_tol: float) -> np.ndarray:
     return vh.conj().T[:, dim * dim - null_dim :]
 
 
-def _subspace_intersection(qa: np.ndarray, qc: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+def _subspace_intersection(qa: np.ndarray, qc: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the intersection of two orthonormal column spans."""
     if qa.shape[1] == 0 or qc.shape[1] == 0:
         return np.zeros((qa.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(qa.conj().T @ qc)
-    count = int(np.sum(s >= 1 - tol))
+    count = int(np.sum(s >= 1 - 1e-7))
     return qa @ u[:, :count]
 
 
@@ -336,10 +337,7 @@ def _group_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
 
 
 def decompose_star_algebra(
-    basis: list[np.ndarray],
-    struct_tol: float = 1e-8,
-    seed: int = 0,
-    max_retries: int = 12,
+    basis: list[np.ndarray], seed: int = 0,
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[np.ndarray]]:
     """Block-diagonalize a unital *-closed subalgebra A of B(C^m).
 
@@ -354,11 +352,11 @@ def decompose_star_algebra(
         raise NotClosed("empty basis")
     m = basis[0].shape[0]
     closure = _closure_residual(basis)
-    if closure > struct_tol:
+    if closure > STRUCT_TOL:
         raise NotClosed(f"basis is not closed under products/adjoints: {closure:.2e}")
     project = _span_projector(basis)
     eye_res = nl.operator_norm(project(np.eye(m)) - np.eye(m))
-    if eye_res > struct_tol:
+    if eye_res > STRUCT_TOL:
         raise NotClosed(f"algebra is not unital: identity residual {eye_res:.2e}")
 
     qa = np.stack([nl.vec(b) for b in basis], axis=1)
@@ -370,16 +368,16 @@ def decompose_star_algebra(
     center_ops = [nl.unvec(center[:, i], m, m) for i in range(n_blocks)]
 
     rng = np.random.default_rng(seed)
-    for attempt in range(max_retries):
+    # up to 12 draws of the random elements; the last one's failure propagates
+    for _ in range(11):
         try:
-            return _split_blocks(basis, center_ops, m, n_blocks, rng, struct_tol)
+            return _split_blocks(basis, center_ops, m, n_blocks, rng)
         except DecompositionFailed:
-            if attempt == max_retries - 1:
-                raise
-    raise DecompositionFailed("unreachable")  # pragma: no cover
+            pass
+    return _split_blocks(basis, center_ops, m, n_blocks, rng)
 
 
-def _split_blocks(basis, center_ops, m, n_blocks, rng, struct_tol):
+def _split_blocks(basis, center_ops, m, n_blocks, rng):
     coeffs = rng.standard_normal(n_blocks) + 1j * rng.standard_normal(n_blocks)
     z = nl.hermitian_part(sum(c * op for c, op in zip(coeffs, center_ops)))
     wz, uz = np.linalg.eigh(z)
@@ -392,7 +390,7 @@ def _split_blocks(basis, center_ops, m, n_blocks, rng, struct_tol):
     for g in groups:
         iso = uz[:, np.sort(g)]  # dim_c columns
         sub_basis = [iso.conj().T @ b @ iso for b in basis]
-        blocks.append(_factor_block(sub_basis, iso, rng, struct_tol))
+        blocks.append(_factor_block(sub_basis, iso, rng))
 
     # canonical order: by block dim desc, then multiplicity desc
     blocks.sort(key=lambda t: (-t[0], -t[1]))
@@ -401,12 +399,12 @@ def _split_blocks(basis, center_ops, m, n_blocks, rng, struct_tol):
     w_list = [b[2] for b in blocks]
 
     w_full = np.concatenate(w_list, axis=0)
-    if nl.operator_norm(w_full.conj().T @ w_full - np.eye(m)) > max(struct_tol, 1e-8):
+    if nl.operator_norm(w_full.conj().T @ w_full - np.eye(m)) > STRUCT_TOL:
         raise DecompositionFailed("assembled block transform is not unitary")
     return d_list, e_list, w_list
 
 
-def _factor_block(sub_basis, iso, rng, struct_tol):
+def _factor_block(sub_basis, iso, rng):
     """Factor one central block H_c ~ L (x) E; returns (d, e, W_c)."""
     dim_c = sub_basis[0].shape[0]
     n = len(sub_basis)
@@ -446,7 +444,7 @@ def _factor_block(sub_basis, iso, rng, struct_tol):
         conj4 = conj.reshape(d, e, d, e)
         a_part = np.trace(conj4, axis1=1, axis2=3) / e
         rebuilt = np.einsum("dk,ef->dekf", a_part, np.eye(e)).reshape(d * e, d * e)
-        if nl.operator_norm(conj - rebuilt) > max(struct_tol * 10, 1e-7):
+        if nl.operator_norm(conj - rebuilt) > 1e-7:
             raise DecompositionFailed("conjugated element is not of the A (x) 1 form")
     return d, e, w_c
 
@@ -510,11 +508,7 @@ class IdempotentStructure:
         return out
 
 
-def idempotent_structure(
-    ch: Channel,
-    struct_tol: float = 1e-8,
-    seed: int = 0,
-) -> IdempotentStructure:
+def idempotent_structure(ch: Channel, seed: int = 0) -> IdempotentStructure:
     """Recover the full structure theorem data of an exactly idempotent UCP map.
 
     Returns the carrier, the block decomposition (d_j, e_j, W_j) of the
@@ -524,18 +518,18 @@ def idempotent_structure(
     ch.require_ucp()
     if ch.dim_in != ch.dim_out:
         raise DimMismatch("idempotent structure needs an endomorphism")
-    if ch.idempotency_residual() > struct_tol:
+    if ch.idempotency_residual() > STRUCT_TOL:
         raise NotIdempotent(
             f"superoperator idempotency residual {ch.idempotency_residual():.2e} "
-            f"exceeds {struct_tol:.2e}"
+            f"exceeds {STRUCT_TOL:.2e}"
         )
     dim = ch.dim_in
     j_m = carrier(ch)
     m = j_m.shape[1]
 
     # fixed-point space A = Img Phi, as an HS-orthonormal Hermitian-closed basis
-    cols = nl.column_space(ch.superop, ch.tol.rank_rel_tol)
-    herm = nl.real_basis(cols, nl.transpose_permutation(dim), ch.tol.rank_rel_tol)
+    cols = nl.column_space(ch.superop)
+    herm = nl.real_basis(cols, nl.transpose_permutation(dim))
     if herm.shape[1] != cols.shape[1]:
         raise DecompositionFailed(
             f"Hermitian closure changed the fixed-space dimension: "
@@ -544,9 +538,7 @@ def idempotent_structure(
     fixed_basis = list(herm.T.reshape(-1, dim, dim).transpose(0, 2, 1))
 
     w_basis = [j_m.conj().T @ b @ j_m for b in fixed_basis]
-    d_list, e_list, w_blocks = decompose_star_algebra(
-        w_basis, struct_tol=max(struct_tol, 1e-8), seed=seed
-    )
+    d_list, e_list, w_blocks = decompose_star_algebra(w_basis, seed=seed)
 
     gammas = []
     for jdx, (d_j, e_j) in enumerate(zip(d_list, e_list)):
@@ -650,20 +642,15 @@ def _delta_map(struct: IdempotentStructure) -> np.ndarray:
     return coeffs  # shape (N, d_tot^2)
 
 
-def make_enc_dec(
-    struct: IdempotentStructure,
-    s_map: DualChannel | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[DualChannel, DualChannel]:
+def make_enc_dec(struct: IdempotentStructure) -> tuple[DualChannel, DualChannel]:
     """Encoding/decoding channel pair reproducing the idempotent channel.
 
     ``Enc`` prepares the physical state carrying a block state rho = (rho_j),
     using gamma_j on the auxiliary factors.  ``Dec`` reads the block state
-    back; weight outside the carrier is routed through ``s_map``.  When the
-    structure was recovered from a channel, ``s_map`` defaults to the dual of
-    its extracted out-of-carrier map so that Enc o Dec reproduces the channel;
-    for fresh structures it falls back to a constant channel into a fixed
-    state of block 1.
+    back; weight outside the carrier is routed through a map S.  When the
+    structure was recovered from a channel, S is the dual of its extracted
+    out-of-carrier map so that Enc o Dec reproduces the channel; for fresh
+    structures it is a constant channel into a fixed state of block 1.
     """
     for g in struct.gammas:
         w = np.linalg.eigvalsh(nl.hermitian_part(g))
@@ -686,11 +673,11 @@ def make_enc_dec(
             lift = w_j.conj().T @ nl.kron(rho_j, gamma) @ w_j
             acc += j_m @ lift @ j_m.conj().T
         enc_cols[:, idx] = nl.vec(acc)
-    enc = DualChannel(enc_cols @ pinch_superop(tuple(struct.block_dims)), d_tot, dim, tol)
+    enc = DualChannel(enc_cols @ pinch_superop(tuple(struct.block_dims)), d_tot, dim)
 
-    if s_map is None and n_perp > 0:
+    if n_perp > 0:
         if struct.sigma_superop is not None:
-            s_map = DualChannel(struct.sigma_superop.conj().T, n_perp, d_tot, tol)
+            s_map = DualChannel(struct.sigma_superop.conj().T, n_perp, d_tot)
         else:
             s_superop = np.zeros((d_tot * d_tot, n_perp * n_perp), dtype=complex)
             omega = np.zeros((d_tot, d_tot), dtype=complex)
@@ -698,7 +685,7 @@ def make_enc_dec(
             s_superop += np.outer(
                 nl.vec(omega), nl.vec(np.eye(n_perp, dtype=complex)).conj()
             )
-            s_map = DualChannel(s_superop, n_perp, d_tot, tol)
+            s_map = DualChannel(s_superop, n_perp, d_tot)
     dec_cols = np.zeros((d_tot * d_tot, dim * dim), dtype=complex)
     for idx in range(dim * dim):
         rho = nl.unvec(np.eye(dim * dim, dtype=complex)[:, idx], dim, dim)
@@ -711,7 +698,7 @@ def make_enc_dec(
         if n_perp > 0:
             out = out + s_map(perp.conj().T @ rho @ perp)
         dec_cols[:, idx] = nl.vec(out)
-    dec = DualChannel(dec_cols, dim, d_tot, tol)
+    dec = DualChannel(dec_cols, dim, d_tot)
     return enc, dec
 
 
@@ -725,7 +712,7 @@ def _orthogonal_complement(iso: np.ndarray) -> np.ndarray:
 
 
 def _reconstruction_residual(ch: Channel, struct: IdempotentStructure) -> float:
-    enc, dec = make_enc_dec(struct, tol=ch.tol)
+    enc, dec = make_enc_dec(struct)
     rebuilt = compose(enc, dec)  # = Phi^* on the trace side
     return nl.operator_norm(rebuilt.superop - ch.superop.conj().T)
 
@@ -734,27 +721,24 @@ def _reconstruction_residual(ch: Channel, struct: IdempotentStructure) -> float:
 # generators
 # ---------------------------------------------------------------------------
 
-def gen_random_ucp(dim: int, kraus_rank: int, seed: int,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
+def gen_random_ucp(dim: int, kraus_rank: int, seed: int) -> Channel:
     """Random UCP map from a Haar isometry sliced into Kraus operators."""
     rng = np.random.default_rng(seed)
     iso = nl.random_isometry(dim * kraus_rank, dim, rng)
     # slices satisfy sum K_a^dag K_a = iso^dag iso = I, i.e. unitality
     kraus = [iso[a * dim : (a + 1) * dim, :] for a in range(kraus_rank)]
-    return Channel.from_kraus(kraus, tol)
+    return Channel.from_kraus(kraus)
 
 
-def gen_pinching(block_dims: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
+def gen_pinching(block_dims: tuple[int, ...]) -> Channel:
     d = int(sum(block_dims))
-    return Channel(pinch_superop(tuple(block_dims)), d, d, tol)
+    return Channel(pinch_superop(tuple(block_dims)), d, d)
 
 
 def gen_random_idempotent(
     pairs: tuple[tuple[int, int], ...],
     dim: int,
     seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    uniform_gamma: bool = False,
 ) -> Channel:
     """Random exactly idempotent UCP map with prescribed (d_j, e_j) pairs.
 
@@ -772,10 +756,7 @@ def gen_random_idempotent(
     for d_j, e_j in pairs:
         w_blocks.append(w_full[start : start + d_j * e_j, :])
         start += d_j * e_j
-    gammas = [
-        np.eye(e, dtype=complex) / e if uniform_gamma else nl.random_density(e, rng)
-        for _, e in pairs
-    ]
+    gammas = [nl.random_density(e, rng) for _, e in pairs]
     # state on the abstract algebra for the out-of-carrier part of Delta
     weights = rng.dirichlet(np.ones(len(pairs)))
     dim_h = dim
@@ -802,15 +783,14 @@ def gen_random_idempotent(
     eye = np.eye(dim * dim, dtype=complex)
     for idx in range(dim * dim):
         cols[:, idx] = nl.vec(phi_apply(nl.unvec(eye[:, idx], dim, dim)))
-    ch = Channel(cols, dim, dim, tol)
-    return ch
+    return Channel(cols, dim, dim)
 
 
-def gen_perturbed(ch: Channel, t: float, seed: int, kraus_rank: int = 3) -> Channel:
-    """Convex mixture (1-t) Phi + t Psi with a random UCP Psi."""
+def gen_perturbed(ch: Channel, t: float, seed: int) -> Channel:
+    """Convex mixture (1-t) Phi + t Psi with a random UCP Psi of Kraus rank 3."""
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
     if t == 0:
-        return Channel(ch.superop.copy(), ch.dim_in, ch.dim_out, ch.tol)
-    psi = gen_random_ucp(ch.dim_in, kraus_rank, seed, ch.tol)
-    return Channel((1 - t) * ch.superop + t * psi.superop, ch.dim_in, ch.dim_out, ch.tol)
+        return Channel(ch.superop.copy(), ch.dim_in, ch.dim_out)
+    psi = gen_random_ucp(ch.dim_in, 3, seed)
+    return Channel((1 - t) * ch.superop + t * psi.superop, ch.dim_in, ch.dim_out)

@@ -59,19 +59,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "--seed": {"type": int, "default": 0},
-        "--tol": {"type": float, "default": 1e-9},
-        "--rank-tol": {"type": float, "default": 1e-6},
         "--samples": {"type": int, "default": 100},
         "--extension-n": {"type": int, "default": 2},
         "--json-out": {"help": "write the report/output JSON here"},
     }
     # each subcommand declares only the options its handler reads
-    pipeline = ("--seed", "--tol", "--rank-tol", "--samples", "--extension-n", "--json-out")
+    pipeline = ("--seed", "--samples", "--extension-n", "--json-out")
     for name, help_text, reads in (
         ("analyze", "validity flags, certified idempotency defect, carrier",
-         ("--seed", "--tol", "--rank-tol", "--json-out")),
+         ("--seed", "--json-out")),
         ("idempotentize", "write the idempotent envelope of a channel",
-         ("--tol", "--rank-tol", "--json-out")),
+         ("--json-out",)),
         ("reconstruct", "pipeline through the block structure", pipeline),
         ("factorize", "pipeline through the certified UCP factorization", pipeline),
     ):
@@ -88,20 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances(args):
-    from .numlin import ToleranceConfig
-
-    return ToleranceConfig(eq_tol=args.tol, rank_rel_tol=args.rank_tol)
-
-
-def _load_channel(path: str, args=None):
+def _load_channel(path: str):
     from . import serialize as ser
 
-    data = ser.load_json(path)
-    ch = ser.channel_from_dict(data)
-    if args is not None:
-        ch.tol = _tolerances(args)
-    return ch
+    return ser.channel_from_dict(ser.load_json(path))
 
 
 def two_level_example(eta: float):
@@ -184,7 +172,7 @@ def _emit(report: dict, args) -> None:
 def cmd_analyze(args) -> int:
     from . import pipeline
 
-    ch = _load_channel(args.input, args)
+    ch = _load_channel(args.input)
     report = pipeline.analyze_channel(ch, seed=args.seed)
     _emit(report, args)
     eta = report["eta"]
@@ -203,7 +191,7 @@ def cmd_idempotentize(args) -> int:
     from . import starcalc as sc
     from .channels import Channel
 
-    ch = _load_channel(args.input, args)
+    ch = _load_channel(args.input)
     ch.require_ucp()
     pm = sc.idempotentize(ch)
     envelope = Channel(pm.superop, pm.dim, pm.dim)
@@ -225,7 +213,7 @@ def cmd_idempotentize(args) -> int:
 def cmd_reconstruct(args) -> int:
     from . import pipeline
 
-    ch = _load_channel(args.input, args)
+    ch = _load_channel(args.input)
     report, artifacts = pipeline.reconstruct_channel(
         ch, seed=args.seed, samples=args.samples, extension_n=args.extension_n
     )
@@ -241,7 +229,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_factorize(args) -> int:
     from . import pipeline
 
-    ch = _load_channel(args.input, args)
+    ch = _load_channel(args.input)
     report, artifacts = pipeline.factorize_channel(
         ch, seed=args.seed, samples=args.samples, extension_n=args.extension_n
     )

@@ -111,7 +111,7 @@ def twirl_to_cp(raw: RawFactorization, ch: Channel) -> tuple[Channel, dict]:
         )
     _, n_inv = nl.matrix_sqrt_inv_sqrt(dp_unit)
     delta_superop = nl.kron(n_inv.T, n_inv) @ delta_prime
-    delta = Channel(delta_superop, d_tot, d, ch.tol)
+    delta = Channel(delta_superop, d_tot, d)
     distance = cbnorm.cb_norm(delta_superop - raw.delta_superop, d_tot, d)
     info = {
         "terms": len(diag.terms),
@@ -122,26 +122,20 @@ def twirl_to_cp(raw: RawFactorization, ch: Channel) -> tuple[Channel, dict]:
     return delta, info
 
 
-def build_upsilon(
-    delta: Channel,
-    ch: Channel,
-    spec: BlockSpec,
-    eta: float,
-    rj_residual_cap: float = 0.25,
-    kraus_rel_tol: float = 1e-10,
-) -> tuple[Channel, dict]:
+def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel, dict]:
     """Reverse UCP map from the dilation data of the embedding.
 
     Per block: recover the dilation isometry W_j of the block restriction of
-    Delta, twirl W_j W_j^dag into 1 (x) C_j with the block one-design, pick a
-    maximal-singular-vector unit xi_j, contract the channel isometry V into
-    L_j, and set Upsilon_j(X) = L_j^dag (Phi(X) (x) 1) L_j; a final symmetric
+    Delta, its Kraus rank read at 1e-10 (finer than ``numlin.RANK_REL_TOL``);
+    twirl W_j W_j^dag into 1 (x) C_j with the block one-design, refusing a
+    block more than 0.25 away from that form; pick a maximal-singular-vector
+    unit xi_j, contract the channel isometry V into L_j, and set
+    Upsilon_j(X) = L_j^dag (Phi(X) (x) 1) L_j; a final symmetric
     normalization makes the sum unital.
     """
     d = ch.dim_in
     d_tot = spec.rep_dim
     v_iso, env = ch.stinespring
-    tol_loose = nl.ToleranceConfig(rank_rel_tol=kraus_rel_tol)
     blocks_info = []
     upsilon_prime = np.zeros((d_tot * d_tot, d * d), dtype=complex)
     slices = spec.slices()
@@ -150,7 +144,7 @@ def build_upsilon(
     for jdx, (d_j, s) in enumerate(zip(spec.block_dims, slices)):
         # Choi of the block restriction Delta_j : B(L_j) -> B(H)
         j_mat = choi4[s, :, s, :].reshape(d_j * d, d_j * d)
-        kraus = kraus_from_choi(j_mat, d_j, d, tol_loose)
+        kraus = kraus_from_choi(j_mat, d_j, d, 1e-10)
         if not kraus:
             raise RjNotFactorizable(f"block {jdx} restriction of Delta vanished")
         w_j = stinespring_from_kraus(kraus)  # C^d -> C^{d_j * e_j}
@@ -165,7 +159,7 @@ def build_upsilon(
             r_j += p_s * (u_ext.conj().T @ ww @ u_ext)
         c_j = nl.partial_trace(r_j, (d_j, e_j), keep=1) / d_j
         rj_residual = nl.operator_norm(r_j - nl.kron(np.eye(d_j), c_j))
-        if rj_residual > rj_residual_cap:
+        if rj_residual > 0.25:
             raise RjNotFactorizable(
                 f"block {jdx}: twirled dilation is {rj_residual:.3f} away from "
                 f"the 1 (x) C form"
@@ -206,7 +200,7 @@ def build_upsilon(
         )
     _, n_inv = nl.matrix_sqrt_inv_sqrt(up_unit)
     upsilon_superop = pinch_superop(spec.block_dims) @ nl.kron(n_inv.T, n_inv) @ upsilon_prime
-    upsilon = Channel(upsilon_superop, d, d_tot, ch.tol)
+    upsilon = Channel(upsilon_superop, d, d_tot)
     info = {
         "blocks": blocks_info,
         "stinespring_unit_defect": unit_defect,
@@ -269,15 +263,14 @@ def certify(
     spec: BlockSpec,
     probes: int = 10,
     seed: int = 0,
-    target_rel_gap: float = 1e-6,
 ) -> FactorizationCertificate:
     """Certified factorization residuals plus the sampled product condition."""
     d = ch.dim_in
     d_tot = spec.rep_dim
     factor_map = delta.superop @ upsilon.superop - ch.superop
-    residual_factor = cbnorm.cb_norm(factor_map, d, d, target_rel_gap)
+    residual_factor = cbnorm.cb_norm(factor_map, d, d)
     retract_map = upsilon.superop @ delta.superop - pinch_superop(spec.block_dims)
-    residual_retract = cbnorm.cb_norm(retract_map, d_tot, d_tot, target_rel_gap)
+    residual_retract = cbnorm.cb_norm(retract_map, d_tot, d_tot)
 
     rng = np.random.default_rng(seed)
     product_residuals: dict[int, float] = {}

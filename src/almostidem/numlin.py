@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * matrices are dense complex ``numpy`` arrays in row-major layout;
 * ``vec`` stacks the *columns* of a matrix, so ``vec(A X B) = (B.T kron A) vec(X)``;
-* all tolerances are collected in :class:`ToleranceConfig`.
+* the tolerances shared by every module are the fixed constants below, so a
+  report is replayed at the tolerances it was made with.
 """
 
 from __future__ import annotations
@@ -38,25 +39,12 @@ class DimMismatch(NumLinError):
     pass
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical knobs shared by every module.
-
-    ``eq_tol`` bounds residuals of algebraic identities, ``rank_rel_tol`` is the
-    relative singular value threshold for rank decisions, ``newton_max_iter``
-    caps all Newton-type iterations.
-    """
-
-    eq_tol: float = 1e-9
-    rank_rel_tol: float = 1e-6
-    newton_max_iter: int = 100
-
-    def __post_init__(self):
-        if self.eq_tol <= 0 or self.rank_rel_tol <= 0 or self.newton_max_iter <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOL = ToleranceConfig()
+# residual bound of algebraic identities (Hermitian, CP, unital, ...)
+EQ_TOL = 1e-9
+# relative singular value threshold of rank decisions
+RANK_REL_TOL = 1e-6
+# iteration cap of the matrix sign Newton iteration
+NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -75,13 +63,13 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def herm_eig(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
+def herm_eig(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"expected square matrix, got shape {m.shape}")
     scale = max(operator_norm(m), 1.0)
-    if operator_norm(m - m.conj().T) > tol.eq_tol * scale:
+    if operator_norm(m - m.conj().T) > EQ_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
         w, u = np.linalg.eigh(hermitian_part(m))
@@ -91,12 +79,10 @@ def herm_eig(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecom
     return SpectralDecomposition(w[order].copy(), u[:, order].copy())
 
 
-def matrix_sqrt_inv_sqrt(
-    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def matrix_sqrt_inv_sqrt(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal square root and inverse square root of a positive definite matrix."""
-    dec = herm_eig(m, tol)
-    if dec.eigenvalues[-1] <= tol.eq_tol:
+    dec = herm_eig(m)
+    if dec.eigenvalues[-1] <= EQ_TOL:
         raise NotPositive(
             f"matrix not positive definite: min eigenvalue {dec.eigenvalues[-1]:.3e}"
         )
@@ -105,7 +91,7 @@ def matrix_sqrt_inv_sqrt(
     return (u * sq) @ u.conj().T, (u / sq) @ u.conj().T
 
 
-def matrix_sign(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def matrix_sign(m: np.ndarray) -> np.ndarray:
     """Matrix sign function via the scaled Newton iteration.
 
     Converges quadratically whenever the spectrum stays off the imaginary
@@ -118,7 +104,7 @@ def matrix_sign(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     ident = np.eye(n)
     prev_err = np.inf
     stalls = 0
-    for _ in range(tol.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         err = operator_norm(s @ s - ident)
         if err <= 1e-13 * max(1.0, operator_norm(s)) ** 2:
             return s
@@ -126,7 +112,7 @@ def matrix_sign(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
             stalls += 1
             if stalls >= 3:
                 # stalled at the floor set by roundoff
-                if err <= tol.eq_tol:
+                if err <= EQ_TOL:
                     return s
                 raise NoConvergence(
                     "matrix sign iteration stalled; spectrum is likely too "
@@ -150,10 +136,10 @@ def matrix_sign(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     )
 
 
-def theta(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def theta(m: np.ndarray) -> np.ndarray:
     """Spectral step function (I + sign(M))/2: the idempotent commuting with M
     that projects onto the right-half-plane spectrum."""
-    s = matrix_sign(m, tol)
+    s = matrix_sign(m)
     return 0.5 * (np.eye(s.shape[0]) + s)
 
 
@@ -243,9 +229,7 @@ def rank_from_singular_values(s: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def column_space(
-    m: np.ndarray, rel_tol: float = DEFAULT_TOL.rank_rel_tol
-) -> np.ndarray:
+def column_space(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
     """Orthonormal basis of the column space at a relative rank threshold.
 
     The basis is the leading left singular vectors of a thin SVD, as many as
@@ -260,11 +244,7 @@ def column_space(
     return u[:, :rank_from_singular_values(s, rel_tol)]
 
 
-def real_basis(
-    q: np.ndarray,
-    perm: np.ndarray | None = None,
-    rel_tol: float = DEFAULT_TOL.rank_rel_tol,
-) -> np.ndarray:
+def real_basis(q: np.ndarray, perm: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal basis of the vectors fixed by J: v -> conj(v[perm]).
 
     ``q`` has orthonormal columns whose span is closed under J.  For vec'd
@@ -274,7 +254,7 @@ def real_basis(
     (q + Jq)/2 and -i(q - Jq)/2 span the fixed real subspace; its basis is
     the leading left singular vectors of one real SVD of their coordinates
     [Re; Im], as many as :func:`rank_from_singular_values` reads at
-    ``rel_tol``.  On a J-closed span there are ``q.shape[1]`` of them, all
+    ``RANK_REL_TOL``.  On a J-closed span there are ``q.shape[1]`` of them, all
     with singular value 1; more or fewer means the span is not J-closed.
     """
     q = np.asarray(q, dtype=complex)
@@ -282,7 +262,7 @@ def real_basis(
     parts = np.concatenate([q + jq, -1j * (q - jq)], axis=1) / 2
     coords = parts.real if perm is None else np.concatenate([parts.real, parts.imag])
     u, s, _ = np.linalg.svd(coords, full_matrices=False)
-    u = u[:, :rank_from_singular_values(s, rel_tol)]
+    u = u[:, :rank_from_singular_values(s, RANK_REL_TOL)]
     return u if perm is None else u[:q.shape[0]] + 1j * u[q.shape[0]:]
 
 
@@ -325,8 +305,7 @@ def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarra
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

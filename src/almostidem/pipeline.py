@@ -20,6 +20,9 @@ from . import reconstruction as rc
 from . import factorization as fa
 from . import serialize as ser
 
+# absolute slack when a recorded interval is checked against its witness
+VERIFY_SLACK = 1e-6
+
 
 def _input_block(ch: chn.Channel, seed: int) -> dict:
     data = ser.channel_to_dict(ch)
@@ -31,11 +34,11 @@ def _input_block(ch: chn.Channel, seed: int) -> dict:
     }
 
 
-def analyze_channel(ch: chn.Channel, seed: int = 0, target_rel_gap: float = 1e-6) -> dict:
+def analyze_channel(ch: chn.Channel, seed: int = 0) -> dict:
     """Validity flags, certified idempotency defect, carrier dimension."""
     t0 = time.perf_counter()
     m = ch.superop
-    eta = cbnorm.cb_norm(m @ m - m, ch.dim_in, ch.dim_in, target_rel_gap)
+    eta = cbnorm.cb_norm(m @ m - m, ch.dim_in, ch.dim_in)
     carrier_dim = int(chn.carrier(ch).shape[1]) if ch.is_cp() else None
     report = {
         "format": ser.FORMAT_REPORT,
@@ -125,7 +128,7 @@ def factorize_channel(
     )
     raw = fa.raw_factor(v, pm, alg)
     delta, twirl_info = fa.twirl_to_cp(raw, ch)
-    upsilon, ups_info = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+    upsilon, ups_info = fa.build_upsilon(delta, ch, spec)
     cert = fa.certify(delta, upsilon, ch, spec, seed=seed)
     report["kind"] = "factorize"
     report["checkpoints"].append({
@@ -155,7 +158,7 @@ def factorize_channel(
     return report, artifacts
 
 
-def verify_report(report: dict, slack: float = 1e-6) -> list[str]:
+def verify_report(report: dict) -> list[str]:
     """Re-check every invariant recorded in a report from the raw input.
 
     Norm certificates are checked through their witnesses on the maps rebuilt
@@ -187,8 +190,7 @@ def verify_report(report: dict, slack: float = 1e-6) -> list[str]:
                 eta_rec = cp["eta"]
     if eta_rec is not None:
         m = ch.superop
-        failures.extend(_verify_certificate(
-            "eta", eta_rec, m @ m - m, ch.dim_in, slack))
+        failures.extend(_verify_certificate("eta", eta_rec, m @ m - m, ch.dim_in))
 
     if "carrier_dim" in report and report["carrier_dim"] is not None:
         if int(report["carrier_dim"]) != int(chn.carrier(ch).shape[1]):
@@ -196,12 +198,11 @@ def verify_report(report: dict, slack: float = 1e-6) -> list[str]:
 
     fact = report.get("factorization")
     if fact is not None:
-        failures.extend(_verify_factorization(ch, fact, slack))
+        failures.extend(_verify_factorization(ch, fact))
     return failures
 
 
-def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int,
-                        slack: float) -> list[str]:
+def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int) -> list[str]:
     """Failures of the recorded cb-norm certificate ``rec`` of the map ``mp``."""
     try:
         witness = ser.certificate_witness_from_dict(rec)
@@ -212,17 +213,17 @@ def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int,
     # one and meet the gap target unless recorded stalled
     interval = f"recorded {name} interval [{rec['lower']:.3e}, {rec['upper']:.3e}]"
     failures = []
-    if not (rec["lower"] <= lower + slack and rec["upper"] >= upper - slack):
+    if not (rec["lower"] <= lower + VERIFY_SLACK and rec["upper"] >= upper - VERIFY_SLACK):
         failures.append(f"{interval} is not certified by its witness "
                         f"[{lower:.3e}, {upper:.3e}]")
-    tol = witness.target_rel_gap * max(1.0, lower) + slack
+    tol = witness.target_rel_gap * max(1.0, lower) + VERIFY_SLACK
     if not rec.get("stalled") and not upper - lower <= tol:
         failures.append(f"{name} witness gap {upper - lower:.3e} misses the target "
                         f"{witness.target_rel_gap:g}")
     return failures
 
 
-def _verify_factorization(ch, fact: dict, slack: float) -> list[str]:
+def _verify_factorization(ch, fact: dict) -> list[str]:
     failures = []
     spec = rc.BlockSpec(tuple(int(d) for d in fact["block_dims"]))
     d_tot = spec.rep_dim
@@ -248,10 +249,10 @@ def _verify_factorization(ch, fact: dict, slack: float) -> list[str]:
 
     factor_map = delta.superop @ upsilon.superop - ch.superop
     failures.extend(_verify_certificate(
-        "residual_factor", fact["residual_factor"], factor_map, ch.dim_in, slack))
+        "residual_factor", fact["residual_factor"], factor_map, ch.dim_in))
     retract_map = upsilon.superop @ delta.superop - chn.pinch_superop(spec.block_dims)
     failures.extend(_verify_certificate(
-        "residual_retract", fact["residual_retract"], retract_map, d_tot, slack))
+        "residual_retract", fact["residual_retract"], retract_map, d_tot))
     return failures
 
 

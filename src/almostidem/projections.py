@@ -117,7 +117,7 @@ def measure_delta(alg: EpsilonAlgebra, coords: np.ndarray) -> float:
     return alg.norm(alg.star(coords, coords) - coords)
 
 
-def star_sign(alg: EpsilonAlgebra, x: np.ndarray, max_iter: int = 60) -> np.ndarray:
+def star_sign(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
     """Sign of an element under the algebra product, by Newton iteration.
 
     Inverses are taken through the left-multiplication operator; converges for
@@ -125,7 +125,7 @@ def star_sign(alg: EpsilonAlgebra, x: np.ndarray, max_iter: int = 60) -> np.ndar
     """
     s = np.asarray(x, dtype=complex)
     prev = np.inf
-    for _ in range(max_iter):
+    for _ in range(60):
         res = alg.norm(alg.star(s, s) - alg.unit_coords)
         if res <= 1e-12:
             return s
@@ -141,11 +141,11 @@ def star_sign(alg: EpsilonAlgebra, x: np.ndarray, max_iter: int = 60) -> np.ndar
     raise SignDiverged("algebra sign iteration did not converge")
 
 
-def _cubic_refine(alg: EpsilonAlgebra, coords: np.ndarray, max_iter: int = 60):
+def _cubic_refine(alg: EpsilonAlgebra, coords: np.ndarray):
     """P <- 3 P*P - 2 P*(P*P) until the projection defect plateaus."""
     p = np.real(coords)
     delta = measure_delta(alg, p)
-    for _ in range(max_iter):
+    for _ in range(60):
         pp = alg.star(p, p)
         p_new = np.real(3 * pp - 2 * alg.star(p, pp))
         d_new = measure_delta(alg, p_new)
@@ -262,12 +262,11 @@ def compressed_product(
     c_pr: CompressionMap,
     x: np.ndarray,
     y: np.ndarray,
-    membership_tol: float = 1e-8,
 ) -> np.ndarray:
     """X . Y = C_{P,R}(X * Y) for X in S_{P,Q}, Y in S_{Q,R}."""
-    if c_pq.membership_residual(alg, x) > membership_tol:
+    if c_pq.membership_residual(alg, x) > 1e-8:
         raise MembershipViolation("x is not in S_{P,Q}")
-    if c_qr.membership_residual(alg, y) > membership_tol:
+    if c_qr.membership_residual(alg, y) > 1e-8:
         raise MembershipViolation("y is not in S_{Q,R}")
     return c_pr.apply(alg.star(x, y))
 
@@ -276,9 +275,9 @@ def hilbert_structure(
     alg: EpsilonAlgebra,
     c_pq: CompressionMap,
     c_q: CompressionMap,
-    pd_floor: float = 0.5,
 ) -> SubspaceHilbert:
-    """Inner product on S_{P,Q} from Y^dag . X = <Y|X> Q~ for 1-dim Q."""
+    """Inner product on S_{P,Q} from Y^dag . X = <Y|X> Q~ for 1-dim Q; the
+    Gram matrix must have condition number below 2."""
     if c_q.rank != 1:
         raise DegenerateGram(f"Q is not one dimensional (dim S_Q = {c_q.rank})")
     q_tilde = c_q.apply(c_q.q.coords)
@@ -287,7 +286,7 @@ def hilbert_structure(
     basis = c_pq.image_coords.T
     gram = nl.hermitian_part(alg.star(np.conj(basis)[:, None, :], basis[None, :, :]) @ q_fn)
     w = np.linalg.eigvalsh(gram)
-    if w[0] <= pd_floor * max(w[-1], 1e-30) or w[0] <= 0:
+    if w[0] <= 0.5 * max(w[-1], 1e-30) or w[0] <= 0:
         raise DegenerateGram(
             f"Gram matrix not safely positive definite (eigs {w[0]:.3e}..{w[-1]:.3e})"
         )

@@ -1,4 +1,4 @@
-"""JSON formats: channels, algebras, reports.
+"""JSON formats: channels and reports.
 
 Conventions: complex numbers serialize as [re, im] pairs, matrices as
 row-major nested arrays of those pairs, channels as Choi matrices (input
@@ -16,16 +16,11 @@ import tempfile
 import numpy as np
 
 FORMAT_CHANNEL = "aiq-channel/1"
-FORMAT_ALGEBRA = "aiq-algebra/1"
 FORMAT_REPORT = "aiq-report/1"
 
 
 class ParseError(Exception):
     pass
-
-
-def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -44,15 +39,6 @@ def matrix_from_json(data) -> np.ndarray:
     if not np.all(np.isfinite(arr)):  # also a null entry, which reads as NaN
         raise ParseError("malformed matrix: non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def tensor3_to_json(t: np.ndarray) -> list:
-    return [matrix_to_json(t[i]) for i in range(t.shape[0])]
-
-
-def tensor3_from_json(data) -> np.ndarray:
-    mats = [matrix_from_json(d) for d in data]
-    return np.stack(mats)
 
 
 def channel_to_dict(ch, meta: dict | None = None) -> dict:
@@ -89,37 +75,6 @@ def channel_from_dict(data: dict):
             f"Choi shape {choi.shape} inconsistent with dims ({dim_in}, {dim_out})"
         )
     return Channel.from_choi(choi, dim_in, dim_out)
-
-
-def algebra_to_dict(alg) -> dict:
-    from .starcalc import EpsilonAlgebra
-
-    if not isinstance(alg, EpsilonAlgebra):
-        raise ParseError("expected an EpsilonAlgebra")
-    out = {
-        "format": FORMAT_ALGEBRA,
-        "ambient_dim": alg.ambient_dim,
-        "basis": [matrix_to_json(b) for b in alg.basis],
-        "unit_coords": [complex_to_json(z) for z in np.asarray(alg.unit_coords, dtype=complex)],
-        "star_tensor": tensor3_to_json(alg.star_tensor),
-    }
-    if alg.defects is not None:
-        out["defects"] = defect_report_to_dict(alg.defects)
-    return out
-
-
-def algebra_from_dict(data: dict):
-    from .starcalc import EpsilonAlgebra, DefectReport
-
-    if data.get("format") != FORMAT_ALGEBRA:
-        raise ParseError("not an algebra file")
-    basis = [matrix_from_json(b) for b in data["basis"]]
-    unit = np.array([p[0] + 1j * p[1] for p in data["unit_coords"]])
-    tensor = tensor3_from_json(data["star_tensor"])
-    alg = EpsilonAlgebra(int(data["ambient_dim"]), basis, np.real(unit), tensor)
-    if "defects" in data:
-        alg.defects = DefectReport(**data["defects"])
-    return alg
 
 
 def defect_report_to_dict(rep) -> dict:

@@ -3,15 +3,15 @@
 ``idempotentize`` replaces the map by the nearby exact idempotent obtained by
 applying the spectral step function to 2*Phi - 1 on the superoperator level.
 ``extract_algebra`` realizes its image as a concrete subspace of B(H) with the
-induced product X * Y = Phi~(X Y); ``measure_defects`` estimates how far the
-result is from satisfying the algebra axioms, including on matrix
-amplifications M_n (x) A; ``exactify_unit`` repairs an approximate unit by a
-Newton solve inside the algebra.
+induced product X * Y = Phi~(X Y), its dimension the rank of the image read
+at ``numlin.RANK_REL_TOL``; ``measure_defects`` estimates how far the result
+is from satisfying the algebra axioms, including on matrix amplifications
+M_n (x) A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,10 +33,6 @@ class IllConditionedSpectralGap(StarCalcError):
     pass
 
 
-class NewtonDiverged(StarCalcError):
-    pass
-
-
 @dataclass
 class IdempotentizedMap:
     """Idempotent envelope of a UCP map, with measured quality numbers."""
@@ -51,24 +47,19 @@ class IdempotentizedMap:
         return nl.unvec(self.superop @ nl.vec(np.asarray(x, dtype=complex)), self.dim, self.dim)
 
 
-def idempotentize(
-    ch: Channel,
-    eta: cbnorm.NormCertificate | None = None,
-    tol: nl.ToleranceConfig = nl.DEFAULT_TOL,
-) -> IdempotentizedMap:
+def idempotentize(ch: Channel) -> IdempotentizedMap:
     """Nearest idempotent envelope theta(2 Phi - 1) of an almost idempotent map."""
     m = ch.superop
     if ch.dim_in != ch.dim_out:
         raise nl.DimMismatch("idempotentize needs an endomorphism")
-    if eta is None:
-        eta = cbnorm.cb_norm(m @ m - m, ch.dim_in, ch.dim_in)
+    eta = cbnorm.cb_norm(m @ m - m, ch.dim_in, ch.dim_in)
     if eta.upper >= 0.25:
         raise EtaTooLarge(
             f"certified idempotency defect {eta.upper:.4f} is outside the "
             f"convergence domain (needs < 1/4)"
         )
     n = m.shape[0]
-    m_tilde = nl.theta(2 * m - np.eye(n), tol)
+    m_tilde = nl.theta(2 * m - np.eye(n))
     # the iteration fixes vec(I) up to roundoff; pin unitality exactly
     vec_i = nl.vec(np.eye(ch.dim_in, dtype=complex))
     defect = vec_i - m_tilde @ vec_i
@@ -207,15 +198,12 @@ class EpsilonAlgebra:
         return sub, image_coords
 
 
-def extract_algebra(
-    pm: IdempotentizedMap,
-    tol: nl.ToleranceConfig = nl.DEFAULT_TOL,
-) -> EpsilonAlgebra:
+def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:
     """Image of the idempotent envelope as a concrete algebra with basis.
 
     The basis is HS-orthonormal and Hermitian: :func:`numlin.real_basis` of
     the column space, one real SVD of the Hermitian parts with its rank read
-    at ``tol.rank_rel_tol``, which must equal the rank of the image.
+    at ``numlin.RANK_REL_TOL``, which must equal the rank of the image.
     """
     m = pm.superop
     if nl.operator_norm(m @ m - m) > 1e-8:
@@ -228,8 +216,8 @@ def extract_algebra(
             "numerically well defined"
         )
     dim = pm.dim
-    cols = nl.column_space(m, tol.rank_rel_tol)
-    stack_b = nl.real_basis(cols, nl.transpose_permutation(dim), tol.rank_rel_tol)
+    cols = nl.column_space(m)
+    stack_b = nl.real_basis(cols, nl.transpose_permutation(dim))
     n = stack_b.shape[1]
     if n != cols.shape[1]:
         raise StarCalcError(
@@ -429,53 +417,7 @@ def _unit_defect(alg: EpsilonAlgebra) -> float:
     return alg.max_norm(sides, np.tile(norms[1:], 2), float(abs(norms[0] - 1.0)))
 
 
-def exactify_unit(
-    alg: EpsilonAlgebra,
-    tol: nl.ToleranceConfig = nl.DEFAULT_TOL,
-) -> EpsilonAlgebra:
-    """Repair an approximate unit: Newton-solve X*X = X near the unit and
-    absorb the change of unit into a modified product."""
-    eps_unit = _unit_defect(alg)
-    if eps_unit >= 0.1:
-        raise StarCalcError(f"unit defect {eps_unit:.3f} too large to exactify")
-    if eps_unit <= 1e-10:
-        return alg
-    n = alg.dim
-    x = np.asarray(alg.unit_coords, dtype=float).astype(complex)
-    prev = np.inf
-    bad = 0
-    for _ in range(tol.newton_max_iter):
-        f = alg.star(x, x) - x
-        res = np.linalg.norm(f)
-        if res <= 1e-13:
-            break
-        if res >= prev:
-            bad += 1
-            if bad >= 3:
-                raise NewtonDiverged(f"unit Newton stalled at residual {res:.2e}")
-        prev = res
-        jac = alg.lmul(x) + alg.rmul(x) - np.eye(n)
-        try:
-            delta = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(str(exc)) from exc
-        x = np.real(x - delta)  # symmetrized iterate keeps J Hermitian
-    else:
-        raise NewtonDiverged("unit Newton did not converge")
-    j_coords = np.real(x)
-    lj = alg.lmul(j_coords)
-    rj = alg.rmul(j_coords)
-    lj_inv = np.linalg.inv(lj)
-    rj_inv = np.linalg.inv(rj)
-    new_tensor = np.einsum("ai,bj,abk->ijk", rj_inv, lj_inv, alg.star_tensor)
-    out = EpsilonAlgebra(alg.ambient_dim, alg.basis, j_coords, new_tensor,
-                         membership_residual=alg.membership_residual)
-    return out
-
-
-def choi_residual_check(
-    ch: Channel, samples: int = 40, seed: int = 0
-) -> float:
+def choi_residual_check(ch: Channel, samples: int = 40) -> float:
     """Max over probes of ||(1 - V V^dag)(Phi(X) (x) 1_F) V|| / ||X||.
 
     Measures how far image operators are from commuting with the dilation
@@ -484,7 +426,7 @@ def choi_residual_check(
     v, env = ch.stinespring
     dim = ch.dim_in
     proj = np.eye(v.shape[0]) - v @ v.conj().T
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     probes = [nl.random_hermitian(dim, rng) for _ in range(samples)]
     probes += [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

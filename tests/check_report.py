@@ -1,4 +1,4 @@
-"""Fail on a factorize report whose norm certificates do not stand as written.
+"""Fail on a report whose norm certificates do not stand as written.
 
 ``aiq verify`` re-checks each certificate against its witness, but it
 accepts a stalled certificate, whose gap the solve left open.  This check

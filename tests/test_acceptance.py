@@ -169,7 +169,7 @@ class TestCriterion4PerturbedPipeline:
             spec_ok &= spec.block_dims == (3, 2, 1)
             raw = fa.raw_factor(v, pm, alg)
             delta, _ = fa.twirl_to_cp(raw, pert)
-            upsilon, _ = fa.build_upsilon(delta, pert, spec, pm.eta.value)
+            upsilon, _ = fa.build_upsilon(delta, pert, spec)
             cert = fa.certify(delta, upsilon, pert, spec)
             uppers[t] = (cert.residual_factor.upper, cert.residual_retract.upper)
         ordered = all(

@@ -30,14 +30,6 @@ class TestSerialization:
         back = ser.channel_from_dict(data)
         assert nl.operator_norm(back.superop - ch.superop) <= 1e-12
 
-    def test_algebra_roundtrip(self):
-        alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((2, 1))))
-        alg.defects = sc.measure_defects(alg, samples=10, seed=0)
-        back = ser.algebra_from_dict(ser.algebra_to_dict(alg))
-        assert back.dim == alg.dim
-        np.testing.assert_allclose(back.star_tensor, alg.star_tensor, atol=1e-14)
-        assert back.defects.method == alg.defects.method
-
     def test_parse_errors(self):
         with pytest.raises(ser.ParseError):
             ser.channel_from_dict({"format": "something-else"})
@@ -136,6 +128,14 @@ class TestGenerators:
             _parse_pairs("junk")
 
 
+# (command, flag, value) the command does not read: tolerances are fixed
+_REFUSED = [("analyze", "--samples", "5")] + [
+    (command, flag, value)
+    for command in ("analyze", "idempotentize", "reconstruct", "factorize")
+    for flag, value in (("--tol", "1e-6"), ("--rank-tol", "1e-3"))
+]
+
+
 class TestCliCommands:
     def test_gen_analyze_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "ch.json"
@@ -215,13 +215,16 @@ class TestCliCommands:
         pm = sc.idempotentize(two_level_example(0.04))
         assert nl.operator_norm(envelope.superop - pm.superop) <= 1e-8
 
-    def test_options_a_command_does_not_read_are_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,flag,value", _REFUSED,
+                             ids=[f"{c}-{f.lstrip('-')}" for c, f, _ in _REFUSED])
+    def test_options_a_command_does_not_read_are_refused(
+            self, tmp_path, capsys, command, flag, value):
         ch_path = tmp_path / "ch.json"
         main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(ch_path)])
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", str(ch_path), "--samples", "5"])
+            main([command, str(ch_path), flag, value])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -244,10 +247,23 @@ class TestPipelineRoundTrip:
         for name, cmd in corpus:
             ch_path = tmp_path / f"{name}.json"
             assert main(cmd + ["--out", str(ch_path)]) == 0
-            rep_path = tmp_path / f"{name}-fact.json"
-            assert main(["factorize", str(ch_path), "--json-out", str(rep_path),
-                         "--samples", "15"]) == 0
-            assert main(["verify", str(rep_path)]) == 0
+            for command, extra in (("analyze", []), ("reconstruct", ["--samples", "15"]),
+                                   ("factorize", ["--samples", "15"])):
+                rep_path = tmp_path / f"{name}-{command}.json"
+                assert main([command, str(ch_path), "--json-out", str(rep_path)] + extra) == 0
+                assert json.load(open(rep_path))["kind"] == command
+                assert main(["verify", str(rep_path)]) == 0
+
+        # 1e-7 off unital: analyze records it at the fixed tolerance, and
+        # verify replays the flag at the same one
+        ch = ser.channel_from_dict(json.load(open(tmp_path / "pinching.json")))
+        scaled = tmp_path / "scaled.json"
+        ser.atomic_write_json(str(scaled), ser.channel_to_dict(
+            chn.Channel((1 - 1e-7) * ch.superop, ch.dim_in, ch.dim_out)))
+        rep_path = tmp_path / "scaled-analyze.json"
+        assert main(["analyze", str(scaled), "--json-out", str(rep_path)]) == 0
+        assert json.load(open(rep_path))["flags"]["unital"] is False
+        assert main(["verify", str(rep_path)]) == 0
 
 
 @pytest.fixture(scope="module")

@@ -130,7 +130,7 @@ class TestUpsilon:
         pm, alg, spec, v, rep = run_pipeline(ch)
         raw = fa.raw_factor(v, pm, alg)
         delta, _ = fa.twirl_to_cp(raw, ch)
-        upsilon, info = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        upsilon, info = fa.build_upsilon(delta, ch, spec)
         assert upsilon.is_cp() and upsilon.is_unital()
         retract = upsilon.superop @ delta.superop - chn.pinch_superop(spec.block_dims)
         assert nl.operator_norm(retract) <= 1e-8
@@ -150,7 +150,7 @@ class TestUpsilon:
         assert spec.block_dims == (1,)
         raw = fa.raw_factor(v, pm, alg)
         delta, _ = fa.twirl_to_cp(raw, ch)
-        upsilon, _ = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        upsilon, _ = fa.build_upsilon(delta, ch, spec)
         assert nl.operator_norm(upsilon.superop @ delta.superop - np.eye(1)) <= 1e-8
         assert upsilon.is_cp() and upsilon.is_unital()
 
@@ -159,7 +159,7 @@ class TestUpsilon:
         pm, alg, spec, v, rep = run_pipeline(ch)
         raw = fa.raw_factor(v, pm, alg)
         delta, _ = fa.twirl_to_cp(raw, ch)
-        upsilon, info = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        upsilon, info = fa.build_upsilon(delta, ch, spec)
         assert info["blocks"][0]["multiplicity"] == 2
         retract = upsilon.superop @ delta.superop - chn.pinch_superop(spec.block_dims)
         assert nl.operator_norm(retract) <= 1e-7
@@ -181,7 +181,7 @@ class TestUpsilon:
             return chn.kraus_from_choi(j_mat, *args)
 
         monkeypatch.setattr(fa, "kraus_from_choi", recording)
-        fa.build_upsilon(delta, ch, spec, 0.0)
+        fa.build_upsilon(delta, ch, spec)
         assert len(seen) == len(dims)
         for jdx, j_mat in enumerate(seen):
             assert np.array_equal(j_mat, _block_choi_by_units(delta, spec, jdx))
@@ -205,7 +205,7 @@ class TestUpsilon:
             return compression(l_j, d, env)
 
         monkeypatch.setattr(fa, "_compression_superop", recording)
-        upsilon, _ = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        upsilon, _ = fa.build_upsilon(delta, ch, spec)
         assert len(seen) == len(spec.block_dims)
         # reference: Upsilon'_j(X) = L_j^dag (Phi(X) (x) 1) L_j one matrix unit
         # X at a time, embedded at block j, then normalized as build_upsilon does
@@ -228,7 +228,7 @@ class TestCertify:
         pm, alg, spec, v, rep = run_pipeline(ch)
         raw = fa.raw_factor(v, pm, alg)
         delta, _ = fa.twirl_to_cp(raw, ch)
-        upsilon, _ = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        upsilon, _ = fa.build_upsilon(delta, ch, spec)
         cert = fa.certify(delta, upsilon, ch, spec)
         assert cert.residual_factor.upper <= 1e-6
         assert cert.residual_retract.upper <= 1e-6
@@ -240,7 +240,7 @@ class TestCertify:
         pm, alg, spec, v, rep = run_pipeline(ch)
         raw = fa.raw_factor(v, pm, alg)
         delta, _ = fa.twirl_to_cp(raw, ch)
-        upsilon, _ = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        upsilon, _ = fa.build_upsilon(delta, ch, spec)
         cert = fa.certify(delta, upsilon, ch, spec)
         assert cert.residual_factor.upper <= 1e-7
         assert cert.residual_retract.upper <= 1e-7
@@ -254,7 +254,7 @@ class TestCertify:
             assert spec.block_dims == (2, 1)
             raw = fa.raw_factor(v, pm, alg)
             delta, _ = fa.twirl_to_cp(raw, pert)
-            upsilon, _ = fa.build_upsilon(delta, pert, spec, pm.eta.value)
+            upsilon, _ = fa.build_upsilon(delta, pert, spec)
             cert = fa.certify(delta, upsilon, pert, spec)
             uppers[t] = (cert.residual_factor.upper, cert.residual_retract.upper)
             assert cert.residual_factor.upper <= 1.0
@@ -299,7 +299,7 @@ class TestBatchedProductCondition:
             ch = chn.gen_perturbed(ch, t, seed=5)
         pm, alg, spec, v, rep = run_pipeline(ch)
         delta, _ = fa.twirl_to_cp(fa.raw_factor(v, pm, alg), ch)
-        upsilon, _ = fa.build_upsilon(delta, ch, spec, pm.eta.value)
+        upsilon, _ = fa.build_upsilon(delta, ch, spec)
         for probes, seed in ((10, 0), (3, 7)):
             got = fa.certify(delta, upsilon, ch, spec, probes=probes, seed=seed).product_residuals
             want = _ref_product_residuals(delta, upsilon, spec, probes, seed)

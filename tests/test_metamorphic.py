@@ -45,7 +45,7 @@ def test_unitary_covariance(dims, t, seed):
     ch = _perturbed(dims, t, seed)
     u = nl.random_unitary(ch.dim_in, np.random.default_rng(seed))
     ad = nl.kron(u.conj(), u)
-    ch_u = chn.Channel(ad @ ch.superop @ ad.conj().T, ch.dim_in, ch.dim_out, ch.tol)
+    ch_u = chn.Channel(ad @ ch.superop @ ad.conj().T, ch.dim_in, ch.dim_out)
     block_dims, eta, dist = _factorize(ch, seed)
     block_dims_u, eta_u, dist_u = _factorize(ch_u, seed)
     assert block_dims_u == block_dims

@@ -57,7 +57,7 @@ class TestDiagonals:
     def test_product_diagonal_invariants(self):
         for dims in [(2, 1), (3, 2, 1), (2, 2)]:
             diag = rc.pauli_diagonal(rc.BlockSpec(dims))
-            res = diag.residuals(probes=5, seed=0)
+            res = diag.residuals(probes=5)
             assert abs(res["prob_sum"]) <= 1e-12
             assert res["pi"] <= 1e-10
             assert res["commutation"] <= 1e-10

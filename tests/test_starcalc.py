@@ -182,36 +182,6 @@ class TestDefects:
             assert abs(nl.operator_norm(big) - max(alg.norm(x), alg.norm(y))) <= 1e-10
 
 
-class TestExactifyUnit:
-    def test_exact_unit_untouched(self):
-        alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((2, 1))))
-        out = sc.exactify_unit(alg)
-        assert out is alg
-
-    def test_repairs_perturbed_unit(self):
-        alg = sc.extract_algebra(
-            sc.idempotentize(chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=13))
-        )
-        # externally loaded algebra with a slightly wrong unit
-        rng = np.random.default_rng(4)
-        bad_unit = alg.unit_coords + 0.01 * rng.standard_normal(alg.dim)
-        bad = sc.EpsilonAlgebra(
-            alg.ambient_dim, alg.basis, bad_unit, alg.star_tensor
-        )
-        fixed = sc.exactify_unit(bad)
-        j = fixed.unit_coords
-        # new unit is an exact idempotent for the original product
-        assert bad.norm(bad.star(j, j) - j) <= 1e-9
-        # and the exact unit of the new product
-        for _ in range(5):
-            x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-            assert fixed.norm(fixed.star(x, fixed.unit_coords) - x) <= 1e-10 * fixed.norm(x)
-            assert fixed.norm(fixed.star(fixed.unit_coords, x) - x) <= 1e-10 * fixed.norm(x)
-        # J is Hermitian and close to the old unit
-        assert np.max(np.abs(np.imag(j))) <= 1e-12
-        assert fixed.norm(j - alg.unit_coords) <= 0.1
-
-
 class TestResidualChecks:
     def test_choi_residual_exact(self):
         assert sc.choi_residual_check(chn.gen_pinching((2, 1))) <= 1e-7
