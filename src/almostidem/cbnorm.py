@@ -19,13 +19,17 @@ which is jointly concave.  A cheap bound pair (the objective at
 rho = sigma = I/d_in and the polar factorization of J) settles maps far
 below the gap target; every other map goes to a log-det barrier Newton
 method started at rho = sigma = I/d_in, which maximizes X out in closed form
-(:class:`_BarrierPoint`).  Each stage center is certified by its primal value
-and the dual point built from it, both valid bounds for the J given.  The path
-multiplies t by 100 per stage; an intermediate stage is centred until the
-damped Newton decrement (decrement times step length) is below 2, the final
-stage, at t_final = 4 n_z / target gap with n_z = 2 d_in d_out, until the
-undamped decrement is below 5e-3.  A loosely centred stage gives looser
-stage bounds, never invalid ones.
+(:class:`_BarrierPoint`).  Any positive definite iterate gives both bounds,
+its primal value and the dual point built from it, each valid for the J
+given.  The path multiplies t by 100 per stage; an intermediate stage is
+centred until the damped Newton decrement (decrement times step length) is
+below 2, the final stage, at t_final = 4 n_z / target gap with
+n_z = 2 d_in d_out, until the undamped decrement is below 5e-3.  Stage
+centres are certified; from t_final / 16 on, where the central path's own
+gap n_z / t is within the gap target, every accepted iterate is, and the
+solve stops at the first one whose bounds close.  A loosely centred stage
+gives looser bounds, never invalid ones.  All solves work to the relative
+gap ``TARGET_REL_GAP``.
 
 The barrier runs on Hermitian J, the Choi matrix of a Hermiticity-preserving
 map such as every difference of UCP maps the pipeline measures.  There the
@@ -35,17 +39,17 @@ its Hermitian dilation J' = [[0, J], [J^dag, 0]] with input C^2 (x) C^d_in,
 which has the same norm: rho' = diag(rho, sigma) / 2 attains the objective of
 J at (rho, sigma), and at any rho' = [[A, B], [B^dag, C]] the off-diagonal
 blocks of a feasible X' give at most 2 sqrt(Tr A Tr C) ||J|| <= ||J||.
-The bounds at an equal pair of a Hermitian J take one eigh of the Hermitian
-M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I), and the dual point's
-feasibility check two half-size eigvalsh; any other pair or J, an equal
-pair of a non-Hermitian J included, takes the SVD of M and one eigvalsh of
-the full dual block.
+The bounds at an equal pair of a Hermitian J are read off the eigenvalues of
+rho and of the Hermitian M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I) that the
+iterate already holds, and the dual point's feasibility check takes two
+half-size eigvalsh; any other pair or J, an equal pair of a non-Hermitian J
+included, takes the SVD of M and one eigvalsh of the full dual block.
 
 A Newton step forms the gradient and Hessian over the matrix units of
 rho from one batched product (:func:`_barrier_derivatives`); its line
 search starts at the first power of two that keeps rho positive definite
-(:func:`_barrier_path`), and a stage center's lower bound is read off the
-eigenvalues its :class:`_BarrierPoint` already holds.
+(:func:`_barrier_path`).  A stage restart at the next t keeps the point's
+eigendecompositions and recomputes only its t-dependent terms (:func:`_at_t`).
 
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
@@ -77,6 +81,9 @@ class InvalidWitness(CbNormError):
 
 _UPPER_KINDS = ("cheap", "point")
 
+TARGET_REL_GAP = 1e-6  # relative gap every certificate is solved to
+_MAX_NEWTON = 400      # Newton steps one barrier solve may take
+
 
 @dataclass
 class Witness:
@@ -92,7 +99,7 @@ class Witness:
     lower: tuple
     upper_kind: str = "cheap"
     upper: tuple = ()
-    target_rel_gap: float = 1e-6
+    target_rel_gap: float = TARGET_REL_GAP
 
 
 @dataclass
@@ -182,7 +189,7 @@ def _is_hermitian(j: np.ndarray) -> bool:
 def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
     """||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1 with rho, sigma first made
     density matrices (:func:`_density_sqrt`), so the value is a valid lower
-    bound at any point: a barrier center's trace drifts off 1 by roundoff, and
+    bound at any point: a barrier iterate's trace drifts off 1 by roundoff, and
     a witness read from a file may be anything.  The split of J into factors
     follows from the shape of rho.
 
@@ -201,39 +208,55 @@ def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def _dual_bound_from_point(
     j: np.ndarray, rho: np.ndarray, sigma: np.ndarray, d_in: int, d_out: int,
-    mix: float = 1e-9,
 ) -> float:
-    """Feasible dual value built from an interior primal point.
+    """Feasible dual value built from a primal point (rho, sigma).
 
-    Factorizes J = A^dag B through the (regularized) point and verifies
-    feasibility of the resulting dual block matrix explicitly, folding any
-    numerical slack into the bound.  For a Hermitian J and an equal pair, M
-    is Hermitian: its SVD is its eigh with |lam|, and Y1 = Y0 = Y.  There
+    Factorizes J = A^dag B through the point and verifies feasibility of the
+    resulting dual block matrix explicitly, folding any numerical slack into
+    the bound.  An equal pair of a Hermitian J with rho positive definite is
+    decomposed as a barrier iterate is (:func:`_decompose`) and bounded by
+    :func:`_equal_pair_dual_bound`, so a recorded iterate gives the bound its
+    solve offered.  Any other pair or J, and a rho that is not positive
+    definite, takes the SVD of M at the clipped roots of rho and sigma and
+    one eigvalsh of the full dual block.
+    """
+    equal = np.array_equal(sigma, rho)
+    if equal and _is_hermitian(j):
+        pt = _decompose(nl.hermitian_part(j), nl.hermitian_part(rho))
+        if pt is not None:
+            return _equal_pair_dual_bound(j, pt, d_in, d_out)
+    sr, sri = _sqrt_and_inv_sqrt(rho)
+    ss, ssi = (sr, sri) if equal else _sqrt_and_inv_sqrt(sigma)
+    u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
+    y0 = nl.hermitian_part(_lmul(sri, _rmul((u * s) @ u.conj().T, sri)))
+    y1 = nl.hermitian_part(_lmul(ssi, _rmul((vh.conj().T * s) @ vh, ssi)))
+    # explicit feasibility check of [[Y0, -J], [-J^dag, Y1]]
+    block = np.block([[y0, -j], [-j.conj().T, y1]])
+    return _dual_value(y0, y1, np.linalg.eigvalsh(nl.hermitian_part(block))[0], d_in, d_out)
+
+
+def _equal_pair_dual_bound(j: np.ndarray, pt, d_in: int, d_out: int) -> float:
+    """Feasible dual value at the equal pair (rho, rho) of a Hermitian J, from
+    the decomposition ``pt`` of rho and of M for H(J) (:class:`_BarrierPoint`)
+    with no new one.
+
+    M is Hermitian: its SVD is its eigh with |lam|, and Y1 = Y0 = Y.  There
     [[Y, -H], [-H, Y]] with H = H(J) is unitarily similar to
     diag(Y - H, Y + H), so two half-size eigvalsh decide its smallest
     eigenvalue, and the rest of J, (J - J^dag) / 2, moves it by at most
     ||J - J^dag||_F / 2 (Weyl).
     """
-    eye_in = np.eye(d_in)
-    sr, sri = _sqrt_and_inv_sqrt((1 - mix) * nl.hermitian_part(rho) + mix * eye_in / d_in)
-    equal = np.array_equal(sigma, rho)
-    if equal and _is_hermitian(j):
-        lam, u = np.linalg.eigh(nl.hermitian_part(_lmul(sr, _rmul(j, sr))))
-        y0 = y1 = nl.hermitian_part(_lmul(sri, _rmul((u * np.abs(lam)) @ u.conj().T, sri)))
-        h = nl.hermitian_part(j)
-        lam_min = (min(np.linalg.eigvalsh(y0 - h)[0], np.linalg.eigvalsh(y0 + h)[0])
-                   - 0.5 * np.linalg.norm(j - j.conj().T))
-    else:
-        if equal:
-            ss, ssi = sr, sri
-        else:
-            ss, ssi = _sqrt_and_inv_sqrt((1 - mix) * nl.hermitian_part(sigma) + mix * eye_in / d_in)
-        u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
-        y0 = nl.hermitian_part(_lmul(sri, _rmul((u * s) @ u.conj().T, sri)))
-        y1 = nl.hermitian_part(_lmul(ssi, _rmul((vh.conj().T * s) @ vh, ssi)))
-        # explicit feasibility check of [[Y0, -J], [-J^dag, Y1]]
-        block = np.block([[y0, -j], [-j.conj().T, y1]])
-        lam_min = np.linalg.eigvalsh(nl.hermitian_part(block))[0]
+    sri = pt.roots[1]
+    y = nl.hermitian_part(_lmul(sri, _rmul((pt.u * np.abs(pt.lam)) @ pt.u.conj().T, sri)))
+    h = nl.hermitian_part(j)
+    lam_min = (min(np.linalg.eigvalsh(y - h)[0], np.linalg.eigvalsh(y + h)[0])
+               - 0.5 * np.linalg.norm(j - j.conj().T))
+    return _dual_value(y, y, lam_min, d_in, d_out)
+
+
+def _dual_value(y0, y1, lam_min, d_in: int, d_out: int) -> float:
+    """(||Tr_out Y0|| + ||Tr_out Y1||) / 2, plus the slack that makes the dual
+    block with smallest eigenvalue ``lam_min`` feasible."""
     slack = max(0.0, -float(lam_min)) * (1 + 1e-9)
     val0 = nl.operator_norm(_ptrace_out(y0, d_in, d_out))
     val1 = val0 if y1 is y0 else nl.operator_norm(_ptrace_out(y1, d_in, d_out))
@@ -257,7 +280,7 @@ def _cheap_upper_bound(j: np.ndarray, d_in: int, d_out: int) -> float:
 @dataclass
 class _BarrierPoint:
     """The reduced barrier F_t at (rho, rho) of a Hermitian J, with what its
-    derivatives need.
+    derivatives and bounds need.
 
     With M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I) = U diag(lam) U^dag and
     c_i = sqrt(1 + t^2 lam_i^2), the maximum over X of t Re<J, X> + logdet Z
@@ -268,40 +291,60 @@ class _BarrierPoint:
 
     which is sum_i [c_i - log(1 + c_i)] plus terms constant in rho.
     ``a`` holds 1 - y_i^2 = 2 / (1 + c_i), computed without cancellation.
-    ``lower`` is sum_i |lam_i| / Tr rho, the primal value of J at rho made
-    a density matrix, so a lower bound on its norm (and on the norm of the
-    map a dilation J stands for, see :func:`_barrier_solve`).
+    The eigenvalues ``w`` of rho, its roots and (lam, U) do not depend on t
+    (:func:`_decompose`); y, z, a and the value do (:func:`_at_t`).
     """
 
     rho: np.ndarray
+    w: np.ndarray
     roots: tuple  # sqrt(rho), rho^(-1/2)
+    lam: np.ndarray
     u: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    a: np.ndarray
-    value: float
-    lower: float
+    y: np.ndarray | None = None
+    z: np.ndarray | None = None
+    a: np.ndarray | None = None
+    value: float = 0.0
+
+    @property
+    def lower(self) -> float:
+        """sum_i |lam_i| / Tr rho, the primal value of J at rho made a density
+        matrix, so a lower bound on its norm (and on the norm of the map a
+        dilation J stands for, see :func:`_barrier_solve`)."""
+        return float(np.sum(np.abs(self.lam)) / np.sum(self.w))
 
     def x_star(self) -> np.ndarray:
         sr = self.roots[0]
         return _lmul(sr, _rmul((self.u * self.z) @ self.u.conj().T, sr))
 
 
-def _barrier_point(j, rho, t: float, d_out: int):
-    """:class:`_BarrierPoint` of the Hermitian ``j`` at (rho, rho), or None
-    unless rho is positive definite: one eigh of rho and one of M."""
+def _decompose(j, rho):
+    """The t-free part of the :class:`_BarrierPoint` of the Hermitian ``j`` at
+    (rho, rho), or None unless rho is positive definite: one eigh of rho and
+    one of M."""
     w, q = np.linalg.eigh(rho)
     if not w[0] > 0:
         return None
     r = np.sqrt(w)
     roots = ((q * r) @ q.conj().T, (q / r) @ q.conj().T)
     lam, u = np.linalg.eigh(_lmul(roots[0], _rmul(j, roots[0])))
-    ts = t * np.abs(lam)
+    return _BarrierPoint(rho, w, roots, lam, u)
+
+
+def _at_t(pt: _BarrierPoint, t: float, d_out: int) -> _BarrierPoint:
+    """``pt`` with the terms of F_t, on the decompositions it holds."""
+    ts = t * np.abs(pt.lam)
     c = np.sqrt(1.0 + ts * ts)
     y, a = ts / (1.0 + c), 2.0 / (1.0 + c)
-    value = d_out * 2.0 * float(np.sum(np.log(w))) + float(np.sum(ts * y + np.log(a)))
-    lower = float(np.sum(np.abs(lam)) / np.sum(w))
-    return _BarrierPoint(rho, roots, u, y, np.where(lam < 0, -y, y), a, value, lower)
+    value = d_out * 2.0 * float(np.sum(np.log(pt.w))) + float(np.sum(ts * y + np.log(a)))
+    return _BarrierPoint(pt.rho, pt.w, pt.roots, pt.lam, pt.u,
+                         y, np.where(pt.lam < 0, -y, y), a, value)
+
+
+def _barrier_point(j, rho, t: float, d_out: int):
+    """:class:`_BarrierPoint` of the Hermitian ``j`` at (rho, rho) and t, or
+    None unless rho is positive definite."""
+    pt = _decompose(j, rho)
+    return None if pt is None else _at_t(pt, t, d_out)
 
 
 def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
@@ -380,16 +423,18 @@ def _trace_free_basis(dim: int, blocks: int) -> np.ndarray:
 
 def _barrier_solve(
     j: np.ndarray, d_in: int, d_out: int, target_gap: float,
-    max_newton: int = 400, on_stage=None, t0: float | None = None,
+    on_point=None, t0: float | None = None,
 ):
     """Path-following solve from rho = sigma = I/d_in; returns
-    (rho, sigma, X*, t, F_t, newtons, stalled) at the last center.
+    (rho, sigma, X*, t, F_t, newtons, stalled) at the last iterate.
 
-    ``on_stage(rho, sigma, lower)`` runs after each centering stage, with
-    ``lower`` a lower bound read off the center (the primal value at the
-    density pair made of (rho, sigma), or below it); if it returns True the
-    solve stops early (certificates already good enough).  ``t0`` may be matched to a known gap; the default scales with
-    ||J||.
+    ``on_point(rho, sigma, lower, point)`` runs at each iterate the path
+    offers (:func:`_barrier_path`), with ``lower`` a lower bound read off it
+    (the primal value at the density pair made of (rho, sigma), or below it)
+    and ``point`` its :class:`_BarrierPoint` when sigma = rho (None for a
+    dilated solve); if it returns True the solve stops there (certificates
+    already good enough).  ``t0`` may be matched to a known gap; the default
+    scales with ||J||.  A solve takes at most ``_MAX_NEWTON`` Newton steps.
 
     A Hermitian J (||J - J^dag|| <= 1e-12 ||J||) is solved on its Hermitian
     part, and sigma = rho.  Any other J is solved as its dilation
@@ -405,16 +450,16 @@ def _barrier_solve(
     F'_2t(diag(rho, sigma) / 2) = 2 F_t(rho, sigma) - 4 d_in d_out log 2: the
     path runs at 2t and maps back as (2 A, 2 C, 2 X'*_12).  At
     rho' = diag(A, C) the eigenvalues of M' are plus and minus the singular
-    values of (sqrt(A) (x) I) J (sqrt(C) (x) I), so a center's
+    values of (sqrt(A) (x) I) J (sqrt(C) (x) I), so an iterate's
     sum |lam'| / Tr rho' is the primal value of J at (2 A, 2 C) times
     2 sqrt(Tr A Tr C) / (Tr A + Tr C) <= 1, a lower bound for J.
     """
-    stop = on_stage or (lambda rho, sigma, lower: False)
+    stop = on_point or (lambda rho, sigma, lower, point: False)
     t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
     if _is_hermitian(j):
         pt, t, newtons, stalled = _barrier_path(
             nl.hermitian_part(j), _trace_free_basis(d_in, 1), d_out, target_gap,
-            max_newton, t, lambda p: stop(p.rho, p.rho, p.lower))
+            _MAX_NEWTON, t, lambda p: stop(p.rho, p.rho, p.lower, p))
         return pt.rho, pt.rho, pt.x_star(), t, pt.value, newtons, stalled
 
     def pair(rho):
@@ -423,14 +468,19 @@ def _barrier_solve(
     n, zero = d_in * d_out, np.zeros_like(j)
     pt, t, newtons, stalled = _barrier_path(
         np.block([[zero, j], [j.conj().T, zero]]), _trace_free_basis(2 * d_in, 2), d_out,
-        target_gap, max_newton, 2 * t, lambda p: stop(*pair(p.rho), p.lower))
+        target_gap, _MAX_NEWTON, 2 * t, lambda p: stop(*pair(p.rho), p.lower, None))
     return (*pair(pt.rho), 2 * pt.x_star()[:n, n:], t / 2,
             pt.value / 2 + 2 * n * np.log(2), newtons, stalled)
 
 
-def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
+def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_point):
     """:func:`_barrier_solve` for a Hermitian ``j`` along the directions
-    ``h_stack``, with ``on_center(point)``; returns (point, t, newtons, stalled).
+    ``h_stack``, with ``on_point(point)``; returns (point, t, newtons, stalled).
+
+    Stage centres are offered to ``on_point``.  From t_final / 16 on, where
+    the central path's own gap n_z / t is at most 4 ``target_gap``, every
+    accepted iterate is, and the path ends at the first one for which
+    ``on_point`` returns True.  The offers never change the iterates.
 
     The line search halves the Newton step until the barrier does not drop.
     rho + alpha d_rho = rho^1/2 (I + alpha K) rho^1/2 with
@@ -443,6 +493,7 @@ def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
     pt = _barrier_point(j, np.eye(d_in, dtype=complex) / d_in, t, d_out)
     newtons = 0
     while True:
+        every = 16.0 * t >= t_final
         for _ in range(60):
             if newtons >= max_newton:
                 return pt, t, newtons, True
@@ -462,15 +513,18 @@ def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_center):
             else:
                 return pt, t, newtons, True
             pt = trial
+            if every and on_point(pt):
+                return pt, t, newtons, False
             # center loosely along the path, tightly at the final stage; there
             # the undamped decrement decides, since a step damped far from
             # the center also makes dec * alpha small
             if (dec < 5e-3) if t >= t_final else (dec * alpha < 2.0):
                 break
-        if on_center(pt) or t >= t_final:
+        if t >= t_final or (not every and on_point(pt)):
             return pt, t, newtons, False
+        # the restart keeps rho, so only the t-dependent terms change
         t = min(t * 100.0, t_final)
-        pt = _barrier_point(j, pt.rho, t, d_out)
+        pt = _at_t(pt, t, d_out)
 
 
 class _Bounds:
@@ -481,29 +535,32 @@ class _Bounds:
         self.lower, self.lower_pt = lower, lower_pt
         self.upper, self.upper_kind, self.upper_pt = upper, "cheap", ()
 
-    def offer_lower(self, value, rho, sigma):
-        if value > self.lower:
-            self.lower, self.lower_pt = value, (rho, sigma)
+    def offer(self, rho, sigma, lower, point=None) -> bool:
+        """Offer both bounds at (rho, sigma); whether the gap is now closed.
+        ``point`` is the :class:`_BarrierPoint` of an equal pair of a
+        Hermitian J, whose decompositions the dual bound then reuses."""
+        if lower > self.lower:
+            self.lower, self.lower_pt = lower, (rho, sigma)
+        if point is None:
+            upper = _dual_bound_from_point(self.j, rho, sigma, self.d_in, self.d_out)
+        else:
+            upper = _equal_pair_dual_bound(self.j, point, self.d_in, self.d_out)
+        if upper < self.upper:
+            self.upper, self.upper_kind, self.upper_pt = upper, "point", (rho, sigma)
+        return self.closed()
 
-    def offer_point(self, rho, sigma):
-        value = _dual_bound_from_point(self.j, rho, sigma, self.d_in, self.d_out)
-        if value < self.upper:
-            self.upper, self.upper_kind, self.upper_pt = value, "point", (rho, sigma)
+    def closed(self) -> bool:
+        return self.upper - self.lower <= TARGET_REL_GAP * max(1.0, self.lower)
 
-    def closed(self, target_rel_gap) -> bool:
-        return self.upper - self.lower <= target_rel_gap * max(1.0, self.lower)
-
-    def certificate(self, iterations, path, target_rel_gap, stalled=False):
-        witness = Witness(self.lower_pt, self.upper_kind, self.upper_pt, target_rel_gap)
+    def certificate(self, iterations, path, stalled=False):
+        witness = Witness(self.lower_pt, self.upper_kind, self.upper_pt)
         return NormCertificate(
             0.5 * (self.upper + self.lower), self.upper, self.lower, iterations,
             self.upper - self.lower, stalled, path, witness,
         )
 
 
-def diamond_norm_of_choi(
-    j: np.ndarray, d_in: int, d_out: int, target_rel_gap: float = 1e-6,
-) -> NormCertificate:
+def diamond_norm_of_choi(j: np.ndarray, d_in: int, d_out: int) -> NormCertificate:
     """Certified diamond norm of the (trace-side) map with Choi matrix ``j``.
 
     The certificate carries the :class:`Witness` of both bounds, which
@@ -511,61 +568,48 @@ def diamond_norm_of_choi(
     """
     j = np.asarray(j, dtype=complex)
     uniform = np.eye(d_in, dtype=complex) / d_in
-    scale = nl.operator_norm(j)
-    if scale <= 1e-300:
-        return _Bounds(j, d_in, d_out, 0.0, (uniform, uniform), 0.0).certificate(
-            0, "cheap", target_rel_gap)
+    # the singular values give ||J|| and the value at the uniform pair
+    s = np.linalg.svd(j, compute_uv=False)
+    if float(s[0]) <= 1e-300:
+        return _Bounds(j, d_in, d_out, 0.0, (uniform, uniform), 0.0).certificate(0, "cheap")
 
     # the objective at rho = sigma = I/d_in already meets the cheap bound for
     # maps far below the absolute gap target (roundoff residuals of exact input)
-    bounds = _Bounds(j, d_in, d_out, nl.trace_norm(j) / d_in, (uniform, uniform),
+    bounds = _Bounds(j, d_in, d_out, float(np.sum(s)) / d_in, (uniform, uniform),
                      _cheap_upper_bound(j, d_in, d_out))
-    if bounds.closed(target_rel_gap):
-        return bounds.certificate(0, "cheap", target_rel_gap)
+    if bounds.closed():
+        return bounds.certificate(0, "cheap")
 
-    target_gap = 0.25 * target_rel_gap * max(1.0, bounds.lower)
-
-    def offer_stage(rho_s, sigma_s, lower):
-        bounds.offer_lower(lower, rho_s, sigma_s)
-        bounds.offer_point(rho_s, sigma_s)
-
-    def on_stage(rho_s, sigma_s, lower):
-        offer_stage(rho_s, sigma_s, lower)
-        return bounds.closed(target_rel_gap)
-
+    target_gap = 0.25 * TARGET_REL_GAP * max(1.0, bounds.lower)
     # start where the barrier's own gap n_z / t is four times the cheap gap
     gap0 = max(bounds.upper - bounds.lower, target_gap)
     n_z = 2 * d_in * d_out
     rho_c, sigma_c, _, _, _, iters, stalled = _barrier_solve(
-        j, d_in, d_out, target_gap, on_stage=on_stage, t0=n_z / (4.0 * gap0),
+        j, d_in, d_out, target_gap, on_point=bounds.offer, t0=n_z / (4.0 * gap0),
     )
     if stalled:
         # retry on the standard cold path before giving up
         rho_c, sigma_c, _, _, _, iters2, stalled = _barrier_solve(
-            j, d_in, d_out, target_gap, on_stage=on_stage
+            j, d_in, d_out, target_gap, on_point=bounds.offer
         )
         iters += iters2
     if stalled:
-        # a path that ends on a center has offered it already
-        offer_stage(rho_c, sigma_c, _primal_value(j, rho_c, sigma_c))
+        # a stalled path may end on a point it has not offered
+        bounds.offer(rho_c, sigma_c, _primal_value(j, rho_c, sigma_c))
     # a gap left open is recorded as stalled, however the path ended
-    return bounds.certificate(iters, "barrier", target_rel_gap,
-                              not bounds.closed(target_rel_gap))
+    return bounds.certificate(iters, "barrier", not bounds.closed())
 
 
-def diamond_norm(mp, dim_in=None, dim_out=None,
-                 target_rel_gap: float = 1e-6) -> NormCertificate:
+def diamond_norm(mp, dim_in=None, dim_out=None) -> NormCertificate:
     """Diamond norm of a trace-side map given by its superoperator matrix."""
     m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
-    j = choi_from_superop(m, d_in, d_out)
-    return diamond_norm_of_choi(j, d_in, d_out, target_rel_gap)
+    return diamond_norm_of_choi(choi_from_superop(m, d_in, d_out), d_in, d_out)
 
 
-def cb_norm(mp, dim_in=None, dim_out=None,
-            target_rel_gap: float = 1e-6) -> NormCertificate:
+def cb_norm(mp, dim_in=None, dim_out=None) -> NormCertificate:
     """Completely bounded norm of an observable-side map: ||L||_cb = ||L*||_diamond."""
     m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
-    return diamond_norm(m.conj().T, d_out, d_in, target_rel_gap)
+    return diamond_norm(m.conj().T, d_out, d_in)
 
 
 def check_witness(j: np.ndarray, d_in: int, d_out: int, witness: Witness):

@@ -49,11 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--random-ucp", action="store_true", help="random UCP map")
     kind.add_argument("--pinching", metavar="DIMS", help="pinching, e.g. '3,2,1'")
     kind.add_argument("--perturb", metavar="IN", help="perturb an existing channel file")
-    gen.add_argument("--eta", type=float, default=0.04,
-                     help="parameter of the built-in example")
+    # each generator kind reads only its own of these (GEN_READS)
+    gen.add_argument("--eta", type=float,
+                     help="parameter of the built-in example (default 0.04)")
     gen.add_argument("--dim", type=int, help="space dimension")
-    gen.add_argument("--kraus-rank", type=int, default=3)
-    gen.add_argument("--t", type=float, default=0.0, help="perturbation weight")
+    gen.add_argument("--kraus-rank", type=int, help="Kraus rank of --random-ucp (default 3)")
+    gen.add_argument("--t", type=float, help="perturbation weight (default 0)")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
 
@@ -121,36 +122,53 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple((int(d), int(e)) for d, e in pairs)
 
 
+# the generator options each kind of `gen` reads; any other is refused
+GEN_READS = {
+    "example_twolevel": ("eta",),
+    "idempotent": ("dim",),
+    "random_ucp": ("dim", "kraus_rank"),
+    "pinching": (),
+    "perturb": ("t",),
+}
+
+
 def cmd_gen(args) -> int:
     from . import channels as chn
     from . import serialize as ser
 
+    kind = next(k for k in GEN_READS if getattr(args, k) not in (None, False))
+    unread = [f"--{opt.replace('_', '-')}" for opt in ("eta", "dim", "kraus_rank", "t")
+              if getattr(args, opt) is not None and opt not in GEN_READS[kind]]
+    if unread:
+        raise ValueError(f"gen --{kind.replace('_', '-')} does not read {', '.join(unread)}")
     meta = {"seed": args.seed}
-    if args.example_twolevel:
-        ch = two_level_example(args.eta)
+    if kind == "example_twolevel":
+        eta = 0.04 if args.eta is None else args.eta
+        ch = two_level_example(eta)
         meta["kind"] = "two-level-example"
-        meta["eta_parameter"] = args.eta
-    elif args.idempotent:
+        meta["eta_parameter"] = eta
+    elif kind == "idempotent":
         pairs = _parse_pairs(args.idempotent)
         dim = args.dim or sum(d * e for d, e in pairs)
         ch = chn.gen_random_idempotent(pairs, dim, args.seed)
         meta["kind"] = "random-idempotent"
         meta["pairs"] = [list(p) for p in pairs]
-    elif args.random_ucp:
+    elif kind == "random_ucp":
         if not args.dim:
             raise ValueError("--random-ucp needs --dim")
-        ch = chn.gen_random_ucp(args.dim, args.kraus_rank, args.seed)
+        ch = chn.gen_random_ucp(args.dim, 3 if args.kraus_rank is None else args.kraus_rank,
+                                args.seed)
         meta["kind"] = "random-ucp"
-    elif args.pinching:
+    elif kind == "pinching":
         dims = tuple(int(x) for x in args.pinching.split(","))
         ch = chn.gen_pinching(dims)
         meta["kind"] = "pinching"
         meta["blocks"] = list(dims)
     else:
-        base = _load_channel(args.perturb)
-        ch = chn.gen_perturbed(base, args.t, args.seed)
+        t = 0.0 if args.t is None else args.t
+        ch = chn.gen_perturbed(_load_channel(args.perturb), t, args.seed)
         meta["kind"] = "perturbed"
-        meta["t"] = args.t
+        meta["t"] = t
     ser.atomic_write_json(args.out, ser.channel_to_dict(ch, meta))
     print(f"wrote {args.out}")
     return 0

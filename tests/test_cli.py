@@ -136,6 +136,19 @@ _REFUSED = [("analyze", "--samples", "5")] + [
 ]
 
 
+# (generator kind, flag, value) that kind does not read
+_GEN_UNREAD = [
+    ("pinching", "--t", "0.5"), ("pinching", "--kraus-rank", "2"),
+    ("pinching", "--eta", "0.1"), ("pinching", "--dim", "3"),
+    ("perturb", "--kraus-rank", "7"), ("perturb", "--eta", "0.3"), ("perturb", "--dim", "9"),
+    ("idempotent", "--t", "0.1"), ("idempotent", "--kraus-rank", "2"),
+    ("idempotent", "--eta", "0.1"),
+    ("example-twolevel", "--dim", "2"), ("example-twolevel", "--t", "0.1"),
+    ("example-twolevel", "--kraus-rank", "2"),
+    ("random-ucp", "--t", "0.1"), ("random-ucp", "--eta", "0.1"),
+]
+
+
 class TestCliCommands:
     def test_gen_analyze_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "ch.json"
@@ -225,6 +238,27 @@ class TestCliCommands:
             main([command, str(ch_path), flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,flag,value", _GEN_UNREAD,
+                             ids=[f"{k}-{f.lstrip('-')}" for k, f, _ in _GEN_UNREAD])
+    def test_gen_refuses_options_its_kind_does_not_read(
+            self, tmp_path, capsys, kind, flag, value):
+        base = tmp_path / "base.json"
+        assert main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(base)]) == 0
+        args = {
+            "pinching": ["--pinching", "2,1"],
+            "perturb": ["--perturb", str(base), "--t", "1e-2"],
+            "idempotent": ["--idempotent", "(2,1)", "--dim", "4"],
+            "example-twolevel": ["--example-twolevel", "--eta", "0.04"],
+            "random-ucp": ["--random-ucp", "--dim", "2", "--kraus-rank", "2"],
+        }[kind]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["gen", *args, flag, value, "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"--{kind} does not read {flag}" in err[0]
+        assert not out.exists()
+        assert main(["gen", *args, "--seed", "1", "--out", str(out)]) == 0
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
