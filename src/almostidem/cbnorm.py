@@ -222,9 +222,10 @@ def _dual_bound_from_point(
     """
     equal = np.array_equal(sigma, rho)
     if equal and _is_hermitian(j):
-        pt = _decompose(nl.hermitian_part(j), nl.hermitian_part(rho))
+        h, skew = _split_hermitian(j)
+        pt = _decompose(h, nl.hermitian_part(rho))
         if pt is not None:
-            return _equal_pair_dual_bound(j, pt, d_in, d_out)
+            return _equal_pair_dual_bound(h, skew, pt, d_in, d_out)
     sr, sri = _sqrt_and_inv_sqrt(rho)
     ss, ssi = (sr, sri) if equal else _sqrt_and_inv_sqrt(sigma)
     u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
@@ -235,22 +236,26 @@ def _dual_bound_from_point(
     return _dual_value(y0, y1, np.linalg.eigvalsh(nl.hermitian_part(block))[0], d_in, d_out)
 
 
-def _equal_pair_dual_bound(j: np.ndarray, pt, d_in: int, d_out: int) -> float:
+def _split_hermitian(j: np.ndarray) -> tuple[np.ndarray, float]:
+    """H(J) = (J + J^dag) / 2 and ||J - J^dag||_F / 2, the parts of J that
+    :func:`_equal_pair_dual_bound` reads."""
+    return nl.hermitian_part(j), 0.5 * np.linalg.norm(j - j.conj().T)
+
+
+def _equal_pair_dual_bound(h: np.ndarray, skew: float, pt, d_in: int, d_out: int) -> float:
     """Feasible dual value at the equal pair (rho, rho) of a Hermitian J, from
-    the decomposition ``pt`` of rho and of M for H(J) (:class:`_BarrierPoint`)
-    with no new one.
+    the decomposition ``pt`` of rho and of M for H = H(J) (:class:`_BarrierPoint`)
+    with no new one; ``h`` and ``skew`` are :func:`_split_hermitian` of J.
 
     M is Hermitian: its SVD is its eigh with |lam|, and Y1 = Y0 = Y.  There
     [[Y, -H], [-H, Y]] with H = H(J) is unitarily similar to
     diag(Y - H, Y + H), so two half-size eigvalsh decide its smallest
     eigenvalue, and the rest of J, (J - J^dag) / 2, moves it by at most
-    ||J - J^dag||_F / 2 (Weyl).
+    ``skew`` = ||J - J^dag||_F / 2 (Weyl).
     """
     sri = pt.roots[1]
     y = nl.hermitian_part(_lmul(sri, _rmul((pt.u * np.abs(pt.lam)) @ pt.u.conj().T, sri)))
-    h = nl.hermitian_part(j)
-    lam_min = (min(np.linalg.eigvalsh(y - h)[0], np.linalg.eigvalsh(y + h)[0])
-               - 0.5 * np.linalg.norm(j - j.conj().T))
+    lam_min = min(np.linalg.eigvalsh(y - h)[0], np.linalg.eigvalsh(y + h)[0]) - skew
     return _dual_value(y, y, lam_min, d_in, d_out)
 
 
@@ -365,19 +370,17 @@ def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
     T[(i, k), (j, l)] = sum_y conj V[(i, y), k] V[(j, y), l] = (P_ij)_kl.
     """
     dim, n = len(pt.rho), len(pt.a)
-    coef = h_stack.reshape(len(h_stack), -1)
-    units = np.flatnonzero(coef.any(axis=0))
-    coef = coef[:, units]
+    coef, coef_conj, rows, cols = _unit_plan(h_stack)
     v = (pt.roots[1] @ pt.u.reshape(dim, -1)).reshape(dim, -1, n)
-    t = v.conj().swapaxes(1, 2)[units // dim] @ v[units % dim]
+    t = v.conj().swapaxes(1, 2)[rows] @ v[cols]
     grad = 2.0 * np.real(coef @ np.einsum("ukk,k->u", t, 1.0 / pt.a))
     # 1 + z_k z_l = (a_k + a_l + (z_k + z_l)^2) / 2 with a = 1 - z^2: a sum of
     # non-negative terms, so it keeps its digits as y_k, y_l -> 1 with
     # opposite signs, where 1 - y_k y_l cancels
     zs = np.add.outer(pt.z, pt.z)
     weight = 4.0 / (np.add.outer(pt.a, pt.a) + zs * zs)
-    tf = t.reshape(len(units), -1)
-    hess = np.real(coef.conj() @ (tf.conj() @ (tf * weight.ravel()).T) @ coef.T)
+    tf = t.reshape(len(rows), -1)
+    hess = np.real(coef_conj @ (tf.conj() @ (tf * weight.ravel()).T) @ coef.T)
     return grad, 0.5 * (hess + hess.T)
 
 
@@ -419,6 +422,30 @@ def _trace_free_basis(dim: int, blocks: int) -> np.ndarray:
     out = np.concatenate([(diag[:, :-1] - diag[:, -1:]).reshape(-1, dim, dim), off])
     out.setflags(write=False)
     return out
+
+
+_UNIT_PLANS: dict[int, tuple] = {}
+
+
+def _unit_plan(h_stack: np.ndarray) -> tuple:
+    """(coef, conj(coef), i, j) for the matrix units E_ij that the basis
+    ``h_stack`` uses: its coefficients on those units, their conjugates,
+    and the row and column of each unit.
+
+    The plan of a read-only basis, such as each :func:`_trace_free_basis`,
+    is built once and kept with the basis; any other is built per call.
+    """
+    hit = _UNIT_PLANS.get(id(h_stack))
+    if hit is not None:
+        return hit[1]
+    dim = h_stack.shape[1]
+    coef = h_stack.reshape(len(h_stack), -1)
+    units = np.flatnonzero(coef.any(axis=0))
+    coef = coef[:, units]
+    plan = (coef, coef.conj(), units // dim, units % dim)
+    if not h_stack.flags.writeable:
+        _UNIT_PLANS[id(h_stack)] = (h_stack, plan)
+    return plan
 
 
 def _barrier_solve(
@@ -544,10 +571,15 @@ class _Bounds:
         if point is None:
             upper = _dual_bound_from_point(self.j, rho, sigma, self.d_in, self.d_out)
         else:
-            upper = _equal_pair_dual_bound(self.j, point, self.d_in, self.d_out)
+            upper = _equal_pair_dual_bound(*self.split, point, self.d_in, self.d_out)
         if upper < self.upper:
             self.upper, self.upper_kind, self.upper_pt = upper, "point", (rho, sigma)
         return self.closed()
+
+    @functools.cached_property
+    def split(self) -> tuple[np.ndarray, float]:
+        """:func:`_split_hermitian` of J, taken once per solve."""
+        return _split_hermitian(self.j)
 
     def closed(self) -> bool:
         return self.upper - self.lower <= TARGET_REL_GAP * max(1.0, self.lower)

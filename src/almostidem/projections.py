@@ -238,15 +238,21 @@ def compression(
 def compression_rank(
     alg: EpsilonAlgebra, p: DeltaProjection, q: DeltaProjection
 ) -> int:
-    """dim S_{P,Q} decided through the spectrum of the compression generator.
-
-    Eigenvalue indicators must sit outside the gray zone [0.1, 0.9]; inside it
-    the data cannot support a rank decision and the call fails loudly.
-    """
+    """dim S_{P,Q} decided through the spectrum of the compression generator
+    (L_P R_Q + R_Q L_P) / 2, by :func:`_indicator_rank`."""
     lp = alg.lmul(p.coords)
     rq = alg.rmul(q.coords)
-    op = 0.5 * (lp @ rq + rq @ lp)
-    lam = np.real(np.linalg.eigvals(op))
+    return _indicator_rank(np.linalg.eigvals(0.5 * (lp @ rq + rq @ lp)))
+
+
+def _indicator_rank(lam: np.ndarray) -> int:
+    """Number of eigenvalue indicators at or above 0.9 in the spectrum ``lam``
+    of a compression generator.
+
+    The real parts must sit outside the gray zone [0.1, 0.9]; inside it the
+    data cannot support a rank decision and the call fails loudly.
+    """
+    lam = np.real(lam)
     grey = np.sum((lam > 0.1) & (lam < 0.9))
     if grey:
         raise AmbiguousRank(
@@ -332,10 +338,24 @@ def classify_equivalence(
     alg: EpsilonAlgebra,
     projections: list[DeltaProjection],
 ) -> list[list[int]]:
-    """Partition one-dimensional projections by dim S_{P_j, P_k} in {0, 1}."""
+    """Partition one-dimensional projections by dim S_{P_j, P_k} in {0, 1}.
+
+    L_P and R_P are formed once per projection, each with one einsum over
+    the stacked coordinates, and the spectra of the n (n + 1) / 2 generators
+    (L_{P_j} R_{P_k} + R_{P_k} L_{P_j}) / 2, j <= k, are taken in one stacked
+    ``eigvals``.  Each spectrum gets the rank rule of
+    :func:`compression_rank`, the diagonal ones first and then the pairs
+    (j, k) in order, so the first failure is the one a pairwise loop meets.
+    """
     n = len(projections)
-    for j, p in enumerate(projections):
-        if compression_rank(alg, p, p) != 1:
+    coords = np.array([p.coords for p in projections])
+    lmuls = np.einsum("pi,ijk->pkj", coords, alg.star_tensor)
+    rmuls = np.einsum("pj,ijk->pki", coords, alg.star_tensor)
+    pairs = [(j, j) for j in range(n)] + [(j, k) for j in range(n) for k in range(j + 1, n)]
+    lp, rq = lmuls[[j for j, _ in pairs]], rmuls[[k for _, k in pairs]]
+    spectra = np.linalg.eigvals(0.5 * (lp @ rq + rq @ lp))
+    for j in range(n):
+        if _indicator_rank(spectra[j]) != 1:
             raise DegenerateGram(f"projection {j} is not one dimensional")
     parent = list(range(n))
 
@@ -345,17 +365,16 @@ def classify_equivalence(
             a = parent[a]
         return a
 
-    for j in range(n):
-        for k in range(j + 1, n):
-            rank = compression_rank(alg, projections[j], projections[k])
-            if rank > 1:
-                raise AmbiguousRank(
-                    f"dim S_(P{j}, P{k}) = {rank} > 1 for one-dimensional projections"
-                )
-            if rank == 1:
-                ra, rb = find(j), find(k)
-                if ra != rb:
-                    parent[rb] = ra
+    for (j, k), lam in zip(pairs[n:], spectra[n:]):
+        rank = _indicator_rank(lam)
+        if rank > 1:
+            raise AmbiguousRank(
+                f"dim S_(P{j}, P{k}) = {rank} > 1 for one-dimensional projections"
+            )
+        if rank == 1:
+            ra, rb = find(j), find(k)
+            if ra != rb:
+                parent[rb] = ra
     groups: dict[int, list[int]] = {}
     for j in range(n):
         groups.setdefault(find(j), []).append(j)

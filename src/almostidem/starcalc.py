@@ -6,7 +6,10 @@ applying the spectral step function to 2*Phi - 1 on the superoperator level.
 induced product X * Y = Phi~(X Y), its dimension the rank of the image read
 at ``numlin.RANK_REL_TOL``; ``measure_defects`` estimates how far the result
 is from satisfying the algebra axioms, including on matrix amplifications
-M_n (x) A.
+M_n (x) A.  Its sweep over the basis takes an SVD only where the Frobenius
+bound, read off the coordinates (``EpsilonAlgebra.max_norm``), can still set
+a maximum; its sampled, ascent and amplified stages take each operator norm
+as sqrt(lam_max(X^dag X)), one stacked eigvalsh (``_ext_norms``).
 """
 
 from __future__ import annotations
@@ -141,28 +144,38 @@ class EpsilonAlgebra:
         """Operator norms of the elements whose coordinates are the rows of ``coords``."""
         return np.linalg.svd(self._matrices(coords), compute_uv=False)[:, 0]
 
+    @cached_property
+    def basis_gram(self) -> np.ndarray:
+        """Gram matrix G[i, j] = Tr(B_i^dag B_j) of the basis, built on first
+        use: ||sum_j c_j B_j||_F^2 = c^dag G c."""
+        flat = self.basis_stack.reshape(self.dim, -1)
+        return flat.conj() @ flat.T
+
     def max_norm(self, coords: np.ndarray, den=1.0, floor: float = 0.0) -> float:
         """``max(floor, (norms(coords) / den).max())``, one ``den`` per row,
         with the SVD taken only where it can set the maximum.
 
-        ||X|| <= ||X||_F, with equality at rank one.  The rows are taken in
-        chunks of decreasing bound ||X||_F / den, and the scan stops once the
-        next bound, widened by a relative 1e-12 for roundoff, is at most the
-        running maximum, which starts at ``floor``.  Rows that are not finite
-        go to the full stacked SVD, as in ``norms``.
+        ||X|| <= ||X||_F = sqrt(Re c^dag G c), read off the coordinate row c
+        with the Gram matrix of the basis, with equality at rank one.  The
+        rows are taken in chunks of decreasing bound ||X||_F / den, and the
+        scan stops once the next bound, widened by a relative 1e-12 for
+        roundoff, is at most the running maximum, which starts at
+        ``floor``; only the chunks it takes are built as matrices.  Rows that
+        are not finite go to the full stacked SVD, as in ``norms``.
         """
-        mats = self._matrices(coords)
-        den = np.broadcast_to(den, len(mats))
-        bound = np.linalg.norm(mats, axis=(1, 2)) / den
+        coords = np.asarray(coords)
+        den = np.broadcast_to(den, len(coords))
+        frob2 = np.real(np.sum(coords.conj() * (coords @ self.basis_gram.T), axis=-1))
+        bound = np.sqrt(np.maximum(frob2, 0.0)) / den
         if not np.all(np.isfinite(bound)):
-            return max(floor, float((np.linalg.svd(mats, compute_uv=False)[:, 0] / den).max()))
+            return max(floor, float((self.norms(coords) / den).max()))
         order = np.argsort(-bound, kind="stable")
         best = floor
         for start in range(0, len(order), 8):
             rows = order[start: start + 8]
             if bound[rows[0]] * (1 + 1e-12) <= best:
                 break
-            sv = np.linalg.svd(mats[rows], compute_uv=False)[:, 0]
+            sv = self.norms(coords[rows])
             best = max(best, float((sv / den[rows]).max()))
         return best
 
@@ -366,13 +379,36 @@ def _ext_star(alg: EpsilonAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _ext_norms(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
-    """Operator norms on C^n (x) H of stacked M_n (x) A coordinate blocks."""
-    d, m = alg.ambient_dim, x.shape[-2]
-    # block (a, b) is sum_i x[a, b, i] B_i; batching the product over (a, c)
-    # puts it straight into the rows (a, c) and columns (b, e) of the
-    # matrix, with no transposing copy
-    mats = x[..., :, None, :, :] @ alg.basis_stack.transpose(1, 0, 2)
-    return np.linalg.svd(mats.reshape(*x.shape[:-3], m * d, m * d), compute_uv=False)[..., 0]
+    """Operator norms on C^n (x) H of stacked M_n (x) A coordinate blocks.
+
+    Each norm is sqrt(lam_max(X^dag X)): the absolute error of lam_max is
+    about eps ||X||^2, so the norm is good to about eps relative.  Every
+    element is first divided by its largest coordinate, so that no entry of
+    X^dag X under- or overflows.  A non-finite element raises
+    ``np.linalg.LinAlgError``, as the SVD does.
+    """
+    d, m, n = alg.ambient_dim, x.shape[-2], alg.dim
+    flat = x.reshape(-1, m, m, n)
+    scale = np.abs(flat).max(axis=(1, 2, 3), initial=0.0)
+    if not np.all(np.isfinite(scale)):
+        raise np.linalg.LinAlgError("operator norm of a non-finite element")
+    scale = np.where(scale > 0, scale, 1.0)
+    basis = alg.basis_stack.reshape(n, d * d)
+    # about 4096 matrix entries at a time, so that the matrices and their
+    # Gram stack are never both alive in full: one GEMM gives the blocks
+    # (a, b, r, c) of sum_i x[a, b, i] B_i, and one transposing copy puts
+    # them in the rows (a, r) and columns (b, c)
+    gram = np.empty((len(flat), m * d, m * d), dtype=complex)
+    step = max(1, (1 << 12) // (m * d) ** 2)
+    for start in range(0, len(flat), step):
+        part = flat[start: start + step] / scale[start: start + step, None, None, None]
+        mats = (part.reshape(-1, n) @ basis).reshape(-1, m, m, d, d)
+        mats = mats.transpose(0, 1, 3, 2, 4).reshape(-1, m * d, m * d)
+        np.matmul(mats.conj().swapaxes(-1, -2), mats, out=gram[start: start + step])
+    top = np.linalg.eigvalsh(gram)[:, -1]
+    if not np.all(np.isfinite(top)):
+        raise np.linalg.LinAlgError("operator norm of a non-finite element")
+    return (scale * np.sqrt(np.maximum(top, 0.0))).reshape(x.shape[:-3])
 
 
 def _associators(alg: EpsilonAlgebra, x, y, z):

@@ -797,6 +797,37 @@ class TestWorkDoneOnce:
         assert cb._primal_value(j, rho, rho.copy()) == want
         assert len(roots) == 1
 
+    def test_hermitian_split_once_per_solve(self, monkeypatch):
+        # H(J) and ||J - J^dag||_F / 2 are fixed for a solve: one split for
+        # all the iterates it offers
+        a = _random_complex(np.random.default_rng(41), 6, 6)
+        j = a + a.conj().T
+        splits, offers = [], []
+        split, bound = cb._split_hermitian, cb._equal_pair_dual_bound
+        monkeypatch.setattr(cb, "_split_hermitian", lambda m: splits.append(1) or split(m))
+        monkeypatch.setattr(cb, "_equal_pair_dual_bound",
+                            lambda *args: offers.append(1) or bound(*args))
+        cert = cb.diamond_norm_of_choi(j, 2, 3)
+        assert cert.path == "barrier" and not cert.stalled
+        assert len(offers) >= 2 and len(splits) == 1
+
+    def test_unit_plan_built_once_per_basis(self):
+        # the read-only bases of _trace_free_basis keep their plan; a
+        # writable stack gets a fresh one, equal to it
+        for dim, blocks in [(3, 1), (4, 2)]:
+            basis = cb._trace_free_basis(dim, blocks)
+            plan = cb._unit_plan(basis)
+            assert cb._unit_plan(cb._trace_free_basis(dim, blocks)) is plan
+            fresh = cb._unit_plan(basis.copy())
+            assert fresh is not plan
+            for got, want in zip(fresh, plan):
+                assert np.array_equal(got, want)
+            coef, coef_conj, rows, cols = plan
+            units = rows * dim + cols
+            assert np.array_equal(coef_conj, coef.conj())
+            assert np.array_equal(basis.reshape(len(basis), -1)[:, units], coef)
+            assert not np.any(np.delete(basis.reshape(len(basis), -1), units, axis=1))
+
 
 def _svd_dual_bound(j, rho, sigma, d_in, d_out):
     """The dual bound of ``_dual_bound_from_point`` through the SVD of M, with

@@ -400,3 +400,88 @@ class TestStackedCorners:
             one = pj.h_map(alg, zs[idx], c_pq, c_qp, hilb)
             assert one.shape == (hilb.dim, hilb.dim)
             assert np.max(np.abs(got[idx] - one)) <= 1e-13 * max(1.0, np.max(np.abs(one)))
+
+
+def _pairwise_classes(alg, projections):
+    """The pairwise loop: one compression_rank per diagonal, then per pair."""
+    n = len(projections)
+    for j, p in enumerate(projections):
+        if pj.compression_rank(alg, p, p) != 1:
+            raise pj.DegenerateGram(f"projection {j} is not one dimensional")
+    groups = [{j} for j in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            rank = pj.compression_rank(alg, projections[j], projections[k])
+            if rank > 1:
+                raise pj.AmbiguousRank(
+                    f"dim S_(P{j}, P{k}) = {rank} > 1 for one-dimensional projections")
+            if rank == 1:
+                gj = next(g for g in groups if j in g)
+                gk = next(g for g in groups if k in g)
+                if gj is not gk:
+                    gj |= gk
+                    groups.remove(gk)
+    return sorted((sorted(g) for g in groups), key=lambda g: (-len(g), g[0]))
+
+
+class TestStackedClassification:
+    """classify_equivalence takes every generator's spectrum in one stacked
+    eigvals; it must decide as the pairwise loop does."""
+
+    @pytest.mark.parametrize("case", range(11))
+    def test_benchmark_families(self, case, monkeypatch):
+        from almostidem import reconstruction as rc
+        from test_starcalc import _benchmark_inputs
+
+        ch, seed = list(_benchmark_inputs())[case]
+        alg = alg_of(ch)
+        # the defects reconstruct reads, as the pipeline measures them
+        alg.defects = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
+        seen = []
+        classify = pj.classify_equivalence
+
+        def recorded(alg, family):
+            seen.append((classify(alg, family), _pairwise_classes(alg, family)))
+            return seen[-1][0]
+
+        monkeypatch.setattr(pj, "classify_equivalence", recorded)
+        rc.reconstruct(alg, seed=seed)
+        assert len(seen) == 1
+        got, want = seen[0]
+        assert got == want
+
+    @pytest.mark.parametrize("order, exc, message", [
+        ((0, 1, 2), pj.AmbiguousRank, "1 eigenvalue indicator(s) inside the gray zone"),
+        ((0, 2, 1), pj.DegenerateGram, "projection 1 is not one dimensional"),
+    ])
+    def test_first_failure_is_the_loops(self, order, exc, message):
+        # a grey-zone member (E22 / 2) and a degenerate one (E33 + E44)
+        alg = alg_of(chn.gen_pinching((2, 2)))
+        e11 = unit_coords(alg, 0, 0)
+        members = [e11, 0.5 * unit_coords(alg, 1, 1),
+                   unit_coords(alg, 2, 2) + unit_coords(alg, 3, 3)]
+        family = [pj.DeltaProjection(members[i], 0.0, 1.0) for i in order]
+        with pytest.raises(exc) as got:
+            pj.classify_equivalence(alg, family)
+        with pytest.raises(exc) as want:
+            _pairwise_classes(alg, family)
+        assert message in str(want.value)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_pair_rank_above_one_is_refused(self, monkeypatch):
+        # the rule of compression_rank on every pair: a generator with two
+        # indicators at 1 is refused with the loop's message
+        alg = alg_of(chn.gen_pinching((2, 1)))
+        units = [pj.DeltaProjection(unit_coords(alg, i, i), 0.0, 1.0) for i in range(3)]
+        eigvals = np.linalg.eigvals
+
+        def doubled(a):
+            lam = eigvals(a)
+            lam[3:] = 0.0  # the pairs (0, 1), (0, 2), (1, 2) follow the diagonals
+            lam[3:, :2] = 1.0
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvals", doubled)
+        with pytest.raises(pj.AmbiguousRank) as info:
+            pj.classify_equivalence(alg, units)
+        assert str(info.value) == "dim S_(P0, P1) = 2 > 1 for one-dimensional projections"

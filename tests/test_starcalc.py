@@ -679,3 +679,100 @@ class TestMaxNorm:
     def test_basis_stack_built_once(self, algebra):
         assert algebra.basis_stack is algebra.basis_stack
         assert np.array_equal(algebra.basis_stack, np.stack(algebra.basis))
+
+    def test_builds_matrices_only_for_the_rows_it_takes(self, monkeypatch):
+        # the Frobenius bounds come from the coordinates: every row passed to
+        # _matrices is a row whose SVD is taken
+        alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
+        rng = np.random.default_rng(3)
+        coords = rng.standard_normal((676, 26)) * np.geomspace(1.0, 1e-3, 676)[:, None]
+        want = alg.norms(coords).max()
+        built, svd_rows = [], []
+        matrices, svd = alg._matrices, np.linalg.svd
+        monkeypatch.setattr(alg, "_matrices", lambda c: built.append(len(c)) or matrices(c))
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: svd_rows.append(len(a)) or svd(a, *args, **kw))
+        got = alg.max_norm(coords)
+        monkeypatch.undo()
+        assert got == want
+        assert sum(built) == sum(svd_rows) < 676
+
+    def test_gram_of_an_orthonormal_basis_is_the_identity(self, algebra):
+        assert algebra.basis_gram is algebra.basis_gram
+        assert np.max(np.abs(algebra.basis_gram - np.eye(algebra.dim))) <= 1e-14
+
+
+def _svd_ext_norms(alg, x):
+    """Top singular value of each M_m (x) A element, built block by block."""
+    m = x.shape[-2]
+    flat = x.reshape(-1, m, m, alg.dim)
+    mats = [np.block([[alg.element(e[a, b]) for b in range(m)] for a in range(m)]) for e in flat]
+    return np.linalg.svd(np.array(mats), compute_uv=False)[:, 0].reshape(x.shape[:-3])
+
+
+class TestGramNorms:
+    """``_ext_norms`` takes sqrt(lam_max(X^dag X)); it must agree with the SVD
+    to 1e-13 relative, over the whole range of scales."""
+
+    @staticmethod
+    def _stack(alg, m, rng):
+        """Random, rank-one, zero and clustered-top M_m (x) A elements."""
+        d = alg.ambient_dim
+        elems = [_ref_gauss(rng, (m, m, alg.dim)) for _ in range(4)]
+        # rank one: alpha (x) u v^dag with u, v inside one block of the algebra
+        u, v = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+        u[:2], v[:2] = _ref_gauss(rng, 2), _ref_gauss(rng, 2)
+        alpha = np.outer(_ref_gauss(rng, m), _ref_gauss(rng, m))
+        elems.append(alpha[:, :, None] * alg.coords(np.outer(u, v.conj())))
+        elems.append(np.zeros((m, m, alg.dim), dtype=complex))
+        # clustered top: I (x) diag with its two largest entries 1e-10 apart,
+        # and a unitary multiple of the unit (every singular value equal)
+        top = np.linspace(0.2, 1.0, d)
+        top[-2] = 1.0 - 1e-10
+        diag = alg.coords(np.diag(top).astype(complex))
+        elems.append(np.eye(m)[:, :, None] * diag)
+        elems.append(nl.random_unitary(m, rng)[:, :, None] * alg.unit_coords)
+        return np.array(elems)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_agrees_with_svd(self, m, scale):
+        alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
+        x = self._stack(alg, m, np.random.default_rng(20 + m)) * scale
+        got, want = sc._ext_norms(alg, x), _svd_ext_norms(alg, x)
+        assert got.shape == want.shape == (8,)
+        assert got[5] == want[5] == 0.0
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        # stacked with leading axes, as _triple_defects passes them
+        both = sc._ext_norms(alg, np.stack([x[:4], x[4:]]))
+        assert np.all(np.abs(both.ravel() - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_agrees_with_svd_on_every_algebra(self, algebra, m):
+        x = _ref_gauss(np.random.default_rng(30 + m), (3, 5, m, m, algebra.dim))
+        got, want = sc._ext_norms(algebra, x), _svd_ext_norms(algebra, x)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n_ext", [1, 2])
+    def test_non_finite_coordinate_raises(self, algebra, bad, n_ext, monkeypatch):
+        # as the stacked SVD did: eigvalsh would return NaN silently
+        draw = sc._draw_triples
+
+        def poisoned(rng, count, n_ext, n):
+            triples = draw(rng, count, n_ext, n)
+            triples[3, 1, 0, 0, 0] = bad
+            return triples
+
+        monkeypatch.setattr(sc, "_draw_triples", poisoned)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                sc._sampled_defects(algebra, 10, np.random.default_rng(1), n_ext)
+
+    def test_non_finite_basis_raises(self):
+        alg = sc.extract_algebra(sc.idempotentize(_depolarizing(2)))
+        bad = sc.EpsilonAlgebra(alg.ambient_dim, [np.full((2, 2), np.nan)],
+                                alg.unit_coords, alg.star_tensor)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                sc._ext_norms(bad, np.ones((2, 1, 1, 1)))
