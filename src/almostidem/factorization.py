@@ -4,8 +4,9 @@ Starting from a near-isomorphism v between the reconstructed block algebra B
 and the invariant-observable algebra of the map, ``raw_factor`` produces the
 linear factorization through the idempotent envelope; ``twirl_to_cp`` repairs
 the embedding into a genuinely completely positive unital map by averaging
-over the exact shift/clock unitary one-design of B (``pauli_diagonal``);
-``build_upsilon`` assembles the reverse UCP map from the dilation data;
+over the direct sum of the per-block shift/clock designs of B, sum_l d_l^2
+terms (``pauli_diagonal``); ``build_upsilon`` assembles the reverse UCP map
+from the dilation data, twirled in closed form by the 1-design identity;
 ``certify`` measures the factorization residuals in completely bounded norm
 with certified intervals.
 """
@@ -85,11 +86,12 @@ def raw_factor(v: AlmostHom, pm: IdempotentizedMap, alg: EpsilonAlgebra) -> RawF
 def twirl_to_cp(raw: RawFactorization, ch: Channel) -> tuple[Channel, dict]:
     """Average the linear embedding into a UCP map.
 
-    Delta'(X) = sum_s p_s Phi(Delta~(X U_s^dag) Delta~(U_s)) over the exact
-    one-design of ``pauli_diagonal`` is completely positive term by term;
-    unitality is restored by a symmetric normalization.  ``reconstruct`` has
-    already built that design for the same block dims, so its term cap
-    cannot trip here.
+    Delta'(X) = sum_s p_s Phi(Delta~(X U_s^dag) Delta~(U_s)) over the direct
+    sum of block designs of ``pauli_diagonal``: the same map as with the
+    +-doubled product of those designs, as the sum reads the design only
+    through sum_s p_s U_s^dag (x) U_s.  Its complete positivity is measured,
+    not assumed (``choi_min_before_normalization`` here, ``ucp_flags`` in
+    ``certify``); unitality is restored by a symmetric normalization.
     """
     spec = raw.spec
     d = ch.dim_in
@@ -116,7 +118,6 @@ def twirl_to_cp(raw: RawFactorization, ch: Channel) -> tuple[Channel, dict]:
     info = {
         "terms": len(diag.terms),
         "choi_min_before_normalization": choi_min,
-        "normalization_distance": nl.operator_norm(n_inv - np.eye(d)),
         "distance_to_raw_cb": distance,
     }
     return delta, info
@@ -126,22 +127,22 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
     """Reverse UCP map from the dilation data of the embedding.
 
     Per block: recover the dilation isometry W_j of the block restriction of
-    Delta, its Kraus rank read at 1e-10 (finer than ``numlin.RANK_REL_TOL``);
-    twirl W_j W_j^dag into 1 (x) C_j with the block one-design, refusing a
-    block more than 0.25 away from that form; pick a maximal-singular-vector
-    unit xi_j, contract the channel isometry V into L_j, and set
-    Upsilon_j(X) = L_j^dag (Phi(X) (x) 1) L_j; a final symmetric
-    normalization makes the sum unital.
+    Delta, its Kraus rank read at 1e-10 (finer than ``numlin.RANK_REL_TOL``).
+    The block's shift/clock design twirls W_j W_j^dag into 1 (x) C_j, and as
+    it is a unitary 1-design, C_j = Tr_1(W_j W_j^dag) / d_j in closed form.
+    Pick a maximal-singular-vector unit xi_j of C_j, contract the channel
+    isometry V into
+    L_j = sum_s p_s (Delta(U_s^dag) (x) 1) V W_j^dag (U_s (x) xi_j)
+    over that design, and set Upsilon_j(X) = L_j^dag (Phi(X) (x) 1) L_j; a
+    final symmetric normalization makes the sum unital.
     """
     d = ch.dim_in
     d_tot = spec.rep_dim
     v_iso, env = ch.stinespring
     blocks_info = []
     upsilon_prime = np.zeros((d_tot * d_tot, d * d), dtype=complex)
-    slices = spec.slices()
-    unit_sum = np.zeros((d, d), dtype=complex)
     choi4 = delta.choi.reshape(d_tot, d, d_tot, d)
-    for jdx, (d_j, s) in enumerate(zip(spec.block_dims, slices)):
+    for jdx, (d_j, s) in enumerate(zip(spec.block_dims, spec.slices())):
         # Choi of the block restriction Delta_j : B(L_j) -> B(H)
         j_mat = choi4[s, :, s, :].reshape(d_j * d, d_j * d)
         kraus = kraus_from_choi(j_mat, d_j, d, 1e-10)
@@ -149,33 +150,21 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
             raise RjNotFactorizable(f"block {jdx} restriction of Delta vanished")
         w_j = stinespring_from_kraus(kraus)  # C^d -> C^{d_j * e_j}
         e_j = len(kraus)
-        unit_sum += w_j.conj().T @ w_j
-
-        terms = pauli_shift_clock(d_j)
-        r_j = np.zeros((d_j * e_j, d_j * e_j), dtype=complex)
-        ww = w_j @ w_j.conj().T
-        for p_s, u_s in terms:
-            u_ext = nl.kron(u_s, np.eye(e_j))
-            r_j += p_s * (u_ext.conj().T @ ww @ u_ext)
-        c_j = nl.partial_trace(r_j, (d_j, e_j), keep=1) / d_j
-        rj_residual = nl.operator_norm(r_j - nl.kron(np.eye(d_j), c_j))
-        if rj_residual > 0.25:
-            raise RjNotFactorizable(
-                f"block {jdx}: twirled dilation is {rj_residual:.3f} away from "
-                f"the 1 (x) C form"
-            )
+        c_j = nl.partial_trace(w_j @ w_j.conj().T, (d_j, e_j), keep=1) / d_j
         c_norm = nl.operator_norm(c_j)
-        u_sv, s_sv, vh_sv = np.linalg.svd(c_j)
+        _, s_sv, vh_sv = np.linalg.svd(c_j)
         xi = vh_sv.conj().T[:, 0]
         anchor = np.argmax(np.abs(xi))
         xi = xi * np.exp(-1j * np.angle(xi[anchor]))  # deterministic phase
 
-        l_j = np.zeros((d * env, d_j), dtype=complex)
-        for p_s, u_s in terms:
-            du = delta(_embed_block(u_s.conj().T, spec, jdx))
-            l_j += p_s * nl.kron(du, np.eye(env)) @ v_iso @ w_j.conj().T @ nl.kron(
-                u_s, xi.reshape(e_j, 1)
-            )
+        # Delta(U_s^dag) for every design term at once, weighted by p_s
+        p, u = (np.array(z) for z in zip(*pauli_shift_clock(d_j)))
+        u_dag = np.zeros((len(p), d_tot, d_tot), dtype=complex)
+        u_dag[:, s, s] = np.conj(np.swapaxes(u, 1, 2))
+        pdu = p[:, None, None] * _apply_superop(delta.superop, u_dag, d)
+        # V W_j^dag (1 (x) xi), rows (x, g) of C^d (x) C^env, columns a of C^{d_j}
+        vw_xi = ((v_iso @ w_j.conj().T).reshape(d * env, d_j, e_j) @ xi).reshape(d, env, d_j)
+        l_j = np.einsum("syx,xga,sak->ygk", pdu, vw_xi, u, optimize=True).reshape(d * env, d_j)
         # Upsilon'_j(X) = L_j^dag (Phi(X) (x) 1_F) L_j, embedded at block j:
         # rows (l, k) of vec index k + d_tot l with k, l in block j
         upsilon_prime.reshape(d_tot, d_tot, d * d)[s, s] = (
@@ -183,12 +172,10 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
         blocks_info.append(
             {
                 "multiplicity": e_j,
-                "rj_residual": rj_residual,
                 "c_norm": c_norm,
                 "c_xi_norm": float(s_sv[0]),
             }
         )
-    unit_defect = nl.operator_norm(unit_sum - np.eye(d))
 
     up_unit = nl.unvec(upsilon_prime @ nl.vec(np.eye(d, dtype=complex)), d_tot, d_tot)
     up_unit = nl.hermitian_part(up_unit)
@@ -201,12 +188,7 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
     _, n_inv = nl.matrix_sqrt_inv_sqrt(up_unit)
     upsilon_superop = pinch_superop(spec.block_dims) @ nl.kron(n_inv.T, n_inv) @ upsilon_prime
     upsilon = Channel(upsilon_superop, d, d_tot)
-    info = {
-        "blocks": blocks_info,
-        "stinespring_unit_defect": unit_defect,
-        "normalization_distance": nl.operator_norm(n_inv - np.eye(d_tot)),
-    }
-    return upsilon, info
+    return upsilon, {"blocks": blocks_info}
 
 
 def _twirl_sum(delta_raw: np.ndarray, terms, d: int, d_tot: int) -> np.ndarray:
@@ -236,13 +218,6 @@ def _compression_superop(l: np.ndarray, d: int, env: int) -> np.ndarray:
     d_j = l.shape[1]
     l3 = l.reshape(d, env, d_j)
     return np.einsum("afk,bfl->lkba", l3.conj(), l3).reshape(d_j * d_j, d * d)
-
-
-def _embed_block(x: np.ndarray, spec: BlockSpec, jdx: int) -> np.ndarray:
-    out = np.zeros((spec.rep_dim, spec.rep_dim), dtype=complex)
-    s = spec.slices()[jdx]
-    out[s, s] = x
-    return out
 
 
 @dataclass

@@ -8,6 +8,7 @@ can replay it from scratch.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,6 +23,14 @@ from . import serialize as ser
 
 # absolute slack when a recorded interval is checked against its witness
 VERIFY_SLACK = 1e-6
+
+
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Record the wall time of the enclosed block as ``timings[name]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
 
 
 def _input_block(ch: chn.Channel, seed: int) -> dict:
@@ -66,29 +75,35 @@ def reconstruct_channel(
     """Pipeline through the block structure and the near-isomorphism.
 
     Returns (report, artifacts); artifacts keep the in-memory objects for
-    further processing.
+    further processing.  ``timings`` holds the wall time of each stage and
+    the ``total``.
     """
     t0 = time.perf_counter()
     ch.require_ucp()
     checkpoints = []
-    pm = sc.idempotentize(ch)
+    timings = {}
+    with _stage(timings, "idempotentize"):
+        pm = sc.idempotentize(ch)
     checkpoints.append({
         "stage": "idempotent-envelope",
         "residual": pm.residual,
         "eta": ser.certificate_to_dict(pm.eta),
         "distance_cb": ser.certificate_to_dict(pm.distance_cb),
     })
-    alg = sc.extract_algebra(pm)
-    alg.defects = sc.measure_defects(
-        alg, samples=samples, extension_n=extension_n, seed=seed
-    )
+    with _stage(timings, "extract"):
+        alg = sc.extract_algebra(pm)
+    with _stage(timings, "defects"):
+        alg.defects = sc.measure_defects(
+            alg, samples=samples, extension_n=extension_n, seed=seed
+        )
     checkpoints.append({
         "stage": "algebra",
         "dim": alg.dim,
         "membership_residual": alg.membership_residual,
         "defects": ser.defect_report_to_dict(alg.defects),
     })
-    spec, v, rec_report = rc.reconstruct(alg, seed=seed)
+    with _stage(timings, "reconstruct"):
+        spec, v, rec_report = rc.reconstruct(alg, seed=seed)
     checkpoints.append({
         "stage": "reconstruction",
         "block_dims": list(spec.block_dims),
@@ -108,7 +123,7 @@ def reconstruct_channel(
         "checkpoints": checkpoints,
         "block_dims": list(spec.block_dims),
         "hom_coeffs": ser.matrix_to_json(v.coeffs),
-        "timings": {"total": time.perf_counter() - t0},
+        "timings": {**timings, "total": time.perf_counter() - t0},
     }
     artifacts = {"pm": pm, "alg": alg, "spec": spec, "v": v, "rec_report": rec_report}
     return report, artifacts
@@ -126,10 +141,15 @@ def factorize_channel(
     pm, alg, spec, v = (
         artifacts["pm"], artifacts["alg"], artifacts["spec"], artifacts["v"]
     )
-    raw = fa.raw_factor(v, pm, alg)
-    delta, twirl_info = fa.twirl_to_cp(raw, ch)
-    upsilon, ups_info = fa.build_upsilon(delta, ch, spec)
-    cert = fa.certify(delta, upsilon, ch, spec, seed=seed)
+    timings = report["timings"]
+    with _stage(timings, "raw_factor"):
+        raw = fa.raw_factor(v, pm, alg)
+    with _stage(timings, "twirl"):
+        delta, twirl_info = fa.twirl_to_cp(raw, ch)
+    with _stage(timings, "upsilon"):
+        upsilon, ups_info = fa.build_upsilon(delta, ch, spec)
+    with _stage(timings, "certify"):
+        cert = fa.certify(delta, upsilon, ch, spec, seed=seed)
     report["kind"] = "factorize"
     report["checkpoints"].append({
         "stage": "raw-factorization",
@@ -153,7 +173,7 @@ def factorize_channel(
         "product_residuals": {str(k): val for k, val in cert.product_residuals.items()},
         "ucp_flags": cert.ucp_flags,
     }
-    report["timings"]["total"] = time.perf_counter() - t0
+    timings["total"] = time.perf_counter() - t0
     artifacts.update({"raw": raw, "delta": delta, "upsilon": upsilon, "cert": cert})
     return report, artifacts
 

@@ -3,9 +3,11 @@
 The pipeline grows a commutative family of one-dimensional approximate
 projections, sorts them into equivalence classes, rebuilds a full matrix
 algebra per class by repeated corner extensions, and merges the classes.  At
-every step a Newton-style improvement driven by a unitary one-design (the
-"diagonal" of the block algebra) pushes the multiplicativity defect of the
-current map down to the level set by the ambient algebra.
+every step a Newton-style improvement driven by the "diagonal"
+sum_s p_s U_s^dag (x) U_s of the block algebra pushes the multiplicativity
+defect of the current map down to the level set by the ambient algebra.  The
+diagonal is the direct sum of the per-block shift/clock one-designs,
+sum_l d_l^2 terms.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from .starcalc import EpsilonAlgebra
 
 
 class ReconstructionError(Exception):
-    pass
-
-
-class TermExplosion(ReconstructionError):
     pass
 
 
@@ -131,14 +129,19 @@ class BlockSpec:
 
 @dataclass
 class Diagonal:
-    """Convex combination sum_s p_s U_s^dag (x) U_s commuting with the algebra."""
+    """Terms (p_s, U_s) whose sum_s p_s U_s^dag (x) U_s commutes with the algebra.
+
+    The terms of ``pauli_diagonal`` are partial isometries, one block's
+    shift/clock unitary each, so the sum is not a convex combination of
+    unitaries: the weights sum to the number of blocks, while
+    sum_s p_s U_s^dag U_s = I still holds.
+    """
 
     spec: BlockSpec
     terms: list[tuple[float, np.ndarray]]
 
     def residuals(self, probes: int = 0) -> dict[str, float]:
         rep = self.spec.rep_dim
-        p_sum = abs(sum(p for p, _ in self.terms) - 1.0)
         pi_mat = sum(p * (u.conj().T @ u) for p, u in self.terms)
         pi_err = nl.operator_norm(pi_mat - np.eye(rep))
         comm_err = 0.0
@@ -152,7 +155,7 @@ class Diagonal:
             lhs = sum(p * nl.kron(x @ u.conj().T, u) for p, u in self.terms)
             rhs = sum(p * nl.kron(u.conj().T, u @ x) for p, u in self.terms)
             comm_err = max(comm_err, nl.operator_norm(lhs - rhs))
-        return {"prob_sum": p_sum, "pi": pi_err, "commutation": comm_err}
+        return {"pi": pi_err, "commutation": comm_err}
 
 
 def pauli_shift_clock(d: int) -> list[tuple[float, np.ndarray]]:
@@ -168,38 +171,23 @@ def pauli_shift_clock(d: int) -> list[tuple[float, np.ndarray]]:
     return terms
 
 
-def pauli_diagonal(spec: BlockSpec, term_cap: int = 10_000) -> Diagonal:
-    """Product of per-block shift/clock designs.
+def pauli_diagonal(spec: BlockSpec) -> Diagonal:
+    """Direct sum of the per-block shift/clock designs: sum_l d_l^2 terms.
 
-    With several blocks, each block family is balanced by a +-U doubling so
-    that its plain average vanishes; otherwise the combined element keeps
-    spurious cross-block components and fails to commute with the algebra.
-    The per-block count is d^2 for a single block and 2 d^2 otherwise.
+    Block after block, in spec order, each shift/clock unitary of M_{d_l}
+    embedded in its block (zero elsewhere) with weight 1/d_l^2.  Its element
+    sum_s p_s U_s^dag (x) U_s is that of the +-doubled product of the block
+    designs, whose cross-block terms cancel pairwise, with a number of terms
+    linear instead of exponential in the number of blocks.
     """
-    multi = len(spec.block_dims) > 1
-    total = 1
-    for d in spec.block_dims:
-        total *= (2 if multi else 1) * d * d
-    if total > term_cap:
-        raise TermExplosion(f"{total} diagonal terms exceed the cap {term_cap}")
-    # term (i_1, ..., i_m), first block slowest, has weight ((1 p_i1) p_i2) ...
-    # and the direct sum of the block unitaries U_i1 + ... + U_im
-    weights, stacks = np.ones(1), []
-    for d in spec.block_dims:
-        p, u = zip(*pauli_shift_clock(d))
-        p, u = np.array(p), np.stack(u)
-        if multi:
-            p, u = np.concatenate([p / 2, p / 2]), np.concatenate([u, -u])
-        weights = np.multiply.outer(weights, p).ravel()
-        stacks.append(u)
     rep = spec.rep_dim
-    units = np.zeros((len(weights), rep, rep), dtype=complex)
-    grid = units.reshape(*(len(u) for u in stacks), rep, rep)
-    for l, (sl, u) in enumerate(zip(spec.slices(), stacks)):
-        axes = [1] * len(stacks)
-        axes[l] = len(u)
-        grid[..., sl, sl] = u.reshape(*axes, *u.shape[1:])
-    return Diagonal(spec, list(zip(weights.tolist(), units)))
+    terms = []
+    for s, d in zip(spec.slices(), spec.block_dims):
+        for p, u in pauli_shift_clock(d):
+            emb = np.zeros((rep, rep), dtype=complex)
+            emb[s, s] = u
+            terms.append((p, emb))
+    return Diagonal(spec, terms)
 
 
 @dataclass

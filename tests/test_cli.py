@@ -179,10 +179,15 @@ class TestCliCommands:
                      "--samples", "20"]) == 0
         rec = json.load(open(rep_path))
         assert rec["block_dims"] == [2, 1]
+        stages = {"idempotentize", "extract", "defects", "reconstruct", "total"}
+        assert rec["timings"].keys() == stages
         fact_path = tmp_path / "fact.json"
         assert main(["factorize", str(ch_path), "--json-out", str(fact_path),
                      "--samples", "20"]) == 0
         fact = json.load(open(fact_path))
+        times = fact["timings"]
+        assert times.keys() == stages | {"raw_factor", "twirl", "upsilon", "certify"}
+        assert sum(v for k, v in times.items() if k != "total") <= times["total"]
         assert fact["factorization"]["residual_factor"]["upper"] <= 1e-6
         assert fact["factorization"]["residual_retract"]["upper"] <= 1e-6
         assert all(fact["factorization"]["ucp_flags"].values())
@@ -298,6 +303,21 @@ class TestPipelineRoundTrip:
         assert main(["analyze", str(scaled), "--json-out", str(rep_path)]) == 0
         assert json.load(open(rep_path))["flags"]["unital"] is False
         assert main(["verify", str(rep_path)]) == 0
+
+
+class TestManyBlocks:
+    def test_exact_3331_pinching_factorizes(self):
+        # four blocks at d=10: the +-doubled product design had 2^4 * 81^3
+        # terms here, the direct sum of the block designs has 3 * 9 + 1
+        report, _ = pipeline.factorize_channel(chn.gen_pinching((3, 3, 3, 1)), seed=0)
+        fact = report["factorization"]
+        assert fact["block_dims"] == [3, 3, 3, 1]
+        assert report["checkpoints"][-1]["twirl_terms"] == 28
+        assert all(fact["ucp_flags"].values())
+        assert fact["residual_factor"]["upper"] <= 1e-8
+        assert fact["residual_retract"]["upper"] <= 1e-8
+        assert max(fact["product_residuals"].values()) <= 1e-8
+        assert pipeline.verify_report(report) == []
 
 
 @pytest.fixture(scope="module")

@@ -94,7 +94,7 @@ class TestTwirlSum:
         rng = np.random.default_rng(sum(dims) + d)
         delta_raw = (rng.standard_normal((d * d, d_tot * d_tot))
                      + 1j * rng.standard_normal((d * d, d_tot * d_tot)))
-        terms = rc.pauli_diagonal(spec, 10_000).terms
+        terms = rc.pauli_diagonal(spec).terms
         got = fa._twirl_sum(delta_raw, terms, d, d_tot)
         ref = _twirl_sum_by_terms(delta_raw, terms, d, d_tot)
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
@@ -103,7 +103,7 @@ class TestTwirlSum:
         pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=3)
         pm, alg, spec, v, rep = run_pipeline(pert)
         raw = fa.raw_factor(v, pm, alg)
-        terms = rc.pauli_diagonal(spec, 10_000).terms
+        terms = rc.pauli_diagonal(spec).terms
         got = fa._twirl_sum(raw.delta_superop, terms, 3, spec.rep_dim)
         ref = _twirl_sum_by_terms(raw.delta_superop, terms, 3, spec.rep_dim)
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
@@ -124,7 +124,80 @@ def _block_choi_by_units(delta, spec, jdx):
     return j_mat
 
 
+def _embed_block(x, spec, jdx):
+    out = np.zeros((spec.rep_dim, spec.rep_dim), dtype=complex)
+    s = spec.slices()[jdx]
+    out[s, s] = x
+    return out
+
+
+def _dilation_by_terms(delta, ch, spec, jdx, w_j):
+    """(r_j, C_j, L_j) of block j, one design term at a time: the twirl
+    r_j = sum_s p_s (U_s (x) 1)^dag W_j W_j^dag (U_s (x) 1), C_j from its partial
+    trace, its unit xi_j, and L_j summed with Kronecker products."""
+    d, d_j = ch.dim_in, spec.block_dims[jdx]
+    v_iso, env = ch.stinespring
+    e_j = w_j.shape[0] // d_j
+    terms = rc.pauli_shift_clock(d_j)
+    ww = w_j @ w_j.conj().T
+    r_j = np.zeros((d_j * e_j, d_j * e_j), dtype=complex)
+    for p_s, u_s in terms:
+        u_ext = nl.kron(u_s, np.eye(e_j))
+        r_j += p_s * (u_ext.conj().T @ ww @ u_ext)
+    c_j = nl.partial_trace(r_j, (d_j, e_j), keep=1) / d_j
+    xi = np.linalg.svd(c_j)[2].conj().T[:, 0]
+    xi = xi * np.exp(-1j * np.angle(xi[np.argmax(np.abs(xi))]))
+    l_j = np.zeros((d * env, d_j), dtype=complex)
+    for p_s, u_s in terms:
+        du = delta(_embed_block(u_s.conj().T, spec, jdx))
+        l_j += p_s * nl.kron(du, np.eye(env)) @ v_iso @ w_j.conj().T @ nl.kron(
+            u_s, xi.reshape(e_j, 1))
+    return r_j, c_j, l_j
+
+
+# exact pinchings, a block of multiplicity 2, perturbed pinchings
+_DILATION_CASES = {
+    "(2,1)": lambda: chn.gen_pinching((2, 1)),
+    "(3,1)": lambda: chn.gen_pinching((3, 1)),
+    "(2,2)x2": lambda: chn.gen_random_idempotent(((2, 2),), dim=4, seed=0),
+    "(3,1)@1e-2": lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=1),
+    "(2,2)@1e-2": lambda: chn.gen_perturbed(chn.gen_pinching((2, 2)), 1e-2, seed=1),
+}
+
+
 class TestUpsilon:
+    @pytest.mark.parametrize("case", list(_DILATION_CASES))
+    def test_closed_form_twirl_matches_term_loops(self, case, monkeypatch):
+        ch = _DILATION_CASES[case]()
+        pm, alg, spec, v, rep = run_pipeline(ch)
+        delta, _ = fa.twirl_to_cp(fa.raw_factor(v, pm, alg), ch)
+        kraus_seen, l_seen = [], []
+        kraus_from_choi, compression = fa.kraus_from_choi, fa._compression_superop
+
+        def recording_kraus(*args):
+            kraus_seen.append(kraus_from_choi(*args))
+            return kraus_seen[-1]
+
+        def recording_compression(l_j, d, env):
+            l_seen.append(l_j)
+            return compression(l_j, d, env)
+
+        monkeypatch.setattr(fa, "kraus_from_choi", recording_kraus)
+        monkeypatch.setattr(fa, "_compression_superop", recording_compression)
+        _, info = fa.build_upsilon(delta, ch, spec)
+        assert len(kraus_seen) == len(l_seen) == len(spec.block_dims)
+        if case == "(2,2)x2":
+            assert info["blocks"][0]["multiplicity"] == 2
+        for jdx, (kraus, l_j, blk) in enumerate(zip(kraus_seen, l_seen, info["blocks"])):
+            d_j = spec.block_dims[jdx]
+            r_j, c_j, l_ref = _dilation_by_terms(
+                delta, ch, spec, jdx, chn.stinespring_from_kraus(kraus))
+            # the 1-design identity the closed form rests on: r_j = 1 (x) C_j
+            assert np.max(np.abs(r_j - nl.kron(np.eye(d_j), c_j))) <= 1e-12
+            assert abs(blk["c_norm"] - nl.operator_norm(c_j)) <= 1e-12
+            assert abs(blk["c_xi_norm"] - np.linalg.svd(c_j, compute_uv=False)[0]) <= 1e-12
+            assert np.max(np.abs(l_j - l_ref)) <= 1e-12
+
     def test_exact_pinching_retraction(self):
         ch = chn.gen_pinching((2, 1))
         pm, alg, spec, v, rep = run_pipeline(ch)
@@ -135,7 +208,6 @@ class TestUpsilon:
         retract = upsilon.superop @ delta.superop - chn.pinch_superop(spec.block_dims)
         assert nl.operator_norm(retract) <= 1e-8
         for blk in info["blocks"]:
-            assert blk["rj_residual"] <= 1e-8
             assert abs(blk["c_norm"] - 1) <= 1e-8
 
     def test_trivial_algebra(self):
@@ -215,7 +287,7 @@ class TestUpsilon:
             for idx in range(d * d):
                 x = nl.unvec(np.eye(d * d, dtype=complex)[:, idx], d, d)
                 val = l_j.conj().T @ nl.kron(ch(x), np.eye(env)) @ l_j
-                prime[:, idx] += nl.vec(fa._embed_block(val, spec, jdx))
+                prime[:, idx] += nl.vec(_embed_block(val, spec, jdx))
         unit = nl.hermitian_part(nl.unvec(prime @ nl.vec(np.eye(d, dtype=complex)), d_tot, d_tot))
         _, n_inv = nl.matrix_sqrt_inv_sqrt(unit)
         ref = chn.pinch_superop(spec.block_dims) @ nl.kron(n_inv.T, n_inv) @ prime

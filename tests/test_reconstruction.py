@@ -54,19 +54,30 @@ class TestDiagonals:
         assert res["pi"] <= 1e-12
         assert res["commutation"] <= 1e-10
 
-    def test_product_diagonal_invariants(self):
+    def test_direct_sum_invariants(self):
         for dims in [(2, 1), (3, 2, 1), (2, 2)]:
-            diag = rc.pauli_diagonal(rc.BlockSpec(dims))
+            spec = rc.BlockSpec(dims)
+            diag = rc.pauli_diagonal(spec)
             res = diag.residuals(probes=5)
-            assert abs(res["prob_sum"]) <= 1e-12
             assert res["pi"] <= 1e-10
             assert res["commutation"] <= 1e-10
+            # one weight-1/d_l^2 term per shift/clock unitary of each block,
+            # a unitary on its block and zero elsewhere
+            assert len(diag.terms) == sum(d * d for d in dims)
+            assert abs(sum(p for p, _ in diag.terms) - len(dims)) <= 1e-12
+            owners = []
             for p, u in diag.terms:
-                assert nl.operator_norm(u.conj().T @ u - np.eye(u.shape[0])) <= 1e-12
+                (l,) = [l for l, s in enumerate(spec.slices()) if u[s, s].any()]
+                s = spec.slices()[l]
+                assert p == 1.0 / dims[l] ** 2
+                assert nl.operator_norm(u[s, s].conj().T @ u[s, s] - np.eye(dims[l])) <= 1e-12
+                assert np.count_nonzero(u) == np.count_nonzero(u[s, s])
+                owners.append(l)
+            assert owners == sorted(owners)
 
-    @pytest.mark.parametrize("dims", [(4, 3, 1), (5, 1), (2, 2), (3,)])
-    def test_product_design_matches_term_by_term_build(self, dims):
-        # the product design built one direct sum per (term, block)
+    @pytest.mark.parametrize("dims", [(4, 3, 1), (5, 1), (2, 2), (3,), (1,), (2, 1), (3, 2, 1)])
+    def test_direct_sum_matches_product_design(self, dims):
+        # the +-doubled product design, built one direct sum per (term, block)
         def direct_sum(a, b):
             out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
             out[: a.shape[0], : a.shape[1]] = a
@@ -80,15 +91,26 @@ class TestDiagonals:
                 block_terms = [(p / 2, u) for p, u in block_terms] + [
                     (p / 2, -u) for p, u in block_terms]
             ref = [(p0 * p1, direct_sum(u0, u1)) for p0, u0 in ref for p1, u1 in block_terms]
-        terms = rc.pauli_diagonal(rc.BlockSpec(dims)).terms
-        assert len(terms) == len(ref)
-        for (p, u), (p_ref, u_ref) in zip(terms, ref):
-            assert type(p) is float and p == p_ref
-            assert np.array_equal(u, u_ref)
+        diag = rc.pauli_diagonal(rc.BlockSpec(dims))
+        terms = diag.terms
+        res = diag.residuals()
+        assert res["pi"] <= 1e-12 and res["commutation"] <= 1e-12
+        if len(dims) == 1:  # a single block gives the block design bit for bit
+            assert len(terms) == len(ref)
+            for (p, u), (p_ref, u_ref) in zip(terms, ref):
+                assert type(p) is float and p == p_ref
+                assert np.array_equal(u, u_ref)
 
-    def test_term_explosion(self):
-        with pytest.raises(rc.TermExplosion):
-            rc.pauli_diagonal(rc.BlockSpec((6, 6, 6)), term_cap=1000)
+        def element(ts):
+            return sum(p * nl.kron(u.conj().T, u) for p, u in ts)
+
+        assert np.max(np.abs(element(terms) - element(ref))) <= 1e-13
+        assert len(terms) == sum(d * d for d in dims)
+
+    def test_term_count_linear_in_blocks(self):
+        # the +-doubled product had 2^4 * 81^3 * 1 terms here
+        spec = rc.BlockSpec((9, 9, 9, 1))
+        assert len(rc.pauli_diagonal(spec).terms) == 3 * 81 + 1
 
 
 class TestMultDefect:
