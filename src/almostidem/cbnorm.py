@@ -171,19 +171,9 @@ def _ptrace_out(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
 
 
 def _is_hermitian(j: np.ndarray) -> bool:
-    """Whether J is taken as Hermitian: ||J - J^dag|| <= 1e-12 ||J||.
-
-    The Frobenius norms are within sqrt(n) of the operator norms, so they
-    decide the test without an SVD unless J is within that factor of the
-    threshold.
-    """
-    skew = j - j.conj().T
-    skew_f, size_f, root_n = np.linalg.norm(skew), np.linalg.norm(j), np.sqrt(len(j))
-    if skew_f * root_n <= 1e-12 * size_f:
-        return True
-    if skew_f > 1e-12 * size_f * root_n:
-        return False
-    return nl.operator_norm(skew) <= 1e-12 * nl.operator_norm(j)
+    """Whether J is taken as Hermitian: ||J - J^dag|| <= 1e-12 ||J||, by the
+    Frobenius-first test :func:`numlin.is_hermitian`."""
+    return nl.is_hermitian(j, 1e-12)
 
 
 def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -78,13 +78,15 @@ def kraus_from_choi(
     """Kraus operators from a PSD Choi matrix; count equals the Choi rank read
     at ``rank_rel_tol``."""
     j = np.asarray(j, dtype=complex)
-    scale = nl.operator_norm(j)
-    if scale == 0:
+    if not j.any():
         return []
-    if nl.operator_norm(j - j.conj().T) > EQ_TOL * scale:
+    if not nl.is_hermitian(j, EQ_TOL):
         raise NotCP("Choi matrix is not Hermitian")
     w, v = np.linalg.eigh(nl.hermitian_part(j))
-    if w[0] < -EQ_TOL * scale:
+    # w[0] < -EQ_TOL ||J||, with ||J|| >= ||J||_F / sqrt(n): the norm is
+    # taken only for an eigenvalue below the bound that this gives
+    if (w[0] < -EQ_TOL * np.linalg.norm(j) / np.sqrt(len(j))
+            and w[0] < -EQ_TOL * nl.operator_norm(j)):
         raise NotCP(f"Choi matrix has negative eigenvalue {w[0]:.3e}")
     kraus = []
     for a in range(len(w) - 1, -1, -1):
@@ -201,11 +203,11 @@ class Channel:
 
     def is_cp(self) -> bool:
         j = self.choi
-        scale = max(nl.operator_norm(j), 1.0)
-        if nl.operator_norm(j - j.conj().T) > EQ_TOL * scale:
+        if not nl.is_hermitian(j, EQ_TOL, 1.0):
             return False
         w = np.linalg.eigvalsh(nl.hermitian_part(j))
-        return bool(w[0] >= -EQ_TOL * scale)
+        # w[0] >= -EQ_TOL max(||J||, 1), which holds outright at w[0] >= -EQ_TOL
+        return bool(w[0] >= -EQ_TOL or w[0] >= -EQ_TOL * max(nl.operator_norm(j), 1.0))
 
     def is_unital(self) -> bool:
         image = self(np.eye(self.dim_in))

@@ -151,7 +151,6 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
         w_j = stinespring_from_kraus(kraus)  # C^d -> C^{d_j * e_j}
         e_j = len(kraus)
         c_j = nl.partial_trace(w_j @ w_j.conj().T, (d_j, e_j), keep=1) / d_j
-        c_norm = nl.operator_norm(c_j)
         _, s_sv, vh_sv = np.linalg.svd(c_j)
         xi = vh_sv.conj().T[:, 0]
         anchor = np.argmax(np.abs(xi))
@@ -172,7 +171,7 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
         blocks_info.append(
             {
                 "multiplicity": e_j,
-                "c_norm": c_norm,
+                "c_norm": float(s_sv[0]),
                 "c_xi_norm": float(s_sv[0]),
             }
         )
@@ -259,8 +258,7 @@ def certify(
         xy = xy.reshape(probes, 2, n * d_tot, n * d_tot)
         dxy = _apply_superop(del_n, xy, n * d)
         back = _apply_superop(ups_n, dxy[:, 0] @ dxy[:, 1], n * d_tot)
-        res, nx, ny = np.linalg.svd(
-            np.stack([back - xy[:, 0] @ xy[:, 1], xy[:, 0], xy[:, 1]]), compute_uv=False)[..., 0]
+        res, nx, ny = nl.operator_norms(np.stack([back - xy[:, 0] @ xy[:, 1], xy[:, 0], xy[:, 1]]))
         product_residuals[n] = float(np.max(res / (nx * ny), initial=0.0))
 
     flags = {

@@ -68,8 +68,7 @@ def herm_eig(m: np.ndarray) -> SpectralDecomposition:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"expected square matrix, got shape {m.shape}")
-    scale = max(operator_norm(m), 1.0)
-    if operator_norm(m - m.conj().T) > EQ_TOL * scale:
+    if not is_hermitian(m, EQ_TOL, 1.0):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
         w, u = np.linalg.eigh(hermitian_part(m))
@@ -106,7 +105,10 @@ def matrix_sign(m: np.ndarray) -> np.ndarray:
     stalls = 0
     for _ in range(NEWTON_MAX_ITER):
         err = operator_norm(s @ s - ident)
-        if err <= 1e-13 * max(1.0, operator_norm(s)) ** 2:
+        # the test err <= 1e-13 max(1, ||S||)^2, with ||S|| <= ||S||_F: the
+        # norm is taken only when the bounds on either side cannot decide
+        if err <= 1e-13 or (err <= 1e-13 * np.linalg.norm(s) ** 2
+                            and err <= 1e-13 * max(1.0, operator_norm(s)) ** 2):
             return s
         if err >= prev_err:
             stalls += 1
@@ -201,6 +203,52 @@ def operator_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (..., rows, cols).
+
+    Each is sqrt(lam_max(X^dag X)), over the smaller side, from one stacked
+    ``eigvalsh``: the absolute error of lam_max is about eps ||X||^2, so the
+    norm is good to about eps relative.  Each matrix is first scaled by the
+    power of two that brings its largest real or imaginary part into
+    [1/2, 1) (``frexp``/``ldexp``, exact), so that X^dag X neither
+    overflows nor loses the matrix to underflow.  A non-finite matrix raises
+    ``np.linalg.LinAlgError``, as the SVD does on NaN.
+    """
+    x = np.asarray(stack)
+    if x.shape[-2] < x.shape[-1]:
+        x = x.swapaxes(-1, -2)
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-2])
+    cplx = x.dtype.kind == "c"
+    parts = np.ascontiguousarray(x, complex).view(float) if cplx else np.asarray(x, float)
+    top = np.abs(parts).max(axis=(-2, -1))
+    if not np.isfinite(top).all():
+        raise np.linalg.LinAlgError("operator norm of a non-finite matrix")
+    _, exp = np.frexp(top)
+    with np.errstate(under="ignore"):
+        scaled = np.ldexp(parts, -exp[..., None, None])
+        if cplx:
+            scaled = scaled.view(complex)
+        lam = np.linalg.eigvalsh(scaled.conj().swapaxes(-1, -2) @ scaled)[..., -1]
+        return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), exp)
+
+
+def is_hermitian(m: np.ndarray, tol: float, floor: float = 0.0) -> bool:
+    """Whether ||K|| <= tol * max(||M||, floor), K = M - M^dag (operator norms).
+
+    ||X||_F / sqrt(n) <= ||X|| <= ||X||_F, so the Frobenius norms decide the
+    test unless ||K||_F lies within sqrt(n) of the bound; only then are the
+    two operator norms taken.
+    """
+    skew = m - m.conj().T
+    skew_f, size_f, root_n = np.linalg.norm(skew), np.linalg.norm(m), np.sqrt(len(m))
+    if skew_f * root_n <= tol * max(size_f, floor * root_n):
+        return True
+    if skew_f > tol * max(size_f, floor) * root_n:
+        return False
+    return operator_norm(skew) <= tol * max(operator_norm(m), floor)
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -239,10 +239,34 @@ def compression_rank(
     alg: EpsilonAlgebra, p: DeltaProjection, q: DeltaProjection
 ) -> int:
     """dim S_{P,Q} decided through the spectrum of the compression generator
-    (L_P R_Q + R_Q L_P) / 2, by :func:`_indicator_rank`."""
+    (L_P R_Q + R_Q L_P) / 2, by :func:`_indicator_rank` on
+    :func:`_indicator_spectra`."""
     lp = alg.lmul(p.coords)
     rq = alg.rmul(q.coords)
-    return _indicator_rank(np.linalg.eigvals(0.5 * (lp @ rq + rq @ lp)))
+    return _indicator_rank(_indicator_spectra(0.5 * (lp @ rq + rq @ lp)[None])[0])
+
+
+def _indicator_spectra(gens: np.ndarray) -> np.ndarray:
+    """For a stack of generators G, spectra that :func:`_indicator_rank`
+    decides as it decides the real parts of ``eigvals(G)``.
+
+    They are ``eigvalsh`` of the Hermitian parts H, except for a G with an
+    eigenvalue of H in (0.1 - r, 0.9 + r), r = ||G - H||_F (plus a margin
+    for roundoff), which gets the real parts of its ``eigvals``.  Every
+    eigenvalue of G lies within ||G - H|| <= r of one of H (Bauer-Fike, H
+    normal), and along H + s (G - H), 0 <= s <= 1, the eigenvalues move
+    continuously inside those discs; with no eigenvalue of H in the band,
+    the discs about the eigenvalues at or below 0.1 - r and at or above
+    0.9 + r are disjoint, so G has as many eigenvalues of real part at or
+    above 0.9 as H has at or above 0.9 + r, and the rest at or below 0.1.
+    """
+    herm = 0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2)))
+    spectra = np.linalg.eigvalsh(herm)
+    r = np.linalg.norm(gens - herm, axis=(-2, -1)) + 1e-12 * np.linalg.norm(herm, axis=(-2, -1))
+    near = np.any((spectra > 0.1 - r[:, None]) & (spectra < 0.9 + r[:, None]), axis=-1)
+    if near.any():
+        spectra[near] = np.real(np.linalg.eigvals(gens[near]))
+    return spectra
 
 
 def _indicator_rank(lam: np.ndarray) -> int:
@@ -343,7 +367,7 @@ def classify_equivalence(
     L_P and R_P are formed once per projection, each with one einsum over
     the stacked coordinates, and the spectra of the n (n + 1) / 2 generators
     (L_{P_j} R_{P_k} + R_{P_k} L_{P_j}) / 2, j <= k, are taken in one stacked
-    ``eigvals``.  Each spectrum gets the rank rule of
+    call of :func:`_indicator_spectra`.  Each spectrum gets the rank rule of
     :func:`compression_rank`, the diagonal ones first and then the pairs
     (j, k) in order, so the first failure is the one a pairwise loop meets.
     """
@@ -353,7 +377,7 @@ def classify_equivalence(
     rmuls = np.einsum("pj,ijk->pki", coords, alg.star_tensor)
     pairs = [(j, j) for j in range(n)] + [(j, k) for j in range(n) for k in range(j + 1, n)]
     lp, rq = lmuls[[j for j, _ in pairs]], rmuls[[k for _, k in pairs]]
-    spectra = np.linalg.eigvals(0.5 * (lp @ rq + rq @ lp))
+    spectra = _indicator_spectra(0.5 * (lp @ rq + rq @ lp))
     for j in range(n):
         if _indicator_rank(spectra[j]) != 1:
             raise DegenerateGram(f"projection {j} is not one dimensional")

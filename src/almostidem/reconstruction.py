@@ -12,6 +12,7 @@ sum_l d_l^2 terms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,13 +102,6 @@ class BlockSpec:
     def unit(self) -> np.ndarray:
         return np.eye(self.rep_dim, dtype=complex)
 
-    def block_norm(self, x: np.ndarray) -> np.ndarray:
-        """Norms of a stack of block-diagonal elements: max over the blocks."""
-        return np.max(
-            [np.linalg.svd(x[:, s, s], compute_uv=False)[:, 0] for s in self.slices()],
-            axis=0,
-        )
-
     def random_elements(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` random block-diagonal elements, shape (count, rep, rep).
 
@@ -159,16 +153,22 @@ class Diagonal:
 
 
 def pauli_shift_clock(d: int) -> list[tuple[float, np.ndarray]]:
-    """The d^2 shift/clock unitaries with uniform weights: an exact 1-design."""
-    terms = []
+    """The d^2 shift/clock unitaries with uniform weights: an exact 1-design.
+    The unitaries are read-only, built once per d."""
+    return [(1.0 / (d * d), u) for u in _shift_clock_stack(d)]
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_clock_stack(d: int) -> np.ndarray:
+    """The unitaries of :func:`pauli_shift_clock` as one read-only stack."""
+    out = np.zeros((d * d, d, d), dtype=complex)
     omega = np.exp(2j * np.pi / d)
     for j in range(d):
         for k in range(d):
-            u = np.zeros((d, d), dtype=complex)
             for m in range(d):
-                u[(m + j) % d, m] = omega ** (k * m)
-            terms.append((1.0 / (d * d), u))
-    return terms
+                out[j * d + k, (m + j) % d, m] = omega ** (k * m)
+    out.setflags(write=False)
+    return out
 
 
 def pauli_diagonal(spec: BlockSpec) -> Diagonal:
@@ -183,10 +183,9 @@ def pauli_diagonal(spec: BlockSpec) -> Diagonal:
     rep = spec.rep_dim
     terms = []
     for s, d in zip(spec.slices(), spec.block_dims):
-        for p, u in pauli_shift_clock(d):
-            emb = np.zeros((rep, rep), dtype=complex)
-            emb[s, s] = u
-            terms.append((p, emb))
+        emb = np.zeros((d * d, rep, rep), dtype=complex)
+        emb[:, s, s] = _shift_clock_stack(d)
+        terms += [(1.0 / (d * d), u) for u in emb]
     return Diagonal(spec, terms)
 
 
@@ -228,7 +227,9 @@ def _probe_set(spec: BlockSpec, probes: int, seed: int):
     rng = np.random.default_rng(seed)
     xy = spec.random_elements(rng, 2 * probes)
     x, y = xy[0::2], xy[1::2]
-    nx, ny = spec.block_norm(x), spec.block_norm(y)
+    # a block-diagonal element has the norm of its largest block
+    nxy = nl.operator_norms(xy)
+    nx, ny = nxy[0::2], nxy[1::2]
     # vec stacks columns, i.e. the rows of the transpose
     rows = tuple(np.swapaxes(m, 1, 2).reshape(probes, spec.rep_dim ** 2)
                  for m in (x, y, x @ y))
@@ -377,14 +378,23 @@ def merge(v1: AlmostHom, v2: AlmostHom, alg: EpsilonAlgebra) -> AlmostHom:
 # ---------------------------------------------------------------------------
 
 def matrix_algebra(k: int) -> EpsilonAlgebra:
-    """B(C^k) as an exact algebra object over its Hermitian basis."""
-    basis = nl.hermitian_basis(k)
-    n = len(basis)
-    stack = np.stack(basis)
+    """B(C^k) as an exact algebra object over its Hermitian basis: a fresh
+    object per call, over the read-only arrays built once per k."""
+    stack, unit, tensor = _matrix_algebra_data(k)
+    return EpsilonAlgebra(k, list(stack), unit, tensor)
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_algebra_data(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(basis stack, unit coordinates, product tensor) of B(C^k), read-only."""
+    stack = np.stack(nl.hermitian_basis(k))
+    n = len(stack)
     conj_rows = stack.reshape(n, k * k).conj().T
     tensor = (stack[:, None] @ stack[None, :]).reshape(n, n, k * k) @ conj_rows
     unit = np.real(np.eye(k, dtype=complex).reshape(k * k) @ conj_rows)
-    return EpsilonAlgebra(k, basis, unit, tensor)
+    for arr in (stack, unit, tensor):
+        arr.setflags(write=False)
+    return stack, unit, tensor
 
 
 def extend_matrix_algebra(

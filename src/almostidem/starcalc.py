@@ -6,10 +6,10 @@ applying the spectral step function to 2*Phi - 1 on the superoperator level.
 induced product X * Y = Phi~(X Y), its dimension the rank of the image read
 at ``numlin.RANK_REL_TOL``; ``measure_defects`` estimates how far the result
 is from satisfying the algebra axioms, including on matrix amplifications
-M_n (x) A.  Its sweep over the basis takes an SVD only where the Frobenius
-bound, read off the coordinates (``EpsilonAlgebra.max_norm``), can still set
-a maximum; its sampled, ascent and amplified stages take each operator norm
-as sqrt(lam_max(X^dag X)), one stacked eigvalsh (``_ext_norms``).
+M_n (x) A.  Every operator norm is sqrt(lam_max(X^dag X)), one stacked
+eigvalsh (``numlin.operator_norms``); the sweep over the basis takes one only
+where the Frobenius bound, read off the coordinates
+(``EpsilonAlgebra.max_norm``), can still set a maximum.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class EpsilonAlgebra:
         return (y[..., None, :] @ lx.reshape(*lx.shape[:-1], n, n))[..., 0, :]
 
     def norm(self, x: np.ndarray) -> float:
-        return nl.operator_norm(self.element(x))
+        return float(self.norms(x)[0])
 
     def _matrices(self, coords: np.ndarray) -> np.ndarray:
         """The elements whose coordinates are the rows of ``coords``, stacked."""
@@ -137,8 +137,9 @@ class EpsilonAlgebra:
         return (coords @ self.basis_stack.reshape(self.dim, d * d)).reshape(-1, d, d)
 
     def norms(self, coords: np.ndarray) -> np.ndarray:
-        """Operator norms of the elements whose coordinates are the rows of ``coords``."""
-        return np.linalg.svd(self._matrices(coords), compute_uv=False)[:, 0]
+        """Operator norms of the elements whose coordinates are the rows of
+        ``coords``, from :func:`numlin.operator_norms`."""
+        return nl.operator_norms(self._matrices(coords))
 
     @cached_property
     def basis_gram(self) -> np.ndarray:
@@ -147,32 +148,37 @@ class EpsilonAlgebra:
         flat = self.basis_stack.reshape(self.dim, -1)
         return flat.conj() @ flat.T
 
+    @cached_property
+    def gram_top(self) -> float:
+        """lam_max of :attr:`basis_gram`, built on first use: ||X||_F^2 <=
+        gram_top ||c||^2 for the element X with coordinates c."""
+        return float(np.linalg.eigvalsh(self.basis_gram)[-1])
+
     def max_norm(self, coords: np.ndarray, den=1.0, floor: float = 0.0) -> float:
         """``max(floor, (norms(coords) / den).max())``, one ``den`` per row,
-        with the SVD taken only where it can set the maximum.
+        with the norm taken only where it can set the maximum.
 
-        ||X|| <= ||X||_F = sqrt(Re c^dag G c), read off the coordinate row c
-        with the Gram matrix of the basis, with equality at rank one.  The
-        rows are taken in chunks of decreasing bound ||X||_F / den, and the
-        scan stops once the next bound, widened by a relative 1e-12 for
-        roundoff, is at most the running maximum, which starts at
-        ``floor``; only the chunks it takes are built as matrices.  Rows that
-        are not finite go to the full stacked SVD, as in ``norms``.
+        ||X|| <= ||X||_F <= sqrt(gram_top) ||c||, read off the coordinate row
+        c.  The rows are taken in chunks of decreasing bound, 8 rows and then
+        twice as many as the chunk before, and the scan stops once the next
+        bound, widened by a relative 1e-12 for roundoff, is at most the
+        running maximum, which starts at ``floor``; only the chunks it takes
+        are built as matrices.  Rows that are not finite go to ``norms``
+        whole, which raises.
         """
         coords = np.asarray(coords)
         den = np.broadcast_to(den, len(coords))
-        frob2 = np.real(np.sum(coords.conj() * (coords @ self.basis_gram.T), axis=-1))
-        bound = np.sqrt(np.maximum(frob2, 0.0)) / den
+        bound = np.sqrt(self.gram_top) * np.linalg.norm(coords, axis=-1) / den
         if not np.all(np.isfinite(bound)):
             return max(floor, float((self.norms(coords) / den).max()))
         order = np.argsort(-bound, kind="stable")
-        best = floor
-        for start in range(0, len(order), 8):
-            rows = order[start: start + 8]
+        best, start, size = floor, 0, 8
+        while start < len(order):
+            rows = order[start: start + size]
             if bound[rows[0]] * (1 + 1e-12) <= best:
                 break
-            sv = self.norms(coords[rows])
-            best = max(best, float((sv / den[rows]).max()))
+            best = max(best, float((self.norms(coords[rows]) / den[rows]).max()))
+            start, size = start + size, 2 * size
         return best
 
     def lmul(self, x: np.ndarray) -> np.ndarray:
@@ -231,9 +237,9 @@ def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:
     # B_i = unvec(stack_b[:, i]): the columns are column-stacked matrices
     stack = stack_b.T.reshape(n, dim, dim).transpose(0, 2, 1)
     basis = list(stack)
-    membership = max(
-        nl.operator_norm(pm(b) - b) for b in basis
-    )
+    # the transposes of pm(B_i) - B_i, which have their norms
+    residues = (m @ stack_b - stack_b).T.reshape(n, dim, dim)
+    membership = float(nl.operator_norms(residues).max(initial=0.0))
     if membership > 1e-9:
         raise StarCalcError(f"basis is not fixed by the map: residual {membership:.2e}")
 
@@ -248,7 +254,7 @@ def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:
     unit_coords = np.real(stack_b.conj().T @ nl.vec(np.eye(dim, dtype=complex)))
     alg = EpsilonAlgebra(dim, basis, unit_coords, tensor,
                          membership_residual=membership)
-    unit_res = nl.operator_norm(alg.unit_element() - np.eye(dim))
+    unit_res = float(nl.operator_norms(alg.unit_element() - np.eye(dim)))
     if unit_res > 1e-8:
         raise StarCalcError(f"identity is not in the algebra: residual {unit_res:.2e}")
     return alg
@@ -285,6 +291,12 @@ def measure_defects(
 
 
 def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
+    """Defects over basis pairs and triples, each up to the adjoint.
+
+    The basis is Hermitian and T[j, i] = conj T[i, j] (``extract_algebra``
+    makes it so), so B_j * B_i = (B_i * B_j)^dag and the associator of
+    (k, j, i) is minus the adjoint of that of (i, j, k): the sweeps take
+    i <= j and i <= k, which have the norms of all pairs and triples."""
     n = alg.dim
     t = alg.star_tensor
     basis_norms = alg.norms(np.eye(n))
@@ -292,19 +304,21 @@ def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
 
     # ||B_i * B_j|| / (||B_i|| ||B_j||), whose excess over 1 is the defect
     denom = np.outer(basis_norms, basis_norms)
-    rep.eps_submult = alg.max_norm(t.reshape(n * n, n), denom.ravel(), floor=1.0) - 1
+    upper = np.triu_indices(n)
+    rep.eps_submult = alg.max_norm(t[upper], denom[upper], floor=1.0) - 1
     # C* lower bound on Hermitian basis elements: X^dag = X
     diag = alg.norms(t[np.arange(n), np.arange(n)])
     rep.eps_cstar = float(max(np.max(1 - diag / basis_norms**2), 0.0))
 
-    # associator over all basis triples, one first index at a time (the
+    # associator over the basis triples, one first index i at a time (the
     # maximum so far its floor) so that n^2, not n^3, products are alive
     assoc = 0.0
     for i in range(n):
-        left = t[i] @ t.reshape(n, n * n)      # (B_i*B_j)*B_k coords, rows (j, k)
-        right = t.reshape(n * n, n) @ t[i]     # B_i*(B_j*B_k) coords, rows (j, k)
-        assoc = alg.max_norm(left.reshape(n * n, n) - right,
-                             (basis_norms[i] * denom).ravel(), assoc)
+        tail = t[:, i:]                        # B_j * B_k coords, k >= i
+        left = t[i] @ tail.reshape(n, -1)      # (B_i*B_j)*B_k coords, rows (j, k)
+        right = tail.reshape(-1, n) @ t[i]     # B_i*(B_j*B_k) coords, rows (j, k)
+        assoc = alg.max_norm(left.reshape(-1, n) - right,
+                             (basis_norms[i] * denom[:, i:]).ravel(), assoc)
     rep.eps_assoc = assoc
     return rep
 
@@ -371,36 +385,24 @@ def _ext_star(alg: EpsilonAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _ext_norms(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
-    """Operator norms on C^n (x) H of stacked M_n (x) A coordinate blocks.
+    """Operator norms on C^n (x) H of stacked M_n (x) A coordinate blocks,
+    from :func:`numlin.operator_norms`.
 
-    Each norm is sqrt(lam_max(X^dag X)): the absolute error of lam_max is
-    about eps ||X||^2, so the norm is good to about eps relative.  Every
-    element is first divided by its largest coordinate, so that no entry of
-    X^dag X under- or overflows.  A non-finite element raises
-    ``np.linalg.LinAlgError``, as the SVD does.
+    The matrices are built about 4096 entries at a time, so that they and
+    their Gram stacks are never all alive at once: one GEMM gives the blocks
+    (a, b, r, c) of sum_i x[a, b, i] B_i, and one transposing copy puts them
+    in the rows (a, r) and columns (b, c).
     """
     d, m, n = alg.ambient_dim, x.shape[-2], alg.dim
-    flat = x.reshape(-1, m, m, n)
-    scale = np.abs(flat).max(axis=(1, 2, 3), initial=0.0)
-    if not np.all(np.isfinite(scale)):
-        raise np.linalg.LinAlgError("operator norm of a non-finite element")
-    scale = np.where(scale > 0, scale, 1.0)
+    flat = x.reshape(-1, m * m * n)
     basis = alg.basis_stack.reshape(n, d * d)
-    # about 4096 matrix entries at a time, so that the matrices and their
-    # Gram stack are never both alive in full: one GEMM gives the blocks
-    # (a, b, r, c) of sum_i x[a, b, i] B_i, and one transposing copy puts
-    # them in the rows (a, r) and columns (b, c)
-    gram = np.empty((len(flat), m * d, m * d), dtype=complex)
+    out = np.empty(len(flat))
     step = max(1, (1 << 12) // (m * d) ** 2)
     for start in range(0, len(flat), step):
-        part = flat[start: start + step] / scale[start: start + step, None, None, None]
-        mats = (part.reshape(-1, n) @ basis).reshape(-1, m, m, d, d)
-        mats = mats.transpose(0, 1, 3, 2, 4).reshape(-1, m * d, m * d)
-        np.matmul(mats.conj().swapaxes(-1, -2), mats, out=gram[start: start + step])
-    top = np.linalg.eigvalsh(gram)[:, -1]
-    if not np.all(np.isfinite(top)):
-        raise np.linalg.LinAlgError("operator norm of a non-finite element")
-    return (scale * np.sqrt(np.maximum(top, 0.0))).reshape(x.shape[:-3])
+        mats = (flat[start: start + step].reshape(-1, n) @ basis).reshape(-1, m, m, d, d)
+        out[start: start + step] = nl.operator_norms(
+            mats.transpose(0, 1, 3, 2, 4).reshape(-1, m * d, m * d))
+    return out.reshape(x.shape[:-3])
 
 
 def _associators(alg: EpsilonAlgebra, x, y, z):

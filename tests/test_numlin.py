@@ -219,6 +219,195 @@ class TestNorms:
         assert nl.operator_norm(diff) == pytest.approx(np.max(np.abs(w)))
 
 
+# the element _cubic_refine reaches on the perturbed (3,1) pinching at
+# t=1e-2, seed 1 (largest entry 1.75e-320), in units of 2^-1074
+_SUBNORMAL_RE = [[-2334, 7, 670, 1], [7, -2139, -2681, -8],
+                 [670, -2681, -3549, -2], [1, -8, -2, -1]]
+_SUBNORMAL_IM = [[0, -2234, -2799, -9], [2234, 0, -632, 0],
+                 [2799, 632, 0, -2], [9, 0, 2, 0]]
+
+
+def _stacks():
+    """(name, stack) of random, rank-one, zero, huge and subnormal stacks."""
+    rng = np.random.default_rng(40)
+    gauss = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+    u, v = rng.standard_normal((6, 5, 1)), rng.standard_normal((6, 1, 5))
+    rank_one = (u + 1j * rng.standard_normal((6, 5, 1))) @ v
+    zero = np.zeros((3, 5, 5), dtype=complex)
+    subnormal = np.ldexp(np.array(_SUBNORMAL_RE, float), -1074) + 1j * np.ldexp(
+        np.array(_SUBNORMAL_IM, float), -1074)
+    yield "random", gauss
+    yield "real", rng.standard_normal((4, 6, 6))
+    yield "rectangular", rng.standard_normal((3, 2, 4, 7)) + 1j * rng.standard_normal((3, 2, 4, 7))
+    yield "rank-one", rank_one
+    yield "zero", zero
+    yield "mixed", np.concatenate([gauss[:2], zero[:1], rank_one[:2]])
+    yield "1e300", gauss * 1e300
+    yield "1e-300", gauss * 1e-300
+    yield "subnormal", gauss * 1e-315
+    yield "cubic-refine", subnormal[None]
+
+
+class TestOperatorNorms:
+    """sqrt(lam_max(X^dag X)) after an exact power-of-two rescale: the top
+    singular value to 1e-13 relative (or the subnormal spacing), and no
+    floating-point exception on the way, at any scale."""
+
+    @pytest.mark.parametrize("name, stack", list(_stacks()), ids=[n for n, _ in _stacks()])
+    def test_agrees_with_svd(self, name, stack):
+        want = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        with np.errstate(all="raise"):
+            got = nl.operator_norms(stack)
+        assert got.shape == want.shape == stack.shape[:-2]
+        assert np.all(np.abs(got - want) <= np.maximum(1e-13 * want, 1e-322))
+        if name == "zero":
+            assert np.all(got == 0.0)
+        if name == "cubic-refine":
+            # eigvalsh of the Gram matrix of this element divided by its
+            # largest entry did not converge
+            assert got[0] > 0
+
+    def test_single_matrix_and_empty(self):
+        m = np.array([[3.0, 0.0], [0.0, -4.0]])
+        assert nl.operator_norms(m).shape == ()
+        assert float(nl.operator_norms(m)) == pytest.approx(4.0, rel=1e-15)
+        assert nl.operator_norms(np.zeros((0, 3, 3))).shape == (0,)
+        assert np.array_equal(nl.operator_norms(np.zeros((2, 3, 0))), [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        stack = np.ones((3, 4, 4), dtype=complex)
+        stack[1, 2, 3] = complex(0.0, bad)
+        with np.errstate(invalid="ignore"):
+            if np.isnan(bad):  # as the SVD does on NaN
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.svd(stack, compute_uv=False)
+            with pytest.raises(np.linalg.LinAlgError):
+                nl.operator_norms(stack)
+
+
+def _svd_hermitian_rule(m, tol, floor):
+    return nl.operator_norm(m - m.conj().T) <= tol * max(nl.operator_norm(m), floor)
+
+
+class TestIsHermitian:
+    """The Frobenius-first test decides as the SVD rule
+    ||M - M^dag|| <= tol max(||M||, floor) does."""
+
+    @pytest.mark.parametrize("floor", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_decides_as_the_svd_rule(self, n, floor, monkeypatch):
+        # around both Frobenius thresholds, bound and sqrt(n) bound, with
+        # skew parts of rank one (||.|| = ||.||_F) and of flat spectrum
+        # (||.|| = ||.||_F / sqrt n), and sizes on both sides of the floor
+        rng = np.random.default_rng(50 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+        q = np.linalg.qr(a)[0]
+        flat = (q * np.where(np.arange(n) % 2, 1.0, -1.0)) @ q.conj().T
+        svds = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *x, **k: svds.append(1) or svd(*x, **k))
+        decided = {True: 0, False: 0}
+        for size in (1e-3, 1.0, 1e3):
+            for base in (a + a.conj().T, v @ v.conj().T, flat):
+                base = base * size / nl.operator_norm(base)
+                for skew in (a - a.conj().T, 1j * (v @ v.conj().T), 1j * flat):
+                    skew = skew / np.linalg.norm(skew - skew.conj().T)
+                    bound = 1e-9 * max(nl.operator_norm(base), floor)
+                    for ratio in np.geomspace(0.1, 10 * n, 25):
+                        m = base + ratio * bound * skew
+                        before = len(svds)
+                        got = nl.is_hermitian(m, 1e-9, floor)
+                        took_svd = len(svds) > before
+                        assert got == _svd_hermitian_rule(m, 1e-9, floor)
+                        decided[got] += 1
+                        # ||K||_F at or below the bound (for ||M|| >= floor
+                        # its Frobenius lower bound), or above sqrt(n) times
+                        # the Frobenius upper bound: no SVD
+                        skew_f = np.linalg.norm(m - m.conj().T)
+                        if skew_f > 1e-9 * max(np.linalg.norm(m), floor) * np.sqrt(n) * 1.01:
+                            assert not took_svd
+        assert decided[True] and decided[False]
+
+    def test_exact_hermitian_takes_no_svd(self, monkeypatch):
+        m = nl.random_hermitian(6, np.random.default_rng(5))
+        monkeypatch.setattr(np.linalg, "svd", lambda *x, **k: pytest.fail("svd taken"))
+        assert nl.is_hermitian(m, 1e-9) and nl.is_hermitian(m, 1e-9, 1.0)
+
+    def test_channel_and_kraus_checks_refuse_as_before(self):
+        # a Choi matrix with a skew part above the threshold, and one with
+        # a negative eigenvalue below it
+        ch = chn.gen_pinching((2, 1))
+        j = ch.choi
+        skew = np.zeros_like(j)
+        skew[0, 1], skew[1, 0] = 1e-6, -1e-6
+        assert not chn.Channel(chn.superop_from_choi(j + skew, 3, 3), 3, 3).is_cp()
+        with pytest.raises(chn.NotCP, match="not Hermitian"):
+            chn.kraus_from_choi(j + skew, 3, 3)
+        neg = j - 1e-6 * np.eye(len(j))
+        assert not chn.Channel(chn.superop_from_choi(neg, 3, 3), 3, 3).is_cp()
+        with pytest.raises(chn.NotCP, match="negative eigenvalue"):
+            chn.kraus_from_choi(neg, 3, 3)
+        assert ch.is_cp() and len(chn.kraus_from_choi(j, 3, 3)) == len(ch.kraus)
+        assert chn.kraus_from_choi(np.zeros_like(j), 3, 3) == []
+
+
+def _ref_matrix_sign(m):
+    """The scaled Newton iteration with ||S|| taken on every iterate."""
+    s = np.asarray(m, dtype=complex)
+    n = s.shape[0]
+    ident = np.eye(n)
+    prev_err, stalls = np.inf, 0
+    iterates = []
+    for _ in range(nl.NEWTON_MAX_ITER):
+        iterates.append(s)
+        err = nl.operator_norm(s @ s - ident)
+        if err <= 1e-13 * max(1.0, nl.operator_norm(s)) ** 2:
+            return s, iterates
+        if err >= prev_err:
+            stalls += 1
+            if stalls >= 3:
+                if err <= nl.EQ_TOL:
+                    return s, iterates
+                raise nl.NoConvergence("stalled")
+        else:
+            stalls = 0
+        prev_err = err
+        s_inv = np.linalg.inv(s)
+        mu = float(np.exp(-np.linalg.slogdet(s)[1] / n)) if err > 0.1 else 1.0
+        s = 0.5 * (mu * s + s_inv / mu)
+    raise nl.NoConvergence("cap")
+
+
+class TestSignIterates:
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(60)
+        for dim in (2, 5, 9):
+            for scale in (1e-3, 1.0, 1e3):
+                u = nl.random_unitary(dim, rng)
+                lam = rng.choice([-1.0, 1.0], dim) * rng.uniform(0.2, 3.0, dim)
+                g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                yield scale * ((u * lam) @ u.conj().T + 0.1 * g)
+        for ch in (chn.gen_pinching((3, 1)),
+                   chn.gen_perturbed(chn.gen_pinching((2, 2)), 1e-2, seed=1)):
+            m = ch.superop
+            yield 2 * m - np.eye(len(m))
+
+    def test_returns_the_reference_iterate_bit_for_bit(self, monkeypatch):
+        for m in self._inputs():
+            want, iterates = _ref_matrix_sign(m)
+            seen = []
+            inv = np.linalg.inv
+            monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append(a) or inv(a))
+            got = nl.matrix_sign(m)
+            monkeypatch.undo()
+            assert np.array_equal(got, want)
+            assert len(seen) == len(iterates) - 1
+            assert all(np.array_equal(a, b) for a, b in zip(seen, iterates))
+
+
 class TestColumnSpace:
     def test_rank(self):
         rng = np.random.default_rng(2)

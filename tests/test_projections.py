@@ -402,16 +402,24 @@ class TestStackedCorners:
             assert np.max(np.abs(got[idx] - one)) <= 1e-13 * max(1.0, np.max(np.abs(one)))
 
 
+def _eigvals_rank(alg, p, q):
+    """dim S_{P,Q} by the rank rule on the full ``eigvals`` spectrum of the
+    compression generator."""
+    lp, rq = alg.lmul(p.coords), alg.rmul(q.coords)
+    return pj._indicator_rank(np.linalg.eigvals(0.5 * (lp @ rq + rq @ lp)))
+
+
 def _pairwise_classes(alg, projections):
-    """The pairwise loop: one compression_rank per diagonal, then per pair."""
+    """The pairwise loop on full ``eigvals`` spectra: one rank per diagonal,
+    then per pair."""
     n = len(projections)
     for j, p in enumerate(projections):
-        if pj.compression_rank(alg, p, p) != 1:
+        if _eigvals_rank(alg, p, p) != 1:
             raise pj.DegenerateGram(f"projection {j} is not one dimensional")
     groups = [{j} for j in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            rank = pj.compression_rank(alg, projections[j], projections[k])
+            rank = _eigvals_rank(alg, projections[j], projections[k])
             if rank > 1:
                 raise pj.AmbiguousRank(
                     f"dim S_(P{j}, P{k}) = {rank} > 1 for one-dimensional projections")
@@ -424,16 +432,25 @@ def _pairwise_classes(alg, projections):
     return sorted((sorted(g) for g in groups), key=lambda g: (-len(g), g[0]))
 
 
+def _worker_inputs():
+    """(channel, pipeline seed) of the 14 benchmark worker channels: the
+    perturbed-d4 and exact-blocks ones, then the perturbed (3,2,1) ones."""
+    from test_starcalc import _benchmark_inputs
+
+    yield from _benchmark_inputs()
+    for seed in (1, 0, 4):
+        yield chn.gen_perturbed(chn.gen_pinching((3, 2, 1)), 1e-2, seed=seed), seed
+
+
 class TestStackedClassification:
     """classify_equivalence takes every generator's spectrum in one stacked
-    eigvals; it must decide as the pairwise loop does."""
+    call; it must decide as the pairwise loop on full eigvals spectra does."""
 
-    @pytest.mark.parametrize("case", range(11))
+    @pytest.mark.parametrize("case", range(14))
     def test_benchmark_families(self, case, monkeypatch):
         from almostidem import reconstruction as rc
-        from test_starcalc import _benchmark_inputs
 
-        ch, seed = list(_benchmark_inputs())[case]
+        ch, seed = list(_worker_inputs())[case]
         alg = alg_of(ch)
         # the defects reconstruct reads, as the pipeline measures them
         alg.defects = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
@@ -473,15 +490,35 @@ class TestStackedClassification:
         # indicators at 1 is refused with the loop's message
         alg = alg_of(chn.gen_pinching((2, 1)))
         units = [pj.DeltaProjection(unit_coords(alg, i, i), 0.0, 1.0) for i in range(3)]
-        eigvals = np.linalg.eigvals
+        eigvalsh = np.linalg.eigvalsh
 
         def doubled(a):
-            lam = eigvals(a)
+            # the spectra of the Hermitian parts, which decide these
+            # near-Hermitian generators without an eigvals fallback
+            lam = eigvalsh(a)
             lam[3:] = 0.0  # the pairs (0, 1), (0, 2), (1, 2) follow the diagonals
             lam[3:, :2] = 1.0
             return lam
 
-        monkeypatch.setattr(np.linalg, "eigvals", doubled)
+        monkeypatch.setattr(np.linalg, "eigvalsh", doubled)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: pytest.fail("fallback taken"))
         with pytest.raises(pj.AmbiguousRank) as info:
             pj.classify_equivalence(alg, units)
         assert str(info.value) == "dim S_(P0, P1) = 2 > 1 for one-dimensional projections"
+
+    def test_fallback_decides_where_the_hermitian_part_cannot(self, monkeypatch):
+        # G = diag(1, 0, 0) plus a nilpotent coupling of the two zero
+        # eigenvalues: its spectrum is 1, 0, 0, but its Hermitian part has
+        # the eigenvalues 1 and +-0.3, one of them in the gray zone
+        g = np.zeros((3, 3))
+        g[0, 0], g[1, 2] = 1.0, 0.6
+        with pytest.raises(pj.AmbiguousRank):
+            pj._indicator_rank(np.linalg.eigvalsh(0.5 * (g + g.T)))
+        gens = np.stack([g, np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])])
+        want = [pj._indicator_rank(np.linalg.eigvals(x)) for x in gens]
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
+        spectra = pj._indicator_spectra(gens)
+        assert calls == [1]  # only the coupled generator falls back
+        assert [pj._indicator_rank(lam) for lam in spectra] == want == [1, 1, 2]

@@ -456,6 +456,35 @@ class TestBatchedKernels:
             assert np.max(np.abs(ci - [nl.hs_inner(b, xi) for b in basis])) <= 1e-14
             assert np.max(np.abs(ci - alg.coords(xi))) <= 1e-15
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matrix_algebra_is_fresh_over_read_only_data(self, k):
+        a, b = rc.matrix_algebra(k), rc.matrix_algebra(k)
+        assert a is not b and a.basis is not b.basis
+        a.defects = sc.DefectReport()
+        assert b.defects is None
+        for x, y in [(a.star_tensor, b.star_tensor), (a.unit_coords, b.unit_coords),
+                     (a.basis[0], b.basis[0])]:
+            assert np.shares_memory(x, y) and not x.flags.writeable
+        with pytest.raises(ValueError):
+            a.star_tensor[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_shift_clock_built_once_read_only(self, d):
+        # the loop it is built with: U_(j,k)[(m + j) % d, m] = omega^(k m)
+        omega = np.exp(2j * np.pi / d)
+        want = []
+        for j in range(d):
+            for k in range(d):
+                u = np.zeros((d, d), dtype=complex)
+                for m in range(d):
+                    u[(m + j) % d, m] = omega ** (k * m)
+                want.append(u)
+        first, second = rc.pauli_shift_clock(d), rc.pauli_shift_clock(d)
+        assert first is not second and len(first) == d * d
+        for (p, u), (_, v), w in zip(first, second, want):
+            assert p == 1.0 / (d * d) and np.shares_memory(u, v) and not u.flags.writeable
+            assert np.array_equal(u, w)
+
     def test_symmetrized_matches_column_loop(self):
         spec = rc.BlockSpec((3, 2, 1))
         rng = np.random.default_rng(11)

@@ -252,22 +252,37 @@ def _ref_basis_defects(alg):
                            "basis_bound")
 
 
-def _full_svd_basis_defects(alg):
-    """The basis sweep with every SVD taken, one stacked SVD per first index
-    of the associator: the reference the pruned sweep must match exactly."""
+def _counting_kernel(monkeypatch):
+    """The number of matrices of each ``numlin.operator_norms`` call, in a
+    list that fills as the calls come."""
+    rows = []
+    kernel = nl.operator_norms
+    monkeypatch.setattr(nl, "operator_norms",
+                        lambda x: rows.append(int(np.prod(np.shape(x)[:-2]))) or kernel(x))
+    return rows
+
+
+def _full_svd_basis_defects(alg, halved=True):
+    """The basis sweep with every norm taken, one stacked call per first
+    index of the associator: the reference the pruned sweep must match
+    exactly.  ``halved`` takes the pairs i <= j and triples k >= i, as
+    ``_basis_defects`` does; ``halved=False`` takes all of them."""
     n = alg.dim
     t = alg.star_tensor
     basis_norms = alg.norms(np.eye(n))
-    sv = alg.norms(t.reshape(n * n, n)).reshape(n, n)
     denom = np.outer(basis_norms, basis_norms)
-    submult = float(np.max(sv / denom - 1).clip(0))
-    cstar = float(max(np.max(1 - np.diag(sv) / basis_norms**2), 0.0))
+    pairs = np.triu_indices(n) if halved else tuple(np.indices((n, n)).reshape(2, -1))
+    sv = alg.norms(t[pairs])
+    submult = float(np.max(sv / denom[pairs] - 1).clip(0))
+    diag = alg.norms(t[np.arange(n), np.arange(n)])
+    cstar = float(max(np.max(1 - diag / basis_norms**2), 0.0))
     assoc = 0.0
     for i in range(n):
-        left = t[i] @ t.reshape(n, n * n)
-        right = t.reshape(n * n, n) @ t[i]
-        sv3 = alg.norms(left.reshape(n * n, n) - right).reshape(n, n)
-        assoc = max(assoc, float(np.max(sv3 / (basis_norms[i] * denom))))
+        k0 = i if halved else 0
+        left = t[i] @ t[:, k0:].reshape(n, -1)
+        right = t[:, k0:].reshape(-1, n) @ t[i]
+        sv3 = alg.norms(left.reshape(-1, n) - right).reshape(n, n - k0)
+        assoc = max(assoc, float(np.max(sv3 / (basis_norms[i] * denom[:, k0:]))))
     return sc.DefectReport(submult, assoc, cstar, 0.0, 0, "basis_bound")
 
 
@@ -435,22 +450,26 @@ class TestBatchedDefects:
 
     def test_basis_defects_equal_full_svd_sweep(self, algebra, monkeypatch):
         want = _full_svd_basis_defects(algebra)
-        rows = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            rows.append(len(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rows = _counting_kernel(monkeypatch)
         got = sc._basis_defects(algebra)
         monkeypatch.undo()
         for name in ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit"):
             assert getattr(got, name) == getattr(want, name), name
         assert (got.method, got.sample_count) == (want.method, want.sample_count)
         if algebra.dim == 26:
-            # the full sweep takes n + n^2 + n^3 = 18278 SVDs
+            # the full sweep takes n + n^2 + n^3 = 18278 norms
             assert sum(rows) <= 1000
+
+    def test_halved_sweeps_equal_full_sweeps(self, algebra):
+        # B_j * B_i is the adjoint of B_i * B_j, and the associator of
+        # (k, j, i) minus the adjoint of that of (i, j, k), so the pairs
+        # i <= j and the triples k >= i have the norms of all of them
+        t = algebra.star_tensor
+        assert np.array_equal(t, np.conj(np.transpose(t, (1, 0, 2))))
+        got = _full_svd_basis_defects(algebra)
+        want = _full_svd_basis_defects(algebra, halved=False)
+        for name in ("eps_submult", "eps_assoc", "eps_cstar"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, name
 
     @pytest.mark.parametrize("samples", [0, 1, 30])
     def test_sampled_defects_match_loop(self, algebra, samples):
@@ -607,18 +626,11 @@ class TestMaxNorm:
         assert (alg.dim, alg.ambient_dim) == (26, 8)
         rng = np.random.default_rng(3)
         coords = rng.standard_normal((676, 26)) * np.geomspace(1.0, 1e-3, 676)[:, None]
-        svd_rows = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            svd_rows.append(a.shape[0])
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        norm_rows = _counting_kernel(monkeypatch)
         got = alg.max_norm(coords)
         monkeypatch.undo()
         assert got == alg.norms(coords).max()
-        assert sum(svd_rows) < 676
+        assert 0 < sum(norm_rows) < 676
 
     def test_rank_one_rows_tie(self):
         # ||X|| = ||X||_F for rank one: every bound is tight and equal
@@ -667,10 +679,9 @@ class TestMaxNorm:
         alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
         coords = np.random.default_rng(3).standard_normal((100, alg.dim))
         den = np.linspace(1.0, 2.0, 100)
-        floor = float((np.linalg.norm(alg._matrices(coords), axis=(1, 2)) / den).max()) * 1.1
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        # above the bound sqrt(lam_max(G)) ||c|| / den of every row
+        floor = float((np.linalg.norm(coords, axis=1) / den).max()) * 1.1
+        calls = _counting_kernel(monkeypatch)
         got = alg.max_norm(coords, den, floor)
         monkeypatch.undo()
         assert got == floor == max(floor, (alg.norms(coords) / den).max())
@@ -682,20 +693,19 @@ class TestMaxNorm:
 
     def test_builds_matrices_only_for_the_rows_it_takes(self, monkeypatch):
         # the Frobenius bounds come from the coordinates: every row passed to
-        # _matrices is a row whose SVD is taken
+        # _matrices is a row whose norm is taken
         alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
         rng = np.random.default_rng(3)
         coords = rng.standard_normal((676, 26)) * np.geomspace(1.0, 1e-3, 676)[:, None]
         want = alg.norms(coords).max()
-        built, svd_rows = [], []
-        matrices, svd = alg._matrices, np.linalg.svd
+        built = []
+        matrices = alg._matrices
         monkeypatch.setattr(alg, "_matrices", lambda c: built.append(len(c)) or matrices(c))
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, *args, **kw: svd_rows.append(len(a)) or svd(a, *args, **kw))
+        norm_rows = _counting_kernel(monkeypatch)
         got = alg.max_norm(coords)
         monkeypatch.undo()
         assert got == want
-        assert sum(built) == sum(svd_rows) < 676
+        assert 0 < sum(built) == sum(norm_rows) < 676
 
     def test_gram_of_an_orthonormal_basis_is_the_identity(self, algebra):
         assert algebra.basis_gram is algebra.basis_gram
