@@ -239,13 +239,13 @@ def _equal_pair_dual_bound(h: np.ndarray, skew: float, pt, d_in: int, d_out: int
 
     M is Hermitian: its SVD is its eigh with |lam|, and Y1 = Y0 = Y.  There
     [[Y, -H], [-H, Y]] with H = H(J) is unitarily similar to
-    diag(Y - H, Y + H), so two half-size eigvalsh decide its smallest
-    eigenvalue, and the rest of J, (J - J^dag) / 2, moves it by at most
-    ``skew`` = ||J - J^dag||_F / 2 (Weyl).
+    diag(Y - H, Y + H), so one stacked eigvalsh of the two halves decides its
+    smallest eigenvalue, and the rest of J, (J - J^dag) / 2, moves it by at
+    most ``skew`` = ||J - J^dag||_F / 2 (Weyl).
     """
     sri = pt.roots[1]
     y = nl.hermitian_part(_lmul(sri, _rmul((pt.u * np.abs(pt.lam)) @ pt.u.conj().T, sri)))
-    lam_min = min(np.linalg.eigvalsh(y - h)[0], np.linalg.eigvalsh(y + h)[0]) - skew
+    lam_min = np.linalg.eigvalsh(np.stack([y - h, y + h]))[:, 0].min() - skew
     return _dual_value(y, y, lam_min, d_in, d_out)
 
 

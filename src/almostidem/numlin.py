@@ -205,24 +205,54 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+# lam_max(X^dag X) range in which ``eigvalsh`` of the Gram matrix as it is
+# gives, bit for bit, the value of the Gram matrix scaled by a power of two:
+# LAPACK rescales by a factor that is not a power of two a matrix whose
+# largest entry leaves [2^-485, 2^485] (?syevd, ?heevd) and a tridiagonal
+# block whose largest entry leaves [2^-405, 2^509] (dsterf), and a block
+# holding lam_max has its largest entry in [lam_max / 3, lam_max]
+GRAM_SAFE_RANGE = (2.0**-400, 2.0**400)
+
+
 def operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack (..., rows, cols).
 
     Each is sqrt(lam_max(X^dag X)), over the smaller side, from one stacked
     ``eigvalsh``: the absolute error of lam_max is about eps ||X||^2, so the
-    norm is good to about eps relative.  Each matrix is first scaled by the
-    power of two that brings its largest real or imaginary part into
-    [1/2, 1) (``frexp``/``ldexp``, exact), so that X^dag X neither
-    overflows nor loses the matrix to underflow.  A non-finite matrix raises
+    norm is good to about eps relative.  A power-of-two scale commutes with
+    every floating-point operation that neither underflows nor overflows, so
+    while every lam_max lies in :data:`GRAM_SAFE_RANGE` the unscaled Gram
+    matrices give the norms (an entry of X^dag X lost to underflow is below
+    n 2^-1074 < 2^-600 lam_max).  Otherwise, as for a stack holding a zero
+    matrix, every matrix of the stack is first scaled by the power of two
+    that brings its largest real or imaginary part into [1/2, 1)
+    (``frexp``/``ldexp``, exact), so that X^dag X neither overflows nor
+    loses the matrix to underflow.  A non-finite matrix raises
     ``np.linalg.LinAlgError``, as the SVD does on NaN.
     """
     x = np.asarray(stack)
     if x.shape[-2] < x.shape[-1]:
         x = x.swapaxes(-1, -2)
-    if x.shape[-1] == 0:
+    if x.size == 0:
         return np.zeros(x.shape[:-2])
+    x = np.asarray(x, complex if x.dtype.kind == "c" else float)
+    lo, hi = GRAM_SAFE_RANGE
+    with np.errstate(all="ignore"):
+        try:
+            lam = np.linalg.eigvalsh(x.conj().swapaxes(-1, -2) @ x)[..., -1]
+        except np.linalg.LinAlgError:
+            lam = np.full(x.shape[:-2], np.nan)
+        if lo <= lam.min() and lam.max() <= hi:
+            return np.sqrt(lam)
+    return _scaled_operator_norms(x)
+
+
+def _scaled_operator_norms(x: np.ndarray) -> np.ndarray:
+    """:func:`operator_norms` of a stack of tall matrices, each scaled first
+    by the power of two that brings its largest real or imaginary part into
+    [1/2, 1)."""
     cplx = x.dtype.kind == "c"
-    parts = np.ascontiguousarray(x, complex).view(float) if cplx else np.asarray(x, float)
+    parts = np.ascontiguousarray(x, complex).view(float) if cplx else x
     top = np.abs(parts).max(axis=(-2, -1))
     if not np.isfinite(top).all():
         raise np.linalg.LinAlgError("operator norm of a non-finite matrix")

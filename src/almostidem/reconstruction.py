@@ -243,8 +243,9 @@ def _mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probe_set):
 
     The defect is the largest ||v(E_a E_b) - v(E_a) * v(E_b)|| over all pairs
     of matrix units, and over the random pairs normalized by their block
-    norms; all star products come from one contraction and all norms from one
-    stacked SVD.
+    norms; all star products come from one contraction, and each maximum is
+    ``EpsilonAlgebra.max_norm``, which takes the norms from
+    :func:`numlin.operator_norms` only for the rows that can set it.
     """
     spec = v.spec
     n = alg.dim

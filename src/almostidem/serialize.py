@@ -138,7 +138,8 @@ def certificate_witness_from_dict(data: dict):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # reports and digests are trees built on the spot: no cycle to check for
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def digest(obj) -> str:
@@ -150,8 +151,9 @@ def atomic_write_json(path: str, obj) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            # one dumps call runs the C encoder; json.dump never does
-            handle.write(json.dumps(obj, sort_keys=True) + "\n")
+            # one dumps call runs the C encoder; json.dump never does, and a
+            # report is a tree built on the spot, with no cycle to check for
+            handle.write(json.dumps(obj, sort_keys=True, check_circular=False) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

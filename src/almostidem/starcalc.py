@@ -336,13 +336,18 @@ def _ascent_refinement(alg: EpsilonAlgebra, steps: int, rng) -> DefectReport:
     Step s tries best + scale * noise_s, takes it if it raises the value and
     otherwise shrinks the scale by 0.85.  The noise does not depend on
     acceptance, so it is drawn up front (the stream of the step-by-step
-    draws), and the next k steps are scored in one batch as if each of them
-    were rejected: the scales are ``np.cumprod([scale, 0.85, ...])``, the same
-    products as the repeated ``scale *= 0.85``, and each value is computed
-    on its own triple, so the first accepted step of the batch, and every
-    value before it, are those of the step-by-step ascent; the batch resumes
-    after that step.  k doubles after a batch with no accepted step and
-    returns to 1 after one, so it follows the acceptance rate of the input.
+    draws), and steps are scored in batches whose every candidate is one the
+    step-by-step ascent could try, with the same scale products as its
+    repeated ``scale *= 0.85``; each value is computed on its own triple, so
+    the walk through a batch meets the step-by-step triples and values.
+
+    After a rejected step the next k steps are scored as if each of them were
+    rejected (a chain, scales ``np.cumprod([scale, 0.85, ...])``); the walk
+    stops at the chain's first accepted step, and k doubles after a chain
+    with none.  After an accepted step the next ``_TREE_DEPTH`` steps are
+    scored as their accept/reject tree (:func:`_ascent_tree`), and trees
+    follow one another while the last step of each is accepted; otherwise
+    the chain resumes at k = 2.
     """
     n = alg.dim
     probes = _draw_triples(rng, 20, 1, n)
@@ -350,8 +355,14 @@ def _ascent_refinement(alg: EpsilonAlgebra, steps: int, rng) -> DefectReport:
     best = probes[np.argmax(vals)]
     best_val = float(vals.max())
     noise = _draw_triples(rng, steps, 1, n)
-    scale, step, k = 0.3, 0, 1
+    scale, step, k, tree = 0.3, 0, 1, False
     while step < steps:
+        if tree:
+            h = min(_TREE_DEPTH, steps - step)
+            best, best_val, scale, tree = _ascent_tree(
+                alg, best, best_val, scale, noise[step: step + h])
+            step, k = step + h, 2
+            continue
         k = min(k, steps - step)
         scales = np.cumprod([scale] + [0.85] * k)
         cands = best + scales[:k, None, None, None, None] * noise[step: step + k]
@@ -360,12 +371,47 @@ def _ascent_refinement(alg: EpsilonAlgebra, steps: int, rng) -> DefectReport:
         if gain.size:
             first = int(gain[0])
             best, best_val, scale = cands[first], float(vals[first]), float(scales[first])
-            step, k = step + first + 1, 1
+            step, tree = step + first + 1, True
         else:
             scale = float(scales[k])
             step, k = step + k, 2 * k
     rep = _triple_defects(alg, *best[:, None])
     return replace(rep, sample_count=steps, method="refined")
+
+
+_TREE_DEPTH = 3
+
+
+def _ascent_tree(alg: EpsilonAlgebra, best, best_val: float, scale: float, noise):
+    """The ascent's steps over ``noise`` from (best, best_val, scale), scored
+    as their accept/reject tree in one batch and then walked.
+
+    Node j of depth i is step i after the outcomes that the bits of j give,
+    most significant first (1 accepted); its children are 2j (rejected: the
+    same triple, scale * 0.85) and 2j + 1 (accepted: its candidate, the same
+    scale).  The 2^h - 1
+    candidates of h steps are scored together, and the walk takes the branch
+    their values pick.  Returns the new (best, best_val, scale) and whether
+    the last step was accepted.
+    """
+    bases, scales, levels = best[None], np.array([scale]), []
+    for i, step_noise in enumerate(noise):
+        if i:
+            bases = np.stack([bases, levels[-1]], axis=1).reshape(-1, *best.shape)
+            scales = np.stack([scales * 0.85, scales], axis=1).ravel()
+        levels.append(bases + scales[:, None, None, None, None] * step_noise)
+    cands = np.concatenate(levels)
+    vals = _assoc_values(alg, *cands.swapaxes(0, 1))
+    j, accepted = 0, False
+    for i in range(len(noise)):
+        node = (1 << i) - 1 + j
+        accepted = bool(vals[node] > best_val)
+        if accepted:
+            best, best_val = cands[node], float(vals[node])
+        else:
+            scale *= 0.85
+        j = 2 * j + accepted
+    return best, best_val, scale, accepted
 
 
 def _draw_triples(rng, count: int, n_ext: int, n: int) -> np.ndarray:

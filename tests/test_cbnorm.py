@@ -885,6 +885,28 @@ class TestHermitianCentre:
                         want = nl.operator_norm(j - j.conj().T) <= 1e-12 * nl.operator_norm(j)
                         assert cb._is_hermitian(j) == want
 
+    @pytest.mark.parametrize("d_in,d_out", [(2, 2), (3, 2), (2, 3)])
+    def test_equal_pair_bound_takes_one_stacked_eigvalsh(self, d_in, d_out, monkeypatch):
+        # the spectra of Y - H and Y + H from one stacked eigvalsh are those
+        # of the two separate calls, so the bound is the same bit for bit
+        rng = np.random.default_rng(70 + 10 * d_in + d_out)
+        n = d_in * d_out
+        a = _random_complex(rng, n, n)
+        j = a + a.conj().T + 1e-13 * (a - a.conj().T)
+        rho = 0.7 * nl.random_density(d_in, rng) + 0.3 * np.eye(d_in) / d_in
+        assert cb._is_hermitian(j)
+        h, skew = cb._split_hermitian(j)
+        pt = cb._decompose(h, nl.hermitian_part(rho))
+        sri = pt.roots[1]
+        y = nl.hermitian_part(cb._lmul(sri, cb._rmul((pt.u * np.abs(pt.lam)) @ pt.u.conj().T, sri)))
+        lam_min = min(np.linalg.eigvalsh(y - h)[0], np.linalg.eigvalsh(y + h)[0]) - skew
+        want = cb._dual_value(y, y, lam_min, d_in, d_out)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        assert cb._equal_pair_dual_bound(h, skew, pt, d_in, d_out) == want
+        assert len(calls) == 1
+
     def test_non_hermitian_equal_pair_keeps_the_svd(self):
         # ||H(M)||_1 < ||M||_1 for a non-Hermitian M, so the value at the
         # uniform pair must stay the trace norm the cheap certificate records

@@ -227,6 +227,14 @@ _SUBNORMAL_IM = [[0, -2234, -2799, -9], [2234, 0, -632, 0],
                  [2799, 632, 0, -2], [9, 0, 2, 0]]
 
 
+def _counting_frexp(monkeypatch) -> list:
+    """Patch ``np.frexp`` to record each call; the rescaled path takes it."""
+    calls = []
+    frexp = np.frexp
+    monkeypatch.setattr(np, "frexp", lambda *a: calls.append(1) or frexp(*a))
+    return calls
+
+
 def _stacks():
     """(name, stack) of random, rank-one, zero, huge and subnormal stacks."""
     rng = np.random.default_rng(40)
@@ -273,6 +281,63 @@ class TestOperatorNorms:
         assert float(nl.operator_norms(m)) == pytest.approx(4.0, rel=1e-15)
         assert nl.operator_norms(np.zeros((0, 3, 3))).shape == (0,)
         assert np.array_equal(nl.operator_norms(np.zeros((2, 3, 0))), [0.0, 0.0])
+
+    @pytest.mark.parametrize("name", ["random", "real", "rectangular", "rank-one"])
+    def test_unscaled_gram_equals_the_scaled_path(self, name):
+        # 2^k X has the norms of X times 2^k, bit for bit, whether lam_max
+        # lies in the safe range (unscaled Gram) or not (scaled first)
+        stack = dict(_stacks())[name]
+        tall = stack.swapaxes(-1, -2) if stack.shape[-2] < stack.shape[-1] else stack
+        want = nl._scaled_operator_norms(tall)
+        for k in range(-440, 441):
+            with np.errstate(all="raise"):
+                got = nl.operator_norms(stack * 2.0**k)
+                scaled = nl._scaled_operator_norms(tall * 2.0**k)
+            assert np.array_equal(got, scaled), k
+            assert np.array_equal(got, want * 2.0**k), k
+
+    @pytest.mark.parametrize("k, fallback", [(-460, True), (-210, True), (-190, False),
+                                             (0, False), (190, False), (210, True),
+                                             (460, True)])
+    def test_scales_only_off_the_safe_range(self, k, fallback, monkeypatch):
+        stack = dict(_stacks())["random"] * 2.0**k
+        lam = np.linalg.svd(stack, compute_uv=False)[..., 0] ** 2
+        lo, hi = nl.GRAM_SAFE_RANGE
+        assert fallback == (lam.min() < lo or lam.max() > hi)
+        frexp = _counting_frexp(monkeypatch)
+        with np.errstate(all="raise"):
+            got = nl.operator_norms(stack)
+        assert (len(frexp) > 0) == fallback
+        want = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("name", ["zero", "mixed", "subnormal", "cubic-refine"])
+    def test_zero_and_tiny_matrices_take_the_scaled_path(self, name, monkeypatch):
+        stack = dict(_stacks())[name]
+        frexp = _counting_frexp(monkeypatch)
+        with np.errstate(all="raise"):
+            got = nl.operator_norms(stack)
+        assert frexp
+        assert np.array_equal(got, nl._scaled_operator_norms(stack))
+
+    def test_benchmark_algebras_take_no_rescale(self, monkeypatch):
+        # the sampled, ascent and amplified stages of measure_defects on the
+        # algebras of the benchmark inputs, and all of measure_defects on the
+        # perturbed ones, never leave the safe range
+        from test_starcalc import _benchmark_inputs
+
+        frexp = _counting_frexp(monkeypatch)
+        for case, (ch, seed) in enumerate(_benchmark_inputs()):
+            alg = sc.extract_algebra(sc.idempotentize(ch))
+            frexp.clear()
+            rng = np.random.default_rng(seed)
+            sc._sampled_defects(alg, 100, rng)
+            sc._ascent_refinement(alg, 60, rng)
+            sc._sampled_defects(alg, 50, rng, 2)
+            assert not frexp, case
+            if case < 6:  # the perturbed-d4 inputs
+                sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
+                assert not frexp, case
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, bad):

@@ -589,6 +589,24 @@ class TestSpeculativeAscent:
         assert got == want
         assert batches < 60
 
+    def test_batch_counts_per_workload(self, monkeypatch):
+        # ascent batches of measure_defects at the pipeline's seeds, summed
+        # over the perturbed-d4 and the exact-blocks inputs: accept/reject
+        # trees after accepted steps take perturbed-d4 from 269 chain
+        # batches to 149, and exact-blocks from 66 to 61
+        calls = []
+        assoc_values = sc._assoc_values
+        monkeypatch.setattr(sc, "_assoc_values",
+                            lambda *args: calls.append(1) or assoc_values(*args))
+        batches = []
+        for ch, seed in _benchmark_inputs():
+            alg = sc.extract_algebra(sc.idempotentize(ch))
+            calls.clear()
+            sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
+            batches.append(len(calls) - 1)
+        assert sum(batches[:6]) <= 150
+        assert sum(batches[6:]) <= 66
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_algebras_equal_sequential(self, seed):
         rng = np.random.default_rng(seed)
@@ -597,7 +615,7 @@ class TestSpeculativeAscent:
         if seed % 2:
             ch = chn.gen_perturbed(ch, (1e-2, 3e-2, 1e-3)[seed % 3], seed=seed)
         alg = sc.extract_algebra(sc.idempotentize(ch))
-        for steps in (1, 7, 60, 150):
+        for steps in (1, 2, 3, 4, 7, 60, 150):
             state = rng.integers(1 << 31)
             got = sc._ascent_refinement(alg, steps, np.random.default_rng(state))
             want = _sequential_ascent(alg, steps, np.random.default_rng(state))
