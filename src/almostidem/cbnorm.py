@@ -31,33 +31,31 @@ solve stops at the first one whose bounds close.  A loosely centred stage
 gives looser bounds, never invalid ones.  All solves work to the relative
 gap ``TARGET_REL_GAP``.
 
-The barrier runs on Hermitian J, the Choi matrix of a Hermiticity-preserving
-map such as every difference of UCP maps the pipeline measures.  There the
-optimum has rho = sigma (Watrous, arXiv:1207.5726), so Newton runs over rho
-alone, d_in^2 - 1 unknowns at one eigh per point.  Any other J is solved as
-its Hermitian dilation J' = [[0, J], [J^dag, 0]] with input C^2 (x) C^d_in,
-which has the same norm: rho' = diag(rho, sigma) / 2 attains the objective of
-J at (rho, sigma), and at any rho' = [[A, B], [B^dag, C]] the off-diagonal
-blocks of a feasible X' give at most 2 sqrt(Tr A Tr C) ||J|| <= ||J||.
-The bounds at an equal pair of a Hermitian J are read off the eigenvalues of
-rho and of the Hermitian M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I) that the
-iterate already holds, and the dual point's feasibility check takes two
-half-size eigvalsh; any other pair or J, an equal pair of a non-Hermitian J
-included, takes the SVD of M and one eigvalsh of the full dual block.
+Every map the pipeline measures is a difference of UCP maps, so it preserves
+Hermiticity and its Choi matrix J is Hermitian; there the optimum has
+rho = sigma (Watrous, arXiv:1207.5726).  So Newton runs over rho alone on
+H(J) = (J + J^dag) / 2, d_in^2 - 1 unknowns at one eigh per point, for every
+J.  Each bound is still one of J itself: the primal value of H(J) at an equal
+pair is at most that of J, since ||H(M)||_1 <= ||M||_1, and the dual point's
+feasibility check subtracts ||J - J^dag||_F / 2 (Weyl).  A J whose skew
+part leaves the gap open gets valid bounds, recorded ``stalled``.
+The bounds at an equal pair with rho positive definite are read off the
+eigenvalues of rho and of the Hermitian M = (sqrt(rho) (x) I) H(J)
+(sqrt(rho) (x) I) that the iterate already holds, and the dual point's
+feasibility check takes two half-size eigvalsh; any other pair, such as a
+witness read from a file, takes the SVD of M and one eigvalsh of the full
+dual block.
 
 A Newton step forms the gradient and Hessian over the matrix units of
 rho from one batched product (:func:`_barrier_derivatives`); its line
 search starts at the first power of two that keeps rho positive definite
-(:func:`_barrier_path`).  A stage restart at the next t keeps the point's
+(:func:`_barrier_solve`).  A stage restart at the next t keeps the point's
 eigendecompositions and recomputes only its t-dependent terms (:func:`_at_t`).
 
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
 ``check_witness`` re-evaluates both on a Choi matrix without solving, which
 is how a recorded certificate is verified.
-
-``diamond_lower_bound_seesaw`` is the brute-force variational oracle over
-pure inputs and output measurements.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin as nl
-from .channels import Channel, choi_from_superop, extend_superop_right
+from .channels import Channel, choi_from_superop
 
 
 class CbNormError(Exception):
@@ -203,15 +201,15 @@ def _dual_bound_from_point(
 
     Factorizes J = A^dag B through the point and verifies feasibility of the
     resulting dual block matrix explicitly, folding any numerical slack into
-    the bound.  An equal pair of a Hermitian J with rho positive definite is
-    decomposed as a barrier iterate is (:func:`_decompose`) and bounded by
-    :func:`_equal_pair_dual_bound`, so a recorded iterate gives the bound its
-    solve offered.  Any other pair or J, and a rho that is not positive
-    definite, takes the SVD of M at the clipped roots of rho and sigma and
-    one eigvalsh of the full dual block.
+    the bound.  An equal pair with rho positive definite is decomposed as a
+    barrier iterate is (:func:`_decompose`) and bounded by
+    :func:`_equal_pair_dual_bound`, whatever J is, so a recorded iterate gives
+    the bound its solve offered.  Any other pair, and a rho that is not
+    positive definite, takes the SVD of M at the clipped roots of rho and
+    sigma and one eigvalsh of the full dual block.
     """
     equal = np.array_equal(sigma, rho)
-    if equal and _is_hermitian(j):
+    if equal:
         h, skew = _split_hermitian(j)
         pt = _decompose(h, nl.hermitian_part(rho))
         if pt is not None:
@@ -233,15 +231,15 @@ def _split_hermitian(j: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _equal_pair_dual_bound(h: np.ndarray, skew: float, pt, d_in: int, d_out: int) -> float:
-    """Feasible dual value at the equal pair (rho, rho) of a Hermitian J, from
-    the decomposition ``pt`` of rho and of M for H = H(J) (:class:`_BarrierPoint`)
+    """Feasible dual value at the equal pair (rho, rho) of J, from the
+    decomposition ``pt`` of rho and of M for H = H(J) (:class:`_BarrierPoint`)
     with no new one; ``h`` and ``skew`` are :func:`_split_hermitian` of J.
 
     M is Hermitian: its SVD is its eigh with |lam|, and Y1 = Y0 = Y.  There
-    [[Y, -H], [-H, Y]] with H = H(J) is unitarily similar to
-    diag(Y - H, Y + H), so one stacked eigvalsh of the two halves decides its
-    smallest eigenvalue, and the rest of J, (J - J^dag) / 2, moves it by at
-    most ``skew`` = ||J - J^dag||_F / 2 (Weyl).
+    [[Y, -H], [-H, Y]] is unitarily similar to diag(Y - H, Y + H), so one
+    stacked eigvalsh of the two halves decides its smallest eigenvalue, and
+    the rest of J, (J - J^dag) / 2, moves it by at most ``skew`` =
+    ||J - J^dag||_F / 2 (Weyl).
     """
     sri = pt.roots[1]
     y = nl.hermitian_part(_lmul(sri, _rmul((pt.u * np.abs(pt.lam)) @ pt.u.conj().T, sri)))
@@ -302,9 +300,9 @@ class _BarrierPoint:
 
     @property
     def lower(self) -> float:
-        """sum_i |lam_i| / Tr rho, the primal value of J at rho made a density
-        matrix, so a lower bound on its norm (and on the norm of the map a
-        dilation J stands for, see :func:`_barrier_solve`)."""
+        """sum_i |lam_i| / Tr rho, the primal value of H(J) at rho made a
+        density matrix.  It is a lower bound on the norm of J itself, whose
+        primal value there is ||M||_1 >= ||H(M)||_1 with M taken for J."""
         return float(np.sum(np.abs(self.lam)) / np.sum(self.w))
 
     def x_star(self) -> np.ndarray:
@@ -398,18 +396,12 @@ def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
 
 
 @functools.lru_cache(maxsize=None)
-def _trace_free_basis(dim: int, blocks: int) -> np.ndarray:
-    """Stack of Hermitian matrices spanning the block-diagonal ones with trace
-    zero on each of ``blocks`` equal diagonal blocks: in each block the
-    diagonal units less its last, and then the off-diagonal Hermitian units
-    inside the blocks, blocks * ((dim / blocks)^2 - 1) in all.  Built once
-    per shape and returned read-only."""
+def _trace_free_basis(dim: int) -> np.ndarray:
+    """Stack of Hermitian matrices spanning the ones with trace zero: the
+    diagonal units less the last one, and then the off-diagonal Hermitian
+    units, dim^2 - 1 in all.  Built once per dim and returned read-only."""
     basis = np.stack(nl.hermitian_basis(dim))
-    diag = basis[:dim].reshape(blocks, dim // blocks, dim, dim)
-    block_of = np.arange(dim) // (dim // blocks)
-    off = basis[dim:]
-    off = off[np.all(off[:, block_of[:, None] != block_of[None, :]] == 0, axis=1)]
-    out = np.concatenate([(diag[:, :-1] - diag[:, -1:]).reshape(-1, dim, dim), off])
+    out = np.concatenate([basis[:dim - 1] - basis[dim - 1], basis[dim:]])
     out.setflags(write=False)
     return out
 
@@ -442,62 +434,21 @@ def _barrier_solve(
     j: np.ndarray, d_in: int, d_out: int, target_gap: float,
     on_point=None, t0: float | None = None,
 ):
-    """Path-following solve from rho = sigma = I/d_in; returns
-    (rho, sigma, X*, t, F_t, newtons, stalled) at the last iterate.
+    """Path-following solve on H(J) over rho = sigma from I/d_in; returns
+    (rho, rho, X*, t, F_t, newtons, stalled) at the last iterate.
 
     ``on_point(rho, sigma, lower, point)`` runs at each iterate the path
-    offers (:func:`_barrier_path`), with ``lower`` a lower bound read off it
-    (the primal value at the density pair made of (rho, sigma), or below it)
-    and ``point`` its :class:`_BarrierPoint` when sigma = rho (None for a
-    dilated solve); if it returns True the solve stops there (certificates
-    already good enough).  ``t0`` may be matched to a known gap; the default
-    scales with ||J||.  A solve takes at most ``_MAX_NEWTON`` Newton steps.
+    offers, with sigma = rho, ``lower`` = ``point.lower`` (a lower bound for J
+    itself, see :attr:`_BarrierPoint.lower`) and ``point`` its
+    :class:`_BarrierPoint`; if it returns True the solve stops there
+    (certificates already good enough).  ``t0`` may be matched to a known
+    gap; the default scales with ||J||.  A solve takes at most
+    ``_MAX_NEWTON`` Newton steps.
 
-    A Hermitian J (||J - J^dag|| <= 1e-12 ||J||) is solved on its Hermitian
-    part, and sigma = rho.  Any other J is solved as its dilation
-    J' = [[0, J], [J^dag, 0]] (same norm: rho' = diag(rho, sigma) / 2 attains
-    the objective of J at (rho, sigma), and the off-diagonal blocks of a
-    feasible X' give at most 2 sqrt(Tr A Tr C) ||J|| <= ||J||), with Newton
-    keeping Tr A = Tr C = 1/2 so that 2 A and 2 C stay density matrices.
-    F' is invariant under conjugation by Z (x) I, so at a block-diagonal rho'
-    its gradient is block diagonal and its Hessian does not couple
-    block-diagonal directions to the others: Newton from I / (2 d_in) stays
-    block diagonal, and runs over those directions alone (2 d_in^2 - 2
-    unknowns).  There
-    F'_2t(diag(rho, sigma) / 2) = 2 F_t(rho, sigma) - 4 d_in d_out log 2: the
-    path runs at 2t and maps back as (2 A, 2 C, 2 X'*_12).  At
-    rho' = diag(A, C) the eigenvalues of M' are plus and minus the singular
-    values of (sqrt(A) (x) I) J (sqrt(C) (x) I), so an iterate's
-    sum |lam'| / Tr rho' is the primal value of J at (2 A, 2 C) times
-    2 sqrt(Tr A Tr C) / (Tr A + Tr C) <= 1, a lower bound for J.
-    """
-    stop = on_point or (lambda rho, sigma, lower, point: False)
-    t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
-    if _is_hermitian(j):
-        pt, t, newtons, stalled = _barrier_path(
-            nl.hermitian_part(j), _trace_free_basis(d_in, 1), d_out, target_gap,
-            _MAX_NEWTON, t, lambda p: stop(p.rho, p.rho, p.lower, p))
-        return pt.rho, pt.rho, pt.x_star(), t, pt.value, newtons, stalled
-
-    def pair(rho):
-        return 2 * rho[:d_in, :d_in], 2 * rho[d_in:, d_in:]
-
-    n, zero = d_in * d_out, np.zeros_like(j)
-    pt, t, newtons, stalled = _barrier_path(
-        np.block([[zero, j], [j.conj().T, zero]]), _trace_free_basis(2 * d_in, 2), d_out,
-        target_gap, _MAX_NEWTON, 2 * t, lambda p: stop(*pair(p.rho), p.lower, None))
-    return (*pair(pt.rho), 2 * pt.x_star()[:n, n:], t / 2,
-            pt.value / 2 + 2 * n * np.log(2), newtons, stalled)
-
-
-def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_point):
-    """:func:`_barrier_solve` for a Hermitian ``j`` along the directions
-    ``h_stack``, with ``on_point(point)``; returns (point, t, newtons, stalled).
-
-    Stage centres are offered to ``on_point``.  From t_final / 16 on, where
-    the central path's own gap n_z / t is at most 4 ``target_gap``, every
-    accepted iterate is, and the path ends at the first one for which
-    ``on_point`` returns True.  The offers never change the iterates.
+    Stage centres are offered.  From t_final / 16 on, where the central
+    path's own gap n_z / t is at most 4 ``target_gap``, every accepted
+    iterate is, and the path ends at the first one for which ``on_point``
+    returns True.  The offers never change the iterates.
 
     The line search halves the Newton step until the barrier does not drop.
     rho + alpha d_rho = rho^1/2 (I + alpha K) rho^1/2 with
@@ -505,15 +456,23 @@ def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_point):
     1 + alpha lam_min(K) > 0: one eigvalsh of K skips the halvings whose
     trial point is off the cone, without evaluating it.
     """
-    d_in = h_stack.shape[1]
+    h, h_stack = nl.hermitian_part(j), _trace_free_basis(d_in)
+    t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
     t_final = max(4.0 * (2 * d_in * d_out) / max(target_gap, 1e-14), t)
-    pt = _barrier_point(j, np.eye(d_in, dtype=complex) / d_in, t, d_out)
+    pt = _barrier_point(h, np.eye(d_in, dtype=complex) / d_in, t, d_out)
     newtons = 0
+
+    def end(stalled):
+        return pt.rho, pt.rho, pt.x_star(), t, pt.value, newtons, stalled
+
+    def offer():
+        return on_point is not None and on_point(pt.rho, pt.rho, pt.lower, pt)
+
     while True:
         every = 16.0 * t >= t_final
         for _ in range(60):
-            if newtons >= max_newton:
-                return pt, t, newtons, True
+            if newtons >= _MAX_NEWTON:
+                return end(True)
             d_rho, dec = _newton_step(pt, h_stack)
             newtons += 1
             rir = pt.roots[1]
@@ -523,22 +482,22 @@ def _barrier_path(j, h_stack, d_out, target_gap, max_newton, t, on_point):
             for _ in range(40):
                 if 1.0 + alpha * k_min > 0:
                     trial = _barrier_point(
-                        j, nl.hermitian_part(pt.rho + alpha * d_rho), t, d_out)
+                        h, nl.hermitian_part(pt.rho + alpha * d_rho), t, d_out)
                     if trial is not None and trial.value >= floor:
                         break
                 alpha *= 0.5
             else:
-                return pt, t, newtons, True
+                return end(True)
             pt = trial
-            if every and on_point(pt):
-                return pt, t, newtons, False
+            if every and offer():
+                return end(False)
             # center loosely along the path, tightly at the final stage; there
             # the undamped decrement decides, since a step damped far from
             # the center also makes dec * alpha small
             if (dec < 5e-3) if t >= t_final else (dec * alpha < 2.0):
                 break
-        if t >= t_final or (not every and on_point(pt)):
-            return pt, t, newtons, False
+        if t >= t_final or (not every and offer()):
+            return end(False)
         # the restart keeps rho, so only the t-dependent terms change
         t = min(t * 100.0, t_final)
         pt = _at_t(pt, t, d_out)
@@ -554,8 +513,9 @@ class _Bounds:
 
     def offer(self, rho, sigma, lower, point=None) -> bool:
         """Offer both bounds at (rho, sigma); whether the gap is now closed.
-        ``point`` is the :class:`_BarrierPoint` of an equal pair of a
-        Hermitian J, whose decompositions the dual bound then reuses."""
+        ``point`` is the :class:`_BarrierPoint` of H(J) at an equal pair,
+        whose decompositions the dual bound then reuses; without one the
+        dual bound is :func:`_dual_bound_from_point`."""
         if lower > self.lower:
             self.lower, self.lower_pt = lower, (rho, sigma)
         if point is None:
@@ -663,49 +623,3 @@ def check_cb_witness(mp, dim_in: int, dim_out: int, witness: Witness):
     convention of :func:`cb_norm`."""
     m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
     return check_witness(choi_from_superop(m.conj().T, d_out, d_in), d_out, d_in, witness)
-
-
-# ---------------------------------------------------------------------------
-# see-saw oracle
-# ---------------------------------------------------------------------------
-
-def diamond_lower_bound_seesaw(
-    mp, dim_in=None, dim_out=None, restarts: int = 20, iters: int = 60,
-    seed: int = 0,
-) -> float:
-    """Brute-force lower bound: alternate over pure inputs on H (x) H and
-    output measurement operators.  Every evaluation is a feasible value, so
-    the maximum found is a valid lower bound on the diamond norm."""
-    m, d_in, d_out = _as_superop(mp, dim_in, dim_out)
-    ext = extend_superop_right(m, d_in, d_in, d_out)
-    n_in = d_in * d_in
-    n_out = d_out * d_in
-    ext_adj = ext.conj().T
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(restarts):
-        psi = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
-        psi /= np.linalg.norm(psi)
-        prev = -1.0
-        for _ in range(iters):
-            out = nl.unvec(ext @ nl.vec(np.outer(psi, psi.conj())), n_out, n_out)
-            u_meas, val = _trace_norm_and_sign(out)
-            if val <= prev * (1 + 1e-13):
-                break
-            prev = val
-            back = nl.unvec(ext_adj @ nl.vec(u_meas), n_in, n_in)
-            w, vecs = np.linalg.eigh(nl.hermitian_part(back))
-            psi = vecs[:, -1]
-        best = max(best, prev)
-    return best
-
-
-def _trace_norm_and_sign(out: np.ndarray):
-    """(U, ||out||_1) with U the optimal measurement contraction, Re<U,out> = ||out||_1."""
-    herm_res = nl.operator_norm(out - out.conj().T)
-    if herm_res <= 1e-10 * max(nl.operator_norm(out), 1e-30):
-        w, v = np.linalg.eigh(nl.hermitian_part(out))
-        u = (v * np.sign(w)) @ v.conj().T
-        return u, float(np.sum(np.abs(w)))
-    u_l, s, vh = np.linalg.svd(out)
-    return u_l @ vh, float(np.sum(s))

@@ -130,16 +130,6 @@ def extend_superop(m: np.ndarray, n: int, dim_in: int, dim_out: int) -> np.ndarr
     return ext.reshape(big_out * big_out, big_in * big_in)
 
 
-def extend_superop_right(m: np.ndarray, n: int, dim_in: int, dim_out: int) -> np.ndarray:
-    """Superoperator of ``Phi (x) 1_{M_n}`` on B(C^dim (x) C^n)."""
-    m4 = np.asarray(m, dtype=complex).reshape(dim_out, dim_out, dim_in, dim_in)
-    eye = np.eye(n)
-    ext = np.einsum("lkji,bp,aq->lbkajpiq", m4, eye, eye)
-    big_out = n * dim_out
-    big_in = n * dim_in
-    return ext.reshape(big_out * big_out, big_in * big_in)
-
-
 def pinch_superop(block_dims: tuple[int, ...]) -> np.ndarray:
     """Superoperator of the pinching X -> sum_j Pi_j X Pi_j for a block split."""
     d = int(sum(block_dims))

