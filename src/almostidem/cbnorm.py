@@ -49,8 +49,15 @@ dual block.
 A Newton step forms the gradient and Hessian over the matrix units of
 rho from one batched product (:func:`_barrier_derivatives`); its line
 search starts at the first power of two that keeps rho positive definite
-(:func:`_barrier_solve`).  A stage restart at the next t keeps the point's
-eigendecompositions and recomputes only its t-dependent terms (:func:`_at_t`).
+(:func:`_barrier_solve`).  A stage restart at the next t takes a predictor
+step along the central path (:func:`_restart`): the tangent
+rho' = H^-1 dg/dt, with H the negated Hessian of the stage's last Newton
+step and dg/dt from the diagonals of the unit products at the stage's last
+point, stepped linearly in s = 1/t to the new t.  The step is halved until
+rho stays positive definite and the barrier at the new t gains over the
+unpredicted point, which keeps rho and its eigendecompositions and
+recomputes only the t-dependent terms (:func:`_at_t`); if no halving gains,
+the restart is that point.
 
 Each certificate carries a :class:`Witness`: the density pair of its lower
 bound and the generator of the dual point of its upper bound.
@@ -286,6 +293,9 @@ class _BarrierPoint:
     ``a`` holds 1 - y_i^2 = 2 / (1 + c_i), computed without cancellation.
     The eigenvalues ``w`` of rho, its roots and (lam, U) do not depend on t
     (:func:`_decompose`); y, z, a and the value do (:func:`_at_t`).
+    ``hess`` is the negated Hessian over the trace-free basis once a Newton
+    step at this point has formed it and found it positive definite
+    (:func:`_newton_step`); the stage restart's predictor reuses it.
     """
 
     rho: np.ndarray
@@ -297,6 +307,7 @@ class _BarrierPoint:
     z: np.ndarray | None = None
     a: np.ndarray | None = None
     value: float = 0.0
+    hess: np.ndarray | None = None
 
     @property
     def lower(self) -> float:
@@ -357,9 +368,8 @@ def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
     (i, y), the unit E_ij has P_ij = V_i^dag V_j: one batched product,
     T[(i, k), (j, l)] = sum_y conj V[(i, y), k] V[(j, y), l] = (P_ij)_kl.
     """
-    dim, n = len(pt.rho), len(pt.a)
     coef, coef_conj, rows, cols = _unit_plan(h_stack)
-    v = (pt.roots[1] @ pt.u.reshape(dim, -1)).reshape(dim, -1, n)
+    v = _row_blocks(pt)
     t = v.conj().swapaxes(1, 2)[rows] @ v[cols]
     grad = 2.0 * np.real(coef @ np.einsum("ukk,k->u", t, 1.0 / pt.a))
     # 1 + z_k z_l = (a_k + a_l + (z_k + z_l)^2) / 2 with a = 1 - z^2: a sum of
@@ -370,6 +380,55 @@ def _barrier_derivatives(pt: _BarrierPoint, h_stack: np.ndarray):
     tf = t.reshape(len(rows), -1)
     hess = np.real(coef_conj @ (tf.conj() @ (tf * weight.ravel()).T) @ coef.T)
     return grad, 0.5 * (hess + hess.T)
+
+
+def _row_blocks(pt: _BarrierPoint) -> np.ndarray:
+    """V = (rho^-1/2 (x) I) U as the stack of its d_out x n row blocks V_i."""
+    dim, n = len(pt.rho), len(pt.a)
+    return (pt.roots[1] @ pt.u.reshape(dim, -1)).reshape(dim, -1, n)
+
+
+def _gradient_t_derivative(pt: _BarrierPoint, h_stack: np.ndarray) -> np.ndarray:
+    """d/dt of the gradient of :func:`_barrier_derivatives` at fixed rho.
+
+    t enters the gradient 2 Re diag(P_a) / a only through
+    1 / a_k = (1 + c_k) / 2, whose derivative is t lam_k^2 / (2 c_k)
+    = |lam_k| y_k / (1 + y_k^2) =: w_k, written with
+    y_k = t |lam_k| / (1 + c_k) so that it needs no t.  Only the diagonals
+    (P_ij)_kk = sum_y conj V[(i, y), k] V[(j, y), k] of the unit products
+    enter, and only weighted by w, so one product of the rows of V gives
+    every unit's sum_k w_k (P_ij)_kk.
+    """
+    coef, _, rows, cols = _unit_plan(h_stack)
+    v = _row_blocks(pt)
+    w = np.abs(pt.lam) * pt.y / (1.0 + pt.y * pt.y)
+    vf = v.reshape(len(v), -1)
+    units = (vf.conj() * np.tile(w, v.shape[1])) @ vf.T
+    return 2.0 * np.real(coef @ units[rows, cols])
+
+
+def _direction(coords: np.ndarray, h_stack: np.ndarray) -> np.ndarray:
+    """The matrix sum_a coords_a H_a."""
+    nb, dim = h_stack.shape[:2]
+    return (coords @ h_stack.reshape(nb, -1)).reshape(dim, dim)
+
+
+def _cone_steps(pt: _BarrierPoint, d_rho: np.ndarray, halvings: int):
+    """The step lengths 1, 1/2, ..., 2^-halvings that keep rho + alpha d_rho
+    positive definite, longest first.
+
+    rho + alpha d_rho = rho^1/2 (I + alpha K) rho^1/2 with
+    K = rho^-1/2 d_rho rho^-1/2, so it is positive definite exactly when
+    1 + alpha lam_min(K) > 0: one eigvalsh of K drops the lengths whose
+    trial point is off the cone, without evaluating it.
+    """
+    rir = pt.roots[1]
+    k_min = float(np.linalg.eigvalsh(nl.hermitian_part(rir @ d_rho @ rir))[0])
+    alpha = 1.0
+    for _ in range(halvings + 1):
+        if 1.0 + alpha * k_min > 0:
+            yield alpha
+        alpha *= 0.5
 
 
 def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
@@ -388,11 +447,38 @@ def _newton_step(pt: _BarrierPoint, h_stack: np.ndarray):
     try:
         np.linalg.cholesky(hess)
         step = np.linalg.solve(hess, grad)
+        pt.hess = hess
     except np.linalg.LinAlgError:
         step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-    nb, dim = h_stack.shape[:2]
-    d = (step.reshape(-1, nb) @ h_stack.reshape(nb, -1)).reshape(dim, dim)
-    return d, float(grad @ step)
+    return _direction(step, h_stack), float(grad @ step)
+
+
+_PREDICTOR_HALVINGS = 4  # shorter predictor steps tried before a plain restart
+
+
+def _restart(j, pt: _BarrierPoint, hess, t: float, t_new: float, h_stack, d_out: int):
+    """The first point of the stage at ``t_new`` after the stage at t ended
+    on ``pt``, with ``hess`` the negated Hessian of that stage's last Newton
+    step (None if it formed none).
+
+    On the central path g(rho(t), t) = 0, so its tangent is
+    rho' = hess^-1 dg/dt (:func:`_gradient_t_derivative`), and a step linear
+    in s = 1 / t from s to 1 / t_new is t (1 - t / t_new) rho'.  The step is
+    halved until rho stays positive definite (:func:`_cone_steps`, so no
+    trial point off the cone is evaluated) and F at ``t_new`` exceeds its
+    value at rho itself; if no halving does, the restart keeps rho, where
+    only the t-dependent terms change (:func:`_at_t`).
+    """
+    plain = _at_t(pt, t_new, d_out)
+    if hess is None:
+        return plain
+    rho_dot = np.linalg.solve(hess, _gradient_t_derivative(pt, h_stack))
+    d_rho = t * (1.0 - t / t_new) * _direction(rho_dot, h_stack)
+    for alpha in _cone_steps(pt, d_rho, _PREDICTOR_HALVINGS):
+        trial = _barrier_point(j, nl.hermitian_part(pt.rho + alpha * d_rho), t_new, d_out)
+        if trial is not None and trial.value > plain.value:
+            return trial
+    return plain
 
 
 @functools.lru_cache(maxsize=None)
@@ -450,11 +536,17 @@ def _barrier_solve(
     iterate is, and the path ends at the first one for which ``on_point``
     returns True.  The offers never change the iterates.
 
-    The line search halves the Newton step until the barrier does not drop.
-    rho + alpha d_rho = rho^1/2 (I + alpha K) rho^1/2 with
-    K = rho^-1/2 d_rho rho^-1/2, so it is positive definite exactly when
-    1 + alpha lam_min(K) > 0: one eigvalsh of K skips the halvings whose
-    trial point is off the cone, without evaluating it.
+    The line search halves the Newton step until the barrier does not drop,
+    over the step lengths that keep rho positive definite
+    (:func:`_cone_steps`), so no trial point off the cone is evaluated.
+
+    Each stage restart t -> min(100 t, t_final) starts from the predictor
+    point of :func:`_restart`: a tangent step from the stage's last point,
+    with the Hessian of its last Newton step, kept only where the barrier at
+    the new t gains over the last point itself.  It forms no new Hessian,
+    only dg/dt and a barrier point per step length it tries (usually one),
+    and its point is not offered: it is neither a Newton iterate nor a
+    stage centre.
     """
     h, h_stack = nl.hermitian_part(j), _trace_free_basis(d_in)
     t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
@@ -475,20 +567,14 @@ def _barrier_solve(
                 return end(True)
             d_rho, dec = _newton_step(pt, h_stack)
             newtons += 1
-            rir = pt.roots[1]
-            k_min = float(np.linalg.eigvalsh(nl.hermitian_part(rir @ d_rho @ rir))[0])
-            alpha = 1.0
             floor = pt.value - 1e-12 * max(1.0, abs(pt.value))
-            for _ in range(40):
-                if 1.0 + alpha * k_min > 0:
-                    trial = _barrier_point(
-                        h, nl.hermitian_part(pt.rho + alpha * d_rho), t, d_out)
-                    if trial is not None and trial.value >= floor:
-                        break
-                alpha *= 0.5
+            for alpha in _cone_steps(pt, d_rho, 39):
+                trial = _barrier_point(h, nl.hermitian_part(pt.rho + alpha * d_rho), t, d_out)
+                if trial is not None and trial.value >= floor:
+                    break
             else:
                 return end(True)
-            pt = trial
+            stepped_from, pt = pt, trial
             if every and offer():
                 return end(False)
             # center loosely along the path, tightly at the final stage; there
@@ -498,9 +584,9 @@ def _barrier_solve(
                 break
         if t >= t_final or (not every and offer()):
             return end(False)
-        # the restart keeps rho, so only the t-dependent terms change
-        t = min(t * 100.0, t_final)
-        pt = _at_t(pt, t, d_out)
+        t_new = min(t * 100.0, t_final)
+        pt = _restart(h, pt, stepped_from.hess, t, t_new, h_stack, d_out)
+        t = t_new
 
 
 class _Bounds:

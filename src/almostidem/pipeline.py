@@ -229,10 +229,14 @@ def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int) -> list[
         lower, upper = cbnorm.check_cb_witness(mp, dim, dim, witness)
     except (ser.ParseError, cbnorm.InvalidWitness) as exc:
         return [f"{name} witness: {exc}"]
-    # the witness interval, which holds the norm, must lie inside the recorded
-    # one and meet the gap target unless recorded stalled
+    # the recorded interval must not be inverted, and the witness interval,
+    # which holds the norm, must lie inside it and meet the gap target unless
+    # recorded stalled; the slack is larger than the gaps, so it cannot
+    # catch an inverted interval
     interval = f"recorded {name} interval [{rec['lower']:.3e}, {rec['upper']:.3e}]"
     failures = []
+    if not rec["lower"] <= rec["upper"]:
+        failures.append(f"{interval} is inverted: its lower bound exceeds its upper bound")
     if not (rec["lower"] <= lower + VERIFY_SLACK and rec["upper"] >= upper - VERIFY_SLACK):
         failures.append(f"{interval} is not certified by its witness "
                         f"[{lower:.3e}, {upper:.3e}]")

@@ -164,6 +164,24 @@ class TestBarrierSolver:
             # concave: the negated Hessian is positive definite
             assert np.linalg.eigvalsh(neg_hess)[0] > 0
 
+    def test_gradient_t_derivative_finite_difference(self):
+        # dg/dt at fixed rho, the right-hand side of the restart's tangent
+        # rho' = hess^-1 dg/dt; a large t puts every y near 1
+        eps = 1e-6
+        for t in (1.7, 3e3):
+            for d_in, d_out in [(2, 2), (3, 2), (2, 3)]:
+                j, rho, _ = _barrier_case(d_in, d_out, 13 + 10 * d_in + d_out)
+                j = nl.hermitian_part(j)
+                h_stack = cb._trace_free_basis(d_in)
+
+                def grad(tt):
+                    return cb._barrier_derivatives(cb._barrier_point(j, rho, tt, d_out), h_stack)[0]
+
+                fd = (grad(t * (1 + eps)) - grad(t * (1 - eps))) / (2 * t * eps)
+                dg_dt = cb._gradient_t_derivative(cb._barrier_point(j, rho, t, d_out), h_stack)
+                assert np.abs(dg_dt).max() > 0
+                assert np.allclose(dg_dt, fd, rtol=0, atol=1e-6 * np.abs(dg_dt).max())
+
     @pytest.mark.parametrize("d_in,d_out", [(2, 2), (3, 2), (2, 3)])
     def test_reduced_value_is_the_barrier_at_x_star(self, d_in, d_out):
         # at (rho, rho) on a Hermitian J
@@ -256,7 +274,11 @@ class TestBarrierSolver:
         # the first Newton step at t_final reports decrement 1 and points 100
         # times past the Newton step, so the line search damps it below
         # 1/200: dec * alpha < 5e-3 there, far from the center.  The stage
-        # must go on centring, so the point returned has a small decrement
+        # must go on centring, so the point returned has a small decrement.
+        # Each restart keeps rho, as without the predictor, so the first
+        # point at t_final is as far from its center as the last stage left it
+        monkeypatch.setattr(cb, "_restart", lambda j, pt, hess, t, t_new, h_stack, d_out:
+                            cb._at_t(pt, t_new, d_out))
         j = nl.hermitian_part(_random_complex(np.random.default_rng(3), 6, 6))
         h_stack = cb._trace_free_basis(2)
         t_final = 4.0 * 12 / 1e-6
@@ -681,8 +703,9 @@ class TestWorkDoneOnce:
             assert len(offered) == 1
 
     def test_no_trial_point_off_the_cone(self, monkeypatch):
-        # the line search starts at the first step length that keeps rho
-        # positive definite, so no barrier point is evaluated only to be refused
+        # the line search and the restart's predictor start at the first step
+        # length that keeps rho positive definite, so no barrier point is
+        # evaluated only to be refused
         points = []
         barrier_point = cb._barrier_point
 
@@ -697,6 +720,53 @@ class TestWorkDoneOnce:
         pipeline.factorize_channel(chn.gen_perturbed(chn.gen_pinching(dims), t, seed), seed=seed)
         assert len(points) > 100
         assert all(pt is not None for pt in points)
+
+    def test_restart_only_raises_the_barrier(self, monkeypatch):
+        # a restart moves rho along the tangent only where F at the new t
+        # gains over rho itself; on the seeded maps most restarts move
+        restarts = []
+        restart = cb._restart
+
+        def recording(j, pt, hess, t, t_new, h_stack, d_out):
+            out = restart(j, pt, hess, t, t_new, h_stack, d_out)
+            restarts.append((out, cb._at_t(pt, t_new, d_out)))
+            return out
+
+        monkeypatch.setattr(cb, "_restart", recording)
+        for j, d_in, d_out in _budget_maps():
+            cb.diamond_norm_of_choi(j, d_in, d_out)
+        moved = [out.value > plain.value for out, plain in restarts]
+        assert len(restarts) > 50 and sum(moved) > len(restarts) // 2
+        for out, plain in restarts:
+            assert out.value >= plain.value
+            assert out.value > plain.value or out.rho is plain.rho
+
+    def test_predictor_trials_stay_on_the_cone(self, monkeypatch):
+        # a Hessian scaled down by 100 makes the tangent step a hundred
+        # times too long, so some of its step lengths leave the cone: their
+        # K test skips them unevaluated, every trial point evaluated is
+        # positive definite, and with none gaining over rho the restart
+        # keeps rho
+        trials, kept = [], []
+        barrier_point, restart = cb._barrier_point, cb._restart
+
+        def recording_point(*args):
+            trials.append(barrier_point(*args))
+            return trials[-1]
+
+        def overlong(j, pt, hess, t, t_new, h_stack, d_out):
+            monkeypatch.setattr(cb, "_barrier_point", recording_point)
+            out = restart(j, pt, None if hess is None else 1e-2 * hess, t, t_new, h_stack, d_out)
+            monkeypatch.setattr(cb, "_barrier_point", barrier_point)
+            kept.append(out.rho is pt.rho)
+            return out
+
+        monkeypatch.setattr(cb, "_restart", overlong)
+        for j, d_in, d_out in _budget_maps()[:6]:
+            cb.diamond_norm_of_choi(j, d_in, d_out)
+        assert len(kept) > 10 and all(kept)
+        assert trials and all(pt is not None for pt in trials)
+        assert len(trials) < (cb._PREDICTOR_HALVINGS + 1) * len(kept)
 
     def test_primal_value_takes_one_root_of_an_equal_pair(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -884,20 +954,33 @@ def perturbed_d4():
 
 class TestNewtonBudget:
     def test_newton_steps_over_seeded_maps(self):
-        # the path schedule takes 332 Newton steps over these maps; a
-        # schedule that lengthens the path fails this bound
+        # the path schedule with the restart's predictor takes 291 Newton
+        # steps over these maps (332 without it); a schedule that lengthens
+        # the path fails this bound
         total = 0
         for j, d_in, d_out in _budget_maps():
             cert = cb.diamond_norm_of_choi(j, d_in, d_out)
             assert not cert.stalled
             assert cert.gap <= 1e-6 * max(1.0, cert.lower)
             total += cert.iterations
-        assert total <= 332
+        assert total <= 291
 
     def test_newton_steps_on_perturbed_d4(self, perturbed_d4):
         # the six perturbed-d4 channels record 30 certificates, every one
-        # closed on the barrier, in 359 Newton steps
+        # closed on the barrier, in 279 Newton steps (359 without the
+        # restart's predictor)
         certs = [c for report in perturbed_d4[0] for _, c in check_report.certificates(report)]
         assert len(certs) == 30
         assert all(c["path"] == "barrier" and not c["stalled"] for c in certs)
-        assert sum(c["iterations"] for c in certs) <= 359
+        assert sum(c["iterations"] for c in certs) <= 279
+
+    def test_newton_steps_at_d8(self):
+        # the (4,3,1) pinching at t=1e-2, seed 1: five certificates on the
+        # barrier at d_in = 8, where a Newton step costs most, in 62 steps
+        # (81 without the restart's predictor)
+        ch = chn.gen_perturbed(chn.gen_pinching((4, 3, 1)), 1e-2, 1)
+        report = pipeline.factorize_channel(ch, seed=1)[0]
+        certs = [c for _, c in check_report.certificates(report)]
+        assert len(certs) == 5
+        assert all(c["path"] == "barrier" and not c["stalled"] for c in certs)
+        assert sum(c["iterations"] for c in certs) <= 62

@@ -446,6 +446,21 @@ class TestWitnessVerify:
                            (("factorization",), delta_entry)):
             assert _verify(tmp_path, tampered(path, edit)) == 1, edit.__name__
 
+    @pytest.mark.parametrize("name", ["eta", "residual_factor", "residual_retract"])
+    def test_inverted_interval_is_rejected(self, barrier_report, tmp_path, capsys, name):
+        # upper recorded 1e-7 below lower: the witness interval still lies
+        # inside the recorded one within VERIFY_SLACK, so only the order of
+        # the recorded bounds catches it
+        rep = copy.deepcopy(barrier_report)
+        cert = (rep["checkpoints"][0]["eta"] if name == "eta"
+                else rep["factorization"][name])
+        assert cert["upper"] - cert["lower"] + 1e-7 < pipeline.VERIFY_SLACK
+        cert["upper"] = cert["lower"] - 1e-7
+        capsys.readouterr()
+        assert _verify(tmp_path, rep) == 1
+        out = capsys.readouterr().out
+        assert f"recorded {name} interval" in out and "is inverted" in out
+
     def test_malformed_witness_is_one_clean_line(self, barrier_report, tmp_path, capsys):
         rho = barrier_report["checkpoints"][0]["eta"]["witness"]["lower"]["rho"]
         center = {"kind": "center", "rho": rho, "sigma": rho,
