@@ -54,10 +54,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # unitary, columns are eigenvectors
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
@@ -361,11 +357,6 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
             b[j, i] = 1j / np.sqrt(2)
             out.append(b)
     return out
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitian_part(g) / np.sqrt(2)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

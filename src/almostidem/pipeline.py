@@ -198,10 +198,10 @@ def verify_report(report: dict) -> list[str]:
 
     flags = report.get("flags")
     if flags is not None:
-        if flags.get("cp") != ch.is_cp():
-            failures.append("recorded CP flag does not match the input")
-        if flags.get("unital") != ch.is_unital():
-            failures.append("recorded unitality flag does not match the input")
+        for key, word, test in (("cp", "CP", ch.is_cp), ("unital", "unitality", ch.is_unital),
+                                ("trace_preserving", "trace-preserving", ch.is_trace_preserving)):
+            if flags.get(key) != test():
+                failures.append(f"recorded {word} flag does not match the input")
 
     eta_rec = report.get("eta")
     if eta_rec is None:
@@ -211,6 +211,9 @@ def verify_report(report: dict) -> list[str]:
     if eta_rec is not None:
         m = ch.superop
         failures.extend(_verify_certificate("eta", eta_rec, m @ m - m, ch.dim_in))
+    if "eta_domain_ok" in report and (
+            eta_rec is None or report["eta_domain_ok"] != (eta_rec["upper"] < 0.25)):
+        failures.append("recorded eta_domain_ok does not match the recorded eta bound")
 
     if "carrier_dim" in report and report["carrier_dim"] is not None:
         if int(report["carrier_dim"]) != int(chn.carrier(ch).shape[1]):
@@ -218,6 +221,8 @@ def verify_report(report: dict) -> list[str]:
 
     fact = report.get("factorization")
     if fact is not None:
+        if report.get("block_dims") != fact["block_dims"]:
+            failures.append("recorded block_dims do not match those of the factorization")
         failures.extend(_verify_factorization(ch, fact))
     return failures
 
@@ -260,16 +265,12 @@ def _verify_factorization(ch, fact: dict) -> list[str]:
         )
     except (ser.ParseError, nl.DimMismatch) as exc:
         return [f"cannot rebuild factorization maps: {exc}"]
-    for name, mp, flag in (
-        ("delta", delta, "delta_cp"), ("upsilon", upsilon, "upsilon_cp"),
-    ):
-        if fact["ucp_flags"].get(flag) and not mp.is_cp():
-            failures.append(f"{name} is recorded CP but fails the Choi test")
-    for name, mp, flag in (
-        ("delta", delta, "delta_unital"), ("upsilon", upsilon, "upsilon_unital"),
-    ):
-        if fact["ucp_flags"].get(flag) and not mp.is_unital():
-            failures.append(f"{name} is recorded unital but is not")
+    # each recorded flag must be the test's outcome, whichever way it reads
+    for name, mp in (("delta", delta), ("upsilon", upsilon)):
+        for kind, test in (("cp", mp.is_cp), ("unital", mp.is_unital)):
+            recorded, actual = fact["ucp_flags"].get(f"{name}_{kind}"), test()
+            if recorded != actual:
+                failures.append(f"{name}_{kind} is recorded {recorded}, but the test gives {actual}")
 
     factor_map = delta.superop @ upsilon.superop - ch.superop
     failures.extend(_verify_certificate(

@@ -3,17 +3,15 @@
 A delta-projection is a Hermitian element P with ||P*P - P|| <= delta.  The
 compression map C_{P,Q} = theta(L_P R_Q + R_Q L_P - 1) is an exactly
 idempotent operator on the algebra whose image S_{P,Q} plays the role of the
-corner P A Q; products compressed back into the corners, the Hilbert-space
-structure of S_{P,Q} for one-dimensional Q, the induced operator
-representations on those Hilbert spaces, and the equivalence classification of
-one-dimensional projections are the raw material for rebuilding matrix
-algebras.
+corner P A Q; the Hilbert-space structure of S_{P,Q} for one-dimensional Q,
+the induced operator representations on those Hilbert spaces, and the
+equivalence classification of one-dimensional projections are the raw
+material for rebuilding matrix algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +31,6 @@ class SignDiverged(ProjectionError):
     pass
 
 
-class MembershipViolation(ProjectionError):
-    pass
-
-
 class DegenerateGram(ProjectionError):
     pass
 
@@ -52,8 +46,7 @@ class AmbiguousRank(ProjectionError):
 @dataclass
 class DeltaProjection:
     coords: np.ndarray
-    delta: float
-    norm: float
+    delta: float = np.nan       # ||P*P - P||, nan where it is not measured
 
     def __post_init__(self):
         self.coords = np.real(np.asarray(self.coords)).astype(float)
@@ -61,25 +54,10 @@ class DeltaProjection:
 
 @dataclass
 class CompressionMap:
-    alg: EpsilonAlgebra         # the diagnostics below are computed on first read
     p: DeltaProjection
     q: DeltaProjection
     matrix: np.ndarray          # exactly idempotent on algebra coordinates
     image_coords: np.ndarray    # orthonormal columns spanning S_{P,Q}
-
-    @cached_property
-    def lr_distance(self) -> float:
-        """|| L_P R_Q - C ||, sampled over 12 probes drawn at once: the stream
-        of per-probe real then imaginary draws."""
-        alg = self.alg
-        g = np.random.default_rng(0).standard_normal((12, 2, alg.dim))
-        x = g[:, 0] + 1j * g[:, 1]
-        lr = alg.lmul(self.p.coords) @ alg.rmul(self.q.coords)
-        return float(np.max(alg.norms(x @ (lr - self.matrix).T) / alg.norms(x)))
-
-    @cached_property
-    def idem_residual(self) -> float:
-        return nl.operator_norm(self.matrix @ self.matrix - self.matrix)
 
     @property
     def rank(self) -> int:
@@ -87,12 +65,6 @@ class CompressionMap:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
-
-    def membership_residual(self, alg: EpsilonAlgebra, x: np.ndarray) -> float:
-        nrm = alg.norm(x)
-        if nrm <= 1e-14:
-            return 0.0
-        return alg.norm(self.matrix @ x - x) / nrm
 
 
 @dataclass
@@ -104,13 +76,6 @@ class SubspaceHilbert:
     q_tilde: np.ndarray         # coordinates of the unit C_Q(Q)
     chol: np.ndarray            # lower Cholesky factor of gram
     q_functional: np.ndarray    # X -> <Q~, C_Q(X)> / <Q~, Q~> is X @ q_functional
-
-    @property
-    def dim(self) -> int:
-        return self.basis_coords.shape[1]
-
-    def inner(self, y_coeff: np.ndarray, x_coeff: np.ndarray) -> complex:
-        return complex(y_coeff.conj() @ self.gram @ x_coeff)
 
 
 def measure_delta(alg: EpsilonAlgebra, coords: np.ndarray) -> float:
@@ -174,7 +139,7 @@ def find_nontrivial_projection(
         raise SearchExhausted("algebra is one dimensional")
     rng = np.random.default_rng(seed)
     unit = np.real(alg.unit_coords)
-    best = None
+    best = np.inf
     for attempt in range(max_retries):
         x = rng.standard_normal(alg.dim)
         x_mat = alg.element(x)
@@ -203,12 +168,11 @@ def find_nontrivial_projection(
         nrm = alg.norm(cand)
         conrm = alg.norm(unit - cand)
         if delta <= delta_target and min(nrm, conrm) >= 0.5:
-            return DeltaProjection(cand, delta, nrm)
-        if best is None or delta < best[1]:
-            best = (cand, delta, nrm)
+            return DeltaProjection(cand, delta)
+        best = min(best, delta)
     raise SearchExhausted(
         f"no nontrivial projection with defect <= {delta_target:.1e} after "
-        f"{max_retries} attempts (best defect {best[1]:.2e})"
+        f"{max_retries} attempts (best defect {best:.2e})"
     )
 
 
@@ -232,7 +196,7 @@ def compression(
     # an idempotent has singular values >= 1 on its range and ~0 elsewhere
     u_svd, s_svd, _ = np.linalg.svd(cmat)
     image = u_svd[:, : int(np.sum(s_svd > 0.5))]
-    return CompressionMap(alg, p, q, cmat, image)
+    return CompressionMap(p, q, cmat, image)
 
 
 def compression_rank(
@@ -283,22 +247,6 @@ def _indicator_rank(lam: np.ndarray) -> int:
             f"{grey} eigenvalue indicator(s) inside the gray zone [0.1, 0.9]"
         )
     return int(np.sum(lam >= 0.9))
-
-
-def compressed_product(
-    alg: EpsilonAlgebra,
-    c_pq: CompressionMap,
-    c_qr: CompressionMap,
-    c_pr: CompressionMap,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """X . Y = C_{P,R}(X * Y) for X in S_{P,Q}, Y in S_{Q,R}."""
-    if c_pq.membership_residual(alg, x) > 1e-8:
-        raise MembershipViolation("x is not in S_{P,Q}")
-    if c_qr.membership_residual(alg, y) > 1e-8:
-        raise MembershipViolation("y is not in S_{Q,R}")
-    return c_pr.apply(alg.star(x, y))
 
 
 def hilbert_structure(

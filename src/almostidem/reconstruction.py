@@ -93,12 +93,6 @@ class BlockSpec:
         nonzero = (l[:, None] == l[None, :]) & (k[:, None] == j[None, :])
         return np.where(nonzero, (offsets + j * dims)[:, None] + k[None, :], -1)
 
-    def unit_matrix(self, l: int, j: int, k: int) -> np.ndarray:
-        m = np.zeros((self.rep_dim, self.rep_dim), dtype=complex)
-        s = self.slices()[l]
-        m[s.start + j, s.start + k] = 1.0
-        return m
-
     def unit(self) -> np.ndarray:
         return np.eye(self.rep_dim, dtype=complex)
 
@@ -117,9 +111,6 @@ class BlockSpec:
             off += 2 * d * d
         return m
 
-    def random_element(self, rng: np.random.Generator) -> np.ndarray:
-        return self.random_elements(rng, 1)[0]
-
 
 @dataclass
 class Diagonal:
@@ -133,23 +124,6 @@ class Diagonal:
 
     spec: BlockSpec
     terms: list[tuple[float, np.ndarray]]
-
-    def residuals(self, probes: int = 0) -> dict[str, float]:
-        rep = self.spec.rep_dim
-        pi_mat = sum(p * (u.conj().T @ u) for p, u in self.terms)
-        pi_err = nl.operator_norm(pi_mat - np.eye(rep))
-        comm_err = 0.0
-        probes_list = [
-            self.spec.unit_matrix(l, j, k) for (l, j, k) in self.spec.unit_indices()
-        ]
-        if probes:
-            rng = np.random.default_rng(0)
-            probes_list += [self.spec.random_element(rng) for _ in range(probes)]
-        for x in probes_list:
-            lhs = sum(p * nl.kron(x @ u.conj().T, u) for p, u in self.terms)
-            rhs = sum(p * nl.kron(u.conj().T, u @ x) for p, u in self.terms)
-            comm_err = max(comm_err, nl.operator_norm(lhs - rhs))
-        return {"pi": pi_err, "commutation": comm_err}
 
 
 def pauli_shift_clock(d: int) -> list[tuple[float, np.ndarray]]:
@@ -211,11 +185,6 @@ class AlmostHom:
     def symmetrized(self) -> "AlmostHom":
         perm = nl.transpose_permutation(self.spec.rep_dim)
         return AlmostHom(self.spec, 0.5 * (self.coeffs + np.conj(self.coeffs[:, perm])))
-
-    def dagger_symmetry_residual(self) -> float:
-        """max over matrix units E of ||v(E^dag) - v(E)^dag||."""
-        perm = nl.transpose_permutation(self.spec.rep_dim)
-        return float(np.linalg.norm(self.coeffs[:, perm] - np.conj(self.coeffs), axis=0).max())
 
 
 def _probe_set(spec: BlockSpec, probes: int, seed: int):
@@ -360,9 +329,7 @@ def merge(v1: AlmostHom, v2: AlmostHom, alg: EpsilonAlgebra) -> AlmostHom:
         raise CrossTalk(
             f"units of the two maps are not orthogonal: ||P1 * P2|| = {overlap:.3f}"
         )
-    d1 = pj.DeltaProjection(p1, pj.measure_delta(alg, p1), alg.norm(p1))
-    d2 = pj.DeltaProjection(p2, pj.measure_delta(alg, p2), alg.norm(p2))
-    cross = pj.compression_rank(alg, d1, d2)
+    cross = pj.compression_rank(alg, pj.DeltaProjection(p1), pj.DeltaProjection(p2))
     if cross != 0:
         raise CrossTalk(f"dim S_(P1, P2) = {cross} != 0; merge cannot be bijective")
     spec = BlockSpec(v1.spec.block_dims + v2.spec.block_dims)
@@ -418,8 +385,7 @@ def extend_matrix_algebra(
         raise ReconstructionError("extension input must be a single matrix block")
     n = spec.block_dims[0]
     q = c_q.p
-    p_coords = np.real(v.apply(spec.unit()))
-    p = pj.DeltaProjection(p_coords, pj.measure_delta(alg, p_coords), alg.norm(p_coords))
+    p = pj.DeltaProjection(np.real(v.apply(spec.unit())))
     if c_q.rank != 1:
         raise pj.DegenerateGram(f"dim S_Q = {c_q.rank}, expected 1")
     c_pq = pj.compression(alg, p, q)
@@ -515,9 +481,7 @@ def reconstruct(
     splits = 0
     try:
         # the family P_i, each member carried by its compression C_{P_i}
-        comps = [pj.compression(
-            alg, pj.DeltaProjection(unit, pj.measure_delta(alg, unit), alg.norm(unit))
-        )]
+        comps = [pj.compression(alg, pj.DeltaProjection(unit, pj.measure_delta(alg, unit)))]
         while True:
             over = [i for i, c in enumerate(comps) if c.rank > 1]
             if not over:
@@ -534,8 +498,8 @@ def reconstruct(
             p_rest = np.real(c_p.apply(c_p.p.coords)) - p_new
             p_rest, d_rest = pj._cubic_refine(alg, p_rest)
             comps[idx: idx + 1] = [
-                pj.compression(alg, pj.DeltaProjection(p_new, d_new, alg.norm(p_new))),
-                pj.compression(alg, pj.DeltaProjection(p_rest, d_rest, alg.norm(p_rest))),
+                pj.compression(alg, pj.DeltaProjection(p_new, d_new)),
+                pj.compression(alg, pj.DeltaProjection(p_rest, d_rest)),
             ]
             splits += 1
             if splits > 4 * alg.dim:

@@ -42,9 +42,6 @@ class IdempotentizedMap:
     eta: cbnorm.NormCertificate          # certified || Phi^2 - Phi ||_cb
     distance_cb: cbnorm.NormCertificate  # certified || Phi~ - Phi ||_cb
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return nl.unvec(self.superop @ nl.vec(np.asarray(x, dtype=complex)), self.dim, self.dim)
-
 
 def idempotentize(ch: Channel) -> IdempotentizedMap:
     """Nearest idempotent envelope theta(2 Phi - 1) of an almost idempotent map."""
@@ -492,46 +489,3 @@ def _unit_defect(alg: EpsilonAlgebra) -> float:
     sides = np.concatenate([alg.star(eye, u) - eye, alg.star(u, eye) - eye])
     return alg.max_norm(sides, np.tile(norms[1:], 2), float(abs(norms[0] - 1.0)))
 
-
-def choi_residual_check(ch: Channel, samples: int = 40) -> float:
-    """Max over probes of ||(1 - V V^dag)(Phi(X) (x) 1_F) V|| / ||X||.
-
-    Measures how far image operators are from commuting with the dilation
-    projector; scales like the square root of the idempotency defect.
-    """
-    v, env = ch.stinespring
-    dim = ch.dim_in
-    proj = np.eye(v.shape[0]) - v @ v.conj().T
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    probes = [nl.random_hermitian(dim, rng) for _ in range(samples)]
-    probes += [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-               for _ in range(samples // 2)]
-    for x in probes:
-        val = nl.operator_norm(proj @ nl.kron(ch(x), np.eye(env)) @ v)
-        worst = max(worst, val / nl.operator_norm(x))
-    return worst
-
-
-def phi_associativity_defect(
-    ch: Channel, samples: int = 30, seed: int = 0
-) -> tuple[float, float]:
-    """Normalized residuals of the two nested-product identities of the map.
-
-    Returns the left- and right-nested maxima of
-    ||Phi(Phi(Phi(X)Phi(Y))Phi(Z)) - Phi(Phi(X)Phi(Y)Phi(Z))|| / (product of norms)
-    over random probes.
-    """
-    rng = np.random.default_rng(seed)
-    dim = ch.dim_in
-    worst_l = worst_r = 0.0
-    for _ in range(samples):
-        x, y, z = (nl.random_hermitian(dim, rng) for _ in range(3))
-        px, py, pz = ch(x), ch(y), ch(z)
-        denom = nl.operator_norm(x) * nl.operator_norm(y) * nl.operator_norm(z)
-        base = ch(px @ py @ pz)
-        left = ch(ch(px @ py) @ pz)
-        right = ch(px @ ch(py @ pz))
-        worst_l = max(worst_l, nl.operator_norm(left - base) / denom)
-        worst_r = max(worst_r, nl.operator_norm(right - base) / denom)
-    return worst_l, worst_r

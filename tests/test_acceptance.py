@@ -18,6 +18,7 @@ from almostidem import factorization as fa
 from almostidem.cli import two_level_example
 
 import sdp_oracle
+import structure_oracle as so
 
 
 def _report(criterion, ok, detail):
@@ -88,22 +89,22 @@ class TestCriterion2IdempotentStructure:
     def test_structure_recovery(self):
         t0 = time.time()
         pin = chn.gen_pinching((3, 2, 1))
-        st1 = chn.idempotent_structure(pin)
+        st1 = so.idempotent_structure(pin)
         pin_ok = st1.block_dims == (3, 2, 1) and st1.multiplicity_dims == (1, 1, 1)
 
         ch = chn.gen_random_idempotent(((2, 2), (1, 3)), dim=7, seed=11)
-        st2 = chn.idempotent_structure(ch)
+        st2 = so.idempotent_structure(ch)
         enc_ok = st2.block_dims == (2, 1) and st2.multiplicity_dims == (2, 3)
 
         dec_enc_ok = True
         diamond_ok = True
         for ch_i, st in ((pin, st1), (ch, st2)):
-            enc, dec = chn.make_enc_dec(st)
-            round_trip = chn.compose(dec, enc)
+            enc, dec = so.make_enc_dec(st)
+            round_trip = so.compose(dec, enc)
             pinch = chn.pinch_superop(st.block_dims)
             dec_enc_ok &= nl.operator_norm(round_trip.superop - pinch) <= 1e-10
-            t_map = chn.compose(enc, dec)
-            diff = t_map.superop - chn.dual(ch_i).superop
+            t_map = so.compose(enc, dec)
+            diff = t_map.superop - so.dual(ch_i).superop
             cert = cbnorm.diamond_norm(diff, ch_i.dim_in, ch_i.dim_in)
             diamond_ok &= cert.upper <= 1e-6
         elapsed = time.time() - t0
@@ -137,7 +138,7 @@ class TestCriterion3ExactReconstruction:
                     break
             ch = chn.gen_random_idempotent(tuple(pairs), dim=dim, seed=trial)
             # independent ground truth through the carrier representation
-            truth = chn.idempotent_structure(ch, seed=1).block_dims
+            truth = so.idempotent_structure(ch, seed=1).block_dims
             alg = sc.extract_algebra(sc.idempotentize(ch))
             spec, v, rep = rc.reconstruct(alg, seed=0)
             worst_defect = max(worst_defect, rep.mult_defect)
@@ -250,7 +251,7 @@ class TestCriterion6EpsilonCStarSuite:
                 c_worst, rep.eps_assoc / eta, rep.eps_cstar / eta,
                 rep.eps_submult / eta,
             )
-            left, right = sc.phi_associativity_defect(pert, samples=25, seed=2)
+            left, right = so.phi_associativity_defect(pert, samples=25, seed=2)
             c_worst = max(c_worst, left / eta, right / eta)
         scaling_ok = c_worst <= 100 and eta_max <= 1e-2
 
@@ -260,7 +261,7 @@ class TestCriterion6EpsilonCStarSuite:
         for t in (1e-3, 1e-2):
             pert = chn.gen_perturbed(pin, t, seed=5)
             pm = sc.idempotentize(pert)
-            points[t] = (sc.choi_residual_check(pert, samples=30), pm.eta.value)
+            points[t] = (so.choi_residual_check(pert, samples=30), pm.eta.value)
         slope = np.log(points[1e-2][0] / points[1e-3][0]) / np.log(
             points[1e-2][1] / points[1e-3][1]
         )
@@ -301,7 +302,7 @@ class TestCriterion7NewtonMachinery:
         spec = rc.BlockSpec((3, 2, 1))
         coeffs = np.zeros((alg.dim, spec.rep_dim**2), dtype=complex)
         for (l, j, k) in spec.unit_indices():
-            m = spec.unit_matrix(l, j, k)
+            m = so.unit_matrix(spec, l, j, k)
             coeffs[:, nl.vec(m).argmax()] = alg.coords(m)
         noise = 0.01 * (rng.standard_normal(coeffs.shape)
                         + 1j * rng.standard_normal(coeffs.shape)) / np.sqrt(2)

@@ -12,6 +12,7 @@ from almostidem import serialize as ser
 
 import check_report
 import sdp_oracle
+import structure_oracle as so
 
 
 def two_level_superop(eta: float) -> np.ndarray:
@@ -455,7 +456,7 @@ class TestGenericSdp:
     def test_largest_eigenvalue(self):
         # min t s.t. t I >= M equals lambda_max(M)
         rng = np.random.default_rng(9)
-        m = nl.random_hermitian(3, rng)
+        m = so.random_hermitian(3, rng)
         lam_max = np.linalg.eigvalsh(m)[-1]
         basis = nl.hermitian_basis(3)
         a_blocks = [[h, -np.trace(h).real * np.ones((1, 1), dtype=complex)] for h in basis]

@@ -446,6 +446,35 @@ class TestWitnessVerify:
                            (("factorization",), delta_entry)):
             assert _verify(tmp_path, tampered(path, edit)) == 1, edit.__name__
 
+    def test_tampered_flags_are_rejected(self, barrier_report, tmp_path, capsys):
+        # each recorded flag is checked both ways against its test: a flag
+        # flipped from true to false fails as one flipped from false to true
+        ch = ser.channel_from_dict(barrier_report["input"]["channel"])
+        analyze_report = pipeline.analyze_channel(ch, seed=3)
+        assert _verify(tmp_path, analyze_report) == 0
+
+        def flipped(report, *path):
+            rep = copy.deepcopy(report)
+            node = rep
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = not node[path[-1]]
+            return rep
+
+        block_dims = copy.deepcopy(barrier_report)
+        block_dims["block_dims"] = [9]
+        for name, rep in (
+            ("trace_preserving", flipped(analyze_report, "flags", "trace_preserving")),
+            ("eta_domain_ok", flipped(analyze_report, "eta_domain_ok")),
+            ("block_dims", block_dims),
+            ("delta_cp", flipped(barrier_report, "factorization", "ucp_flags", "delta_cp")),
+            ("upsilon_unital",
+             flipped(barrier_report, "factorization", "ucp_flags", "upsilon_unital")),
+        ):
+            capsys.readouterr()
+            assert _verify(tmp_path, rep) == 1, name
+            assert capsys.readouterr().out.count("FAIL: ") == 1, name
+
     @pytest.mark.parametrize("name", ["eta", "residual_factor", "residual_retract"])
     def test_inverted_interval_is_rejected(self, barrier_report, tmp_path, capsys, name):
         # upper recorded 1e-7 below lower: the witness interval still lies

@@ -7,6 +7,8 @@ from almostidem import starcalc as sc
 from almostidem import reconstruction as rc
 from almostidem import factorization as fa
 
+import structure_oracle as so
+
 
 def run_pipeline(ch, seed=0, samples=40):
     pm = sc.idempotentize(ch)
@@ -18,7 +20,7 @@ def run_pipeline(ch, seed=0, samples=40):
 
 class TestRawFactor:
     def test_identity_channel(self):
-        ch = chn.identity_channel(2)
+        ch = so.identity_channel(2)
         pm, alg, spec, v, rep = run_pipeline(ch)
         raw = fa.raw_factor(v, pm, alg)
         assert raw.factor_residual <= 1e-8
@@ -308,7 +310,7 @@ class TestCertify:
         assert max(cert.product_residuals.values()) <= 1e-6
 
     def test_identity_channel_zero_residuals(self):
-        ch = chn.identity_channel(2)
+        ch = so.identity_channel(2)
         pm, alg, spec, v, rep = run_pipeline(ch)
         raw = fa.raw_factor(v, pm, alg)
         delta, _ = fa.twirl_to_cp(raw, ch)
@@ -353,7 +355,7 @@ def _ref_product_residuals(delta, upsilon, spec, probes, seed):
                 for a in range(n):
                     for b in range(n):
                         m[a * d_tot: (a + 1) * d_tot, b * d_tot: (b + 1) * d_tot] = \
-                            spec.random_element(rng)
+                            so.random_element(spec, rng)
             dx = nl.unvec(del_n @ nl.vec(x), n * d, n * d)
             dy = nl.unvec(del_n @ nl.vec(y), n * d, n * d)
             back = nl.unvec(ups_n @ nl.vec(dx @ dy), n * d_tot, n * d_tot)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from almostidem import numlin as nl
 from almostidem import channels as chn
 from almostidem import starcalc as sc
 from almostidem import reconstruction as rc
+
+import structure_oracle as so
 
 
 def alg_of(ch, samples=0):
@@ -17,7 +21,7 @@ def alg_of(ch, samples=0):
 def exact_inclusion(alg, spec):
     coeffs = np.zeros((alg.dim, spec.rep_dim**2), dtype=complex)
     for (l, j, k) in spec.unit_indices():
-        m = spec.unit_matrix(l, j, k)
+        m = so.unit_matrix(spec, l, j, k)
         coeffs[:, nl.vec(m).argmax()] = alg.coords(m)
     return rc.AlmostHom(spec, coeffs)
 
@@ -31,7 +35,7 @@ class TestBlockSpec:
 
     def test_unit_matrix_relations(self):
         spec = rc.BlockSpec((2, 1))
-        e = spec.unit_matrix
+        e = functools.partial(so.unit_matrix, spec)
         np.testing.assert_allclose(e(0, 0, 1) @ e(0, 1, 0), e(0, 0, 0))
         np.testing.assert_allclose(e(0, 0, 1) @ e(1, 0, 0), np.zeros((3, 3)))
         total = sum(e(l, j, j) for (l, j, k) in spec.unit_indices() if j == k)
@@ -50,7 +54,7 @@ class TestDiagonals:
         diag = rc.pauli_diagonal(rc.BlockSpec((2,)))
         assert len(diag.terms) == 4
         assert all(abs(p - 0.25) < 1e-15 for p, _ in diag.terms)
-        res = diag.residuals()
+        res = so.diagonal_residuals(diag)
         assert res["pi"] <= 1e-12
         assert res["commutation"] <= 1e-10
 
@@ -58,7 +62,7 @@ class TestDiagonals:
         for dims in [(2, 1), (3, 2, 1), (2, 2)]:
             spec = rc.BlockSpec(dims)
             diag = rc.pauli_diagonal(spec)
-            res = diag.residuals(probes=5)
+            res = so.diagonal_residuals(diag, probes=5)
             assert res["pi"] <= 1e-10
             assert res["commutation"] <= 1e-10
             # one weight-1/d_l^2 term per shift/clock unitary of each block,
@@ -93,7 +97,7 @@ class TestDiagonals:
             ref = [(p0 * p1, direct_sum(u0, u1)) for p0, u0 in ref for p1, u1 in block_terms]
         diag = rc.pauli_diagonal(rc.BlockSpec(dims))
         terms = diag.terms
-        res = diag.residuals()
+        res = so.diagonal_residuals(diag)
         assert res["pi"] <= 1e-12 and res["commutation"] <= 1e-12
         if len(dims) == 1:  # a single block gives the block design bit for bit
             assert len(terms) == len(ref)
@@ -145,7 +149,9 @@ class TestMultDefect:
             rng.standard_normal((alg.dim, 9)) + 1j * rng.standard_normal((alg.dim, 9))
         )
         v = rc.AlmostHom(spec, noisy).symmetrized()
-        assert v.dagger_symmetry_residual() <= 1e-12
+        # ||v(E^dag) - v(E)^dag|| over the matrix units E
+        perm = nl.transpose_permutation(spec.rep_dim)
+        assert np.linalg.norm(v.coeffs[:, perm] - np.conj(v.coeffs), axis=0).max() <= 1e-12
 
 
 class TestImprove:
@@ -224,7 +230,7 @@ class TestMergeAndExtend:
         for (l, j, k) in s1.unit_indices():
             m3 = np.zeros((3, 3), dtype=complex)
             m3[j, k] = 1.0
-            c1[:, nl.vec(s1.unit_matrix(l, j, k)).argmax()] = alg.coords(m3)
+            c1[:, nl.vec(so.unit_matrix(s1, l, j, k)).argmax()] = alg.coords(m3)
         c2 = np.zeros((alg.dim, 1), dtype=complex)
         m3 = np.zeros((3, 3), dtype=complex)
         m3[2, 2] = 1.0
@@ -236,7 +242,7 @@ class TestMergeAndExtend:
         assert v.unit_defect <= 1e-10
 
     def test_merge_crosstalk_detected(self):
-        alg = alg_of(chn.identity_channel(2))
+        alg = alg_of(so.identity_channel(2))
         # two halves of the SAME block are equivalent: cross corner is not zero
         s1 = rc.BlockSpec((1,))
         c1 = np.zeros((alg.dim, 1), dtype=complex)
@@ -248,7 +254,7 @@ class TestMergeAndExtend:
 
     def test_extension_chain_in_full_matrix_algebra(self):
         # M_1 -> M_2 -> M_3 inside B(C^3)
-        alg = alg_of(chn.identity_channel(3))
+        alg = alg_of(so.identity_channel(3))
         from almostidem import projections as pj
 
         units = []
@@ -256,7 +262,7 @@ class TestMergeAndExtend:
             e = np.zeros((3, 3), dtype=complex)
             e[i, i] = 1.0
             c = np.real(alg.coords(e))
-            units.append(pj.DeltaProjection(c, pj.measure_delta(alg, c), alg.norm(c)))
+            units.append(pj.DeltaProjection(c, pj.measure_delta(alg, c)))
         coeffs = np.zeros((alg.dim, 1), dtype=complex)
         coeffs[:, 0] = units[0].coords
         v = rc.mult_defect(rc.AlmostHom(rc.BlockSpec((1,)), coeffs), alg)
@@ -280,11 +286,11 @@ class TestMergeAndExtend:
         e11 = np.zeros((3, 3), dtype=complex)
         e11[0, 0] = 1.0
         c = np.real(alg.coords(e11))
-        p = pj.DeltaProjection(c, 0.0, 1.0)
+        p = pj.DeltaProjection(c, 0.0)
         e33 = np.zeros((3, 3), dtype=complex)
         e33[2, 2] = 1.0
         c3 = np.real(alg.coords(e33))
-        q = pj.DeltaProjection(c3, 0.0, 1.0)
+        q = pj.DeltaProjection(c3, 0.0)
         coeffs = np.zeros((alg.dim, 1), dtype=complex)
         coeffs[:, 0] = p.coords
         v = rc.AlmostHom(rc.BlockSpec((1,)), coeffs)
@@ -295,7 +301,7 @@ class TestMergeAndExtend:
 
 class TestReconstruct:
     def test_full_matrix_algebra(self):
-        alg = alg_of(chn.identity_channel(3))
+        alg = alg_of(so.identity_channel(3))
         spec, v, rep = rc.reconstruct(alg, seed=0)
         assert spec.block_dims == (3,)
         assert rep.mult_defect <= 1e-8
@@ -325,7 +331,7 @@ class TestReconstruct:
         # ground truth from the independent carrier-representation route
         for seed in range(4):
             ch = chn.gen_random_idempotent(((2, 1), (1, 2)), dim=6, seed=seed)
-            st = chn.idempotent_structure(ch)
+            st = so.idempotent_structure(ch)
             alg = alg_of(ch)
             spec, v, rep = rc.reconstruct(alg, seed=0)
             assert spec.block_dims == st.block_dims
@@ -340,7 +346,7 @@ def mult_defect_per_pair(v, alg, probes=20, seed=0):
     """(mult_defect, unit_defect, iso_lower, iso_upper) pair by pair."""
     spec = v.spec
     units = spec.unit_indices()
-    imgs = {u: v.apply(spec.unit_matrix(*u)) for u in units}
+    imgs = {u: v.apply(so.unit_matrix(spec, *u)) for u in units}
     worst = 0.0
     for (l1, j1, k1) in units:
         for (l2, j2, k2) in units:
@@ -353,8 +359,8 @@ def mult_defect_per_pair(v, alg, probes=20, seed=0):
     rng = np.random.default_rng(seed)
     iso_lo, iso_hi = np.inf, 0.0
     for _ in range(probes):
-        x = spec.random_element(rng)
-        y = spec.random_element(rng)
+        x = so.random_element(spec, rng)
+        y = so.random_element(spec, rng)
         nx = max(nl.operator_norm(x[s, s]) for s in spec.slices())
         ny = max(nl.operator_norm(y[s, s]) for s in spec.slices())
         g = v.apply(x @ y) - alg.star(v.apply(x), v.apply(y))
@@ -427,12 +433,12 @@ class TestBatchedKernels:
     def test_unit_columns_and_products(self, dims):
         spec = rc.BlockSpec(dims)
         units = spec.unit_indices()
-        cols = [nl.vec(spec.unit_matrix(*u)).argmax() for u in units]
+        cols = [nl.vec(so.unit_matrix(spec, *u)).argmax() for u in units]
         assert spec.unit_columns().tolist() == cols
         table = spec.unit_products()
         for a, ua in enumerate(units):
             for b, ub in enumerate(units):
-                prod = spec.unit_matrix(*ua) @ spec.unit_matrix(*ub)
+                prod = so.unit_matrix(spec, *ua) @ so.unit_matrix(spec, *ub)
                 want = units.index((ua[0], ua[1], ub[2])) if prod.any() else -1
                 assert table[a, b] == want
 
@@ -491,11 +497,6 @@ class TestBatchedKernels:
         coeffs = rng.standard_normal((14, 36)) + 1j * rng.standard_normal((14, 36))
         v = rc.AlmostHom(spec, coeffs)
         assert np.array_equal(v.symmetrized().coeffs, symmetrized_per_column(v))
-        worst = max(
-            np.linalg.norm(v.apply(x.conj().T) - np.conj(v.apply(x)))
-            for x in (nl.unvec(e, 6, 6) for e in np.eye(36, dtype=complex))
-        )
-        assert abs(v.dagger_symmetry_residual() - worst) <= 1e-12 * worst
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +523,7 @@ class TestWorkDoneOnce:
         assert np.array_equal(got, want)
         assert rng.standard_normal() == ref_rng.standard_normal()  # same stream after
         one_rng = np.random.default_rng(3)
-        singles = np.stack([spec.random_element(one_rng) for _ in range(40)])
+        singles = np.stack([so.random_element(spec, one_rng) for _ in range(40)])
         assert np.array_equal(singles, want)
 
     @pytest.mark.parametrize("make", [
