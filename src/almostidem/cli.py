@@ -61,11 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--seed": {"type": int, "default": 0},
         "--samples": {"type": int, "default": 100},
-        "--extension-n": {"type": int, "default": 2},
         "--json-out": {"help": "write the report/output JSON here"},
     }
     # each subcommand declares only the options its handler reads
-    pipeline = ("--seed", "--samples", "--extension-n", "--json-out")
+    pipeline = ("--seed", "--samples", "--json-out")
     for name, help_text, reads in (
         ("analyze", "validity flags, certified idempotency defect, carrier",
          ("--seed", "--json-out")),
@@ -232,9 +231,7 @@ def cmd_reconstruct(args) -> int:
     from . import pipeline
 
     ch = _load_channel(args.input)
-    report, artifacts = pipeline.reconstruct_channel(
-        ch, seed=args.seed, samples=args.samples, extension_n=args.extension_n
-    )
+    report, artifacts = pipeline.reconstruct_channel(ch, seed=args.seed, samples=args.samples)
     _emit(report, args)
     rec = report["checkpoints"][-1]
     print(
@@ -248,9 +245,7 @@ def cmd_factorize(args) -> int:
     from . import pipeline
 
     ch = _load_channel(args.input)
-    report, artifacts = pipeline.factorize_channel(
-        ch, seed=args.seed, samples=args.samples, extension_n=args.extension_n
-    )
+    report, artifacts = pipeline.factorize_channel(ch, seed=args.seed, samples=args.samples)
     _emit(report, args)
     fact = report["factorization"]
     print(
@@ -297,7 +292,7 @@ def cmd_demo(args) -> int:
     print(f"  UCP checks: {fact['ucp_flags']}")
     failures = pipeline.verify_report(report)
     print(f"  replay verification: {'ok' if not failures else failures}")
-    return 0
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:

@@ -70,7 +70,6 @@ def reconstruct_channel(
     ch: chn.Channel,
     seed: int = 0,
     samples: int = 100,
-    extension_n: int = 2,
 ) -> tuple[dict, dict]:
     """Pipeline through the block structure and the near-isomorphism.
 
@@ -93,9 +92,7 @@ def reconstruct_channel(
     with _stage(timings, "extract"):
         alg = sc.extract_algebra(pm)
     with _stage(timings, "defects"):
-        alg.defects = sc.measure_defects(
-            alg, samples=samples, extension_n=extension_n, seed=seed
-        )
+        alg.defects = sc.measure_defects(alg, samples=samples, extension_n=2, seed=seed)
     checkpoints.append({
         "stage": "algebra",
         "dim": alg.dim,
@@ -133,11 +130,10 @@ def factorize_channel(
     ch: chn.Channel,
     seed: int = 0,
     samples: int = 100,
-    extension_n: int = 2,
 ) -> tuple[dict, dict]:
     """Pipeline through the certified UCP factorization."""
     t0 = time.perf_counter()
-    report, artifacts = reconstruct_channel(ch, seed, samples, extension_n)
+    report, artifacts = reconstruct_channel(ch, seed, samples)
     pm, alg, spec, v = (
         artifacts["pm"], artifacts["alg"], artifacts["spec"], artifacts["v"]
     )
@@ -219,12 +215,37 @@ def verify_report(report: dict) -> list[str]:
         if int(report["carrier_dim"]) != int(chn.carrier(ch).shape[1]):
             failures.append("recorded carrier dimension does not match")
 
+    if report.get("kind") in ("reconstruct", "factorize"):
+        failures.extend(_verify_structure(report))
     fact = report.get("factorization")
     if fact is not None:
-        if report.get("block_dims") != fact["block_dims"]:
-            failures.append("recorded block_dims do not match those of the factorization")
         failures.extend(_verify_factorization(ch, fact))
     return failures
+
+
+def _verify_structure(report: dict) -> list[str]:
+    """Failures of a block structure recorded in more than one place.
+
+    The top-level ``block_dims`` must be those of the reconstruction (and of
+    the factorization, when there is one), and ``hom_coeffs`` must have one
+    row per algebra dimension of (sum d)^2 entries: list lengths only, so
+    nothing is parsed or solved.
+    """
+    stages = {cp.get("stage"): cp for cp in report.get("checkpoints", [])}
+    dims = stages.get("reconstruction", {}).get("block_dims", [])
+    recorded = [dims]
+    if "factorization" in report:
+        recorded.append(report["factorization"]["block_dims"])
+    if any(report.get("block_dims") != b for b in recorded):
+        return ["top-level block_dims do not match those the reconstruction "
+                "or the factorization records"]
+    rows = report.get("hom_coeffs")
+    n, entries = stages.get("algebra", {}).get("dim"), sum(dims) ** 2
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == entries for r in rows)):
+        return [f"recorded hom_coeffs is not {n} rows (the algebra dimension) "
+                f"of {entries} entries (the square of sum(block_dims))"]
+    return []
 
 
 def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int) -> list[str]:

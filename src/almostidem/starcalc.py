@@ -72,10 +72,10 @@ class DefectReport:
     eps_cstar: float = 0.0
     eps_unit: float = 0.0
     sample_count: int = 0
-    method: str = "basis_bound"  # basis_bound | sampled | refined
+    method: str = "basis_bound"  # basis_bound | sampled
 
     def merge(self, other: "DefectReport") -> "DefectReport":
-        order = ["basis_bound", "sampled", "refined"]
+        order = ["basis_bound", "sampled"]
         return DefectReport(
             max(self.eps_submult, other.eps_submult),
             max(self.eps_assoc, other.eps_assoc),
@@ -262,26 +262,22 @@ def measure_defects(
     samples: int = 200,
     extension_n: int = 1,
     seed: int = 0,
-    ascent_steps: int = 60,
 ) -> DefectReport:
     """Estimated axiom defects of the algebra.
 
     Every ``eps_*`` value is a lower-bound estimate of the supremum of its
-    defect, the maximum over four stages: the sweep over basis elements and
-    basis triples, ``samples`` random triples, a local ascent of the
-    associator over ``ascent_steps`` steps, and ``max(samples // 2, 40)``
+    defect, the maximum over three stages: the sweep over basis elements and
+    basis triples, ``samples`` random triples, and ``max(samples // 2, 40)``
     random triples of M_m (x) A for each m = 2..``extension_n``, normed as
     operators on C^m (x) H.  ``method`` names the deepest scalar stage run
-    (``basis_bound``, ``sampled`` or ``refined``); ``sample_count`` counts
-    the triples evaluated by the sampled, ascent and amplified stages, less
-    any triple with an element of norm below 1e-12, which is skipped.
+    (``basis_bound`` or ``sampled``); ``sample_count`` counts the triples
+    evaluated by the sampled and amplified stages, less any triple with an
+    element of norm below 1e-12, which is skipped.
     """
     report = _basis_defects(alg)
     rng = np.random.default_rng(seed)
     if samples > 0:
         report = report.merge(_sampled_defects(alg, samples, rng))
-    if ascent_steps > 0:
-        report = report.merge(_ascent_refinement(alg, ascent_steps, rng))
     for n_ext in range(2, extension_n + 1):
         report = report.merge(_sampled_defects(alg, max(samples // 2, 40), rng, n_ext))
     return replace(report, eps_unit=max(report.eps_unit, _unit_defect(alg)))
@@ -327,90 +323,6 @@ def _sampled_defects(alg: EpsilonAlgebra, samples: int, rng, n_ext: int = 1) -> 
     return _triple_defects(alg, *triples.swapaxes(0, 1))
 
 
-def _ascent_refinement(alg: EpsilonAlgebra, steps: int, rng) -> DefectReport:
-    """Hill-climb the normalized associator from the worst of 20 random triples.
-
-    Step s tries best + scale * noise_s, takes it if it raises the value and
-    otherwise shrinks the scale by 0.85.  The noise does not depend on
-    acceptance, so it is drawn up front (the stream of the step-by-step
-    draws), and steps are scored in batches whose every candidate is one the
-    step-by-step ascent could try, with the same scale products as its
-    repeated ``scale *= 0.85``; each value is computed on its own triple, so
-    the walk through a batch meets the step-by-step triples and values.
-
-    After a rejected step the next k steps are scored as if each of them were
-    rejected (a chain, scales ``np.cumprod([scale, 0.85, ...])``); the walk
-    stops at the chain's first accepted step, and k doubles after a chain
-    with none.  After an accepted step the next ``_TREE_DEPTH`` steps are
-    scored as their accept/reject tree (:func:`_ascent_tree`), and trees
-    follow one another while the last step of each is accepted; otherwise
-    the chain resumes at k = 2.
-    """
-    n = alg.dim
-    probes = _draw_triples(rng, 20, 1, n)
-    vals = _assoc_values(alg, *probes.swapaxes(0, 1))
-    best = probes[np.argmax(vals)]
-    best_val = float(vals.max())
-    noise = _draw_triples(rng, steps, 1, n)
-    scale, step, k, tree = 0.3, 0, 1, False
-    while step < steps:
-        if tree:
-            h = min(_TREE_DEPTH, steps - step)
-            best, best_val, scale, tree = _ascent_tree(
-                alg, best, best_val, scale, noise[step: step + h])
-            step, k = step + h, 2
-            continue
-        k = min(k, steps - step)
-        scales = np.cumprod([scale] + [0.85] * k)
-        cands = best + scales[:k, None, None, None, None] * noise[step: step + k]
-        vals = _assoc_values(alg, *cands.swapaxes(0, 1))
-        gain = np.flatnonzero(vals > best_val)
-        if gain.size:
-            first = int(gain[0])
-            best, best_val, scale = cands[first], float(vals[first]), float(scales[first])
-            step, tree = step + first + 1, True
-        else:
-            scale = float(scales[k])
-            step, k = step + k, 2 * k
-    rep = _triple_defects(alg, *best[:, None])
-    return replace(rep, sample_count=steps, method="refined")
-
-
-_TREE_DEPTH = 3
-
-
-def _ascent_tree(alg: EpsilonAlgebra, best, best_val: float, scale: float, noise):
-    """The ascent's steps over ``noise`` from (best, best_val, scale), scored
-    as their accept/reject tree in one batch and then walked.
-
-    Node j of depth i is step i after the outcomes that the bits of j give,
-    most significant first (1 accepted); its children are 2j (rejected: the
-    same triple, scale * 0.85) and 2j + 1 (accepted: its candidate, the same
-    scale).  The 2^h - 1
-    candidates of h steps are scored together, and the walk takes the branch
-    their values pick.  Returns the new (best, best_val, scale) and whether
-    the last step was accepted.
-    """
-    bases, scales, levels = best[None], np.array([scale]), []
-    for i, step_noise in enumerate(noise):
-        if i:
-            bases = np.stack([bases, levels[-1]], axis=1).reshape(-1, *best.shape)
-            scales = np.stack([scales * 0.85, scales], axis=1).ravel()
-        levels.append(bases + scales[:, None, None, None, None] * step_noise)
-    cands = np.concatenate(levels)
-    vals = _assoc_values(alg, *cands.swapaxes(0, 1))
-    j, accepted = 0, False
-    for i in range(len(noise)):
-        node = (1 << i) - 1 + j
-        accepted = bool(vals[node] > best_val)
-        if accepted:
-            best, best_val = cands[node], float(vals[node])
-        else:
-            scale *= 0.85
-        j = 2 * j + accepted
-    return best, best_val, scale, accepted
-
-
 def _draw_triples(rng, count: int, n_ext: int, n: int) -> np.ndarray:
     """``count`` random triples (x, y, z) of M_n_ext (x) A coordinate blocks,
     shape (count, 3, n_ext, n_ext, n).
@@ -448,31 +360,14 @@ def _ext_norms(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-3])
 
 
-def _associators(alg: EpsilonAlgebra, x, y, z):
-    """xy and (xy)z - x(yz) for stacked triples."""
-    xy = _ext_star(alg, x, y)
-    return xy, _ext_star(alg, xy, z) - _ext_star(alg, x, _ext_star(alg, y, z))
-
-
-def _valid(nx, ny, nz):
-    return np.minimum(np.minimum(nx, ny), nz) >= 1e-12
-
-
-def _assoc_values(alg: EpsilonAlgebra, x, y, z) -> np.ndarray:
-    """Normalized associator norm of each triple; 0 where an element vanishes."""
-    _, assoc = _associators(alg, x, y, z)
-    nx, ny, nz, na = _ext_norms(alg, np.stack([x, y, z, assoc]))
-    valid = _valid(nx, ny, nz)
-    return np.where(valid, na / np.where(valid, nx * ny * nz, 1.0), 0.0)
-
-
 def _triple_defects(alg: EpsilonAlgebra, x, y, z) -> DefectReport:
     """Worst defects over stacked triples; a triple with an element of norm
     below 1e-12 is skipped and not counted."""
-    xy, assoc = _associators(alg, x, y, z)
+    xy = _ext_star(alg, x, y)
+    assoc = _ext_star(alg, xy, z) - _ext_star(alg, x, _ext_star(alg, y, z))
     xdx = _ext_star(alg, np.conj(np.swapaxes(x, -3, -2)), x)
     norms = _ext_norms(alg, np.stack([x, y, z, assoc, xy, xdx]))
-    nx, ny, nz, na, nxy, nxdx = norms[:, _valid(*norms[:3])]
+    nx, ny, nz, na, nxy, nxdx = norms[:, norms[:3].min(axis=0) >= 1e-12]
     return DefectReport(
         float(np.max(nxy / (nx * ny) - 1, initial=0.0)),
         float(np.max(na / (nx * ny * nz), initial=0.0)),

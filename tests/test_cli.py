@@ -152,7 +152,7 @@ _REFUSED = [("analyze", "--samples", "5")] + [
     (command, flag, value)
     for command in ("analyze", "idempotentize", "reconstruct", "factorize")
     for flag, value in (("--tol", "1e-6"), ("--rank-tol", "1e-3"))
-]
+] + [(command, "--extension-n", "3") for command in ("reconstruct", "factorize")]
 
 
 # (generator kind, flag, value) that kind does not read
@@ -283,6 +283,13 @@ class TestCliCommands:
         assert len(err) == 1 and f"--{kind} does not read {flag}" in err[0]
         assert not out.exists()
         assert main(["gen", *args, "--seed", "1", "--out", str(out)]) == 0
+
+    def test_demo_exit_code_follows_its_replay_verification(self, monkeypatch, capsys):
+        assert main(["demo"]) == 0
+        assert "replay verification: ok" in capsys.readouterr().out
+        monkeypatch.setattr(pipeline, "verify_report", lambda report: ["one failure"])
+        assert main(["demo"]) == 1
+        assert "replay verification: ['one failure']" in capsys.readouterr().out
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -470,6 +477,48 @@ class TestWitnessVerify:
             ("delta_cp", flipped(barrier_report, "factorization", "ucp_flags", "delta_cp")),
             ("upsilon_unital",
              flipped(barrier_report, "factorization", "ucp_flags", "upsilon_unital")),
+        ):
+            capsys.readouterr()
+            assert _verify(tmp_path, rep) == 1, name
+            assert capsys.readouterr().out.count("FAIL: ") == 1, name
+
+    def test_tampered_structure_is_rejected(self, barrier_report, tmp_path, capsys):
+        # the block structure must agree wherever a report records it, and
+        # hom_coeffs must have its shape; only list lengths are read
+        work = tmp_path / "rec"
+        work.mkdir()
+        base, pert, path = work / "base.json", work / "pert.json", work / "rec.json"
+        main(["gen", "--pinching", "3,1", "--seed", "1", "--out", str(base)])
+        main(["gen", "--perturb", str(base), "--t", "1e-2", "--seed", "1", "--out", str(pert)])
+        assert main(["reconstruct", str(pert), "--seed", "1", "--json-out", str(path)]) == 0
+        rec_report = json.load(open(path))
+        assert _verify(tmp_path, rec_report) == 0
+
+        def edited(report, edit):
+            rep = copy.deepcopy(report)
+            edit(rep)
+            return rep
+
+        def stage(rep, name):
+            return next(cp for cp in rep["checkpoints"] if cp["stage"] == name)
+
+        def top_dims(rep):
+            rep["block_dims"] = [9]
+
+        def both_dims(rep):
+            rep["block_dims"] = stage(rep, "reconstruction")["block_dims"] = [9]
+
+        def checkpoint_dims(rep):
+            stage(rep, "reconstruction")["block_dims"] = [9]
+
+        def short_row(rep):
+            rep["hom_coeffs"][0].pop()
+
+        for name, rep in (
+            ("top-level block_dims", edited(rec_report, top_dims)),
+            ("both block_dims", edited(rec_report, both_dims)),
+            ("hom_coeffs row", edited(rec_report, short_row)),
+            ("factorize checkpoint block_dims", edited(barrier_report, checkpoint_dims)),
         ):
             capsys.readouterr()
             assert _verify(tmp_path, rep) == 1, name

@@ -324,8 +324,8 @@ class TestOperatorNorms:
         assert np.array_equal(got, nl._scaled_operator_norms(stack))
 
     def test_benchmark_algebras_take_no_rescale(self, monkeypatch):
-        # the sampled, ascent and amplified stages of measure_defects on the
-        # algebras of the benchmark inputs, and all of measure_defects on the
+        # the sampled and amplified stages of measure_defects on the algebras
+        # of the benchmark inputs, and all of measure_defects on the
         # perturbed ones, never leave the safe range
         from test_starcalc import _benchmark_inputs
 
@@ -335,7 +335,6 @@ class TestOperatorNorms:
             frexp.clear()
             rng = np.random.default_rng(seed)
             sc._sampled_defects(alg, 100, rng)
-            sc._ascent_refinement(alg, 60, rng)
             sc._sampled_defects(alg, 50, rng, 2)
             assert not frexp, case
             if case < 6:  # the perturbed-d4 inputs

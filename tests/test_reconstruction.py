@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -336,6 +337,27 @@ class TestReconstruct:
             spec, v, rep = rc.reconstruct(alg, seed=0)
             assert spec.block_dims == st.block_dims
             assert rep.mult_defect <= 1e-7
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_defect_estimate_has_margin(self, case):
+        # reconstruct reads the sampled defects only through delta_target =
+        # max(1e-8, 200 * worst); on the perturbed-d4 benchmark algebras every
+        # eps_* may move tenfold either way and the result stays bit-identical
+        from test_starcalc import _benchmark_inputs
+
+        ch, seed = list(_benchmark_inputs())[case]
+        alg = sc.extract_algebra(sc.idempotentize(ch))
+        defects = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
+        results = []
+        for scale in (1.0, 0.1, 10.0):
+            alg.defects = dataclasses.replace(defects, **{
+                name: scale * getattr(defects, name)
+                for name in ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit")})
+            spec, v, _ = rc.reconstruct(alg, seed=seed)
+            results.append((spec.block_dims, v.coeffs))
+        for dims, coeffs in results[1:]:
+            assert dims == results[0][0]
+            assert np.array_equal(coeffs, results[0][1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -161,14 +159,11 @@ class TestDefects:
     def test_monotone_in_refinement(self):
         pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=11)
         alg = sc.extract_algebra(sc.idempotentize(pert))
-        r1 = sc.measure_defects(alg, samples=0, ascent_steps=0)
-        r2 = sc.measure_defects(alg, samples=100, ascent_steps=0)
-        r3 = sc.measure_defects(alg, samples=100, ascent_steps=50)
+        r1 = sc.measure_defects(alg, samples=0)
+        r2 = sc.measure_defects(alg, samples=100)
         assert r1.method == "basis_bound"
         assert r2.method == "sampled"
-        assert r3.method == "refined"
         assert r2.eps_assoc >= r1.eps_assoc - 1e-15
-        assert r3.eps_assoc >= r2.eps_assoc - 1e-15
 
     def test_direct_sum_norm_identity(self):
         # block-diagonal amplified elements have max-norm of the blocks
@@ -299,59 +294,6 @@ def _ref_sampled_defects(alg, samples, rng):
     return rep
 
 
-def _ref_assoc_value(alg, x, y, z):
-    nx, ny, nz = alg.norm(x), alg.norm(y), alg.norm(z)
-    if min(nx, ny, nz) < 1e-12:
-        return 0.0
-    left = _ref_star(alg, _ref_star(alg, x, y), z)
-    right = _ref_star(alg, x, _ref_star(alg, y, z))
-    return alg.norm(left - right) / (nx * ny * nz)
-
-
-def _ref_ascent_refinement(alg, steps, rng):
-    n = alg.dim
-    best, best_val = None, -1.0
-    for _ in range(20):
-        x, y, z = (_ref_gauss(rng, n) for _ in range(3))
-        val = _ref_assoc_value(alg, x, y, z)
-        if val > best_val:
-            best_val, best = val, (x, y, z)
-    x, y, z = best
-    scale = 0.3
-    for _ in range(steps):
-        cand = tuple(v + scale * _ref_gauss(rng, n) for v in (x, y, z))
-        val = _ref_assoc_value(alg, *cand)
-        if val > best_val:
-            best_val = val
-            x, y, z = cand
-        else:
-            scale *= 0.85
-    rep = _ref_triple_defect(alg, x, y, z)
-    return sc.DefectReport(rep.eps_submult, rep.eps_assoc, rep.eps_cstar, 0.0, steps, "refined")
-
-
-def _sequential_ascent(alg, steps, rng):
-    """The associator ascent one step at a time, on the stacked kernels: the
-    reference that the speculative batches of ``_ascent_refinement`` must
-    reproduce exactly."""
-    n = alg.dim
-    probes = sc._draw_triples(rng, 20, 1, n)
-    vals = sc._assoc_values(alg, *probes.swapaxes(0, 1))
-    best = probes[np.argmax(vals)]
-    best_val = float(vals.max())
-    noise = sc._draw_triples(rng, steps, 1, n)
-    scale = 0.3
-    for step in noise:
-        cand = best + scale * step
-        val = float(sc._assoc_values(alg, *cand[:, None])[0])
-        if val > best_val:
-            best_val, best = val, cand
-        else:
-            scale *= 0.85
-    rep = sc._triple_defects(alg, *best[:, None])
-    return replace(rep, sample_count=steps, method="refined")
-
-
 def _ref_extension_defects(alg, n_ext, samples, rng):
     n = alg.dim
     d = alg.ambient_dim
@@ -390,13 +332,11 @@ def _ref_unit_defect(alg):
     return worst
 
 
-def _ref_measure_defects(alg, samples, extension_n, seed, ascent_steps):
+def _ref_measure_defects(alg, samples, extension_n, seed):
     report = _ref_basis_defects(alg)
     rng = np.random.default_rng(seed)
     if samples > 0:
         report = report.merge(_ref_sampled_defects(alg, samples, rng))
-    if ascent_steps > 0:
-        report = report.merge(_ref_ascent_refinement(alg, ascent_steps, rng))
     for n_ext in range(2, extension_n + 1):
         report = report.merge(_ref_extension_defects(alg, n_ext, max(samples // 2, 40), rng))
     report.eps_unit = max(report.eps_unit, _ref_unit_defect(alg))
@@ -488,12 +428,6 @@ class TestBatchedDefects:
         want = _ref_extension_defects(algebra, n_ext, 12, np.random.default_rng(6))
         _assert_same_report(got, want)
 
-    @pytest.mark.parametrize("steps", [0, 25])
-    def test_ascent_matches_loop(self, algebra, steps):
-        got = sc._ascent_refinement(algebra, steps, np.random.default_rng(7))
-        want = _ref_ascent_refinement(algebra, steps, np.random.default_rng(7))
-        _assert_same_report(got, want)
-
     def test_unit_defect_matches_loop(self, algebra):
         assert abs(sc._unit_defect(algebra) - _ref_unit_defect(algebra)) <= 1e-12
         # an inexact, non-Hermitian unit, so that the left and right unit
@@ -504,21 +438,18 @@ class TestBatchedDefects:
                                 algebra.star_tensor)
         assert abs(sc._unit_defect(bad) - _ref_unit_defect(bad)) <= 1e-12
 
-    @pytest.mark.parametrize("samples,extension_n,ascent_steps", [
-        (40, 2, 30), (0, 2, 30), (40, 2, 0), (40, 1, 30), (0, 1, 0),
-    ])
-    def test_measure_defects_match_loop(self, algebra, samples, extension_n, ascent_steps):
-        got = sc.measure_defects(algebra, samples, extension_n, seed=3,
-                                 ascent_steps=ascent_steps)
-        want = _ref_measure_defects(algebra, samples, extension_n, 3, ascent_steps)
+    @pytest.mark.parametrize("samples,extension_n", [(40, 2), (0, 2), (40, 1), (0, 1)])
+    def test_measure_defects_match_loop(self, algebra, samples, extension_n):
+        got = sc.measure_defects(algebra, samples, extension_n, seed=3)
+        want = _ref_measure_defects(algebra, samples, extension_n, 3)
         _assert_same_report(got, want)
 
     def test_sample_count_is_triples_evaluated(self, algebra):
         rep = sc.measure_defects(algebra, samples=100, extension_n=3, seed=0)
-        # 100 sampled, 60 ascent steps, 50 triples of M_2 (x) A and 50 of M_3 (x) A
-        assert rep.sample_count == 260
-        rep = sc.measure_defects(algebra, samples=10, extension_n=2, seed=0, ascent_steps=5)
-        assert rep.sample_count == 10 + 5 + 40
+        # 100 sampled, 50 triples of M_2 (x) A and 50 of M_3 (x) A
+        assert rep.sample_count == 100 + 50 + 50
+        rep = sc.measure_defects(algebra, samples=10, extension_n=2, seed=0)
+        assert rep.sample_count == 10 + 40
 
     def test_zero_element_is_skipped_and_not_counted(self, algebra):
         rng = np.random.default_rng(8)
@@ -574,57 +505,6 @@ def _benchmark_inputs():
         yield chn.gen_pinching(dims), seed
     for pairs, dim, seed in [(((2, 2), (1, 3)), 7, 3), (((2, 3), (1, 2)), 8, 4)]:
         yield chn.gen_random_idempotent(pairs, dim, seed), seed
-
-
-class TestSpeculativeAscent:
-    @pytest.mark.parametrize("case", range(11))
-    def test_benchmark_reports_equal_sequential(self, case, monkeypatch):
-        # the full measure_defects of the pipeline (samples=100,
-        # extension_n=2, the channel's seed), field for field
-        ch, seed = list(_benchmark_inputs())[case]
-        alg = sc.extract_algebra(sc.idempotentize(ch))
-        calls = []
-        assoc_values = sc._assoc_values
-        monkeypatch.setattr(sc, "_assoc_values",
-                            lambda *args: calls.append(1) or assoc_values(*args))
-        got = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
-        batches = len(calls) - 1  # after the one call that scores the 20 starts
-        monkeypatch.setattr(sc, "_ascent_refinement", _sequential_ascent)
-        want = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
-        assert got == want
-        assert batches < 60
-
-    def test_batch_counts_per_workload(self, monkeypatch):
-        # ascent batches of measure_defects at the pipeline's seeds, summed
-        # over the perturbed-d4 and the exact-blocks inputs: accept/reject
-        # trees after accepted steps take perturbed-d4 from 269 chain
-        # batches to 149, and exact-blocks from 66 to 61
-        calls = []
-        assoc_values = sc._assoc_values
-        monkeypatch.setattr(sc, "_assoc_values",
-                            lambda *args: calls.append(1) or assoc_values(*args))
-        batches = []
-        for ch, seed in _benchmark_inputs():
-            alg = sc.extract_algebra(sc.idempotentize(ch))
-            calls.clear()
-            sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
-            batches.append(len(calls) - 1)
-        assert sum(batches[:6]) <= 150
-        assert sum(batches[6:]) <= 66
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_algebras_equal_sequential(self, seed):
-        rng = np.random.default_rng(seed)
-        pairs = ((1 + seed % 3, 1), (2, 1 + seed % 2))
-        ch = chn.gen_random_idempotent(pairs, sum(d * e for d, e in pairs), seed)
-        if seed % 2:
-            ch = chn.gen_perturbed(ch, (1e-2, 3e-2, 1e-3)[seed % 3], seed=seed)
-        alg = sc.extract_algebra(sc.idempotentize(ch))
-        for steps in (1, 2, 3, 4, 7, 60, 150):
-            state = rng.integers(1 << 31)
-            got = sc._ascent_refinement(alg, steps, np.random.default_rng(state))
-            want = _sequential_ascent(alg, steps, np.random.default_rng(state))
-            assert got == want, steps
 
 
 class TestMaxNorm:
