@@ -438,10 +438,12 @@ class TestBatchedDefects:
                                 algebra.star_tensor)
         assert abs(sc._unit_defect(bad) - _ref_unit_defect(bad)) <= 1e-12
 
-    @pytest.mark.parametrize("samples,extension_n", [(40, 2), (0, 2), (40, 1), (0, 1)])
-    def test_measure_defects_match_loop(self, algebra, samples, extension_n):
-        got = sc.measure_defects(algebra, samples, extension_n, seed=3)
-        want = _ref_measure_defects(algebra, samples, extension_n, 3)
+    @pytest.mark.parametrize("samples,extension_n,seed", [
+        (40, 2, 30), (0, 2, 30), (40, 2, 0), (40, 1, 30), (0, 1, 0),
+    ])
+    def test_measure_defects_match_loop(self, algebra, samples, extension_n, seed):
+        got = sc.measure_defects(algebra, samples, extension_n, seed=seed)
+        want = _ref_measure_defects(algebra, samples, extension_n, seed)
         _assert_same_report(got, want)
 
     def test_sample_count_is_triples_evaluated(self, algebra):
