@@ -5,20 +5,20 @@ a map on the observable side via its adjoint.  Both return a
 :class:`NormCertificate` whose ``lower`` comes from an explicitly feasible
 primal point of the standard semidefinite program
 
-    maximize Re<J, X>  s.t.  [[rho (x) I, X], [X^dag, sigma (x) I]] >= 0,
+    maximize Re<J, X>  s.t.  [[rho_0 (x) I, X], [X^dag, rho_1 (x) I]] >= 0,
 
-with rho, sigma density matrices, and whose ``upper`` comes from an explicitly
-feasible point of its dual
+with rho_0, rho_1 density matrices, and whose ``upper`` comes from an
+explicitly feasible point of its dual
 
     minimize (||Tr_out Y0|| + ||Tr_out Y1||) / 2
     s.t.     [[Y0, -J], [-J^dag, Y1]] >= 0.
 
-The program is solved by eliminating X: for fixed (rho, sigma) the optimal
-objective is the trace norm ||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1,
+The program is solved by eliminating X: for fixed (rho_0, rho_1) the optimal
+objective is the trace norm ||(sqrt(rho_0) (x) I) J (sqrt(rho_1) (x) I)||_1,
 which is jointly concave.  A cheap bound pair (the objective at
-rho = sigma = I/d_in and the polar factorization of J) settles maps far
-below the gap target; every other map goes to a log-det barrier Newton
-method started at rho = sigma = I/d_in, which maximizes X out in closed form
+rho_0 = rho_1 = I/d_in and the polar factorization of J) settles maps far
+below the gap target; every other map goes to one log-det barrier Newton
+solve started at rho_0 = rho_1 = I/d_in, which maximizes X out in closed form
 (:class:`_BarrierPoint`).  Any positive definite iterate gives both bounds,
 its primal value and the dual point built from it, each valid for the J
 given.  The path multiplies t by 100 per stage; an intermediate stage is
@@ -28,23 +28,23 @@ n_z = 2 d_in d_out, until the undamped decrement is below 5e-3.  Stage
 centres are certified; from t_final / 16 on, where the central path's own
 gap n_z / t is within the gap target, every accepted iterate is, and the
 solve stops at the first one whose bounds close.  A loosely centred stage
-gives looser bounds, never invalid ones.  All solves work to the relative
-gap ``TARGET_REL_GAP``.
+gives looser bounds, never invalid ones, and a solve that stalls offers its
+last point, so its bounds are recorded ``stalled``.  All solves work to the
+relative gap ``TARGET_REL_GAP``.
 
 Every map the pipeline measures is a difference of UCP maps, so it preserves
 Hermiticity and its Choi matrix J is Hermitian; there the optimum has
-rho = sigma (Watrous, arXiv:1207.5726).  So Newton runs over rho alone on
-H(J) = (J + J^dag) / 2, d_in^2 - 1 unknowns at one eigh per point, for every
-J.  Each bound is still one of J itself: the primal value of H(J) at an equal
-pair is at most that of J, since ||H(M)||_1 <= ||M||_1, and the dual point's
-feasibility check subtracts ||J - J^dag||_F / 2 (Weyl).  A J whose skew
-part leaves the gap open gets valid bounds, recorded ``stalled``.
-The bounds at an equal pair with rho positive definite are read off the
-eigenvalues of rho and of the Hermitian M = (sqrt(rho) (x) I) H(J)
-(sqrt(rho) (x) I) that the iterate already holds, and the dual point's
-feasibility check takes two half-size eigvalsh; any other pair, such as a
-witness read from a file, takes the SVD of M and one eigvalsh of the full
-dual block.
+rho_0 = rho_1 = rho (Watrous, arXiv:1207.5726).  So both bounds are taken at
+such an equal pair, and Newton runs over rho alone on H(J) = (J + J^dag) / 2,
+d_in^2 - 1 unknowns at one eigh per point, for every J.  Each bound is still
+one of J itself: the primal value of H(J) at rho is at most that of J, since
+||H(M)||_1 <= ||M||_1, and the dual point's feasibility check subtracts
+||J - J^dag||_F / 2 (Weyl).  A J whose skew part leaves the gap open gets
+valid bounds, recorded ``stalled``.  The bounds at a positive definite rho
+are read off the eigenvalues of rho and of the Hermitian
+M = (sqrt(rho) (x) I) H(J) (sqrt(rho) (x) I) that the iterate already holds,
+and the dual point's feasibility check takes two half-size eigvalsh; a rho
+that is not positive definite generates no dual point.
 
 A Newton step forms the gradient and Hessian over the matrix units of
 rho from one batched product (:func:`_barrier_derivatives`); its line
@@ -59,7 +59,7 @@ unpredicted point, which keeps rho and its eigendecompositions and
 recomputes only the t-dependent terms (:func:`_at_t`); if no halving gains,
 the restart is that point.
 
-Each certificate carries a :class:`Witness`: the density pair of its lower
+Each certificate carries a :class:`Witness`: the density matrix of its lower
 bound and the generator of the dual point of its upper bound.
 ``check_witness`` re-evaluates both on a Choi matrix without solving, which
 is how a recorded certificate is verified.
@@ -94,16 +94,16 @@ _MAX_NEWTON = 400      # Newton steps one barrier solve may take
 class Witness:
     """The points that certify a :class:`NormCertificate`.
 
-    ``lower`` is a density pair (rho, sigma) whose primal value is the lower
-    bound.  ``upper`` holds the generator of the dual point of the upper
-    bound, by ``upper_kind``: nothing for "cheap" (the polar factorization of
-    J) and (rho, sigma) for "point" (``_dual_bound_from_point``).
+    ``lower`` is a density matrix rho whose primal value at (rho, rho) is the
+    lower bound.  ``upper`` is the generator of the dual point of the upper
+    bound, by ``upper_kind``: None for "cheap" (the polar factorization of J)
+    and a positive definite rho for "point" (``_dual_bound_from_point``).
     ``target_rel_gap`` is the gap target the solve worked to.
     """
 
-    lower: tuple
+    lower: np.ndarray
     upper_kind: str = "cheap"
-    upper: tuple = ()
+    upper: np.ndarray | None = None
     target_rel_gap: float = TARGET_REL_GAP
 
 
@@ -148,14 +148,6 @@ def _density_sqrt(m: np.ndarray) -> np.ndarray:
     return (u * np.sqrt(w / w.sum())) @ u.conj().T
 
 
-def _sqrt_and_inv_sqrt(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(rho) and rho^(-1/2) from one eigendecomposition."""
-    w, u = np.linalg.eigh(nl.hermitian_part(rho))
-    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    inv_root = (u / np.sqrt(np.clip(w, 1e-300, None))) @ u.conj().T
-    return root, inv_root
-
-
 # Operators on C^d_in (x) C^d_out act on the input factor as a (x) I.  The
 # helpers below apply such products through reshapes instead of forming the
 # Kronecker product; ``a`` and ``b`` may be stacks of shape (..., d_in, d_in).
@@ -181,54 +173,36 @@ def _is_hermitian(j: np.ndarray) -> bool:
     return nl.is_hermitian(j, 1e-12)
 
 
-def _primal_value(j: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
-    """||(sqrt(rho) (x) I) J (sqrt(sigma) (x) I)||_1 with rho, sigma first made
-    density matrices (:func:`_density_sqrt`), so the value is a valid lower
-    bound at any point: a barrier iterate's trace drifts off 1 by roundoff, and
-    a witness read from a file may be anything.  The split of J into factors
-    follows from the shape of rho.
+def _primal_value(j: np.ndarray, rho: np.ndarray) -> float:
+    """||M||_1 for M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I), with rho first
+    made a density matrix (:func:`_density_sqrt`), so the value is a valid
+    lower bound at any rho: a barrier iterate's trace drifts off 1 by
+    roundoff, and a witness read from a file may be anything.  The split of J
+    into factors follows from the shape of rho.
 
-    For a Hermitian J (:func:`_is_hermitian`) and an equal pair,
-    M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I) is Hermitian and the value is
+    For a Hermitian J (:func:`_is_hermitian`) M is Hermitian and the value is
     sum |eigvalsh(H(M))|, still a lower bound because ||H(M)||_1 <= ||M||_1.
     """
     sr = _density_sqrt(rho)
-    if not np.array_equal(sigma, rho):
-        return nl.trace_norm(_lmul(sr, _rmul(j, _density_sqrt(sigma))))
     m = _lmul(sr, _rmul(j, sr))
     if _is_hermitian(j):
         return float(np.sum(np.abs(np.linalg.eigvalsh(nl.hermitian_part(m)))))
     return nl.trace_norm(m)
 
 
-def _dual_bound_from_point(
-    j: np.ndarray, rho: np.ndarray, sigma: np.ndarray, d_in: int, d_out: int,
-) -> float:
-    """Feasible dual value built from a primal point (rho, sigma).
+def _dual_bound_from_point(j: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> float:
+    """Feasible dual value built from the primal point (rho, rho).
 
-    Factorizes J = A^dag B through the point and verifies feasibility of the
-    resulting dual block matrix explicitly, folding any numerical slack into
-    the bound.  An equal pair with rho positive definite is decomposed as a
-    barrier iterate is (:func:`_decompose`) and bounded by
-    :func:`_equal_pair_dual_bound`, whatever J is, so a recorded iterate gives
-    the bound its solve offered.  Any other pair, and a rho that is not
-    positive definite, takes the SVD of M at the clipped roots of rho and
-    sigma and one eigvalsh of the full dual block.
+    rho is decomposed as a barrier iterate is (:func:`_decompose`) and
+    bounded by :func:`_equal_pair_dual_bound`, whatever J is, so a recorded
+    iterate gives the bound its solve offered.  A rho that is not positive
+    definite generates no dual point: :class:`InvalidWitness`.
     """
-    equal = np.array_equal(sigma, rho)
-    if equal:
-        h, skew = _split_hermitian(j)
-        pt = _decompose(h, nl.hermitian_part(rho))
-        if pt is not None:
-            return _equal_pair_dual_bound(h, skew, pt, d_in, d_out)
-    sr, sri = _sqrt_and_inv_sqrt(rho)
-    ss, ssi = (sr, sri) if equal else _sqrt_and_inv_sqrt(sigma)
-    u, s, vh = np.linalg.svd(_lmul(sr, _rmul(j, ss)))
-    y0 = nl.hermitian_part(_lmul(sri, _rmul((u * s) @ u.conj().T, sri)))
-    y1 = nl.hermitian_part(_lmul(ssi, _rmul((vh.conj().T * s) @ vh, ssi)))
-    # explicit feasibility check of [[Y0, -J], [-J^dag, Y1]]
-    block = np.block([[y0, -j], [-j.conj().T, y1]])
-    return _dual_value(y0, y1, np.linalg.eigvalsh(nl.hermitian_part(block))[0], d_in, d_out)
+    h, skew = _split_hermitian(j)
+    pt = _decompose(h, nl.hermitian_part(rho))
+    if pt is None:
+        raise InvalidWitness("upper witness rho is not positive definite")
+    return _equal_pair_dual_bound(h, skew, pt, d_in, d_out)
 
 
 def _split_hermitian(j: np.ndarray) -> tuple[np.ndarray, float]:
@@ -274,7 +248,7 @@ def _cheap_upper_bound(j: np.ndarray, d_in: int, d_out: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# barrier Newton solver over rho = sigma, with X maximized out in closed form
+# barrier Newton solver over rho at (rho, rho), with X maximized out in closed form
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -517,24 +491,22 @@ def _unit_plan(h_stack: np.ndarray) -> tuple:
 
 
 def _barrier_solve(
-    j: np.ndarray, d_in: int, d_out: int, target_gap: float,
-    on_point=None, t0: float | None = None,
+    j: np.ndarray, d_in: int, d_out: int, target_gap: float, t0: float, on_point=None,
 ):
-    """Path-following solve on H(J) over rho = sigma from I/d_in; returns
-    (rho, rho, X*, t, F_t, newtons, stalled) at the last iterate.
+    """Path-following solve on H(J) over rho from I/d_in at t = ``t0``;
+    returns (rho, rho, X*, t, F_t, newtons, stalled) at the last iterate.
 
-    ``on_point(rho, sigma, lower, point)`` runs at each iterate the path
-    offers, with sigma = rho, ``lower`` = ``point.lower`` (a lower bound for J
-    itself, see :attr:`_BarrierPoint.lower`) and ``point`` its
-    :class:`_BarrierPoint`; if it returns True the solve stops there
-    (certificates already good enough).  ``t0`` may be matched to a known
-    gap; the default scales with ||J||.  A solve takes at most
+    ``on_point(point)`` runs at each iterate the path offers, with ``point``
+    its :class:`_BarrierPoint`, whose ``lower`` is a lower bound for J itself
+    (see :attr:`_BarrierPoint.lower`); if it returns True the solve stops
+    there (certificates already good enough).  A solve takes at most
     ``_MAX_NEWTON`` Newton steps.
 
     Stage centres are offered.  From t_final / 16 on, where the central
     path's own gap n_z / t is at most 4 ``target_gap``, every accepted
     iterate is, and the path ends at the first one for which ``on_point``
-    returns True.  The offers never change the iterates.
+    returns True.  A solve that stalls offers the point it ends on.  The
+    offers never change the iterates.
 
     The line search halves the Newton step until the barrier does not drop,
     over the step lengths that keep rho positive definite
@@ -549,16 +521,18 @@ def _barrier_solve(
     stage centre.
     """
     h, h_stack = nl.hermitian_part(j), _trace_free_basis(d_in)
-    t = 1.0 / max(nl.operator_norm(j), 1e-12) if t0 is None else t0
+    t = t0
     t_final = max(4.0 * (2 * d_in * d_out) / max(target_gap, 1e-14), t)
     pt = _barrier_point(h, np.eye(d_in, dtype=complex) / d_in, t, d_out)
     newtons = 0
 
     def end(stalled):
+        if stalled:
+            offer()
         return pt.rho, pt.rho, pt.x_star(), t, pt.value, newtons, stalled
 
     def offer():
-        return on_point is not None and on_point(pt.rho, pt.rho, pt.lower, pt)
+        return on_point is not None and on_point(pt)
 
     while True:
         every = 16.0 * t >= t_final
@@ -590,26 +564,23 @@ def _barrier_solve(
 
 
 class _Bounds:
-    """Best lower and upper bound of one solve, each with the point that gives it."""
+    """Best lower and upper bound of one solve, each with the rho that gives
+    it; both start as the cheap pair, whose lower bound is at I/d_in."""
 
-    def __init__(self, j, d_in, d_out, lower, lower_pt, upper):
+    def __init__(self, j, d_in, d_out, lower, upper):
         self.j, self.d_in, self.d_out = j, d_in, d_out
-        self.lower, self.lower_pt = lower, lower_pt
-        self.upper, self.upper_kind, self.upper_pt = upper, "cheap", ()
+        self.lower, self.lower_rho = lower, np.eye(d_in, dtype=complex) / d_in
+        self.upper, self.upper_kind, self.upper_rho = upper, "cheap", None
 
-    def offer(self, rho, sigma, lower, point=None) -> bool:
-        """Offer both bounds at (rho, sigma); whether the gap is now closed.
-        ``point`` is the :class:`_BarrierPoint` of H(J) at an equal pair,
-        whose decompositions the dual bound then reuses; without one the
-        dual bound is :func:`_dual_bound_from_point`."""
-        if lower > self.lower:
-            self.lower, self.lower_pt = lower, (rho, sigma)
-        if point is None:
-            upper = _dual_bound_from_point(self.j, rho, sigma, self.d_in, self.d_out)
-        else:
-            upper = _equal_pair_dual_bound(*self.split, point, self.d_in, self.d_out)
+    def offer(self, point) -> bool:
+        """Offer both bounds at the :class:`_BarrierPoint` ``point`` of H(J),
+        whose decompositions the dual bound reuses; whether the gap is now
+        closed."""
+        if point.lower > self.lower:
+            self.lower, self.lower_rho = point.lower, point.rho
+        upper = _equal_pair_dual_bound(*self.split, point, self.d_in, self.d_out)
         if upper < self.upper:
-            self.upper, self.upper_kind, self.upper_pt = upper, "point", (rho, sigma)
+            self.upper, self.upper_kind, self.upper_rho = upper, "point", point.rho
         return self.closed()
 
     @functools.cached_property
@@ -621,7 +592,7 @@ class _Bounds:
         return self.upper - self.lower <= TARGET_REL_GAP * max(1.0, self.lower)
 
     def certificate(self, iterations, path, stalled=False):
-        witness = Witness(self.lower_pt, self.upper_kind, self.upper_pt)
+        witness = Witness(self.lower_rho, self.upper_kind, self.upper_rho)
         return NormCertificate(
             0.5 * (self.upper + self.lower), self.upper, self.lower, iterations,
             self.upper - self.lower, stalled, path, witness,
@@ -635,15 +606,14 @@ def diamond_norm_of_choi(j: np.ndarray, d_in: int, d_out: int) -> NormCertificat
     :func:`check_witness` re-evaluates without solving.
     """
     j = np.asarray(j, dtype=complex)
-    uniform = np.eye(d_in, dtype=complex) / d_in
-    # the singular values give ||J|| and the value at the uniform pair
+    # the singular values give ||J|| and the value at rho = I/d_in
     s = np.linalg.svd(j, compute_uv=False)
     if float(s[0]) <= 1e-300:
-        return _Bounds(j, d_in, d_out, 0.0, (uniform, uniform), 0.0).certificate(0, "cheap")
+        return _Bounds(j, d_in, d_out, 0.0, 0.0).certificate(0, "cheap")
 
-    # the objective at rho = sigma = I/d_in already meets the cheap bound for
-    # maps far below the absolute gap target (roundoff residuals of exact input)
-    bounds = _Bounds(j, d_in, d_out, float(np.sum(s)) / d_in, (uniform, uniform),
+    # the objective at rho = I/d_in already meets the cheap bound for maps far
+    # below the absolute gap target (roundoff residuals of exact input)
+    bounds = _Bounds(j, d_in, d_out, float(np.sum(s)) / d_in,
                      _cheap_upper_bound(j, d_in, d_out))
     if bounds.closed():
         return bounds.certificate(0, "cheap")
@@ -652,18 +622,8 @@ def diamond_norm_of_choi(j: np.ndarray, d_in: int, d_out: int) -> NormCertificat
     # start where the barrier's own gap n_z / t is four times the cheap gap
     gap0 = max(bounds.upper - bounds.lower, target_gap)
     n_z = 2 * d_in * d_out
-    rho_c, sigma_c, _, _, _, iters, stalled = _barrier_solve(
-        j, d_in, d_out, target_gap, on_point=bounds.offer, t0=n_z / (4.0 * gap0),
-    )
-    if stalled:
-        # retry on the standard cold path before giving up
-        rho_c, sigma_c, _, _, _, iters2, stalled = _barrier_solve(
-            j, d_in, d_out, target_gap, on_point=bounds.offer
-        )
-        iters += iters2
-    if stalled:
-        # a stalled path may end on a point it has not offered
-        bounds.offer(rho_c, sigma_c, _primal_value(j, rho_c, sigma_c))
+    iters = _barrier_solve(j, d_in, d_out, target_gap, n_z / (4.0 * gap0),
+                           on_point=bounds.offer)[5]
     # a gap left open is recorded as stalled, however the path ended
     return bounds.certificate(iters, "barrier", not bounds.closed())
 
@@ -683,24 +643,26 @@ def cb_norm(mp, dim_in=None, dim_out=None) -> NormCertificate:
 def check_witness(j: np.ndarray, d_in: int, d_out: int, witness: Witness):
     """(lower, upper) that ``witness`` certifies for the Choi matrix ``j``.
 
-    No solve runs: the lower bound is the primal value of the witness pair
-    after projecting both onto density matrices, so no tampered pair can raise
-    it past the norm, and the upper bound rebuilds the dual point and checks
-    its feasibility explicitly, with the slack folded in as the solver does.
-    Raises :class:`InvalidWitness` when the witness does not fit ``j``.
+    No solve runs: the lower bound is the primal value of the witness rho
+    after projecting it onto the density matrices, so no tampered rho can
+    raise it past the norm, and the upper bound rebuilds the dual point and
+    checks its feasibility explicitly, with the slack folded in as the solver
+    does.  Raises :class:`InvalidWitness` when the witness does not fit ``j``,
+    a "point" rho included that is not positive definite.
     """
     if witness.upper_kind not in _UPPER_KINDS:
         raise InvalidWitness(f"unknown upper witness kind {witness.upper_kind!r}")
     j = np.asarray(j, dtype=complex)
-    for m in (*witness.lower, *witness.upper):
-        if m.shape != (d_in, d_in) or not np.all(np.isfinite(m)):
+    point = witness.upper_kind == "point"
+    for m in (witness.lower, witness.upper) if point else (witness.lower,):
+        if np.shape(m) != (d_in, d_in) or not np.all(np.isfinite(m)):
             raise InvalidWitness(
-                f"witness matrix of shape {m.shape}, expected finite {(d_in, d_in)}")
-    lower = _primal_value(j, *witness.lower)
-    if witness.upper_kind == "cheap":
-        upper = _cheap_upper_bound(j, d_in, d_out)
+                f"witness matrix of shape {np.shape(m)}, expected finite {(d_in, d_in)}")
+    lower = _primal_value(j, witness.lower)
+    if point:
+        upper = _dual_bound_from_point(j, witness.upper, d_in, d_out)
     else:
-        upper = _dual_bound_from_point(j, *witness.upper, d_in, d_out)
+        upper = _cheap_upper_bound(j, d_in, d_out)
     return lower, upper
 
 

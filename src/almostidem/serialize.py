@@ -103,15 +103,12 @@ def certificate_to_dict(cert) -> dict:
     return out
 
 
-_WITNESS_POINTS = {"cheap": (), "point": ("rho", "sigma")}
-
-
 def witness_to_dict(w) -> dict:
-    rho, sigma = w.lower
     upper = {"kind": w.upper_kind}
-    upper.update(zip(_WITNESS_POINTS[w.upper_kind], map(matrix_to_json, w.upper)))
+    if w.upper is not None:
+        upper["rho"] = matrix_to_json(w.upper)
     return {
-        "lower": {"rho": matrix_to_json(rho), "sigma": matrix_to_json(sigma)},
+        "lower": {"rho": matrix_to_json(w.lower)},
         "upper": upper,
         "target_rel_gap": w.target_rel_gap,
     }
@@ -119,18 +116,20 @@ def witness_to_dict(w) -> dict:
 
 def certificate_witness_from_dict(data: dict):
     """The :class:`~almostidem.cbnorm.Witness` of a certificate dict.  Raises
-    :class:`ParseError` when it records none or a malformed one."""
-    from .cbnorm import Witness
+    :class:`ParseError` when it records none or a malformed one.  Only the
+    ``rho`` of each point is read, so an earlier report, which records a
+    second copy of each rho beside it, reads the same."""
+    from .cbnorm import _UPPER_KINDS, Witness
 
     if "witness" not in data:
         raise ParseError("certificate records no witness")
     w = data["witness"]
     try:
-        lower = (matrix_from_json(w["lower"]["rho"]), matrix_from_json(w["lower"]["sigma"]))
+        lower = matrix_from_json(w["lower"]["rho"])
         kind = w["upper"]["kind"]
-        if kind not in _WITNESS_POINTS:
+        if kind not in _UPPER_KINDS:
             raise ParseError(f"unknown upper witness kind {kind!r}")
-        upper = tuple(matrix_from_json(w["upper"][key]) for key in _WITNESS_POINTS[kind])
+        upper = matrix_from_json(w["upper"]["rho"]) if kind == "point" else None
         target = float(w["target_rel_gap"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed witness: {exc!r}") from exc

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from almostidem import numlin as nl
-from almostidem.cbnorm import CbNormError, _as_superop, _sqrt_and_inv_sqrt
+from almostidem.cbnorm import CbNormError, _as_superop
 from almostidem.channels import choi_from_superop
 
 
@@ -112,7 +112,8 @@ def solve_sdp(
         # Nesterov-Todd scaling per block
         w_blocks = []
         for xb, sb in zip(x, s):
-            xs = _sqrt_and_inv_sqrt(xb)[0]
+            xw, xu = np.linalg.eigh(nl.hermitian_part(xb))
+            xs = (xu * np.sqrt(np.clip(xw, 0.0, None))) @ xu.conj().T
             mid = xs @ sb @ xs
             mw, mu_v = np.linalg.eigh(nl.hermitian_part(mid))
             mw = np.clip(mw, 1e-300, None)

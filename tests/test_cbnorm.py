@@ -213,10 +213,12 @@ class TestBarrierSolver:
         a = chn.choi_from_superop(m, 2, 2)
         j = a + a.conj().T
         d_in = d_out = 2
-        rho, sigma, x, t, value, iters, stalled = cb._barrier_solve(j, d_in, d_out, 1e-7)
-        assert not stalled and iters > 0 and sigma is rho
-        lower = cb._primal_value(j, rho, sigma)
-        upper = cb._dual_bound_from_point(j, rho, sigma, d_in, d_out)
+        # the cold start: t0 scaled to ||J||, with no gap known
+        rho, rho_1, x, t, value, iters, stalled = cb._barrier_solve(
+            j, d_in, d_out, 1e-7, 1.0 / nl.operator_norm(j))
+        assert not stalled and iters > 0 and rho_1 is rho
+        lower = cb._primal_value(j, rho)
+        upper = cb._dual_bound_from_point(j, rho, d_in, d_out)
         assert upper - lower <= 1e-5 * max(1.0, lower)
         # X* is primal feasible with (rho, rho), within n / t of its trace norm.
         # The margin of lower - n / t <= Re<J, X*> is below the roundoff of its
@@ -226,8 +228,8 @@ class TestBarrierSolver:
         # sum s_i (1 - y_i); and n / t - sum s_i (1 - y_i) = sum 1 / (t (c + u)) > 0.
         re_jx = np.real(nl.hs_inner(j, x))
         assert re_jx <= lower + 1e-9
-        s = np.linalg.svd(cb._lmul(cb._density_sqrt(rho), cb._rmul(j, cb._density_sqrt(sigma))),
-                          compute_uv=False)
+        sr = cb._density_sqrt(rho)
+        s = np.linalg.svd(cb._lmul(sr, cb._rmul(j, sr)), compute_uv=False)
         assert len(s) == d_in * d_out
         u = t * s
         c = np.sqrt(1.0 + u * u)
@@ -261,10 +263,7 @@ class TestBarrierSolver:
     def test_open_gap_is_recorded_stalled(self, monkeypatch):
         # a Newton step that never moves ends every stage at once, so the
         # path runs to its last t without a stall and leaves the gap open
-        def no_move(pt, h_stack):
-            return np.zeros_like(pt.rho), 0.0
-
-        monkeypatch.setattr(cb, "_newton_step", no_move)
+        monkeypatch.setattr(cb, "_newton_step", _no_move)
         j = _random_complex(np.random.default_rng(3), 6, 6)
         cert = cb.diamond_norm_of_choi(j, 2, 3)
         assert cert.path == "barrier"
@@ -300,7 +299,7 @@ class TestBarrierSolver:
 
         monkeypatch.setattr(cb, "_at_t", recording_point)
         monkeypatch.setattr(cb, "_newton_step", damped_first)
-        rho, _, _, t, _, _, stalled = cb._barrier_solve(j, 2, 3, 1e-6)
+        rho, _, _, t, _, _, stalled = cb._barrier_solve(j, 2, 3, 1e-6, 1.0 / nl.operator_norm(j))
         assert t == t_final and not stalled
         assert damped and damped[0] > 1.0  # the damped step was far from the center
         assert newton_step(cb._barrier_point(j, rho, t, 3), h_stack)[1] < 5e-3
@@ -604,29 +603,41 @@ class TestWitness:
         rng = np.random.default_rng(12)
         j = _random_complex(rng, 6, 6)
         cert = cb.diamond_norm_of_choi(j, 2, 3)
-        rho, sigma = cert.witness.lower
-        scaled = cb.Witness((2 * rho, 3 * sigma), "cheap")
-        lower, _ = cb.check_witness(j, 2, 3, scaled)
+        rho = cert.witness.lower
+        lower, _ = cb.check_witness(j, 2, 3, cb.Witness(2 * rho, "cheap"))
         assert abs(lower - cert.lower) <= 1e-12 * cert.lower
         # a non-positive part is clipped: adding -|1><1| changes nothing
         shifted = rho - 5 * np.diag([0.0, 1.0])
-        lower_s, _ = cb.check_witness(j, 2, 3, cb.Witness((shifted, sigma), "cheap"))
+        lower_s, _ = cb.check_witness(j, 2, 3, cb.Witness(shifted, "cheap"))
         assert lower_s <= cert.upper + 1e-12
 
     def test_witness_that_does_not_fit_is_refused(self):
         j = _random_complex(np.random.default_rng(1), 4, 4)
         eye = np.eye(2, dtype=complex) / 2
         bad = [
-            cb.Witness((np.eye(3) / 3, eye)),
-            cb.Witness((eye, eye), "point", (eye, np.full((2, 2), np.nan))),
-            cb.Witness((eye, eye), "center", (eye, eye, np.zeros((2, 2)), 1.0)),
-            cb.Witness((eye, eye), "center", (eye, eye, np.zeros((4, 4)), -1.0)),
-            cb.Witness((eye, eye), "exact"),
-            cb.Witness((-eye, eye)),
+            cb.Witness(np.eye(3) / 3),
+            cb.Witness(eye, "point", np.full((2, 2), np.nan)),
+            cb.Witness(eye, "center", eye),
+            cb.Witness(eye, "point"),
+            cb.Witness(eye, "point", np.diag([1.0, 0.0])),
+            cb.Witness(eye, "exact"),
+            cb.Witness(-eye),
         ]
         for witness in bad:
             with pytest.raises(cb.InvalidWitness):
                 cb.check_witness(j, 2, 2, witness)
+
+
+def _no_move(pt, h_stack):
+    """A Newton step stub that never moves rho."""
+    return np.zeros_like(pt.rho), 0.0
+
+
+def _no_step_accepted(pt, h_stack):
+    """A Newton step stub whose every step length leaves the cone."""
+    d = np.zeros_like(pt.rho)
+    d[0, 0] = -1e20
+    return d, 1.0
 
 
 class TestWorkDoneOnce:
@@ -642,9 +653,9 @@ class TestWorkDoneOnce:
         solve = cb._barrier_solve
 
         def counting_solve(*args, on_point, **kwargs):
-            def center(*point):
+            def center(point):
                 centers.append(1)
-                return on_point(*point)
+                return on_point(point)
 
             return solve(*args, on_point=center, **kwargs)
 
@@ -666,16 +677,8 @@ class TestWorkDoneOnce:
     def test_last_point_is_offered(self, stub, monkeypatch):
         # no_move is the stub of test_open_gap_is_recorded_stalled: every
         # stage ends at once and the path ends on a center with the gap open.
-        # no_step_accepted leaves no trial point positive definite, so both
-        # solves stall at their first step.
-        def no_move(pt, h_stack):
-            return np.zeros_like(pt.rho), 0.0
-
-        def no_step_accepted(pt, h_stack):
-            d = np.zeros_like(pt.rho)
-            d[0, 0] = -1e20
-            return d, 1.0
-
+        # no_step_accepted leaves no trial point positive definite, so the
+        # solve stalls at its first step and is not run again.
         ends, offered = [], []
         solve = cb._barrier_solve
         offer = cb._Bounds.offer
@@ -685,11 +688,11 @@ class TestWorkDoneOnce:
             ends.append(out)
             return out
 
-        def recording_offer(self, rho, sigma, *args):
-            offered.append((rho, sigma))
-            return offer(self, rho, sigma, *args)
+        def recording_offer(self, point):
+            offered.append(point)
+            return offer(self, point)
 
-        stubs = {"no_move": no_move, "no_step_accepted": no_step_accepted}
+        stubs = {"no_move": _no_move, "no_step_accepted": _no_step_accepted}
         monkeypatch.setattr(cb, "_newton_step", stubs[stub])
         monkeypatch.setattr(cb, "_barrier_solve", recording_solve)
         monkeypatch.setattr(cb._Bounds, "offer", recording_offer)
@@ -697,11 +700,34 @@ class TestWorkDoneOnce:
         j = a + a.conj().T
         cert = cb.diamond_norm_of_choi(j, 2, 3)
         assert cert.path == "barrier" and cert.stalled
-        rho, sigma = ends[-1][:2]
-        assert np.array_equal(offered[-1][0], rho) and np.array_equal(offered[-1][1], sigma)
+        assert offered[-1].rho is ends[-1][0]
         if stub == "no_step_accepted":
-            assert [out[-1] for out in ends] == [True, True]
+            assert [out[-1] for out in ends] == [True]
             assert len(offered) == 1
+
+    def test_open_gap_takes_one_solve(self, monkeypatch):
+        # under the no_move stub the path ends with the gap open: its one
+        # solve gives the certificate, recorded stalled, the last point it
+        # ends on is offered, and no second solve runs
+        solves, offered = [], []
+        solve = cb._barrier_solve
+
+        def recording_solve(*args, on_point, **kwargs):
+            def recording(point):
+                offered.append(point.rho)
+                return on_point(point)
+
+            solves.append(solve(*args, on_point=recording, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(cb, "_newton_step", _no_move)
+        monkeypatch.setattr(cb, "_barrier_solve", recording_solve)
+        a = _random_complex(np.random.default_rng(3), 6, 6)
+        j = a + a.conj().T
+        cert = cb.diamond_norm_of_choi(j, 2, 3)
+        assert len(solves) == 1 and cert.path == "barrier" and cert.stalled
+        assert offered[-1] is solves[0][0]
+        _assert_reproduces(cb.check_witness(j, 2, 3, cert.witness), cert)
 
     def test_no_trial_point_off_the_cone(self, monkeypatch):
         # the line search and the restart's predictor start at the first step
@@ -782,7 +808,7 @@ class TestWorkDoneOnce:
         roots = []
         density_sqrt = cb._density_sqrt
         monkeypatch.setattr(cb, "_density_sqrt", lambda m: roots.append(1) or density_sqrt(m))
-        assert cb._primal_value(j, rho, rho.copy()) == want
+        assert cb._primal_value(j, rho) == want
         assert len(roots) == 1
 
     def test_hermitian_split_once_per_solve(self, monkeypatch):
@@ -850,9 +876,9 @@ class TestHermitianCentre:
         assert cb._is_hermitian(j)
         root = nl.kron(cb._density_sqrt(rho), np.eye(d_out))
         want = nl.trace_norm(root @ j @ root)
-        assert abs(cb._primal_value(j, rho, rho.copy()) - want) <= 1e-12 * want
+        assert abs(cb._primal_value(j, rho) - want) <= 1e-12 * want
         want = _svd_dual_bound(j, rho, rho, d_in, d_out)
-        got = cb._dual_bound_from_point(j, rho, rho.copy(), d_in, d_out)
+        got = cb._dual_bound_from_point(j, rho, d_in, d_out)
         assert abs(got - want) <= 1e-12 * want
 
     def test_hermitian_test_is_the_operator_norm_test(self):
@@ -903,7 +929,7 @@ class TestHermitianCentre:
         assert not cb._is_hermitian(j)
         uniform = np.eye(d_in, dtype=complex) / d_in
         sr = cb._density_sqrt(uniform)
-        assert cb._primal_value(j, uniform, uniform) == nl.trace_norm(cb._lmul(sr, cb._rmul(j, sr)))
+        assert cb._primal_value(j, uniform) == nl.trace_norm(cb._lmul(sr, cb._rmul(j, sr)))
         cert = cb.diamond_norm_of_choi(j, d_in, d_out)
         assert cert.path == "cheap" and cert.witness.upper_kind == "cheap"
         lower, upper = cb.check_witness(j, d_in, d_out, cert.witness)

@@ -69,27 +69,38 @@ class TestSerialization:
                 for _ in range(4)]
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         for witness in (
-            cbnorm.Witness((mats[0], mats[1])),
-            cbnorm.Witness((mats[0], mats[1]), "point", (mats[2], mats[3]), 1e-4),
+            cbnorm.Witness(mats[0]),
+            cbnorm.Witness(mats[0], "point", mats[2], 1e-4),
         ):
             cert = cbnorm.NormCertificate(0.0, 1.0, 0.5, 3, 0.0, witness=witness)
             data = json.loads(json.dumps(ser.certificate_to_dict(cert)))
+            assert list(data["witness"]["lower"]) == ["rho"]
+            assert sorted(data["witness"]["upper"]) == (
+                ["kind", "rho"] if witness.upper is not None else ["kind"])
             back = ser.certificate_witness_from_dict(data)
             assert back.upper_kind == witness.upper_kind
             assert back.target_rel_gap == witness.target_rel_gap
-            for a, b in zip([*back.lower, *back.upper], [*witness.lower, *witness.upper]):
-                assert np.array_equal(a, b)
+            assert np.array_equal(back.lower, witness.lower)
+            assert (back.upper is None if witness.upper is None
+                    else np.array_equal(back.upper, witness.upper))
+            # the sigma that earlier reports record beside each rho is not read
+            for point in (data["witness"]["lower"], data["witness"]["upper"]):
+                point["sigma"] = ser.matrix_to_json(mats[3])
+            old = ser.certificate_witness_from_dict(data)
+            assert np.array_equal(old.lower, back.lower)
         with pytest.raises(ser.ParseError, match="certificate records no witness"):
             ser.certificate_witness_from_dict({"lower": 0.0})
         # the barrier-center kind of earlier reports is no longer a witness
-        center = ser.witness_to_dict(cbnorm.Witness((mats[0], mats[1])))
+        center = ser.witness_to_dict(cbnorm.Witness(mats[0]))
         center["upper"] = {"kind": "center", "rho": ser.matrix_to_json(mats[2]),
                            "sigma": ser.matrix_to_json(mats[3]),
                            "x": ser.matrix_to_json(x), "t": 123.5}
         with pytest.raises(ser.ParseError, match="unknown upper witness kind 'center'"):
             ser.certificate_witness_from_dict({"witness": center})
-        for bad in ({"lower": {}}, [], {"lower": {"rho": [], "sigma": []},
-                                        "upper": {"kind": "exact"}, "target_rel_gap": 1e-6}):
+        rho = ser.matrix_to_json(mats[0])
+        for bad in ({"lower": {}}, [], {"lower": {"rho": []},
+                                        "upper": {"kind": "exact"}, "target_rel_gap": 1e-6},
+                    {"lower": {"rho": rho}, "upper": {"kind": "point"}, "target_rel_gap": 1e-6}):
             with pytest.raises(ser.ParseError):
                 ser.certificate_witness_from_dict({"witness": bad})
 
@@ -554,6 +565,43 @@ class TestWitnessVerify:
             lines = out.out.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("FAIL: eta witness")
             assert "Traceback" not in out.err
+
+    def test_singular_upper_witness_is_one_clean_line(self, barrier_report, tmp_path, capsys):
+        # a point witness whose rho is not positive definite generates no
+        # dual point: verify refuses it in one line, without a traceback
+        rep = copy.deepcopy(barrier_report)
+        upper = rep["factorization"]["residual_retract"]["witness"]["upper"]
+        assert upper["kind"] == "point"
+        dim = len(upper["rho"])
+        upper["rho"] = ser.matrix_to_json(np.diag([1.0] + [0.0] * (dim - 1)))
+        capsys.readouterr()
+        assert _verify(tmp_path, rep) == 1
+        out = capsys.readouterr()
+        lines = out.out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("FAIL: residual_retract witness")
+        assert "not positive definite" in lines[0]
+        assert "Traceback" not in out.err
+
+    def test_report_in_the_earlier_witness_format_verifies(
+            self, barrier_report, tmp_path, capsys):
+        # earlier reports record a sigma equal to rho beside each witness rho
+        def with_sigma(node):
+            if isinstance(node, dict):
+                out = {k: with_sigma(v) for k, v in node.items()}
+                if "rho" in out:
+                    out["sigma"] = out["rho"]
+                return out
+            if isinstance(node, list):
+                return [with_sigma(v) for v in node]
+            return node
+
+        old = with_sigma(barrier_report)
+        points = [rec["witness"][side] for _, rec, _, _ in _verified_certificates(old)
+                  for side in ("lower", "upper")]
+        assert sum("sigma" in p for p in points) >= 4
+        capsys.readouterr()
+        assert _verify(tmp_path, old) == 0
+        assert capsys.readouterr().err == ""
 
     def test_report_without_witnesses_is_refused(
             self, barrier_report, tmp_path, monkeypatch, capsys):

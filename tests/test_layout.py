@@ -21,8 +21,6 @@ SRC = pathlib.Path(almostidem.__file__).resolve().parent
 
 # qualified name -> why no command enters it
 EXEMPT = {
-    "cbnorm._sqrt_and_inv_sqrt": "evaluates a witness pair read from a report file that "
-                                 "is unequal or singular; honest reports carry neither",
     "reconstruction.StageFailed.__init__": "runs only when a reconstruction stage fails",
     "channels.tensor_extend": "the ampliated-input CI step imports it from the package",
     "pipeline.strip_timings": "the report-determinism CI step imports it from the package",
