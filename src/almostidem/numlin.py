@@ -291,11 +291,6 @@ def polar_unitary(t: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a† b), conjugate linear in ``a``."""
-    return complex(np.sum(np.conj(a) * b))
-
-
 def rank_from_singular_values(s: np.ndarray, rel_tol: float) -> int:
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s[0] <= 0:

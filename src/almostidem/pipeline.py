@@ -109,6 +109,7 @@ def reconstruct_channel(
         "iso_lower": rec_report.iso_lower,
         "iso_upper": rec_report.iso_upper,
         "bijective": rec_report.bijective,
+        "stage1_gap_ratio": rec_report.stage1_gap_ratio,
         "class_sizes": rec_report.class_sizes,
         "family_deltas": rec_report.family_deltas,
         "improvement_history": rec_report.improvement_history,

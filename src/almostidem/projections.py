@@ -1,6 +1,8 @@
 """Approximate projections and their corner subspaces inside an algebra.
 
-A delta-projection is a Hermitian element P with ||P*P - P|| <= delta.  The
+A delta-projection is a Hermitian element P with ||P*P - P|| <= delta; the
+one-dimensional ones of an algebra come from the eigenvalue clusters of left
+multiplication by one generic element.  The
 compression map C_{P,Q} = theta(L_P R_Q + R_Q L_P - 1) is an exactly
 idempotent operator on the algebra whose image S_{P,Q} plays the role of the
 corner P A Q; the Hilbert-space structure of S_{P,Q} for one-dimensional Q,
@@ -18,12 +20,17 @@ import numpy as np
 from . import numlin as nl
 from .starcalc import EpsilonAlgebra
 
+# generic elements :func:`minimal_projections` draws before it gives up
+STAGE1_DRAWS = 4
+# smallest gap a spectral cut cuts over the largest gap it keeps
+STAGE1_MIN_GAP_RATIO = 10.0
+
 
 class ProjectionError(Exception):
     pass
 
 
-class SearchExhausted(ProjectionError):
+class NoSpectralCut(ProjectionError):
     pass
 
 
@@ -82,30 +89,6 @@ def measure_delta(alg: EpsilonAlgebra, coords: np.ndarray) -> float:
     return alg.norm(alg.star(coords, coords) - coords)
 
 
-def star_sign(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
-    """Sign of an element under the algebra product, by Newton iteration.
-
-    Inverses are taken through the left-multiplication operator; converges for
-    spectrum away from the imaginary axis exactly as in a Banach algebra.
-    """
-    s = np.asarray(x, dtype=complex)
-    prev = np.inf
-    for _ in range(60):
-        res = alg.norm(alg.star(s, s) - alg.unit_coords)
-        if res <= 1e-12:
-            return s
-        if res >= prev and res <= 1e-8:
-            return s
-        prev = res
-        lmat = alg.lmul(s)
-        try:
-            s_inv = np.linalg.solve(lmat, alg.unit_coords)
-        except np.linalg.LinAlgError as exc:
-            raise SignDiverged(str(exc)) from exc
-        s = 0.5 * (s + s_inv)
-    raise SignDiverged("algebra sign iteration did not converge")
-
-
 def _cubic_refine(alg: EpsilonAlgebra, coords: np.ndarray):
     """P <- 3 P*P - 2 P*(P*P) until the projection defect plateaus."""
     p = np.real(coords)
@@ -120,60 +103,6 @@ def _cubic_refine(alg: EpsilonAlgebra, coords: np.ndarray):
             break
         p, delta = p_new, d_new
     return p, delta
-
-
-def find_nontrivial_projection(
-    alg: EpsilonAlgebra,
-    delta_target: float = 1e-8,
-    max_retries: int = 30,
-    seed: int = 0,
-) -> DeltaProjection:
-    """Search for a Hermitian P with small ||P*P - P|| and P, I-P both large.
-
-    Alternates two starts: the ambient spectral projector of a random
-    Hermitian algebra element split at its median eigenvalue, and the
-    algebra-intrinsic sign function of the recentered element.  Either start
-    is polished by the cubic iteration; the returned delta is measured.
-    """
-    if alg.dim <= 1:
-        raise SearchExhausted("algebra is one dimensional")
-    rng = np.random.default_rng(seed)
-    unit = np.real(alg.unit_coords)
-    best = np.inf
-    for attempt in range(max_retries):
-        x = rng.standard_normal(alg.dim)
-        x_mat = alg.element(x)
-        try:
-            if attempt % 2 == 0:
-                w, u = np.linalg.eigh(nl.hermitian_part(x_mat))
-                median = np.median(w)
-                proj = (u * (w > median)) @ u.conj().T
-                cand = np.real(np.array([nl.hs_inner(b, proj) for b in alg.basis]))
-            else:
-                lmat = alg.lmul(x)
-                spec = np.sort(np.real(np.linalg.eigvals(lmat)))
-                center = np.median(spec)
-                gaps = np.diff(spec)
-                if len(gaps) and gaps.max() > 0:
-                    mid = len(spec) // 2
-                    lo = max(mid - 2, 0)
-                    window = gaps[lo: mid + 2]
-                    k = lo + int(np.argmax(window))
-                    center = 0.5 * (spec[k] + spec[k + 1])
-                shifted = x - center * unit
-                cand = np.real(0.5 * (unit + star_sign(alg, shifted)))
-        except (SignDiverged, np.linalg.LinAlgError):
-            continue
-        cand, delta = _cubic_refine(alg, cand)
-        nrm = alg.norm(cand)
-        conrm = alg.norm(unit - cand)
-        if delta <= delta_target and min(nrm, conrm) >= 0.5:
-            return DeltaProjection(cand, delta)
-        best = min(best, delta)
-    raise SearchExhausted(
-        f"no nontrivial projection with defect <= {delta_target:.1e} after "
-        f"{max_retries} attempts (best defect {best:.2e})"
-    )
 
 
 def compression(
@@ -197,6 +126,79 @@ def compression(
     u_svd, s_svd, _ = np.linalg.svd(cmat)
     image = u_svd[:, : int(np.sum(s_svd > 0.5))]
     return CompressionMap(p, q, cmat, image)
+
+
+def minimal_projections(
+    alg: EpsilonAlgebra, rng: np.random.Generator,
+) -> tuple[list[CompressionMap], float | None]:
+    """All one-dimensional projections of the algebra from one generic element.
+
+    In B = (+)_k M_{d_k}, left multiplication by a Hermitian x has each
+    eigenvalue of x_k with multiplicity d_k, and its spectral projector onto
+    one eigenvalue maps the unit to a minimal projection.  In an epsilon-C*
+    algebra the eigenvalues of L_x come in clusters of width O(epsilon)
+    about the real axis; one ``eig`` gives the clusters, and each cluster's
+    projection P_c = V_c c_c, the Riesz projector of the cluster applied to
+    the unit u (V the eigenvectors, V c = u), is refined by
+    :func:`_cubic_refine` and compressed once.  It is L_x itself, not its
+    Hermitian part: L_x is normal when the ambient Hilbert-Schmidt product,
+    for which the basis is orthonormal, is a trace form of the algebra's
+    product (as on a pinching's image), and on a random idempotent's image
+    it is not.
+
+    The cuts of the spectrum, sorted by real part, are tried in the order of
+    :func:`_spectral_cuts`, and the first whose corners S_{P_c} all have
+    rank 1 is returned, with the compression of each of its projections in
+    spectrum order and its gap ratio (None for the cut into singletons).
+    x has coordinates drawn from ``rng``, up to ``STAGE1_DRAWS`` times; the
+    first draw with an accepted cut ends the search, and
+    :class:`NoSpectralCut` follows the last.
+    """
+    unit = np.real(alg.unit_coords)
+    for _ in range(STAGE1_DRAWS):
+        x = rng.standard_normal(alg.dim)
+        w, vecs = np.linalg.eig(alg.lmul(x))
+        order = np.argsort(w.real, kind="stable")
+        w, vecs = w.real[order], vecs[:, order]
+        # the coefficients of u over the eigenvectors: P_c u = V_c coef_c
+        coef = np.linalg.solve(vecs, unit)
+        for ratio, edges in _spectral_cuts(w):
+            comps = []
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                p = DeltaProjection(*_cubic_refine(alg, np.real(vecs[:, lo:hi] @ coef[lo:hi])))
+                comps.append(compression(alg, p))
+                if comps[-1].rank != 1:
+                    break
+            else:
+                return comps, ratio
+    raise NoSpectralCut(
+        f"no cut of the spectrum of L_x has rank-one corners in {STAGE1_DRAWS} draws of x")
+
+
+def _spectral_cuts(w: np.ndarray):
+    """(gap ratio, cluster edges) of each cut of the sorted spectrum ``w``
+    that :func:`minimal_projections` tries, in the order it tries them.
+
+    The cut at a gap value g cuts every gap of at least g; it is a candidate
+    when its clusters come in a valid pattern (clusters of size m in a
+    multiple of m, as the d_k clusters of size d_k of each block do) and its
+    gap ratio, g over the largest gap it keeps, is at least
+    ``STAGE1_MIN_GAP_RATIO``.  The candidates go best ratio first; the cut
+    into singletons, which keeps no gap, goes last with ratio None.
+    """
+    gaps = np.diff(w)
+    cuts = []
+    for g in np.unique(gaps)[1:]:
+        edges = np.concatenate([[0], np.flatnonzero(gaps >= g) + 1, [len(w)]])
+        sizes, counts = np.unique(np.diff(edges), return_counts=True)
+        if np.any(counts % sizes):
+            continue
+        kept = gaps[gaps < g].max()
+        ratio = float(g / kept) if kept > 0 else np.inf
+        if ratio >= STAGE1_MIN_GAP_RATIO:
+            cuts.append((ratio, edges))
+    cuts.sort(key=lambda cut: -cut[0])
+    return cuts + [(None, np.arange(len(w) + 1))]
 
 
 def compression_rank(

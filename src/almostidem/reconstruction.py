@@ -440,23 +440,10 @@ class ReconstructionReport:
     iso_lower: float
     iso_upper: float
     bijective: bool
-    stage1_splits: int
+    stage1_gap_ratio: float | None
     family_deltas: list[float]
     class_sizes: list[int]
     improvement_history: list[float] = field(default_factory=list)
-
-
-def _corner_subalgebra(alg: EpsilonAlgebra, c_p: pj.CompressionMap):
-    """S_P, from its compression map, as an algebra with the compressed
-    product and a Hermitian basis."""
-    image = nl.real_basis(c_p.image_coords)
-    if image.shape[1] != c_p.rank:
-        raise ReconstructionError(
-            f"corner image is not closed under the involution: real rank "
-            f"{image.shape[1]} != {c_p.rank}"
-        )
-    unit = np.real(c_p.apply(c_p.p.coords))
-    return alg.subalgebra(image.astype(complex), unit, c_p.apply)
 
 
 def reconstruct(
@@ -464,47 +451,24 @@ def reconstruct(
 ) -> tuple[BlockSpec, AlmostHom, ReconstructionReport]:
     """Three-stage reconstruction of the nearest block matrix algebra.
 
-    Stage 1 splits the unit into one-dimensional approximate projections,
-    stage 2 grows one matrix algebra per equivalence class through corner
-    extensions with error reduction after each step, stage 3 merges the
-    classes.  The compression map of each family member is computed once,
-    when the member joins the family, and passed down to the corner
-    subalgebra, the class seeds and the extensions.  Returns the block
-    structure, the near-isomorphism, and a report of every measured defect.
+    Stage 1 finds all one-dimensional approximate projections at once, from
+    the eigenvalue clusters of left multiplication by a generic element
+    (:func:`projections.minimal_projections`, whose winning gap ratio the
+    report records); stage 2 grows one matrix algebra per equivalence class
+    through corner extensions with error reduction after each step, stage 3
+    merges the classes.  The compression map of each family member is
+    computed once, in stage 1, and passed down to the class seeds and the
+    extensions.  No decision reads the sampled ``alg.defects``.  Returns the
+    block structure, the near-isomorphism, and a report of every measured
+    defect.
     """
     rng = np.random.default_rng(seed)
-    base_defect = alg.defects.worst() if alg.defects is not None else 0.0
-    delta_target = max(1e-8, 200 * base_defect)
 
-    # ---------------- stage 1: one-dimensional splitting ----------------
-    unit = np.real(alg.unit_coords)
-    splits = 0
+    # ---------------- stage 1: the one-dimensional projections ----------------
     try:
         # the family P_i, each member carried by its compression C_{P_i}
-        comps = [pj.compression(alg, pj.DeltaProjection(unit, pj.measure_delta(alg, unit)))]
-        while True:
-            over = [i for i, c in enumerate(comps) if c.rank > 1]
-            if not over:
-                break
-            idx = max(over, key=lambda i: comps[i].rank)
-            c_p = comps[idx]
-            sub, lift = _corner_subalgebra(alg, c_p)
-            found = pj.find_nontrivial_projection(
-                sub, delta_target=delta_target,
-                max_retries=40, seed=int(rng.integers(1 << 31)),
-            )
-            p_new = np.real(lift @ found.coords)
-            p_new, d_new = pj._cubic_refine(alg, p_new)
-            p_rest = np.real(c_p.apply(c_p.p.coords)) - p_new
-            p_rest, d_rest = pj._cubic_refine(alg, p_rest)
-            comps[idx: idx + 1] = [
-                pj.compression(alg, pj.DeltaProjection(p_new, d_new)),
-                pj.compression(alg, pj.DeltaProjection(p_rest, d_rest)),
-            ]
-            splits += 1
-            if splits > 4 * alg.dim:
-                raise ReconstructionError("splitting did not terminate")
-    except (pj.ProjectionError, ReconstructionError) as exc:
+        comps, gap_ratio = pj.minimal_projections(alg, rng)
+    except pj.ProjectionError as exc:
         raise StageFailed("stage1-splitting", str(exc)) from exc
 
     # ---------------- stage 2: matrix algebra per class ----------------
@@ -556,7 +520,7 @@ def reconstruct(
         iso_lower=v.iso_lower,
         iso_upper=v.iso_upper,
         bijective=bool(bijective),
-        stage1_splits=splits,
+        stage1_gap_ratio=gap_ratio,
         family_deltas=[p.delta for p in family],
         class_sizes=[len(c) for c in classes],
         improvement_history=history,

@@ -85,9 +85,6 @@ class DefectReport:
             max(self.method, other.method, key=order.index),
         )
 
-    def worst(self) -> float:
-        return max(self.eps_submult, self.eps_assoc, self.eps_cstar, self.eps_unit)
-
 
 @dataclass
 class EpsilonAlgebra:
@@ -188,26 +185,6 @@ class EpsilonAlgebra:
 
     def unit_element(self) -> np.ndarray:
         return self.element(self.unit_coords)
-
-    def subalgebra(self, image_coords: np.ndarray, unit_coords: np.ndarray,
-                   project) -> tuple["EpsilonAlgebra", np.ndarray]:
-        """Algebra carried by a compression image.
-
-        ``image_coords`` has orthonormal columns (coordinates of the new basis
-        in this algebra); ``project`` maps parent coordinates onto the image
-        and is applied once, to the columns of the (n, k*k) stack of
-        products; the product is the compressed product project(x * y).
-        Returns the subalgebra and the lift matrix (sub coords -> parent
-        coords).
-        """
-        k = image_coords.shape[1]
-        cols = image_coords.T
-        prods = self.star(cols[:, None, :], cols[None, :, :]).reshape(k * k, self.dim)
-        tensor = (image_coords.conj().T @ project(prods.T)).T.reshape(k, k, k)
-        sub_unit = image_coords.conj().T @ unit_coords
-        sub = EpsilonAlgebra(self.ambient_dim, list(self.element(image_coords)),
-                             sub_unit, tensor)
-        return sub, image_coords
 
 
 def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:

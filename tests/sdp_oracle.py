@@ -20,6 +20,7 @@ import scipy.linalg
 from almostidem import numlin as nl
 from almostidem.cbnorm import CbNormError, _as_superop
 from almostidem.channels import choi_from_superop
+from structure_oracle import hs_inner
 
 
 class SolverStall(CbNormError):
@@ -52,7 +53,7 @@ class SdpProblem:
 
 
 def _blocks_inner(a, b) -> float:
-    return float(sum(np.real(nl.hs_inner(x, y)) for x, y in zip(a, b)))
+    return float(sum(np.real(hs_inner(x, y)) for x, y in zip(a, b)))
 
 
 def _real_coords(blocks) -> np.ndarray:

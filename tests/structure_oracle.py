@@ -12,7 +12,8 @@ the approximate algebra; the acceptance criteria compare the two.
 
 ``choi_residual_check`` and ``phi_associativity_defect`` probe the paper's
 laws on the map itself; ``diagonal_residuals`` checks the block design of
-``almostidem.reconstruction.pauli_diagonal``.
+``almostidem.reconstruction.pauli_diagonal``; ``hs_inner`` is the
+Hilbert-Schmidt inner product.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def idempotency_residual(ch: Channel) -> float:
     if ch.dim_in != ch.dim_out:
         raise DimMismatch("idempotency needs equal input and output dims")
     return nl.operator_norm(ch.superop @ ch.superop - ch.superop)
+
+
+def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Hilbert-Schmidt inner product Tr(a† b), conjugate linear in ``a``."""
+    return complex(np.sum(np.conj(a) * b))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

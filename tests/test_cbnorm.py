@@ -197,7 +197,7 @@ class TestBarrierSolver:
         def barrier(xm):
             z = np.block([[rr, xm], [xm.conj().T, rr]])
             sign, logdet = np.linalg.slogdet(z)
-            return t * np.real(nl.hs_inner(j, xm)) + logdet, np.linalg.eigvalsh(z)[0]
+            return t * np.real(so.hs_inner(j, xm)) + logdet, np.linalg.eigvalsh(z)[0]
 
         value, lam_min = barrier(x)
         assert abs(value - pt.value) <= 1e-10 * max(1.0, abs(value))
@@ -226,7 +226,7 @@ class TestBarrierSolver:
         # s_i the singular values of M at the witness, u = t s_i, c = sqrt(1 + u^2)
         # and y_i = u / (1 + c): X* is the closed form, lower - Re<J, X*> =
         # sum s_i (1 - y_i); and n / t - sum s_i (1 - y_i) = sum 1 / (t (c + u)) > 0.
-        re_jx = np.real(nl.hs_inner(j, x))
+        re_jx = np.real(so.hs_inner(j, x))
         assert re_jx <= lower + 1e-9
         sr = cb._density_sqrt(rho)
         s = np.linalg.svd(cb._lmul(sr, cb._rmul(j, sr)), compute_uv=False)
@@ -241,7 +241,7 @@ class TestBarrierSolver:
         z = np.block([[rr, x], [x.conj().T, rr]])
         sign, logdet = np.linalg.slogdet(z)
         assert sign > 0
-        assert abs(value - (t * np.real(nl.hs_inner(j, x)) + logdet)) <= 1e-12 * abs(value)
+        assert abs(value - (t * np.real(so.hs_inner(j, x)) + logdet)) <= 1e-12 * abs(value)
 
     @pytest.mark.parametrize("d_in", [2, 3, 4])
     @pytest.mark.parametrize("d_out", [2, 3, 4])
@@ -459,7 +459,7 @@ class TestGenericSdp:
         lam_max = np.linalg.eigvalsh(m)[-1]
         basis = nl.hermitian_basis(3)
         a_blocks = [[h, -np.trace(h).real * np.ones((1, 1), dtype=complex)] for h in basis]
-        b = np.array([-np.real(nl.hs_inner(h, m)) for h in basis])
+        b = np.array([-np.real(so.hs_inner(h, m)) for h in basis])
         c = [np.zeros((3, 3), dtype=complex), np.ones((1, 1), dtype=complex)]
         prob = sdp_oracle.SdpProblem((3, 1), c, a_blocks, b)
         pval, dval, gap = sdp_oracle.solve_sdp(prob)
@@ -501,7 +501,8 @@ class TestCheapCertificate:
         j = 1e-12 * a
         cert = cb.diamond_norm_of_choi(j, d_in, d_out)
         assert cert.iterations == 0
-        assert cert.lower == nl.trace_norm(j) / d_in
+        # the trace norm from the one full SVD that also gives the upper bound
+        assert cert.lower == np.sum(np.linalg.svd(j)[1]) / d_in
         assert cert.lower <= cert.upper
         assert cert.gap <= 1e-6
 
@@ -994,12 +995,15 @@ class TestNewtonBudget:
 
     def test_newton_steps_on_perturbed_d4(self, perturbed_d4):
         # the six perturbed-d4 channels record 30 certificates, every one
-        # closed on the barrier, in 279 Newton steps (359 without the
-        # restart's predictor)
+        # closed on the barrier, in 284 Newton steps (359 without the
+        # restart's predictor); the gauge of the reconstruction moves the
+        # Choi matrix of distance_to_raw_cb, whose solve on (3,1) t=1e-2
+        # seed 4 takes 16 of them (11 in the gauge of the split-by-split
+        # stage 1, which made the total 279)
         certs = [c for report in perturbed_d4[0] for _, c in check_report.certificates(report)]
         assert len(certs) == 30
         assert all(c["path"] == "barrier" and not c["stalled"] for c in certs)
-        assert sum(c["iterations"] for c in certs) <= 279
+        assert sum(c["iterations"] for c in certs) <= 284
 
     def test_newton_steps_at_d8(self):
         # the (4,3,1) pinching at t=1e-2, seed 1: five certificates on the

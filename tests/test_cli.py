@@ -357,6 +357,37 @@ class TestManyBlocks:
         assert pipeline.verify_report(report) == []
 
 
+class TestThreadCount:
+    def test_d8_certificates_agree_across_blas_thread_counts(self, tmp_path):
+        # d=8 (4,3,1) at t=1e-2, seed 1, factorized in child processes at one
+        # BLAS thread and at two: the same block structure, and every
+        # certificate interval of one run meets that of the other
+        import check_report
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(almostidem.__file__)))
+        base, pert = str(tmp_path / "base.json"), str(tmp_path / "pert.json")
+        assert main(["gen", "--pinching", "4,3,1", "--seed", "1", "--out", base]) == 0
+        assert main(["gen", "--perturb", base, "--t", "1e-2", "--seed", "1", "--out", pert]) == 0
+        reports = []
+        for threads in ("1", "2"):
+            out = f"report-{threads}.json"
+            env = dict(os.environ, PYTHONPATH=src, ALMOSTIDEM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from almostidem.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "factorize", pert, "--seed", "1", "--json-out", out],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(json.load(open(tmp_path / out)))
+        one, two = reports
+        assert one["block_dims"] == two["block_dims"] == [4, 3, 1]
+        pairs = list(zip(check_report.certificates(one), check_report.certificates(two)))
+        assert len(pairs) == 5
+        for (where, a), (where_b, b) in pairs:
+            assert where == where_b
+            assert a["lower"] <= b["upper"] and b["lower"] <= a["upper"], where
+
+
 @pytest.fixture(scope="module")
 def barrier_report(tmp_path_factory):
     """Factorize report of the (2,2), t=1e-3, seed 3 perturbed pinching: its

@@ -20,43 +20,85 @@ def unit_coords(alg, i, j):
 
 
 class TestProjectionSearch:
+    """One eigendecomposition of L_x gives every minimal projection
+    (:func:`projections.minimal_projections`)."""
+
     def test_diagonal_algebra(self):
         alg = alg_of(chn.gen_pinching((1, 1)))
-        p = pj.find_nontrivial_projection(alg, seed=0)
-        assert p.delta <= 1e-9
-        mat = alg.element(p.coords)
-        # must be E11 or E22
-        close = min(
-            nl.operator_norm(mat - np.diag([1.0, 0.0])),
-            nl.operator_norm(mat - np.diag([0.0, 1.0])),
-        )
-        assert close <= 1e-7
+        comps, ratio = pj.minimal_projections(alg, np.random.default_rng(0))
+        # a commutative algebra is cut into singletons, which keep no gap
+        assert ratio is None
+        assert [c.rank for c in comps] == [1, 1]
+        mats = [alg.element(c.p.coords) for c in comps]
+        for c in comps:
+            assert c.p.delta <= 1e-9
+        # E11 and E22, in some order
+        want = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        for m in mats:
+            assert min(nl.operator_norm(m - w) for w in want) <= 1e-7
+        assert nl.operator_norm(sum(mats) - np.eye(2)) <= 1e-7
 
     def test_full_matrix_algebra(self):
         alg = alg_of(so.identity_channel(2))
-        p = pj.find_nontrivial_projection(alg, seed=1)
-        assert p.delta <= 1e-9
-        mat = alg.element(p.coords)
-        w = np.sort(np.linalg.eigvalsh(mat))
-        np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-7)
+        comps, ratio = pj.minimal_projections(alg, np.random.default_rng(1))
+        assert ratio >= pj.STAGE1_MIN_GAP_RATIO
+        assert [c.rank for c in comps] == [1, 1]
+        for c in comps:
+            assert c.p.delta <= 1e-9
+            w = np.sort(np.linalg.eigvalsh(alg.element(c.p.coords)))
+            np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-7)
+        total = sum(c.p.coords for c in comps)
+        assert alg.norm(total - alg.unit_coords) <= 1e-7
 
     def test_perturbed_algebra_delta_order_eta(self):
         pert = chn.gen_perturbed(chn.gen_pinching((2, 2)), 1e-2, seed=3)
         pm = sc.idempotentize(pert)
         alg = sc.extract_algebra(pm)
         eta = pm.eta.value
-        p = pj.find_nontrivial_projection(alg, delta_target=100 * eta, seed=0)
-        assert p.delta <= 100 * eta
-        assert min(alg.norm(p.coords), alg.norm(alg.unit_coords - p.coords)) >= 0.5
+        comps, ratio = pj.minimal_projections(alg, np.random.default_rng(0))
+        assert ratio >= pj.STAGE1_MIN_GAP_RATIO
+        assert [c.rank for c in comps] == [1] * 4
+        for c in comps:
+            assert c.p.delta <= 100 * eta
+            assert alg.norm(c.p.coords) >= 0.5
+        total = sum(c.p.coords for c in comps)
+        assert alg.norm(total - alg.unit_coords) <= 100 * eta
 
     def test_exhausted_on_trivial_algebra(self):
+        # C I on C^2: its unit is its one minimal projection
         alg = alg_of(chn.gen_pinching((1, 1)))
-        one_dim = sc.EpsilonAlgebra(
-            alg.ambient_dim, [alg.unit_element() / np.sqrt(2)],
-            np.array([np.sqrt(2.0)]), np.full((1, 1, 1), 1 / np.sqrt(2), dtype=complex),
-        )
-        with pytest.raises(pj.SearchExhausted):
-            pj.find_nontrivial_projection(one_dim, seed=0)
+        basis = [alg.unit_element() / np.sqrt(2)]
+        one_dim = sc.EpsilonAlgebra(alg.ambient_dim, basis, np.array([np.sqrt(2.0)]),
+                                    np.full((1, 1, 1), 1 / np.sqrt(2), dtype=complex))
+        comps, ratio = pj.minimal_projections(one_dim, np.random.default_rng(0))
+        assert ratio is None and [c.rank for c in comps] == [1]
+        assert abs(comps[0].p.coords[0] - np.sqrt(2.0)) <= 1e-12
+        # the same line with the zero product has no projection of rank 1:
+        # every draw is refused, with a typed error
+        zero = sc.EpsilonAlgebra(alg.ambient_dim, basis, np.array([np.sqrt(2.0)]),
+                                 np.zeros((1, 1, 1), dtype=complex))
+        with pytest.raises(pj.NoSpectralCut):
+            pj.minimal_projections(zero, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("make,count", [
+        (lambda: chn.gen_pinching((2, 1)), 3),
+        (lambda: chn.gen_perturbed(chn.gen_pinching((2, 2)), 1e-2, seed=1), 4),
+    ], ids=["pinching-21", "perturbed-22"])
+    def test_degenerate_cluster_is_not_cut_into_singletons(self, make, count):
+        # a singleton of a cluster of size d > 1 refines to a piece whose
+        # corner has rank 0, so the cut into singletons, tried last, is refused
+        alg = alg_of(make())
+        w, vecs = np.linalg.eig(alg.lmul(np.random.default_rng(0).standard_normal(alg.dim)))
+        coef = np.linalg.solve(vecs, np.real(alg.unit_coords))
+        assert pj._spectral_cuts(np.sort(w.real))[-1][0] is None
+        ranks = []
+        for j in range(alg.dim):
+            p = pj.DeltaProjection(*pj._cubic_refine(alg, np.real(vecs[:, j] * coef[j])))
+            ranks.append(pj.compression(alg, p).rank)
+        assert 0 in ranks
+        comps, ratio = pj.minimal_projections(alg, np.random.default_rng(0))
+        assert ratio >= pj.STAGE1_MIN_GAP_RATIO
+        assert [c.rank for c in comps] == [1] * count
 
 
 class TestCompression:
@@ -87,7 +129,8 @@ class TestCompression:
         alg = alg_of(pert)
         pm = sc.idempotentize(pert)
         eta = pm.eta.value
-        p = pj.find_nontrivial_projection(alg, delta_target=100 * eta, seed=2)
+        p = pj.minimal_projections(alg, np.random.default_rng(2))[0][0].p
+        assert p.delta <= 100 * eta
         q = pj.DeltaProjection(
             np.real(alg.unit_coords - p.coords), measure_q := pj.measure_delta(
                 alg, np.real(alg.unit_coords - p.coords)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import numpy as np
@@ -8,6 +7,8 @@ from almostidem import numlin as nl
 from almostidem import channels as chn
 from almostidem import starcalc as sc
 from almostidem import reconstruction as rc
+from almostidem import pipeline
+from almostidem import projections as pj
 
 import structure_oracle as so
 
@@ -256,8 +257,6 @@ class TestMergeAndExtend:
     def test_extension_chain_in_full_matrix_algebra(self):
         # M_1 -> M_2 -> M_3 inside B(C^3)
         alg = alg_of(so.identity_channel(3))
-        from almostidem import projections as pj
-
         units = []
         for i in range(3):
             e = np.zeros((3, 3), dtype=complex)
@@ -282,8 +281,6 @@ class TestMergeAndExtend:
 
     def test_extension_dim_mismatch(self):
         alg = alg_of(chn.gen_pinching((2, 1)))
-        from almostidem import projections as pj
-
         e11 = np.zeros((3, 3), dtype=complex)
         e11[0, 0] = 1.0
         c = np.real(alg.coords(e11))
@@ -338,26 +335,46 @@ class TestReconstruct:
             assert spec.block_dims == st.block_dims
             assert rep.mult_defect <= 1e-7
 
+    def test_in_domain_edge_factorizes(self):
+        # (3,2,1) at t=0.08, seed 1 (eta = 0.18), inside the domain: its
+        # stage-1 cut has one of the smallest gap ratios measured, about 1e2
+        ch = chn.gen_perturbed(chn.gen_pinching((3, 2, 1)), 0.08, seed=1)
+        report, _ = pipeline.factorize_channel(ch, seed=1)
+        assert report["block_dims"] == [3, 2, 1]
+        rec = next(c for c in report["checkpoints"] if c["stage"] == "reconstruction")
+        assert rec["stage1_gap_ratio"] >= pj.STAGE1_MIN_GAP_RATIO
+        assert pipeline.verify_report(report) == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: chn.gen_pinching((1, 1, 1)),
+        lambda: chn.gen_perturbed(chn.gen_pinching((1, 1, 1, 1)), 1e-2, seed=1),
+    ], ids=["pinching-111", "perturbed-1111"])
+    def test_commutative_algebra_factorizes(self, make):
+        # every d_k = 1: stage 1 takes the cut into singletons, which records
+        # no gap ratio
+        report, _ = pipeline.factorize_channel(make(), seed=1)
+        dims = report["block_dims"]
+        assert len(dims) >= 3 and set(dims) == {1}
+        rec = next(c for c in report["checkpoints"] if c["stage"] == "reconstruction")
+        assert rec["stage1_gap_ratio"] is None and rec["bijective"]
+        assert pipeline.verify_report(report) == []
+
     @pytest.mark.parametrize("case", range(6))
     def test_defect_estimate_has_margin(self, case):
-        # reconstruct reads the sampled defects only through delta_target =
-        # max(1e-8, 200 * worst); on the perturbed-d4 benchmark algebras every
-        # eps_* may move tenfold either way and the result stays bit-identical
+        # no decision of reconstruct reads the sampled defects: on the
+        # perturbed-d4 benchmark algebras, with them and without them
+        # (alg.defects = None), the result is bit-identical
         from test_starcalc import _benchmark_inputs
 
         ch, seed = list(_benchmark_inputs())[case]
         alg = sc.extract_algebra(sc.idempotentize(ch))
-        defects = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
         results = []
-        for scale in (1.0, 0.1, 10.0):
-            alg.defects = dataclasses.replace(defects, **{
-                name: scale * getattr(defects, name)
-                for name in ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit")})
+        for defects in (sc.measure_defects(alg, samples=100, extension_n=2, seed=seed), None):
+            alg.defects = defects
             spec, v, _ = rc.reconstruct(alg, seed=seed)
             results.append((spec.block_dims, v.coeffs))
-        for dims, coeffs in results[1:]:
-            assert dims == results[0][0]
-            assert np.array_equal(coeffs, results[0][1])
+        assert results[1][0] == results[0][0]
+        assert np.array_equal(results[1][1], results[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +498,7 @@ class TestBatchedKernels:
         x = rng.standard_normal((4, k, k)) + 1j * rng.standard_normal((4, k, k))
         coords = alg.coords(x)
         for xi, ci in zip(x, coords):
-            assert np.max(np.abs(ci - [nl.hs_inner(b, xi) for b in basis])) <= 1e-14
+            assert np.max(np.abs(ci - [so.hs_inner(b, xi) for b in basis])) <= 1e-14
             assert np.max(np.abs(ci - alg.coords(xi))) <= 1e-15
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -553,8 +570,6 @@ class TestWorkDoneOnce:
         lambda: chn.gen_random_idempotent(((2, 2), (1, 3)), dim=7, seed=3),
     ], ids=["pinching-431", "idempotent-7"])
     def test_each_compression_computed_once(self, monkeypatch, make):
-        from almostidem import projections as pj
-
         alg = alg_of(make())
         seen = {}
         compression = pj.compression

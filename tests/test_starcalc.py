@@ -102,7 +102,7 @@ class TestExtractAlgebra:
             assert nl.operator_norm(b - b.conj().T) <= 1e-10
             assert nl.operator_norm(chn.apply_superop(pm.superop, b) - b) <= 1e-9
             for jdx in range(i + 1, n):
-                assert abs(nl.hs_inner(b, alg.basis[jdx])) <= 1e-10
+                assert abs(so.hs_inner(b, alg.basis[jdx])) <= 1e-10
         # star tensor consistency: products match the map applied to products
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -132,7 +132,7 @@ class TestDefects:
     def test_exact_algebra_defects_vanish(self):
         alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((2, 1))))
         rep = sc.measure_defects(alg, samples=60, extension_n=2, seed=0)
-        assert rep.worst() <= 1e-9
+        assert max(rep.eps_submult, rep.eps_assoc, rep.eps_cstar, rep.eps_unit) <= 1e-9
 
     def test_perturbed_defects_scale_with_eta(self):
         pin = chn.gen_pinching((2, 2))
@@ -477,25 +477,6 @@ class TestBatchedDefects:
             assert np.max(np.abs(stacked[i] - one)) <= 1e-12
             for j in range(5):
                 assert np.max(np.abs(outer[i, j] - _ref_star(algebra, x[i], y[j]))) <= 1e-12
-
-    def test_subalgebra_matches_loop(self, algebra):
-        rng = np.random.default_rng(10)
-        n = algebra.dim
-        k = min(n, 4)
-        image, _ = np.linalg.qr(_ref_gauss(rng, (n, k)))
-        proj = image @ image.conj().T
-        sub, lift = algebra.subalgebra(image, algebra.unit_coords, lambda v: proj @ v)
-        want = np.zeros((k, k, k), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                prod = proj @ _ref_star(algebra, image[:, i], image[:, j])
-                want[i, j, :] = image.conj().T @ prod
-        assert np.max(np.abs(sub.star_tensor - want)) <= 1e-12
-        assert lift is image
-        assert sub.dim == k
-        for i in range(k):
-            assert np.max(np.abs(sub.basis[i] - algebra.element(image[:, i]))) <= 1e-12
-        assert np.max(np.abs(sub.unit_coords - image.conj().T @ algebra.unit_coords)) <= 1e-15
 
 
 def _benchmark_inputs():
