@@ -313,26 +313,24 @@ def column_space(m: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
     return u[:, :rank_from_singular_values(s, rel_tol)]
 
 
-def real_basis(q: np.ndarray, perm: np.ndarray | None = None) -> np.ndarray:
+def real_basis(q: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the vectors fixed by J: v -> conj(v[perm]).
 
     ``q`` has orthonormal columns whose span is closed under J.  For vec'd
     operators ``perm`` is :func:`transpose_permutation` and the fixed vectors
-    are the Hermitian matrices; ``perm=None`` is the identity, for coordinates
-    in a Hermitian basis, and the result is real.  The fixed parts
-    (q + Jq)/2 and -i(q - Jq)/2 span the fixed real subspace; its basis is
-    the leading left singular vectors of one real SVD of their coordinates
-    [Re; Im], as many as :func:`rank_from_singular_values` reads at
-    ``RANK_REL_TOL``.  On a J-closed span there are ``q.shape[1]`` of them, all
-    with singular value 1; more or fewer means the span is not J-closed.
+    are the Hermitian matrices.  The fixed parts (q + Jq)/2 and -i(q - Jq)/2
+    span the fixed real subspace; its basis is the leading left singular
+    vectors of one real SVD of their coordinates [Re; Im], as many as
+    :func:`rank_from_singular_values` reads at ``RANK_REL_TOL``.  On a
+    J-closed span there are ``q.shape[1]`` of them, all with singular value 1;
+    more or fewer means the span is not J-closed.
     """
     q = np.asarray(q, dtype=complex)
-    jq = np.conj(q if perm is None else q[perm])
+    jq = np.conj(q[perm])
     parts = np.concatenate([q + jq, -1j * (q - jq)], axis=1) / 2
-    coords = parts.real if perm is None else np.concatenate([parts.real, parts.imag])
-    u, s, _ = np.linalg.svd(coords, full_matrices=False)
+    u, s, _ = np.linalg.svd(np.concatenate([parts.real, parts.imag]), full_matrices=False)
     u = u[:, :rank_from_singular_values(s, RANK_REL_TOL)]
-    return u if perm is None else u[:q.shape[0]] + 1j * u[q.shape[0]:]
+    return u[:q.shape[0]] + 1j * u[q.shape[0]:]
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:

@@ -1,13 +1,19 @@
 """JSON formats: channels and reports.
 
-Conventions: complex numbers serialize as [re, im] pairs, matrices as
-row-major nested arrays of those pairs, channels as Choi matrices (input
-factor first) under the versioned tag ``aiq-channel/1``.  File writes are
-atomic (write to a sibling temp file, then rename).
+Channels are Choi matrices (input factor first) under the versioned tag
+``aiq-channel/2``, whose ``choi`` is ``{"dtype": "<c16", "shape": [r, c],
+"b64": ...}``: the base64 of the little-endian complex128 entries in row-major
+order, exact bit for bit.  ``aiq-channel/1`` files, whose ``choi`` is
+row-major nested arrays of ``[re, im]`` pairs, still read.  Matrices inside a
+report are nested ``[re, im]`` arrays.  A report's input digest is the sha256
+of the canonical JSON of its channel's ``choi`` node, whichever encoding the
+node has.  File writes are atomic (write to a sibling temp file, then
+rename).
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -15,7 +21,9 @@ import tempfile
 
 import numpy as np
 
-FORMAT_CHANNEL = "aiq-channel/1"
+FORMAT_CHANNEL = "aiq-channel/2"
+FORMAT_CHANNEL_LISTS = "aiq-channel/1"  # read only: the Choi as nested lists
+MATRIX_DTYPE = "<c16"
 FORMAT_REPORT = "aiq-report/1"
 
 
@@ -28,7 +36,41 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+def matrix_to_b64(m: np.ndarray) -> dict:
+    m = np.ascontiguousarray(m, dtype=MATRIX_DTYPE)
+    return {"dtype": MATRIX_DTYPE, "shape": list(m.shape),
+            "b64": base64.b64encode(m.tobytes()).decode("ascii")}
+
+
+def _matrix_from_b64(data: dict) -> np.ndarray:
+    if sorted(data) != ["b64", "dtype", "shape"]:
+        raise ParseError(f"malformed matrix: keys {sorted(data)}, "
+                         "expected b64, dtype and shape")
+    if data["dtype"] != MATRIX_DTYPE:
+        raise ParseError(f"malformed matrix: dtype {data['dtype']!r}, expected {MATRIX_DTYPE!r}")
+    shape = data["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(k) is int and k > 0 for k in shape)):
+        raise ParseError(f"malformed matrix: shape {shape!r}, expected two positive ints")
+    try:
+        raw = base64.b64decode(data["b64"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ParseError(f"malformed matrix: invalid base64: {exc}") from exc
+    expected = shape[0] * shape[1] * 16
+    if len(raw) != expected:
+        raise ParseError(f"malformed matrix: {len(raw)} bytes, "
+                         f"expected {expected} for shape {shape}")
+    m = np.frombuffer(raw, dtype=MATRIX_DTYPE).reshape(shape).astype(complex)
+    if not np.all(np.isfinite(m)):
+        raise ParseError("malformed matrix: non-finite entry")
+    return m
+
+
 def matrix_from_json(data) -> np.ndarray:
+    """A matrix from its base64 node (:func:`matrix_to_b64`) or from nested
+    ``[re, im]`` lists (:func:`matrix_to_json`)."""
+    if isinstance(data, dict):
+        return _matrix_from_b64(data)
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -50,7 +92,7 @@ def channel_to_dict(ch, meta: dict | None = None) -> dict:
         "format": FORMAT_CHANNEL,
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "choi": matrix_to_json(ch.choi),
+        "choi": matrix_to_b64(ch.choi),
         "meta": dict(meta or {}),
     }
 
@@ -58,7 +100,8 @@ def channel_to_dict(ch, meta: dict | None = None) -> dict:
 def channel_from_dict(data: dict):
     from .channels import Channel
 
-    if not isinstance(data, dict) or data.get("format") != FORMAT_CHANNEL:
+    if not isinstance(data, dict) or data.get("format") not in (FORMAT_CHANNEL,
+                                                                FORMAT_CHANNEL_LISTS):
         raise ParseError(
             f"not a channel file (format tag {data.get('format')!r})"
             if isinstance(data, dict)

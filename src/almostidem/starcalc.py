@@ -223,8 +223,9 @@ def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:
     prods = stack[:, None] @ stack[None, :]
     vecs = np.swapaxes(prods, -1, -2).reshape(n * n, dim * dim, 1)
     tensor = (stack_b.conj().T @ (m @ vecs)).reshape(n, n, n)
-    # (X*Y)^dag = Y^dag * X^dag exactly at the tensor level
-    tensor = 0.5 * (tensor + np.conj(np.transpose(tensor, (1, 0, 2))))
+    # (X*Y)^dag = Y^dag * X^dag exactly at the tensor level; stored
+    # C-contiguous, so the reshapes of its users are views, not copies
+    tensor = np.ascontiguousarray(0.5 * (tensor + np.conj(np.transpose(tensor, (1, 0, 2)))))
     unit_coords = np.real(stack_b.conj().T @ nl.vec(np.eye(dim, dtype=complex)))
     alg = EpsilonAlgebra(dim, basis, unit_coords, tensor,
                          membership_residual=membership)

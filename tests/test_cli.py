@@ -1,6 +1,10 @@
+import base64
 import copy
+import hashlib
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 
@@ -16,6 +20,10 @@ from almostidem import starcalc as sc
 from almostidem.cli import main, two_level_example, _parse_pairs
 
 
+def _bits(m) -> bytes:
+    return np.ascontiguousarray(m, dtype="<c16").tobytes()
+
+
 class TestSerialization:
     def test_matrix_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -26,9 +34,30 @@ class TestSerialization:
     def test_channel_roundtrip(self):
         ch = chn.gen_random_ucp(3, 2, seed=1)
         data = ser.channel_to_dict(ch, {"note": "test"})
-        assert data["format"] == "aiq-channel/1"
-        back = ser.channel_from_dict(data)
-        assert nl.operator_norm(back.superop - ch.superop) <= 1e-12
+        assert data["format"] == "aiq-channel/2"
+        assert data["choi"]["dtype"] == "<c16" and data["choi"]["shape"] == [9, 9]
+        back = ser.channel_from_dict(json.loads(json.dumps(data)))
+        assert _bits(back.choi) == _bits(ch.choi)
+        # an aiq-channel/1 file, the Choi as nested [re, im] lists, still reads
+        lists = {**data, "format": "aiq-channel/1", "choi": ser.matrix_to_json(ch.choi)}
+        old = ser.channel_from_dict(json.loads(json.dumps(lists)))
+        assert np.array_equal(old.choi, ch.choi)
+
+    def test_b64_roundtrip_is_bit_exact(self):
+        big = np.finfo(float).max
+        tiny = np.finfo(float).smallest_subnormal
+        special = np.array([[-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)],
+                            [tiny, complex(-tiny, 3 * tiny), 2.2e-308 / 3],
+                            [big, complex(-big, big), complex(0.1, -big)]])
+        rng = np.random.default_rng(2)
+        for m in (special, special.T, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))):
+            node = json.loads(json.dumps(ser.matrix_to_b64(m)))
+            back = ser.matrix_from_json(node)
+            assert back.dtype == complex and back.flags.writeable
+            assert _bits(back) == _bits(m)
+        ch = chn.Channel.from_choi(special[:2, :2].copy(), 1, 2)
+        back = ser.channel_from_dict(json.loads(json.dumps(ser.channel_to_dict(ch))))
+        assert _bits(back.choi) == _bits(ch.choi)
 
     def test_parse_errors(self):
         with pytest.raises(ser.ParseError):
@@ -50,9 +79,11 @@ class TestSerialization:
         ]
         for m in cases:
             assert json.dumps(ser.matrix_to_json(m)) == json.dumps(per_entry(m))
+        # a channel's Choi is the base64 of each entry's little-endian re, im
         ch = chn.gen_random_ucp(2, 2, seed=3)
-        data = ser.channel_to_dict(ch)
-        assert json.dumps(data["choi"]) == json.dumps(per_entry(ch.choi))
+        raw = b"".join(struct.pack("<dd", z.real, z.imag) for z in ch.choi.ravel())
+        assert ser.channel_to_dict(ch)["choi"] == {
+            "dtype": "<c16", "shape": [4, 4], "b64": base64.b64encode(raw).decode()}
 
     def test_matrix_reader_refuses_malformed(self):
         for bad in ([[[1, 2]], [[3, 4], [5, 6]]], [[[1, "x"]]], [[[1, 2, 3]]],
@@ -60,6 +91,54 @@ class TestSerialization:
                     [[[None, 1.0]]], []):
             with pytest.raises(ser.ParseError):
                 ser.matrix_from_json(bad)
+
+    def test_b64_reader_refuses_malformed(self):
+        good = ser.matrix_to_b64(np.eye(2))
+        b64 = lambda *zs: base64.b64encode(np.array(zs, dtype="<c16").tobytes()).decode()
+        bad_nodes = [
+            ({"b64": b64(1, 0, 0, float("nan"))}, "non-finite entry"),
+            ({"b64": b64(1, 0, float("inf"), 1)}, "non-finite entry"),
+            ({"b64": b64(1, 0, complex(0, -float("inf")), 1)}, "non-finite entry"),
+            ({"b64": b64(1, 0, 0)}, "48 bytes, expected 64"),
+            ({"b64": b64(1, 0, 0, 1, 0)}, "80 bytes, expected 64"),
+            ({"dtype": "<f8"}, "dtype '<f8'"),
+            ({"dtype": ">c16"}, "dtype '>c16'"),
+            ({"dtype": "complex128"}, "dtype 'complex128'"),
+            ({"shape": [4]}, "shape [4]"),
+            ({"shape": [2, 2, 1]}, "shape [2, 2, 1]"),
+            ({"shape": [4, 0]}, "shape [4, 0]"),
+            ({"shape": [-2, -2]}, "shape [-2, -2]"),
+            ({"shape": [2.0, 2]}, "shape [2.0, 2]"),
+            ({"shape": [True, 4]}, "shape [True, 4]"),
+            ({"shape": "2x2"}, "shape '2x2'"),
+            ({"b64": good["b64"][:-1]}, "invalid base64"),
+            ({"b64": "@" + good["b64"][1:]}, "invalid base64"),
+            ({"b64": "\u00e9" + good["b64"][1:]}, "invalid base64"),
+            ({"b64": 12}, "invalid base64"),
+        ]
+        bad_nodes = [({**good, **edit}, msg) for edit, msg in bad_nodes]
+        bad_nodes += [({k: v for k, v in good.items() if k != key}, "expected b64, dtype and shape")
+                      for key in good]
+        bad_nodes += [({**good, "scale": 1}, "expected b64, dtype and shape"),
+                      ({"a": 1}, "expected b64, dtype and shape")]
+        for node, msg in bad_nodes:
+            with pytest.raises(ser.ParseError, match=re.escape(msg)) as exc:
+                ser.matrix_from_json(node)
+            assert "\n" not in str(exc.value)
+            data = {"format": "aiq-channel/2", "dim_in": 1, "dim_out": 2, "choi": node}
+            with pytest.raises(ser.ParseError, match=re.escape(msg)):
+                ser.channel_from_dict(data)
+
+    def test_malformed_b64_channel_file_is_one_clean_line(self, tmp_path, capsys):
+        path = tmp_path / "ch.json"
+        assert main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(path)]) == 0
+        data = json.load(open(path))
+        data["choi"]["dtype"] = "<c8"
+        json.dump(data, open(path, "w"))
+        capsys.readouterr()
+        assert main(["factorize", str(path), "--json-out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: ParseError: malformed matrix: dtype '<c8', expected '<c16'"]
 
     def test_witness_roundtrip(self):
         from almostidem import cbnorm
@@ -105,10 +184,12 @@ class TestSerialization:
                 ser.certificate_witness_from_dict({"witness": bad})
 
     def test_digest_stability(self):
+        # sha256 of the canonical JSON of the choi node: one short string
         ch = chn.gen_random_ucp(2, 2, seed=3)
-        d1 = ser.digest(ser.channel_to_dict(ch)["choi"])
-        d2 = ser.digest(ser.channel_to_dict(ch)["choi"])
-        assert d1 == d2
+        node = ser.channel_to_dict(ch)["choi"]
+        text = '{"b64":"%s","dtype":"<c16","shape":[4,4]}' % node["b64"]
+        assert ser.digest(node) == hashlib.sha256(text.encode()).hexdigest()
+        assert ser.digest(ser.channel_to_dict(ch)["choi"]) == ser.digest(node)
 
     def test_atomic_write(self, tmp_path):
         path = tmp_path / "x.json"
@@ -142,8 +223,41 @@ class TestSerialization:
         # recorded input digest is the one digest() takes now
         path = os.path.join(os.path.dirname(__file__), "data", "perturbed_1_1_report.json")
         report = ser.load_json(path)
+        assert report["input"]["channel"]["format"] == "aiq-channel/1"
         assert ser.digest(report["input"]["channel"]["choi"]) == report["input"]["digest"]
         assert pipeline.verify_report(report) == []
+        assert main(["verify", path]) == 0
+
+    def test_flipped_b64_character_fails_the_input_digest(self, tmp_path, capsys):
+        ch_path, rep_path = tmp_path / "ch.json", tmp_path / "rep.json"
+        main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(ch_path)])
+        assert main(["factorize", str(ch_path), "--json-out", str(rep_path)]) == 0
+        report = json.load(open(rep_path))
+        node = report["input"]["channel"]["choi"]
+        # the low mantissa byte of the first entry's real part
+        node["b64"] = ("B" if node["b64"][1] != "B" else "C").join(
+            [node["b64"][:1], node["b64"][2:]])
+        json.dump(report, open(rep_path, "w"))
+        capsys.readouterr()
+        assert main(["verify", str(rep_path)]) == 1
+        assert "FAIL: input digest mismatch" in capsys.readouterr().out.splitlines()
+
+    def test_channel_lists_file_factorizes_as_the_b64_file(self, tmp_path):
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        main(["gen", "--idempotent", "(2,1)", "--dim", "4", "--seed", "2", "--out", str(new)])
+        data = json.load(open(new))
+        m = ser.matrix_from_json(data["choi"])
+        json.dump({**data, "format": "aiq-channel/1", "choi": ser.matrix_to_json(m)},
+                  open(old, "w"))
+        reports = []
+        for path in (new, old):
+            out = tmp_path / ("rep-" + path.name)
+            assert main(["factorize", str(path), "--seed", "1", "--json-out", str(out)]) == 0
+            assert main(["verify", str(out)]) == 0
+            reports.append(pipeline.strip_timings(json.load(open(out))))
+        # the embedded input is rewritten as aiq-channel/2 from the same bits
+        assert reports[0]["input"]["channel"]["format"] == "aiq-channel/2"
+        assert reports[0] == reports[1]
 
 
 class TestGenerators:

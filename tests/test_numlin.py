@@ -553,18 +553,6 @@ class TestRealBasis:
         assert max(nl.operator_norm(m - m.conj().T) for m in mats) < 1e-12
         np.testing.assert_allclose(b @ b.conj().T, q @ q.conj().T, atol=1e-12)
 
-    def test_identity_permutation_gives_real_columns(self):
-        # coordinates in a Hermitian basis: the span of real vectors, given
-        # by complex orthonormal columns
-        rng = np.random.default_rng(4)
-        real = rng.standard_normal((7, 3))
-        mix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        q = nl.column_space(real @ mix)
-        b = nl.real_basis(q)
-        assert b.shape == (7, 3) and not np.iscomplexobj(b)
-        np.testing.assert_allclose(b.T @ b, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(b @ b.T, q @ q.conj().T, atol=1e-12)
-
     def test_span_not_closed_under_adjoint_reports_its_real_rank(self):
         # span{E_12}: its Hermitian parts (E_12 + E_21)/2 and -i(E_12 - E_21)/2
         # are independent, so the real rank is 2, not 1
@@ -572,8 +560,6 @@ class TestRealBasis:
         e12[0, 1] = 1.0
         b = nl.real_basis(nl.vec(e12)[:, None], nl.transpose_permutation(2))
         assert b.shape[1] == 2
-        # and the coordinate span{(1, i)} is not closed under conjugation
-        assert nl.real_basis(np.array([[1.0], [1j]]) / np.sqrt(2)).shape[1] == 2
 
     def test_extract_algebra_refuses_an_image_not_closed_under_adjoint(self):
         # the orthogonal projector onto span{E_11, E_12}: idempotent with
