@@ -225,16 +225,14 @@ def _equal_pair_dual_bound(h: np.ndarray, skew: float, pt, d_in: int, d_out: int
     sri = pt.roots[1]
     y = nl.hermitian_part(_lmul(sri, _rmul((pt.u * np.abs(pt.lam)) @ pt.u.conj().T, sri)))
     lam_min = np.linalg.eigvalsh(np.stack([y - h, y + h]))[:, 0].min() - skew
-    return _dual_value(y, y, lam_min, d_in, d_out)
+    return _dual_value(y, lam_min, d_in, d_out)
 
 
-def _dual_value(y0, y1, lam_min, d_in: int, d_out: int) -> float:
-    """(||Tr_out Y0|| + ||Tr_out Y1||) / 2, plus the slack that makes the dual
-    block with smallest eigenvalue ``lam_min`` feasible."""
+def _dual_value(y, lam_min, d_in: int, d_out: int) -> float:
+    """||Tr_out Y||, plus the slack that makes the dual block with smallest
+    eigenvalue ``lam_min`` feasible."""
     slack = max(0.0, -float(lam_min)) * (1 + 1e-9)
-    val0 = nl.operator_norm(_ptrace_out(y0, d_in, d_out))
-    val1 = val0 if y1 is y0 else nl.operator_norm(_ptrace_out(y1, d_in, d_out))
-    return 0.5 * (val0 + val1) + slack * d_out
+    return nl.operator_norm(_ptrace_out(y, d_in, d_out)) + slack * d_out
 
 
 def _cheap_upper_bound(svd, d_in: int, d_out: int) -> float:

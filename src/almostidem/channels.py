@@ -82,13 +82,8 @@ def superop_from_kraus(kraus: list[np.ndarray]) -> np.ndarray:
 def stinespring_from_kraus(kraus: list[np.ndarray]) -> np.ndarray:
     """Isometry V with Phi(X) = V^dag (X (x) 1_env) V; env dim = len(kraus)."""
     dim_in, dim_out = kraus[0].shape
-    env = len(kraus)
-    v = np.zeros((dim_in * env, dim_out), dtype=complex)
-    for a, k in enumerate(kraus):
-        e_a = np.zeros((env, 1), dtype=complex)
-        e_a[a, 0] = 1.0
-        v += nl.kron(k, e_a)
-    return v
+    # row (x, a) of V is row x of the Kraus operator K_a
+    return np.stack(kraus, axis=1).reshape(dim_in * len(kraus), dim_out)
 
 
 def apply_superop(m: np.ndarray, x: np.ndarray, dim_out: int | None = None) -> np.ndarray:

@@ -4,9 +4,9 @@ Starting from a near-isomorphism v between the reconstructed block algebra B
 and the invariant-observable algebra of the map, ``raw_factor`` produces the
 linear factorization through the idempotent envelope; ``twirl_to_cp`` repairs
 the embedding into a genuinely completely positive unital map by averaging
-over the direct sum of the per-block shift/clock designs of B, sum_l d_l^2
-terms (``pauli_diagonal``); ``build_upsilon`` assembles the reverse UCP map
-from the dilation data, twirled in closed form by the 1-design identity;
+over the matrix-unit diagonal of B, sum_l d_l^2 terms (``pauli_diagonal``);
+``build_upsilon`` assembles the reverse UCP map from the dilation data,
+twirled in closed form over the same diagonal;
 ``certify`` measures the factorization residuals in completely bounded norm
 with certified intervals.
 """
@@ -22,7 +22,7 @@ from . import cbnorm
 from .channels import Channel, pinch_superop, extend_superop, kraus_from_choi, \
     stinespring_from_kraus, choi_from_superop
 from .starcalc import EpsilonAlgebra, IdempotentizedMap
-from .reconstruction import AlmostHom, BlockSpec, pauli_diagonal, pauli_shift_clock
+from .reconstruction import AlmostHom, BlockSpec, pauli_diagonal
 
 
 class FactorizationError(Exception):
@@ -58,7 +58,7 @@ def raw_factor(v: AlmostHom, pm: IdempotentizedMap, alg: EpsilonAlgebra) -> RawF
     spec = v.spec
     dim = alg.ambient_dim
     d_tot = spec.rep_dim
-    basis_stack = np.stack([nl.vec(b) for b in alg.basis], axis=1)  # (d^2, N)
+    basis_stack = alg.basis.transpose(2, 1, 0).reshape(dim * dim, -1)  # vec B_i as columns
     cols = spec.unit_columns()
     unit_cols = v.coeffs[:, cols]  # (N, N_B)
     if unit_cols.shape[0] != unit_cols.shape[1]:
@@ -86,10 +86,10 @@ def raw_factor(v: AlmostHom, pm: IdempotentizedMap, alg: EpsilonAlgebra) -> RawF
 def twirl_to_cp(raw: RawFactorization, ch: Channel) -> tuple[Channel, dict]:
     """Average the linear embedding into a UCP map.
 
-    Delta'(X) = sum_s p_s Phi(Delta~(X U_s^dag) Delta~(U_s)) over the direct
-    sum of block designs of ``pauli_diagonal``: the same map as with the
-    +-doubled product of those designs, as the sum reads the design only
-    through sum_s p_s U_s^dag (x) U_s.  Its complete positivity is measured,
+    Delta'(X) = sum_s p_s Phi(Delta~(X U_s^dag) Delta~(U_s)) over the
+    matrix-unit diagonal of ``pauli_diagonal``: the same map as with any
+    unitary 1-design of the blocks, as the sum reads the design only through
+    sum_s p_s U_s^dag (x) U_s.  Its complete positivity is measured,
     not assumed (``choi_min_before_normalization`` here, ``ucp_flags`` in
     ``certify``); unitality is restored by a symmetric normalization.
     """
@@ -128,13 +128,14 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
 
     Per block: recover the dilation isometry W_j of the block restriction of
     Delta, its Kraus rank read at 1e-10 (finer than ``numlin.RANK_REL_TOL``).
-    The block's shift/clock design twirls W_j W_j^dag into 1 (x) C_j, and as
-    it is a unitary 1-design, C_j = Tr_1(W_j W_j^dag) / d_j in closed form.
-    Pick a maximal-singular-vector unit xi_j of C_j, contract the channel
-    isometry V into
-    L_j = sum_s p_s (Delta(U_s^dag) (x) 1) V W_j^dag (U_s (x) xi_j)
-    over that design, and set Upsilon_j(X) = L_j^dag (Phi(X) (x) 1) L_j; a
-    final symmetric normalization makes the sum unital.
+    A unitary 1-design of the block twirls W_j W_j^dag into 1 (x) C_j, with
+    C_j = Tr_1(W_j W_j^dag) / d_j in closed form.  Pick a
+    maximal-singular-vector unit xi_j of C_j, contract the channel isometry V
+    into L_j = sum_s p_s (Delta(U_s^dag) (x) 1) V W_j^dag (U_s (x) xi_j) over
+    the block's matrix-unit diagonal, (1/d_j, E_ab), where it reads
+    L_j = sum_a (Delta(E_ka) (x) 1) V W_j^dag (e_a (x) xi_j) / d_j on column
+    k, and set Upsilon_j(X) = L_j^dag (Phi(X) (x) 1) L_j; a final symmetric
+    normalization makes the sum unital.
     """
     d = ch.dim_in
     d_tot = spec.rep_dim
@@ -142,6 +143,8 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
     blocks_info = []
     upsilon_prime = np.zeros((d_tot * d_tot, d * d), dtype=complex)
     choi4 = delta.choi.reshape(d_tot, d, d_tot, d)
+    # [x, y, b, k] = Delta(E_kb)[y, x], from the column-stacking superoperator
+    delta4 = delta.superop.reshape(d, d, d_tot, d_tot)
     for jdx, (d_j, s) in enumerate(zip(spec.block_dims, spec.slices())):
         # Choi of the block restriction Delta_j : B(L_j) -> B(H)
         j_mat = choi4[s, :, s, :].reshape(d_j * d, d_j * d)
@@ -156,14 +159,10 @@ def build_upsilon(delta: Channel, ch: Channel, spec: BlockSpec) -> tuple[Channel
         anchor = np.argmax(np.abs(xi))
         xi = xi * np.exp(-1j * np.angle(xi[anchor]))  # deterministic phase
 
-        # Delta(U_s^dag) for every design term at once, weighted by p_s
-        p, u = (np.array(z) for z in zip(*pauli_shift_clock(d_j)))
-        u_dag = np.zeros((len(p), d_tot, d_tot), dtype=complex)
-        u_dag[:, s, s] = np.conj(np.swapaxes(u, 1, 2))
-        pdu = p[:, None, None] * _apply_superop(delta.superop, u_dag, d)
         # V W_j^dag (1 (x) xi), rows (x, g) of C^d (x) C^env, columns a of C^{d_j}
         vw_xi = ((v_iso @ w_j.conj().T).reshape(d * env, d_j, e_j) @ xi).reshape(d, env, d_j)
-        l_j = np.einsum("syx,xga,sak->ygk", pdu, vw_xi, u, optimize=True).reshape(d * env, d_j)
+        l_j = np.einsum("xybk,xgb->ygk", delta4[:, :, s, s], vw_xi,
+                        optimize=True).reshape(d * env, d_j) / d_j
         # Upsilon'_j(X) = L_j^dag (Phi(X) (x) 1_F) L_j, embedded at block j:
         # rows (l, k) of vec index k + d_tot l with k, l in block j
         upsilon_prime.reshape(d_tot, d_tot, d * d)[s, s] = (

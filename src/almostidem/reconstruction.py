@@ -6,7 +6,7 @@ algebra per class by repeated corner extensions, and merges the classes.  At
 every step a Newton-style improvement driven by the "diagonal"
 sum_s p_s U_s^dag (x) U_s of the block algebra pushes the multiplicativity
 defect of the current map down to the level set by the ambient algebra.  The
-diagonal is the direct sum of the per-block shift/clock one-designs,
+diagonal is the matrix-unit diagonal sum_l (1/d_l) sum_(j,k) E_kj (x) E_jk,
 sum_l d_l^2 terms.
 """
 
@@ -116,50 +116,29 @@ class BlockSpec:
 class Diagonal:
     """Terms (p_s, U_s) whose sum_s p_s U_s^dag (x) U_s commutes with the algebra.
 
-    The terms of ``pauli_diagonal`` are partial isometries, one block's
-    shift/clock unitary each, so the sum is not a convex combination of
-    unitaries: the weights sum to the number of blocks, while
-    sum_s p_s U_s^dag U_s = I still holds.
+    The terms of ``pauli_diagonal`` are matrix units, not unitaries, so the
+    sum is not a convex combination of unitaries: the weights sum to
+    ``spec.rep_dim``, while sum_s p_s U_s^dag U_s = I still holds.
     """
 
     spec: BlockSpec
     terms: list[tuple[float, np.ndarray]]
 
 
-def pauli_shift_clock(d: int) -> list[tuple[float, np.ndarray]]:
-    """The d^2 shift/clock unitaries with uniform weights: an exact 1-design.
-    The unitaries are read-only, built once per d."""
-    return [(1.0 / (d * d), u) for u in _shift_clock_stack(d)]
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_clock_stack(d: int) -> np.ndarray:
-    """The unitaries of :func:`pauli_shift_clock` as one read-only stack."""
-    out = np.zeros((d * d, d, d), dtype=complex)
-    omega = np.exp(2j * np.pi / d)
-    for j in range(d):
-        for k in range(d):
-            for m in range(d):
-                out[j * d + k, (m + j) % d, m] = omega ** (k * m)
-    out.setflags(write=False)
-    return out
-
-
 def pauli_diagonal(spec: BlockSpec) -> Diagonal:
-    """Direct sum of the per-block shift/clock designs: sum_l d_l^2 terms.
+    """The matrix-unit diagonal: (1/d_l, E_jk) for each unit (l, j, k) of
+    ``spec.unit_indices()``, in that order, sum_l d_l^2 terms.
 
-    Block after block, in spec order, each shift/clock unitary of M_{d_l}
-    embedded in its block (zero elsewhere) with weight 1/d_l^2.  Its element
-    sum_s p_s U_s^dag (x) U_s is that of the +-doubled product of the block
-    designs, whose cross-block terms cancel pairwise, with a number of terms
-    linear instead of exponential in the number of blocks.
+    Its element sum_l (1/d_l) sum_(j,k) E_kj (x) E_jk is that of the per-block
+    shift/clock designs, (1/d_l^2, U) for the d_l^2 shift/clock unitaries U
+    of each block, and its units are exact in floating point.
     """
     rep = spec.rep_dim
     terms = []
     for s, d in zip(spec.slices(), spec.block_dims):
-        emb = np.zeros((d * d, rep, rep), dtype=complex)
-        emb[:, s, s] = _shift_clock_stack(d)
-        terms += [(1.0 / (d * d), u) for u in emb]
+        units = np.zeros((d * d, rep, rep), dtype=complex)
+        units[:, s, s] = np.eye(d * d).reshape(d * d, d, d)
+        terms += [(1.0 / d, e) for e in units]
     return Diagonal(spec, terms)
 
 
@@ -253,7 +232,6 @@ def mult_defect(v: AlmostHom, alg: EpsilonAlgebra, probes: int = 20,
 def improve_homomorphism(
     v: AlmostHom,
     alg: EpsilonAlgebra,
-    diag: Diagonal,
     max_rounds: int = 12,
     seed: int = 0,
 ) -> AlmostHom:
@@ -271,6 +249,7 @@ def improve_homomorphism(
     (:func:`mult_defect` measures the rest), every candidate on the same
     probe set, drawn once.
 
+    The design is the matrix-unit diagonal of ``pauli_diagonal(v.spec)``.
     Batched closed form of w', with T the star tensor and TC_a the matrix of
     X -> B_a * v(X): the design sums come first, K_i = sum_s p_s v(U_s^dag)_i U_s
     and M = sum_s p_s v(U_s^dag) v(U_s)^T, then H_i = v(K_i .) - sum_a M_ia TC_a
@@ -286,6 +265,7 @@ def improve_homomorphism(
         raise ImproveFailed(
             f"initial defect {v.mult_defect:.3f} above the convergence threshold"
         )
+    diag = pauli_diagonal(spec)
     weights = np.array([p for p, _ in diag.terms])[:, None]
     # rows vec(U_s^T); v(U) reads them through the transpose permutation and
     # v(U^dag) = conj(conj(v)(U^T))
@@ -349,7 +329,7 @@ def matrix_algebra(k: int) -> EpsilonAlgebra:
     """B(C^k) as an exact algebra object over its Hermitian basis: a fresh
     object per call, over the read-only arrays built once per k."""
     stack, unit, tensor = _matrix_algebra_data(k)
-    return EpsilonAlgebra(k, list(stack), unit, tensor)
+    return EpsilonAlgebra(k, stack, unit, tensor)
 
 
 @functools.lru_cache(maxsize=None)
@@ -405,7 +385,7 @@ def extend_matrix_algebra(
     rep_cols = np.zeros((target.dim, n * n), dtype=complex)
     rep_cols[:, cols] = target.coords(pj.h_map(alg, units.T, c_pq, c_qp, hilb)).T
     mu = AlmostHom(spec, rep_cols).symmetrized()
-    mu = improve_homomorphism(mu, target, pauli_diagonal(spec), seed=seed)
+    mu = improve_homomorphism(mu, target, seed=seed)
 
     # matrix-unit trick: an orthonormal column frame from the improved rep,
     # u1[:, j] = mu(E_j1) xi with xi the top eigenvector of mu(E_11)
@@ -488,9 +468,7 @@ def reconstruct(
                 v_c = extend_matrix_algebra(
                     v_c, comps[jdx], alg, seed=int(rng.integers(1 << 31))
                 )
-                v_c = improve_homomorphism(
-                    v_c, alg, pauli_diagonal(v_c.spec), seed=int(rng.integers(1 << 31)),
-                )
+                v_c = improve_homomorphism(v_c, alg, seed=int(rng.integers(1 << 31)))
                 history.append(v_c.mult_defect)
         except (pj.ProjectionError, nl.NumLinError, ReconstructionError) as exc:
             raise StageFailed("stage2-extension", str(exc)) from exc
@@ -501,9 +479,7 @@ def reconstruct(
     try:
         for nxt in class_homs[1:]:
             v = merge(v, nxt, alg)
-            v = improve_homomorphism(
-                v, alg, pauli_diagonal(v.spec), seed=int(rng.integers(1 << 31)),
-            )
+            v = improve_homomorphism(v, alg, seed=int(rng.integers(1 << 31)))
             history.append(v.mult_defect)
     except (pj.ProjectionError, ReconstructionError) as exc:
         raise StageFailed("stage3-merge", str(exc)) from exc

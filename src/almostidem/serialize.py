@@ -80,7 +80,8 @@ def matrix_from_json(data) -> np.ndarray:
                          "expected rows of [re, im] pairs")
     if not np.all(np.isfinite(arr)):  # also a null entry, which reads as NaN
         raise ParseError("malformed matrix: non-finite entry")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # a view of the [re, im] pairs as complex keeps every bit, -0.0 included
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def channel_to_dict(ch, meta: dict | None = None) -> dict:

@@ -92,7 +92,7 @@ class EpsilonAlgebra:
     fixed product tensor: (B_i * B_j) = sum_k star_tensor[i, j, k] B_k."""
 
     ambient_dim: int
-    basis: list[np.ndarray]
+    basis: np.ndarray  # (dim, d, d)
     unit_coords: np.ndarray
     star_tensor: np.ndarray
     defects: DefectReport | None = None
@@ -102,19 +102,14 @@ class EpsilonAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def basis_stack(self) -> np.ndarray:
-        """The basis as one (dim, d, d) array, built on first use."""
-        return np.stack(self.basis)
-
     def element(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coords), self.basis_stack, axes=(0, 0))
+        return np.tensordot(np.asarray(coords), self.basis, axes=(0, 0))
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates Tr(B_i^dag X) of an element, or of a stack (..., d, d)."""
         x = np.asarray(x)
         d = self.ambient_dim
-        return x.reshape(*x.shape[:-2], d * d) @ self.basis_stack.reshape(self.dim, d * d).conj().T
+        return x.reshape(*x.shape[:-2], d * d) @ self.basis.reshape(self.dim, d * d).conj().T
 
     def star(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of coordinate vectors; stacks of rows broadcast together."""
@@ -128,7 +123,7 @@ class EpsilonAlgebra:
     def _matrices(self, coords: np.ndarray) -> np.ndarray:
         """The elements whose coordinates are the rows of ``coords``, stacked."""
         d = self.ambient_dim
-        return (coords @ self.basis_stack.reshape(self.dim, d * d)).reshape(-1, d, d)
+        return (coords @ self.basis.reshape(self.dim, d * d)).reshape(-1, d, d)
 
     def norms(self, coords: np.ndarray) -> np.ndarray:
         """Operator norms of the elements whose coordinates are the rows of
@@ -139,7 +134,7 @@ class EpsilonAlgebra:
     def basis_gram(self) -> np.ndarray:
         """Gram matrix G[i, j] = Tr(B_i^dag B_j) of the basis, built on first
         use: ||sum_j c_j B_j||_F^2 = c^dag G c."""
-        flat = self.basis_stack.reshape(self.dim, -1)
+        flat = self.basis.reshape(self.dim, -1)
         return flat.conj() @ flat.T
 
     @cached_property
@@ -208,9 +203,9 @@ def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:
         raise StarCalcError(
             f"Hermitian closure changed the algebra dimension {cols.shape[1]} -> {n}"
         )
-    # B_i = unvec(stack_b[:, i]): the columns are column-stacked matrices
-    stack = stack_b.T.reshape(n, dim, dim).transpose(0, 2, 1)
-    basis = list(stack)
+    # B_i = unvec(stack_b[:, i]): the columns are column-stacked matrices;
+    # stored C-contiguous, so the reshapes of its users are views
+    stack = np.ascontiguousarray(stack_b.T.reshape(n, dim, dim).transpose(0, 2, 1))
     # the transposes of pm(B_i) - B_i, which have their norms
     residues = (m @ stack_b - stack_b).T.reshape(n, dim, dim)
     membership = float(nl.operator_norms(residues).max(initial=0.0))
@@ -227,7 +222,7 @@ def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:
     # C-contiguous, so the reshapes of its users are views, not copies
     tensor = np.ascontiguousarray(0.5 * (tensor + np.conj(np.transpose(tensor, (1, 0, 2)))))
     unit_coords = np.real(stack_b.conj().T @ nl.vec(np.eye(dim, dtype=complex)))
-    alg = EpsilonAlgebra(dim, basis, unit_coords, tensor,
+    alg = EpsilonAlgebra(dim, stack, unit_coords, tensor,
                          membership_residual=membership)
     unit_res = float(nl.operator_norms(alg.unit_element() - np.eye(dim)))
     if unit_res > 1e-8:
@@ -328,7 +323,7 @@ def _ext_norms(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
     """
     d, m, n = alg.ambient_dim, x.shape[-2], alg.dim
     flat = x.reshape(-1, m * m * n)
-    basis = alg.basis_stack.reshape(n, d * d)
+    basis = alg.basis.reshape(n, d * d)
     out = np.empty(len(flat))
     step = max(1, (1 << 12) // (m * d) ** 2)
     for start in range(0, len(flat), step):

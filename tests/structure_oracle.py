@@ -12,8 +12,9 @@ the approximate algebra; the acceptance criteria compare the two.
 
 ``choi_residual_check`` and ``phi_associativity_defect`` probe the paper's
 laws on the map itself; ``diagonal_residuals`` checks the block design of
-``almostidem.reconstruction.pauli_diagonal``; ``hs_inner`` is the
-Hilbert-Schmidt inner product.
+``almostidem.reconstruction.pauli_diagonal``, and ``shift_clock_terms`` is
+the reference design of the same element, built from the per-block
+shift/clock unitaries; ``hs_inner`` is the Hilbert-Schmidt inner product.
 """
 
 from __future__ import annotations
@@ -597,6 +598,41 @@ def unit_matrix(spec, l: int, j: int, k: int) -> np.ndarray:
 
 def random_element(spec, rng: np.random.Generator) -> np.ndarray:
     return spec.random_elements(rng, 1)[0]
+
+
+def shift_clock_design(d: int) -> list[tuple[float, np.ndarray]]:
+    """The d^2 shift/clock unitaries U_(j,k)[(m + j) % d, m] = omega^(k m),
+    omega = exp(2 pi i / d), each with weight 1/d^2: a unitary 1-design of
+    M_d, built one entry at a time."""
+    omega = np.exp(2j * np.pi / d)
+    out = []
+    for j in range(d):
+        for k in range(d):
+            u = np.zeros((d, d), dtype=complex)
+            for m in range(d):
+                u[(m + j) % d, m] = omega ** (k * m)
+            out.append((1.0 / (d * d), u))
+    return out
+
+
+def shift_clock_terms(spec) -> list[tuple[float, np.ndarray]]:
+    """The direct sum of the per-block shift/clock designs of a ``BlockSpec``:
+    block after block, each unitary of :func:`shift_clock_design` embedded in
+    its block (zero elsewhere), sum_l d_l^2 terms.  Its element
+    sum_s p_s U_s^dag (x) U_s is sum_l (1/d_l) SWAP_l, that of
+    ``pauli_diagonal``, from a different design."""
+    terms = []
+    for s, d in zip(spec.slices(), spec.block_dims):
+        for p, u in shift_clock_design(d):
+            emb = np.zeros((spec.rep_dim, spec.rep_dim), dtype=complex)
+            emb[s, s] = u
+            terms.append((p, emb))
+    return terms
+
+
+def design_element(terms) -> np.ndarray:
+    """sum_s p_s U_s^dag (x) U_s of a list of design terms (p_s, U_s)."""
+    return sum(p * nl.kron(u.conj().T, u) for p, u in terms)
 
 
 def diagonal_residuals(diag, probes: int = 0) -> dict[str, float]:

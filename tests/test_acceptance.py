@@ -309,11 +309,10 @@ class TestCriterion7NewtonMachinery:
         v = rc.mult_defect(rc.AlmostHom(spec, coeffs + noise).symmetrized(), alg)
         seeded = v.mult_defect
         seeded_ok = 0.02 <= seeded <= 0.09  # the requested 5e-2 scale
-        diag = rc.pauli_diagonal(spec)
         defects = [seeded]
         rounds = 0
         while v.mult_defect > 1e-8 and rounds < 5:
-            v = rc.improve_homomorphism(v, alg, diag, max_rounds=1)
+            v = rc.improve_homomorphism(v, alg, max_rounds=1)
             defects.append(v.mult_defect)
             rounds += 1
         improve_ok = v.mult_defect <= 1e-8 and rounds <= 5

@@ -915,7 +915,7 @@ class TestHermitianCentre:
         sri = pt.roots[1]
         y = nl.hermitian_part(cb._lmul(sri, cb._rmul((pt.u * np.abs(pt.lam)) @ pt.u.conj().T, sri)))
         lam_min = min(np.linalg.eigvalsh(y - h)[0], np.linalg.eigvalsh(y + h)[0]) - skew
-        want = cb._dual_value(y, y, lam_min, d_in, d_out)
+        want = cb._dual_value(y, lam_min, d_in, d_out)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))

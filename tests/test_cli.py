@@ -51,10 +51,14 @@ class TestSerialization:
                             [big, complex(-big, big), complex(0.1, -big)]])
         rng = np.random.default_rng(2)
         for m in (special, special.T, rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))):
-            node = json.loads(json.dumps(ser.matrix_to_b64(m)))
-            back = ser.matrix_from_json(node)
-            assert back.dtype == complex and back.flags.writeable
-            assert _bits(back) == _bits(m)
+            # the base64 node and the nested [re, im] lists both keep every bit
+            for node in (ser.matrix_to_b64(m), ser.matrix_to_json(m)):
+                back = ser.matrix_from_json(json.loads(json.dumps(node)))
+                assert back.dtype == complex and back.flags.writeable
+                assert _bits(back) == _bits(m)
+        signs = ser.matrix_from_json([[[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]])
+        assert np.signbit(signs.real).tolist() == [[True, False, True]]
+        assert np.signbit(signs.imag).tolist() == [[True, True, False]]
         ch = chn.Channel.from_choi(special[:2, :2].copy(), 1, 2)
         back = ser.channel_from_dict(json.loads(json.dumps(ser.channel_to_dict(ch))))
         assert _bits(back.choi) == _bits(ch.choi)

@@ -96,18 +96,18 @@ class TestTwirlSum:
         rng = np.random.default_rng(sum(dims) + d)
         delta_raw = (rng.standard_normal((d * d, d_tot * d_tot))
                      + 1j * rng.standard_normal((d * d, d_tot * d_tot)))
-        terms = rc.pauli_diagonal(spec).terms
-        got = fa._twirl_sum(delta_raw, terms, d, d_tot)
-        ref = _twirl_sum_by_terms(delta_raw, terms, d, d_tot)
+        # the package sums over matrix units, the loop over the shift/clock
+        # design of the same diagonal element
+        got = fa._twirl_sum(delta_raw, rc.pauli_diagonal(spec).terms, d, d_tot)
+        ref = _twirl_sum_by_terms(delta_raw, so.shift_clock_terms(spec), d, d_tot)
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_twirl_of_raw_factor_matches_term_loop(self):
         pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=3)
         pm, alg, spec, v, rep = run_pipeline(pert)
         raw = fa.raw_factor(v, pm, alg)
-        terms = rc.pauli_diagonal(spec).terms
-        got = fa._twirl_sum(raw.delta_superop, terms, 3, spec.rep_dim)
-        ref = _twirl_sum_by_terms(raw.delta_superop, terms, 3, spec.rep_dim)
+        got = fa._twirl_sum(raw.delta_superop, rc.pauli_diagonal(spec).terms, 3, spec.rep_dim)
+        ref = _twirl_sum_by_terms(raw.delta_superop, so.shift_clock_terms(spec), 3, spec.rep_dim)
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
 
@@ -136,11 +136,12 @@ def _embed_block(x, spec, jdx):
 def _dilation_by_terms(delta, ch, spec, jdx, w_j):
     """(r_j, C_j, L_j) of block j, one design term at a time: the twirl
     r_j = sum_s p_s (U_s (x) 1)^dag W_j W_j^dag (U_s (x) 1), C_j from its partial
-    trace, its unit xi_j, and L_j summed with Kronecker products."""
+    trace, its unit xi_j, and L_j summed with Kronecker products, over the
+    block's shift/clock design where the package takes matrix units."""
     d, d_j = ch.dim_in, spec.block_dims[jdx]
     v_iso, env = ch.stinespring
     e_j = w_j.shape[0] // d_j
-    terms = rc.pauli_shift_clock(d_j)
+    terms = so.shift_clock_design(d_j)
     ww = w_j @ w_j.conj().T
     r_j = np.zeros((d_j * e_j, d_j * e_j), dtype=complex)
     for p_s, u_s in terms:

@@ -67,7 +67,7 @@ class TestProjectionSearch:
     def test_exhausted_on_trivial_algebra(self):
         # C I on C^2: its unit is its one minimal projection
         alg = alg_of(chn.gen_pinching((1, 1)))
-        basis = [alg.unit_element() / np.sqrt(2)]
+        basis = alg.unit_element()[None] / np.sqrt(2)
         one_dim = sc.EpsilonAlgebra(alg.ambient_dim, basis, np.array([np.sqrt(2.0)]),
                                     np.full((1, 1, 1), 1 / np.sqrt(2), dtype=complex))
         comps, ratio = pj.minimal_projections(one_dim, np.random.default_rng(0))

@@ -53,37 +53,33 @@ class TestDiagonals:
         np.testing.assert_allclose(u, np.eye(1))
 
     def test_qubit_block_four_paulis(self):
+        # the four terms of a qubit block are its matrix units, weight 1/2
         diag = rc.pauli_diagonal(rc.BlockSpec((2,)))
         assert len(diag.terms) == 4
-        assert all(abs(p - 0.25) < 1e-15 for p, _ in diag.terms)
+        assert all(p == 0.5 for p, _ in diag.terms)
         res = so.diagonal_residuals(diag)
-        assert res["pi"] <= 1e-12
-        assert res["commutation"] <= 1e-10
+        assert res["pi"] == 0.0
+        assert res["commutation"] <= 1e-15
 
     def test_direct_sum_invariants(self):
         for dims in [(2, 1), (3, 2, 1), (2, 2)]:
             spec = rc.BlockSpec(dims)
             diag = rc.pauli_diagonal(spec)
             res = so.diagonal_residuals(diag, probes=5)
-            assert res["pi"] <= 1e-10
+            assert res["pi"] <= 1e-15
             assert res["commutation"] <= 1e-10
-            # one weight-1/d_l^2 term per shift/clock unitary of each block,
-            # a unitary on its block and zero elsewhere
+            # one weight-1/d_l term per matrix unit E_jk of each block, in
+            # unit_indices order
             assert len(diag.terms) == sum(d * d for d in dims)
-            assert abs(sum(p for p, _ in diag.terms) - len(dims)) <= 1e-12
-            owners = []
-            for p, u in diag.terms:
-                (l,) = [l for l, s in enumerate(spec.slices()) if u[s, s].any()]
-                s = spec.slices()[l]
-                assert p == 1.0 / dims[l] ** 2
-                assert nl.operator_norm(u[s, s].conj().T @ u[s, s] - np.eye(dims[l])) <= 1e-12
-                assert np.count_nonzero(u) == np.count_nonzero(u[s, s])
-                owners.append(l)
-            assert owners == sorted(owners)
+            assert abs(sum(p for p, _ in diag.terms) - spec.rep_dim) <= 1e-12
+            for (p, u), (l, j, k) in zip(diag.terms, spec.unit_indices()):
+                assert p == 1.0 / dims[l]
+                assert np.array_equal(u, so.unit_matrix(spec, l, j, k))
 
     @pytest.mark.parametrize("dims", [(4, 3, 1), (5, 1), (2, 2), (3,), (1,), (2, 1), (3, 2, 1)])
     def test_direct_sum_matches_product_design(self, dims):
-        # the +-doubled product design, built one direct sum per (term, block)
+        # the +-doubled product of the shift/clock designs, built one direct
+        # sum per (term, block)
         def direct_sum(a, b):
             out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
             out[: a.shape[0], : a.shape[1]] = a
@@ -92,26 +88,24 @@ class TestDiagonals:
 
         ref = [(1.0, np.zeros((0, 0), dtype=complex))]
         for d in dims:
-            block_terms = rc.pauli_shift_clock(d)
+            block_terms = so.shift_clock_design(d)
             if len(dims) > 1:
                 block_terms = [(p / 2, u) for p, u in block_terms] + [
                     (p / 2, -u) for p, u in block_terms]
             ref = [(p0 * p1, direct_sum(u0, u1)) for p0, u0 in ref for p1, u1 in block_terms]
         diag = rc.pauli_diagonal(rc.BlockSpec(dims))
-        terms = diag.terms
         res = so.diagonal_residuals(diag)
-        assert res["pi"] <= 1e-12 and res["commutation"] <= 1e-12
-        if len(dims) == 1:  # a single block gives the block design bit for bit
-            assert len(terms) == len(ref)
-            for (p, u), (p_ref, u_ref) in zip(terms, ref):
-                assert type(p) is float and p == p_ref
-                assert np.array_equal(u, u_ref)
+        assert res["pi"] <= 1e-15 and res["commutation"] <= 1e-15
+        diff = so.design_element(diag.terms) - so.design_element(ref)
+        assert np.max(np.abs(diff)) <= 1e-13
+        assert len(diag.terms) == sum(d * d for d in dims)
 
-        def element(ts):
-            return sum(p * nl.kron(u.conj().T, u) for p, u in ts)
-
-        assert np.max(np.abs(element(terms) - element(ref))) <= 1e-13
-        assert len(terms) == sum(d * d for d in dims)
+    @pytest.mark.parametrize("dims", [(1,), (2,), (3, 2, 1), (4, 3, 1), (3, 3, 3, 1)])
+    def test_element_matches_shift_clock_reference(self, dims):
+        spec = rc.BlockSpec(dims)
+        got = so.design_element(rc.pauli_diagonal(spec).terms)
+        want = so.design_element(so.shift_clock_terms(spec))
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_term_count_linear_in_blocks(self):
         # the +-doubled product had 2^4 * 81^3 * 1 terms here
@@ -166,10 +160,9 @@ class TestImprove:
                         + 1j * rng.standard_normal(base.coeffs.shape)) / np.sqrt(2)
         v = rc.mult_defect(rc.AlmostHom(spec, base.coeffs + noise).symmetrized(), alg)
         assert 0.02 <= v.mult_defect <= 0.09
-        diag = rc.pauli_diagonal(spec)
         defects = [v.mult_defect]
         for round_no in range(5):
-            v = rc.improve_homomorphism(v, alg, diag, max_rounds=1)
+            v = rc.improve_homomorphism(v, alg, max_rounds=1)
             defects.append(v.mult_defect)
             if v.mult_defect <= 1e-8:
                 break
@@ -191,14 +184,14 @@ class TestImprove:
                         + 1j * rng.standard_normal(base.coeffs.shape))
         v = rc.mult_defect(rc.AlmostHom(spec, base.coeffs + noise).symmetrized(), alg)
         start = max(v.mult_defect, v.unit_defect)
-        out = rc.mult_defect(rc.improve_homomorphism(v, alg, rc.pauli_diagonal(spec)), alg)
+        out = rc.mult_defect(rc.improve_homomorphism(v, alg), alg)
         assert out.unit_defect <= max(100 * pm.eta.value, start)
 
     def test_already_exact_unchanged(self):
         alg = alg_of(chn.gen_pinching((2, 1)))
         spec = rc.BlockSpec((2, 1))
         v0 = rc.mult_defect(exact_inclusion(alg, spec), alg)
-        v1 = rc.improve_homomorphism(v0, alg, rc.pauli_diagonal(spec))
+        v1 = rc.improve_homomorphism(v0, alg)
         assert np.max(np.abs(v1.coeffs - v0.coeffs)) <= 1e-12
 
     def test_improve_on_perturbed_algebra_reaches_epsilon_floor(self):
@@ -211,7 +204,7 @@ class TestImprove:
         rng = np.random.default_rng(0)
         base = exact_inclusion(alg, spec)
         v = rc.mult_defect(rc.AlmostHom(spec, base.coeffs).symmetrized(), alg)
-        improved = rc.improve_homomorphism(v, alg, rc.pauli_diagonal(spec))
+        improved = rc.improve_homomorphism(v, alg)
         assert improved.mult_defect <= max(100 * eta, v.mult_defect)
 
     def test_threshold_guard(self):
@@ -220,7 +213,7 @@ class TestImprove:
         # scaling wrecks multiplicativity: g(X, Y) = 2 XY - 4 XY = -2 XY
         v = rc.AlmostHom(spec, 2.0 * exact_inclusion(alg, spec).coeffs)
         with pytest.raises(rc.ImproveFailed):
-            rc.improve_homomorphism(v, alg, rc.pauli_diagonal(spec))
+            rc.improve_homomorphism(v, alg)
 
 
 class TestMergeAndExtend:
@@ -270,7 +263,7 @@ class TestMergeAndExtend:
         v = rc.mult_defect(rc.extend_matrix_algebra(v, pj.compression(alg, units[1]), alg), alg)
         assert v.spec.block_dims == (2,)
         assert v.mult_defect <= 1e-8
-        v = rc.improve_homomorphism(v, alg, rc.pauli_diagonal(v.spec))
+        v = rc.improve_homomorphism(v, alg)
         v = rc.mult_defect(rc.extend_matrix_algebra(v, pj.compression(alg, units[2]), alg), alg)
         assert v.spec.block_dims == (3,)
         assert v.mult_defect <= 1e-8
@@ -410,10 +403,10 @@ def mult_defect_per_pair(v, alg, probes=20, seed=0):
     return worst, unit_def, iso_lo, iso_hi
 
 
-def correction_per_term(coeffs, alg, diag, rep):
+def correction_per_term(coeffs, alg, terms, rep):
     """w'(X) = sum_s p_s v(U_s^dag) * (v(U_s X) - v(U_s) * v(X)), term by term."""
     w_prime = np.zeros_like(coeffs)
-    for p_s, u_s in diag.terms:
+    for p_s, u_s in terms:
         vu_dag = coeffs @ nl.vec(u_s.conj().T)
         vu = coeffs @ nl.vec(u_s)
         vux = coeffs @ nl.kron(np.eye(rep), u_s)  # vec(U X) = (I (x) U) vec X
@@ -459,11 +452,12 @@ class TestBatchedKernels:
         dims = (3, 2, 1) if exact else (2, 1)
         alg, v = noisy_inclusion(dims, 0.005, seed=7)
         spec = v.spec
-        diag = rc.pauli_diagonal(spec)
         v = rc.mult_defect(v, alg)
-        out = rc.improve_homomorphism(v, alg, diag, max_rounds=1)
+        out = rc.improve_homomorphism(v, alg, max_rounds=1)
         assert out.mult_defect < v.mult_defect  # the round was accepted
-        w_prime = correction_per_term(v.coeffs, alg, diag, spec.rep_dim)
+        # the loop runs over the shift/clock design, the package over matrix
+        # units: two designs of the same diagonal element
+        w_prime = correction_per_term(v.coeffs, alg, so.shift_clock_terms(spec), spec.rep_dim)
         perm = nl.transpose_permutation(spec.rep_dim)
         want = v.coeffs + 0.5 * (w_prime + np.conj(w_prime[:, perm]))
         assert np.max(np.abs(out.coeffs - want)) <= 1e-12
@@ -504,31 +498,29 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("k", [1, 3])
     def test_matrix_algebra_is_fresh_over_read_only_data(self, k):
         a, b = rc.matrix_algebra(k), rc.matrix_algebra(k)
-        assert a is not b and a.basis is not b.basis
+        assert a is not b
         a.defects = sc.DefectReport()
         assert b.defects is None
         for x, y in [(a.star_tensor, b.star_tensor), (a.unit_coords, b.unit_coords),
-                     (a.basis[0], b.basis[0])]:
+                     (a.basis, b.basis)]:
             assert np.shares_memory(x, y) and not x.flags.writeable
         with pytest.raises(ValueError):
             a.star_tensor[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("d", [1, 2, 4])
-    def test_shift_clock_built_once_read_only(self, d):
-        # the loop it is built with: U_(j,k)[(m + j) % d, m] = omega^(k m)
-        omega = np.exp(2j * np.pi / d)
+    def test_matrix_units_of_one_block(self, d):
+        # built one unit at a time: (1/d, E_jk), j major
         want = []
         for j in range(d):
             for k in range(d):
-                u = np.zeros((d, d), dtype=complex)
-                for m in range(d):
-                    u[(m + j) % d, m] = omega ** (k * m)
-                want.append(u)
-        first, second = rc.pauli_shift_clock(d), rc.pauli_shift_clock(d)
-        assert first is not second and len(first) == d * d
-        for (p, u), (_, v), w in zip(first, second, want):
-            assert p == 1.0 / (d * d) and np.shares_memory(u, v) and not u.flags.writeable
-            assert np.array_equal(u, w)
+                e = np.zeros((d, d), dtype=complex)
+                e[j, k] = 1.0
+                want.append(e)
+        terms = rc.pauli_diagonal(rc.BlockSpec((d,))).terms
+        assert len(terms) == d * d
+        for (p, u), w in zip(terms, want):
+            assert type(p) is float and p == 1.0 / d
+            assert u.dtype == complex and np.array_equal(u, w)
 
     def test_symmetrized_matches_column_loop(self):
         spec = rc.BlockSpec((3, 2, 1))

@@ -176,7 +176,7 @@ class TestDefects:
             block = np.zeros((2, 2, n), dtype=complex)
             block[0, 0] = x
             block[1, 1] = y
-            mats = np.einsum("abi,icd->abcd", block, np.stack(alg.basis))
+            mats = np.einsum("abi,icd->abcd", block, alg.basis)
             big = mats.transpose(0, 2, 1, 3).reshape(2 * alg.ambient_dim, 2 * alg.ambient_dim)
             assert abs(nl.operator_norm(big) - max(alg.norm(x), alg.norm(y))) <= 1e-10
 
@@ -233,7 +233,7 @@ def _ref_triple_defect(alg, x, y, z):
 def _ref_basis_defects(alg):
     n = alg.dim
     t = alg.star_tensor
-    basis = np.stack(alg.basis)
+    basis = alg.basis
     basis_norms = np.array([alg.norm(e) for e in np.eye(n)])
     prod = np.einsum("ijk,kab->ijab", t, basis)
     sv = np.array([[nl.operator_norm(prod[i, j]) for j in range(n)] for i in range(n)])
@@ -297,7 +297,7 @@ def _ref_sampled_defects(alg, samples, rng):
 def _ref_extension_defects(alg, n_ext, samples, rng):
     n = alg.dim
     d = alg.ambient_dim
-    basis = np.stack(alg.basis)
+    basis = alg.basis
 
     def ext_star(xc, yc):
         return np.einsum("abi,bcj,ijk->ack", xc, yc, alg.star_tensor)
@@ -573,10 +573,6 @@ class TestMaxNorm:
         assert got == floor == max(floor, (alg.norms(coords) / den).max())
         assert not calls
 
-    def test_basis_stack_built_once(self, algebra):
-        assert algebra.basis_stack is algebra.basis_stack
-        assert np.array_equal(algebra.basis_stack, np.stack(algebra.basis))
-
     def test_builds_matrices_only_for_the_rows_it_takes(self, monkeypatch):
         # the Frobenius bounds come from the coordinates: every row passed to
         # _matrices is a row whose norm is taken
@@ -667,7 +663,7 @@ class TestGramNorms:
 
     def test_non_finite_basis_raises(self):
         alg = sc.extract_algebra(sc.idempotentize(_depolarizing(2)))
-        bad = sc.EpsilonAlgebra(alg.ambient_dim, [np.full((2, 2), np.nan)],
+        bad = sc.EpsilonAlgebra(alg.ambient_dim, np.full((1, 2, 2), np.nan),
                                 alg.unit_coords, alg.star_tensor)
         with np.errstate(invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
