@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "--seed": {"type": int, "default": 0},
-        "--samples": {"type": int, "default": 100},
+        "--samples": {"type": int, "default": 100,
+                      "help": "random triples of the defect estimate (default 100); "
+                              "its amplified stage draws max(samples // 2, 40) more"},
         "--json-out": {"help": "write the report/output JSON here"},
     }
     # each subcommand declares only the options its handler reads
@@ -115,10 +117,24 @@ def two_level_example(eta: float):
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     import re
 
-    pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
-    if not pairs:
-        raise ValueError(f"cannot parse block pairs from {text!r}")
-    return tuple((int(d), int(e)) for d, e in pairs)
+    found = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
+    if not found:
+        raise ValueError(f"--idempotent: cannot parse block pairs from {text!r}")
+    pairs = tuple((int(d), int(e)) for d, e in found)
+    if min(min(p) for p in pairs) <= 0:
+        raise ValueError(
+            f"--idempotent needs positive block sizes and multiplicities, got {text!r}")
+    return pairs
+
+
+def _parse_dims(text: str) -> tuple[int, ...]:
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        dims = ()
+    if not dims or min(dims) <= 0:
+        raise ValueError(f"--pinching needs comma-separated positive block sizes, got {text!r}")
+    return dims
 
 
 # the generator options each kind of `gen` reads; any other is refused
@@ -140,6 +156,10 @@ def cmd_gen(args) -> int:
               if getattr(args, opt) is not None and opt not in GEN_READS[kind]]
     if unread:
         raise ValueError(f"gen --{kind.replace('_', '-')} does not read {', '.join(unread)}")
+    for opt in ("dim", "kraus_rank"):
+        value = getattr(args, opt)
+        if value is not None and value <= 0:
+            raise ValueError(f"--{opt.replace('_', '-')} must be positive, got {value}")
     meta = {"seed": args.seed}
     if kind == "example_twolevel":
         eta = 0.04 if args.eta is None else args.eta
@@ -148,18 +168,18 @@ def cmd_gen(args) -> int:
         meta["eta_parameter"] = eta
     elif kind == "idempotent":
         pairs = _parse_pairs(args.idempotent)
-        dim = args.dim or sum(d * e for d, e in pairs)
+        dim = sum(d * e for d, e in pairs) if args.dim is None else args.dim
         ch = chn.gen_random_idempotent(pairs, dim, args.seed)
         meta["kind"] = "random-idempotent"
         meta["pairs"] = [list(p) for p in pairs]
     elif kind == "random_ucp":
-        if not args.dim:
+        if args.dim is None:
             raise ValueError("--random-ucp needs --dim")
         ch = chn.gen_random_ucp(args.dim, 3 if args.kraus_rank is None else args.kraus_rank,
                                 args.seed)
         meta["kind"] = "random-ucp"
     elif kind == "pinching":
-        dims = tuple(int(x) for x in args.pinching.split(","))
+        dims = _parse_dims(args.pinching)
         ch = chn.gen_pinching(dims)
         meta["kind"] = "pinching"
         meta["blocks"] = list(dims)
@@ -227,11 +247,18 @@ def cmd_idempotentize(args) -> int:
     return 0
 
 
+def _samples(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be non-negative, got {args.samples}")
+    return args.samples
+
+
 def cmd_reconstruct(args) -> int:
     from . import pipeline
 
+    samples = _samples(args)
     ch = _load_channel(args.input)
-    report, artifacts = pipeline.reconstruct_channel(ch, seed=args.seed, samples=args.samples)
+    report, artifacts = pipeline.reconstruct_channel(ch, seed=args.seed, samples=samples)
     _emit(report, args)
     rec = report["checkpoints"][-1]
     print(
@@ -244,8 +271,9 @@ def cmd_reconstruct(args) -> int:
 def cmd_factorize(args) -> int:
     from . import pipeline
 
+    samples = _samples(args)
     ch = _load_channel(args.input)
-    report, artifacts = pipeline.factorize_channel(ch, seed=args.seed, samples=args.samples)
+    report, artifacts = pipeline.factorize_channel(ch, seed=args.seed, samples=samples)
     _emit(report, args)
     fact = report["factorization"]
     print(

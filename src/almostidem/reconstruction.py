@@ -328,21 +328,23 @@ def merge(v1: AlmostHom, v2: AlmostHom, alg: EpsilonAlgebra) -> AlmostHom:
 def matrix_algebra(k: int) -> EpsilonAlgebra:
     """B(C^k) as an exact algebra object over its Hermitian basis: a fresh
     object per call, over the read-only arrays built once per k."""
-    stack, unit, tensor = _matrix_algebra_data(k)
-    return EpsilonAlgebra(k, stack, unit, tensor)
+    return EpsilonAlgebra(k, *_matrix_algebra_data(k))
 
 
 @functools.lru_cache(maxsize=None)
-def _matrix_algebra_data(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(basis stack, unit coordinates, product tensor) of B(C^k), read-only."""
+def _matrix_algebra_data(k: int) -> tuple[np.ndarray, ...]:
+    """(basis stack, unit coordinates, product tensor, coordinate map) of
+    B(C^k), read-only; Phi~ is the identity, so the coordinate map is the
+    basis adjoint, rows vec(B_i)^dag with vec column-stacking."""
     stack = np.stack(nl.hermitian_basis(k))
     n = len(stack)
     conj_rows = stack.reshape(n, k * k).conj().T
     tensor = (stack[:, None] @ stack[None, :]).reshape(n, n, k * k) @ conj_rows
     unit = np.real(np.eye(k, dtype=complex).reshape(k * k) @ conj_rows)
-    for arr in (stack, unit, tensor):
+    coord_map = stack.conj().transpose(0, 2, 1).reshape(n, k * k)
+    for arr in (stack, unit, tensor, coord_map):
         arr.setflags(write=False)
-    return stack, unit, tensor
+    return stack, unit, tensor, coord_map
 
 
 def extend_matrix_algebra(

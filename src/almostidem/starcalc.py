@@ -6,10 +6,14 @@ applying the spectral step function to 2*Phi - 1 on the superoperator level.
 induced product X * Y = Phi~(X Y), its dimension the rank of the image read
 at ``numlin.RANK_REL_TOL``; ``measure_defects`` estimates how far the result
 is from satisfying the algebra axioms, including on matrix amplifications
-M_n (x) A.  Every operator norm is sqrt(lam_max(X^dag X)), one stacked
-eigvalsh (``numlin.operator_norms``); the sweep over the basis takes one only
-where the Frobenius bound, read off the coordinates
-(``EpsilonAlgebra.max_norm``), can still set a maximum.
+M_n (x) A.  The sweep over the basis takes its products from the n x n x n
+star tensor; the sampled and amplified stages form each product on matrices,
+as the block product X Y on C^m (x) H followed by the coordinate map
+C = basis^H Phi~ on each d x d block (``EpsilonAlgebra.coord_map``).  Every
+operator norm is sqrt(lam_max(X^dag X)), one stacked eigvalsh
+(``numlin.operator_norms``); the sweep over the basis takes one only where
+the Frobenius bound, read off the coordinates (``EpsilonAlgebra.max_norm``),
+can still set a maximum.
 """
 
 from __future__ import annotations
@@ -89,12 +93,17 @@ class DefectReport:
 @dataclass
 class EpsilonAlgebra:
     """Concrete subspace of B(H) with an HS-orthonormal Hermitian basis and a
-    fixed product tensor: (B_i * B_j) = sum_k star_tensor[i, j, k] B_k."""
+    fixed product tensor: (B_i * B_j) = sum_k star_tensor[i, j, k] B_k.
+
+    ``coord_map`` is the same product read on B(H): the (dim, d^2) matrix C
+    with x * y = C vec(X Y), vec column-stacking, for the elements X, Y with
+    coordinates x, y."""
 
     ambient_dim: int
     basis: np.ndarray  # (dim, d, d)
     unit_coords: np.ndarray
     star_tensor: np.ndarray
+    coord_map: np.ndarray  # (dim, d * d)
     defects: DefectReport | None = None
     membership_residual: float = 0.0
 
@@ -221,8 +230,12 @@ def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:
     # (X*Y)^dag = Y^dag * X^dag exactly at the tensor level; stored
     # C-contiguous, so the reshapes of its users are views, not copies
     tensor = np.ascontiguousarray(0.5 * (tensor + np.conj(np.transpose(tensor, (1, 0, 2)))))
+    # C = basis^H Phi~, averaged with Z -> conj(C vec(Z^dag)) as the tensor
+    # is, so that C vec(B_i B_j) is the tensor's row (i, j) up to roundoff
+    coord_map = stack_b.conj().T @ m
+    coord_map = 0.5 * (coord_map + coord_map.conj()[:, nl.transpose_permutation(dim)])
     unit_coords = np.real(stack_b.conj().T @ nl.vec(np.eye(dim, dtype=complex)))
-    alg = EpsilonAlgebra(dim, stack, unit_coords, tensor,
+    alg = EpsilonAlgebra(dim, stack, unit_coords, tensor, coord_map,
                          membership_residual=membership)
     unit_res = float(nl.operator_norms(alg.unit_element() - np.eye(dim)))
     if unit_res > 1e-8:
@@ -242,10 +255,14 @@ def measure_defects(
     defect, the maximum over three stages: the sweep over basis elements and
     basis triples, ``samples`` random triples, and ``max(samples // 2, 40)``
     random triples of M_m (x) A for each m = 2..``extension_n``, normed as
-    operators on C^m (x) H.  ``method`` names the deepest scalar stage run
-    (``basis_bound`` or ``sampled``); ``sample_count`` counts the triples
-    evaluated by the sampled and amplified stages, less any triple with an
-    element of norm below 1e-12, which is skipped.
+    operators on C^m (x) H.  The sweep multiplies through the star tensor,
+    whose left factor it reuses across many partners; the random triples are
+    multiplied on matrices, X * Y = Phi~(X Y) as the block product on
+    C^m (x) H read through ``coord_map`` block by block.  ``method`` names
+    the deepest scalar stage run (``basis_bound`` or ``sampled``);
+    ``sample_count`` counts the triples evaluated by the sampled and
+    amplified stages, less any triple with an element of norm below 1e-12,
+    which is skipped.
     """
     report = _basis_defects(alg)
     rng = np.random.default_rng(seed)
@@ -291,9 +308,17 @@ def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
 
 def _sampled_defects(alg: EpsilonAlgebra, samples: int, rng, n_ext: int = 1) -> DefectReport:
     """Defects over random triples of M_n (x) A (n = ``n_ext``), with the
-    concrete operator norm on C^n (x) H; n_ext = 1 samples A itself."""
+    concrete operator norm on C^n (x) H; n_ext = 1 samples A itself.
+
+    The triples are taken about 4096 matrix entries at a time, a triple
+    counting (n d)^2, so that their matrices and Gram stacks are never all
+    alive at once."""
     triples = _draw_triples(rng, samples, n_ext, alg.dim)
-    return _triple_defects(alg, *triples.swapaxes(0, 1))
+    step = max(1, (1 << 12) // (n_ext * alg.ambient_dim) ** 2)
+    report = DefectReport(method="sampled")
+    for start in range(0, samples, step):
+        report = report.merge(_triple_defects(alg, triples[start: start + step]))
+    return report
 
 
 def _draw_triples(rng, count: int, n_ext: int, n: int) -> np.ndarray:
@@ -306,40 +331,46 @@ def _draw_triples(rng, count: int, n_ext: int, n: int) -> np.ndarray:
     return g[:, :, 0] + 1j * g[:, :, 1]
 
 
-def _ext_star(alg: EpsilonAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of stacked M_n (x) A elements, coordinate blocks (..., n, n, dim):
-    the block matrix product with * inside."""
-    return alg.star(x[..., :, :, None, :], y[..., None, :, :, :]).sum(axis=-3)
+def _block_matrices(alg: EpsilonAlgebra, coords: np.ndarray) -> np.ndarray:
+    """Matrices on C^m (x) H of stacked M_m (x) A coordinate blocks
+    (..., m, m, dim): one GEMM gives the blocks (a, b, r, c) of
+    sum_i x[a, b, i] B_i, and one transposing copy puts them in the rows
+    (a, r) and columns (b, c)."""
+    d, m, n = alg.ambient_dim, coords.shape[-2], alg.dim
+    mats = (coords.reshape(-1, n) @ alg.basis.reshape(n, d * d)).reshape(-1, m, m, d, d)
+    return mats.transpose(0, 1, 3, 2, 4).reshape(*coords.shape[:-3], m * d, m * d)
 
 
-def _ext_norms(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
-    """Operator norms on C^n (x) H of stacked M_n (x) A coordinate blocks,
-    from :func:`numlin.operator_norms`.
-
-    The matrices are built about 4096 entries at a time, so that they and
-    their Gram stacks are never all alive at once: one GEMM gives the blocks
-    (a, b, r, c) of sum_i x[a, b, i] B_i, and one transposing copy puts them
-    in the rows (a, r) and columns (b, c).
-    """
-    d, m, n = alg.ambient_dim, x.shape[-2], alg.dim
-    flat = x.reshape(-1, m * m * n)
-    basis = alg.basis.reshape(n, d * d)
-    out = np.empty(len(flat))
-    step = max(1, (1 << 12) // (m * d) ** 2)
-    for start in range(0, len(flat), step):
-        mats = (flat[start: start + step].reshape(-1, n) @ basis).reshape(-1, m, m, d, d)
-        out[start: start + step] = nl.operator_norms(
-            mats.transpose(0, 1, 3, 2, 4).reshape(-1, m * d, m * d))
-    return out.reshape(x.shape[:-3])
+def _block_coords(alg: EpsilonAlgebra, mats: np.ndarray) -> np.ndarray:
+    """Coordinate blocks (..., m, m, dim) of Phi~ on each d x d block of
+    stacked md x md matrices: ``coord_map`` on the column-stacked blocks, so
+    that the block product of X and Y gives the blocks of X * Y."""
+    d = alg.ambient_dim
+    m = mats.shape[-1] // d
+    blocks = mats.reshape(-1, m, d, m, d).transpose(0, 1, 3, 4, 2)
+    return (blocks.reshape(-1, d * d) @ alg.coord_map.T).reshape(
+        *mats.shape[:-2], m, m, alg.dim)
 
 
-def _triple_defects(alg: EpsilonAlgebra, x, y, z) -> DefectReport:
-    """Worst defects over stacked triples; a triple with an element of norm
-    below 1e-12 is skipped and not counted."""
-    xy = _ext_star(alg, x, y)
-    assoc = _ext_star(alg, xy, z) - _ext_star(alg, x, _ext_star(alg, y, z))
-    xdx = _ext_star(alg, np.conj(np.swapaxes(x, -3, -2)), x)
-    norms = _ext_norms(alg, np.stack([x, y, z, assoc, xy, xdx]))
+def _triple_defects(alg: EpsilonAlgebra, triples: np.ndarray) -> DefectReport:
+    """Worst defects over stacked triples (count, 3, m, m, dim) of coordinate
+    blocks; a triple with an element of norm below 1e-12 is skipped and not
+    counted.
+
+    Every product is formed on the md x md matrices and mapped back into the
+    algebra through its coordinates; by linearity the associator takes one
+    map of the difference (X * Y) Z - X (Y * Z).  The six stacks take their
+    norms one at a time, so that no copy of all six, nor their Gram
+    matrices, is alive at once."""
+    x, y, z = _block_matrices(alg, triples).swapaxes(0, 1)
+
+    def phi(mats):
+        return _block_matrices(alg, _block_coords(alg, mats))
+
+    xy = phi(x @ y)
+    assoc = phi(xy @ z - x @ phi(y @ z))
+    xdx = phi(np.conj(np.swapaxes(x, -1, -2)) @ x)
+    norms = np.array([nl.operator_norms(v) for v in (x, y, z, assoc, xy, xdx)])
     nx, ny, nz, na, nxy, nxdx = norms[:, norms[:3].min(axis=0) >= 1e-12]
     return DefectReport(
         float(np.max(nxy / (nx * ny) - 1, initial=0.0)),

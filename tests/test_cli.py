@@ -297,6 +297,20 @@ _GEN_UNREAD = [
 ]
 
 
+# gen arguments with a size that is not positive, and the flag the error names
+_GEN_NON_POSITIVE = [
+    (["--idempotent", "(2,0)"], "--idempotent"),
+    (["--idempotent", "(0,2),(1,1)"], "--idempotent"),
+    (["--idempotent", "(2,1)", "--dim", "-2"], "--dim"),
+    (["--pinching", "0,2"], "--pinching"),
+    (["--pinching", "3,,1"], "--pinching"),
+    (["--pinching", "3,-1"], "--pinching"),
+    (["--random-ucp", "--dim", "3", "--kraus-rank", "0"], "--kraus-rank"),
+    (["--random-ucp", "--dim", "-2"], "--dim"),
+    (["--random-ucp", "--dim", "0"], "--dim"),
+]
+
+
 class TestCliCommands:
     def test_gen_analyze_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "ch.json"
@@ -412,6 +426,34 @@ class TestCliCommands:
         assert len(err) == 1 and f"--{kind} does not read {flag}" in err[0]
         assert not out.exists()
         assert main(["gen", *args, "--seed", "1", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("args,flag", _GEN_NON_POSITIVE,
+                             ids=[" ".join(a) for a, _ in _GEN_NON_POSITIVE])
+    def test_gen_refuses_non_positive_sizes(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["gen", *args, "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValueError: " + flag), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "factorize"])
+    def test_negative_samples_are_refused(self, tmp_path, capsys, command):
+        ch_path, out = tmp_path / "ch.json", tmp_path / "report.json"
+        main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(ch_path)])
+        capsys.readouterr()
+        assert main([command, str(ch_path), "--samples", "-3", "--json-out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: ValueError: --samples must be non-negative, got -3"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "factorize"])
+    def test_samples_help_names_the_amplified_draws(self, capsys, command):
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "amplified stage draws max(samples // 2, 40)" in " ".join(
+            capsys.readouterr().out.split())
 
     def test_demo_exit_code_follows_its_replay_verification(self, monkeypatch, capsys):
         assert main(["demo"]) == 0

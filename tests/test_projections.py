@@ -68,15 +68,17 @@ class TestProjectionSearch:
         # C I on C^2: its unit is its one minimal projection
         alg = alg_of(chn.gen_pinching((1, 1)))
         basis = alg.unit_element()[None] / np.sqrt(2)
+        coord_map = basis.reshape(1, -1)  # the adjoint of the Hermitian basis
         one_dim = sc.EpsilonAlgebra(alg.ambient_dim, basis, np.array([np.sqrt(2.0)]),
-                                    np.full((1, 1, 1), 1 / np.sqrt(2), dtype=complex))
+                                    np.full((1, 1, 1), 1 / np.sqrt(2), dtype=complex),
+                                    coord_map)
         comps, ratio = pj.minimal_projections(one_dim, np.random.default_rng(0))
         assert ratio is None and [c.rank for c in comps] == [1]
         assert abs(comps[0].p.coords[0] - np.sqrt(2.0)) <= 1e-12
         # the same line with the zero product has no projection of rank 1:
         # every draw is refused, with a typed error
         zero = sc.EpsilonAlgebra(alg.ambient_dim, basis, np.array([np.sqrt(2.0)]),
-                                 np.zeros((1, 1, 1), dtype=complex))
+                                 np.zeros((1, 1, 1), dtype=complex), 0 * coord_map)
         with pytest.raises(pj.NoSpectralCut):
             pj.minimal_projections(zero, np.random.default_rng(0))
 

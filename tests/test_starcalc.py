@@ -3,6 +3,7 @@ import pytest
 
 from almostidem import numlin as nl
 from almostidem import channels as chn
+from almostidem import reconstruction as rc
 from almostidem import starcalc as sc
 
 import structure_oracle as so
@@ -435,7 +436,7 @@ class TestBatchedDefects:
         rng = np.random.default_rng(11)
         bad = sc.EpsilonAlgebra(algebra.ambient_dim, algebra.basis,
                                 algebra.unit_coords + 0.01 * _ref_gauss(rng, algebra.dim),
-                                algebra.star_tensor)
+                                algebra.star_tensor, algebra.coord_map)
         assert abs(sc._unit_defect(bad) - _ref_unit_defect(bad)) <= 1e-12
 
     @pytest.mark.parametrize("samples,extension_n,seed", [
@@ -457,7 +458,7 @@ class TestBatchedDefects:
         rng = np.random.default_rng(8)
         x, y, z = (_ref_gauss(rng, (6, algebra.dim)) for _ in range(3))
         y[2] = 0.0
-        got = sc._triple_defects(algebra, *(v[:, None, None, :] for v in (x, y, z)))
+        got = sc._triple_defects(algebra, np.stack([x, y, z], axis=1)[:, :, None, None, :])
         want = sc.DefectReport(sample_count=0, method="sampled")
         for triple in zip(x, y, z):
             want = want.merge(_ref_triple_defect(algebra, *triple))
@@ -488,6 +489,73 @@ def _benchmark_inputs():
         yield chn.gen_pinching(dims), seed
     for pairs, dim, seed in [(((2, 2), (1, 3)), 7, 3), (((2, 3), (1, 2)), 8, 4)]:
         yield chn.gen_random_idempotent(pairs, dim, seed), seed
+
+
+_PRODUCT_ALGEBRAS = {
+    "perturbed-31": lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=1),
+    "perturbed-22": lambda: chn.gen_perturbed(chn.gen_pinching((2, 2)), 1e-2, seed=1),
+    "pinching-431": lambda: chn.gen_pinching((4, 3, 1)),
+    "pinching-51": lambda: chn.gen_pinching((5, 1)),
+    "idempotent-22-13": lambda: chn.gen_random_idempotent(((2, 2), (1, 3)), 7, 3),
+}
+
+
+class TestMatrixProducts:
+    """The sampled and amplified stages multiply on matrices: the block
+    product on C^m (x) H, then ``coord_map`` on each block.  That must be
+    the star tensor's product, summed over the inner block index."""
+
+    @staticmethod
+    def _algebra(name):
+        if name == "matrix-3":
+            return rc.matrix_algebra(3)
+        return sc.extract_algebra(sc.idempotentize(_PRODUCT_ALGEBRAS[name]()))
+
+    @pytest.mark.parametrize("name", sorted(_PRODUCT_ALGEBRAS) + ["matrix-3"])
+    def test_products_match_star_tensor(self, name):
+        alg = self._algebra(name)
+        rng = np.random.default_rng(12)
+        for m in (1, 2, 3):
+            x, y = (_ref_gauss(rng, (6, m, m, alg.dim)) for _ in range(2))
+            prod = sc._block_matrices(alg, x) @ sc._block_matrices(alg, y)
+            got = sc._block_coords(alg, prod)
+            want = alg.star(x[:, :, :, None, :], y[:, None, :, :, :]).sum(axis=-3)
+            assert got.shape == want.shape == (6, m, m, alg.dim)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), m
+
+    def test_block_matrices_are_the_amplified_elements(self):
+        alg = self._algebra("perturbed-31")
+        x = _ref_gauss(np.random.default_rng(13), (4, 2, 2, alg.dim))
+        want = [np.block([[alg.element(e[a, b]) for b in range(2)] for a in range(2)])
+                for e in x]
+        assert np.max(np.abs(sc._block_matrices(alg, x) - np.array(want))) <= 1e-14
+
+    def test_matrix_algebra_coord_map_is_the_basis_adjoint(self):
+        alg = rc.matrix_algebra(3)
+        stack_b = np.stack([nl.vec(b) for b in alg.basis], axis=1)
+        assert np.array_equal(alg.coord_map, stack_b.conj().T)
+        assert not alg.coord_map.flags.writeable
+
+    @pytest.mark.parametrize("name,n_ext,samples,chunks", [
+        ("pinching-431", 1, 100, [64, 36]),
+        ("pinching-431", 2, 50, [16, 16, 16, 2]),
+        ("perturbed-31", 1, 100, [100]),
+        ("perturbed-31", 2, 50, [50]),
+    ])
+    def test_triples_taken_about_4096_entries_at_a_time(
+            self, name, n_ext, samples, chunks, monkeypatch):
+        alg = self._algebra(name)
+        seen = []
+        triple_defects = sc._triple_defects
+        monkeypatch.setattr(sc, "_triple_defects",
+                            lambda a, t: seen.append(len(t)) or triple_defects(a, t))
+        got = sc._sampled_defects(alg, samples, np.random.default_rng(2), n_ext)
+        monkeypatch.undo()
+        assert seen == chunks
+        # the chunks merge to the defects of all the triples at once
+        whole = sc._triple_defects(
+            alg, sc._draw_triples(np.random.default_rng(2), samples, n_ext, alg.dim))
+        _assert_same_report(got, whole)
 
 
 class TestMaxNorm:
@@ -602,9 +670,16 @@ def _svd_ext_norms(alg, x):
     return np.linalg.svd(np.array(mats), compute_uv=False)[:, 0].reshape(x.shape[:-3])
 
 
+def _ext_norms(alg, x):
+    """Operator norms of stacked M_m (x) A coordinate blocks, as the sampled
+    and amplified stages take them."""
+    return nl.operator_norms(sc._block_matrices(alg, x))
+
+
 class TestGramNorms:
-    """``_ext_norms`` takes sqrt(lam_max(X^dag X)); it must agree with the SVD
-    to 1e-13 relative, over the whole range of scales."""
+    """The norms of the sampled and amplified stages, sqrt(lam_max(X^dag X))
+    of the matrices ``_block_matrices`` builds, must agree with the SVD to
+    1e-13 relative, over the whole range of scales."""
 
     @staticmethod
     def _stack(alg, m, rng):
@@ -631,18 +706,18 @@ class TestGramNorms:
     def test_agrees_with_svd(self, m, scale):
         alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((4, 3, 1))))
         x = self._stack(alg, m, np.random.default_rng(20 + m)) * scale
-        got, want = sc._ext_norms(alg, x), _svd_ext_norms(alg, x)
+        got, want = _ext_norms(alg, x), _svd_ext_norms(alg, x)
         assert got.shape == want.shape == (8,)
         assert got[5] == want[5] == 0.0
         assert np.all(np.abs(got - want) <= 1e-13 * want)
         # stacked with leading axes, as _triple_defects passes them
-        both = sc._ext_norms(alg, np.stack([x[:4], x[4:]]))
+        both = _ext_norms(alg, np.stack([x[:4], x[4:]]))
         assert np.all(np.abs(both.ravel() - want) <= 1e-13 * want)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_agrees_with_svd_on_every_algebra(self, algebra, m):
         x = _ref_gauss(np.random.default_rng(30 + m), (3, 5, m, m, algebra.dim))
-        got, want = sc._ext_norms(algebra, x), _svd_ext_norms(algebra, x)
+        got, want = _ext_norms(algebra, x), _svd_ext_norms(algebra, x)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -664,7 +739,7 @@ class TestGramNorms:
     def test_non_finite_basis_raises(self):
         alg = sc.extract_algebra(sc.idempotentize(_depolarizing(2)))
         bad = sc.EpsilonAlgebra(alg.ambient_dim, np.full((1, 2, 2), np.nan),
-                                alg.unit_coords, alg.star_tensor)
+                                alg.unit_coords, alg.star_tensor, alg.coord_map)
         with np.errstate(invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
-                sc._ext_norms(bad, np.ones((2, 1, 1, 1)))
+                sc._sampled_defects(bad, 2, np.random.default_rng(1))
