@@ -115,12 +115,14 @@ def two_level_example(eta: float):
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
+    """The (d,e) pairs of a comma-separated list such as '(2,2), (1,3)'; the
+    whole text must be such a list."""
     import re
 
-    found = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
-    if not found:
+    pair = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
+    if not re.fullmatch(rf"\s*{pair}(\s*,\s*{pair})*\s*", text):
         raise ValueError(f"--idempotent: cannot parse block pairs from {text!r}")
-    pairs = tuple((int(d), int(e)) for d, e in found)
+    pairs = tuple((int(d), int(e)) for d, e in re.findall(pair, text))
     if min(min(p) for p in pairs) <= 0:
         raise ValueError(
             f"--idempotent needs positive block sizes and multiplicities, got {text!r}")
@@ -336,6 +338,9 @@ def main(argv=None) -> int:
         "demo": cmd_demo,
     }
     try:
+        # --seed seeds numpy's generators, which refuse a negative one
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return handlers[args.command](args)
     except Exception as exc:  # surface clean one-line errors to the shell
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

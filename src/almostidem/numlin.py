@@ -285,12 +285,6 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def polar_unitary(t: np.ndarray) -> np.ndarray:
-    """Unitary factor U V^dag of the polar decomposition of t = U S V^dag."""
-    u, _, vh = np.linalg.svd(t)
-    return u @ vh
-
-
 def rank_from_singular_values(s: np.ndarray, rel_tol: float) -> int:
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s[0] <= 0:

@@ -5,10 +5,9 @@ one-dimensional ones of an algebra come from the eigenvalue clusters of left
 multiplication by one generic element.  The
 compression map C_{P,Q} = theta(L_P R_Q + R_Q L_P - 1) is an exactly
 idempotent operator on the algebra whose image S_{P,Q} plays the role of the
-corner P A Q; the Hilbert-space structure of S_{P,Q} for one-dimensional Q,
-the induced operator representations on those Hilbert spaces, and the
-equivalence classification of one-dimensional projections are the raw
-material for rebuilding matrix algebras.
+corner P A Q; the equivalence classification of one-dimensional projections
+by dim S_{P,Q} in {0, 1}, and the rank-one corners of equivalent pairs, are
+the raw material for rebuilding matrix algebras.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ class DegenerateGram(ProjectionError):
     pass
 
 
-class SingularGram(ProjectionError):
-    pass
-
-
 class AmbiguousRank(ProjectionError):
     pass
 
@@ -62,7 +57,6 @@ class DeltaProjection:
 @dataclass
 class CompressionMap:
     p: DeltaProjection
-    q: DeltaProjection
     matrix: np.ndarray          # exactly idempotent on algebra coordinates
     image_coords: np.ndarray    # orthonormal columns spanning S_{P,Q}
 
@@ -72,17 +66,6 @@ class CompressionMap:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
-
-
-@dataclass
-class SubspaceHilbert:
-    """S_{P,Q} for one-dimensional Q with its induced inner product."""
-
-    basis_coords: np.ndarray    # columns: algebra coordinates of the basis
-    gram: np.ndarray
-    q_tilde: np.ndarray         # coordinates of the unit C_Q(Q)
-    chol: np.ndarray            # lower Cholesky factor of gram
-    q_functional: np.ndarray    # X -> <Q~, C_Q(X)> / <Q~, Q~> is X @ q_functional
 
 
 def measure_delta(alg: EpsilonAlgebra, coords: np.ndarray) -> float:
@@ -125,7 +108,7 @@ def compression(
     # an idempotent has singular values >= 1 on its range and ~0 elsewhere
     u_svd, s_svd, _ = np.linalg.svd(cmat)
     image = u_svd[:, : int(np.sum(s_svd > 0.5))]
-    return CompressionMap(p, q, cmat, image)
+    return CompressionMap(p, cmat, image)
 
 
 def minimal_projections(
@@ -249,63 +232,6 @@ def _indicator_rank(lam: np.ndarray) -> int:
             f"{grey} eigenvalue indicator(s) inside the gray zone [0.1, 0.9]"
         )
     return int(np.sum(lam >= 0.9))
-
-
-def hilbert_structure(
-    alg: EpsilonAlgebra,
-    c_pq: CompressionMap,
-    c_q: CompressionMap,
-) -> SubspaceHilbert:
-    """Inner product on S_{P,Q} from Y^dag . X = <Y|X> Q~ for 1-dim Q; the
-    Gram matrix must have condition number below 2."""
-    if c_q.rank != 1:
-        raise DegenerateGram(f"Q is not one dimensional (dim S_Q = {c_q.rank})")
-    q_tilde = c_q.apply(c_q.q.coords)
-    q_fn = c_q.matrix.T @ np.conj(q_tilde) / np.vdot(q_tilde, q_tilde)
-    # [a, b] = <Q~, C_Q(Y_a^dag * Y_b)> / <Q~, Q~> over the basis Y of S_{P,Q}
-    basis = c_pq.image_coords.T
-    gram = nl.hermitian_part(alg.star(np.conj(basis)[:, None, :], basis[None, :, :]) @ q_fn)
-    w = np.linalg.eigvalsh(gram)
-    if w[0] <= 0.5 * max(w[-1], 1e-30) or w[0] <= 0:
-        raise DegenerateGram(
-            f"Gram matrix not safely positive definite (eigs {w[0]:.3e}..{w[-1]:.3e})"
-        )
-    return SubspaceHilbert(c_pq.image_coords, gram, q_tilde, np.linalg.cholesky(gram), q_fn)
-
-
-def h_map(
-    alg: EpsilonAlgebra,
-    z: np.ndarray,
-    c_pq: CompressionMap,
-    c_qp: CompressionMap,
-    hilb: SubspaceHilbert,
-) -> np.ndarray:
-    """Matrices of H(Z): S_{P,Q} -> S_{P,Q} in the Euclidean-orthonormal
-    basis, for a stack of Z in S_P (coordinates ``(..., n)``, result
-    ``(..., k, k)``).
-
-    H(Z)(X) is defined by pairing 2<Y|H(Z)(X)> = <(Y^dag . Z) . X + Y^dag . (Z . X)>
-    against Y over a basis of S_{P,Q}; the scalar on the right is the
-    Q~-component of the corner product, ``hilb.q_functional`` f.  With
-    G[i, j] = f(B_i * B_j), the pairing of the basis vectors Y_a, X_b is
-    C_{Q,P}(Y_a^dag * Z) G X_b + Y_a^dag G C_{P,Q}(Z * X_b): two broadcast
-    star products over the basis and the stack, their compressions, and two
-    products with G.
-    """
-    n = alg.dim
-    g = (alg.star_tensor.reshape(n * n, n) @ hilb.q_functional).reshape(n, n)
-    basis = hilb.basis_coords.T  # rows: Y_a, and X_b, of S_{P,Q}
-    y_dag = np.conj(basis)
-    z = np.asarray(z)[..., None, :]
-    ydz = alg.star(y_dag, z) @ c_qp.matrix.T   # (..., k, n): rows Y_a^dag . Z
-    zx = alg.star(z, basis) @ c_pq.matrix.T    # (..., k, n): rows Z . X_b
-    coeff = 0.5 * (ydz @ (g @ hilb.basis_coords) + (y_dag @ g) @ np.swapaxes(zx, -1, -2))
-    try:
-        raw = np.linalg.solve(hilb.gram, coeff)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(str(exc)) from exc
-    # orthonormalize both sides: matrix entry in Euclidean frames
-    return hilb.chol.conj().T @ raw @ np.linalg.inv(hilb.chol.conj().T)
 
 
 def classify_equivalence(

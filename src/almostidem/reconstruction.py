@@ -1,18 +1,17 @@
 """Rebuilding a genuine block matrix algebra inside an approximate one.
 
-The pipeline grows a commutative family of one-dimensional approximate
-projections, sorts them into equivalence classes, rebuilds a full matrix
-algebra per class by repeated corner extensions, and merges the classes.  At
-every step a Newton-style improvement driven by the "diagonal"
+The pipeline finds all one-dimensional approximate projections at once,
+sorts them into equivalence classes, reads the matrix units of a full matrix
+algebra per class off its rank-one corners P_0 A P_k, and merges the
+classes.  After each class map of more than one projection, and after each
+merge, a Newton-style improvement driven by the "diagonal"
 sum_s p_s U_s^dag (x) U_s of the block algebra pushes the multiplicativity
-defect of the current map down to the level set by the ambient algebra.  The
-diagonal is the matrix-unit diagonal sum_l (1/d_l) sum_(j,k) E_kj (x) E_jk,
-sum_l d_l^2 terms.
+defect of the current map down to the level set by the ambient algebra.  The diagonal is the matrix-unit diagonal
+sum_l (1/d_l) sum_(j,k) E_kj (x) E_jk, sum_l d_l^2 terms.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,10 +159,6 @@ class AlmostHom:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.coeffs @ nl.vec(np.asarray(x, dtype=complex))
-
-    def symmetrized(self) -> "AlmostHom":
-        perm = nl.transpose_permutation(self.spec.rep_dim)
-        return AlmostHom(self.spec, 0.5 * (self.coeffs + np.conj(self.coeffs[:, perm])))
 
 
 def _probe_set(spec: BlockSpec, probes: int, seed: int):
@@ -322,92 +317,46 @@ def merge(v1: AlmostHom, v2: AlmostHom, alg: EpsilonAlgebra) -> AlmostHom:
 
 
 # ---------------------------------------------------------------------------
-# corner extension: M_n -> M_{n+1}
+# matrix units of one equivalence class
 # ---------------------------------------------------------------------------
 
-def matrix_algebra(k: int) -> EpsilonAlgebra:
-    """B(C^k) as an exact algebra object over its Hermitian basis: a fresh
-    object per call, over the read-only arrays built once per k."""
-    return EpsilonAlgebra(k, *_matrix_algebra_data(k))
+def class_map(alg: EpsilonAlgebra, comps: list[pj.CompressionMap]) -> AlmostHom:
+    """The map M_m -> A of one equivalence class P_0, ..., P_(m-1), read off
+    its rank-one corners; ``comps`` are the compressions C_(P_k) of the class.
 
-
-@functools.lru_cache(maxsize=None)
-def _matrix_algebra_data(k: int) -> tuple[np.ndarray, ...]:
-    """(basis stack, unit coordinates, product tensor, coordinate map) of
-    B(C^k), read-only; Phi~ is the identity, so the coordinate map is the
-    basis adjoint, rows vec(B_i)^dag with vec column-stacking."""
-    stack = np.stack(nl.hermitian_basis(k))
-    n = len(stack)
-    conj_rows = stack.reshape(n, k * k).conj().T
-    tensor = (stack[:, None] @ stack[None, :]).reshape(n, n, k * k) @ conj_rows
-    unit = np.real(np.eye(k, dtype=complex).reshape(k * k) @ conj_rows)
-    coord_map = stack.conj().transpose(0, 2, 1).reshape(n, k * k)
-    for arr in (stack, unit, tensor, coord_map):
-        arr.setflags(write=False)
-    return stack, unit, tensor, coord_map
-
-
-def extend_matrix_algebra(
-    v: AlmostHom,
-    c_q: pj.CompressionMap,
-    alg: EpsilonAlgebra,
-    seed: int = 0,
-) -> AlmostHom:
-    """Extend a map M_n -> S_P by a one-dimensional projection Q to M_{n+1}.
-
-    ``c_q`` is the compression onto S_Q of the projection Q = ``c_q.p``; the
-    caller computes it once per family member and passes it down.  Follows
-    the corner construction: represent S_P on the Hilbert space S_{P,Q},
-    improve that representation to an exact homomorphism, read the new
-    column of matrix units off it, and merge with the rank-one corner of Q.
-    The extended map is returned unmeasured (``mult_defect`` measures it).
+    E_00 goes to Q~_0 = C_(P_0)(P_0), and E_0k to x_k, the spanning vector of
+    the image of C_(P_0, P_k), which must have rank 1, scaled by 1/sqrt(s_k)
+    with s_k = <Q~_k, C_(P_k)(x_k^dag * x_k)> / <Q~_k, Q~_k> > 0,
+    Q~_k = C_(P_k)(P_k), so that the Q~_k-component of x_k^dag * x_k is 1;
+    E_k0 goes to x_k^dag and E_jk
+    (j, k >= 1) to x_j^dag * x_k, one broadcast star product.  The map is
+    returned unmeasured (``mult_defect`` measures it).
     """
-    spec = v.spec
-    if len(spec.block_dims) != 1:
-        raise ReconstructionError("extension input must be a single matrix block")
-    n = spec.block_dims[0]
-    q = c_q.p
-    p = pj.DeltaProjection(np.real(v.apply(spec.unit())))
-    if c_q.rank != 1:
-        raise pj.DegenerateGram(f"dim S_Q = {c_q.rank}, expected 1")
-    c_pq = pj.compression(alg, p, q)
-    if c_pq.rank != n:
-        raise nl.DimMismatch(
-            f"dim S_(P,Q) = {c_pq.rank}, expected {n}; equivalence classification "
-            f"is inconsistent with this extension"
-        )
-    hilb = pj.hilbert_structure(alg, c_pq, c_q)
-    c_qp = pj.compression(alg, q, p)
-
-    # the corner representation of S_P on S_{P,Q}, one H(Z) per matrix unit
-    # Z = v(E_jk), then improved to exact
-    target = matrix_algebra(n)
-    cols = spec.unit_columns()
-    units = v.coeffs[:, cols]  # v(E_jk), j major
-    rep_cols = np.zeros((target.dim, n * n), dtype=complex)
-    rep_cols[:, cols] = target.coords(pj.h_map(alg, units.T, c_pq, c_qp, hilb)).T
-    mu = AlmostHom(spec, rep_cols).symmetrized()
-    mu = improve_homomorphism(mu, target, seed=seed)
-
-    # matrix-unit trick: an orthonormal column frame from the improved rep,
-    # u1[:, j] = mu(E_j1) xi with xi the top eigenvector of mu(E_11)
-    mu_e = target.element(mu.coeffs[:, cols[::n]])  # mu(E_j1), j = 0..n-1
-    _, u_eig = np.linalg.eigh(nl.hermitian_part(mu_e[0]))
-    u1 = nl.polar_unitary((mu_e @ u_eig[:, -1]).T)
-
-    # assemble the extended map on M_{n+1}: v on the old units, the new
-    # column and row of matrix units, and Q~ in the corner
-    e2c = hilb.basis_coords @ np.linalg.inv(hilb.chol.conj().T)
-    col = e2c @ u1
-    grid = np.zeros((alg.dim, n + 1, n + 1), dtype=complex)
-    grid[:, :n, :n] = units.reshape(alg.dim, n, n)
-    grid[:, :n, n] = col
-    grid[:, n, :n] = np.conj(col)
-    grid[:, n, n] = hilb.q_tilde
-    new_spec = BlockSpec((n + 1,))
-    coeffs = np.zeros((alg.dim, (n + 1) * (n + 1)), dtype=complex)
-    coeffs[:, new_spec.unit_columns()] = grid.reshape(alg.dim, -1)
-    return AlmostHom(new_spec, coeffs)
+    m, n = len(comps), alg.dim
+    p0 = comps[0].p
+    x = np.empty((m - 1, n), dtype=complex)
+    for k, c_q in enumerate(comps[1:]):
+        corner = pj.compression(alg, p0, c_q.p)
+        if corner.rank != 1:
+            raise nl.DimMismatch(
+                f"dim S_(P0, P{k + 1}) = {corner.rank}, expected 1; equivalence "
+                f"classification is inconsistent with the corner")
+        x_k = corner.image_coords[:, 0]
+        q_tilde = c_q.apply(c_q.p.coords)
+        s_k = np.real(np.vdot(q_tilde, c_q.apply(alg.star(np.conj(x_k), x_k)))
+                      / np.vdot(q_tilde, q_tilde))
+        if not s_k > 0:
+            raise pj.DegenerateGram(f"corner P0 A P{k + 1} has scale {s_k:.3e}, not positive")
+        x[k] = x_k / np.sqrt(s_k)
+    grid = np.empty((n, m, m), dtype=complex)
+    grid[:, 0, 0] = comps[0].apply(p0.coords)
+    grid[:, 0, 1:] = x.T
+    grid[:, 1:, 0] = np.conj(x).T
+    grid[:, 1:, 1:] = np.moveaxis(alg.star(np.conj(x)[:, None], x[None, :]), -1, 0)
+    spec = BlockSpec((m,))
+    coeffs = np.zeros((n, m * m), dtype=complex)
+    coeffs[:, spec.unit_columns()] = grid.reshape(n, -1)
+    return AlmostHom(spec, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +385,13 @@ def reconstruct(
     Stage 1 finds all one-dimensional approximate projections at once, from
     the eigenvalue clusters of left multiplication by a generic element
     (:func:`projections.minimal_projections`, whose winning gap ratio the
-    report records); stage 2 grows one matrix algebra per equivalence class
-    through corner extensions with error reduction after each step, stage 3
-    merges the classes.  The compression map of each family member is
-    computed once, in stage 1, and passed down to the class seeds and the
-    extensions.  No decision reads the sampled ``alg.defects``.  Returns the
-    block structure, the near-isomorphism, and a report of every measured
-    defect.
+    report records); stage 2 builds the map of each equivalence class in
+    one step from its rank-one corners (:func:`class_map`) and improves it
+    once, unless the class is a single projection; stage 3 merges the
+    classes.  The compression map of each family member is computed once,
+    in stage 1, and passed down to the class maps.  No decision reads the
+    sampled ``alg.defects``.  Returns the block structure, the
+    near-isomorphism, and a report of every measured defect.
     """
     rng = np.random.default_rng(seed)
 
@@ -464,16 +413,12 @@ def reconstruct(
     history: list[float] = []
     for cls in classes:
         try:
-            c_q0 = comps[cls[0]]
-            v_c = AlmostHom(BlockSpec((1,)), c_q0.apply(c_q0.p.coords)[:, None])
-            for jdx in cls[1:]:
-                v_c = extend_matrix_algebra(
-                    v_c, comps[jdx], alg, seed=int(rng.integers(1 << 31))
-                )
+            v_c = class_map(alg, [comps[j] for j in cls])
+            if len(cls) > 1:
                 v_c = improve_homomorphism(v_c, alg, seed=int(rng.integers(1 << 31)))
                 history.append(v_c.mult_defect)
         except (pj.ProjectionError, nl.NumLinError, ReconstructionError) as exc:
-            raise StageFailed("stage2-extension", str(exc)) from exc
+            raise StageFailed("stage2-matrix-units", str(exc)) from exc
         class_homs.append(v_c)
 
     # ---------------- stage 3: merge the classes ----------------

@@ -114,12 +114,6 @@ class EpsilonAlgebra:
     def element(self, coords: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coords), self.basis, axes=(0, 0))
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates Tr(B_i^dag X) of an element, or of a stack (..., d, d)."""
-        x = np.asarray(x)
-        d = self.ambient_dim
-        return x.reshape(*x.shape[:-2], d * d) @ self.basis.reshape(self.dim, d * d).conj().T
-
     def star(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of coordinate vectors; stacks of rows broadcast together."""
         n = self.dim

@@ -15,10 +15,14 @@ laws on the map itself; ``diagonal_residuals`` checks the block design of
 ``almostidem.reconstruction.pauli_diagonal``, and ``shift_clock_terms`` is
 the reference design of the same element, built from the per-block
 shift/clock unitaries; ``hs_inner`` is the Hilbert-Schmidt inner product.
+``matrix_algebra`` (B(C^k) as an exact algebra object), ``coords`` (the
+coordinates of an element of an algebra), ``symmetrized`` (the involution
+average of a map) and ``polar_unitary`` are fixtures and helpers of the tests.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +30,8 @@ import numpy as np
 from almostidem import numlin as nl
 from almostidem.channels import Channel, ChannelError, carrier, pinch_superop
 from almostidem.numlin import DimMismatch
+from almostidem.reconstruction import AlmostHom
+from almostidem.starcalc import EpsilonAlgebra
 
 
 class NotIdempotent(ChannelError):
@@ -82,6 +88,12 @@ def idempotency_residual(ch: Channel) -> float:
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(a† b), conjugate linear in ``a``."""
     return complex(np.sum(np.conj(a) * b))
+
+
+def polar_unitary(t: np.ndarray) -> np.ndarray:
+    """Unitary factor U V^dag of the polar decomposition of t = U S V^dag."""
+    u, _, vh = np.linalg.svd(t)
+    return u @ vh
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -252,7 +264,7 @@ def _factor_block(sub_basis, iso, rng):
         s = np.linalg.svd(t, compute_uv=False)
         if s[-1] < 1e-8 * max(s[0], 1e-30) or s[-1] < 1e-12:
             raise DecompositionFailed("probe element does not connect eigenspaces")
-        frame.append(nl.polar_unitary(t))
+        frame.append(polar_unitary(t))
 
     rows = []
     for k in range(d):
@@ -652,3 +664,43 @@ def diagonal_residuals(diag, probes: int = 0) -> dict[str, float]:
         rhs = sum(p * nl.kron(u.conj().T, u @ x) for p, u in diag.terms)
         comm_err = max(comm_err, nl.operator_norm(lhs - rhs))
     return {"pi": pi_err, "commutation": comm_err}
+
+
+# ---------------------------------------------------------------------------
+# algebra objects and maps
+# ---------------------------------------------------------------------------
+
+def matrix_algebra(k: int) -> EpsilonAlgebra:
+    """B(C^k) as an exact algebra object over its Hermitian basis: a fresh
+    object per call, over the read-only arrays built once per k."""
+    return EpsilonAlgebra(k, *_matrix_algebra_data(k))
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_algebra_data(k: int) -> tuple[np.ndarray, ...]:
+    """(basis stack, unit coordinates, product tensor, coordinate map) of
+    B(C^k), read-only; Phi~ is the identity, so the coordinate map is the
+    basis adjoint, rows vec(B_i)^dag with vec column-stacking."""
+    stack = np.stack(nl.hermitian_basis(k))
+    n = len(stack)
+    conj_rows = stack.reshape(n, k * k).conj().T
+    tensor = (stack[:, None] @ stack[None, :]).reshape(n, n, k * k) @ conj_rows
+    unit = np.real(np.eye(k, dtype=complex).reshape(k * k) @ conj_rows)
+    coord_map = stack.conj().transpose(0, 2, 1).reshape(n, k * k)
+    for arr in (stack, unit, tensor, coord_map):
+        arr.setflags(write=False)
+    return stack, unit, tensor, coord_map
+
+
+def coords(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:
+    """Coordinates Tr(B_i^dag X) of an element, or of a stack (..., d, d)."""
+    x = np.asarray(x)
+    d = alg.ambient_dim
+    return x.reshape(*x.shape[:-2], d * d) @ alg.basis.reshape(alg.dim, d * d).conj().T
+
+
+def symmetrized(v: AlmostHom) -> AlmostHom:
+    """The map (v + v^#) / 2 with v^#(X) = v(X^dag)^dag, which keeps the
+    involution symmetry v(X^dag) = v(X)^dag."""
+    perm = nl.transpose_permutation(v.spec.rep_dim)
+    return AlmostHom(v.spec, 0.5 * (v.coeffs + np.conj(v.coeffs[:, perm])))

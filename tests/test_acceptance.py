@@ -303,10 +303,10 @@ class TestCriterion7NewtonMachinery:
         coeffs = np.zeros((alg.dim, spec.rep_dim**2), dtype=complex)
         for (l, j, k) in spec.unit_indices():
             m = so.unit_matrix(spec, l, j, k)
-            coeffs[:, nl.vec(m).argmax()] = alg.coords(m)
+            coeffs[:, nl.vec(m).argmax()] = so.coords(alg, m)
         noise = 0.01 * (rng.standard_normal(coeffs.shape)
                         + 1j * rng.standard_normal(coeffs.shape)) / np.sqrt(2)
-        v = rc.mult_defect(rc.AlmostHom(spec, coeffs + noise).symmetrized(), alg)
+        v = rc.mult_defect(so.symmetrized(rc.AlmostHom(spec, coeffs + noise)), alg)
         seeded = v.mult_defect
         seeded_ok = 0.02 <= seeded <= 0.09  # the requested 5e-2 scale
         defects = [seeded]

@@ -462,6 +462,41 @@ class TestCliCommands:
         assert main(["demo"]) == 1
         assert "replay verification: ['one failure']" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", [
+        "(2,2),(1,x)", "(2,2)(1,3)", "(2,2),", "x(2,2)", "(2,2);(1,3)", "(2,2),(1,3),junk",
+    ])
+    def test_gen_refuses_a_partly_parsed_pair_list(self, tmp_path, capsys, text):
+        # the whole text must be a pair list: no pair is kept from a bad one
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["gen", "--idempotent", text, "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: ValueError: --idempotent: cannot parse block pairs from {text!r}"]
+        assert not out.exists()
+
+    def test_gen_reads_a_spaced_pair_list(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["gen", "--idempotent", " ( 2 , 2 ) ,(1,3) ", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert json.load(open(out))["meta"]["pairs"] == [[2, 2], [1, 3]]
+
+    @pytest.mark.parametrize("command", ["gen", "analyze", "reconstruct", "factorize", "demo"])
+    def test_negative_seed_is_refused(self, tmp_path, capsys, command):
+        ch_path, out = tmp_path / "ch.json", tmp_path / "out.json"
+        main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(ch_path)])
+        argv = {
+            "gen": ["gen", "--pinching", "2,1", "--out", str(out)],
+            "analyze": ["analyze", str(ch_path), "--json-out", str(out)],
+            "reconstruct": ["reconstruct", str(ch_path), "--json-out", str(out)],
+            "factorize": ["factorize", str(ch_path), "--json-out", str(out)],
+            "demo": ["demo"],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: ValueError: --seed must be non-negative, got -1"]
+        assert captured.out == "" and not out.exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["analyze", str(missing)]) == 2
@@ -520,8 +555,9 @@ class TestManyBlocks:
 class TestThreadCount:
     def test_d8_certificates_agree_across_blas_thread_counts(self, tmp_path):
         # d=8 (4,3,1) at t=1e-2, seed 1, factorized in child processes at one
-        # BLAS thread and at two: the same block structure, and every
-        # certificate interval of one run meets that of the other
+        # BLAS thread and at two: the same block structure, the same
+        # near-isomorphism up to roundoff, and every certificate interval of
+        # one run meets that of the other
         import check_report
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(almostidem.__file__)))
@@ -541,6 +577,8 @@ class TestThreadCount:
             reports.append(json.load(open(tmp_path / out)))
         one, two = reports
         assert one["block_dims"] == two["block_dims"] == [4, 3, 1]
+        hom_one, hom_two = (ser.matrix_from_json(r["hom_coeffs"]) for r in reports)
+        assert np.max(np.abs(hom_one - hom_two)) <= 1e-12
         pairs = list(zip(check_report.certificates(one), check_report.certificates(two)))
         assert len(pairs) == 5
         for (where, a), (where_b, b) in pairs:

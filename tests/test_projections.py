@@ -16,7 +16,7 @@ def alg_of(ch: chn.Channel) -> sc.EpsilonAlgebra:
 def unit_coords(alg, i, j):
     e = np.zeros((alg.ambient_dim, alg.ambient_dim), dtype=complex)
     e[i, j] = 1.0
-    return alg.coords(e)
+    return so.coords(alg, e)
 
 
 class TestProjectionSearch:
@@ -165,8 +165,8 @@ class TestCompressedProduct:
         alg = alg_of(so.identity_channel(2))
         e11 = pj.DeltaProjection(unit_coords(alg, 0, 0), 0.0)
         c_11 = pj.compression(alg, e11, e11)
-        x = alg.coords(np.array([[0, 1], [0, 0]], dtype=complex))  # E12
-        y = alg.coords(np.array([[0, 0], [1, 0]], dtype=complex))  # E21
+        x = so.coords(alg, np.array([[0, 1], [0, 0]], dtype=complex))  # E12
+        y = so.coords(alg, np.array([[0, 0], [1, 0]], dtype=complex))  # E21
         prod = c_11.apply(alg.star(x, y))  # X . Y = C_{P,R}(X * Y)
         e11_mat = alg.element(prod)
         np.testing.assert_allclose(e11_mat, np.diag([1.0, 0.0]), atol=1e-9)
@@ -189,29 +189,32 @@ class TestCompressedProduct:
 
 class TestHilbertStructure:
     def test_single_corner(self):
+        # S_P of P = E11 in B(C^2) is spanned by P, which C_P fixes
         alg = alg_of(so.identity_channel(2))
         e11 = pj.DeltaProjection(unit_coords(alg, 0, 0), 0.0)
         c_p = pj.compression(alg, e11)
-        hilb = pj.hilbert_structure(alg, c_p, c_p)
-        assert len(hilb.gram) == 1
-        coeff = hilb.basis_coords.conj().T @ e11.coords
-        assert abs(coeff.conj() @ hilb.gram @ coeff - 1.0) <= 1e-9
+        assert c_p.rank == 1
+        assert np.max(np.abs(c_p.apply(e11.coords) - e11.coords)) <= 1e-9
+        assert abs(abs(np.vdot(c_p.image_coords[:, 0], e11.coords)) - 1.0) <= 1e-9
 
     def test_off_diagonal_corner(self):
         alg = alg_of(so.identity_channel(2))
         e11 = pj.DeltaProjection(unit_coords(alg, 0, 0), 0.0)
         e22 = pj.DeltaProjection(unit_coords(alg, 1, 1), 0.0)
         c_pq = pj.compression(alg, e11, e22)
-        c_q = pj.compression(alg, e22)
-        hilb = pj.hilbert_structure(alg, c_pq, c_q)
-        assert len(hilb.gram) == 1
-        # the basis vector is E12 up to phase
-        vec = alg.element(hilb.basis_coords[:, 0])
+        assert c_pq.rank == 1
+        # the spanning vector is E12 up to phase
+        vec = alg.element(c_pq.image_coords[:, 0])
         assert abs(abs(vec[0, 1]) - 1.0) <= 1e-8
         assert nl.operator_norm(vec) <= 1 + 1e-9
 
     def test_gram_norm_compatibility(self):
-        # within the M_2 block of a perturbed (2,1) pinching algebra
+        # within the M_2 block of a perturbed (2,1) pinching algebra: the
+        # corner scale s = <Q~, C_Q(x^dag * x)> / <Q~, Q~> of the spanning
+        # vector x of S_(P,Q) is its squared norm to first order, and the
+        # class map sends E_01 to x / sqrt(s)
+        from almostidem import reconstruction as rc
+
         pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-3, seed=7)
         alg = alg_of(pert)
         c1 = np.real(unit_coords(alg, 0, 0))
@@ -220,14 +223,17 @@ class TestHilbertStructure:
         e22 = pj.DeltaProjection(c2, pj.measure_delta(alg, c2))
         c_pq = pj.compression(alg, e11, e22)
         assert c_pq.rank == 1
-        c_q = pj.compression(alg, e22)
-        hilb = pj.hilbert_structure(alg, c_pq, c_q)
+        c_p, c_q = pj.compression(alg, e11), pj.compression(alg, e22)
+        gram = _ref_gram(alg, c_pq, c_q)
         rng = np.random.default_rng(2)
         for _ in range(5):
-            coeff = rng.standard_normal(len(hilb.gram)) + 1j * rng.standard_normal(len(hilb.gram))
-            x = hilb.basis_coords @ coeff
-            ip = np.real(coeff.conj() @ hilb.gram @ coeff)
+            coeff = rng.standard_normal(len(gram)) + 1j * rng.standard_normal(len(gram))
+            x = c_pq.image_coords @ coeff
+            ip = np.real(coeff.conj() @ gram @ coeff)
             assert abs(ip - alg.norm(x) ** 2) <= 0.2 * alg.norm(x) ** 2
+        v = rc.class_map(alg, [c_p, c_q])
+        e01 = v.coeffs[:, v.spec.unit_columns()[1]]
+        assert np.max(np.abs(e01 - c_pq.image_coords[:, 0] / np.sqrt(gram[0, 0].real))) <= 1e-12
 
     def test_one_dim_pairs_have_rank_at_most_one(self):
         alg = alg_of(so.identity_channel(3))
@@ -235,49 +241,6 @@ class TestHilbertStructure:
         for j in range(3):
             for k in range(3):
                 assert pj.compression_rank(alg, units[j], units[k]) <= 1
-
-
-class TestHMaps:
-    def _setup_m3(self):
-        alg = alg_of(so.identity_channel(3))
-        e = [pj.DeltaProjection(unit_coords(alg, i, i), 0.0) for i in range(3)]
-        p = pj.DeltaProjection(e[0].coords + e[1].coords, 0.0)
-        q = e[2]
-        c_p = pj.compression(alg, p)
-        c_pq = pj.compression(alg, p, q)
-        c_q = pj.compression(alg, q)
-        c_qp = pj.compression(alg, q, p)
-        hilb_pq = pj.hilbert_structure(alg, c_pq, c_q)
-        return alg, p, q, c_p, c_pq, c_qp, c_q, hilb_pq
-
-    def test_left_regular_representation(self):
-        alg, p, q, c_p, c_pq, c_qp, c_q, hilb = self._setup_m3()
-        # H over S_P acts on the 2-dim column space S_{P,Q}
-        z12 = alg.coords(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex))
-        h12 = pj.h_map(alg, z12, c_pq, c_qp, hilb)
-        # rank one with singular value 1: a matrix unit in some frame
-        s = np.linalg.svd(h12, compute_uv=False)
-        np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-7)
-        # multiplicativity: H(Z W) ~ H(Z) H(W)
-        z21 = alg.coords(np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]], dtype=complex))
-        h21 = pj.h_map(alg, z21, c_pq, c_qp, hilb)
-        z11 = alg.coords(np.diag([1.0, 0.0, 0.0]).astype(complex))
-        h11 = pj.h_map(alg, z11, c_pq, c_qp, hilb)
-        assert nl.operator_norm(h12 @ h21 - h11) <= 1e-7
-        # adjoint identity H(Z^dag) = H(Z)^dag
-        h12_dag = pj.h_map(alg, np.conj(z12), c_pq, c_qp, hilb)
-        assert nl.operator_norm(h12_dag - h12.conj().T) <= 1e-7
-
-    def test_unit_maps_to_identity(self):
-        alg, p, q, c_p, c_pq, c_qp, c_q, hilb = self._setup_m3()
-        p_tilde = c_p.apply(p.coords)
-        h_unit = pj.h_map(alg, p_tilde, c_pq, c_qp, hilb)
-        assert nl.operator_norm(h_unit - np.eye(len(hilb.gram))) <= 1e-7
-
-    def test_zero_maps_to_zero(self):
-        alg, p, q, c_p, c_pq, c_qp, c_q, hilb = self._setup_m3()
-        h0 = pj.h_map(alg, np.zeros(alg.dim), c_pq, c_qp, hilb)
-        assert nl.operator_norm(h0) <= 1e-12
 
 
 class TestEquivalence:
@@ -312,9 +275,9 @@ class TestEquivalence:
 
 
 def lr_distance_per_probe(alg, c):
-    """The sampled ||L_P R_Q - C||, one probe and two norms at a time."""
+    """The sampled ||L_P R_P - C_P||, one probe and two norms at a time."""
     rng = np.random.default_rng(0)
-    lr = alg.lmul(c.p.coords) @ alg.rmul(c.q.coords)
+    lr = alg.lmul(c.p.coords) @ alg.rmul(c.p.coords)
     dist = 0.0
     for _ in range(12):
         x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
@@ -322,12 +285,10 @@ def lr_distance_per_probe(alg, c):
     return dist
 
 
-# Per-pair loop forms of the corner kernels, kept as references for the
-# stacked ones in projections.
-
 def _ref_gram(alg, c_pq, c_q):
-    """The Gram matrix of ``hilbert_structure``, one basis pair at a time."""
-    q_tilde = c_q.apply(c_q.q.coords)
+    """The Gram matrix <Q~, C_Q(Y_a^dag * Y_b)> / <Q~, Q~> over the basis Y
+    of S_(P,Q), Q~ = C_Q(Q), one basis pair at a time."""
+    q_tilde = c_q.apply(c_q.p.coords)
     qt_sq = np.vdot(q_tilde, q_tilde)
     basis = c_pq.image_coords
     k = basis.shape[1]
@@ -337,84 +298,6 @@ def _ref_gram(alg, c_pq, c_q):
             prod = c_q.apply(alg.star(np.conj(basis[:, a]), basis[:, b]))
             gram[a, b] = np.vdot(q_tilde, prod) / qt_sq
     return nl.hermitian_part(gram)
-
-
-def _ref_h_map(alg, z, c_pq, c_qp, c_q, hilb):
-    """H(Z) for one Z, one basis pair (a, b) and two corner products at a time."""
-    q_tilde = hilb.q_tilde
-    qt_sq = np.vdot(q_tilde, q_tilde)
-    k = len(hilb.gram)
-    coeff = np.zeros((k, k), dtype=complex)
-    for a in range(k):
-        y_dag = np.conj(hilb.basis_coords[:, a])
-        ydz = c_qp.apply(alg.star(y_dag, z))
-        for b in range(k):
-            x = hilb.basis_coords[:, b]
-            zx = c_pq.apply(alg.star(z, x))
-            t1 = c_q.apply(alg.star(ydz, x))
-            t2 = c_q.apply(alg.star(y_dag, zx))
-            coeff[a, b] = 0.5 * (np.vdot(q_tilde, t1) + np.vdot(q_tilde, t2)) / qt_sq
-    raw = np.linalg.solve(hilb.gram, coeff)
-    return hilb.chol.conj().T @ raw @ np.linalg.inv(hilb.chol.conj().T)
-
-
-def _extension_inputs(monkeypatch, ch):
-    """(alg, z, c_pq, c_qp, c_q, hilb) of every extension of one reconstruct:
-    the arguments of its h_map call and the C_Q its Hilbert structure read."""
-    from almostidem import reconstruction as rc
-
-    seen, c_qs = [], []
-    h_map, hilbert_structure = pj.h_map, pj.hilbert_structure
-
-    def recording_h_map(alg_, z, c_pq, c_qp, hilb):
-        seen.append((alg_, z, c_pq, c_qp, c_qs[-1], hilb))
-        return h_map(alg_, z, c_pq, c_qp, hilb)
-
-    def recording_hilbert(alg_, c_pq, c_q):
-        c_qs.append(c_q)
-        return hilbert_structure(alg_, c_pq, c_q)
-
-    monkeypatch.setattr(pj, "h_map", recording_h_map)
-    monkeypatch.setattr(pj, "hilbert_structure", recording_hilbert)
-    alg = alg_of(ch)
-    alg.defects = sc.measure_defects(alg, samples=20, seed=0)
-    rc.reconstruct(alg, seed=0)
-    monkeypatch.undo()
-    return seen
-
-
-_CORNER_CASES = {
-    "pinching-51": lambda: chn.gen_pinching((5, 1)),
-    "perturbed-31": lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=4),
-    "idempotent-7": lambda: chn.gen_random_idempotent(((2, 2), (1, 3)), dim=7, seed=3),
-}
-
-
-class TestStackedCorners:
-    @pytest.mark.parametrize("name", sorted(_CORNER_CASES))
-    def test_h_map_and_gram_match_loops(self, name, monkeypatch):
-        calls = _extension_inputs(monkeypatch, _CORNER_CASES[name]())
-        assert calls
-        for alg, z, c_pq, c_qp, c_q, hilb in calls:
-            assert z.ndim == 2 and len(z) == len(hilb.gram) ** 2  # all units of M_k at once
-            want_gram = _ref_gram(alg, c_pq, c_q)
-            assert np.max(np.abs(hilb.gram - want_gram)) <= 1e-12
-            got = pj.h_map(alg, z, c_pq, c_qp, hilb)
-            for zi, gi in zip(z, got):
-                want = _ref_h_map(alg, zi, c_pq, c_qp, c_q, hilb)
-                assert np.max(np.abs(gi - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-    def test_stack_equals_single_calls(self, monkeypatch):
-        alg, z, c_pq, c_qp, c_q, hilb = _extension_inputs(
-            monkeypatch, _CORNER_CASES["perturbed-31"]())[-1]
-        rng = np.random.default_rng(12)
-        zs = np.stack([z, rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)])
-        got = pj.h_map(alg, zs, c_pq, c_qp, hilb)
-        assert got.shape == (*zs.shape[:2], len(hilb.gram), len(hilb.gram))
-        for idx in np.ndindex(zs.shape[:2]):
-            one = pj.h_map(alg, zs[idx], c_pq, c_qp, hilb)
-            assert one.shape == (len(hilb.gram), len(hilb.gram))
-            assert np.max(np.abs(got[idx] - one)) <= 1e-13 * max(1.0, np.max(np.abs(one)))
 
 
 def _eigvals_rank(alg, p, q):

@@ -24,7 +24,7 @@ def exact_inclusion(alg, spec):
     coeffs = np.zeros((alg.dim, spec.rep_dim**2), dtype=complex)
     for (l, j, k) in spec.unit_indices():
         m = so.unit_matrix(spec, l, j, k)
-        coeffs[:, nl.vec(m).argmax()] = alg.coords(m)
+        coeffs[:, nl.vec(m).argmax()] = so.coords(alg, m)
     return rc.AlmostHom(spec, coeffs)
 
 
@@ -128,7 +128,7 @@ class TestMultDefect:
         base = exact_inclusion(alg, spec)
         noise = 0.01 * (rng.standard_normal(base.coeffs.shape)
                         + 1j * rng.standard_normal(base.coeffs.shape))
-        v = rc.mult_defect(rc.AlmostHom(spec, base.coeffs + noise).symmetrized(), alg)
+        v = rc.mult_defect(so.symmetrized(rc.AlmostHom(spec, base.coeffs + noise)), alg)
         assert 0.001 <= v.mult_defect <= 0.1
 
     def test_zero_map_unit_defect(self):
@@ -144,7 +144,7 @@ class TestMultDefect:
         noisy = exact_inclusion(alg, spec).coeffs + 0.05 * (
             rng.standard_normal((alg.dim, 9)) + 1j * rng.standard_normal((alg.dim, 9))
         )
-        v = rc.AlmostHom(spec, noisy).symmetrized()
+        v = so.symmetrized(rc.AlmostHom(spec, noisy))
         # ||v(E^dag) - v(E)^dag|| over the matrix units E
         perm = nl.transpose_permutation(spec.rep_dim)
         assert np.linalg.norm(v.coeffs[:, perm] - np.conj(v.coeffs), axis=0).max() <= 1e-12
@@ -158,7 +158,7 @@ class TestImprove:
         base = exact_inclusion(alg, spec)
         noise = 0.01 * (rng.standard_normal(base.coeffs.shape)
                         + 1j * rng.standard_normal(base.coeffs.shape)) / np.sqrt(2)
-        v = rc.mult_defect(rc.AlmostHom(spec, base.coeffs + noise).symmetrized(), alg)
+        v = rc.mult_defect(so.symmetrized(rc.AlmostHom(spec, base.coeffs + noise)), alg)
         assert 0.02 <= v.mult_defect <= 0.09
         defects = [v.mult_defect]
         for round_no in range(5):
@@ -182,7 +182,7 @@ class TestImprove:
         base = exact_inclusion(alg, spec)
         noise = 0.01 * (rng.standard_normal(base.coeffs.shape)
                         + 1j * rng.standard_normal(base.coeffs.shape))
-        v = rc.mult_defect(rc.AlmostHom(spec, base.coeffs + noise).symmetrized(), alg)
+        v = rc.mult_defect(so.symmetrized(rc.AlmostHom(spec, base.coeffs + noise)), alg)
         start = max(v.mult_defect, v.unit_defect)
         out = rc.mult_defect(rc.improve_homomorphism(v, alg), alg)
         assert out.unit_defect <= max(100 * pm.eta.value, start)
@@ -203,7 +203,7 @@ class TestImprove:
         # the fixed algebra of the perturbed map is close to the pinching one
         rng = np.random.default_rng(0)
         base = exact_inclusion(alg, spec)
-        v = rc.mult_defect(rc.AlmostHom(spec, base.coeffs).symmetrized(), alg)
+        v = rc.mult_defect(so.symmetrized(rc.AlmostHom(spec, base.coeffs)), alg)
         improved = rc.improve_homomorphism(v, alg)
         assert improved.mult_defect <= max(100 * eta, v.mult_defect)
 
@@ -225,11 +225,11 @@ class TestMergeAndExtend:
         for (l, j, k) in s1.unit_indices():
             m3 = np.zeros((3, 3), dtype=complex)
             m3[j, k] = 1.0
-            c1[:, nl.vec(so.unit_matrix(s1, l, j, k)).argmax()] = alg.coords(m3)
+            c1[:, nl.vec(so.unit_matrix(s1, l, j, k)).argmax()] = so.coords(alg, m3)
         c2 = np.zeros((alg.dim, 1), dtype=complex)
         m3 = np.zeros((3, 3), dtype=complex)
         m3[2, 2] = 1.0
-        c2[:, 0] = alg.coords(m3)
+        c2[:, 0] = so.coords(alg, m3)
         # merge returns the map unmeasured; these are the probes and seed it measured with
         v = rc.mult_defect(rc.merge(rc.AlmostHom(s1, c1), rc.AlmostHom(s2, c2), alg), alg)
         assert v.spec.block_dims == (2, 1)
@@ -241,53 +241,114 @@ class TestMergeAndExtend:
         # two halves of the SAME block are equivalent: cross corner is not zero
         s1 = rc.BlockSpec((1,))
         c1 = np.zeros((alg.dim, 1), dtype=complex)
-        c1[:, 0] = alg.coords(np.diag([1.0, 0.0]).astype(complex))
+        c1[:, 0] = so.coords(alg, np.diag([1.0, 0.0]).astype(complex))
         c2 = np.zeros((alg.dim, 1), dtype=complex)
-        c2[:, 0] = alg.coords(np.diag([0.0, 1.0]).astype(complex))
+        c2[:, 0] = so.coords(alg, np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(rc.CrossTalk):
             rc.merge(rc.AlmostHom(s1, c1), rc.AlmostHom(s1, c2), alg)
 
-    def test_extension_chain_in_full_matrix_algebra(self):
-        # M_1 -> M_2 -> M_3 inside B(C^3)
-        alg = alg_of(so.identity_channel(3))
-        units = []
-        for i in range(3):
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, i] = 1.0
-            c = np.real(alg.coords(e))
-            units.append(pj.DeltaProjection(c, pj.measure_delta(alg, c)))
-        coeffs = np.zeros((alg.dim, 1), dtype=complex)
-        coeffs[:, 0] = units[0].coords
-        v = rc.mult_defect(rc.AlmostHom(rc.BlockSpec((1,)), coeffs), alg)
-        # extend_matrix_algebra returns the map unmeasured, as merge does
-        v = rc.mult_defect(rc.extend_matrix_algebra(v, pj.compression(alg, units[1]), alg), alg)
-        assert v.spec.block_dims == (2,)
-        assert v.mult_defect <= 1e-8
-        v = rc.improve_homomorphism(v, alg)
-        v = rc.mult_defect(rc.extend_matrix_algebra(v, pj.compression(alg, units[2]), alg), alg)
-        assert v.spec.block_dims == (3,)
-        assert v.mult_defect <= 1e-8
-        # the final map is a bijective near-isomorphism of B(C^3)
-        v = rc.mult_defect(v, alg, probes=40)
-        assert v.iso_lower >= 1 - 1e-7
-        assert v.iso_upper <= 1 + 1e-7
 
-    def test_extension_dim_mismatch(self):
+def stage2_inputs(alg, seed=0):
+    """(classes, the compressions of stage 1) of ``reconstruct``'s first two
+    stages at ``seed``."""
+    comps, _ = pj.minimal_projections(alg, np.random.default_rng(seed))
+    return pj.classify_equivalence(alg, [c.p for c in comps]), comps
+
+
+def class_map_per_unit(alg, comps):
+    """The class map of ``comps``, one corner and one matrix unit at a time."""
+    p0, m = comps[0].p, len(comps)
+    xs = []
+    for c_q in comps[1:]:
+        x = pj.compression(alg, p0, c_q.p).image_coords[:, 0]
+        q_tilde = c_q.matrix @ c_q.p.coords
+        s = np.vdot(q_tilde, c_q.matrix @ alg.star(np.conj(x), x)) / np.vdot(q_tilde, q_tilde)
+        xs.append(x / np.sqrt(s.real))
+    spec = rc.BlockSpec((m,))
+    coeffs = np.zeros((alg.dim, m * m), dtype=complex)
+    for j in range(m):
+        for k in range(m):
+            if j == 0 and k == 0:
+                img = comps[0].matrix @ p0.coords
+            elif j == 0:
+                img = xs[k - 1]
+            elif k == 0:
+                img = np.conj(xs[j - 1])
+            else:
+                img = alg.star(np.conj(xs[j - 1]), xs[k - 1])
+            coeffs[:, nl.vec(so.unit_matrix(spec, 0, j, k)).argmax()] = img
+    return rc.AlmostHom(spec, coeffs)
+
+
+_CLASS_CASES = {
+    "pinching-51": lambda: chn.gen_pinching((5, 1)),
+    "perturbed-31": lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=4),
+    "idempotent-7": lambda: chn.gen_random_idempotent(((2, 2), (1, 3)), dim=7, seed=3),
+}
+
+
+class TestClassMap:
+    """Stage 2: each class map read off the rank-one corners P_0 A P_k."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: so.identity_channel(3),
+        lambda: chn.gen_pinching((4, 3, 1)),
+    ], ids=["identity-3", "pinching-431"])
+    def test_exact_before_improvement(self, make):
+        # on exact input the matrix units of every class multiply as matrix
+        # units before any improvement
+        alg = alg_of(make())
+        classes, comps = stage2_inputs(alg)
+        for cls in classes:
+            v = rc.mult_defect(rc.class_map(alg, [comps[j] for j in cls]), alg, probes=40)
+            assert v.spec.block_dims == (len(cls),)
+            assert v.mult_defect <= 1e-12
+            assert 1 - 1e-12 <= v.iso_lower <= v.iso_upper <= 1 + 1e-12
+        if len(classes) == 1:
+            # B(C^3) is one class, and its map is onto the algebra
+            assert v.unit_defect <= 1e-12
+            assert np.linalg.matrix_rank(v.coeffs, tol=1e-7) == alg.dim == 9
+
+    @pytest.mark.parametrize("make", [
+        lambda: chn.gen_perturbed(chn.gen_pinching((2, 2)), 5e-2, seed=5),
+        lambda: chn.gen_perturbed(chn.gen_pinching((3, 2, 1)), 0.08, seed=1),
+        lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 0.15, seed=1),
+    ], ids=["perturbed-22", "in-domain-edge-321", "eta-edge-31"])
+    def test_perturbed_starts_far_below_the_gate(self, make):
+        # a seventh of improve_homomorphism's 0.35 start gate; the eta edge
+        # reads about 0.013
+        alg = alg_of(make())
+        classes, comps = stage2_inputs(alg, seed=1)
+        for cls in classes:
+            v = rc.mult_defect(rc.class_map(alg, [comps[j] for j in cls]), alg)
+            assert v.mult_defect < 0.05
+
+    @pytest.mark.parametrize("name", sorted(_CLASS_CASES))
+    def test_matches_per_unit_loop(self, name):
+        alg = alg_of(_CLASS_CASES[name]())
+        classes, comps = stage2_inputs(alg)
+        assert max(len(cls) for cls in classes) > 1
+        for cls in classes:
+            got = rc.class_map(alg, [comps[j] for j in cls]).coeffs
+            want = class_map_per_unit(alg, [comps[j] for j in cls]).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_inequivalent_projections_raise(self, monkeypatch):
+        # a class that joins projections of two blocks has a corner of rank
+        # 0, and stage 2 fails with its label
         alg = alg_of(chn.gen_pinching((2, 1)))
-        e11 = np.zeros((3, 3), dtype=complex)
-        e11[0, 0] = 1.0
-        c = np.real(alg.coords(e11))
-        p = pj.DeltaProjection(c, 0.0)
-        e33 = np.zeros((3, 3), dtype=complex)
-        e33[2, 2] = 1.0
-        c3 = np.real(alg.coords(e33))
-        q = pj.DeltaProjection(c3, 0.0)
-        coeffs = np.zeros((alg.dim, 1), dtype=complex)
-        coeffs[:, 0] = p.coords
-        v = rc.AlmostHom(rc.BlockSpec((1,)), coeffs)
-        # q is inequivalent to p (different blocks): dim S_{P,Q} = 0 != 1
-        with pytest.raises(nl.DimMismatch):
-            rc.extend_matrix_algebra(v, pj.compression(alg, q), alg)
+        classify = pj.classify_equivalence
+
+        def joined(alg_, family):
+            classes = classify(alg_, family)
+            assert [len(c) for c in classes] == [2, 1]
+            return [[classes[0][0], classes[1][0]], classes[0][1:]]
+
+        monkeypatch.setattr(pj, "classify_equivalence", joined)
+        with pytest.raises(rc.StageFailed, match="dim S_") as info:
+            rc.reconstruct(alg, seed=0)
+        assert info.value.stage == "stage2-matrix-units"
+        assert isinstance(info.value.__cause__, nl.DimMismatch)
 
 
 class TestReconstruct:
@@ -429,7 +490,7 @@ def noisy_inclusion(dims, scale, seed):
     rng = np.random.default_rng(seed)
     base = exact_inclusion(alg, spec).coeffs
     noise = scale * (rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape))
-    return alg, rc.AlmostHom(spec, base + noise).symmetrized()
+    return alg, so.symmetrized(rc.AlmostHom(spec, base + noise))
 
 
 class TestBatchedKernels:
@@ -477,7 +538,7 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_matrix_algebra_matches_loop(self, k):
-        alg = rc.matrix_algebra(k)
+        alg = so.matrix_algebra(k)
         basis = nl.hermitian_basis(k)
         n = len(basis)
         stack = np.stack([nl.vec(b) for b in basis], axis=1)
@@ -490,14 +551,14 @@ class TestBatchedKernels:
         assert np.max(np.abs(alg.unit_coords - unit)) <= 1e-15
         rng = np.random.default_rng(k)
         x = rng.standard_normal((4, k, k)) + 1j * rng.standard_normal((4, k, k))
-        coords = alg.coords(x)
+        coords = so.coords(alg, x)
         for xi, ci in zip(x, coords):
             assert np.max(np.abs(ci - [so.hs_inner(b, xi) for b in basis])) <= 1e-14
-            assert np.max(np.abs(ci - alg.coords(xi))) <= 1e-15
+            assert np.max(np.abs(ci - so.coords(alg, xi))) <= 1e-15
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_matrix_algebra_is_fresh_over_read_only_data(self, k):
-        a, b = rc.matrix_algebra(k), rc.matrix_algebra(k)
+        a, b = so.matrix_algebra(k), so.matrix_algebra(k)
         assert a is not b
         a.defects = sc.DefectReport()
         assert b.defects is None
@@ -527,7 +588,7 @@ class TestBatchedKernels:
         rng = np.random.default_rng(11)
         coeffs = rng.standard_normal((14, 36)) + 1j * rng.standard_normal((14, 36))
         v = rc.AlmostHom(spec, coeffs)
-        assert np.array_equal(v.symmetrized().coeffs, symmetrized_per_column(v))
+        assert np.array_equal(so.symmetrized(v).coeffs, symmetrized_per_column(v))
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +662,20 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(rc, "_mult_defect", recording)
         monkeypatch.setattr(rc, "improve_homomorphism", one_call)
         rc.reconstruct(alg, seed=0)
-        # both extensions of the class of three, each with the improvement of
-        # its corner representation, and the merge are improved
-        assert len(measured) == 5
+        # one improvement per class of more than one projection (the class
+        # of three) and one per merge; the singleton class is not improved
+        assert len(measured) == 2
         assert all(len(set(keys)) == len(keys) for keys in measured)
         assert max(len(keys) for keys in measured) >= 3
 
     def test_reconstruct_mult_defect_calls_pinned(self, monkeypatch):
-        # the class seeds, extensions and merges are measured only inside
-        # improve_homomorphism; on the exact pinching every measured defect
-        # is roundoff, below the 1e-12 target, so each of the 12 improvements
-        # measures once and runs no round; the unit defect and the norm
-        # sandwich are measured once, on the final map
+        # the class maps and merges are measured only inside
+        # improve_homomorphism, which runs once per class of more than one
+        # projection and once per merge; on the exact pinching every measured
+        # defect is roundoff, below the 1e-12 target, so each of the 4
+        # improvements (classes 4 and 3, two merges) measures once and runs
+        # no round; the unit defect and the norm sandwich are measured once,
+        # on the final map
         alg = alg_of(chn.gen_pinching((4, 3, 1)))
         calls = {"_mult_defect": 0, "mult_defect": 0}
 
@@ -628,7 +691,7 @@ class TestWorkDoneOnce:
             monkeypatch.setattr(rc, name, counting(name))
         spec, v, rep = rc.reconstruct(alg, seed=0)
         assert spec.block_dims == (4, 3, 1) and rep.bijective
-        assert calls == {"_mult_defect": 13, "mult_defect": 1}
+        assert calls == {"_mult_defect": 5, "mult_defect": 1}
 
     @pytest.mark.parametrize("make", [
         lambda: chn.gen_perturbed(chn.gen_pinching((2, 2)), 5e-2, seed=5),

@@ -3,7 +3,6 @@ import pytest
 
 from almostidem import numlin as nl
 from almostidem import channels as chn
-from almostidem import reconstruction as rc
 from almostidem import starcalc as sc
 
 import structure_oracle as so
@@ -508,7 +507,7 @@ class TestMatrixProducts:
     @staticmethod
     def _algebra(name):
         if name == "matrix-3":
-            return rc.matrix_algebra(3)
+            return so.matrix_algebra(3)
         return sc.extract_algebra(sc.idempotentize(_PRODUCT_ALGEBRAS[name]()))
 
     @pytest.mark.parametrize("name", sorted(_PRODUCT_ALGEBRAS) + ["matrix-3"])
@@ -531,7 +530,7 @@ class TestMatrixProducts:
         assert np.max(np.abs(sc._block_matrices(alg, x) - np.array(want))) <= 1e-14
 
     def test_matrix_algebra_coord_map_is_the_basis_adjoint(self):
-        alg = rc.matrix_algebra(3)
+        alg = so.matrix_algebra(3)
         stack_b = np.stack([nl.vec(b) for b in alg.basis], axis=1)
         assert np.array_equal(alg.coord_map, stack_b.conj().T)
         assert not alg.coord_map.flags.writeable
@@ -596,7 +595,7 @@ class TestMaxNorm:
             v = np.zeros(8, dtype=complex)
             u[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             v[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            rows.append(alg.coords(np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))))
+            rows.append(so.coords(alg, np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))))
         coords = np.array(rows)
         assert alg.max_norm(coords) == alg.norms(coords).max()
         assert abs(alg.max_norm(coords) - 1.0) <= 1e-12
@@ -690,13 +689,13 @@ class TestGramNorms:
         u, v = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
         u[:2], v[:2] = _ref_gauss(rng, 2), _ref_gauss(rng, 2)
         alpha = np.outer(_ref_gauss(rng, m), _ref_gauss(rng, m))
-        elems.append(alpha[:, :, None] * alg.coords(np.outer(u, v.conj())))
+        elems.append(alpha[:, :, None] * so.coords(alg, np.outer(u, v.conj())))
         elems.append(np.zeros((m, m, alg.dim), dtype=complex))
         # clustered top: I (x) diag with its two largest entries 1e-10 apart,
         # and a unitary multiple of the unit (every singular value equal)
         top = np.linspace(0.2, 1.0, d)
         top[-2] = 1.0 - 1e-10
-        diag = alg.coords(np.diag(top).astype(complex))
+        diag = so.coords(alg, np.diag(top).astype(complex))
         elems.append(np.eye(m)[:, :, None] * diag)
         elems.append(nl.random_unitary(m, rng)[:, :, None] * alg.unit_coords)
         return np.array(elems)
