@@ -60,13 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "--seed": {"type": int, "default": 0},
-        "--samples": {"type": int, "default": 100,
-                      "help": "random triples of the defect estimate (default 100); "
-                              "its amplified stage draws max(samples // 2, 40) more"},
         "--json-out": {"help": "write the report/output JSON here"},
     }
     # each subcommand declares only the options its handler reads
-    pipeline = ("--seed", "--samples", "--json-out")
+    pipeline = ("--seed", "--json-out")
     for name, help_text, reads in (
         ("analyze", "validity flags, certified idempotency defect, carrier",
          ("--seed", "--json-out")),
@@ -249,18 +246,11 @@ def cmd_idempotentize(args) -> int:
     return 0
 
 
-def _samples(args) -> int:
-    if args.samples < 0:
-        raise ValueError(f"--samples must be non-negative, got {args.samples}")
-    return args.samples
-
-
 def cmd_reconstruct(args) -> int:
     from . import pipeline
 
-    samples = _samples(args)
     ch = _load_channel(args.input)
-    report, artifacts = pipeline.reconstruct_channel(ch, seed=args.seed, samples=samples)
+    report, artifacts = pipeline.reconstruct_channel(ch, seed=args.seed)
     _emit(report, args)
     rec = report["checkpoints"][-1]
     print(
@@ -273,9 +263,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_factorize(args) -> int:
     from . import pipeline
 
-    samples = _samples(args)
     ch = _load_channel(args.input)
-    report, artifacts = pipeline.factorize_channel(ch, seed=args.seed, samples=samples)
+    report, artifacts = pipeline.factorize_channel(ch, seed=args.seed)
     _emit(report, args)
     fact = report["factorization"]
     print(
@@ -314,7 +303,7 @@ def cmd_demo(args) -> int:
 
     print("== perturbed pinching (2,1), t = 1e-2 ==")
     pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=args.seed)
-    report, artifacts = pipeline.factorize_channel(pert, seed=args.seed, samples=40)
+    report, artifacts = pipeline.factorize_channel(pert, seed=args.seed)
     fact = report["factorization"]
     print(f"  recovered blocks: {tuple(fact['block_dims'])}")
     print(f"  |Delta Upsilon - Phi|_cb <= {fact['residual_factor']['upper']:.3e}")

@@ -66,11 +66,7 @@ def analyze_channel(ch: chn.Channel, seed: int = 0) -> dict:
     return report
 
 
-def reconstruct_channel(
-    ch: chn.Channel,
-    seed: int = 0,
-    samples: int = 100,
-) -> tuple[dict, dict]:
+def reconstruct_channel(ch: chn.Channel, seed: int = 0) -> tuple[dict, dict]:
     """Pipeline through the block structure and the near-isomorphism.
 
     Returns (report, artifacts); artifacts keep the in-memory objects for
@@ -92,7 +88,7 @@ def reconstruct_channel(
     with _stage(timings, "extract"):
         alg = sc.extract_algebra(pm)
     with _stage(timings, "defects"):
-        alg.defects = sc.measure_defects(alg, samples=samples, extension_n=2, seed=seed)
+        alg.defects = sc.measure_defects(alg, pm.distance_cb.upper)
     checkpoints.append({
         "stage": "algebra",
         "dim": alg.dim,
@@ -127,14 +123,10 @@ def reconstruct_channel(
     return report, artifacts
 
 
-def factorize_channel(
-    ch: chn.Channel,
-    seed: int = 0,
-    samples: int = 100,
-) -> tuple[dict, dict]:
+def factorize_channel(ch: chn.Channel, seed: int = 0) -> tuple[dict, dict]:
     """Pipeline through the certified UCP factorization."""
     t0 = time.perf_counter()
-    report, artifacts = reconstruct_channel(ch, seed, samples)
+    report, artifacts = reconstruct_channel(ch, seed)
     pm, alg, spec, v = (
         artifacts["pm"], artifacts["alg"], artifacts["spec"], artifacts["v"]
     )
@@ -218,6 +210,7 @@ def verify_report(report: dict) -> list[str]:
 
     if report.get("kind") in ("reconstruct", "factorize"):
         failures.extend(_verify_structure(report))
+        failures.extend(_verify_defects(report, ch.dim_in))
     fact = report.get("factorization")
     if fact is not None:
         failures.extend(_verify_factorization(ch, fact))
@@ -247,6 +240,36 @@ def _verify_structure(report: dict) -> list[str]:
         return [f"recorded hom_coeffs is not {n} rows (the algebra dimension) "
                 f"of {entries} entries (the square of sum(block_dims))"]
     return []
+
+
+def _verify_defects(report: dict, dim: int) -> list[str]:
+    """Failures of the recorded ``eps_submult`` and ``eps_cstar`` brackets:
+    each upper bound must be the one :func:`starcalc.defect_upper_bounds`
+    gives for the recorded ``distance_cb`` upper bound, algebra dimension and
+    ``dim``, and must not lie below its lower bound.  The flat ``defects`` of
+    earlier reports record no bracket and are skipped.
+    """
+    stages = {cp.get("stage"): cp for cp in report.get("checkpoints", [])}
+    algebra = stages.get("algebra", {})
+    defects = algebra.get("defects", {})
+    if not any(isinstance(v, dict) for v in defects.values()):
+        return []
+    try:
+        delta = stages["idempotent-envelope"]["distance_cb"]["upper"]
+        uppers = sc.defect_upper_bounds(delta, algebra["dim"], dim)
+        brackets = [(name, defects[name]["lower"], defects[name]["upper"], want)
+                    for name, want in zip(("eps_submult", "eps_cstar"), uppers)]
+    except (KeyError, TypeError):
+        return ["recorded defects do not hold the eps_submult and eps_cstar brackets "
+                "and the distance_cb they are read off"]
+    failures = []
+    for name, lower, upper, want in brackets:
+        if upper != want:
+            failures.append(f"recorded {name} upper bound {upper!r} is not {want!r}, "
+                            f"the bound the recorded distance_cb gives")
+        if not lower <= upper:
+            failures.append(f"recorded {name} bracket [{lower!r}, {upper!r}] is inverted")
+    return failures
 
 
 def _verify_certificate(name: str, rec: dict, mp: np.ndarray, dim: int) -> list[str]:

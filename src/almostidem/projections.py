@@ -168,13 +168,19 @@ def _spectral_cuts(w: np.ndarray):
     gap ratio, g over the largest gap it keeps, is at least
     ``STAGE1_MIN_GAP_RATIO``.  The candidates go best ratio first; the cut
     into singletons, which keeps no gap, goes last with ratio None.
+
+    The distinct gaps come from a sorted dedupe and the cluster sizes from
+    ``np.bincount``: ``np.unique`` would import ``numpy.ma`` on first use.
     """
     gaps = np.diff(w)
+    ordered = np.sort(gaps)
     cuts = []
-    for g in np.unique(gaps)[1:]:
+    # every distinct gap value but the smallest
+    for g in ordered[1:][ordered[1:] != ordered[:-1]]:
         edges = np.concatenate([[0], np.flatnonzero(gaps >= g) + 1, [len(w)]])
-        sizes, counts = np.unique(np.diff(edges), return_counts=True)
-        if np.any(counts % sizes):
+        counts = np.bincount(np.diff(edges))
+        sizes = np.flatnonzero(counts)
+        if np.any(counts[sizes] % sizes):
             continue
         kept = gaps[gaps < g].max()
         ratio = float(g / kept) if kept > 0 else np.inf

@@ -389,8 +389,8 @@ def reconstruct(
     one step from its rank-one corners (:func:`class_map`) and improves it
     once, unless the class is a single projection; stage 3 merges the
     classes.  The compression map of each family member is computed once,
-    in stage 1, and passed down to the class maps.  No decision reads the
-    sampled ``alg.defects``.  Returns the block structure, the
+    in stage 1, and passed down to the class maps.  No decision reads
+    ``alg.defects``.  Returns the block structure, the
     near-isomorphism, and a report of every measured defect.
     """
     rng = np.random.default_rng(seed)

@@ -122,13 +122,18 @@ def channel_from_dict(data: dict):
 
 
 def defect_report_to_dict(rep) -> dict:
+    """The defects as brackets: {lower, upper, method} where an upper bound
+    is certified from ``distance_cb``, {lower, method} where only the basis
+    sweep's lower bound is known.  No bracket carries the ``path``,
+    ``stalled``, ``gap`` or ``iterations`` of a norm certificate."""
+    def bracket(lower, upper):
+        return {"lower": lower, "upper": upper, "method": "distance_cb"}
+
     return {
-        "eps_submult": rep.eps_submult,
-        "eps_assoc": rep.eps_assoc,
-        "eps_cstar": rep.eps_cstar,
-        "eps_unit": rep.eps_unit,
-        "sample_count": rep.sample_count,
-        "method": rep.method,
+        "eps_submult": bracket(rep.eps_submult, rep.submult_upper),
+        "eps_cstar": bracket(rep.eps_cstar, rep.cstar_upper),
+        "eps_assoc": {"lower": rep.eps_assoc, "method": "basis_sweep"},
+        "eps_unit": {"lower": rep.eps_unit, "method": "basis_sweep"},
     }
 
 

@@ -4,21 +4,19 @@
 applying the spectral step function to 2*Phi - 1 on the superoperator level.
 ``extract_algebra`` realizes its image as a concrete subspace of B(H) with the
 induced product X * Y = Phi~(X Y), its dimension the rank of the image read
-at ``numlin.RANK_REL_TOL``; ``measure_defects`` estimates how far the result
-is from satisfying the algebra axioms, including on matrix amplifications
-M_n (x) A.  The sweep over the basis takes its products from the n x n x n
-star tensor; the sampled and amplified stages form each product on matrices,
-as the block product X Y on C^m (x) H followed by the coordinate map
-C = basis^H Phi~ on each d x d block (``EpsilonAlgebra.coord_map``).  Every
-operator norm is sqrt(lam_max(X^dag X)), one stacked eigvalsh
-(``numlin.operator_norms``); the sweep over the basis takes one only where
-the Frobenius bound, read off the coordinates (``EpsilonAlgebra.max_norm``),
-can still set a maximum.
+at ``numlin.RANK_REL_TOL``; ``measure_defects`` brackets how far the result
+is from satisfying the algebra axioms.  Its lower bounds sweep the basis,
+taking products from the n x n x n star tensor; its upper bounds of the
+submultiplicativity and C* defects are read off ||Phi~ - Phi||_cb and hold
+on every matrix amplification M_m (x) A.  Every operator norm is
+sqrt(lam_max(X^dag X)), one stacked eigvalsh (``numlin.operator_norms``);
+the sweep takes one only where the Frobenius bound, read off the
+coordinates (``EpsilonAlgebra.max_norm``), can still set a maximum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,39 +69,28 @@ def idempotentize(ch: Channel) -> IdempotentizedMap:
 
 @dataclass
 class DefectReport:
-    eps_submult: float = 0.0
-    eps_assoc: float = 0.0
-    eps_cstar: float = 0.0
-    eps_unit: float = 0.0
-    sample_count: int = 0
-    method: str = "basis_bound"  # basis_bound | sampled
+    """Axiom defects of an algebra.  Each ``eps_*`` is the basis sweep's
+    value, a lower bound of the defect's supremum over the algebra;
+    ``submult_upper`` and ``cstar_upper`` are the certified upper bounds of
+    :func:`defect_upper_bounds`."""
 
-    def merge(self, other: "DefectReport") -> "DefectReport":
-        order = ["basis_bound", "sampled"]
-        return DefectReport(
-            max(self.eps_submult, other.eps_submult),
-            max(self.eps_assoc, other.eps_assoc),
-            max(self.eps_cstar, other.eps_cstar),
-            max(self.eps_unit, other.eps_unit),
-            self.sample_count + other.sample_count,
-            max(self.method, other.method, key=order.index),
-        )
+    eps_submult: float
+    eps_assoc: float
+    eps_cstar: float
+    eps_unit: float
+    submult_upper: float
+    cstar_upper: float
 
 
 @dataclass
 class EpsilonAlgebra:
     """Concrete subspace of B(H) with an HS-orthonormal Hermitian basis and a
-    fixed product tensor: (B_i * B_j) = sum_k star_tensor[i, j, k] B_k.
-
-    ``coord_map`` is the same product read on B(H): the (dim, d^2) matrix C
-    with x * y = C vec(X Y), vec column-stacking, for the elements X, Y with
-    coordinates x, y."""
+    fixed product tensor: (B_i * B_j) = sum_k star_tensor[i, j, k] B_k."""
 
     ambient_dim: int
     basis: np.ndarray  # (dim, d, d)
     unit_coords: np.ndarray
     star_tensor: np.ndarray
-    coord_map: np.ndarray  # (dim, d * d)
     defects: DefectReport | None = None
     membership_residual: float = 0.0
 
@@ -224,51 +211,46 @@ def extract_algebra(pm: IdempotentizedMap) -> EpsilonAlgebra:
     # (X*Y)^dag = Y^dag * X^dag exactly at the tensor level; stored
     # C-contiguous, so the reshapes of its users are views, not copies
     tensor = np.ascontiguousarray(0.5 * (tensor + np.conj(np.transpose(tensor, (1, 0, 2)))))
-    # C = basis^H Phi~, averaged with Z -> conj(C vec(Z^dag)) as the tensor
-    # is, so that C vec(B_i B_j) is the tensor's row (i, j) up to roundoff
-    coord_map = stack_b.conj().T @ m
-    coord_map = 0.5 * (coord_map + coord_map.conj()[:, nl.transpose_permutation(dim)])
     unit_coords = np.real(stack_b.conj().T @ nl.vec(np.eye(dim, dtype=complex)))
-    alg = EpsilonAlgebra(dim, stack, unit_coords, tensor, coord_map,
-                         membership_residual=membership)
+    alg = EpsilonAlgebra(dim, stack, unit_coords, tensor, membership_residual=membership)
     unit_res = float(nl.operator_norms(alg.unit_element() - np.eye(dim)))
     if unit_res > 1e-8:
         raise StarCalcError(f"identity is not in the algebra: residual {unit_res:.2e}")
     return alg
 
 
-def measure_defects(
-    alg: EpsilonAlgebra,
-    samples: int = 200,
-    extension_n: int = 1,
-    seed: int = 0,
-) -> DefectReport:
-    """Estimated axiom defects of the algebra.
+def defect_upper_bounds(delta: float, n: int, d: int) -> tuple[float, float]:
+    """Certified upper bounds (submult, cstar) of the submultiplicativity and
+    C* defects of the algebra A = im Phi~ of dimension ``n`` on C^``d``, from
+    ``delta`` >= ||Phi~ - Phi||_cb for a UCP map Phi, so ||Phi~||_cb <= 1 + delta.
 
-    Every ``eps_*`` value is a lower-bound estimate of the supremum of its
-    defect, the maximum over three stages: the sweep over basis elements and
-    basis triples, ``samples`` random triples, and ``max(samples // 2, 40)``
-    random triples of M_m (x) A for each m = 2..``extension_n``, normed as
-    operators on C^m (x) H.  The sweep multiplies through the star tensor,
-    whose left factor it reuses across many partners; the random triples are
-    multiplied on matrices, X * Y = Phi~(X Y) as the block product on
-    C^m (x) H read through ``coord_map`` block by block.  ``method`` names
-    the deepest scalar stage run (``basis_bound`` or ``sampled``);
-    ``sample_count`` counts the triples evaluated by the sampled and
-    amplified stages, less any triple with an element of norm below 1e-12,
-    which is skipped.
+    For X, Y in M_m(A), any m, ||Phi~(X Y)|| <= (1 + delta) ||X|| ||Y||, so
+    eps_submult <= delta.  For X = Phi~(X), ||Phi(X)|| >= (1 - delta) ||X||,
+    and Kadison-Schwarz for the UCP map id_m (x) Phi gives
+    Phi(X^dag X) >= Phi(X)^dag Phi(X); so ||Phi~(X^dag X)|| >=
+    ((1 - delta)^2 - delta) ||X||^2 and eps_cstar <= 3 delta - delta^2 for
+    delta <= 1 (Paulsen, Completely Bounded Maps and Operator Algebras, 2002,
+    ch. 3).  The bounds hold for the exact algebra, not its floating-point
+    image, whose sweep reads up to about 1e-15 where delta is 0: each bound
+    adds the a-priori roundoff allowance n d eps_mach, eps_mach = 2^-52.
     """
-    report = _basis_defects(alg)
-    rng = np.random.default_rng(seed)
-    if samples > 0:
-        report = report.merge(_sampled_defects(alg, samples, rng))
-    for n_ext in range(2, extension_n + 1):
-        report = report.merge(_sampled_defects(alg, max(samples // 2, 40), rng, n_ext))
-    return replace(report, eps_unit=max(report.eps_unit, _unit_defect(alg)))
+    allowance = n * d * 2.0**-52
+    return delta + allowance, 3 * delta - delta**2 + allowance
 
 
-def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
-    """Defects over basis pairs and triples, each up to the adjoint.
+def measure_defects(alg: EpsilonAlgebra, delta: float) -> DefectReport:
+    """Axiom defects of the algebra: the basis sweep's lower bounds of all
+    four, and the upper bounds of the submultiplicativity and C* defects
+    that :func:`defect_upper_bounds` reads off ``delta`` >= ||Phi~ - Phi||_cb.
+    """
+    submult, assoc, cstar = _basis_defects(alg)
+    return DefectReport(submult, assoc, cstar, _unit_defect(alg),
+                        *defect_upper_bounds(delta, alg.dim, alg.ambient_dim))
+
+
+def _basis_defects(alg: EpsilonAlgebra) -> tuple[float, float, float]:
+    """(submult, assoc, cstar) defects over basis pairs and triples, each up
+    to the adjoint.
 
     The basis is Hermitian and T[j, i] = conj T[i, j] (``extract_algebra``
     makes it so), so B_j * B_i = (B_i * B_j)^dag and the associator of
@@ -277,15 +259,14 @@ def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
     n = alg.dim
     t = alg.star_tensor
     basis_norms = alg.norms(np.eye(n))
-    rep = DefectReport(sample_count=0, method="basis_bound")
 
     # ||B_i * B_j|| / (||B_i|| ||B_j||), whose excess over 1 is the defect
     denom = np.outer(basis_norms, basis_norms)
     upper = np.triu_indices(n)
-    rep.eps_submult = alg.max_norm(t[upper], denom[upper], floor=1.0) - 1
+    submult = alg.max_norm(t[upper], denom[upper], floor=1.0) - 1
     # C* lower bound on Hermitian basis elements: X^dag = X
     diag = alg.norms(t[np.arange(n), np.arange(n)])
-    rep.eps_cstar = float(max(np.max(1 - diag / basis_norms**2), 0.0))
+    cstar = float(max(np.max(1 - diag / basis_norms**2), 0.0))
 
     # associator over the basis triples, one first index i at a time (the
     # maximum so far its floor) so that n^2, not n^3, products are alive
@@ -296,84 +277,7 @@ def _basis_defects(alg: EpsilonAlgebra) -> DefectReport:
         right = tail.reshape(-1, n) @ t[i]     # B_i*(B_j*B_k) coords, rows (j, k)
         assoc = alg.max_norm(left.reshape(-1, n) - right,
                              (basis_norms[i] * denom[:, i:]).ravel(), assoc)
-    rep.eps_assoc = assoc
-    return rep
-
-
-def _sampled_defects(alg: EpsilonAlgebra, samples: int, rng, n_ext: int = 1) -> DefectReport:
-    """Defects over random triples of M_n (x) A (n = ``n_ext``), with the
-    concrete operator norm on C^n (x) H; n_ext = 1 samples A itself.
-
-    The triples are taken about 4096 matrix entries at a time, a triple
-    counting (n d)^2, so that their matrices and Gram stacks are never all
-    alive at once."""
-    triples = _draw_triples(rng, samples, n_ext, alg.dim)
-    step = max(1, (1 << 12) // (n_ext * alg.ambient_dim) ** 2)
-    report = DefectReport(method="sampled")
-    for start in range(0, samples, step):
-        report = report.merge(_triple_defects(alg, triples[start: start + step]))
-    return report
-
-
-def _draw_triples(rng, count: int, n_ext: int, n: int) -> np.ndarray:
-    """``count`` random triples (x, y, z) of M_n_ext (x) A coordinate blocks,
-    shape (count, 3, n_ext, n_ext, n).
-
-    One draw for all of them gives the stream of per-element draws: the real
-    then the imaginary part of x, then of y and z, sample after sample."""
-    g = rng.standard_normal((count, 3, 2, n_ext, n_ext, n))
-    return g[:, :, 0] + 1j * g[:, :, 1]
-
-
-def _block_matrices(alg: EpsilonAlgebra, coords: np.ndarray) -> np.ndarray:
-    """Matrices on C^m (x) H of stacked M_m (x) A coordinate blocks
-    (..., m, m, dim): one GEMM gives the blocks (a, b, r, c) of
-    sum_i x[a, b, i] B_i, and one transposing copy puts them in the rows
-    (a, r) and columns (b, c)."""
-    d, m, n = alg.ambient_dim, coords.shape[-2], alg.dim
-    mats = (coords.reshape(-1, n) @ alg.basis.reshape(n, d * d)).reshape(-1, m, m, d, d)
-    return mats.transpose(0, 1, 3, 2, 4).reshape(*coords.shape[:-3], m * d, m * d)
-
-
-def _block_coords(alg: EpsilonAlgebra, mats: np.ndarray) -> np.ndarray:
-    """Coordinate blocks (..., m, m, dim) of Phi~ on each d x d block of
-    stacked md x md matrices: ``coord_map`` on the column-stacked blocks, so
-    that the block product of X and Y gives the blocks of X * Y."""
-    d = alg.ambient_dim
-    m = mats.shape[-1] // d
-    blocks = mats.reshape(-1, m, d, m, d).transpose(0, 1, 3, 4, 2)
-    return (blocks.reshape(-1, d * d) @ alg.coord_map.T).reshape(
-        *mats.shape[:-2], m, m, alg.dim)
-
-
-def _triple_defects(alg: EpsilonAlgebra, triples: np.ndarray) -> DefectReport:
-    """Worst defects over stacked triples (count, 3, m, m, dim) of coordinate
-    blocks; a triple with an element of norm below 1e-12 is skipped and not
-    counted.
-
-    Every product is formed on the md x md matrices and mapped back into the
-    algebra through its coordinates; by linearity the associator takes one
-    map of the difference (X * Y) Z - X (Y * Z).  The six stacks take their
-    norms one at a time, so that no copy of all six, nor their Gram
-    matrices, is alive at once."""
-    x, y, z = _block_matrices(alg, triples).swapaxes(0, 1)
-
-    def phi(mats):
-        return _block_matrices(alg, _block_coords(alg, mats))
-
-    xy = phi(x @ y)
-    assoc = phi(xy @ z - x @ phi(y @ z))
-    xdx = phi(np.conj(np.swapaxes(x, -1, -2)) @ x)
-    norms = np.array([nl.operator_norms(v) for v in (x, y, z, assoc, xy, xdx)])
-    nx, ny, nz, na, nxy, nxdx = norms[:, norms[:3].min(axis=0) >= 1e-12]
-    return DefectReport(
-        float(np.max(nxy / (nx * ny) - 1, initial=0.0)),
-        float(np.max(na / (nx * ny * nz), initial=0.0)),
-        float(np.max(1 - nxdx / nx**2, initial=0.0)),
-        0.0,
-        len(nx),
-        "sampled",
-    )
+    return submult, assoc, cstar
 
 
 def _unit_defect(alg: EpsilonAlgebra) -> float:

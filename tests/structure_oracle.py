@@ -678,18 +678,15 @@ def matrix_algebra(k: int) -> EpsilonAlgebra:
 
 @functools.lru_cache(maxsize=None)
 def _matrix_algebra_data(k: int) -> tuple[np.ndarray, ...]:
-    """(basis stack, unit coordinates, product tensor, coordinate map) of
-    B(C^k), read-only; Phi~ is the identity, so the coordinate map is the
-    basis adjoint, rows vec(B_i)^dag with vec column-stacking."""
+    """(basis stack, unit coordinates, product tensor) of B(C^k), read-only."""
     stack = np.stack(nl.hermitian_basis(k))
     n = len(stack)
     conj_rows = stack.reshape(n, k * k).conj().T
     tensor = (stack[:, None] @ stack[None, :]).reshape(n, n, k * k) @ conj_rows
     unit = np.real(np.eye(k, dtype=complex).reshape(k * k) @ conj_rows)
-    coord_map = stack.conj().transpose(0, 2, 1).reshape(n, k * k)
-    for arr in (stack, unit, tensor, coord_map):
+    for arr in (stack, unit, tensor):
         arr.setflags(write=False)
-    return stack, unit, tensor, coord_map
+    return stack, unit, tensor
 
 
 def coords(alg: EpsilonAlgebra, x: np.ndarray) -> np.ndarray:

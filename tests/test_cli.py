@@ -277,6 +277,7 @@ class TestGenerators:
 
 
 # (command, flag, value) the command does not read: tolerances are fixed
+# (test_every_command_refuses_samples covers --samples on every command)
 _REFUSED = [("analyze", "--samples", "5")] + [
     (command, flag, value)
     for command in ("analyze", "idempotentize", "reconstruct", "factorize")
@@ -337,15 +338,13 @@ class TestCliCommands:
         main(["gen", "--idempotent", "(2,1),(1,2)", "--dim", "6", "--seed", "7",
               "--out", str(ch_path)])
         rep_path = tmp_path / "rec.json"
-        assert main(["reconstruct", str(ch_path), "--json-out", str(rep_path),
-                     "--samples", "20"]) == 0
+        assert main(["reconstruct", str(ch_path), "--json-out", str(rep_path)]) == 0
         rec = json.load(open(rep_path))
         assert rec["block_dims"] == [2, 1]
         stages = {"idempotentize", "extract", "defects", "reconstruct", "total"}
         assert rec["timings"].keys() == stages
         fact_path = tmp_path / "fact.json"
-        assert main(["factorize", str(ch_path), "--json-out", str(fact_path),
-                     "--samples", "20"]) == 0
+        assert main(["factorize", str(ch_path), "--json-out", str(fact_path)]) == 0
         fact = json.load(open(fact_path))
         times = fact["timings"]
         assert times.keys() == stages | {"raw_factor", "twirl", "upsilon", "certify"}
@@ -359,8 +358,7 @@ class TestCliCommands:
         main(["gen", "--idempotent", "(2,1)", "--dim", "4", "--seed", "2",
               "--out", str(ch_path)])
         rep_path = tmp_path / "fact.json"
-        main(["factorize", str(ch_path), "--json-out", str(rep_path),
-              "--samples", "15"])
+        main(["factorize", str(ch_path), "--json-out", str(rep_path)])
         assert main(["verify", str(rep_path)]) == 0
         tampered = json.load(open(rep_path))
         tampered["factorization"]["delta_choi"][0][0][0] += 0.05
@@ -375,8 +373,7 @@ class TestCliCommands:
         reports = []
         for name in ("a.json", "b.json"):
             path = tmp_path / name
-            main(["factorize", str(ch_path), "--json-out", str(path),
-                  "--samples", "15", "--seed", "3"])
+            main(["factorize", str(ch_path), "--json-out", str(path), "--seed", "3"])
             rep = json.load(open(path))
             reports.append(pipeline.strip_timings(rep))
         assert ser.canonical_dumps(reports[0]) == ser.canonical_dumps(reports[1])
@@ -437,23 +434,25 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith("error: ValueError: " + flag), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["reconstruct", "factorize"])
-    def test_negative_samples_are_refused(self, tmp_path, capsys, command):
-        ch_path, out = tmp_path / "ch.json", tmp_path / "report.json"
+    @pytest.mark.parametrize("command", ["gen", "analyze", "idempotentize", "reconstruct",
+                                         "factorize", "verify", "demo"])
+    def test_every_command_refuses_samples(self, tmp_path, capsys, command):
+        ch_path, out = tmp_path / "ch.json", tmp_path / "out.json"
         main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(ch_path)])
+        args = {
+            "gen": ["--pinching", "2,1", "--seed", "0", "--out", str(out)],
+            "verify": [str(ch_path)],
+            "demo": [],
+        }.get(command, [str(ch_path), "--json-out", str(out)])
         capsys.readouterr()
-        assert main([command, str(ch_path), "--samples", "-3", "--json-out", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: ValueError: --samples must be non-negative, got -3"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--samples", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["reconstruct", "factorize"])
-    def test_samples_help_names_the_amplified_draws(self, capsys, command):
-        capsys.readouterr()
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        assert "amplified stage draws max(samples // 2, 40)" in " ".join(
-            capsys.readouterr().out.split())
+        assert "--samples" not in capsys.readouterr().out
 
     def test_demo_exit_code_follows_its_replay_verification(self, monkeypatch, capsys):
         assert main(["demo"]) == 0
@@ -518,10 +517,9 @@ class TestPipelineRoundTrip:
         for name, cmd in corpus:
             ch_path = tmp_path / f"{name}.json"
             assert main(cmd + ["--out", str(ch_path)]) == 0
-            for command, extra in (("analyze", []), ("reconstruct", ["--samples", "15"]),
-                                   ("factorize", ["--samples", "15"])):
+            for command in ("analyze", "reconstruct", "factorize"):
                 rep_path = tmp_path / f"{name}-{command}.json"
-                assert main([command, str(ch_path), "--json-out", str(rep_path)] + extra) == 0
+                assert main([command, str(ch_path), "--json-out", str(rep_path)]) == 0
                 assert json.load(open(rep_path))["kind"] == command
                 assert main(["verify", str(rep_path)]) == 0
 
@@ -616,6 +614,10 @@ def _verified_certificates(report):
         ("residual_retract", fact["residual_retract"],
          ups.superop @ delta.superop - chn.pinch_superop(spec.block_dims), d_tot),
     ]
+
+
+def _stage(report, name):
+    return next(cp for cp in report["checkpoints"] if cp["stage"] == name)
 
 
 def _verify(tmp_path, report, name="r.json"):
@@ -739,17 +741,14 @@ class TestWitnessVerify:
             edit(rep)
             return rep
 
-        def stage(rep, name):
-            return next(cp for cp in rep["checkpoints"] if cp["stage"] == name)
-
         def top_dims(rep):
             rep["block_dims"] = [9]
 
         def both_dims(rep):
-            rep["block_dims"] = stage(rep, "reconstruction")["block_dims"] = [9]
+            rep["block_dims"] = _stage(rep, "reconstruction")["block_dims"] = [9]
 
         def checkpoint_dims(rep):
-            stage(rep, "reconstruction")["block_dims"] = [9]
+            _stage(rep, "reconstruction")["block_dims"] = [9]
 
         def short_row(rep):
             rep["hom_coeffs"][0].pop()
@@ -778,6 +777,37 @@ class TestWitnessVerify:
         assert _verify(tmp_path, rep) == 1
         out = capsys.readouterr().out
         assert f"recorded {name} interval" in out and "is inverted" in out
+
+    def test_defect_brackets_are_not_norm_certificates(self, barrier_report):
+        # a bracket carries no path, stalled, gap or iterations, so neither
+        # check_report (path or stalled) nor the benchmark's check ({lower,
+        # upper, gap, iterations}) reads it as a norm certificate
+        import check_report
+
+        defects = _stage(barrier_report, "algebra")["defects"]
+        assert {name: set(rec) for name, rec in defects.items()} == {
+            "eps_submult": {"lower", "upper", "method"},
+            "eps_cstar": {"lower", "upper", "method"},
+            "eps_assoc": {"lower", "method"},
+            "eps_unit": {"lower", "method"},
+        }
+        wheres = [where for where, _ in check_report.certificates(barrier_report)]
+        assert len(wheres) == 5 and not any("defects" in w for w in wheres)
+
+    @pytest.mark.parametrize("name", ["eps_submult", "eps_cstar"])
+    @pytest.mark.parametrize("edit", ["lowered_upper", "swapped"])
+    def test_tampered_defect_bracket_is_rejected(
+            self, barrier_report, tmp_path, capsys, name, edit):
+        rep = copy.deepcopy(barrier_report)
+        bracket = _stage(rep, "algebra")["defects"][name]
+        if edit == "lowered_upper":
+            # still at least the lower bound: only the recomputation catches it
+            bracket["upper"] = bracket["lower"]
+        else:
+            bracket["lower"], bracket["upper"] = bracket["upper"], bracket["lower"]
+        capsys.readouterr()
+        assert _verify(tmp_path, rep) == 1
+        assert f"FAIL: recorded {name}" in capsys.readouterr().out
 
     def test_malformed_witness_is_one_clean_line(self, barrier_report, tmp_path, capsys):
         rho = barrier_report["checkpoints"][0]["eta"]["witness"]["lower"]["rho"]
@@ -894,6 +924,7 @@ steps = [
 ]
 print([main(argv) for argv in steps])
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
@@ -919,14 +950,29 @@ class TestReportCheck:
         assert run({"checkpoints": []}, "empty.json") == 1
 
 
+@pytest.fixture(scope="module")
+def fresh_process_modules(tmp_path_factory):
+    """(exit codes, scipy modules, numpy.ma modules) of gen, factorize and
+    verify run by ``cli.main`` in a fresh process: this one may have scipy
+    loaded by the test oracle, and numpy.ma by pytest."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(almostidem.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY],
+                          cwd=tmp_path_factory.mktemp("fresh"), env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-3:]
+
+
 class TestNumpyOnly:
-    def test_pipeline_never_imports_scipy(self, tmp_path):
-        # a fresh process: this one may have scipy loaded by the test oracle
-        src = os.path.dirname(os.path.dirname(os.path.abspath(almostidem.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        codes, scipy_modules = proc.stdout.strip().splitlines()[-2:]
+    def test_pipeline_never_imports_scipy(self, fresh_process_modules):
+        codes, scipy_modules, _ = fresh_process_modules
         assert codes == "[0, 0, 0, 0]"
         assert scipy_modules == "[]"
+
+    def test_pipeline_never_imports_numpy_ma(self, fresh_process_modules):
+        # np.unique imports numpy.ma on first use, 16-20 ms of a cold start;
+        # the spectral cuts of stage 1 dedupe and count without it
+        codes, _, ma_modules = fresh_process_modules
+        assert codes == "[0, 0, 0, 0]"
+        assert ma_modules == "[]"

@@ -10,10 +10,10 @@ from almostidem import factorization as fa
 import structure_oracle as so
 
 
-def run_pipeline(ch, seed=0, samples=40):
+def run_pipeline(ch, seed=0):
     pm = sc.idempotentize(ch)
     alg = sc.extract_algebra(pm)
-    alg.defects = sc.measure_defects(alg, samples=samples, seed=seed)
+    alg.defects = sc.measure_defects(alg, pm.distance_cb.upper)
     spec, v, rep = rc.reconstruct(alg, seed=seed)
     return pm, alg, spec, v, rep
 

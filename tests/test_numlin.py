@@ -322,22 +322,18 @@ class TestOperatorNorms:
         assert np.array_equal(got, nl._scaled_operator_norms(stack))
 
     def test_benchmark_algebras_take_no_rescale(self, monkeypatch):
-        # the sampled and amplified stages of measure_defects on the algebras
-        # of the benchmark inputs, and all of measure_defects on the
-        # perturbed ones, never leave the safe range
+        # measure_defects on the algebras of the perturbed-d4 benchmark
+        # inputs never leaves the safe range (on exact input an associator
+        # of zero norm takes the scaled path)
         from test_starcalc import _benchmark_inputs
 
         frexp = _counting_frexp(monkeypatch)
-        for case, (ch, seed) in enumerate(_benchmark_inputs()):
-            alg = sc.extract_algebra(sc.idempotentize(ch))
+        for case, (ch, _) in enumerate(list(_benchmark_inputs())[:6]):
+            pm = sc.idempotentize(ch)
+            alg = sc.extract_algebra(pm)
             frexp.clear()
-            rng = np.random.default_rng(seed)
-            sc._sampled_defects(alg, 100, rng)
-            sc._sampled_defects(alg, 50, rng, 2)
+            sc.measure_defects(alg, pm.distance_cb.upper)
             assert not frexp, case
-            if case < 6:  # the perturbed-d4 inputs
-                sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
-                assert not frexp, case
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, bad):

@@ -68,17 +68,15 @@ class TestProjectionSearch:
         # C I on C^2: its unit is its one minimal projection
         alg = alg_of(chn.gen_pinching((1, 1)))
         basis = alg.unit_element()[None] / np.sqrt(2)
-        coord_map = basis.reshape(1, -1)  # the adjoint of the Hermitian basis
         one_dim = sc.EpsilonAlgebra(alg.ambient_dim, basis, np.array([np.sqrt(2.0)]),
-                                    np.full((1, 1, 1), 1 / np.sqrt(2), dtype=complex),
-                                    coord_map)
+                                    np.full((1, 1, 1), 1 / np.sqrt(2), dtype=complex))
         comps, ratio = pj.minimal_projections(one_dim, np.random.default_rng(0))
         assert ratio is None and [c.rank for c in comps] == [1]
         assert abs(comps[0].p.coords[0] - np.sqrt(2.0)) <= 1e-12
         # the same line with the zero product has no projection of rank 1:
         # every draw is refused, with a typed error
         zero = sc.EpsilonAlgebra(alg.ambient_dim, basis, np.array([np.sqrt(2.0)]),
-                                 np.zeros((1, 1, 1), dtype=complex), 0 * coord_map)
+                                 np.zeros((1, 1, 1), dtype=complex))
         with pytest.raises(pj.NoSpectralCut):
             pj.minimal_projections(zero, np.random.default_rng(0))
 
@@ -349,9 +347,10 @@ class TestStackedClassification:
         from almostidem import reconstruction as rc
 
         ch, seed = list(_worker_inputs())[case]
-        alg = alg_of(ch)
-        # the defects reconstruct reads, as the pipeline measures them
-        alg.defects = sc.measure_defects(alg, samples=100, extension_n=2, seed=seed)
+        pm = sc.idempotentize(ch)
+        alg = sc.extract_algebra(pm)
+        # the defects, as the pipeline measures them
+        alg.defects = sc.measure_defects(alg, pm.distance_cb.upper)
         seen = []
         classify = pj.classify_equivalence
 
@@ -420,3 +419,61 @@ class TestStackedClassification:
         spectra = pj._indicator_spectra(gens)
         assert calls == [1]  # only the coupled generator falls back
         assert [pj._indicator_rank(lam) for lam in spectra] == want == [1, 1, 2]
+
+
+def _ref_spectral_cuts(w):
+    """:func:`projections._spectral_cuts` with ``np.unique`` for the distinct
+    gaps and the cluster-size counts, as it was written first."""
+    gaps = np.diff(w)
+    cuts = []
+    for g in np.unique(gaps)[1:]:
+        edges = np.concatenate([[0], np.flatnonzero(gaps >= g) + 1, [len(w)]])
+        sizes, counts = np.unique(np.diff(edges), return_counts=True)
+        if np.any(counts % sizes):
+            continue
+        kept = gaps[gaps < g].max()
+        ratio = float(g / kept) if kept > 0 else np.inf
+        if ratio >= pj.STAGE1_MIN_GAP_RATIO:
+            cuts.append((ratio, edges))
+    cuts.sort(key=lambda cut: -cut[0])
+    return cuts + [(None, np.arange(len(w) + 1))]
+
+
+def _assert_same_cuts(w):
+    got, want = pj._spectral_cuts(w), _ref_spectral_cuts(w)
+    assert [r for r, _ in got] == [r for r, _ in want]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+class TestSpectralCuts:
+    """The cuts from a sorted dedupe and ``np.bincount`` are those of
+    ``np.unique``, which imports numpy.ma on first use."""
+
+    @pytest.mark.parametrize("case", range(14))
+    def test_benchmark_spectra(self, case, monkeypatch):
+        ch, seed = list(_worker_inputs())[case]
+        alg = alg_of(ch)
+        spectra = []
+        cuts = pj._spectral_cuts
+        monkeypatch.setattr(pj, "_spectral_cuts", lambda w: spectra.append(w) or cuts(w))
+        pj.minimal_projections(alg, np.random.default_rng(seed))
+        monkeypatch.undo()
+        assert spectra
+        for w in spectra:
+            _assert_same_cuts(w)
+
+    @pytest.mark.parametrize("w", [
+        [0.0], [0.0, 1.0], [0.0, 0.0, 0.0], np.arange(6.0),
+        [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 5.0, 5.0],
+        [0.0, 1e-9, 1.0, 1.0 + 1e-9, 2.0, 2.0 + 1e-9, 3.0, 3.0 + 2e-9],
+        [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 5.0, 5.0, 5.0, 5.0],
+        [-0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+    ], ids=lambda w: f"n{len(w)}")
+    def test_tied_gaps(self, w):
+        _assert_same_cuts(np.asarray(w, dtype=float))
+
+    def test_random_integer_spectra(self):
+        # small integer spectra: many tied gaps and many valid patterns
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            _assert_same_cuts(np.sort(rng.integers(0, 6, rng.integers(1, 12)).astype(float)))

@@ -13,10 +13,11 @@ from almostidem import projections as pj
 import structure_oracle as so
 
 
-def alg_of(ch, samples=0):
-    alg = sc.extract_algebra(sc.idempotentize(ch))
-    if samples:
-        alg.defects = sc.measure_defects(alg, samples=samples, seed=0)
+def alg_of(ch, defects=False):
+    pm = sc.idempotentize(ch)
+    alg = sc.extract_algebra(pm)
+    if defects:
+        alg.defects = sc.measure_defects(alg, pm.distance_cb.upper)
     return alg
 
 
@@ -371,7 +372,7 @@ class TestReconstruct:
         pert = chn.gen_perturbed(chn.gen_pinching((3, 2, 1)), 1e-2, seed=5)
         pm = sc.idempotentize(pert)
         alg = sc.extract_algebra(pm)
-        alg.defects = sc.measure_defects(alg, samples=60, seed=0)
+        alg.defects = sc.measure_defects(alg, pm.distance_cb.upper)
         spec, v, rep = rc.reconstruct(alg, seed=0)
         assert spec.block_dims == (3, 2, 1)
         eta = pm.eta.value
@@ -415,15 +416,16 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("case", range(6))
     def test_defect_estimate_has_margin(self, case):
-        # no decision of reconstruct reads the sampled defects: on the
-        # perturbed-d4 benchmark algebras, with them and without them
-        # (alg.defects = None), the result is bit-identical
+        # no decision of reconstruct reads the defects: on the perturbed-d4
+        # benchmark algebras, with them and without them (alg.defects =
+        # None), the result is bit-identical
         from test_starcalc import _benchmark_inputs
 
         ch, seed = list(_benchmark_inputs())[case]
-        alg = sc.extract_algebra(sc.idempotentize(ch))
+        pm = sc.idempotentize(ch)
+        alg = sc.extract_algebra(pm)
         results = []
-        for defects in (sc.measure_defects(alg, samples=100, extension_n=2, seed=seed), None):
+        for defects in (sc.measure_defects(alg, pm.distance_cb.upper), None):
             alg.defects = defects
             spec, v, _ = rc.reconstruct(alg, seed=seed)
             results.append((spec.block_dims, v.coeffs))
@@ -560,7 +562,7 @@ class TestBatchedKernels:
     def test_matrix_algebra_is_fresh_over_read_only_data(self, k):
         a, b = so.matrix_algebra(k), so.matrix_algebra(k)
         assert a is not b
-        a.defects = sc.DefectReport()
+        a.defects = sc.measure_defects(a, 0.0)
         assert b.defects is None
         for x, y in [(a.star_tensor, b.star_tensor), (a.unit_coords, b.unit_coords),
                      (a.basis, b.basis)]:
@@ -641,7 +643,7 @@ class TestWorkDoneOnce:
     def test_improve_never_measures_a_candidate_twice(self, monkeypatch):
         # a perturbed input, where improvements run several rounds: on an
         # exact one every defect is roundoff and each stops at its target
-        alg = alg_of(chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=4), samples=20)
+        alg = alg_of(chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=4), defects=True)
         measured, inside = [], []
         mult_defect = rc._mult_defect
         improve = rc.improve_homomorphism
@@ -700,7 +702,7 @@ class TestWorkDoneOnce:
     def test_one_probe_draw_per_improve_call(self, monkeypatch, make):
         # every candidate of one improvement is measured on the same probe
         # set, drawn and normed once
-        alg = alg_of(make(), samples=20)
+        alg = alg_of(make(), defects=True)
         draws, rounds, inside = [], [], []
         random_elements = rc.BlockSpec.random_elements
         mult_defect = rc._mult_defect

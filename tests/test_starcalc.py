@@ -130,9 +130,13 @@ class TestExtractAlgebra:
 
 class TestDefects:
     def test_exact_algebra_defects_vanish(self):
-        alg = sc.extract_algebra(sc.idempotentize(chn.gen_pinching((2, 1))))
-        rep = sc.measure_defects(alg, samples=60, extension_n=2, seed=0)
+        pm = sc.idempotentize(chn.gen_pinching((2, 1)))
+        alg = sc.extract_algebra(pm)
+        rep = sc.measure_defects(alg, pm.distance_cb.upper)
         assert max(rep.eps_submult, rep.eps_assoc, rep.eps_cstar, rep.eps_unit) <= 1e-9
+        # delta = 0: each upper bound is the roundoff allowance n d eps_mach
+        assert pm.distance_cb.upper == 0.0
+        assert rep.submult_upper == rep.cstar_upper == 5 * 3 * np.finfo(float).eps
 
     def test_perturbed_defects_scale_with_eta(self):
         pin = chn.gen_pinching((2, 2))
@@ -141,29 +145,23 @@ class TestDefects:
             pert = chn.gen_perturbed(pin, t, seed=7)
             pm = sc.idempotentize(pert)
             alg = sc.extract_algebra(pm)
-            rep = sc.measure_defects(alg, samples=80, extension_n=2, seed=1)
+            rep = sc.measure_defects(alg, pm.distance_cb.upper)
             eta = pm.eta.value
-            worst_c = max(worst_c, rep.eps_assoc / eta, rep.eps_cstar / eta,
-                          rep.eps_submult / eta)
+            worst_c = max(worst_c, rep.eps_assoc / eta, rep.cstar_upper / eta,
+                          rep.submult_upper / eta)
         assert worst_c <= 100.0
 
     def test_extension_defects_comparable(self):
+        # the certified upper bounds hold on every amplification: sampled
+        # triples of M_2 (x) A and M_3 (x) A stay below them
         pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=9)
-        alg = sc.extract_algebra(sc.idempotentize(pert))
-        base = sc.measure_defects(alg, samples=150, extension_n=1, seed=0)
-        ext = sc.measure_defects(alg, samples=150, extension_n=3, seed=0)
-        # amplified defects stay within a small factor of the scalar ones
-        assert ext.eps_assoc <= 3 * max(base.eps_assoc, 1e-12)
-        assert ext.eps_cstar <= 3 * max(base.eps_cstar, 1e-10) + 1e-10
-
-    def test_monotone_in_refinement(self):
-        pert = chn.gen_perturbed(chn.gen_pinching((2, 1)), 1e-2, seed=11)
-        alg = sc.extract_algebra(sc.idempotentize(pert))
-        r1 = sc.measure_defects(alg, samples=0)
-        r2 = sc.measure_defects(alg, samples=100)
-        assert r1.method == "basis_bound"
-        assert r2.method == "sampled"
-        assert r2.eps_assoc >= r1.eps_assoc - 1e-15
+        pm = sc.idempotentize(pert)
+        alg = sc.extract_algebra(pm)
+        rep = sc.measure_defects(alg, pm.distance_cb.upper)
+        rng = np.random.default_rng(0)
+        for n_ext in (2, 3):
+            submult, _, cstar = _ref_extension_defects(alg, n_ext, 40, rng)
+            assert submult <= rep.submult_upper and cstar <= rep.cstar_upper, n_ext
 
     def test_direct_sum_norm_identity(self):
         # block-diagonal amplified elements have max-norm of the blocks
@@ -207,8 +205,10 @@ class TestResidualChecks:
         assert right <= 100 * eta
 
 
-# Per-sample loop forms of the defect helpers, kept as references for the
-# batched ones in starcalc.  They draw from the generator in the same order.
+# Per-sample loop forms of the defects.  The basis and unit loops are the
+# references of the batched sweeps in starcalc; the sampled loops on M_1,
+# M_2 and M_3 are the test oracle of the certified upper bounds, which no
+# sampled value may exceed.  Each returns the (submult, assoc, cstar) maxima.
 
 def _ref_star(alg, x, y):
     return np.einsum("i,j,ijk->k", x, y, alg.star_tensor)
@@ -216,18 +216,6 @@ def _ref_star(alg, x, y):
 
 def _ref_gauss(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _ref_triple_defect(alg, x, y, z):
-    nx, ny, nz = alg.norm(x), alg.norm(y), alg.norm(z)
-    if min(nx, ny, nz) < 1e-12:
-        return sc.DefectReport(sample_count=0, method="sampled")
-    xy = _ref_star(alg, x, y)
-    yz = _ref_star(alg, y, z)
-    assoc = alg.norm(_ref_star(alg, xy, z) - _ref_star(alg, x, yz)) / (nx * ny * nz)
-    submult = max(alg.norm(xy) / (nx * ny) - 1, 0.0)
-    cstar = max(1 - alg.norm(_ref_star(alg, np.conj(x), x)) / nx**2, 0.0)
-    return sc.DefectReport(submult, assoc, cstar, 0.0, 1, "sampled")
 
 
 def _ref_basis_defects(alg):
@@ -247,8 +235,7 @@ def _ref_basis_defects(alg):
     mats = np.einsum("ijkl,lab->ijkab", left - right, basis)
     sv3 = np.linalg.svd(mats, compute_uv=False)[..., 0]
     denom3 = np.einsum("i,j,k->ijk", basis_norms, basis_norms, basis_norms)
-    return sc.DefectReport(submult, float(np.max(sv3 / denom3)), max(cstar, 0.0), 0.0, 0,
-                           "basis_bound")
+    return submult, float(np.max(sv3 / denom3)), max(cstar, 0.0)
 
 
 def _counting_kernel(monkeypatch):
@@ -282,43 +269,49 @@ def _full_svd_basis_defects(alg, halved=True):
         right = t[:, k0:].reshape(-1, n) @ t[i]
         sv3 = alg.norms(left.reshape(-1, n) - right).reshape(n, n - k0)
         assoc = max(assoc, float(np.max(sv3 / (basis_norms[i] * denom[:, k0:]))))
-    return sc.DefectReport(submult, assoc, cstar, 0.0, 0, "basis_bound")
+    return submult, assoc, cstar
 
 
 def _ref_sampled_defects(alg, samples, rng):
-    n = alg.dim
-    rep = sc.DefectReport(sample_count=0, method="sampled")
+    """Worst defects over ``samples`` random triples of A, through the star tensor."""
+    worst = np.zeros(3)
     for _ in range(samples):
-        x, y, z = (_ref_gauss(rng, n) for _ in range(3))
-        rep = rep.merge(_ref_triple_defect(alg, x, y, z))
-    return rep
+        x, y, z = (_ref_gauss(rng, alg.dim) for _ in range(3))
+        nx, ny, nz = alg.norm(x), alg.norm(y), alg.norm(z)
+        xy = _ref_star(alg, x, y)
+        assoc = alg.norm(_ref_star(alg, xy, z) - _ref_star(alg, x, _ref_star(alg, y, z)))
+        cstar = 1 - alg.norm(_ref_star(alg, np.conj(x), x)) / nx**2
+        worst = np.maximum(worst, [alg.norm(xy) / (nx * ny) - 1, assoc / (nx * ny * nz), cstar])
+    return worst
+
+
+def _block_matrices(alg, coords):
+    """Matrices on C^m (x) H of stacked M_m (x) A coordinate blocks (..., m, m, dim)."""
+    m, d = coords.shape[-2], alg.ambient_dim
+    blocks = np.einsum("...abi,icd->...acbd", coords, alg.basis)
+    return blocks.reshape(*coords.shape[:-3], m * d, m * d)
 
 
 def _ref_extension_defects(alg, n_ext, samples, rng):
-    n = alg.dim
-    d = alg.ambient_dim
-    basis = alg.basis
+    """Worst defects over ``samples`` random triples of M_n_ext (x) A, normed
+    as operators on C^n_ext (x) H."""
 
     def ext_star(xc, yc):
         return np.einsum("abi,bcj,ijk->ack", xc, yc, alg.star_tensor)
 
     def ext_norm(xc):
-        blocks = np.einsum("abi,icd->abcd", xc, basis)
-        return nl.operator_norm(blocks.transpose(0, 2, 1, 3).reshape(n_ext * d, n_ext * d))
+        return nl.operator_norm(_block_matrices(alg, xc))
 
-    rep = sc.DefectReport(sample_count=0, method="sampled")
+    worst = np.zeros(3)
     for _ in range(samples):
-        xc, yc, zc = (_ref_gauss(rng, (n_ext, n_ext, n)) for _ in range(3))
+        xc, yc, zc = (_ref_gauss(rng, (n_ext, n_ext, alg.dim)) for _ in range(3))
         nx, ny, nz = ext_norm(xc), ext_norm(yc), ext_norm(zc)
-        if min(nx, ny, nz) < 1e-12:
-            continue
         xy = ext_star(xc, yc)
-        assoc = ext_norm(ext_star(xy, zc) - ext_star(xc, ext_star(yc, zc))) / (nx * ny * nz)
-        submult = max(ext_norm(xy) / (nx * ny) - 1, 0.0)
+        assoc = ext_norm(ext_star(xy, zc) - ext_star(xc, ext_star(yc, zc)))
         xdx = ext_star(np.conj(np.transpose(xc, (1, 0, 2))), xc)
-        cstar = max(1 - ext_norm(xdx) / nx**2, 0.0)
-        rep = rep.merge(sc.DefectReport(submult, assoc, cstar, 0.0, 1))
-    return rep
+        worst = np.maximum(worst, [ext_norm(xy) / (nx * ny) - 1, assoc / (nx * ny * nz),
+                                   1 - ext_norm(xdx) / nx**2])
+    return worst
 
 
 def _ref_unit_defect(alg):
@@ -332,15 +325,11 @@ def _ref_unit_defect(alg):
     return worst
 
 
-def _ref_measure_defects(alg, samples, extension_n, seed):
-    report = _ref_basis_defects(alg)
-    rng = np.random.default_rng(seed)
-    if samples > 0:
-        report = report.merge(_ref_sampled_defects(alg, samples, rng))
-    for n_ext in range(2, extension_n + 1):
-        report = report.merge(_ref_extension_defects(alg, n_ext, max(samples // 2, 40), rng))
-    report.eps_unit = max(report.eps_unit, _ref_unit_defect(alg))
-    return report
+def _ref_measure_defects(alg, delta):
+    """(submult, assoc, cstar, unit, submult upper, cstar upper)."""
+    allowance = alg.dim * alg.ambient_dim * 2.0**-52
+    return (*_ref_basis_defects(alg), _ref_unit_defect(alg),
+            delta + allowance, 3 * delta - delta**2 + allowance)
 
 
 def _ref_product_tensor(pm, basis):
@@ -353,13 +342,6 @@ def _ref_product_tensor(pm, basis):
             prod = chn.apply_superop(pm.superop, basis[i] @ basis[j])
             tensor[i, j, :] = stack_b.conj().T @ nl.vec(prod)
     return 0.5 * (tensor + np.conj(np.transpose(tensor, (1, 0, 2))))
-
-
-def _assert_same_report(got, want):
-    for name in ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit"):
-        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
-    assert got.method == want.method
-    assert got.sample_count == want.sample_count
 
 
 def _depolarizing(d):
@@ -391,16 +373,15 @@ class TestBatchedDefects:
         assert np.max(np.abs(alg.star_tensor - want)) <= 1e-12
 
     def test_basis_defects_match_loop(self, algebra):
-        _assert_same_report(sc._basis_defects(algebra), _ref_basis_defects(algebra))
+        got, want = sc._basis_defects(algebra), _ref_basis_defects(algebra)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
     def test_basis_defects_equal_full_svd_sweep(self, algebra, monkeypatch):
         want = _full_svd_basis_defects(algebra)
         rows = _counting_kernel(monkeypatch)
         got = sc._basis_defects(algebra)
         monkeypatch.undo()
-        for name in ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit"):
-            assert getattr(got, name) == getattr(want, name), name
-        assert (got.method, got.sample_count) == (want.method, want.sample_count)
+        assert got == want
         if algebra.dim == 26:
             # the full sweep takes n + n^2 + n^3 = 18278 norms
             assert sum(rows) <= 1000
@@ -413,20 +394,7 @@ class TestBatchedDefects:
         assert np.array_equal(t, np.conj(np.transpose(t, (1, 0, 2))))
         got = _full_svd_basis_defects(algebra)
         want = _full_svd_basis_defects(algebra, halved=False)
-        for name in ("eps_submult", "eps_assoc", "eps_cstar"):
-            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, name
-
-    @pytest.mark.parametrize("samples", [0, 1, 30])
-    def test_sampled_defects_match_loop(self, algebra, samples):
-        got = sc._sampled_defects(algebra, samples, np.random.default_rng(5))
-        want = _ref_sampled_defects(algebra, samples, np.random.default_rng(5))
-        _assert_same_report(got, want)
-
-    @pytest.mark.parametrize("n_ext", [2, 3])
-    def test_amplified_defects_match_loop(self, algebra, n_ext):
-        got = sc._sampled_defects(algebra, 12, np.random.default_rng(6), n_ext)
-        want = _ref_extension_defects(algebra, n_ext, 12, np.random.default_rng(6))
-        _assert_same_report(got, want)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
 
     def test_unit_defect_matches_loop(self, algebra):
         assert abs(sc._unit_defect(algebra) - _ref_unit_defect(algebra)) <= 1e-12
@@ -435,34 +403,15 @@ class TestBatchedDefects:
         rng = np.random.default_rng(11)
         bad = sc.EpsilonAlgebra(algebra.ambient_dim, algebra.basis,
                                 algebra.unit_coords + 0.01 * _ref_gauss(rng, algebra.dim),
-                                algebra.star_tensor, algebra.coord_map)
+                                algebra.star_tensor)
         assert abs(sc._unit_defect(bad) - _ref_unit_defect(bad)) <= 1e-12
 
-    @pytest.mark.parametrize("samples,extension_n,seed", [
-        (40, 2, 30), (0, 2, 30), (40, 2, 0), (40, 1, 30), (0, 1, 0),
-    ])
-    def test_measure_defects_match_loop(self, algebra, samples, extension_n, seed):
-        got = sc.measure_defects(algebra, samples, extension_n, seed=seed)
-        want = _ref_measure_defects(algebra, samples, extension_n, seed)
-        _assert_same_report(got, want)
-
-    def test_sample_count_is_triples_evaluated(self, algebra):
-        rep = sc.measure_defects(algebra, samples=100, extension_n=3, seed=0)
-        # 100 sampled, 50 triples of M_2 (x) A and 50 of M_3 (x) A
-        assert rep.sample_count == 100 + 50 + 50
-        rep = sc.measure_defects(algebra, samples=10, extension_n=2, seed=0)
-        assert rep.sample_count == 10 + 40
-
-    def test_zero_element_is_skipped_and_not_counted(self, algebra):
-        rng = np.random.default_rng(8)
-        x, y, z = (_ref_gauss(rng, (6, algebra.dim)) for _ in range(3))
-        y[2] = 0.0
-        got = sc._triple_defects(algebra, np.stack([x, y, z], axis=1)[:, :, None, None, :])
-        want = sc.DefectReport(sample_count=0, method="sampled")
-        for triple in zip(x, y, z):
-            want = want.merge(_ref_triple_defect(algebra, *triple))
-        assert got.sample_count == want.sample_count == 5
-        _assert_same_report(got, want)
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.3])
+    def test_measure_defects_match_loop(self, algebra, delta):
+        rep = sc.measure_defects(algebra, delta)
+        got = (rep.eps_submult, rep.eps_assoc, rep.eps_cstar, rep.eps_unit,
+               rep.submult_upper, rep.cstar_upper)
+        assert np.max(np.abs(np.subtract(got, _ref_measure_defects(algebra, delta)))) <= 1e-12
 
     def test_star_matches_einsum(self, algebra):
         rng = np.random.default_rng(9)
@@ -490,71 +439,41 @@ def _benchmark_inputs():
         yield chn.gen_random_idempotent(pairs, dim, seed), seed
 
 
-_PRODUCT_ALGEBRAS = {
-    "perturbed-31": lambda: chn.gen_perturbed(chn.gen_pinching((3, 1)), 1e-2, seed=1),
-    "perturbed-22": lambda: chn.gen_perturbed(chn.gen_pinching((2, 2)), 1e-2, seed=1),
-    "pinching-431": lambda: chn.gen_pinching((4, 3, 1)),
-    "pinching-51": lambda: chn.gen_pinching((5, 1)),
-    "idempotent-22-13": lambda: chn.gen_random_idempotent(((2, 2), (1, 3)), 7, 3),
-}
+def _bracket_inputs():
+    """The benchmark inputs and the eta edge, (3,1) at t=0.15 seed 1."""
+    yield from _benchmark_inputs()
+    yield chn.gen_perturbed(chn.gen_pinching((3, 1)), 0.15, seed=1), 1
 
 
-class TestMatrixProducts:
-    """The sampled and amplified stages multiply on matrices: the block
-    product on C^m (x) H, then ``coord_map`` on each block.  That must be
-    the star tensor's product, summed over the inner block index."""
+class TestCertifiedBrackets:
+    """The upper bounds of ``eps_submult`` and ``eps_cstar`` read off
+    ``distance_cb``: above the basis sweep, and above every sampled value on
+    M_1, M_2 and M_3 of the test oracle."""
 
-    @staticmethod
-    def _algebra(name):
-        if name == "matrix-3":
-            return so.matrix_algebra(3)
-        return sc.extract_algebra(sc.idempotentize(_PRODUCT_ALGEBRAS[name]()))
+    def test_upper_bounds_formula(self):
+        eps = np.finfo(float).eps
+        assert sc.defect_upper_bounds(0.0, 26, 8) == (208 * eps, 208 * eps)
+        submult, cstar = sc.defect_upper_bounds(0.1, 10, 4)
+        assert submult == 0.1 + 40 * eps and cstar == 3 * 0.1 - 0.1**2 + 40 * eps
 
-    @pytest.mark.parametrize("name", sorted(_PRODUCT_ALGEBRAS) + ["matrix-3"])
-    def test_products_match_star_tensor(self, name):
-        alg = self._algebra(name)
-        rng = np.random.default_rng(12)
-        for m in (1, 2, 3):
-            x, y = (_ref_gauss(rng, (6, m, m, alg.dim)) for _ in range(2))
-            prod = sc._block_matrices(alg, x) @ sc._block_matrices(alg, y)
-            got = sc._block_coords(alg, prod)
-            want = alg.star(x[:, :, :, None, :], y[:, None, :, :, :]).sum(axis=-3)
-            assert got.shape == want.shape == (6, m, m, alg.dim)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), m
-
-    def test_block_matrices_are_the_amplified_elements(self):
-        alg = self._algebra("perturbed-31")
-        x = _ref_gauss(np.random.default_rng(13), (4, 2, 2, alg.dim))
-        want = [np.block([[alg.element(e[a, b]) for b in range(2)] for a in range(2)])
-                for e in x]
-        assert np.max(np.abs(sc._block_matrices(alg, x) - np.array(want))) <= 1e-14
-
-    def test_matrix_algebra_coord_map_is_the_basis_adjoint(self):
-        alg = so.matrix_algebra(3)
-        stack_b = np.stack([nl.vec(b) for b in alg.basis], axis=1)
-        assert np.array_equal(alg.coord_map, stack_b.conj().T)
-        assert not alg.coord_map.flags.writeable
-
-    @pytest.mark.parametrize("name,n_ext,samples,chunks", [
-        ("pinching-431", 1, 100, [64, 36]),
-        ("pinching-431", 2, 50, [16, 16, 16, 2]),
-        ("perturbed-31", 1, 100, [100]),
-        ("perturbed-31", 2, 50, [50]),
-    ])
-    def test_triples_taken_about_4096_entries_at_a_time(
-            self, name, n_ext, samples, chunks, monkeypatch):
-        alg = self._algebra(name)
-        seen = []
-        triple_defects = sc._triple_defects
-        monkeypatch.setattr(sc, "_triple_defects",
-                            lambda a, t: seen.append(len(t)) or triple_defects(a, t))
-        got = sc._sampled_defects(alg, samples, np.random.default_rng(2), n_ext)
-        monkeypatch.undo()
-        assert seen == chunks
-        # the chunks merge to the defects of all the triples at once
-        whole = sc._triple_defects(
-            alg, sc._draw_triples(np.random.default_rng(2), samples, n_ext, alg.dim))
-        _assert_same_report(got, whole)
+    @pytest.mark.parametrize("case", range(12))
+    def test_brackets_hold(self, case):
+        ch, seed = list(_bracket_inputs())[case]
+        pm = sc.idempotentize(ch)
+        alg = sc.extract_algebra(pm)
+        rep = sc.measure_defects(alg, pm.distance_cb.upper)
+        assert rep.eps_submult <= rep.submult_upper
+        assert rep.eps_cstar <= rep.cstar_upper
+        if 6 <= case < 11:  # exact input: delta is roundoff, the allowance carries it
+            assert pm.distance_cb.upper <= 1e-14
+        rng = np.random.default_rng(seed)
+        for m, samples in ((1, 100), (2, 50), (3, 30)):
+            if m == 1:
+                submult, _, cstar = _ref_sampled_defects(alg, samples, rng)
+            else:
+                submult, _, cstar = _ref_extension_defects(alg, m, samples, rng)
+            assert submult <= rep.submult_upper, m
+            assert cstar <= rep.cstar_upper, m
 
 
 class TestMaxNorm:
@@ -670,15 +589,15 @@ def _svd_ext_norms(alg, x):
 
 
 def _ext_norms(alg, x):
-    """Operator norms of stacked M_m (x) A coordinate blocks, as the sampled
-    and amplified stages take them."""
-    return nl.operator_norms(sc._block_matrices(alg, x))
+    """Operator norms of stacked M_m (x) A coordinate blocks, as the test
+    oracle takes them."""
+    return nl.operator_norms(_block_matrices(alg, x))
 
 
 class TestGramNorms:
-    """The norms of the sampled and amplified stages, sqrt(lam_max(X^dag X))
-    of the matrices ``_block_matrices`` builds, must agree with the SVD to
-    1e-13 relative, over the whole range of scales."""
+    """The norms of amplified elements, sqrt(lam_max(X^dag X)) of the
+    matrices ``_block_matrices`` builds, must agree with the SVD to 1e-13
+    relative, over the whole range of scales."""
 
     @staticmethod
     def _stack(alg, m, rng):
@@ -709,7 +628,7 @@ class TestGramNorms:
         assert got.shape == want.shape == (8,)
         assert got[5] == want[5] == 0.0
         assert np.all(np.abs(got - want) <= 1e-13 * want)
-        # stacked with leading axes, as _triple_defects passes them
+        # stacked with leading axes
         both = _ext_norms(alg, np.stack([x[:4], x[4:]]))
         assert np.all(np.abs(both.ravel() - want) <= 1e-13 * want)
 
@@ -721,24 +640,18 @@ class TestGramNorms:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n_ext", [1, 2])
-    def test_non_finite_coordinate_raises(self, algebra, bad, n_ext, monkeypatch):
-        # as the stacked SVD did: eigvalsh would return NaN silently
-        draw = sc._draw_triples
-
-        def poisoned(rng, count, n_ext, n):
-            triples = draw(rng, count, n_ext, n)
-            triples[3, 1, 0, 0, 0] = bad
-            return triples
-
-        monkeypatch.setattr(sc, "_draw_triples", poisoned)
+    def test_non_finite_coordinate_raises(self, algebra, bad, n_ext):
+        # as the stacked SVD does: eigvalsh would return NaN silently
+        x = _ref_gauss(np.random.default_rng(1), (10, 3, n_ext, n_ext, algebra.dim))
+        x[3, 1, 0, 0, 0] = bad
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
-                sc._sampled_defects(algebra, 10, np.random.default_rng(1), n_ext)
+                _ext_norms(algebra, x)
 
     def test_non_finite_basis_raises(self):
         alg = sc.extract_algebra(sc.idempotentize(_depolarizing(2)))
         bad = sc.EpsilonAlgebra(alg.ambient_dim, np.full((1, 2, 2), np.nan),
-                                alg.unit_coords, alg.star_tensor, alg.coord_map)
+                                alg.unit_coords, alg.star_tensor)
         with np.errstate(invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
-                sc._sampled_defects(bad, 2, np.random.default_rng(1))
+                sc.measure_defects(bad, 0.0)
