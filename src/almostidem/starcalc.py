@@ -232,9 +232,13 @@ def defect_upper_bounds(delta: float, n: int, d: int) -> tuple[float, float]:
     delta <= 1 (Paulsen, Completely Bounded Maps and Operator Algebras, 2002,
     ch. 3).  The bounds hold for the exact algebra, not its floating-point
     image, whose sweep reads up to about 1e-15 where delta is 0: each bound
-    adds the a-priori roundoff allowance n d eps_mach, eps_mach = 2^-52.
+    adds the a-priori roundoff allowance 4 (n + 3 d) eps_mach, eps_mach =
+    2^-52.  A defect is a ratio of up to three norms, each of a sum of n basis
+    terms taken as an m d x m d matrix, with roundoff of order (n + m d)
+    eps_mach; the allowance covers m <= 3, where an exact one-dimensional
+    algebra on C^2 already reads up to 6 eps_mach on M_1 to M_3.
     """
-    allowance = n * d * 2.0**-52
+    allowance = 4 * (n + 3 * d) * 2.0**-52
     return delta + allowance, 3 * delta - delta**2 + allowance
 
 

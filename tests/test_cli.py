@@ -454,6 +454,17 @@ class TestCliCommands:
             main([command, "--help"])
         assert "--samples" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["reconstruct", "factorize"])
+    def test_negative_samples_are_refused(self, tmp_path, capsys, command):
+        ch_path, out = tmp_path / "ch.json", tmp_path / "report.json"
+        main(["gen", "--pinching", "2,1", "--seed", "0", "--out", str(ch_path)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(ch_path), "--samples", "-3", "--json-out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_demo_exit_code_follows_its_replay_verification(self, monkeypatch, capsys):
         assert main(["demo"]) == 0
         assert "replay verification: ok" in capsys.readouterr().out

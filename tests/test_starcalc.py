@@ -134,9 +134,9 @@ class TestDefects:
         alg = sc.extract_algebra(pm)
         rep = sc.measure_defects(alg, pm.distance_cb.upper)
         assert max(rep.eps_submult, rep.eps_assoc, rep.eps_cstar, rep.eps_unit) <= 1e-9
-        # delta = 0: each upper bound is the roundoff allowance n d eps_mach
+        # delta = 0: each upper bound is the roundoff allowance 4 (n + 3 d) eps_mach
         assert pm.distance_cb.upper == 0.0
-        assert rep.submult_upper == rep.cstar_upper == 5 * 3 * np.finfo(float).eps
+        assert rep.submult_upper == rep.cstar_upper == 4 * (5 + 9) * np.finfo(float).eps
 
     def test_perturbed_defects_scale_with_eta(self):
         pin = chn.gen_pinching((2, 2))
@@ -327,7 +327,7 @@ def _ref_unit_defect(alg):
 
 def _ref_measure_defects(alg, delta):
     """(submult, assoc, cstar, unit, submult upper, cstar upper)."""
-    allowance = alg.dim * alg.ambient_dim * 2.0**-52
+    allowance = 4 * (alg.dim + 3 * alg.ambient_dim) * 2.0**-52
     return (*_ref_basis_defects(alg), _ref_unit_defect(alg),
             delta + allowance, 3 * delta - delta**2 + allowance)
 
@@ -357,8 +357,13 @@ _ALGEBRAS = {
 
 
 @pytest.fixture(scope="module", params=sorted(_ALGEBRAS))
-def algebra(request):
-    return sc.extract_algebra(sc.idempotentize(_ALGEBRAS[request.param]()))
+def projection(request):
+    return sc.idempotentize(_ALGEBRAS[request.param]())
+
+
+@pytest.fixture(scope="module")
+def algebra(projection):
+    return sc.extract_algebra(projection)
 
 
 class TestBatchedDefects:
@@ -406,12 +411,26 @@ class TestBatchedDefects:
                                 algebra.star_tensor)
         assert abs(sc._unit_defect(bad) - _ref_unit_defect(bad)) <= 1e-12
 
-    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.3])
-    def test_measure_defects_match_loop(self, algebra, delta):
-        rep = sc.measure_defects(algebra, delta)
-        got = (rep.eps_submult, rep.eps_assoc, rep.eps_cstar, rep.eps_unit,
-               rep.submult_upper, rep.cstar_upper)
-        assert np.max(np.abs(np.subtract(got, _ref_measure_defects(algebra, delta)))) <= 1e-12
+    @pytest.mark.parametrize("samples,extension_n,seed", [
+        (40, 2, 30), (0, 2, 30), (40, 2, 0), (40, 1, 30), (0, 1, 0),
+    ])
+    def test_measure_defects_match_loop(self, projection, algebra, samples, extension_n, seed):
+        for delta in (0.0, 1e-3, 0.3):
+            rep = sc.measure_defects(algebra, delta)
+            got = (rep.eps_submult, rep.eps_assoc, rep.eps_cstar, rep.eps_unit,
+                   rep.submult_upper, rep.cstar_upper)
+            assert np.max(np.abs(np.subtract(got, _ref_measure_defects(algebra, delta)))) <= 1e-12
+        # the oracle's sampled triples of A and of M_extension_n (x) A stay
+        # under the upper bounds read off the algebra's own distance_cb
+        rep = sc.measure_defects(algebra, projection.distance_cb.upper)
+        rng = np.random.default_rng(seed)
+        for m in sorted({1, extension_n}):
+            if m == 1:
+                submult, _, cstar = _ref_sampled_defects(algebra, samples, rng)
+            else:
+                submult, _, cstar = _ref_extension_defects(algebra, m, samples, rng)
+            assert submult <= rep.submult_upper, m
+            assert cstar <= rep.cstar_upper, m
 
     def test_star_matches_einsum(self, algebra):
         rng = np.random.default_rng(9)
@@ -452,9 +471,9 @@ class TestCertifiedBrackets:
 
     def test_upper_bounds_formula(self):
         eps = np.finfo(float).eps
-        assert sc.defect_upper_bounds(0.0, 26, 8) == (208 * eps, 208 * eps)
+        assert sc.defect_upper_bounds(0.0, 26, 8) == (200 * eps, 200 * eps)
         submult, cstar = sc.defect_upper_bounds(0.1, 10, 4)
-        assert submult == 0.1 + 40 * eps and cstar == 3 * 0.1 - 0.1**2 + 40 * eps
+        assert submult == 0.1 + 88 * eps and cstar == 3 * 0.1 - 0.1**2 + 88 * eps
 
     @pytest.mark.parametrize("case", range(12))
     def test_brackets_hold(self, case):
