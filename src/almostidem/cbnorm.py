@@ -15,22 +15,22 @@ explicitly feasible point of its dual
 
 The program is solved by eliminating X: for fixed (rho_0, rho_1) the optimal
 objective is the trace norm ||(sqrt(rho_0) (x) I) J (sqrt(rho_1) (x) I)||_1,
-which is jointly concave.  A cheap bound pair (the objective at
-rho_0 = rho_1 = I/d_in and the polar factorization of J) settles maps far
-below the gap target; every other map goes to one log-det barrier Newton
-solve started at rho_0 = rho_1 = I/d_in, which maximizes X out in closed form
-(:class:`_BarrierPoint`).  Any positive definite iterate gives both bounds,
-its primal value and the dual point built from it, each valid for the J
-given.  The path multiplies t by 100 per stage; an intermediate stage is
-centred until the damped Newton decrement (decrement times step length) is
-below 2, the final stage, at t_final = 4 n_z / target gap with
-n_z = 2 d_in d_out, until the undamped decrement is below 5e-3.  Stage
-centres are certified; from t_final / 16 on, where the central path's own
-gap n_z / t is within the gap target, every accepted iterate is, and the
-solve stops at the first one whose bounds close.  A loosely centred stage
-gives looser bounds, never invalid ones, and a solve that stalls offers its
-last point, so its bounds are recorded ``stalled``.  All solves work to the
-relative gap ``TARGET_REL_GAP``.
+which is jointly concave.  Two cheap bound pairs at rho_0 = rho_1 = I/d_in
+settle maps far below the gap target, ||H(J)||_F / d_in with d_out ||J||_F
+(no decomposition) and then the bounds one eigh of H(J) gives there.  Every
+other map goes to one log-det barrier Newton solve from I/d_in, which
+maximizes X out in closed form (:class:`_BarrierPoint`).  Any positive
+definite iterate gives both bounds, its primal value and the dual point
+built from it, each valid for the J given.  The path multiplies t by 100
+per stage; an intermediate stage is centred until the damped Newton
+decrement (decrement times step length) is below 2, the final stage, at
+t_final = 4 n_z / target gap with n_z = 2 d_in d_out, until the undamped
+decrement is below 5e-3.  Stage centres are certified; from t_final / 16
+on, where the central path's own gap n_z / t is within the gap target,
+every accepted iterate is, and the solve stops at the first one whose
+bounds close.  A loosely centred stage gives looser bounds, never invalid
+ones, and a solve that stalls offers its last point, so its bounds are
+recorded ``stalled``.  All solves work to the relative gap ``TARGET_REL_GAP``.
 
 Every map the pipeline measures is a difference of UCP maps, so it preserves
 Hermiticity and its Choi matrix J is Hermitian; there the optimum has
@@ -60,7 +60,8 @@ recomputes only the t-dependent terms (:func:`_at_t`); if no halving gains,
 the restart is that point.
 
 Each certificate carries a :class:`Witness`: the density matrix of its lower
-bound and the generator of the dual point of its upper bound.
+bound and the generator of the dual point of its upper bound, by one of
+three kinds (``frobenius``, ``cheap``, ``point``).
 ``check_witness`` re-evaluates both on a Choi matrix without solving, which
 is how a recorded certificate is verified.
 """
@@ -84,7 +85,7 @@ class InvalidWitness(CbNormError):
     """A witness that does not fit the map it is checked against."""
 
 
-_UPPER_KINDS = ("cheap", "point")
+_UPPER_KINDS = ("frobenius", "cheap", "point")
 
 TARGET_REL_GAP = 1e-6  # relative gap every certificate is solved to
 _MAX_NEWTON = 400      # Newton steps one barrier solve may take
@@ -96,9 +97,10 @@ class Witness:
 
     ``lower`` is a density matrix rho whose primal value at (rho, rho) is the
     lower bound.  ``upper`` is the generator of the dual point of the upper
-    bound, by ``upper_kind``: None for "cheap" (the polar factorization of J)
-    and a positive definite rho for "point" (``_dual_bound_from_point``).
-    ``target_rel_gap`` is the gap target the solve worked to.
+    bound, by ``upper_kind``: None for "frobenius" (:func:`_frobenius_pair`,
+    whose lower bound is ||H(M)||_F at rho), None for "cheap" (the dual point
+    of H(J) at I/d_in, :func:`_cheap_pair`) and a positive definite rho for
+    "point".  ``target_rel_gap`` is the gap target the solve worked to.
     """
 
     lower: np.ndarray
@@ -167,27 +169,25 @@ def _ptrace_out(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     return np.einsum("iyjy->ij", m.reshape(d_in, d_out, d_in, d_out))
 
 
-def _is_hermitian(j: np.ndarray) -> bool:
-    """Whether J is taken as Hermitian: ||J - J^dag|| <= 1e-12 ||J||, by the
-    Frobenius-first test :func:`numlin.is_hermitian`."""
-    return nl.is_hermitian(j, 1e-12)
+def _sandwich_part(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """H(M) for M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I), with rho first
+    made a density matrix (:func:`_density_sqrt`), as a barrier iterate's
+    trace drifts off 1 and a witness read from a file may be anything.  ||M||_1
+    is J's primal value there, so ||H(M)||_F <= ||H(M)||_1 are lower bounds."""
+    sr = _density_sqrt(rho)
+    return nl.hermitian_part(_lmul(sr, _rmul(j, sr)))
 
 
 def _primal_value(j: np.ndarray, rho: np.ndarray) -> float:
-    """||M||_1 for M = (sqrt(rho) (x) I) J (sqrt(rho) (x) I), with rho first
-    made a density matrix (:func:`_density_sqrt`), so the value is a valid
-    lower bound at any rho: a barrier iterate's trace drifts off 1 by
-    roundoff, and a witness read from a file may be anything.  The split of J
-    into factors follows from the shape of rho.
+    """||H(M)||_1 (:func:`_sandwich_part`), the primal value of H(J) at rho."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(_sandwich_part(j, rho)))))
 
-    For a Hermitian J (:func:`_is_hermitian`) M is Hermitian and the value is
-    sum |eigvalsh(H(M))|, still a lower bound because ||H(M)||_1 <= ||M||_1.
-    """
-    sr = _density_sqrt(rho)
-    m = _lmul(sr, _rmul(j, sr))
-    if _is_hermitian(j):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(nl.hermitian_part(m)))))
-    return nl.trace_norm(m)
+
+def _frobenius_pair(m_part: np.ndarray, j: np.ndarray, d_out: int) -> tuple[float, float]:
+    """||H(M)||_F for ``m_part`` = H(M) at a rho (:func:`_sandwich_part`), and
+    the value d_out ||J||_F of the dual point Y0 = Y1 = ||J||_F I, feasible as
+    ||J|| <= ||J||_F, with the roundoff factor of :func:`_dual_value`."""
+    return float(np.linalg.norm(m_part)), d_out * float(np.linalg.norm(j)) * (1 + 1e-9)
 
 
 def _dual_bound_from_point(j: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> float:
@@ -233,17 +233,6 @@ def _dual_value(y, lam_min, d_in: int, d_out: int) -> float:
     eigenvalue ``lam_min`` feasible."""
     slack = max(0.0, -float(lam_min)) * (1 + 1e-9)
     return nl.operator_norm(_ptrace_out(y, d_in, d_out)) + slack * d_out
-
-
-def _cheap_upper_bound(svd, d_in: int, d_out: int) -> float:
-    """Fast dual-feasible bound from the polar factorization of J, read off
-    its full SVD ``svd`` = (U, s, V^dag)."""
-    u, s, vh = svd
-    y0 = nl.hermitian_part((u * s) @ u.conj().T)   # |J^dag|
-    y1 = nl.hermitian_part((vh.conj().T * s) @ vh)  # |J|
-    val0 = nl.operator_norm(_ptrace_out(y0, d_in, d_out))
-    val1 = nl.operator_norm(_ptrace_out(y1, d_in, d_out))
-    return 0.5 * (val0 + val1)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +551,24 @@ def _barrier_solve(
         t = t_new
 
 
+def _cheap_pair(h: np.ndarray, skew: float, d_in: int, d_out: int) -> tuple[float, float]:
+    """Both bounds at the :class:`_BarrierPoint` of H = H(J) at rho = I/d_in,
+    from one eigh of H: there M = H / d_in and rho's roots are multiples of I."""
+    eye = np.eye(d_in, dtype=complex)
+    pt = _BarrierPoint(eye / d_in, np.full(d_in, 1.0 / d_in),
+                       (eye / np.sqrt(d_in), eye * np.sqrt(d_in)), *np.linalg.eigh(h / d_in))
+    return pt.lower, _equal_pair_dual_bound(h, skew, pt, d_in, d_out)
+
+
 class _Bounds:
     """Best lower and upper bound of one solve, each with the rho that gives
-    it; both start as the cheap pair, whose lower bound is at I/d_in."""
+    it; both start as the Frobenius pair at I/d_in, where H(M) = H(J) / d_in."""
 
-    def __init__(self, j, d_in, d_out, lower, upper):
+    def __init__(self, j, d_in, d_out):
         self.j, self.d_in, self.d_out = j, d_in, d_out
-        self.lower, self.lower_rho = lower, np.eye(d_in, dtype=complex) / d_in
-        self.upper, self.upper_kind, self.upper_rho = upper, "cheap", None
+        self.lower_rho = np.eye(d_in, dtype=complex) / d_in
+        self.lower, self.upper = _frobenius_pair(self.split[0] / d_in, j, d_out)
+        self.upper_kind, self.upper_rho = "frobenius", None
 
     def offer(self, point) -> bool:
         """Offer both bounds at the :class:`_BarrierPoint` ``point`` of H(J),
@@ -605,16 +604,11 @@ def diamond_norm_of_choi(j: np.ndarray, d_in: int, d_out: int) -> NormCertificat
     :func:`check_witness` re-evaluates without solving.
     """
     j = np.asarray(j, dtype=complex)
-    # one SVD gives ||J||, the value at rho = I/d_in and the cheap upper bound
-    svd = np.linalg.svd(j)
-    s = svd[1]
-    if float(s[0]) <= 1e-300:
-        return _Bounds(j, d_in, d_out, 0.0, 0.0).certificate(0, "cheap")
-
-    # the objective at rho = I/d_in already meets the cheap bound for maps far
-    # below the absolute gap target (roundoff residuals of exact input)
-    bounds = _Bounds(j, d_in, d_out, float(np.sum(s)) / d_in,
-                     _cheap_upper_bound(svd, d_in, d_out))
+    # the Frobenius pair closes on roundoff-sized maps, the cheap pair on the next band up
+    bounds = _Bounds(j, d_in, d_out)
+    if not bounds.closed():
+        bounds.lower, bounds.upper = _cheap_pair(*bounds.split, d_in, d_out)
+        bounds.upper_kind = "cheap"
     if bounds.closed():
         return bounds.certificate(0, "cheap")
 
@@ -643,12 +637,13 @@ def cb_norm(mp, dim_in=None, dim_out=None) -> NormCertificate:
 def check_witness(j: np.ndarray, d_in: int, d_out: int, witness: Witness):
     """(lower, upper) that ``witness`` certifies for the Choi matrix ``j``.
 
-    No solve runs: the lower bound is the primal value of the witness rho
-    after projecting it onto the density matrices, so no tampered rho can
-    raise it past the norm, and the upper bound rebuilds the dual point and
-    checks its feasibility explicitly, with the slack folded in as the solver
-    does.  Raises :class:`InvalidWitness` when the witness does not fit ``j``,
-    a "point" rho included that is not positive definite.
+    No solve runs: the lower bound is read off the witness rho after
+    projecting it onto the density matrices, so no tampered rho can raise it
+    past the norm, and the upper bound rebuilds the dual point (a "cheap" one,
+    the polar bound of earlier versions included, at I/d_in) and checks its
+    feasibility explicitly, with the slack folded in as the solver does.
+    Raises :class:`InvalidWitness` when the witness does not fit ``j``, a
+    "point" rho included that is not positive definite.
     """
     if witness.upper_kind not in _UPPER_KINDS:
         raise InvalidWitness(f"unknown upper witness kind {witness.upper_kind!r}")
@@ -658,12 +653,11 @@ def check_witness(j: np.ndarray, d_in: int, d_out: int, witness: Witness):
         if np.shape(m) != (d_in, d_in) or not np.all(np.isfinite(m)):
             raise InvalidWitness(
                 f"witness matrix of shape {np.shape(m)}, expected finite {(d_in, d_in)}")
-    lower = _primal_value(j, witness.lower)
-    if point:
-        upper = _dual_bound_from_point(j, witness.upper, d_in, d_out)
-    else:
-        upper = _cheap_upper_bound(np.linalg.svd(j), d_in, d_out)
-    return lower, upper
+    if witness.upper_kind == "frobenius":
+        return _frobenius_pair(_sandwich_part(j, witness.lower), j, d_out)
+    upper = (_dual_bound_from_point(j, witness.upper, d_in, d_out) if point
+             else _cheap_pair(*_split_hermitian(j), d_in, d_out)[1])
+    return _primal_value(j, witness.lower), upper
 
 
 def check_cb_witness(mp, dim_in: int, dim_out: int, witness: Witness):

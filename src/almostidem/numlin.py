@@ -277,14 +277,6 @@ def is_hermitian(m: np.ndarray, tol: float, floor: float = 0.0) -> bool:
     return operator_norm(skew) <= tol * max(operator_norm(m), floor)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
 def rank_from_singular_values(s: np.ndarray, rel_tol: float) -> int:
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s[0] <= 0:

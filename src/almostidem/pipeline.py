@@ -7,6 +7,7 @@ can replay it from scratch.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -242,32 +243,44 @@ def _verify_structure(report: dict) -> list[str]:
     return []
 
 
+_DEFECT_NAMES = ("eps_submult", "eps_assoc", "eps_cstar", "eps_unit")
+
+
+def _is_size(x) -> bool:
+    """Whether ``x`` is a finite number >= 0, as every defect is."""
+    return type(x) in (int, float) and math.isfinite(x) and x >= 0
+
+
 def _verify_defects(report: dict, dim: int) -> list[str]:
-    """Failures of the recorded ``eps_submult`` and ``eps_cstar`` brackets:
-    each upper bound must be the one :func:`starcalc.defect_upper_bounds`
+    """Failures of the recorded ``defects``: every ``eps_*`` must be there
+    with a lower bound that is a finite number >= 0 (the flat ``defects`` of
+    earlier reports record that alone), and each ``eps_submult`` and
+    ``eps_cstar`` upper bound must be the one :func:`starcalc.defect_upper_bounds`
     gives for the recorded ``distance_cb`` upper bound, algebra dimension and
-    ``dim``, and must not lie below its lower bound.  The flat ``defects`` of
-    earlier reports record no bracket and are skipped.
-    """
+    ``dim``, and must not lie below its lower bound."""
     stages = {cp.get("stage"): cp for cp in report.get("checkpoints", [])}
     algebra = stages.get("algebra", {})
-    defects = algebra.get("defects", {})
-    if not any(isinstance(v, dict) for v in defects.values()):
-        return []
+    defects = algebra.get("defects")
+    if not isinstance(defects, dict) or not all(name in defects for name in _DEFECT_NAMES):
+        return [f"recorded defects do not hold {', '.join(_DEFECT_NAMES)}"]
+    if not any(isinstance(defects[name], dict) for name in _DEFECT_NAMES):
+        return [f"recorded {name} {defects[name]!r} is not a finite number >= 0"
+                for name in _DEFECT_NAMES if not _is_size(defects[name])]
     try:
         delta = stages["idempotent-envelope"]["distance_cb"]["upper"]
         uppers = sc.defect_upper_bounds(delta, algebra["dim"], dim)
-        brackets = [(name, defects[name]["lower"], defects[name]["upper"], want)
+        lowers = {name: defects[name]["lower"] for name in _DEFECT_NAMES}
+        brackets = [(name, lowers[name], defects[name]["upper"], want)
                     for name, want in zip(("eps_submult", "eps_cstar"), uppers)]
     except (KeyError, TypeError):
-        return ["recorded defects do not hold the eps_submult and eps_cstar brackets "
-                "and the distance_cb they are read off"]
-    failures = []
+        return ["recorded defects do not hold the brackets and the distance_cb they are read off"]
+    failures = [f"recorded {name} lower bound {lower!r} is not a finite number >= 0"
+                for name, lower in lowers.items() if not _is_size(lower)]
     for name, lower, upper, want in brackets:
         if upper != want:
             failures.append(f"recorded {name} upper bound {upper!r} is not {want!r}, "
                             f"the bound the recorded distance_cb gives")
-        if not lower <= upper:
+        if _is_size(lower) and _is_size(upper) and not lower <= upper:
             failures.append(f"recorded {name} bracket [{lower!r}, {upper!r}] is inverted")
     return failures
 

@@ -90,6 +90,11 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.conj(a) * b))
 
 
+def trace_norm(m: np.ndarray) -> float:
+    """Sum of singular values."""
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
 def polar_unitary(t: np.ndarray) -> np.ndarray:
     """Unitary factor U V^dag of the polar decomposition of t = U S V^dag."""
     u, _, vh = np.linalg.svd(t)

@@ -493,18 +493,77 @@ class TestKronFreeKernels:
             assert np.allclose(got, m @ nl.kron(ref, eye), rtol=0, atol=1e-12)
 
 
+def _band_map(d: int) -> np.ndarray:
+    """c times the Choi matrix of the identity map on M_d, with c such that
+    the Frobenius pair's gap c (d^2 (1 + 1e-9) - 1) is twice the gap target;
+    the cheap pair of this J is exact, [c, c]."""
+    c = 2 * cb.TARGET_REL_GAP / (d * d * (1 + 1e-9) - 1)
+    return c * chn.choi_from_superop(np.eye(d * d, dtype=complex), d, d)
+
+
+def _recording_decompositions(monkeypatch):
+    """The shapes of the matrices that eigh, eigvalsh and svd are called on."""
+    shapes = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def recorded(m, *args, _f=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(m)[-2:])
+            return _f(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
 class TestCheapCertificate:
-    def test_tiny_map_certified_without_ascent(self):
+    def test_tiny_map_certified_without_ascent(self, monkeypatch):
         rng = np.random.default_rng(23)
         d_in, d_out = 3, 2
-        a = _random_complex(rng, d_in * d_out, d_in * d_out)
+        n = d_in * d_out
+        a = _random_complex(rng, n, n)
         j = 1e-12 * a
+        shapes = _recording_decompositions(monkeypatch)
         cert = cb.diamond_norm_of_choi(j, d_in, d_out)
-        assert cert.iterations == 0
-        # the trace norm from the one full SVD that also gives the upper bound
-        assert cert.lower == np.sum(np.linalg.svd(j)[1]) / d_in
+        assert cert.iterations == 0 and cert.path == "cheap"
+        assert cert.witness.upper_kind == "frobenius" and cert.witness.upper is None
+        # two Frobenius norms and no decomposition; the check decomposes
+        # only the witness rho, to project it onto the density matrices
+        assert cert.lower == pytest.approx(np.linalg.norm(j + j.conj().T) / (2 * d_in), rel=1e-12)
+        assert cert.upper == pytest.approx(d_out * np.linalg.norm(j), rel=1e-8)
         assert cert.lower <= cert.upper
         assert cert.gap <= 1e-6
+        assert shapes == []
+        _assert_reproduces(cb.check_witness(j, d_in, d_out, cert.witness), cert)
+        assert shapes == [(d_in, d_in)]
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_frobenius_pair_brackets_the_sdp(self, d_in, d_out, hermitian):
+        # the pair at I/d_in is homogeneous in J, so the bracket of the
+        # independent solver's interval is checked at scale 1, where its
+        # tolerance is far below the margins, and the certificate of the tiny
+        # map is that pair scaled
+        rng = np.random.default_rng(300 + 10 * d_in + d_out + hermitian)
+        n = d_in * d_out
+        j = _random_complex(rng, n, n)
+        if hermitian:
+            j = j + j.conj().T
+        ref_lower, ref_upper, _ = sdp_oracle.diamond_norm_sdp_explicit(
+            chn.superop_from_choi(j, d_in, d_out), d_in, d_out, tol=1e-9)
+        uniform = np.eye(d_in, dtype=complex) / d_in
+        lower, upper = cb._frobenius_pair(cb._sandwich_part(j, uniform), j, d_out)
+        assert lower <= ref_upper and ref_lower <= upper
+        cert = cb.diamond_norm_of_choi(1e-9 * j, d_in, d_out)
+        assert cert.path == "cheap" and cert.witness.upper_kind == "frobenius"
+        _assert_reproduces((1e-9 * lower, 1e-9 * upper), cert)
+
+    def test_frobenius_gap_twice_the_target_takes_the_cheap_pair(self):
+        for d in (2, 3):
+            j = _band_map(d)
+            lower, upper = cb._frobenius_pair(nl.hermitian_part(j) / d, j, d)
+            assert upper - lower == pytest.approx(2 * cb.TARGET_REL_GAP, rel=1e-9)
+            cert = cb.diamond_norm_of_choi(j, d, d)
+            assert cert.path == "cheap" and cert.iterations == 0
+            assert cert.witness.upper_kind == "cheap"
+            assert cert.gap <= 1e-15 and lower <= cert.lower <= cert.upper < upper
+            _assert_reproduces(cb.check_witness(j, d, d, cert.witness), cert)
 
     def test_early_exit_does_not_fire_above_gap_target(self):
         # homogeneity at 1e-3 holds only if that map still gets the full solve
@@ -548,7 +607,12 @@ class TestWitness:
         mp = a.superop - b.superop
         cert = cb.cb_norm(mp, 2, 2)
         _assert_reproduces(cb.check_cb_witness(mp, 2, 2, cert.witness), cert)
-        assert {("cheap", "cheap"), ("barrier", "point")} <= paths
+        # a map in the band the Frobenius pair leaves open and the cheap pair closes
+        j = _band_map(2)
+        cert = cb.diamond_norm_of_choi(j, 2, 2)
+        paths.add((cert.path, cert.witness.upper_kind))
+        _assert_reproduces(cb.check_witness(j, 2, 2, cert.witness), cert)
+        assert {("cheap", "frobenius"), ("cheap", "cheap"), ("barrier", "point")} <= paths
 
     def test_recorded_iterate_reproduces_its_upper_bound(self, perturbed_d4):
         # the dual bound of a recorded barrier iterate is rebuilt from the
@@ -672,7 +736,8 @@ class TestWorkDoneOnce:
         cert = cb.diamond_norm_of_choi(j, 2, 3)
         assert cert.path == "barrier" and not cert.stalled
         assert len(centers) >= 2
-        assert len(bounds) == len(centers)
+        # and one for the cheap pair at I/d_in that seeds the solve
+        assert len(bounds) == len(centers) + 1
 
     @pytest.mark.parametrize("stub", ["no_move", "no_step_accepted"])
     def test_last_point_is_offered(self, stub, monkeypatch):
@@ -814,7 +879,7 @@ class TestWorkDoneOnce:
 
     def test_hermitian_split_once_per_solve(self, monkeypatch):
         # H(J) and ||J - J^dag||_F / 2 are fixed for a solve: one split for
-        # all the iterates it offers
+        # the cheap pair and all the iterates the solve offers
         a = _random_complex(np.random.default_rng(41), 6, 6)
         j = a + a.conj().T
         splits, offers = [], []
@@ -864,8 +929,8 @@ def _svd_dual_bound(j, rho, sigma, d_in, d_out):
 
 
 class TestHermitianCentre:
-    """An equal pair is bounded from one eigendecomposition of M for H(J);
-    the primal value of a non-Hermitian J keeps the SVD."""
+    """An equal pair is bounded from one eigendecomposition of M for H(J),
+    for every J."""
 
     @pytest.mark.parametrize("d_in,d_out", [(2, 2), (3, 2), (2, 3)])
     def test_eigh_bounds_match_svd_formulas(self, d_in, d_out):
@@ -874,9 +939,8 @@ class TestHermitianCentre:
         a = _random_complex(rng, n, n)
         j = a + a.conj().T
         rho = 0.7 * nl.random_density(d_in, rng) + 0.3 * np.eye(d_in) / d_in
-        assert cb._is_hermitian(j)
         root = nl.kron(cb._density_sqrt(rho), np.eye(d_out))
-        want = nl.trace_norm(root @ j @ root)
+        want = so.trace_norm(root @ j @ root)
         assert abs(cb._primal_value(j, rho) - want) <= 1e-12 * want
         want = _svd_dual_bound(j, rho, rho, d_in, d_out)
         got = cb._dual_bound_from_point(j, rho, d_in, d_out)
@@ -898,7 +962,7 @@ class TestHermitianCentre:
                     for eps in np.logspace(-15, -9, 31):
                         j = base + eps * skew
                         want = nl.operator_norm(j - j.conj().T) <= 1e-12 * nl.operator_norm(j)
-                        assert cb._is_hermitian(j) == want
+                        assert nl.is_hermitian(j, 1e-12) == want
 
     @pytest.mark.parametrize("d_in,d_out", [(2, 2), (3, 2), (2, 3)])
     def test_equal_pair_bound_takes_one_stacked_eigvalsh(self, d_in, d_out, monkeypatch):
@@ -909,7 +973,7 @@ class TestHermitianCentre:
         a = _random_complex(rng, n, n)
         j = a + a.conj().T + 1e-13 * (a - a.conj().T)
         rho = 0.7 * nl.random_density(d_in, rng) + 0.3 * np.eye(d_in) / d_in
-        assert cb._is_hermitian(j)
+        assert nl.is_hermitian(j, 1e-12)
         h, skew = cb._split_hermitian(j)
         pt = cb._decompose(h, nl.hermitian_part(rho))
         sri = pt.roots[1]
@@ -922,20 +986,27 @@ class TestHermitianCentre:
         assert cb._equal_pair_dual_bound(h, skew, pt, d_in, d_out) == want
         assert len(calls) == 1
 
-    def test_non_hermitian_equal_pair_keeps_the_svd(self):
-        # ||H(M)||_1 < ||M||_1 for a non-Hermitian M, so the value at the
-        # uniform pair must stay the trace norm the cheap certificate records
-        d_in, d_out = 2, 2
-        j = 1e-8 * _random_complex(np.random.default_rng(95), 4, 4)
-        assert not cb._is_hermitian(j)
+    def test_non_hermitian_equal_pair_takes_the_hermitian_part(self):
+        # ||H(M)||_1 < ||M||_1 for a non-Hermitian M: the value at the uniform
+        # pair is that of H(J), still a lower bound, and the cheap pair of a
+        # map with a skew part adds its Weyl term d_out ||J - J^dag||_F / 2
+        d_in = d_out = 2
+        rng = np.random.default_rng(95)
+        j = _random_complex(rng, 4, 4)
+        assert not nl.is_hermitian(j, 1e-12)
         uniform = np.eye(d_in, dtype=complex) / d_in
         sr = cb._density_sqrt(uniform)
-        assert cb._primal_value(j, uniform) == nl.trace_norm(cb._lmul(sr, cb._rmul(j, sr)))
+        m = cb._lmul(sr, cb._rmul(j, sr))
+        value = cb._primal_value(j, uniform)
+        assert value == float(np.sum(np.abs(np.linalg.eigvalsh(nl.hermitian_part(m)))))
+        assert value < so.trace_norm(m)
+        j = _band_map(2) + 1e-8 * _anti_hermitian(rng, 4, 1.0)
         cert = cb.diamond_norm_of_choi(j, d_in, d_out)
         assert cert.path == "cheap" and cert.witness.upper_kind == "cheap"
-        lower, upper = cb.check_witness(j, d_in, d_out, cert.witness)
-        assert abs(lower - cert.lower) <= 1e-12 * cert.lower
-        assert abs(upper - cert.upper) <= 1e-12 * cert.upper
+        skew = cb._split_hermitian(j)[1]
+        assert skew > 1e-9
+        assert cert.upper - cert.lower == pytest.approx(d_out * skew, rel=1e-6)
+        _assert_reproduces(cb.check_witness(j, d_in, d_out, cert.witness), cert, 1e-12)
 
 
 def _budget_maps():

@@ -607,6 +607,17 @@ def barrier_report(tmp_path_factory):
     return json.load(open(rep))
 
 
+@pytest.fixture(scope="module")
+def pert_report(tmp_path_factory):
+    """Factorize report of the (3,1), t=1e-2, seed 1 perturbed pinching."""
+    work = tmp_path_factory.mktemp("pert")
+    base, pert, rep = work / "base.json", work / "pert.json", work / "fact.json"
+    main(["gen", "--pinching", "3,1", "--seed", "1", "--out", str(base)])
+    main(["gen", "--perturb", str(base), "--t", "1e-2", "--seed", "1", "--out", str(pert)])
+    assert main(["factorize", str(pert), "--seed", "1", "--json-out", str(rep)]) == 0
+    return json.load(open(rep))
+
+
 def _verified_certificates(report):
     """(name, recorded certificate, map, dim) for the three certificates verify checks."""
     from almostidem import reconstruction as rc
@@ -819,6 +830,54 @@ class TestWitnessVerify:
         capsys.readouterr()
         assert _verify(tmp_path, rep) == 1
         assert f"FAIL: recorded {name}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", [
+        "missing_entry", "no_entries", "negative_lower", "nan_lower",
+        "flat_negative", "flat_nan", "flat_missing",
+    ])
+    def test_tampered_defects_are_rejected(self, barrier_report, tmp_path, capsys, edit):
+        # every eps_* must be recorded, and each lower bound, of a bracket or
+        # of the earlier flat layout, must be a finite number >= 0
+        rep = copy.deepcopy(barrier_report)
+        algebra = _stage(rep, "algebra")
+        defects = algebra["defects"]
+        flat = {name: rec["lower"] for name, rec in defects.items()}
+        flat.update(sample_count=150, method="sampled")
+        if edit == "missing_entry":
+            del defects["eps_unit"]
+        elif edit == "no_entries":
+            algebra["defects"] = {}
+        elif edit == "negative_lower":
+            defects["eps_assoc"]["lower"] = -3.0
+        elif edit == "nan_lower":
+            defects["eps_unit"]["lower"] = float("nan")
+        else:
+            algebra["defects"] = flat
+            if edit == "flat_negative":
+                flat["eps_submult"] = -1e-3
+            elif edit == "flat_nan":
+                flat["eps_cstar"] = float("nan")
+            else:
+                del flat["eps_assoc"]
+        capsys.readouterr()
+        assert _verify(tmp_path, rep) == 1
+        assert "FAIL: recorded " in capsys.readouterr().out
+
+    def test_frobenius_upper_witness_of_a_barrier_certificate_fails(
+            self, pert_report, tmp_path, capsys):
+        # the Frobenius pair of a map the barrier closed is far looser than
+        # the recorded interval, so relabelling its upper witness fails
+        assert _verify(tmp_path, pert_report) == 0
+        barrier = [i for i, (_, rec, _, _) in enumerate(_verified_certificates(pert_report))
+                   if rec["path"] == "barrier"]
+        assert barrier
+        for i in barrier:
+            rep = copy.deepcopy(pert_report)
+            name, rec, _, _ = _verified_certificates(rep)[i]
+            rec["witness"]["upper"] = {"kind": "frobenius"}
+            capsys.readouterr()
+            assert _verify(tmp_path, rep) == 1, name
+            assert f"recorded {name} interval" in capsys.readouterr().out, name
 
     def test_malformed_witness_is_one_clean_line(self, barrier_report, tmp_path, capsys):
         rho = barrier_report["checkpoints"][0]["eta"]["witness"]["lower"]["rho"]

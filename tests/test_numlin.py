@@ -205,7 +205,7 @@ class TestNorms:
         assert nl.operator_norm(x) == pytest.approx(1.0)
 
     def test_trace_norm(self):
-        assert nl.trace_norm(np.diag([2.0, -5.0])) == pytest.approx(7.0)
+        assert so.trace_norm(np.diag([2.0, -5.0])) == pytest.approx(7.0)
 
     def test_hs_inner(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
